@@ -12,6 +12,7 @@ data outputs are byte-reproducible across runs and worker counts.
 Exit codes: 0 success, 1 input error, 2 stage failure.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -29,40 +30,24 @@ from .postprocess import SoftNmsConfig
 from .proposals import LabelPolicy
 from .refinement import RefineConfig
 
+# Config sections backed by a stage dataclass: their defaults are the
+# dataclass defaults, and `_stage_config` builds the dataclass from the section.
+STAGE_CONFIGS = {
+    "synth": synthgen.SceneConfig,
+    "link": LinkConfig,
+    "refine": RefineConfig,
+    "label": LabelPolicy,
+    "nms": SoftNmsConfig,
+    "align": AlignmentPolicy,
+}
+
 DEFAULT_CONFIG = {
-    "synth": {
-        "seed": 0,
-        "video_count": 10,
-        "frames_per_video": 200,
-        "objects_per_video": [3, 6],
-        "activity_mix": None,
-        "dropout_rate": 0.0,
-        "box_jitter_px": 0.0,
-        "false_positive_rate": 0.0,
-        "score_noise": 0.0,
-        "frame_width": 1280.0,
-        "frame_height": 720.0,
-        "frame_rate": 30.0,
+    **{
+        section: {f.name: f.default for f in dataclasses.fields(cls)}
+        for section, cls in STAGE_CONFIGS.items()
     },
-    "link": {
-        "strategy": "tracking",
-        "iou_link_threshold": 0.5,
-        "patience": 50,
-        "max_interp_gap": 8,
-    },
-    "refine": {
-        "coord_displacement_min": 0.5,
-        "flow_mean_min": 1.0,
-        "enlarge_factor": 1.2,
-        "window_sizes": [32, 64, 128, 256],
-        "window_stride": 16,
-        "sample_count": 64,
-    },
-    "label": {"spatial_pos": 0.35, "temporal_pos": 0.5, "temporal_neg": 0.2},
     "scorer": {"name": "oracle", "epsilon": 0.0, "label_noise": 0.0, "seed": 0},
-    "nms": {"method": "gaussian", "sigma": 0.5, "linear_threshold": 0.3, "score_floor": 0.001},
     "fusion": {"vehicle_weight": 1.0, "person_weight": 1.0},
-    "align": {"temporal_iou_min": 0.2, "method": "optimal"},
     "eval": {
         "target_rfa": 0.15,
         "recall_thresholds": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
@@ -70,19 +55,39 @@ DEFAULT_CONFIG = {
     "output": {"score_threshold": 0.05},
     "workers": 1,
 }
+DEFAULT_CONFIG["link"]["strategy"] = "tracking"
 
 
 def _merged_config(path=None):
+    """The default config overridden by the JSON file at `path`; an unknown
+    section or key is an input error."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             user = json.load(fh)
         for section, value in user.items():
-            if isinstance(value, dict) and isinstance(cfg.get(section), dict):
-                cfg[section].update(value)
-            else:
+            if section not in cfg:
+                raise InvalidInputError(f"unknown config section: {section!r}")
+            if not isinstance(cfg[section], dict):
                 cfg[section] = value
+                continue
+            if not isinstance(value, dict):
+                raise InvalidInputError(f"config section {section!r} must be an object")
+            for key in value:
+                if key not in cfg[section]:
+                    raise InvalidInputError(f"unknown config key: {section}.{key}")
+            cfg[section].update(value)
     return cfg
+
+
+def _stage_config(cfg, section):
+    """Build the stage dataclass from its config section; JSON lists become tuples."""
+    cls = STAGE_CONFIGS[section]
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        value = cfg[section][f.name]
+        kwargs[f.name] = tuple(value) if isinstance(value, list) else value
+    return cls(**kwargs)
 
 
 def _config_hash(cfg):
@@ -112,26 +117,8 @@ def _parallel_map(fn, items, workers):
 # stage implementations (shared by subcommands and the pipeline)
 
 
-def _scene_config(cfg):
-    s = cfg["synth"]
-    return synthgen.SceneConfig(
-        seed=s["seed"],
-        video_count=s["video_count"],
-        frames_per_video=s["frames_per_video"],
-        objects_per_video=tuple(s["objects_per_video"]),
-        activity_mix=s["activity_mix"],
-        dropout_rate=s["dropout_rate"],
-        box_jitter_px=s["box_jitter_px"],
-        false_positive_rate=s["false_positive_rate"],
-        score_noise=s["score_noise"],
-        frame_width=s["frame_width"],
-        frame_height=s["frame_height"],
-        frame_rate=s["frame_rate"],
-    )
-
-
 def run_synth(cfg, out_dir):
-    corpus = synthgen.generate(_scene_config(cfg))
+    corpus = synthgen.generate(_stage_config(cfg, "synth"))
     return synthgen.write_corpus(corpus, out_dir), corpus
 
 
@@ -142,11 +129,7 @@ def run_link(detections_path, meta_path, strategy, cfg, out_path, workers=1):
     if unknown:
         raise ConsistencyError(f"detections reference unknown video_id(s): {sorted(unknown)}")
 
-    link_cfg = LinkConfig(
-        iou_link_threshold=cfg["link"]["iou_link_threshold"],
-        patience=cfg["link"]["patience"],
-        max_interp_gap=cfg["link"]["max_interp_gap"],
-    )
+    link_cfg = _stage_config(cfg, "link")
     by_video = {}
     for d in result.detections:
         by_video.setdefault(d.video_id, []).append(d)
@@ -178,14 +161,7 @@ def run_refine(tubelets_path, meta_path, cfg, out_path, workers=1):
     if unknown:
         raise ConsistencyError(f"tubelets reference unknown video_id(s): {sorted(unknown)}")
 
-    refine_cfg = RefineConfig(
-        coord_displacement_min=cfg["refine"]["coord_displacement_min"],
-        flow_mean_min=cfg["refine"]["flow_mean_min"],
-        enlarge_factor=cfg["refine"]["enlarge_factor"],
-        window_sizes=tuple(cfg["refine"]["window_sizes"]),
-        window_stride=cfg["refine"]["window_stride"],
-        sample_count=cfg["refine"]["sample_count"],
-    )
+    refine_cfg = _stage_config(cfg, "refine")
     kept, removed = refinement.filter_static(tubes, refine_cfg)
 
     def _one(tub):
@@ -215,6 +191,7 @@ def run_score(proposals_path, cfg, out_path, ground_truth_path=None, group_filte
         epsilon=scorer_cfg["epsilon"],
         label_noise=scorer_cfg["label_noise"],
         seed=scorer_cfg["seed"],
+        policy=_stage_config(cfg, "label"),
     )
 
     def _one(p):
@@ -232,12 +209,7 @@ def run_score(proposals_path, cfg, out_path, ground_truth_path=None, group_filte
 def run_fuse(vehicle_path, person_path, cfg, out_path):
     vehicle = refinement.read_proposals(vehicle_path)
     person = refinement.read_proposals(person_path)
-    nms_cfg = SoftNmsConfig(
-        method=cfg["nms"]["method"],
-        sigma=cfg["nms"]["sigma"],
-        linear_threshold=cfg["nms"]["linear_threshold"],
-        score_floor=cfg["nms"]["score_floor"],
-    )
+    nms_cfg = _stage_config(cfg, "nms")
     weights = (cfg["fusion"]["vehicle_weight"], cfg["fusion"]["person_weight"])
     fused = postprocess.fuse(vehicle, person, nms_cfg, weights)
     instances = postprocess.proposals_to_instances(fused, cfg["output"]["score_threshold"])
@@ -257,9 +229,7 @@ def run_eval_det(instances_path, ground_truth_path, meta_path, cfg, out_csv, out
     system = data_model.read_instances(instances_path)
     refs = data_model.read_ground_truth(ground_truth_path)
     metas = data_model.read_video_meta(meta_path)
-    policy = AlignmentPolicy(
-        temporal_iou_min=cfg["align"]["temporal_iou_min"], method=cfg["align"]["method"]
-    )
+    policy = _stage_config(cfg, "align")
     curves = evaluation.det_curve(system, refs, metas, policy)
     evaluation.write_det_csv(curves, out_csv)
     summary = evaluation.write_det_summary(curves, out_summary, cfg["eval"]["target_rfa"])
@@ -268,10 +238,6 @@ def run_eval_det(instances_path, ground_truth_path, meta_path, cfg, out_csv, out
 
 # ---------------------------------------------------------------------------
 # click wiring
-
-
-class _StageFailure(SystemExit):
-    pass
 
 
 def _guarded(stage):
@@ -347,16 +313,20 @@ def synth_cmd(config_path, out_dir, seed, videos, frames, dropout):
 @main.command("link")
 @click.option("--detections", type=click.Path(exists=True), required=True)
 @click.option("--meta", type=click.Path(exists=True), required=True)
-@click.option("--strategy", type=click.Choice(["greedy", "tracking"]), default="tracking")
+@click.option("--strategy", type=click.Choice(["greedy", "tracking"]), default=None)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--workers", type=int, default=1)
+@click.option("--workers", type=int, default=None)
 @_guarded("link")
 def link_cmd(detections, meta, strategy, out, config_path, workers):
     """Link per-frame detections into tubelets."""
     cfg = _merged_config(config_path)
+    if strategy is not None:
+        cfg["link"]["strategy"] = strategy
+    if workers is not None:
+        cfg["workers"] = workers
     started = time.perf_counter()
-    tubes = run_link(detections, meta, strategy, cfg, out, workers)
+    tubes = run_link(detections, meta, cfg["link"]["strategy"], cfg, out, cfg["workers"])
     _write_manifest(out, "link", cfg, {"link": time.perf_counter() - started}, {"tubelets": len(tubes)})
     click.echo(f"wrote {len(tubes)} tubelets to {out}")
 
@@ -366,13 +336,15 @@ def link_cmd(detections, meta, strategy, out, config_path, workers):
 @click.option("--meta", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--workers", type=int, default=1)
+@click.option("--workers", type=int, default=None)
 @_guarded("refine")
 def refine_cmd(tubelets, meta, out, config_path, workers):
     """Filter static tubelets, normalize boxes, jitter into proposals."""
     cfg = _merged_config(config_path)
+    if workers is not None:
+        cfg["workers"] = workers
     started = time.perf_counter()
-    props, removed = run_refine(tubelets, meta, cfg, out, workers)
+    props, removed = run_refine(tubelets, meta, cfg, out, cfg["workers"])
     _write_manifest(
         out,
         "refine",
@@ -385,22 +357,25 @@ def refine_cmd(tubelets, meta, out, config_path, workers):
 
 @main.command("score")
 @click.option("--proposals", "proposals_path", type=click.Path(exists=True), required=True)
-@click.option("--scorer", type=click.Choice(["oracle", "heuristic"]), default="oracle")
+@click.option("--scorer", type=click.Choice(["oracle", "heuristic"]), default=None)
 @click.option("--ground-truth", type=click.Path(exists=True), default=None)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--group", type=click.Choice(["vehicle_related", "person_related"]), default=None)
 @click.option("--epsilon", type=float, default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--workers", type=int, default=1)
+@click.option("--workers", type=int, default=None)
 @_guarded("score")
 def score_cmd(proposals_path, scorer, ground_truth, out, group, epsilon, config_path, workers):
     """Score proposals with the selected scorer (optionally one model group)."""
     cfg = _merged_config(config_path)
-    cfg["scorer"]["name"] = scorer
+    if scorer is not None:
+        cfg["scorer"]["name"] = scorer
     if epsilon is not None:
         cfg["scorer"]["epsilon"] = epsilon
+    if workers is not None:
+        cfg["workers"] = workers
     started = time.perf_counter()
-    scored = run_score(proposals_path, cfg, out, ground_truth, group, workers)
+    scored = run_score(proposals_path, cfg, out, ground_truth, group, cfg["workers"])
     _write_manifest(out, "score", cfg, {"score": time.perf_counter() - started}, {"scored": len(scored)})
     click.echo(f"wrote {len(scored)} scored proposals to {out}")
 

@@ -198,10 +198,10 @@ def write_detections(detections, path):
 
 def _instance_from_record(rec, path, lineno):
     _require(rec, ("video_id", "activity", "start", "end", "confidence", "boxes"), path, lineno)
-    boxes = {}
-    for b in rec["boxes"]:
-        boxes[int(b["frame"])] = Box(float(b["x1"]), float(b["y1"]), float(b["x2"]), float(b["y2"]))
     try:
+        boxes = {}
+        for b in rec["boxes"]:
+            boxes[int(b["frame"])] = Box(float(b["x1"]), float(b["y1"]), float(b["x2"]), float(b["y2"]))
         return ActivityInstance(
             video_id=str(rec["video_id"]),
             activity=str(rec["activity"]),
@@ -211,6 +211,8 @@ def _instance_from_record(rec, path, lineno):
         )
     except SchemaError:
         raise
+    except KeyError as exc:
+        raise ParseError(f"instance box missing key {exc}", path=path, line=lineno)
     except (InvalidInputError, ValueError, TypeError) as exc:
         raise ParseError(f"invalid instance: {exc}", path=path, line=lineno)
 

@@ -81,21 +81,6 @@ def temporal_iou(a: Interval, b: Interval) -> float:
     return inter / union
 
 
-def enlarge(b: Box, factor: float, frame_bounds: Box) -> Box:
-    """Scale width/height by `factor` about the box center, clamp to frame."""
-    if factor < 1.0:
-        raise InvalidInputError(f"enlarge factor must be >= 1, got {factor}")
-    cx, cy = b.center
-    hw = 0.5 * b.width * factor
-    hh = 0.5 * b.height * factor
-    return Box(
-        max(frame_bounds.x1, cx - hw),
-        max(frame_bounds.y1, cy - hh),
-        min(frame_bounds.x2, cx + hw),
-        min(frame_bounds.y2, cy + hh),
-    )
-
-
 def clamp_box(b: Box, frame_bounds: Box) -> Box:
     """Clip a box to the frame; degenerate result allowed when fully outside."""
     x1 = min(max(b.x1, frame_bounds.x1), frame_bounds.x2)

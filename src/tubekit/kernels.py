@@ -1,127 +1,10 @@
-"""Numeric hot kernels: pairwise IoU matrices and per-frame IoU reductions.
-
-Two interchangeable backends are provided: numba ``@njit`` kernels (default)
-and pure-numpy vectorized equivalents. Set ``TUBEKIT_NUMBA=0`` in the
-environment to force the numpy path (useful for debugging and as a fallback
-on platforms where numba is unavailable). ``benchmarks/bench_kernels.py``
-compares the two.
-"""
-
-import os
+"""Numeric hot kernels: pairwise IoU matrices and per-frame IoU reductions,
+vectorised with numpy."""
 
 import numpy as np
 
-_WANT_NUMBA = os.environ.get("TUBEKIT_NUMBA", "1") != "0"
-
-try:
-    if _WANT_NUMBA:
-        from numba import njit
-    else:
-        njit = None
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-
-NUMBA_ENABLED = njit is not None
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy backend
-
-
-def _iou_matrix_np(a, b):
-    ax1, ay1, ax2, ay2 = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    bx1, by1, bx2, by2 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
-    iw = np.minimum(ax2[:, None], bx2[None, :]) - np.maximum(ax1[:, None], bx1[None, :])
-    ih = np.minimum(ay2[:, None], by2[None, :]) - np.maximum(ay1[:, None], by1[None, :])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    area_a = (ax2 - ax1) * (ay2 - ay1)
-    area_b = (bx2 - bx1) * (by2 - by1)
-    union = area_a[:, None] + area_b[None, :] - inter
-    out = np.zeros_like(inter)
-    np.divide(inter, union, out=out, where=union > 0.0)
-    return out
-
-
-def _paired_iou_np(a, b):
-    iw = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
-    ih = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a + area_b - inter
-    out = np.zeros_like(inter)
-    np.divide(inter, union, out=out, where=union > 0.0)
-    return out
-
-
-def _temporal_iou_matrix_np(a, b):
-    inter = np.minimum(a[:, 1, None], b[None, :, 1]) - np.maximum(a[:, 0, None], b[None, :, 0])
-    union = np.maximum(a[:, 1, None], b[None, :, 1]) - np.minimum(a[:, 0, None], b[None, :, 0])
-    inter = np.clip(inter, 0.0, None)
-    out = np.zeros_like(inter)
-    np.divide(inter, union, out=out, where=union > 0.0)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _iou_matrix_nb(a, b):
-        n = a.shape[0]
-        m = b.shape[0]
-        out = np.zeros((n, m), dtype=np.float64)
-        for i in range(n):
-            area_a = (a[i, 2] - a[i, 0]) * (a[i, 3] - a[i, 1])
-            for j in range(m):
-                iw = min(a[i, 2], b[j, 2]) - max(a[i, 0], b[j, 0])
-                if iw <= 0.0:
-                    iw = 0.0
-                ih = min(a[i, 3], b[j, 3]) - max(a[i, 1], b[j, 1])
-                if ih <= 0.0:
-                    ih = 0.0
-                inter = iw * ih
-                area_b = (b[j, 2] - b[j, 0]) * (b[j, 3] - b[j, 1])
-                union = area_a + area_b - inter
-                if union > 0.0:
-                    out[i, j] = inter / union
-        return out
-
-    @njit(cache=True)
-    def _paired_iou_nb(a, b):
-        n = a.shape[0]
-        out = np.zeros(n, dtype=np.float64)
-        for i in range(n):
-            iw = min(a[i, 2], b[i, 2]) - max(a[i, 0], b[i, 0])
-            if iw <= 0.0:
-                iw = 0.0
-            ih = min(a[i, 3], b[i, 3]) - max(a[i, 1], b[i, 1])
-            if ih <= 0.0:
-                ih = 0.0
-            inter = iw * ih
-            area_a = (a[i, 2] - a[i, 0]) * (a[i, 3] - a[i, 1])
-            area_b = (b[i, 2] - b[i, 0]) * (b[i, 3] - b[i, 1])
-            union = area_a + area_b - inter
-            if union > 0.0:
-                out[i] = inter / union
-        return out
-
-    @njit(cache=True)
-    def _temporal_iou_matrix_nb(a, b):
-        n = a.shape[0]
-        m = b.shape[0]
-        out = np.zeros((n, m), dtype=np.float64)
-        for i in range(n):
-            for j in range(m):
-                inter = min(a[i, 1], b[j, 1]) - max(a[i, 0], b[j, 0])
-                if inter <= 0.0:
-                    continue
-                union = max(a[i, 1], b[j, 1]) - min(a[i, 0], b[j, 0])
-                if union > 0.0:
-                    out[i, j] = inter / union
-        return out
+# There is no compiled backend; the pipeline benchmark records this flag.
+NUMBA_ENABLED = False
 
 
 def _as_f64(x, cols):
@@ -137,9 +20,17 @@ def iou_matrix(boxes_a, boxes_b):
     b = _as_f64(boxes_b, 4)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((a.shape[0], b.shape[0]))
-    if NUMBA_ENABLED:
-        return _iou_matrix_nb(a, b)
-    return _iou_matrix_np(a, b)
+    ax1, ay1, ax2, ay2 = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+    bx1, by1, bx2, by2 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
+    iw = np.minimum(ax2[:, None], bx2[None, :]) - np.maximum(ax1[:, None], bx1[None, :])
+    ih = np.minimum(ay2[:, None], by2[None, :]) - np.maximum(ay1[:, None], by1[None, :])
+    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    area_a = (ax2 - ax1) * (ay2 - ay1)
+    area_b = (bx2 - bx1) * (by2 - by1)
+    union = area_a[:, None] + area_b[None, :] - inter
+    out = np.zeros_like(inter)
+    np.divide(inter, union, out=out, where=union > 0.0)
+    return out
 
 
 def paired_iou(boxes_a, boxes_b):
@@ -150,9 +41,15 @@ def paired_iou(boxes_a, boxes_b):
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if a.shape[0] == 0:
         return np.zeros(0)
-    if NUMBA_ENABLED:
-        return _paired_iou_nb(a, b)
-    return _paired_iou_np(a, b)
+    iw = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
+    ih = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
+    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a + area_b - inter
+    out = np.zeros_like(inter)
+    np.divide(inter, union, out=out, where=union > 0.0)
+    return out
 
 
 def temporal_iou_matrix(ivals_a, ivals_b):
@@ -161,6 +58,9 @@ def temporal_iou_matrix(ivals_a, ivals_b):
     b = _as_f64(ivals_b, 2)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((a.shape[0], b.shape[0]))
-    if NUMBA_ENABLED:
-        return _temporal_iou_matrix_nb(a, b)
-    return _temporal_iou_matrix_np(a, b)
+    inter = np.minimum(a[:, 1, None], b[None, :, 1]) - np.maximum(a[:, 0, None], b[None, :, 0])
+    union = np.maximum(a[:, 1, None], b[None, :, 1]) - np.minimum(a[:, 0, None], b[None, :, 0])
+    inter = np.clip(inter, 0.0, None)
+    out = np.zeros_like(inter)
+    np.divide(inter, union, out=out, where=union > 0.0)
+    return out

@@ -131,8 +131,6 @@ class OracleScorer:
     gets its matched class at 1 - epsilon, optionally flipped to a random
     wrong class with probability `label_noise` (deterministic per proposal)."""
 
-    concurrency_safe = True
-
     def __init__(self, instances, epsilon=0.0, label_noise=0.0, seed=0, policy=LabelPolicy()):
         if not 0.0 <= epsilon < 1.0:
             raise InvalidInputError(f"epsilon out of [0,1): {epsilon}")
@@ -165,8 +163,6 @@ class HeuristicScorer:
     """Pixel-free smoke-test scorer: activity mass grows with the proposal's
     mean center displacement, so static proposals score non-action highest."""
 
-    concurrency_safe = True
-
     def score(self, proposal, group):
         frames = sorted(proposal.boxes)
         disp = 0.0
@@ -183,11 +179,11 @@ class HeuristicScorer:
         return scores
 
 
-def make_scorer(name, ground_truth=None, epsilon=0.0, label_noise=0.0, seed=0):
+def make_scorer(name, ground_truth=None, epsilon=0.0, label_noise=0.0, seed=0, policy=LabelPolicy()):
     if name == "oracle":
         if ground_truth is None:
             raise InvalidInputError("oracle scorer requires ground truth")
-        return OracleScorer(ground_truth, epsilon=epsilon, label_noise=label_noise, seed=seed)
+        return OracleScorer(ground_truth, epsilon=epsilon, label_noise=label_noise, seed=seed, policy=policy)
     if name == "heuristic":
         return HeuristicScorer()
     raise InvalidInputError(f"unknown scorer: {name!r}")

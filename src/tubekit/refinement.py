@@ -49,14 +49,6 @@ class Proposal:
     sampled_frames: list  # absolute frame indices, len == sample_count
     scores: Optional[dict] = None  # activity class (or "non_action") -> score
 
-    def box_map_array(self):
-        import numpy as np
-
-        frames = sorted(self.boxes)
-        return frames, np.array(
-            [[self.boxes[f].x1, self.boxes[f].y1, self.boxes[f].x2, self.boxes[f].y2] for f in frames]
-        )
-
 
 def motion_stats(tubelet, motion_source=None):
     """Per-tubelet motion summary from box centers and an optional per-frame

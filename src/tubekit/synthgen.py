@@ -10,7 +10,7 @@ positives. Fully deterministic: video v uses numpy's default_rng seeded with
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -201,20 +201,7 @@ def generate(config: SceneConfig) -> SynthCorpus:
 
     manifest = {
         "rng": RNG_ALGORITHM,
-        "config": {
-            "seed": config.seed,
-            "video_count": config.video_count,
-            "frames_per_video": config.frames_per_video,
-            "objects_per_video": list(config.objects_per_video),
-            "activity_mix": config.activity_mix,
-            "dropout_rate": config.dropout_rate,
-            "box_jitter_px": config.box_jitter_px,
-            "false_positive_rate": config.false_positive_rate,
-            "score_noise": config.score_noise,
-            "frame_width": config.frame_width,
-            "frame_height": config.frame_height,
-            "frame_rate": config.frame_rate,
-        },
+        "config": asdict(config),
         "counts": {
             "videos": config.video_count,
             "instances": len(ground_truth),

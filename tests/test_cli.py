@@ -174,3 +174,111 @@ def test_oracle_without_ground_truth_exits_one(corpus_dir, tmp_path):
         "score", "--proposals", str(props), "--scorer", "oracle", "--out", str(tmp_path / "o.jsonl"),
     ])
     assert res.exit_code == 1
+
+
+@pytest.fixture(scope="module")
+def dropout_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("dropout_corpus")
+    res = run([
+        "synth", "--out-dir", str(out), "--seed", "11", "--videos", "2", "--frames", "120", "--dropout", "0.3",
+    ])
+    assert res.exit_code == 0
+    return out
+
+
+def write_config(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_link_strategy_from_config_or_flag(dropout_corpus, tmp_path):
+    det = str(dropout_corpus / "detections.jsonl")
+    meta = str(dropout_corpus / "video_meta.jsonl")
+    cfg = write_config(tmp_path, {"link": {"strategy": "greedy"}})
+    outputs = {}
+    for name, extra in (("default", []), ("flag", ["--strategy", "greedy"]), ("config", ["--config", cfg])):
+        out = tmp_path / f"{name}.jsonl"
+        assert run(["link", "--detections", det, "--meta", meta, "--out", str(out), *extra]).exit_code == 0
+        outputs[name] = out.read_bytes()
+    assert outputs["config"] == outputs["flag"]
+    assert outputs["config"] != outputs["default"]
+
+
+def test_scorer_from_config_or_flag(dropout_corpus, tmp_path):
+    meta = str(dropout_corpus / "video_meta.jsonl")
+    gt = str(dropout_corpus / "ground_truth.jsonl")
+    tubes = str(tmp_path / "tubelets.jsonl")
+    props = str(tmp_path / "proposals.jsonl")
+    assert run(["link", "--detections", str(dropout_corpus / "detections.jsonl"), "--meta", meta,
+                "--out", tubes]).exit_code == 0
+    assert run(["refine", "--tubelets", tubes, "--meta", meta, "--out", props]).exit_code == 0
+    cfg = write_config(tmp_path, {"scorer": {"name": "heuristic"}})
+    outputs = {}
+    for name, extra in (("default", []), ("flag", ["--scorer", "heuristic"]), ("config", ["--config", cfg])):
+        out = tmp_path / f"{name}.jsonl"
+        assert run(["score", "--proposals", props, "--ground-truth", gt, "--out", str(out), *extra]).exit_code == 0
+        outputs[name] = out.read_bytes()
+    assert outputs["config"] == outputs["flag"]
+    assert outputs["config"] != outputs["default"]
+
+
+def test_label_policy_reaches_oracle(corpus_dir, tmp_path):
+    meta = str(corpus_dir / "video_meta.jsonl")
+    gt = str(corpus_dir / "ground_truth.jsonl")
+    tubes = str(tmp_path / "tubelets.jsonl")
+    props = str(tmp_path / "proposals.jsonl")
+    assert run(["link", "--detections", str(corpus_dir / "detections.jsonl"), "--meta", meta,
+                "--out", tubes]).exit_code == 0
+    assert run(["refine", "--tubelets", tubes, "--meta", meta, "--out", props]).exit_code == 0
+    cfg = write_config(tmp_path, {"label": {"spatial_pos": 1.0, "temporal_pos": 1.0, "temporal_neg": 0.0}})
+    outputs = []
+    for extra in ([], ["--config", cfg]):
+        out = tmp_path / f"scored{len(outputs)}.jsonl"
+        assert run(["score", "--proposals", props, "--ground-truth", gt, "--out", str(out), *extra]).exit_code == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] != outputs[1]
+
+
+@pytest.mark.parametrize(
+    "cfg, name",
+    [({"link": {"patiense": 5}}, "link.patiense"), ({"linking": {"patience": 5}}, "linking")],
+)
+def test_unknown_config_key_exits_one(corpus_dir, tmp_path, cfg, name):
+    res = runner.invoke(main, [
+        "link", "--detections", str(corpus_dir / "detections.jsonl"),
+        "--meta", str(corpus_dir / "video_meta.jsonl"), "--out", str(tmp_path / "o.jsonl"),
+        "--config", write_config(tmp_path, cfg),
+    ])
+    assert res.exit_code == 1
+    report = json.loads(res.output.strip().splitlines()[-1])
+    assert report["stage"] == "link" and name in report["error"]
+
+
+def test_default_config_round_trips(corpus_dir, tmp_path):
+    cfg_path = tmp_path / "default.json"
+    assert run(["default-config", "--out", str(cfg_path)]).exit_code == 0
+    hashes = []
+    for extra in ([], ["--config", str(cfg_path)]):
+        out = tmp_path / f"tubes{len(hashes)}.jsonl"
+        assert run([
+            "link", "--detections", str(corpus_dir / "detections.jsonl"),
+            "--meta", str(corpus_dir / "video_meta.jsonl"), "--out", str(out), *extra,
+        ]).exit_code == 0
+        hashes.append(json.loads((tmp_path / f"{out.name}.manifest.json").read_text())["config_hash"])
+    assert hashes[0] == hashes[1]
+
+
+def test_malformed_instance_box_exits_one(tmp_path):
+    tubes = tmp_path / "tubelets.jsonl"
+    tubes.write_text("")
+    gt = tmp_path / "ground_truth.jsonl"
+    gt.write_text(json.dumps({
+        "video_id": "v0", "activity": "Riding", "start": 0, "end": 1, "confidence": 1.0,
+        "boxes": [{"frame": 0, "x1": 0, "x2": 10, "y2": 10}],
+    }) + "\n")
+    res = runner.invoke(main, [
+        "eval-recall", "--tubelets", str(tubes), "--ground-truth", str(gt), "--out", str(tmp_path / "r.csv"),
+    ])
+    assert res.exit_code == 1
+    assert "ground_truth.jsonl:1" in json.loads(res.output.strip().splitlines()[-1])["error"]

@@ -5,9 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tubekit.errors import InvalidInputError
-from tubekit.geometry import Box, Interval, enlarge, spatial_iou, temporal_iou
-
-BOUNDS = Box(0, 0, 100, 100)
+from tubekit.geometry import Box, Interval, spatial_iou, temporal_iou
 
 
 class TestBox:
@@ -62,22 +60,6 @@ class TestTemporalIou:
         assert temporal_iou(Interval(0, 10), Interval(5, 15)) == pytest.approx(1 / 3)
 
 
-class TestEnlarge:
-    def test_identity_factor(self):
-        b = Box(10, 10, 20, 20)
-        assert enlarge(b, 1.0, BOUNDS) == b
-
-    def test_center_preserving_scale(self):
-        assert enlarge(Box(10, 10, 20, 20), 1.2, BOUNDS) == Box(9, 9, 21, 21)
-
-    def test_clamped_at_origin(self):
-        assert enlarge(Box(0, 0, 10, 10), 1.2, BOUNDS) == Box(0, 0, 11, 11)
-
-    def test_factor_below_one_rejected(self):
-        with pytest.raises(InvalidInputError):
-            enlarge(Box(0, 0, 10, 10), 0.9, BOUNDS)
-
-
 boxes = st.tuples(
     st.floats(-100, 100), st.floats(-100, 100), st.floats(0, 100), st.floats(0, 100)
 ).map(lambda t: Box(t[0], t[1], t[0] + t[2], t[1] + t[3]))
@@ -109,10 +91,3 @@ def test_temporal_iou_symmetric_unit_range(a, b):
     assert 0.0 <= v <= 1.0
     if v == 1.0:
         assert a == b
-
-
-@given(boxes, st.floats(1.0, 3.0))
-def test_enlarge_area_bound(b, factor):
-    big_bounds = Box(-1000, -1000, 1000, 1000)
-    grown = enlarge(b, factor, big_bounds)
-    assert grown.area() <= factor * factor * b.area() + 1e-6

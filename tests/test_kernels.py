@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tubekit import kernels
+from tubekit.geometry import Box, Interval, spatial_iou, temporal_iou
 
 
 def random_boxes(rng, n):
@@ -16,28 +17,50 @@ def random_intervals(rng, n):
     return np.hstack([start, start + length])
 
 
+# Degenerate boxes: a point, a zero-width line, a zero-height line, and
+# boxes that touch, coincide or contain one another.
+DEGENERATE_BOXES = np.array(
+    [
+        [5.0, 5.0, 5.0, 5.0],
+        [5.0, 0.0, 5.0, 10.0],
+        [0.0, 5.0, 10.0, 5.0],
+        [0.0, 0.0, 10.0, 10.0],
+        [10.0, 0.0, 20.0, 10.0],
+        [0.0, 0.0, 10.0, 10.0],
+        [2.0, 2.0, 8.0, 8.0],
+    ]
+)
+
+# Intervals that touch, coincide, nest or are disjoint.
+DEGENERATE_INTERVALS = np.array([[0.0, 5.0], [5.0, 10.0], [0.0, 5.0], [1.0, 3.0], [20.0, 21.0]])
+
+
+# The "backends" are the vectorised kernels and the scalar references in
+# tubekit.geometry. Both use the same arithmetic, so the results are equal.
+
+
 def test_backends_agree_on_iou_matrix():
     rng = np.random.default_rng(7)
-    a, b = random_boxes(rng, 40), random_boxes(rng, 30)
-    np.testing.assert_allclose(
-        kernels._iou_matrix_np(a, b), kernels.iou_matrix(a, b), atol=1e-12
-    )
+    a = np.vstack([random_boxes(rng, 40), DEGENERATE_BOXES])
+    b = np.vstack([random_boxes(rng, 30), DEGENERATE_BOXES])
+    expected = [[spatial_iou(Box(*p), Box(*q)) for q in b] for p in a]
+    np.testing.assert_array_equal(kernels.iou_matrix(a, b), expected)
 
 
 def test_backends_agree_on_paired_iou():
     rng = np.random.default_rng(8)
-    a, b = random_boxes(rng, 50), random_boxes(rng, 50)
-    np.testing.assert_allclose(
-        kernels._paired_iou_np(a, b), kernels.paired_iou(a, b), atol=1e-12
-    )
+    a = np.vstack([random_boxes(rng, 50), DEGENERATE_BOXES])
+    b = np.vstack([random_boxes(rng, 50), DEGENERATE_BOXES[::-1]])
+    expected = [spatial_iou(Box(*p), Box(*q)) for p, q in zip(a, b)]
+    np.testing.assert_array_equal(kernels.paired_iou(a, b), expected)
 
 
 def test_backends_agree_on_temporal_iou_matrix():
     rng = np.random.default_rng(9)
-    a, b = random_intervals(rng, 25), random_intervals(rng, 35)
-    np.testing.assert_allclose(
-        kernels._temporal_iou_matrix_np(a, b), kernels.temporal_iou_matrix(a, b), atol=1e-12
-    )
+    a = np.vstack([random_intervals(rng, 25), DEGENERATE_INTERVALS])
+    b = np.vstack([random_intervals(rng, 35), DEGENERATE_INTERVALS])
+    expected = [[temporal_iou(Interval(*map(int, p)), Interval(*map(int, q))) for q in b] for p in a]
+    np.testing.assert_array_equal(kernels.temporal_iou_matrix(a, b), expected)
 
 
 def test_empty_inputs():

@@ -87,6 +87,11 @@ class TestNormalizeBoxes:
         twice = normalize_boxes(once, frame_bounds, 1.0)
         assert twice.boxes == once.boxes
 
+    def test_factor_below_one_rejected(self, frame_bounds):
+        t = make_tubelet({0: Box(100, 100, 110, 110)})
+        with pytest.raises(InvalidInputError):
+            normalize_boxes(t, frame_bounds, enlarge_factor=0.9)
+
 
 class TestJitter:
     def test_sliding_with_tail(self):
