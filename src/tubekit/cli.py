@@ -63,8 +63,13 @@ def _merged_config(path=None):
     section or key is an input error."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            user = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                user = json.load(fh)
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: malformed config: {exc}")
+        if not isinstance(user, dict):
+            raise InvalidInputError(f"{path}: config must be a JSON object")
         for section, value in user.items():
             if section not in cfg:
                 raise InvalidInputError(f"unknown config section: {section!r}")
@@ -148,7 +153,7 @@ def run_link(detections_path, meta_path, strategy, cfg, out_path, workers=1):
     next_id = 0
     for tubes in _parallel_map(_one, sorted(by_video), workers):
         for t in tubes:
-            all_tubes.append(linking._with_id(t, next_id))
+            all_tubes.append(dataclasses.replace(t, id=next_id))
             next_id += 1
     linking.write_tubelets(all_tubes, out_path)
     return all_tubes
@@ -194,14 +199,14 @@ def run_score(proposals_path, cfg, out_path, ground_truth_path=None, group_filte
         policy=_stage_config(cfg, "label"),
     )
 
+    if group_filter is not None:
+        props = [p for p in props if proposals.route(p).name == group_filter]
+
     def _one(p):
-        group = proposals.route(p)
-        p.scores = proposals.score(p, group, scorer)
+        p.scores = proposals.score(p, proposals.route(p), scorer)
         return p
 
     scored = _parallel_map(_one, props, workers)
-    if group_filter is not None:
-        scored = [p for p in scored if proposals.route(p).name == group_filter]
     refinement.write_proposals(scored, out_path)
     return scored
 

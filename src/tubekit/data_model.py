@@ -10,10 +10,16 @@ File formats, one JSON object per line:
 
 All numeric fields are decimal-encoded. Writers emit keys in sorted order and
 records in canonical order so output bytes are stable across runs.
+
+Instances, tubelets and proposals are *tracks*: an ``extent`` plus an (n,4)
+float64 ``boxes`` array whose row k is frame ``extent.start + k``.
+``encode_boxes``/``decode_boxes`` are the one JSON box-list codec they share.
 """
 
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import InvalidInputError, ParseError, SchemaError
 from .geometry import Box, Interval
@@ -66,14 +72,25 @@ class Detection:
             raise InvalidInputError(f"score out of [0,1]: {self.score}")
 
 
-@dataclass(frozen=True)
+def track_boxes(boxes, extent):
+    """`boxes` as a float64 array with one (x1, y1, x2, y2) row per frame of
+    `extent`; any other shape is an input error."""
+    boxes = np.asarray(boxes, dtype=np.float64)
+    if boxes.shape != (extent.length, 4):
+        raise InvalidInputError(
+            f"need one box per frame of [{extent.start}, {extent.end}), got shape {boxes.shape}"
+        )
+    return boxes
+
+
+@dataclass(frozen=True, eq=False)
 class ActivityInstance:
-    """A ground-truth or system-output activity with dense per-frame boxes."""
+    """A ground-truth or system-output activity with one box per frame."""
 
     video_id: str
     activity: str
     extent: Interval
-    boxes: dict  # frame -> Box, dense over extent
+    boxes: np.ndarray  # (extent.length, 4) float64
     confidence: float = 1.0
 
     def __post_init__(self):
@@ -81,11 +98,7 @@ class ActivityInstance:
             raise SchemaError(f"unknown activity class: {self.activity!r}")
         if not 0.0 <= self.confidence <= 1.0:
             raise InvalidInputError(f"confidence out of [0,1]: {self.confidence}")
-        missing = [f for f in self.extent.frames() if f not in self.boxes]
-        if missing:
-            raise InvalidInputError(
-                f"instance boxes not dense over extent; missing frames {missing[:5]}"
-            )
+        object.__setattr__(self, "boxes", track_boxes(self.boxes, self.extent))
 
 
 @dataclass(frozen=True)
@@ -134,6 +147,46 @@ def write_jsonl(records, path):
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True))
             fh.write("\n")
+
+
+def read_records(path, kind, build):
+    """`build(record)` for each record of a JSONL file; a record it cannot
+    build raises ParseError naming path:line."""
+    out = []
+    for lineno, rec in read_jsonl(path):
+        try:
+            out.append(build(rec))
+        except KeyError as exc:
+            raise ParseError(f"invalid {kind}: missing key {exc}", path=path, line=lineno)
+        except (InvalidInputError, SchemaError, ValueError, TypeError) as exc:
+            raise ParseError(f"invalid {kind}: {exc}", path=path, line=lineno)
+    return out
+
+
+BOX_KEYS = ("x1", "y1", "x2", "y2")
+
+
+def encode_boxes(extent, boxes, **columns):
+    """The JSON box list of a track: one {"frame", "x1", "y1", "x2", "y2"}
+    object per frame, plus one key per extra column (a list, one value per
+    frame)."""
+    keys = ("frame", *BOX_KEYS, *columns)
+    rows = zip(extent.frames(), *boxes.T.tolist(), *columns.values())
+    return [dict(zip(keys, row)) for row in rows]
+
+
+def decode_boxes(rows, extent, *columns):
+    """Inverse of `encode_boxes`: the box array in frame order, then one list
+    per named extra column. The rows must hold every frame of `extent` once,
+    in any order, and every box must be finite and not inverted."""
+    rows = sorted(rows, key=lambda r: int(r["frame"]))
+    if [int(r["frame"]) for r in rows] != list(extent.frames()):
+        raise InvalidInputError(f"boxes must hold each frame of [{extent.start}, {extent.end}) once")
+    boxes = np.array([[r[k] for k in BOX_KEYS] for r in rows], dtype=np.float64)
+    bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 0] > boxes[:, 2]) | (boxes[:, 1] > boxes[:, 3])
+    if bad.any():
+        raise InvalidInputError(f"non-finite or inverted box at frame {extent.start + int(np.argmax(bad))}")
+    return (boxes, *([r[c] for r in rows] for c in columns))
 
 
 def _require(rec, keys, path, lineno):
@@ -196,31 +249,20 @@ def write_detections(detections, path):
 # activity instances (ground truth and system output share the format)
 
 
-def _instance_from_record(rec, path, lineno):
-    _require(rec, ("video_id", "activity", "start", "end", "confidence", "boxes"), path, lineno)
-    try:
-        boxes = {}
-        for b in rec["boxes"]:
-            boxes[int(b["frame"])] = Box(float(b["x1"]), float(b["y1"]), float(b["x2"]), float(b["y2"]))
-        return ActivityInstance(
-            video_id=str(rec["video_id"]),
-            activity=str(rec["activity"]),
-            extent=Interval(int(rec["start"]), int(rec["end"])),
-            boxes=boxes,
-            confidence=float(rec["confidence"]),
-        )
-    except SchemaError:
-        raise
-    except KeyError as exc:
-        raise ParseError(f"instance box missing key {exc}", path=path, line=lineno)
-    except (InvalidInputError, ValueError, TypeError) as exc:
-        raise ParseError(f"invalid instance: {exc}", path=path, line=lineno)
+def _instance_from_record(rec):
+    extent = Interval(int(rec["start"]), int(rec["end"]))
+    (boxes,) = decode_boxes(rec["boxes"], extent)
+    return ActivityInstance(
+        video_id=str(rec["video_id"]),
+        activity=str(rec["activity"]),
+        extent=extent,
+        boxes=boxes,
+        confidence=float(rec["confidence"]),
+    )
 
 
 def read_instances(path):
-    out = []
-    for lineno, rec in read_jsonl(path):
-        out.append(_instance_from_record(rec, path, lineno))
+    out = read_records(path, "instance", _instance_from_record)
     out.sort(key=lambda i: (-i.confidence, i.video_id, i.extent.start, i.activity))
     return out
 
@@ -242,16 +284,7 @@ def write_instances(instances, path):
                 "start": inst.extent.start,
                 "end": inst.extent.end,
                 "confidence": inst.confidence,
-                "boxes": [
-                    {
-                        "frame": f,
-                        "x1": inst.boxes[f].x1,
-                        "y1": inst.boxes[f].y1,
-                        "x2": inst.boxes[f].x2,
-                        "y2": inst.boxes[f].y2,
-                    }
-                    for f in sorted(inst.boxes)
-                ],
+                "boxes": encode_boxes(inst.extent, inst.boxes),
             }
         )
     write_jsonl(recs, path)

@@ -5,7 +5,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidInputError
 from .geometry import temporal_iou
@@ -66,7 +65,7 @@ def tubelet_recall(tubelets, instances, thresholds):
             tiou = temporal_iou(tub.extent, inst.extent)
             if tiou <= best:
                 continue
-            siou = tubelet_spatial_iou(tub.boxes, inst.boxes)
+            siou = tubelet_spatial_iou(tub, inst)
             best = max(best, min(tiou, siou))
         coverage.append(best)
 
@@ -88,6 +87,9 @@ def _align_group(system, reference, policy):
 
     pairs = []
     if policy.method == "optimal" and system and reference:
+        # imported here: scipy.optimize is most of the CLI's import time
+        from scipy.optimize import linear_sum_assignment
+
         # Bonus larger than any achievable total IoU makes the assignment
         # lexicographic: match count first, total temporal IoU second.
         bonus = len(system) + len(reference) + 1.0

@@ -1,7 +1,7 @@
 """Axis-aligned box and half-open frame-interval arithmetic.
 
-Everything here is pure and operates on immutable values; these primitives
-underpin linking, refinement, suppression and evaluation.
+Everything here is pure; these primitives underpin linking, refinement,
+suppression and evaluation.
 """
 
 import math
@@ -26,20 +26,8 @@ class Box:
         if self.x1 > self.x2 or self.y1 > self.y2:
             raise InvalidInputError(f"inverted box: {self}")
 
-    @property
-    def width(self):
-        return self.x2 - self.x1
-
-    @property
-    def height(self):
-        return self.y2 - self.y1
-
-    @property
-    def center(self):
-        return (0.5 * (self.x1 + self.x2), 0.5 * (self.y1 + self.y2))
-
     def area(self):
-        return self.width * self.height
+        return (self.x2 - self.x1) * (self.y2 - self.y1)
 
 
 @dataclass(frozen=True, order=True)
@@ -81,10 +69,18 @@ def temporal_iou(a: Interval, b: Interval) -> float:
     return inter / union
 
 
-def clamp_box(b: Box, frame_bounds: Box) -> Box:
-    """Clip a box to the frame; degenerate result allowed when fully outside."""
-    x1 = min(max(b.x1, frame_bounds.x1), frame_bounds.x2)
-    x2 = min(max(b.x2, frame_bounds.x1), frame_bounds.x2)
-    y1 = min(max(b.y1, frame_bounds.y1), frame_bounds.y2)
-    y2 = min(max(b.y2, frame_bounds.y1), frame_bounds.y2)
-    return Box(x1, y1, x2, y2)
+def mean_center_step(boxes):
+    """Mean distance between the centres of consecutive rows of an (n,4)
+    x1, y1, x2, y2 array; 0 for fewer than two rows. The distances go through
+    math.hypot and are summed left to right, so the result does not depend on
+    numpy's summation order."""
+    if len(boxes) < 2:
+        return 0.0
+    cx = 0.5 * (boxes[:, 0] + boxes[:, 2])
+    cy = 0.5 * (boxes[:, 1] + boxes[:, 3])
+    dx = (cx[1:] - cx[:-1]).tolist()
+    dy = (cy[1:] - cy[:-1]).tolist()
+    total = 0.0
+    for step_x, step_y in zip(dx, dy):
+        total += math.hypot(step_x, step_y)
+    return total / (len(boxes) - 1)

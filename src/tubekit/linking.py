@@ -5,43 +5,37 @@ tracking-based linking that bridges missed detections with a motion
 predictor (constant-velocity by default) and a patience window.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels
-from .data_model import OBJECT_CLASSES, read_jsonl, write_jsonl
-from .errors import InvalidInputError, ParseError
+from .data_model import OBJECT_CLASSES, decode_boxes, encode_boxes, read_records, track_boxes, write_jsonl
+from .errors import InvalidInputError
 from .geometry import Box, Interval
 
 PROVENANCES = ("detected", "interpolated", "tracked")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tubelet:
-    """Temporally contiguous per-frame boxes for one object."""
+    """Temporally contiguous boxes of one object; row k of every array is
+    frame extent.start + k."""
 
     id: int
     video_id: str
     object_class: str
     extent: Interval
-    boxes: dict  # frame -> Box
-    box_scores: dict  # frame -> float
-    provenance: dict  # frame -> one of PROVENANCES
+    boxes: np.ndarray  # (n,4) float64 x1, y1, x2, y2
+    box_scores: np.ndarray  # (n,) float64
+    provenance: np.ndarray  # (n,) int8 index into PROVENANCES
 
     def __post_init__(self):
-        frames = set(self.extent.frames())
-        if set(self.boxes) != frames or set(self.box_scores) != frames or set(self.provenance) != frames:
-            raise InvalidInputError("tubelet maps must be dense over the extent")
+        object.__setattr__(self, "boxes", track_boxes(self.boxes, self.extent))
+        if self.box_scores.shape != (self.extent.length,) or self.provenance.shape != (self.extent.length,):
+            raise InvalidInputError("tubelet scores and provenance need one value per frame of the extent")
         if self.object_class not in OBJECT_CLASSES:
             raise InvalidInputError(f"object class not admitted: {self.object_class!r}")
-
-    def box_array(self):
-        """(n,4) float array over the extent, frame order."""
-        return np.array(
-            [[self.boxes[f].x1, self.boxes[f].y1, self.boxes[f].x2, self.boxes[f].y2]
-             for f in self.extent.frames()]
-        )
 
 
 @dataclass(frozen=True)
@@ -181,8 +175,8 @@ def greedy_link(detections, config=LinkConfig(), stats=None):
             _merge_and_emit(chains, video_id, cls, config, stats)
         )
 
-    tubelets.sort(key=lambda t: (t.extent.start, t.object_class, t.boxes[t.extent.start]))
-    return [_with_id(t, i) for i, t in enumerate(tubelets)], stats
+    tubelets.sort(key=_emit_order)
+    return [replace(t, id=i) for i, t in enumerate(tubelets)], stats
 
 
 def _merge_and_emit(chains, video_id, cls, config, stats):
@@ -223,23 +217,28 @@ def _merge_and_emit(chains, video_id, cls, config, stats):
             sequence.extend(chains[k])
         observed = {d.frame: (d.box, d.score) for d in sequence}
         for boxes, scores, prov in interpolate_gaps(observed, config.max_interp_gap, stats):
-            frames = sorted(boxes)
-            out.append(
-                Tubelet(
-                    id=-1,
-                    video_id=video_id,
-                    object_class=cls,
-                    extent=Interval(frames[0], frames[-1] + 1),
-                    boxes=boxes,
-                    box_scores=scores,
-                    provenance=prov,
-                )
-            )
+            out.append(_emit(video_id, cls, [(f, boxes[f], scores[f], prov[f]) for f in sorted(boxes)]))
     return out
 
 
-def _with_id(t, new_id):
-    return Tubelet(new_id, t.video_id, t.object_class, t.extent, t.boxes, t.box_scores, t.provenance)
+def _emit(video_id, object_class, entries):
+    """A tubelet (id -1) from frame-ordered (frame, Box, score, provenance)
+    entries that hold every frame of their span."""
+    frames, boxes, scores, prov = zip(*entries)
+    return Tubelet(
+        id=-1,
+        video_id=video_id,
+        object_class=object_class,
+        extent=Interval(frames[0], frames[-1] + 1),
+        boxes=np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64),
+        box_scores=np.array(scores, dtype=np.float64),
+        provenance=np.array([PROVENANCES.index(p) for p in prov], dtype=np.int8),
+    )
+
+
+def _emit_order(t):
+    """Linkers number tubelets by start frame, class, then first box."""
+    return (t.extent.start, t.object_class, tuple(t.boxes[0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -358,80 +357,59 @@ def track_link(detections, tracker=None, config=LinkConfig(), stats=None):
     tubelets = []
     for tr in finished:
         entries = [e for e in tr.entries if e[0] <= tr.last_match_frame]
-        if not entries:
-            continue
-        boxes = {e[0]: e[1] for e in entries}
-        scores = {e[0]: e[2] for e in entries}
-        prov = {e[0]: e[3] for e in entries}
-        frames = sorted(boxes)
-        tubelets.append(
-            Tubelet(
-                id=-1,
-                video_id=video_id,
-                object_class=tr.object_class,
-                extent=Interval(frames[0], frames[-1] + 1),
-                boxes=boxes,
-                box_scores=scores,
-                provenance=prov,
-            )
-        )
-    tubelets.sort(key=lambda t: (t.extent.start, t.object_class, t.boxes[t.extent.start]))
-    return [_with_id(t, i) for i, t in enumerate(tubelets)], stats
+        if entries:
+            tubelets.append(_emit(video_id, tr.object_class, entries))
+    tubelets.sort(key=_emit_order)
+    return [replace(t, id=i) for i, t in enumerate(tubelets)], stats
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
+def tubelet_record(t):
+    """The tubelets.jsonl record of one tubelet."""
+    return {
+        "id": t.id,
+        "video_id": t.video_id,
+        "class": t.object_class,
+        "start": t.extent.start,
+        "end": t.extent.end,
+        "boxes": encode_boxes(
+            t.extent,
+            t.boxes,
+            score=t.box_scores.tolist(),
+            provenance=[PROVENANCES[c] for c in t.provenance.tolist()],
+        ),
+    }
+
+
+def tubelet_from_record(rec):
+    """Inverse of `tubelet_record`; raises on any invalid field."""
+    extent = Interval(int(rec["start"]), int(rec["end"]))
+    boxes, scores, prov = decode_boxes(rec["boxes"], extent, "score", "provenance")
+    scores = np.array(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise InvalidInputError("non-finite box score")
+    unknown = set(prov) - set(PROVENANCES)
+    if unknown:
+        raise InvalidInputError(f"unknown provenance {unknown}")
+    return Tubelet(
+        id=int(rec["id"]),
+        video_id=str(rec["video_id"]),
+        object_class=str(rec["class"]),
+        extent=extent,
+        boxes=boxes,
+        box_scores=scores,
+        provenance=np.array([PROVENANCES.index(p) for p in prov], dtype=np.int8),
+    )
+
+
 def write_tubelets(tubelets, path):
-    recs = []
-    for t in sorted(tubelets, key=lambda t: (t.video_id, t.id)):
-        recs.append(
-            {
-                "id": t.id,
-                "video_id": t.video_id,
-                "class": t.object_class,
-                "start": t.extent.start,
-                "end": t.extent.end,
-                "boxes": [
-                    {
-                        "frame": f,
-                        "x1": t.boxes[f].x1,
-                        "y1": t.boxes[f].y1,
-                        "x2": t.boxes[f].x2,
-                        "y2": t.boxes[f].y2,
-                        "score": t.box_scores[f],
-                        "provenance": t.provenance[f],
-                    }
-                    for f in t.extent.frames()
-                ],
-            }
-        )
-    write_jsonl(recs, path)
+    write_jsonl([tubelet_record(t) for t in sorted(tubelets, key=lambda t: (t.video_id, t.id))], path)
 
 
 def read_tubelets(path):
-    out = []
-    for lineno, rec in read_jsonl(path):
-        try:
-            boxes, scores, prov = {}, {}, {}
-            for b in rec["boxes"]:
-                f = int(b["frame"])
-                boxes[f] = Box(float(b["x1"]), float(b["y1"]), float(b["x2"]), float(b["y2"]))
-                scores[f] = float(b["score"])
-                prov[f] = str(b["provenance"])
-            out.append(
-                Tubelet(
-                    id=int(rec["id"]),
-                    video_id=str(rec["video_id"]),
-                    object_class=str(rec["class"]),
-                    extent=Interval(int(rec["start"]), int(rec["end"])),
-                    boxes=boxes,
-                    box_scores=scores,
-                    provenance=prov,
-                )
-            )
-        except (KeyError, InvalidInputError, ValueError, TypeError) as exc:
-            raise ParseError(f"invalid tubelet: {exc}", path=path, line=lineno)
+    out = read_records(path, "tubelet", tubelet_from_record)
     out.sort(key=lambda t: (t.video_id, t.id))
     return out

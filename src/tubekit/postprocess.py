@@ -37,7 +37,7 @@ def _is_neighbor(a, b):
     # decay applies only within one tubelet or when the boxes actually overlap.
     if a.tubelet_id == b.tubelet_id:
         return True
-    return tubelet_spatial_iou(a.boxes, b.boxes) > 0.0
+    return tubelet_spatial_iou(a, b) > 0.0
 
 
 def soft_nms(proposals, activity, config=SoftNmsConfig()):
@@ -135,7 +135,7 @@ def proposals_to_instances(proposals, score_threshold=0.05):
                     video_id=p.video_id,
                     activity=act,
                     extent=p.window,
-                    boxes=dict(p.boxes),
+                    boxes=p.boxes,
                     confidence=s,
                 )
             )

@@ -1,17 +1,14 @@
 """Proposal labeling against ground truth, vehicle/person model routing, and
 the pluggable scorer interface with two bundled scorers."""
 
-import math
 import zlib
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import kernels
 from .data_model import PERSON_ACTIVITIES, VEHICLE_ACTIVITIES
 from .errors import InvalidInputError, ScoringError
-from .geometry import temporal_iou
+from .geometry import mean_center_step, temporal_iou
 
 NON_ACTION = "non_action"
 
@@ -54,15 +51,17 @@ _CLASS_TO_GROUP = {
 }
 
 
-def tubelet_spatial_iou(boxes_a, boxes_b):
-    """Mean per-frame box IoU over the frames where both maps are defined;
-    0 when the temporal supports are disjoint."""
-    common = sorted(set(boxes_a) & set(boxes_b))
-    if not common:
+def tubelet_spatial_iou(a, b):
+    """Mean per-frame box IoU of two tracks (anything with an `extent` and one
+    `boxes` row per frame of it) over their common frames; 0 when the extents
+    are disjoint."""
+    start = max(a.extent.start, b.extent.start)
+    end = min(a.extent.end, b.extent.end)
+    if start >= end:
         return 0.0
-    arr_a = np.array([[boxes_a[f].x1, boxes_a[f].y1, boxes_a[f].x2, boxes_a[f].y2] for f in common])
-    arr_b = np.array([[boxes_b[f].x1, boxes_b[f].y1, boxes_b[f].x2, boxes_b[f].y2] for f in common])
-    return float(kernels.paired_iou(arr_a, arr_b).mean())
+    rows_a = a.boxes[start - a.extent.start:end - a.extent.start]
+    rows_b = b.boxes[start - b.extent.start:end - b.extent.start]
+    return float(kernels.paired_iou(rows_a, rows_b).mean())
 
 
 def label_proposal(proposal, instances, policy=LabelPolicy()):
@@ -82,7 +81,7 @@ def label_proposal(proposal, instances, policy=LabelPolicy()):
         max_tiou = max(max_tiou, tiou)
         if tiou < policy.temporal_pos:
             continue
-        siou = tubelet_spatial_iou(proposal.boxes, inst.boxes)
+        siou = tubelet_spatial_iou(proposal, inst)
         if siou < policy.spatial_pos:
             continue
         key = (tiou, siou, -idx)
@@ -164,14 +163,7 @@ class HeuristicScorer:
     mean center displacement, so static proposals score non-action highest."""
 
     def score(self, proposal, group):
-        frames = sorted(proposal.boxes)
-        disp = 0.0
-        if len(frames) > 1:
-            centers = [proposal.boxes[f].center for f in frames]
-            total = sum(
-                math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(centers, centers[1:])
-            )
-            disp = total / (len(frames) - 1)
+        disp = mean_center_step(proposal.boxes)
         non_action = 1.0 / (1.0 + disp)
         per_activity = (1.0 - non_action) / len(group.activities)
         scores = {a: per_activity for a in group.activities}

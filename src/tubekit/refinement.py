@@ -1,14 +1,16 @@
 """Tubelet refinement: static-tubelet filtering, box-size normalization,
 multi-scale temporal jittering and uniform frame sampling."""
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from .data_model import read_jsonl, write_jsonl
-from .errors import InvalidInputError, ParseError
-from .geometry import Box, Interval, clamp_box
-from .linking import Tubelet
+import numpy as np
+
+from .data_model import ACTIVITY_CLASSES, read_records, write_jsonl
+from .errors import InvalidInputError
+from .geometry import Interval, mean_center_step
+from .linking import Tubelet, tubelet_from_record, tubelet_record
+from .proposals import NON_ACTION
 
 
 @dataclass(frozen=True)
@@ -36,37 +38,62 @@ class RefineConfig:
             raise InvalidInputError(f"sample_count must be >= 1: {self.sample_count}")
 
 
-@dataclass
+@dataclass(eq=False)
 class Proposal:
-    """A temporal window over a tubelet, the unit that gets scored."""
+    """A temporal window over a size-normalised tubelet, the unit that gets
+    scored. Every proposal over a tubelet shares that one tubelet object."""
 
     proposal_id: int
-    tubelet_id: int
-    video_id: str
-    object_class: str
+    tubelet: Tubelet  # size-normalised
     window: Interval
-    boxes: dict  # frame -> Box, dense over window, size-normalized
-    sampled_frames: list  # absolute frame indices, len == sample_count
+    sample_count: int
     scores: Optional[dict] = None  # activity class (or "non_action") -> score
+
+    def __post_init__(self):
+        extent = self.tubelet.extent
+        if not extent.start <= self.window.start < self.window.end <= extent.end:
+            raise InvalidInputError(
+                f"window [{self.window.start}, {self.window.end}) outside its tubelet "
+                f"[{extent.start}, {extent.end})"
+            )
+        if self.sample_count < 1:
+            raise InvalidInputError(f"sample_count must be >= 1: {self.sample_count}")
+
+    @property
+    def video_id(self):
+        return self.tubelet.video_id
+
+    @property
+    def object_class(self):
+        return self.tubelet.object_class
+
+    @property
+    def tubelet_id(self):
+        return self.tubelet.id
+
+    @property
+    def extent(self):
+        return self.window
+
+    @property
+    def boxes(self):
+        """The tubelet's box rows over the window: a view, not a copy."""
+        offset = self.tubelet.extent.start
+        return self.tubelet.boxes[self.window.start - offset:self.window.end - offset]
+
+    @property
+    def sampled_frames(self):
+        """Absolute indices of the `sample_count` frames fed to a scorer."""
+        return [self.window.start + r for r in sample_frames(self.window.length, self.sample_count)]
 
 
 def motion_stats(tubelet, motion_source=None):
     """Per-tubelet motion summary from box centers and an optional per-frame
     motion-magnitude provider ``motion_source(video_id, frame) -> float``."""
-    frames = list(tubelet.extent.frames())
-    if len(frames) < 2:
-        disp = 0.0
-    else:
-        total = 0.0
-        prev = tubelet.boxes[frames[0]].center
-        for f in frames[1:]:
-            cur = tubelet.boxes[f].center
-            total += math.hypot(cur[0] - prev[0], cur[1] - prev[1])
-            prev = cur
-        disp = total / (len(frames) - 1)
+    disp = mean_center_step(tubelet.boxes)
     if motion_source is None:
         return MotionStats(0.0, 0.0, disp)
-    mags = [float(motion_source(tubelet.video_id, f)) for f in frames]
+    mags = [float(motion_source(tubelet.video_id, f)) for f in tubelet.extent.frames()]
     return MotionStats(max(mags), sum(mags) / len(mags), disp)
 
 
@@ -93,23 +120,15 @@ def normalize_boxes(tubelet, frame_bounds, enlarge_factor=1.2):
     then enlarge by `enlarge_factor` and clamp to the frame."""
     if enlarge_factor < 1.0:
         raise InvalidInputError(f"enlarge factor must be >= 1: {enlarge_factor}")
-    wmax = max(b.width for b in tubelet.boxes.values())
-    hmax = max(b.height for b in tubelet.boxes.values())
-    hw = 0.5 * wmax * enlarge_factor
-    hh = 0.5 * hmax * enlarge_factor
-    boxes = {}
-    for f, b in tubelet.boxes.items():
-        cx, cy = b.center
-        boxes[f] = clamp_box(Box(cx - hw, cy - hh, cx + hw, cy + hh), frame_bounds)
-    return Tubelet(
-        tubelet.id,
-        tubelet.video_id,
-        tubelet.object_class,
-        tubelet.extent,
-        boxes,
-        tubelet.box_scores,
-        tubelet.provenance,
-    )
+    b = tubelet.boxes
+    hw = 0.5 * float((b[:, 2] - b[:, 0]).max()) * enlarge_factor
+    hh = 0.5 * float((b[:, 3] - b[:, 1]).max()) * enlarge_factor
+    cx = 0.5 * (b[:, 0] + b[:, 2])
+    cy = 0.5 * (b[:, 1] + b[:, 3])
+    resized = np.stack([cx - hw, cy - hh, cx + hw, cy + hh], axis=1)
+    low = np.array([frame_bounds.x1, frame_bounds.y1] * 2)
+    high = np.array([frame_bounds.x2, frame_bounds.y2] * 2)
+    return replace(tubelet, boxes=np.minimum(np.maximum(resized, low), high))
 
 
 def jitter(tubelet, config=RefineConfig()):
@@ -143,23 +162,12 @@ def sample_frames(length, sample_count):
 
 
 def make_proposals(tubelet, frame_bounds, config=RefineConfig(), id_start=0):
-    """Normalize a tubelet's boxes and cut it into sampled proposal windows."""
+    """Normalize a tubelet's boxes and cut it into proposal windows."""
     norm = normalize_boxes(tubelet, frame_bounds, config.enlarge_factor)
-    proposals = []
-    for i, window in enumerate(jitter(norm, config)):
-        rel = sample_frames(window.length, config.sample_count)
-        proposals.append(
-            Proposal(
-                proposal_id=id_start + i,
-                tubelet_id=norm.id,
-                video_id=norm.video_id,
-                object_class=norm.object_class,
-                window=window,
-                boxes={f: norm.boxes[f] for f in window.frames()},
-                sampled_frames=[window.start + r for r in rel],
-            )
-        )
-    return proposals
+    return [
+        Proposal(id_start + i, norm, window, config.sample_count)
+        for i, window in enumerate(jitter(norm, config))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -167,57 +175,46 @@ def make_proposals(tubelet, frame_bounds, config=RefineConfig(), id_start=0):
 
 
 def write_proposals(proposals, path):
-    recs = []
-    ordered = sorted(proposals, key=lambda p: (p.video_id, p.proposal_id))
-    for p in ordered:
-        rec = {
-            "proposal_id": p.proposal_id,
-            "tubelet_id": p.tubelet_id,
-            "video_id": p.video_id,
-            "class": p.object_class,
-            "start": p.window.start,
-            "end": p.window.end,
-            "sampled_frames": list(p.sampled_frames),
-            "boxes": [
-                {
-                    "frame": f,
-                    "x1": p.boxes[f].x1,
-                    "y1": p.boxes[f].y1,
-                    "x2": p.boxes[f].x2,
-                    "y2": p.boxes[f].y2,
-                }
-                for f in sorted(p.boxes)
-            ],
-        }
+    """One line per normalised tubelet: its tubelets.jsonl record plus
+    `sample_count` and a `proposals` list of {proposal_id, start, end[, scores]}."""
+    lines = {}
+    for p in sorted(proposals, key=lambda p: (p.video_id, p.proposal_id)):
+        key = (p.video_id, p.tubelet_id)
+        if key not in lines:
+            lines[key] = {**tubelet_record(p.tubelet), "sample_count": p.sample_count, "proposals": []}
+        entry = {"proposal_id": p.proposal_id, "start": p.window.start, "end": p.window.end}
         if p.scores is not None:
-            rec["scores"] = {k: p.scores[k] for k in sorted(p.scores)}
-        recs.append(rec)
-    write_jsonl(recs, path)
+            entry["scores"] = p.scores
+        lines[key]["proposals"].append(entry)
+    write_jsonl([lines[key] for key in sorted(lines)], path)
+
+
+def _scores_from_record(scores):
+    out = {str(k): float(v) for k, v in scores.items()}
+    for key, value in out.items():
+        if key not in ACTIVITY_CLASSES and key != NON_ACTION:
+            raise InvalidInputError(f"unknown score class: {key!r}")
+        if not 0.0 <= value <= 1.0:
+            raise InvalidInputError(f"score out of [0,1]: {key}={value}")
+    return out
+
+
+def _proposals_from_record(rec):
+    tubelet = tubelet_from_record(rec)
+    sample_count = int(rec["sample_count"])
+    return [
+        Proposal(
+            proposal_id=int(e["proposal_id"]),
+            tubelet=tubelet,
+            window=Interval(int(e["start"]), int(e["end"])),
+            sample_count=sample_count,
+            scores=_scores_from_record(e["scores"]) if "scores" in e else None,
+        )
+        for e in rec["proposals"]
+    ]
 
 
 def read_proposals(path):
-    out = []
-    for lineno, rec in read_jsonl(path):
-        try:
-            boxes = {
-                int(b["frame"]): Box(float(b["x1"]), float(b["y1"]), float(b["x2"]), float(b["y2"]))
-                for b in rec["boxes"]
-            }
-            out.append(
-                Proposal(
-                    proposal_id=int(rec["proposal_id"]),
-                    tubelet_id=int(rec["tubelet_id"]),
-                    video_id=str(rec["video_id"]),
-                    object_class=str(rec["class"]),
-                    window=Interval(int(rec["start"]), int(rec["end"])),
-                    boxes=boxes,
-                    sampled_frames=[int(f) for f in rec["sampled_frames"]],
-                    scores={str(k): float(v) for k, v in rec["scores"].items()}
-                    if "scores" in rec
-                    else None,
-                )
-            )
-        except (KeyError, InvalidInputError, ValueError, TypeError) as exc:
-            raise ParseError(f"invalid proposal: {exc}", path=path, line=lineno)
+    out = [p for line in read_records(path, "proposals", _proposals_from_record) for p in line]
     out.sort(key=lambda p: (p.video_id, p.proposal_id))
     return out

@@ -144,15 +144,13 @@ def generate(config: SceneConfig) -> SynthCorpus:
             lane_center_y = (obj + 0.5) * lane_h
             centers = _trajectory(rng, config, lane_center_y, 0.5 * w, config.frames_per_video)
 
-            boxes = {}
-            for f, (cx, cy) in enumerate(centers):
-                boxes[f] = Box(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)
+            boxes = [(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h) for cx, cy in centers]
             ground_truth.append(
                 ActivityInstance(
                     video_id=video_id,
                     activity=activity,
                     extent=Interval(0, config.frames_per_video),
-                    boxes=boxes,
+                    boxes=np.array(boxes, dtype=np.float64),
                     confidence=1.0,
                 )
             )
@@ -163,12 +161,7 @@ def generate(config: SceneConfig) -> SynthCorpus:
                 b = boxes[f]
                 if config.box_jitter_px > 0.0:
                     j = config.box_jitter_px
-                    b = Box(
-                        b.x1 + rng.uniform(-j, j),
-                        b.y1 + rng.uniform(-j, j),
-                        b.x2 + rng.uniform(-j, j),
-                        b.y2 + rng.uniform(-j, j),
-                    )
+                    b = [v + rng.uniform(-j, j) for v in b]  # x1, y1, x2, y2 draw order
                 score = 0.9
                 if config.score_noise > 0.0:
                     score = float(np.clip(0.9 + rng.normal(0.0, config.score_noise), 0.05, 1.0))
@@ -176,7 +169,7 @@ def generate(config: SceneConfig) -> SynthCorpus:
                     Detection(
                         video_id=video_id,
                         frame=f,
-                        box=b,
+                        box=Box(*b),
                         object_class=object_class,
                         score=score,
                     )

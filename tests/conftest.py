@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -10,32 +11,26 @@ from tubekit.linking import Tubelet
 from tubekit.refinement import Proposal
 
 
-def make_tubelet(boxes, tubelet_id=0, video_id="v0", object_class="person", scores=None, provenance=None):
-    """Build a tubelet from a frame -> Box map; scores default to 0.9."""
-    frames = sorted(boxes)
-    extent = Interval(frames[0], frames[-1] + 1)
-    if scores is None:
-        scores = {f: 0.9 for f in frames}
-    if provenance is None:
-        provenance = {f: "detected" for f in frames}
-    return Tubelet(tubelet_id, video_id, object_class, extent, dict(boxes), scores, provenance)
+def box_rows(box, n):
+    """An (n,4) track array repeating one (x1, y1, x2, y2) box."""
+    return np.tile(np.asarray(box, dtype=np.float64), (n, 1))
+
+
+def make_tubelet(boxes, start=0, tubelet_id=0, video_id="v0", object_class="person"):
+    """A tubelet whose row k of `boxes` is frame start + k; scores 0.9, all detected."""
+    n = len(boxes)
+    return Tubelet(tubelet_id, video_id, object_class, Interval(start, start + n),
+                   np.asarray(boxes, dtype=np.float64), np.full(n, 0.9), np.zeros(n, dtype=np.int8))
 
 
 def make_proposal(window, boxes=None, proposal_id=0, tubelet_id=0, video_id="v0",
                   object_class="person", scores=None, sample_count=8):
+    """A proposal over its own tubelet spanning exactly `window`; boxes default
+    to (0, 0, 10, 10) on every frame."""
     if boxes is None:
-        boxes = {f: Box(0, 0, 10, 10) for f in window.frames()}
-    rel = [k * window.length // sample_count for k in range(sample_count)]
-    return Proposal(
-        proposal_id=proposal_id,
-        tubelet_id=tubelet_id,
-        video_id=video_id,
-        object_class=object_class,
-        window=window,
-        boxes=boxes,
-        sampled_frames=[window.start + r for r in rel],
-        scores=scores,
-    )
+        boxes = box_rows((0, 0, 10, 10), window.length)
+    tubelet = make_tubelet(boxes, window.start, tubelet_id, video_id, object_class)
+    return Proposal(proposal_id, tubelet, window, sample_count, scores)
 
 
 @pytest.fixture

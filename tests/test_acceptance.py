@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from conftest import make_proposal, make_tubelet
+from conftest import box_rows, make_proposal
 
 from tubekit import cli, linking, synthgen
 from tubekit.data_model import ActivityInstance
@@ -132,12 +132,12 @@ def test_criterion_02_interpolation_exactness():
 def _partition_matches(tubes, ground_truth):
     if len(tubes) != len(ground_truth):
         return False
-    gt_by_key = {(g.video_id, g.boxes[g.extent.start]): g for g in ground_truth}
+    gt_by_key = {(g.video_id, tuple(g.boxes[0])): g for g in ground_truth}
     for t in tubes:
-        g = gt_by_key.get((t.video_id, t.boxes[t.extent.start]))
+        g = gt_by_key.get((t.video_id, tuple(t.boxes[0])))
         if g is None or t.extent != g.extent:
             return False
-        if any(t.boxes[f] != g.boxes[f] for f in t.extent.frames()):
+        if not np.array_equal(t.boxes, g.boxes):
             return False
     return True
 
@@ -188,8 +188,7 @@ def test_criterion_04_dropout_tracking_advantage():
 
 
 def test_criterion_05_labeling_table():
-    gt = [ActivityInstance("v0", "Riding", Interval(0, 100),
-                           {f: Box(0, 0, 10, 10) for f in range(100)}, 1.0)]
+    gt = [ActivityInstance("v0", "Riding", Interval(0, 100), box_rows((0, 0, 10, 10), 100), 1.0)]
     # window [a, 100) has temporal IoU (100-a)/100 with the instance; a box of
     # width w nested in the 10x10 reference has spatial IoU w/10
     table = {
@@ -203,8 +202,7 @@ def test_criterion_05_labeling_table():
     for (tiou, siou), want in sorted(table.items()):
         a = round(100 * (1 - tiou))
         w = 10 * siou
-        p = make_proposal(Interval(a, 100),
-                          boxes={f: Box(0, 0, w, 10) for f in range(a, 100)})
+        p = make_proposal(Interval(a, 100), boxes=box_rows((0, 0, w, 10), 100 - a))
         label = label_proposal(p, gt)
         assert label.kind == want, (tiou, siou, label)
         if want == "positive":
@@ -313,7 +311,7 @@ def test_criterion_07_soft_nms_closed_form():
 
 def _instance(start, end, confidence=1.0):
     return ActivityInstance("v0", "Riding", Interval(start, end),
-                            {f: Box(0, 0, 10, 10) for f in range(start, end)}, confidence)
+                            box_rows((0, 0, 10, 10), end - start), confidence)
 
 
 def _brute_force_alignment(system, reference, min_tiou):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -282,3 +284,25 @@ def test_malformed_instance_box_exits_one(tmp_path):
     ])
     assert res.exit_code == 1
     assert "ground_truth.jsonl:1" in json.loads(res.output.strip().splitlines()[-1])["error"]
+
+
+@pytest.mark.parametrize("text", ["{bad", "[1]"])
+def test_malformed_config_file_exits_one(tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    res = runner.invoke(main, [
+        "synth", "--out-dir", str(tmp_path / "corpus"), "--config", str(cfg),
+    ])
+    assert res.exit_code == 1
+    report = json.loads(res.output.strip().splitlines()[-1])
+    assert report["stage"] == "synth" and str(cfg) in report["error"]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.optimize is most of the start-up time of a stage process; only
+    # eval-det needs it, and it loads it when it aligns
+    code = "import sys, tubekit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import pytest
+from conftest import box_rows
 
 from tubekit import data_model as dm
 from tubekit.errors import InvalidInputError, ParseError, SchemaError
@@ -56,8 +57,7 @@ class TestReadDetections:
 
 
 def make_instance(activity="Riding", start=0, end=10, video_id="v0"):
-    boxes = {f: Box(0, 0, 10, 10) for f in range(start, end)}
-    return dm.ActivityInstance(video_id, activity, Interval(start, end), boxes, 1.0)
+    return dm.ActivityInstance(video_id, activity, Interval(start, end), box_rows((0, 0, 10, 10), end - start), 1.0)
 
 
 class TestInstances:
@@ -66,7 +66,8 @@ class TestInstances:
         instances = [make_instance(), make_instance(activity="Loading", start=5, end=20)]
         dm.write_instances(instances, p)
         back = dm.read_ground_truth(p)
-        assert sorted(back, key=lambda i: i.activity) == sorted(instances, key=lambda i: i.activity)
+        fields = lambda i: (i.video_id, i.activity, i.extent, i.confidence, i.boxes.tolist())  # noqa: E731
+        assert sorted(map(fields, back)) == sorted(map(fields, instances))
 
     def test_unknown_activity_rejected(self):
         with pytest.raises(SchemaError) as exc:
@@ -74,9 +75,9 @@ class TestInstances:
         assert "Swimming" in str(exc.value)
 
     def test_sparse_boxes_rejected(self):
-        boxes = {f: Box(0, 0, 10, 10) for f in range(10) if f != 4}
+        # one box short of the 10-frame extent
         with pytest.raises(InvalidInputError):
-            dm.ActivityInstance("v0", "Riding", Interval(0, 10), boxes, 1.0)
+            dm.ActivityInstance("v0", "Riding", Interval(0, 10), box_rows((0, 0, 10, 10), 9), 1.0)
 
     def test_empty_write(self, tmp_path):
         p = tmp_path / "gt.jsonl"

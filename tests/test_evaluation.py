@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import make_tubelet
+from conftest import box_rows, make_tubelet
 
 from tubekit.data_model import ActivityInstance, VideoMeta
 from tubekit.errors import InvalidInputError
@@ -19,10 +19,8 @@ from tubekit.evaluation import (
 from tubekit.geometry import Box, Interval, temporal_iou
 
 
-def instance(start, end, activity="Riding", confidence=1.0, video_id="v0", box=Box(0, 0, 10, 10)):
-    return ActivityInstance(
-        video_id, activity, Interval(start, end), {f: box for f in range(start, end)}, confidence
-    )
+def instance(start, end, activity="Riding", confidence=1.0, video_id="v0", box=(0, 0, 10, 10)):
+    return ActivityInstance(video_id, activity, Interval(start, end), box_rows(box, end - start), confidence)
 
 
 def meta(video_id="v0", frame_count=18000, frame_rate=30.0):
@@ -33,7 +31,7 @@ def meta(video_id="v0", frame_count=18000, frame_rate=30.0):
 class TestTubeletRecall:
     def test_perfect_cover(self):
         gt = [instance(0, 10), instance(20, 40, activity="Pull")]
-        tubes = [make_tubelet(dict(g.boxes), tubelet_id=i) for i, g in enumerate(gt)]
+        tubes = [make_tubelet(g.boxes, start=g.extent.start, tubelet_id=i) for i, g in enumerate(gt)]
         curve = tubelet_recall(tubes, gt, [0.1, 0.5, 0.9])
         assert curve.recall == (1.0, 1.0, 1.0)
 
@@ -45,9 +43,9 @@ class TestTubeletRecall:
         g1 = instance(0, 10)
         g2 = instance(100, 110, activity="Pull")
         # covers g1 at IoU ~0.6 (temporal 6/10 overlap, same boxes)
-        t1 = make_tubelet({f: Box(0, 0, 10, 10) for f in range(0, 6)})
+        t1 = make_tubelet(box_rows((0, 0, 10, 10), 6))
         # covers g2 at IoU 0.2
-        t2 = make_tubelet({f: Box(0, 0, 10, 10) for f in range(100, 102)}, tubelet_id=1)
+        t2 = make_tubelet(box_rows((0, 0, 10, 10), 2), start=100, tubelet_id=1)
         curve = tubelet_recall([t1, t2], [g1, g2], [0.3])
         assert curve.recall == (0.5,)
 
@@ -58,8 +56,8 @@ class TestTubeletRecall:
     def test_non_increasing(self):
         gt = [instance(0, 10), instance(30, 60, activity="Pull")]
         tubes = [
-            make_tubelet({f: Box(0, 0, 10, 10) for f in range(0, 7)}),
-            make_tubelet({f: Box(2, 0, 12, 10) for f in range(30, 60)}, tubelet_id=1),
+            make_tubelet(box_rows((0, 0, 10, 10), 7)),
+            make_tubelet(box_rows((2, 0, 12, 10), 30), start=30, tubelet_id=1),
         ]
         curve = tubelet_recall(tubes, gt, [0.1 * i for i in range(1, 10)])
         assert list(curve.recall) == sorted(curve.recall, reverse=True)

@@ -6,6 +6,7 @@ from tubekit.data_model import Detection
 from tubekit.errors import InvalidInputError
 from tubekit.geometry import Box, spatial_iou
 from tubekit.linking import (
+    PROVENANCES,
     ConstantVelocityTracker,
     LinkConfig,
     greedy_link,
@@ -17,6 +18,19 @@ from tubekit.linking import (
 
 def det(frame, x1, y1=0.0, w=10.0, h=10.0, cls="person", score=0.9, video="v0"):
     return Detection(video, frame, Box(x1, y1, x1 + w, y1 + h), cls, score)
+
+
+def xyxy(box):
+    return (box.x1, box.y1, box.x2, box.y2)
+
+
+def detected_rows(tubelet):
+    """(frame, box tuple) of every detected row of a tubelet."""
+    return [
+        (f, tuple(tubelet.boxes[k].tolist()))
+        for k, f in enumerate(tubelet.extent.frames())
+        if PROVENANCES[tubelet.provenance[k]] == "detected"
+    ]
 
 
 class TestInterpolateGaps:
@@ -84,8 +98,8 @@ class TestGreedyLink:
         )
         # every tubelet pairs frame-0 box i with frame-1 box best[i]
         for t in tubes:
-            i = next(k for k, d in enumerate(frame0) if d.box == t.boxes[0])
-            assert t.boxes[1] == frame1[best[i]].box
+            i = next(k for k, d in enumerate(frame0) if xyxy(d.box) == tuple(t.boxes[0]))
+            assert tuple(t.boxes[1]) == xyxy(frame1[best[i]].box)
 
     def test_class_gated(self):
         dets = [det(0, 0.0, cls="person"), det(1, 0.0, cls="car")]
@@ -97,10 +111,9 @@ class TestGreedyLink:
         tubes, _ = greedy_link(dets)
         seen = set()
         for t in tubes:
-            for f, b in t.boxes.items():
-                if t.provenance[f] == "detected":
-                    assert (f, b) not in seen
-                    seen.add((f, b))
+            for row in detected_rows(t):
+                assert row not in seen
+                seen.add(row)
 
     def test_multi_video_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -116,9 +129,9 @@ class TestTrackLink:
         t = tubes[0]
         assert (t.extent.start, t.extent.end) == (0, 11)
         for f in range(5, 10):
-            assert t.provenance[f] == "tracked"
-            assert t.boxes[f].x1 == pytest.approx(5.0 * f)
-        assert t.provenance[10] == "detected"
+            assert PROVENANCES[t.provenance[f]] == "tracked"
+            assert t.boxes[f, 0] == pytest.approx(5.0 * f)
+        assert PROVENANCES[t.provenance[10]] == "detected"
 
     def test_patience_splits_long_gap(self):
         dets = [det(f, x1=0.0) for f in range(5)] + [det(f, x1=0.0) for f in range(65, 70)]
@@ -130,7 +143,7 @@ class TestTrackLink:
         tubes, _ = track_link(dets)
         first = min(tubes, key=lambda t: t.extent.start)
         assert first.extent.end == 5
-        assert all(p == "detected" for p in first.provenance.values())
+        assert all(PROVENANCES[p] == "detected" for p in first.provenance)
 
     def test_single_frame_video(self):
         tubes, _ = track_link([det(0, 0.0), det(0, 100.0)])
@@ -144,9 +157,7 @@ class TestTrackLink:
             det(1, 6.0),
         ]
         tubes, _ = track_link(dets)
-        detected = [
-            (f, b) for t in tubes for f, b in t.boxes.items() if t.provenance[f] == "detected"
-        ]
+        detected = [row for t in tubes for row in detected_rows(t)]
         assert len(detected) == len(set(detected)) == 3
 
 

@@ -1,12 +1,16 @@
 import math
 
+import numpy as np
 import pytest
-from conftest import make_proposal
+from conftest import box_rows, make_proposal
 
 from tubekit.errors import InvalidInputError
-from tubekit.geometry import Box, Interval
+from tubekit.geometry import Interval
+from tubekit.linking import track_link
 from tubekit.postprocess import SoftNmsConfig, fuse, proposals_to_instances, soft_nms
 from tubekit.proposals import NON_ACTION
+from tubekit.refinement import filter_static, make_proposals
+from tubekit.synthgen import SceneConfig, generate
 
 
 def scored(window, s, pid, tubelet_id=0, activity="Riding", video_id="v0", object_class="person",
@@ -39,7 +43,7 @@ class TestSoftNms:
 
     def test_zero_overlap_no_decay(self):
         a = scored(Interval(0, 10), 0.9, 0)
-        b = scored(Interval(10, 20), 0.8, 1, boxes={f: Box(0, 0, 10, 10) for f in range(10, 20)})
+        b = scored(Interval(10, 20), 0.8, 1, boxes=box_rows((0, 0, 10, 10), 10))
         out = soft_nms([a, b], "Riding")
         assert {p.scores["Riding"] for p in out} == {0.9, 0.8}
 
@@ -52,14 +56,14 @@ class TestSoftNms:
 
     def test_linear_below_threshold_untouched(self):
         a = scored(Interval(0, 10), 0.9, 0)
-        b = scored(Interval(8, 20), 0.8, 1, boxes={f: Box(0, 0, 10, 10) for f in range(8, 20)})
+        b = scored(Interval(8, 20), 0.8, 1, boxes=box_rows((0, 0, 10, 10), 12))
         # tiou = 2/20 = 0.1 <= 0.3 threshold
         out = soft_nms([a, b], "Riding", SoftNmsConfig(method="linear", linear_threshold=0.3))
         assert {p.scores["Riding"] for p in out} == {0.9, 0.8}
 
     def test_sigma_to_zero_is_hard_nms(self):
         a = scored(Interval(0, 10), 0.9, 0)
-        b = scored(Interval(2, 12), 0.8, 1, boxes={f: Box(0, 0, 10, 10) for f in range(2, 12)})
+        b = scored(Interval(2, 12), 0.8, 1, boxes=box_rows((0, 0, 10, 10), 10))
         out = soft_nms([a, b], "Riding", SoftNmsConfig(sigma=1e-12))
         assert [p.proposal_id for p in out] == [0]
 
@@ -76,7 +80,7 @@ class TestSoftNms:
         # same time span, disjoint boxes, different tubelets: no decay
         a = scored(Interval(0, 10), 0.9, 0, tubelet_id=0)
         b = scored(Interval(0, 10), 0.8, 1, tubelet_id=1,
-                   boxes={f: Box(500, 500, 510, 510) for f in range(10)})
+                   boxes=box_rows((500, 500, 510, 510), 10))
         out = soft_nms([a, b], "Riding")
         assert {p.scores["Riding"] for p in out} == {0.9, 0.8}
 
@@ -86,11 +90,55 @@ class TestSoftNms:
             soft_nms([p], "Riding")
 
 
+def corpus_proposals(seed):
+    """Proposals of a corpus with dropout and false positives, with seeded
+    random scores for two activities."""
+    corpus = generate(SceneConfig(seed=seed, video_count=2, frames_per_video=150, objects_per_video=(2, 3),
+                                  dropout_rate=0.2, box_jitter_px=2.0, false_positive_rate=0.5))
+    rng = np.random.default_rng(seed)
+    props = []
+    for video_id, meta in sorted(corpus.metas.items()):
+        tubes, _ = track_link([d for d in corpus.detections if d.video_id == video_id])
+        for t in filter_static(tubes)[0]:
+            for p in make_proposals(t, meta.frame_bounds, id_start=len(props)):
+                p.scores = {"Riding": float(rng.uniform(0.0, 1.0)), "Pull": float(rng.uniform(0.0, 1.0))}
+                props.append(p)
+    return props
+
+
+class TestSoftNmsOnCorpus:
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_never_raises_a_score(self, seed):
+        props = corpus_proposals(seed)
+        assert len({p.tubelet_id for p in props}) > 2
+        for cfg in (SoftNmsConfig(), SoftNmsConfig(method="linear")):
+            for activity in ("Riding", "Pull"):
+                for video_id in {p.video_id for p in props}:
+                    bucket = [p for p in props if p.video_id == video_id]
+                    before = {p.proposal_id: p.scores[activity] for p in bucket}
+                    out = soft_nms(bucket, activity, cfg)
+                    after = [p.scores[activity] for p in out]
+                    assert after == sorted(after, reverse=True)
+                    assert all(p.scores[activity] <= before[p.proposal_id] for p in out)
+                    assert len({p.proposal_id for p in out}) == len(out)
+
+    def test_single_proposal_unchanged(self):
+        floor = SoftNmsConfig().score_floor
+        for p in corpus_proposals(5):
+            out = soft_nms([p], "Riding")
+            if p.scores["Riding"] < floor:
+                assert out == []
+                continue
+            (kept,) = out
+            assert kept.proposal_id == p.proposal_id and kept.tubelet is p.tubelet
+            assert kept.scores == p.scores
+
+
 class TestFuse:
     def test_disjoint_singletons(self):
         v = [scored(Interval(0, 10), 0.9, 0, activity="Closing", object_class="car")]
         p = [scored(Interval(0, 10), 0.8, 1, tubelet_id=1, activity="Riding",
-                    boxes={f: Box(300, 300, 310, 310) for f in range(10)})]
+                    boxes=box_rows((300, 300, 310, 310), 10))]
         fused = fuse(v, p)
         assert len(fused) == 2
 
@@ -103,7 +151,7 @@ class TestFuse:
     def test_weights_scale_before_nms(self):
         v = [scored(Interval(0, 10), 0.9, 0, activity="Closing", object_class="car")]
         p = [scored(Interval(0, 10), 0.8, 1, tubelet_id=1, activity="Riding",
-                    boxes={f: Box(300, 300, 310, 310) for f in range(10)})]
+                    boxes=box_rows((300, 300, 310, 310), 10))]
         fused = fuse(v, p, weights=(1.0, 0.5))
         by_id = {f.proposal_id: f for f in fused}
         assert by_id[0].scores["Closing"] == pytest.approx(0.9)
@@ -118,7 +166,7 @@ class TestFuse:
     def test_commutative_up_to_order(self):
         v = [scored(Interval(0, 10), 0.9, 0, activity="Closing", object_class="car")]
         p = [scored(Interval(0, 10), 0.8, 1, tubelet_id=1, activity="Riding",
-                    boxes={f: Box(300, 300, 310, 310) for f in range(10)})]
+                    boxes=box_rows((300, 300, 310, 310), 10))]
         ab = {(f.proposal_id, tuple(sorted(f.scores.items()))) for f in fuse(v, p)}
         # swapping requires swapping weights too, which default equal
         ba = {(f.proposal_id, tuple(sorted(f.scores.items()))) for f in fuse(p, v)}
@@ -139,7 +187,7 @@ class TestProposalsToInstances:
 
     def test_mixed_scores(self):
         a = scored(Interval(0, 10), 0.9, 0)
-        b = scored(Interval(20, 30), 0.4, 1, boxes={f: Box(0, 0, 10, 10) for f in range(20, 30)})
+        b = scored(Interval(20, 30), 0.4, 1, boxes=box_rows((0, 0, 10, 10), 10))
         out = proposals_to_instances([a, b], 0.5)
         assert len(out) == 1
         assert out[0].extent == Interval(0, 10)
@@ -154,8 +202,9 @@ class TestProposalsToInstances:
         assert [i.video_id for i in out] == ["vc", "va", "vb"]
 
     def test_instance_carries_window_and_boxes(self):
-        boxes = {f: Box(f, 0, f + 10, 10) for f in range(5, 15)}
+        boxes = np.array([[f, 0, f + 10, 10] for f in range(5, 15)], dtype=np.float64)
         p = scored(Interval(5, 15), 0.7, 0, boxes=boxes)
         (inst,) = proposals_to_instances([p], 0.1)
         assert inst.extent == Interval(5, 15)
-        assert inst.boxes == boxes
+        assert np.array_equal(inst.boxes, boxes)
+        assert np.shares_memory(inst.boxes, p.tubelet.boxes)

@@ -1,7 +1,9 @@
 import itertools
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
-from conftest import make_proposal
+from conftest import box_rows, make_proposal, make_tubelet
 
 from tubekit.data_model import (
     ACTIVITY_CLASSES,
@@ -10,7 +12,7 @@ from tubekit.data_model import (
     ActivityInstance,
 )
 from tubekit.errors import InvalidInputError, ScoringError
-from tubekit.geometry import Box, Interval
+from tubekit.geometry import Box, Interval, spatial_iou
 from tubekit.proposals import (
     NON_ACTION,
     PERSON_GROUP,
@@ -24,32 +26,67 @@ from tubekit.proposals import (
     score,
     tubelet_spatial_iou,
 )
+from tubekit.refinement import Proposal
 
 
-def instance(activity="Riding", start=0, end=10, box=Box(0, 0, 10, 10), video_id="v0"):
-    return ActivityInstance(video_id, activity, Interval(start, end), {f: box for f in range(start, end)}, 1.0)
+def instance(activity="Riding", start=0, end=10, box=(0, 0, 10, 10), video_id="v0"):
+    return ActivityInstance(video_id, activity, Interval(start, end), box_rows(box, end - start), 1.0)
+
+
+def random_track(rng, n):
+    """n random boxes; every third row is degenerate (a point, or a zero-width
+    or zero-height line)."""
+    xy = rng.uniform(0, 60, size=(n, 2))
+    wh = rng.uniform(0, 40, size=(n, 2))
+    wh[::3, rng.integers(0, 2)] = 0.0
+    return np.hstack([xy, xy + wh])
+
+
+def scalar_spatial_iou(a, b):
+    """Reference: mean of scalar spatial_iou over the common frames."""
+    common = sorted(set(a.extent.frames()) & set(b.extent.frames()))
+    if not common:
+        return 0.0
+    box = lambda t, f: Box(*t.boxes[f - t.extent.start].tolist())  # noqa: E731
+    return float(np.mean([spatial_iou(box(a, f), box(b, f)) for f in common]))
 
 
 class TestTubeletSpatialIou:
     def test_identity(self):
-        boxes = {f: Box(0, 0, 10, 10) for f in range(5)}
-        assert tubelet_spatial_iou(boxes, dict(boxes)) == 1.0
+        boxes = box_rows((0, 0, 10, 10), 5)
+        assert tubelet_spatial_iou(make_tubelet(boxes), make_tubelet(boxes.copy())) == 1.0
 
     def test_disjoint_supports(self):
-        a = {f: Box(0, 0, 10, 10) for f in range(5)}
-        b = {f: Box(0, 0, 10, 10) for f in range(10, 15)}
+        a = make_tubelet(box_rows((0, 0, 10, 10), 5))
+        b = make_tubelet(box_rows((0, 0, 10, 10), 5), start=10)
         assert tubelet_spatial_iou(a, b) == 0.0
 
     def test_mean_aggregation(self):
-        a = {0: Box(0, 0, 10, 10), 1: Box(0, 0, 10, 10)}
-        b = {0: Box(0, 0, 10, 10), 1: Box(100, 100, 110, 110)}
+        a = make_tubelet([[0, 0, 10, 10], [0, 0, 10, 10]])
+        b = make_tubelet([[0, 0, 10, 10], [100, 100, 110, 110]])
         assert tubelet_spatial_iou(a, b) == pytest.approx(0.5)
+
+    def test_equals_scalar_reference_on_seeded_tracks(self):
+        # extents (a, b): disjoint, touching, nested, partial, identical
+        extents = [((0, 20), (30, 50)), ((0, 10), (10, 20)), ((0, 40), (10, 20)),
+                   ((0, 30), (20, 50)), ((5, 25), (5, 25))]
+        rng = np.random.default_rng(31)
+        for (sa, ea), (sb, eb) in extents:
+            for _ in range(10):
+                a = make_tubelet(random_track(rng, ea - sa), start=sa)
+                b = make_tubelet(random_track(rng, eb - sb), start=sb, tubelet_id=1)
+                # a proposal is a view into its tubelet at an offset
+                window = Interval(sb + (eb - sb) // 4, eb)
+                p = Proposal(0, b, window, 8)
+                inst = ActivityInstance("v0", "Riding", Interval(sa, ea), a.boxes, 1.0)
+                for x, y in ((a, b), (b, a), (p, a), (inst, p), (a, a)):
+                    assert tubelet_spatial_iou(x, y) == scalar_spatial_iou(x, y)
 
 
 class TestLabelProposal:
     def test_perfect_match_positive(self):
         inst = instance("Riding")
-        p = make_proposal(Interval(0, 10), boxes=dict(inst.boxes))
+        p = make_proposal(Interval(0, 10), boxes=inst.boxes)
         label = label_proposal(p, [inst])
         assert label.kind == "positive"
         assert label.activity == "Riding"
@@ -63,14 +100,14 @@ class TestLabelProposal:
     def test_between_thresholds_ignore(self):
         # temporal IoU 0.3 < 0.5 but >= 0.2, high spatial overlap
         inst = instance(start=0, end=13)
-        p = make_proposal(Interval(7, 20), boxes={f: Box(0, 0, 10, 10) for f in range(7, 20)})
+        p = make_proposal(Interval(7, 20), boxes=box_rows((0, 0, 10, 10), 13))
         assert 0.2 <= 6 / 20 < 0.5
         assert label_proposal(p, [inst]).kind == "ignore"
 
     def test_spatial_threshold_gates_positive(self):
-        inst = instance(box=Box(0, 0, 10, 10))
+        inst = instance(box=(0, 0, 10, 10))
         # same window, boxes shifted so IoU ~0.2 < 0.35
-        p = make_proposal(Interval(0, 10), boxes={f: Box(7, 0, 17, 10) for f in range(10)})
+        p = make_proposal(Interval(0, 10), boxes=box_rows((7, 0, 17, 10), 10))
         label = label_proposal(p, [inst])
         assert label.kind == "ignore"
 
@@ -101,9 +138,9 @@ class TestLabelProposal:
         # thresholds (1.0, 1.0, 0.0): only exact matches positive, nothing negative
         policy = LabelPolicy(spatial_pos=1.0, temporal_pos=1.0, temporal_neg=0.0)
         inst = instance("Riding")
-        exact = make_proposal(Interval(0, 10), boxes=dict(inst.boxes))
+        exact = make_proposal(Interval(0, 10), boxes=inst.boxes)
         assert label_proposal(exact, [inst], policy).kind == "positive"
-        near = make_proposal(Interval(0, 9), boxes={f: Box(0, 0, 10, 10) for f in range(9)})
+        near = make_proposal(Interval(0, 9), boxes=box_rows((0, 0, 10, 10), 9))
         assert label_proposal(near, [inst], policy).kind == "ignore"
 
     def test_invalid_policy(self):
@@ -122,10 +159,9 @@ class TestRoute:
         assert route(p).name == group
 
     def test_unknown_class(self):
-        p = make_proposal(Interval(0, 10))
-        p.object_class = "dog"
+        # a Tubelet rejects "dog", so route sees it only from a duck-typed object
         with pytest.raises(InvalidInputError):
-            route(p)
+            route(SimpleNamespace(object_class="dog"))
 
 
 def test_groups_partition_activities():
@@ -139,7 +175,7 @@ def test_groups_partition_activities():
 class TestOracleScorer:
     def test_matched_proposal(self):
         inst = instance("Loading")
-        p = make_proposal(Interval(0, 10), boxes=dict(inst.boxes))
+        p = make_proposal(Interval(0, 10), boxes=inst.boxes)
         scores = OracleScorer([inst]).score(p, PERSON_GROUP)
         assert scores["Loading"] == 1.0
         assert scores[NON_ACTION] == 0.0
@@ -152,14 +188,14 @@ class TestOracleScorer:
 
     def test_epsilon(self):
         inst = instance("Loading")
-        p = make_proposal(Interval(0, 10), boxes=dict(inst.boxes))
+        p = make_proposal(Interval(0, 10), boxes=inst.boxes)
         scores = OracleScorer([inst], epsilon=0.1).score(p, PERSON_GROUP)
         assert scores["Loading"] == pytest.approx(0.9)
         assert scores[NON_ACTION] == pytest.approx(0.1)
 
     def test_label_noise_deterministic(self):
         inst = instance("Loading")
-        p = make_proposal(Interval(0, 10), boxes=dict(inst.boxes))
+        p = make_proposal(Interval(0, 10), boxes=inst.boxes)
         scorer = OracleScorer([inst], label_noise=1.0, seed=3)
         first = scorer.score(p, PERSON_GROUP)
         assert first == scorer.score(p, PERSON_GROUP)
@@ -174,8 +210,8 @@ class TestHeuristicScorer:
         assert scores[NON_ACTION] == 1.0
 
     def test_monotone_in_displacement(self):
-        slow = make_proposal(Interval(0, 10), boxes={f: Box(f, 0, f + 10, 10) for f in range(10)})
-        fast = make_proposal(Interval(0, 10), boxes={f: Box(5 * f, 0, 5 * f + 10, 10) for f in range(10)})
+        slow = make_proposal(Interval(0, 10), boxes=np.array([[f, 0, f + 10, 10] for f in range(10)]))
+        fast = make_proposal(Interval(0, 10), boxes=np.array([[5 * f, 0, 5 * f + 10, 10] for f in range(10)]))
         scorer = HeuristicScorer()
         s_slow = scorer.score(slow, PERSON_GROUP)
         s_fast = scorer.score(fast, PERSON_GROUP)
@@ -207,7 +243,7 @@ class TestScoreValidation:
         # a positive label's class lands in the routed group when the object
         # class matches the activity's column
         inst = instance("Riding")
-        p = make_proposal(Interval(0, 10), boxes=dict(inst.boxes), object_class="bicycle")
+        p = make_proposal(Interval(0, 10), boxes=inst.boxes, object_class="bicycle")
         group = route(p)
         label = label_proposal(p, [inst])
         assert label.kind == "positive"

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
-from conftest import make_tubelet
+from conftest import box_rows, make_tubelet
 
 from tubekit.errors import InvalidInputError
-from tubekit.geometry import Box, Interval
+from tubekit.geometry import Interval
 from tubekit.refinement import (
     RefineConfig,
     filter_static,
@@ -15,13 +16,12 @@ from tubekit.refinement import (
 
 
 def moving_tubelet(length, step=2.0, w=10.0, start_x=50.0):
-    boxes = {f: Box(start_x + step * f, 50, start_x + step * f + w, 50 + w) for f in range(length)}
-    return make_tubelet(boxes)
+    return make_tubelet([[start_x + step * f, 50, start_x + step * f + w, 50 + w] for f in range(length)])
 
 
 class TestMotionStats:
     def test_static(self):
-        t = make_tubelet({f: Box(0, 0, 10, 10) for f in range(5)})
+        t = make_tubelet(box_rows((0, 0, 10, 10), 5))
         s = motion_stats(t)
         assert (s.flow_max, s.flow_mean, s.coord_displacement) == (0.0, 0.0, 0.0)
 
@@ -42,7 +42,7 @@ class TestMotionStats:
 
 class TestFilterStatic:
     def test_static_removed(self):
-        static = make_tubelet({f: Box(0, 0, 10, 10) for f in range(5)})
+        static = make_tubelet(box_rows((0, 0, 10, 10), 5))
         kept, removed = filter_static([static])
         assert kept == [] and removed == 1
 
@@ -60,35 +60,37 @@ class TestFilterStatic:
         assert twice == once and removed == 0
 
     def test_flow_channel_can_rescue(self):
-        static = make_tubelet({f: Box(0, 0, 10, 10) for f in range(5)})
+        static = make_tubelet(box_rows((0, 0, 10, 10), 5))
         kept, _ = filter_static([static], motion_source=lambda vid, f: 5.0)
         assert kept == [static]
 
 
 class TestNormalizeBoxes:
     def test_max_extension(self, frame_bounds):
-        t = make_tubelet({0: Box(100, 100, 110, 110), 1: Box(100, 100, 120, 110)})
+        t = make_tubelet([[100, 100, 110, 110], [100, 100, 120, 110]])
         out = normalize_boxes(t, frame_bounds, enlarge_factor=1.0)
-        assert all(b.width == 20 and b.height == 10 for b in out.boxes.values())
+        assert (out.boxes[:, 2] - out.boxes[:, 0]).tolist() == [20, 20]
+        assert (out.boxes[:, 3] - out.boxes[:, 1]).tolist() == [10, 10]
 
     def test_uniform_boxes_enlarged(self, frame_bounds):
-        t = make_tubelet({f: Box(100, 100, 110, 110) for f in range(3)})
+        t = make_tubelet(box_rows((100, 100, 110, 110), 3))
         out = normalize_boxes(t, frame_bounds, enlarge_factor=1.2)
-        assert all(b.width == pytest.approx(12) and b.height == pytest.approx(12) for b in out.boxes.values())
+        assert out.boxes[:, 2] - out.boxes[:, 0] == pytest.approx([12] * 3)
+        assert out.boxes[:, 3] - out.boxes[:, 1] == pytest.approx([12] * 3)
 
     def test_single_frame_identity(self, frame_bounds):
-        t = make_tubelet({0: Box(100, 100, 110, 110)})
+        t = make_tubelet([[100, 100, 110, 110]])
         out = normalize_boxes(t, frame_bounds, enlarge_factor=1.0)
-        assert out.boxes == t.boxes
+        assert np.array_equal(out.boxes, t.boxes)
 
     def test_double_apply_equals_single(self, frame_bounds):
-        t = make_tubelet({0: Box(100, 100, 110, 110), 1: Box(100, 100, 130, 125)})
+        t = make_tubelet([[100, 100, 110, 110], [100, 100, 130, 125]])
         once = normalize_boxes(t, frame_bounds, 1.2)
         twice = normalize_boxes(once, frame_bounds, 1.0)
-        assert twice.boxes == once.boxes
+        assert np.array_equal(twice.boxes, once.boxes)
 
     def test_factor_below_one_rejected(self, frame_bounds):
-        t = make_tubelet({0: Box(100, 100, 110, 110)})
+        t = make_tubelet([[100, 100, 110, 110]])
         with pytest.raises(InvalidInputError):
             normalize_boxes(t, frame_bounds, enlarge_factor=0.9)
 
@@ -118,8 +120,7 @@ class TestJitter:
             assert covered == set(range(length))
 
     def test_windows_absolute_for_offset_tubelet(self):
-        boxes = {f: Box(2.0 * f, 50, 2.0 * f + 10, 60) for f in range(100, 140)}
-        t = make_tubelet(boxes)
+        t = make_tubelet([[2.0 * f, 50, 2.0 * f + 10, 60] for f in range(100, 140)], start=100)
         cfg = RefineConfig(window_sizes=(32,), window_stride=16)
         assert jitter(t, cfg) == [Interval(100, 132), Interval(108, 140)]
 
@@ -150,10 +151,16 @@ class TestSampleFrames:
 class TestMakeProposals:
     def test_sampled_frames_inside_window(self, frame_bounds):
         t = moving_tubelet(100)
-        for p in make_proposals(t, frame_bounds):
+        props = make_proposals(t, frame_bounds)
+        for p in props:
             assert len(p.sampled_frames) == 64
             assert all(p.window.start <= f < p.window.end for f in p.sampled_frames)
-            assert set(p.boxes) == set(p.window.frames())
+            assert p.boxes.shape == (p.window.length, 4)
+            # boxes are rows of the one shared normalised tubelet, not copies
+            assert p.tubelet is props[0].tubelet
+            assert np.shares_memory(p.boxes, p.tubelet.boxes)
+            offset = p.window.start - p.tubelet.extent.start
+            assert np.array_equal(p.boxes, p.tubelet.boxes[offset:offset + p.window.length])
 
     def test_ids_sequential(self, frame_bounds):
         t = moving_tubelet(100)

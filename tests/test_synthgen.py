@@ -1,11 +1,16 @@
 import json
 
+import numpy as np
 import pytest
 
 from tubekit import linking
 from tubekit.data_model import ACTIVITY_CLASSES, OBJECT_CLASSES
 from tubekit.errors import InvalidInputError, SchemaError
 from tubekit.synthgen import SceneConfig, SynthCorpus, generate, write_corpus
+
+
+def xyxy(box):
+    return (box.x1, box.y1, box.x2, box.y2)
 
 
 def small(seed=0, **kw):
@@ -37,11 +42,11 @@ class TestGenerate:
         corpus = generate(small())
         gt_boxes = {}
         for inst in corpus.ground_truth:
-            for f, b in inst.boxes.items():
-                gt_boxes.setdefault((inst.video_id, f), []).append(b)
+            for f, row in zip(inst.extent.frames(), inst.boxes.tolist()):
+                gt_boxes.setdefault((inst.video_id, f), []).append(tuple(row))
         assert len(corpus.detections) == sum(i.extent.length for i in corpus.ground_truth)
         for d in corpus.detections:
-            assert d.box in gt_boxes[(d.video_id, d.frame)]
+            assert xyxy(d.box) in gt_boxes[(d.video_id, d.frame)]
 
     def test_same_seed_byte_identical(self, tmp_path):
         a = write_corpus(generate(small(seed=9)), tmp_path / "a")
@@ -69,7 +74,7 @@ class TestGenerate:
         corpus = generate(small(seed=4, false_positive_rate=0.5, box_jitter_px=1.0))
         for inst in corpus.ground_truth:
             assert inst.activity in ACTIVITY_CLASSES
-            assert set(inst.boxes) == set(inst.extent.frames())
+            assert inst.boxes.shape == (inst.extent.length, 4)
         for d in corpus.detections:
             assert d.object_class in OBJECT_CLASSES
             assert 0.0 <= d.score <= 1.0
@@ -82,7 +87,7 @@ class TestGenerate:
         for inst in corpus.ground_truth:
             f = inst.extent.start
             matching = [
-                d for d in by_video_frame[(inst.video_id, f)] if d.box == inst.boxes[f]
+                d for d in by_video_frame[(inst.video_id, f)] if xyxy(d.box) == tuple(inst.boxes[0])
             ]
             assert len(matching) == 1
             cls = matching[0].object_class
@@ -105,13 +110,11 @@ class TestGenerate:
                     out, _ = link(by_video[v])
                 tubes.extend(out)
             assert len(tubes) == len(corpus.ground_truth)
-            gt_by_key = {
-                (g.video_id, g.boxes[g.extent.start]): g for g in corpus.ground_truth
-            }
+            gt_by_key = {(g.video_id, tuple(g.boxes[0])): g for g in corpus.ground_truth}
             for t in tubes:
-                g = gt_by_key[(t.video_id, t.boxes[t.extent.start])]
+                g = gt_by_key[(t.video_id, tuple(t.boxes[0]))]
                 assert t.extent == g.extent
-                assert all(t.boxes[f] == g.boxes[f] for f in t.extent.frames())
+                assert np.array_equal(t.boxes, g.boxes)
 
 
 class TestWriteCorpus:
