@@ -99,13 +99,15 @@ def _config_hash(cfg):
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
 
 
-def _write_manifest(out_path, stage, cfg, timings, counts):
+def _write_manifest(out_path, stage, cfg, timings, counts, warnings=None):
     manifest = {
         "stage": stage,
         "config_hash": _config_hash(cfg),
         "timings_s": timings,
         "record_counts": counts,
     }
+    if warnings is not None:
+        manifest["warnings"] = warnings
     with open(str(out_path) + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -211,15 +213,29 @@ def run_score(proposals_path, cfg, out_path, ground_truth_path=None, group_filte
     return scored
 
 
-def run_fuse(vehicle_path, person_path, cfg, out_path):
+def run_fuse(vehicle_path, person_path, cfg, out_path, funnel=None):
     vehicle = refinement.read_proposals(vehicle_path)
     person = refinement.read_proposals(person_path)
     nms_cfg = _stage_config(cfg, "nms")
     weights = (cfg["fusion"]["vehicle_weight"], cfg["fusion"]["person_weight"])
-    fused = postprocess.fuse(vehicle, person, nms_cfg, weights)
+    fused = postprocess.fuse(vehicle, person, nms_cfg, weights, funnel)
     instances = postprocess.proposals_to_instances(fused, cfg["output"]["score_threshold"])
     data_model.write_instances(instances, out_path)
     return instances
+
+
+def _fuse_warnings(stage, instances, funnel, cfg):
+    """Warn on stderr when fusion produced no instance; returns the warnings
+    for the manifest."""
+    if instances:
+        return []
+    warning = (
+        f"0 instances: soft-NMS kept {funnel['nms_kept']} of {funnel['nms_in']} bucket entries at "
+        f"nms.score_floor {cfg['nms']['score_floor']}, and none reached output.score_threshold "
+        f"{cfg['output']['score_threshold']}"
+    )
+    click.echo(json.dumps({"stage": stage, "warning": warning}), err=True)
+    return [warning]
 
 
 def run_eval_recall(tubelets_path, ground_truth_path, cfg, out_path):
@@ -401,8 +417,11 @@ def fuse_cmd(vehicle, person, out, vehicle_weight, person_weight, config_path):
     if person_weight is not None:
         cfg["fusion"]["person_weight"] = person_weight
     started = time.perf_counter()
-    instances = run_fuse(vehicle, person, cfg, out)
-    _write_manifest(out, "fuse", cfg, {"fuse": time.perf_counter() - started}, {"instances": len(instances)})
+    funnel = {}
+    instances = run_fuse(vehicle, person, cfg, out, funnel)
+    elapsed = time.perf_counter() - started
+    warnings = _fuse_warnings("fuse", instances, funnel, cfg)
+    _write_manifest(out, "fuse", cfg, {"fuse": elapsed}, {"instances": len(instances), **funnel}, warnings)
     click.echo(f"wrote {len(instances)} instances to {out}")
 
 
@@ -503,8 +522,11 @@ def pipeline_cmd(config_path, out_dir, detections, ground_truth, meta, workers):
     )
 
     instances_path = os.path.join(out_dir, "instances.jsonl")
-    instances = timed("fuse", lambda: run_fuse(vehicle_path, person_path, cfg, instances_path))
+    funnel = {}
+    instances = timed("fuse", lambda: run_fuse(vehicle_path, person_path, cfg, instances_path, funnel))
     counts["instances"] = len(instances)
+    counts.update(funnel)
+    warnings = _fuse_warnings("pipeline", instances, funnel, cfg)
 
     recall_path = os.path.join(out_dir, "recall.csv")
     timed("eval-recall", lambda: run_eval_recall(tubelets_path, gt_path, cfg, recall_path))
@@ -515,7 +537,7 @@ def pipeline_cmd(config_path, out_dir, detections, ground_truth, meta, workers):
         "eval-det", lambda: run_eval_det(instances_path, gt_path, meta_path, cfg, det_csv, summary_path)
     )
 
-    _write_manifest(os.path.join(out_dir, "run"), "pipeline", cfg, timings, counts)
+    _write_manifest(os.path.join(out_dir, "run"), "pipeline", cfg, timings, counts, warnings)
     click.echo(json.dumps({"mean_p_miss": summary["mean_p_miss"], "out_dir": out_dir}))
 
 

@@ -17,6 +17,7 @@ float64 ``boxes`` array whose row k is frame ``extent.start + k``.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,8 +112,8 @@ class VideoMeta:
     def __post_init__(self):
         if self.frame_count <= 0:
             raise InvalidInputError(f"frame_count must be positive: {self.frame_count}")
-        if self.frame_rate <= 0:
-            raise InvalidInputError(f"frame_rate must be positive: {self.frame_rate}")
+        if not (math.isfinite(self.frame_rate) and self.frame_rate > 0):
+            raise InvalidInputError(f"frame_rate must be finite and positive: {self.frame_rate}")
 
 
 @dataclass
@@ -149,6 +150,17 @@ def write_jsonl(records, path):
             fh.write("\n")
 
 
+def int_field(rec, key):
+    """`rec[key]` as an int. An integral float such as 3.0 is accepted; a
+    fractional or non-finite number, a bool or a non-number is an input error."""
+    value = rec[key]
+    if type(value) is int:  # a bool is an int subclass
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InvalidInputError(f"{key} must be an integer: {value!r}")
+
+
 def read_records(path, kind, build):
     """`build(record)` for each record of a JSONL file; a record it cannot
     build raises ParseError naming path:line."""
@@ -179,8 +191,8 @@ def decode_boxes(rows, extent, *columns):
     """Inverse of `encode_boxes`: the box array in frame order, then one list
     per named extra column. The rows must hold every frame of `extent` once,
     in any order, and every box must be finite and not inverted."""
-    rows = sorted(rows, key=lambda r: int(r["frame"]))
-    if [int(r["frame"]) for r in rows] != list(extent.frames()):
+    rows = sorted(rows, key=lambda r: int_field(r, "frame"))
+    if [int_field(r, "frame") for r in rows] != list(extent.frames()):
         raise InvalidInputError(f"boxes must hold each frame of [{extent.start}, {extent.end}) once")
     boxes = np.array([[r[k] for k in BOX_KEYS] for r in rows], dtype=np.float64)
     bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 0] > boxes[:, 2]) | (boxes[:, 1] > boxes[:, 3])
@@ -208,6 +220,8 @@ def read_detections(path):
     for lineno, rec in read_jsonl(path):
         _require(rec, ("video_id", "frame", "x1", "y1", "x2", "y2", "class", "score"), path, lineno)
         cls = rec["class"]
+        if not isinstance(cls, str):
+            raise ParseError(f"invalid detection: class must be a string: {cls!r}", path=path, line=lineno)
         if cls not in OBJECT_CLASSES:
             dropped += 1
             dropped_names[cls] = dropped_names.get(cls, 0) + 1
@@ -215,7 +229,7 @@ def read_detections(path):
         try:
             det = Detection(
                 video_id=str(rec["video_id"]),
-                frame=int(rec["frame"]),
+                frame=int_field(rec, "frame"),
                 box=Box(float(rec["x1"]), float(rec["y1"]), float(rec["x2"]), float(rec["y2"])),
                 object_class=cls,
                 score=float(rec["score"]),
@@ -250,7 +264,7 @@ def write_detections(detections, path):
 
 
 def _instance_from_record(rec):
-    extent = Interval(int(rec["start"]), int(rec["end"]))
+    extent = Interval(int_field(rec, "start"), int_field(rec, "end"))
     (boxes,) = decode_boxes(rec["boxes"], extent)
     return ActivityInstance(
         video_id=str(rec["video_id"]),
@@ -302,7 +316,7 @@ def read_video_meta(path):
         try:
             meta = VideoMeta(
                 video_id=str(rec["video_id"]),
-                frame_count=int(rec["frame_count"]),
+                frame_count=int_field(rec, "frame_count"),
                 frame_rate=float(rec["frame_rate"]),
                 frame_bounds=Box(0.0, 0.0, float(rec["width"]), float(rec["height"])),
             )

@@ -149,9 +149,71 @@ def total_corpus_minutes(metas):
     return minutes
 
 
+class _Matching:
+    """A growing one-to-one matching of system instances to the references
+    of one (video, activity) bucket, over the pairs with tIoU >= the policy's
+    minimum. Instances arrive in descending confidence. "optimal" keeps a
+    maximum matching with one augmenting-path search per instance (Kuhn);
+    "greedy" lets each instance claim its best free reference, as
+    `_align_group` does, so earlier claims stand."""
+
+    def __init__(self, references, policy):
+        self.references = references
+        self.policy = policy
+        self.edges = []  # per system instance: admissible reference indices
+        self.owner = [None] * len(references)  # reference -> system instance
+        self.size = 0
+
+    def add(self, instance):
+        tious = [temporal_iou(instance.extent, r.extent) for r in self.references]
+        admissible = [j for j, t in enumerate(tious) if t >= self.policy.temporal_iou_min]
+        self.edges.append(admissible)
+        if self.policy.method == "greedy":
+            best_j, best_t = None, 0.0
+            for j in admissible:
+                if self.owner[j] is None and tious[j] > best_t:
+                    best_j, best_t = j, tious[j]
+            if best_j is not None:
+                self.owner[best_j] = len(self.edges) - 1
+                self.size += 1
+        elif self._augment(len(self.edges) - 1):
+            self.size += 1
+
+    def _augment(self, root):
+        """Depth-first search for an augmenting path from system instance
+        `root`, kept on explicit stacks; flips the path and returns True when
+        one is found."""
+        seen = set()
+        path = [root]  # system instances on the path
+        via = []  # via[k]: the reference that leads from path[k] to path[k + 1]
+        pending = [iter(self.edges[root])]
+        while path:
+            j = next((j for j in pending[-1] if j not in seen), None)
+            if j is None:
+                path.pop()
+                pending.pop()
+                if via:
+                    via.pop()
+                continue
+            seen.add(j)
+            if self.owner[j] is None:
+                for i, ref in zip(path, via + [j]):
+                    self.owner[ref] = i
+                return True
+            via.append(j)
+            path.append(self.owner[j])
+            pending.append(iter(self.edges[self.owner[j]]))
+        return False
+
+
 def det_curve(system, references, metas, policy=AlignmentPolicy()):
     """Sweep the confidence threshold and emit one (rfa, p_miss) curve per
-    activity class present in the references."""
+    activity class present in the references.
+
+    Misses and false alarms depend only on how many instances are matched,
+    so the sweep adds system instances in descending confidence and grows
+    one matching per (video, activity) bucket instead of re-aligning at
+    every threshold."""
     minutes = total_corpus_minutes(metas)
     classes = sorted({r.activity for r in references})
     if not classes:
@@ -164,11 +226,20 @@ def det_curve(system, references, metas, policy=AlignmentPolicy()):
             (s for s in system if s.activity == cls),
             key=lambda s: (-s.confidence, s.video_id, s.extent.start),
         )
+        buckets = {}
+        for r in refs_c:
+            buckets.setdefault(r.video_id, []).append(r)
+        buckets = {video_id: _Matching(refs, policy) for video_id, refs in buckets.items()}
         points = []
-        for theta in sorted({s.confidence for s in sys_c}, reverse=True):
-            kept = [s for s in sys_c if s.confidence >= theta]
-            res = align_instances(kept, refs_c, policy)
-            points.append((len(res.false_alarms) / minutes, len(res.misses) / len(refs_c)))
+        matched = 0
+        for k, s in enumerate(sys_c):
+            bucket = buckets.get(s.video_id)
+            if bucket is not None:
+                before = bucket.size
+                bucket.add(s)
+                matched += bucket.size - before
+            if k + 1 == len(sys_c) or sys_c[k + 1].confidence != s.confidence:
+                points.append(((k + 1 - matched) / minutes, (len(refs_c) - matched) / len(refs_c)))
         if not points:
             points = [(0.0, 1.0)]
         points.sort()

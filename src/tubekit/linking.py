@@ -10,7 +10,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .data_model import OBJECT_CLASSES, decode_boxes, encode_boxes, read_records, track_boxes, write_jsonl
+from .data_model import (
+    OBJECT_CLASSES,
+    decode_boxes,
+    encode_boxes,
+    int_field,
+    read_records,
+    track_boxes,
+    write_jsonl,
+)
 from .errors import InvalidInputError
 from .geometry import Box, Interval
 
@@ -386,7 +394,7 @@ def tubelet_record(t):
 
 def tubelet_from_record(rec):
     """Inverse of `tubelet_record`; raises on any invalid field."""
-    extent = Interval(int(rec["start"]), int(rec["end"]))
+    extent = Interval(int_field(rec, "start"), int_field(rec, "end"))
     boxes, scores, prov = decode_boxes(rec["boxes"], extent, "score", "provenance")
     scores = np.array(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
@@ -395,7 +403,7 @@ def tubelet_from_record(rec):
     if unknown:
         raise InvalidInputError(f"unknown provenance {unknown}")
     return Tubelet(
-        id=int(rec["id"]),
+        id=int_field(rec, "id"),
         video_id=str(rec["video_id"]),
         object_class=str(rec["class"]),
         extent=extent,

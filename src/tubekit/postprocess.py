@@ -4,10 +4,12 @@ outputs into final activity instances."""
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
+from . import kernels
 from .data_model import ActivityInstance
 from .errors import InvalidInputError
-from .geometry import temporal_iou
-from .proposals import NON_ACTION, tubelet_spatial_iou
+from .proposals import NON_ACTION
 
 
 @dataclass(frozen=True)
@@ -24,20 +26,67 @@ class SoftNmsConfig:
             raise InvalidInputError(f"sigma must be positive: {self.sigma}")
 
 
-def _decay(tiou, config):
-    if config.method == "gaussian":
-        return math.exp(-(tiou * tiou) / config.sigma)
-    if tiou > config.linear_threshold:
-        return 1.0 - tiou
-    return 1.0
+def _decay_matrix(tiou, config):
+    """Score multiplier for every pair: gaussian exp(-tiou^2/sigma), or linear
+    1 - tiou above the threshold and 1 otherwise. The gaussian goes through
+    math.exp (once per distinct value), whose bits np.exp does not promise."""
+    if config.method == "linear":
+        return np.where(tiou > config.linear_threshold, 1.0 - tiou, 1.0)
+    exponents, inverse = np.unique(-(tiou * tiou) / config.sigma, return_inverse=True)
+    return np.array([math.exp(x) for x in exponents.tolist()])[inverse].reshape(tiou.shape)
 
 
-def _is_neighbor(a, b):
-    # Distinct objects sharing a time span must not suppress each other:
-    # decay applies only within one tubelet or when the boxes actually overlap.
-    if a.tubelet_id == b.tubelet_id:
-        return True
-    return tubelet_spatial_iou(a, b) > 0.0
+def _neighbor_mask(proposals):
+    """(n,n) bool: proposals i and j may suppress each other. That is when
+    they share a tubelet id, or when some common frame of their windows has
+    box IoU > 0. One `paired_iou` per pair of tubelets covers every pair of
+    their windows through a prefix count of the frames with IoU > 0, which
+    answers the same as "mean IoU over the common frames > 0"."""
+    groups = {}
+    for i, p in enumerate(proposals):
+        groups.setdefault(id(p.tubelet), (p.tubelet, []))[1].append(i)
+    groups = list(groups.values())
+    windows = np.array([(p.window.start, p.window.end) for p in proposals], dtype=np.int64)
+    mask = np.zeros((len(proposals), len(proposals)), dtype=bool)
+    for a, (ta, ia) in enumerate(groups):
+        for tb, ib in groups[a:]:
+            if ta.id == tb.id:
+                hit = True
+            else:
+                hit = _window_overlaps(ta, tb, windows[ia], windows[ib])
+                if hit is None:
+                    continue
+            mask[np.ix_(ia, ib)] = hit
+            mask[np.ix_(ib, ia)] = np.transpose(hit)
+    return mask
+
+
+# A mean of non-negative IoUs is > 0 exactly when one of them is, unless one
+# is so small that dividing the sum by the frame count rounds it to 0.
+_TINY_IOU = 2.0 ** -960
+
+
+def _window_overlaps(ta, tb, windows_a, windows_b):
+    """(len(windows_a), len(windows_b)) bool: the two windows, over tubelets
+    `ta` and `tb`, have a common frame where the boxes overlap. None when the
+    tubelets share no frame."""
+    start = max(ta.extent.start, tb.extent.start)
+    end = min(ta.extent.end, tb.extent.end)
+    if start >= end:
+        return None
+    iou = kernels.paired_iou(
+        ta.boxes[start - ta.extent.start:end - ta.extent.start],
+        tb.boxes[start - tb.extent.start:end - tb.extent.start],
+    )
+    lo = np.maximum(windows_a[:, 0, None], windows_b[None, :, 0]) - start
+    hi = np.minimum(windows_a[:, 1, None], windows_b[None, :, 1]) - start
+    common = lo < hi
+    if (iou[iou > 0.0] < _TINY_IOU).any():
+        means = [[iou[l:h].mean() if l < h else 0.0 for l, h in zip(*row)]
+                 for row in zip(lo.tolist(), hi.tolist())]
+        return np.array(means) > 0.0
+    overlapping = np.concatenate(([0], np.cumsum(iou > 0.0)))
+    return common & (overlapping[np.clip(hi, 0, end - start)] > overlapping[np.clip(lo, 0, end - start)])
 
 
 def soft_nms(proposals, activity, config=SoftNmsConfig()):
@@ -47,26 +96,29 @@ def soft_nms(proposals, activity, config=SoftNmsConfig()):
     its temporal neighbors (gaussian exp(-tiou^2/sigma) or linear 1-tiou).
     Proposals falling below `score_floor` are dropped. Returns rescored
     copies sorted by final score, descending."""
-    items = []
     for p in proposals:
         if p.scores is None or activity not in p.scores:
             raise InvalidInputError(f"proposal {p.proposal_id} lacks a score for {activity!r}")
-        items.append([p, float(p.scores[activity])])
+    live = [p for p in proposals if float(p.scores[activity]) >= config.score_floor]
+    if not live:
+        return []
+    # argmax takes the first of tied scores, so this order breaks ties
+    live.sort(key=lambda p: (p.video_id, p.window.start, p.proposal_id))
+    scores = np.array([float(p.scores[activity]) for p in live])
+    windows = [(p.window.start, p.window.end) for p in live]
+    decay = _decay_matrix(kernels.temporal_iou_matrix(windows, windows), config)
+    neighbors = _neighbor_mask(live)
 
+    alive = np.ones(len(live), dtype=bool)
     result = []
-    remaining = [it for it in items if it[1] >= config.score_floor]
-    while remaining:
-        remaining.sort(key=lambda it: (-it[1], it[0].video_id, it[0].window.start, it[0].proposal_id))
-        top = remaining.pop(0)
-        result.append(top)
-        survivors = []
-        for it in remaining:
-            if _is_neighbor(top[0], it[0]):
-                tiou = temporal_iou(top[0].window, it[0].window)
-                it[1] *= _decay(tiou, config)
-            if it[1] >= config.score_floor:
-                survivors.append(it)
-        remaining = survivors
+    while alive.any():
+        candidates = np.flatnonzero(alive)
+        top = int(candidates[np.argmax(scores[candidates])])
+        result.append((live[top], float(scores[top])))
+        alive[top] = False
+        hit = alive & neighbors[top]
+        scores[hit] *= decay[top, hit]
+        alive &= scores >= config.score_floor
     return [replace(p, scores={**p.scores, activity: s}) for p, s in result]
 
 
@@ -78,10 +130,12 @@ def _activity_set(proposals):
     return acts
 
 
-def fuse(vehicle_scored, person_scored, config=SoftNmsConfig(), weights=(1.0, 1.0)):
+def fuse(vehicle_scored, person_scored, config=SoftNmsConfig(), weights=(1.0, 1.0), funnel=None):
     """Late fusion: scale each model's class scores by its fusion weight,
     concatenate, and run per-(video, class) soft-NMS. Class scores of
-    suppressed proposals are zeroed so downstream thresholding drops them."""
+    suppressed proposals are zeroed so downstream thresholding drops them.
+    A `funnel` dict receives `nms_in` and `nms_kept`, the bucket entries
+    given to soft-NMS and returned by it."""
     overlap = _activity_set(vehicle_scored) & _activity_set(person_scored)
     if overlap:
         raise InvalidInputError(f"model outputs share activity classes: {sorted(overlap)}")
@@ -102,9 +156,15 @@ def fuse(vehicle_scored, person_scored, config=SoftNmsConfig(), weights=(1.0, 1.
             buckets.setdefault((p.video_id, act), []).append(p)
 
     final_scores = {}  # (proposal key, activity) -> post-NMS score
+    nms_kept = 0
     for (video_id, act), bucket in sorted(buckets.items()):
-        for kept in soft_nms(bucket, act, config):
+        kept_bucket = soft_nms(bucket, act, config)
+        nms_kept += len(kept_bucket)
+        for kept in kept_bucket:
             final_scores[(video_id, kept.proposal_id, act)] = kept.scores[act]
+    if funnel is not None:
+        funnel["nms_in"] = sum(len(bucket) for bucket in buckets.values())
+        funnel["nms_kept"] = nms_kept
 
     fused = []
     for p in pool:

@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data_model import ACTIVITY_CLASSES, read_records, write_jsonl
+from .data_model import ACTIVITY_CLASSES, int_field, read_records, write_jsonl
 from .errors import InvalidInputError
 from .geometry import Interval, mean_center_step
 from .linking import Tubelet, tubelet_from_record, tubelet_record
@@ -201,12 +201,12 @@ def _scores_from_record(scores):
 
 def _proposals_from_record(rec):
     tubelet = tubelet_from_record(rec)
-    sample_count = int(rec["sample_count"])
+    sample_count = int_field(rec, "sample_count")
     return [
         Proposal(
-            proposal_id=int(e["proposal_id"]),
+            proposal_id=int_field(e, "proposal_id"),
             tubelet=tubelet,
-            window=Interval(int(e["start"]), int(e["end"])),
+            window=Interval(int_field(e, "start"), int_field(e, "end")),
             sample_count=sample_count,
             scores=_scores_from_record(e["scores"]) if "scores" in e else None,
         )

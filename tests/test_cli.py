@@ -306,3 +306,57 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_eval_det_leaves_scipy_unloaded(corpus_dir, tmp_path):
+    # the DET sweep counts matchings itself; only align_instances needs scipy
+    gt = str(corpus_dir / "ground_truth.jsonl")
+    args = ["eval-det", "--instances", gt, "--ground-truth", gt, "--meta", str(corpus_dir / "video_meta.jsonl"),
+            "--out-csv", str(tmp_path / "det.csv"), "--out-summary", str(tmp_path / "summary.json")]
+    code = (
+        "import sys\n"
+        "from tubekit.cli import main\n"
+        f"main({args!r}, standalone_mode=False)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert json.loads((tmp_path / "summary.json").read_text())["mean_p_miss"] == 0.0
+
+
+def _warnings(output):
+    lines = [json.loads(line) for line in output.splitlines() if line.startswith("{")]
+    return [line["warning"] for line in lines if "warning" in line]
+
+
+def test_fuse_funnel_and_empty_output_warning(corpus_dir, tmp_path):
+    det, gt, meta = (str(corpus_dir / n) for n in ("detections.jsonl", "ground_truth.jsonl", "video_meta.jsonl"))
+    res = run(["pipeline", "--out-dir", str(tmp_path / "run"), "--detections", det, "--ground-truth", gt,
+               "--meta", meta])
+    assert res.exit_code == 0 and _warnings(res.output) == []
+    manifest = json.loads((tmp_path / "run" / "run.manifest.json").read_text())
+    counts = manifest["record_counts"]
+    assert counts["nms_in"] >= counts["nms_kept"] >= counts["instances"] > 0
+    assert manifest["warnings"] == []
+
+    # halved by the fusion weights, no score reaches 0.75: fuse and pipeline both warn
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fusion": {"vehicle_weight": 0.5, "person_weight": 0.5},
+                               "output": {"score_threshold": 0.75}}))
+    veh, per = (str(tmp_path / "run" / f"scored_{g}.jsonl") for g in ("vehicle", "person"))
+    fused = tmp_path / "instances.jsonl"
+    res = run(["fuse", "--vehicle", veh, "--person", per, "--out", str(fused), "--config", str(cfg)])
+    assert res.exit_code == 0 and fused.read_text() == ""
+    fuse_manifest = json.loads((tmp_path / "instances.jsonl.manifest.json").read_text())
+    assert fuse_manifest["record_counts"]["nms_in"] == counts["nms_in"]
+    (warning,) = fuse_manifest["warnings"]
+    assert "output.score_threshold" in warning and "nms.score_floor" in warning
+    assert _warnings(res.output) == [warning]
+
+    res = run(["pipeline", "--out-dir", str(tmp_path / "empty"), "--detections", det, "--ground-truth", gt,
+               "--meta", meta, "--config", str(cfg)])
+    assert res.exit_code == 0
+    assert json.loads((tmp_path / "empty" / "run.manifest.json").read_text())["warnings"] == [warning]
+    assert _warnings(res.output) == [warning]

@@ -211,3 +211,74 @@ class TestMeanPMiss:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             mean_p_miss({})
+
+
+def reference_det_curve(system, references, metas, policy):
+    """The DET sweep as one full alignment per distinct confidence."""
+    minutes = total_corpus_minutes(metas)
+    curves = {}
+    for cls in sorted({r.activity for r in references}):
+        refs_c = [r for r in references if r.activity == cls]
+        sys_c = sorted((s for s in system if s.activity == cls),
+                       key=lambda s: (-s.confidence, s.video_id, s.extent.start))
+        points = []
+        for theta in sorted({s.confidence for s in sys_c}, reverse=True):
+            res = align_instances([s for s in sys_c if s.confidence >= theta], refs_c, policy)
+            points.append((len(res.false_alarms) / minutes, len(res.misses) / len(refs_c)))
+        points = sorted(points) or [(0.0, 1.0)]
+        cleaned = []
+        for rfa, p in points:
+            if cleaned and cleaned[-1][0] == rfa:
+                cleaned[-1] = (rfa, min(cleaned[-1][1], p))
+            else:
+                cleaned.append((rfa, p))
+        running, mono = 1.0, []
+        for rfa, p in cleaned:
+            running = min(running, p)
+            mono.append((rfa, running))
+        curves[cls] = DetCurve(cls, tuple(mono))
+    return curves
+
+
+class TestDetCurveEqualsPerThresholdAlignment:
+    @pytest.mark.parametrize("method", ["optimal", "greedy"])
+    def test_random_multi_video_buckets(self, method):
+        rng = np.random.default_rng(31 if method == "optimal" else 32)
+        metas = {v: meta(v, frame_count=900) for v in ("va", "vb", "vc")}
+
+        def draw(confidences):
+            # on a coarse grid, tIoU ties are common
+            step = int(rng.choice([1, 5]))
+            s = step * int(rng.integers(0, 60 // step))
+            return instance(s, s + step * int(rng.integers(1, 30 // step)),
+                            activity=str(rng.choice(["Riding", "Pull"])), video_id=str(rng.choice(list(metas))),
+                            confidence=float(rng.choice(confidences)))
+
+        for _ in range(300):
+            policy = AlignmentPolicy(temporal_iou_min=float(rng.choice([0.1, 0.2, 0.5])), method=method)
+            refs = [draw([1.0]) for _ in range(int(rng.integers(1, 9)))]
+            # few distinct confidences, so that thresholds admit several instances at once
+            system = [draw([0.2, 0.5, 0.5, 0.9, round(float(rng.random()), 2)])
+                      for _ in range(int(rng.integers(0, 14)))]
+            assert det_curve(system, refs, metas, policy) == reference_det_curve(system, refs, metas, policy)
+
+    def test_greedy_tie_goes_to_the_first_reference(self):
+        # the 0.9 instance ties between both references at tIoU 1/3 and takes
+        # the first, so the 0.5 instance, which fits only that one, is a false alarm
+        refs = [instance(0, 10), instance(10, 20)]
+        system = [instance(5, 15, confidence=0.9), instance(0, 10, confidence=0.5)]
+        policy = AlignmentPolicy(method="greedy")
+        curves = det_curve(system, refs, {"v0": meta()}, policy)
+        assert curves == reference_det_curve(system, refs, {"v0": meta()}, policy)
+        assert curves["Riding"].points == ((0.0, 0.5), (0.1, 0.5))
+
+    def test_augmenting_path_deeper_than_the_recursion_limit(self):
+        # system k overlaps references k and k+1 and first takes k; the last
+        # instance overlaps only reference 0, so the one maximum matching that
+        # covers every reference shifts all m earlier matches by one
+        m = 1100
+        refs = [instance(10 * j, 10 * j + 10) for j in range(m + 1)]
+        system = [instance(10 * k + 5, 10 * k + 15, confidence=1.0 - k / (2 * m)) for k in range(m)]
+        system.append(instance(0, 5, confidence=0.01))
+        policy = AlignmentPolicy(temporal_iou_min=0.3)
+        assert det_curve(system, refs, {"v0": meta()}, policy)["Riding"].points == ((0.0, 0.0),)

@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import box_rows, make_proposal
+from conftest import box_rows, make_proposal, make_tubelet
 
 from tubekit.errors import InvalidInputError
-from tubekit.geometry import Interval
+from tubekit.geometry import Interval, temporal_iou
 from tubekit.linking import track_link
 from tubekit.postprocess import SoftNmsConfig, fuse, proposals_to_instances, soft_nms
-from tubekit.proposals import NON_ACTION
-from tubekit.refinement import filter_static, make_proposals
+from tubekit.proposals import NON_ACTION, tubelet_spatial_iou
+from tubekit.refinement import Proposal, filter_static, make_proposals
 from tubekit.synthgen import SceneConfig, generate
 
 
@@ -208,3 +208,106 @@ class TestProposalsToInstances:
         assert inst.extent == Interval(5, 15)
         assert np.array_equal(inst.boxes, boxes)
         assert np.shares_memory(inst.boxes, p.tubelet.boxes)
+
+
+# ---------------------------------------------------------------------------
+# the array program against the per-pair loop it replaced
+
+
+def reference_soft_nms(proposals, activity, config):
+    """Soft-NMS as one loop over pairs: re-sort, take the top, test each other
+    proposal for neighbourhood with `tubelet_spatial_iou` and decay it."""
+
+    def decay(tiou):
+        if config.method == "gaussian":
+            return math.exp(-(tiou * tiou) / config.sigma)
+        return 1.0 - tiou if tiou > config.linear_threshold else 1.0
+
+    def is_neighbor(a, b):
+        return a.tubelet_id == b.tubelet_id or tubelet_spatial_iou(a, b) > 0.0
+
+    remaining = [[p, float(p.scores[activity])] for p in proposals]
+    remaining = [it for it in remaining if it[1] >= config.score_floor]
+    result = []
+    while remaining:
+        remaining.sort(key=lambda it: (-it[1], it[0].video_id, it[0].window.start, it[0].proposal_id))
+        top = remaining.pop(0)
+        result.append(top)
+        survivors = []
+        for it in remaining:
+            if is_neighbor(top[0], it[0]):
+                it[1] *= decay(temporal_iou(top[0].window, it[0].window))
+            if it[1] >= config.score_floor:
+                survivors.append(it)
+        remaining = survivors
+    return [(p.proposal_id, s) for p, s in result]
+
+
+CONFIGS = (
+    SoftNmsConfig(),
+    SoftNmsConfig(sigma=0.1),
+    SoftNmsConfig(method="linear"),
+    SoftNmsConfig(method="linear", linear_threshold=0.0, score_floor=0.2),
+)
+
+
+def random_bucket(rng):
+    """Proposals over 1-4 tubelets whose boxes drift across each other, so
+    that some common frames overlap and others do not. Windows often touch,
+    scores often tie or sit under the floor, and two distinct tubelets may
+    carry the same id."""
+    proposals = []
+    for k in range(int(rng.integers(1, 5))):
+        start = int(rng.integers(0, 30))
+        length = int(rng.integers(1, 30))
+        x = rng.choice([0.0, 15.0, 200.0]) + rng.choice([-1.5, 0.0, 1.5]) * np.arange(length)
+        boxes = np.stack([x, np.zeros(length), x + 10.0, np.full(length, 10.0)], axis=1)
+        tubelet = make_tubelet(boxes, start, tubelet_id=int(rng.integers(0, 3)))
+        cuts = np.sort(rng.choice(np.arange(start, start + length + 1), size=min(length + 1, 4), replace=False))
+        spans = list(zip(cuts[:-1], cuts[1:])) + [(start, start + length)]
+        for lo, hi in spans:
+            score = float(rng.choice([0.0005, 0.3, 0.5, 0.9, rng.uniform(0.0, 1.0)]))
+            proposals.append(Proposal(0, tubelet, Interval(int(lo), int(hi)), 8, {"Riding": score}))
+    for pid, i in enumerate(rng.permutation(len(proposals))):
+        proposals[int(i)].proposal_id = pid
+    return proposals
+
+
+class TestSoftNmsEqualsPairwiseLoop:
+    def test_random_buckets(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            bucket = random_bucket(rng)
+            for cfg in CONFIGS:
+                out = soft_nms(bucket, "Riding", cfg)
+                assert [(p.proposal_id, p.scores["Riding"]) for p in out] == \
+                    reference_soft_nms(bucket, "Riding", cfg)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_corpus_buckets(self, seed):
+        props = corpus_proposals(seed)
+        for cfg in CONFIGS:
+            for video_id in sorted({p.video_id for p in props}):
+                bucket = [p for p in props if p.video_id == video_id]
+                for activity in ("Riding", "Pull"):
+                    out = soft_nms(bucket, activity, cfg)
+                    assert [(p.proposal_id, p.scores[activity]) for p in out] == \
+                        reference_soft_nms(bucket, activity, cfg)
+
+    def test_tiny_overlap_whose_mean_rounds_to_zero(self):
+        # frame 0 overlaps by one subnormal IoU; its mean over the two frames
+        # of window [0, 2) rounds to 0, so those windows are not neighbours,
+        # while window [0, 1) alone overlaps
+        a = make_tubelet(box_rows((0.0, 0.0, 1.0, 1.0), 2), tubelet_id=0)
+        b_rows = np.array([[-1.0, -1.0, 3e-162, 3e-162], [5.0, 5.0, 6.0, 6.0]])
+        b = make_tubelet(b_rows, tubelet_id=1)
+        props = [
+            Proposal(0, a, Interval(0, 2), 8, {"Riding": 0.9}),
+            Proposal(1, b, Interval(0, 2), 8, {"Riding": 0.8}),
+            Proposal(2, b, Interval(0, 1), 8, {"Riding": 0.7}),
+        ]
+        assert tubelet_spatial_iou(props[0], props[1]) == 0.0
+        assert tubelet_spatial_iou(props[0], props[2]) > 0.0
+        for cfg in CONFIGS:
+            out = soft_nms(props, "Riding", cfg)
+            assert [(p.proposal_id, p.scores["Riding"]) for p in out] == reference_soft_nms(props, "Riding", cfg)

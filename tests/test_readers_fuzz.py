@@ -1,5 +1,5 @@
-"""Fuzz of the track readers: tubelets, proposals (unscored and scored) and
-instances (system output and ground truth).
+"""Fuzz of the file readers: tubelets, proposals (unscored and scored),
+instances (system output and ground truth), detections and video metadata.
 
 Each example writes two valid records with the library's own writers, breaks
 one field of the second, and requires the reader to raise ParseError naming
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from tubekit import data_model, linking, refinement
 from tubekit.cli import main
 from tubekit.errors import ParseError
-from tubekit.geometry import Interval
+from tubekit.geometry import Box, Interval
 
 KINDS = ("tubelets", "proposals", "scored", "instances", "ground_truth")
 
@@ -140,6 +140,17 @@ def window_outside(kind, rec, draw):
         entry["end"] = rec["end"] + draw(st.integers(1, 20))
 
 
+def fractional_integer(kind, rec, draw):
+    """An integer field of the record, a box row or a proposal entry made
+    fractional, non-finite, a string or a bool."""
+    fields = [(rec, k) for k in ("start", "end", "id", "sample_count") if k in rec]
+    fields += [(row, "frame") for row in rec["boxes"]]
+    fields += [(e, k) for e in rec.get("proposals", []) for k in ("proposal_id", "start", "end")]
+    target, key = draw(st.sampled_from(fields))
+    target[key] = draw(st.sampled_from((target[key] + 0.5, target[key] - 0.25, math.nan, math.inf,
+                                        str(target[key]), True)))
+
+
 def unknown_class(kind, rec, draw):
     if kind in ("instances", "ground_truth"):
         rec["activity"] = draw(st.sampled_from(("Swimming", "riding", "")))
@@ -149,7 +160,7 @@ def unknown_class(kind, rec, draw):
         rec["class"] = draw(st.sampled_from(("dog", "Person", "")))
 
 
-MUTATIONS = [drop_key, non_finite, inverted, missing_frame, duplicated_frame, unknown_class]
+MUTATIONS = [drop_key, non_finite, inverted, missing_frame, duplicated_frame, fractional_integer, unknown_class]
 
 
 def test_unmutated_files_read_and_run(tmp_path, inputs):
@@ -203,3 +214,97 @@ def test_rows_in_any_order_decode_in_frame_order(tmp_path):
     path.write_text(json.dumps(rec) + "\n")
     (back,) = linking.read_tubelets(path)
     assert np.array_equal(back.boxes, tube.boxes)
+
+
+# ---------------------------------------------------------------------------
+# detections and video metadata
+
+
+def _detections():
+    return [data_model.Detection("v0", f, Box(10.0 + f, 20.0, 40.0 + f, 60.0), "car", 0.9) for f in (0, 1)]
+
+
+def _metas():
+    return [data_model.VideoMeta(v, 10, 30.0, Box(0.0, 0.0, 1280.0, 720.0)) for v in ("v0", "v1")]
+
+
+FLAT_KINDS = {
+    "detections": (lambda path: data_model.write_detections(_detections(), path), data_model.read_detections),
+    "video_meta": (lambda path: data_model.write_video_meta(_metas(), path), data_model.read_video_meta),
+}
+
+NOT_AN_INTEGER = (1.5, 2.7, -0.5, math.nan, math.inf, "1", True, None, [1])
+NOT_A_CLASS = (["car"], {"name": "car"}, 3, None, True)
+
+
+def flat_mutations(kind, rec):
+    """(key, bad values) pairs for one record of `kind`."""
+    coordinate = (math.nan, math.inf, -math.inf, "x", None)
+    if kind == "detections":
+        return [
+            ("frame", NOT_AN_INTEGER + (-1,)),
+            ("class", NOT_A_CLASS),
+            ("score", (math.nan, math.inf, 1.5, -0.1, "high")),
+            ("x1", coordinate + (rec["x2"] + 1.0,)),
+            ("y1", coordinate + (rec["y2"] + 1.0,)),
+            ("x2", coordinate),
+            ("y2", coordinate),
+        ]
+    return [
+        ("frame_count", NOT_AN_INTEGER + (0, -10)),
+        ("frame_rate", (math.nan, math.inf, -math.inf, 0.0, -30.0, "fast", None)),
+        ("width", coordinate + (-1.0,)),
+        ("height", coordinate + (-1.0,)),
+    ]
+
+
+def _flat_cli_args(kind, bad, d):
+    """`link`, with `bad` as its detections or its video metadata."""
+    det, meta = str(d / "detections.jsonl"), str(d / "video_meta.jsonl")
+    if kind == "detections":
+        det = bad
+    else:
+        meta = bad
+    return ["link", "--detections", det, "--meta", meta, "--out", str(d / "tubelets.jsonl")]
+
+
+@pytest.fixture(scope="module")
+def flat_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("flat")
+    for kind, (write, _) in FLAT_KINDS.items():
+        write(d / f"{kind}.jsonl")
+    return d
+
+
+def test_unmutated_detections_and_meta_read_and_run(tmp_path, flat_inputs):
+    for kind, (write, read) in FLAT_KINDS.items():
+        path = tmp_path / f"{kind}.jsonl"
+        write(path)
+        assert len(path.read_text().splitlines()) == 2
+        assert read(path)
+        res = CliRunner().invoke(main, _flat_cli_args(kind, str(path), flat_inputs))
+        assert res.exit_code == 0, (kind, res.output)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(sorted(FLAT_KINDS)), data=st.data())
+def test_detection_and_meta_mutation_is_a_parse_error(tmp_path, flat_inputs, kind, data):
+    write, read = FLAT_KINDS[kind]
+    path = tmp_path / f"{kind}.jsonl"
+    write(path)
+    first, second = (json.loads(line) for line in path.read_text().splitlines())
+    if data.draw(st.booleans(), label="drop"):
+        del second[data.draw(st.sampled_from(sorted(second)), label="key")]
+    else:
+        key, values = data.draw(st.sampled_from(flat_mutations(kind, second)), label="field")
+        second[key] = data.draw(st.sampled_from(values), label="value")
+    path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+
+    with pytest.raises(ParseError) as exc:
+        read(path)
+    assert (exc.value.path, exc.value.line) == (path, 2)
+    assert str(exc.value).startswith(f"{path}:2: ")
+
+    res = CliRunner().invoke(main, _flat_cli_args(kind, str(path), flat_inputs))
+    assert res.exit_code == 1, res.output
+    assert f"{path}:2: " in json.loads(res.output.strip().splitlines()[-1])["error"]
