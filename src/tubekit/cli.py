@@ -130,35 +130,36 @@ def run_synth(cfg, out_dir):
 
 
 def run_link(detections_path, meta_path, strategy, cfg, out_path, workers=1):
+    """Link every video and write the tubelets; returns them with the link
+    funnel (detections in, dropped class names, and the `LinkStats` counts
+    summed over the videos in sorted order)."""
     result = data_model.read_detections(detections_path)
     metas = data_model.read_video_meta(meta_path)
     unknown = {d.video_id for d in result.detections} - set(metas)
     if unknown:
         raise ConsistencyError(f"detections reference unknown video_id(s): {sorted(unknown)}")
+    if strategy not in ("greedy", "tracking"):
+        raise InvalidInputError(f"unknown strategy: {strategy!r}")
+    link = linking.greedy_link if strategy == "greedy" else linking.track_link
 
     link_cfg = _stage_config(cfg, "link")
     by_video = {}
     for d in result.detections:
         by_video.setdefault(d.video_id, []).append(d)
 
-    def _one(video_id):
-        dets = by_video[video_id]
-        if strategy == "greedy":
-            tubes, _ = linking.greedy_link(dets, link_cfg)
-        elif strategy == "tracking":
-            tubes, _ = linking.track_link(dets, config=link_cfg)
-        else:
-            raise InvalidInputError(f"unknown strategy: {strategy!r}")
-        return tubes
-
+    linked = _parallel_map(lambda v: link(by_video[v], config=link_cfg), sorted(by_video), workers)
     all_tubes = []
-    next_id = 0
-    for tubes in _parallel_map(_one, sorted(by_video), workers):
+    for tubes, _ in linked:
         for t in tubes:
-            all_tubes.append(dataclasses.replace(t, id=next_id))
-            next_id += 1
+            t.id = len(all_tubes)
+            all_tubes.append(t)
     linking.write_tubelets(all_tubes, out_path)
-    return all_tubes
+    funnel = {
+        "detections_in": len(result.detections),
+        "dropped_class_names": dict(sorted(result.dropped_class_names.items())),
+        **{f.name: sum(getattr(stats, f.name) for _, stats in linked) for f in dataclasses.fields(linking.LinkStats)},
+    }
+    return all_tubes, funnel
 
 
 def run_refine(tubelets_path, meta_path, cfg, out_path, workers=1):
@@ -347,8 +348,8 @@ def link_cmd(detections, meta, strategy, out, config_path, workers):
     if workers is not None:
         cfg["workers"] = workers
     started = time.perf_counter()
-    tubes = run_link(detections, meta, cfg["link"]["strategy"], cfg, out, cfg["workers"])
-    _write_manifest(out, "link", cfg, {"link": time.perf_counter() - started}, {"tubelets": len(tubes)})
+    tubes, funnel = run_link(detections, meta, cfg["link"]["strategy"], cfg, out, cfg["workers"])
+    _write_manifest(out, "link", cfg, {"link": time.perf_counter() - started}, {"tubelets": len(tubes), **funnel})
     click.echo(f"wrote {len(tubes)} tubelets to {out}")
 
 
@@ -500,11 +501,12 @@ def pipeline_cmd(config_path, out_dir, detections, ground_truth, meta, workers):
         counts["detections"] = len(corpus.detections)
 
     tubelets_path = os.path.join(out_dir, "tubelets.jsonl")
-    tubes = timed(
+    tubes, link_funnel = timed(
         "link",
         lambda: run_link(det_path, meta_path, cfg["link"]["strategy"], cfg, tubelets_path, workers),
     )
     counts["tubelets"] = len(tubes)
+    counts.update(link_funnel)
 
     proposals_path = os.path.join(out_dir, "proposals.jsonl")
     props, removed = timed("refine", lambda: run_refine(tubelets_path, meta_path, cfg, proposals_path, workers))

@@ -8,8 +8,9 @@ File formats, one JSON object per line:
                  "boxes": [{"frame", "x1", "y1", "x2", "y2"}, ...]}
 * video meta:   {"video_id", "frame_count", "frame_rate", "width", "height"}
 
-All numeric fields are decimal-encoded. Writers emit keys in sorted order and
-records in canonical order so output bytes are stable across runs.
+All numeric fields are decimal-encoded, and every ``video_id`` is a JSON
+string. Writers emit keys in sorted order and records in canonical order so
+output bytes are stable across runs.
 
 Instances, tubelets and proposals are *tracks*: an ``extent`` plus an (n,4)
 float64 ``boxes`` array whose row k is frame ``extent.start + k``.
@@ -161,6 +162,15 @@ def int_field(rec, key):
     raise InvalidInputError(f"{key} must be an integer: {value!r}")
 
 
+def str_field(rec, key):
+    """`rec[key]`, which must be a string; a null, number, bool or list is an
+    input error, not a value to stringify."""
+    value = rec[key]
+    if not isinstance(value, str):
+        raise InvalidInputError(f"{key} must be a string: {value!r}")
+    return value
+
+
 def read_records(path, kind, build):
     """`build(record)` for each record of a JSONL file; a record it cannot
     build raises ParseError naming path:line."""
@@ -228,7 +238,7 @@ def read_detections(path):
             continue
         try:
             det = Detection(
-                video_id=str(rec["video_id"]),
+                video_id=str_field(rec, "video_id"),
                 frame=int_field(rec, "frame"),
                 box=Box(float(rec["x1"]), float(rec["y1"]), float(rec["x2"]), float(rec["y2"])),
                 object_class=cls,
@@ -267,7 +277,7 @@ def _instance_from_record(rec):
     extent = Interval(int_field(rec, "start"), int_field(rec, "end"))
     (boxes,) = decode_boxes(rec["boxes"], extent)
     return ActivityInstance(
-        video_id=str(rec["video_id"]),
+        video_id=str_field(rec, "video_id"),
         activity=str(rec["activity"]),
         extent=extent,
         boxes=boxes,
@@ -315,7 +325,7 @@ def read_video_meta(path):
         _require(rec, ("video_id", "frame_count", "frame_rate", "width", "height"), path, lineno)
         try:
             meta = VideoMeta(
-                video_id=str(rec["video_id"]),
+                video_id=str_field(rec, "video_id"),
                 frame_count=int_field(rec, "frame_count"),
                 frame_rate=float(rec["frame_rate"]),
                 frame_bounds=Box(0.0, 0.0, float(rec["width"]), float(rec["height"])),

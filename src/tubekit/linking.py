@@ -1,11 +1,11 @@
 """Turn per-frame detections into tubelets.
 
 Two strategies: greedy adjacent-frame linking with gap interpolation, and
-tracking-based linking that bridges missed detections with a motion
-predictor (constant-velocity by default) and a patience window.
+tracking-based linking that bridges missed detections with a
+constant-velocity predictor and a patience window.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .data_model import (
     encode_boxes,
     int_field,
     read_records,
+    str_field,
     track_boxes,
     write_jsonl,
 )
@@ -25,10 +26,11 @@ from .geometry import Box, Interval
 PROVENANCES = ("detected", "interpolated", "tracked")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Tubelet:
     """Temporally contiguous boxes of one object; row k of every array is
-    frame extent.start + k."""
+    frame extent.start + k. `id` is assigned by whoever numbers the tubelets
+    (a linker within a video, `link` across the videos of a file)."""
 
     id: int
     video_id: str
@@ -39,7 +41,7 @@ class Tubelet:
     provenance: np.ndarray  # (n,) int8 index into PROVENANCES
 
     def __post_init__(self):
-        object.__setattr__(self, "boxes", track_boxes(self.boxes, self.extent))
+        self.boxes = track_boxes(self.boxes, self.extent)
         if self.box_scores.shape != (self.extent.length,) or self.provenance.shape != (self.extent.length,):
             raise InvalidInputError("tubelet scores and provenance need one value per frame of the extent")
         if self.object_class not in OBJECT_CLASSES:
@@ -149,10 +151,7 @@ def greedy_link(detections, config=LinkConfig(), stats=None):
     and the holes filled by linear interpolation."""
     if stats is None:
         stats = LinkStats()
-    video_ids = {d.video_id for d in detections}
-    if len(video_ids) > 1:
-        raise InvalidInputError(f"detections span multiple videos: {sorted(video_ids)}")
-    video_id = video_ids.pop() if video_ids else ""
+    video_id = _single_video(detections)
 
     tubelets = []
     for cls, by_frame in sorted(_group_by_class_frame(detections).items()):
@@ -183,29 +182,31 @@ def greedy_link(detections, config=LinkConfig(), stats=None):
             _merge_and_emit(chains, video_id, cls, config, stats)
         )
 
-    tubelets.sort(key=_emit_order)
-    return [replace(t, id=i) for i, t in enumerate(tubelets)], stats
+    return _numbered(tubelets), stats
 
 
 def _merge_and_emit(chains, video_id, cls, config, stats):
     """Merge chains across gaps <= max_interp_gap when end/start boxes still
-    overlap above the link threshold, then emit tubelets."""
+    overlap above the link threshold, then emit tubelets.
+
+    A candidate is a (tail of i, head of j) pair whose gap is 1 to
+    max_interp_gap frames; every candidate's IoU comes from one `paired_iou`
+    over the pairs, found per tail by binary search in the heads' frames."""
     n = len(chains)
-    candidates = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            gap = chains[j][0].frame - chains[i][-1].frame - 1
-            if not 1 <= gap <= config.max_interp_gap:
-                continue
-            iou = kernels.iou_matrix(
-                [[chains[i][-1].box.x1, chains[i][-1].box.y1, chains[i][-1].box.x2, chains[i][-1].box.y2]],
-                [[chains[j][0].box.x1, chains[j][0].box.y1, chains[j][0].box.x2, chains[j][0].box.y2]],
-            )[0, 0]
-            if iou > config.iou_link_threshold:
-                candidates.append((iou, i, j))
-    candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
+    tails = np.array([(c[-1].box.x1, c[-1].box.y1, c[-1].box.x2, c[-1].box.y2) for c in chains], dtype=np.float64)
+    heads = np.array([(c[0].box.x1, c[0].box.y1, c[0].box.x2, c[0].box.y2) for c in chains], dtype=np.float64)
+    head_frames = np.array([c[0].frame for c in chains], dtype=np.int64)
+    tail_frames = np.array([c[-1].frame for c in chains], dtype=np.int64)
+    head_order = np.argsort(head_frames, kind="stable")
+    # heads of tail i: frames tail + 2 .. tail + 1 + max_interp_gap
+    lo = np.searchsorted(head_frames[head_order], tail_frames + 2, side="left")
+    hi = np.searchsorted(head_frames[head_order], tail_frames + 1 + config.max_interp_gap, side="right")
+    counts = np.maximum(hi - lo, 0)
+    i = np.repeat(np.arange(n), counts)
+    j = head_order[np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
+    iou = kernels.paired_iou(tails[i], heads[j])
+    linked = iou > config.iou_link_threshold
+    candidates = sorted(zip((-iou[linked]).tolist(), i[linked].tolist(), j[linked].tolist()))
     next_of = {}
     used_starts = set()
     for _, i, j in candidates:
@@ -249,126 +250,190 @@ def _emit_order(t):
     return (t.extent.start, t.object_class, tuple(t.boxes[0].tolist()))
 
 
-# ---------------------------------------------------------------------------
-# tracking-based linking
+def _numbered(tubelets):
+    """The tubelets sorted by `_emit_order` (a stable sort) and numbered from 0."""
+    tubelets.sort(key=_emit_order)
+    for i, t in enumerate(tubelets):
+        t.id = i
+    return tubelets
 
 
-def predict_next(history):
-    """Constant-velocity extrapolation of the box center from the last two
-    boxes; width/height carried forward. Single-element history repeats."""
-    if not history:
-        raise InvalidInputError("empty box history")
-    last = history[-1]
-    if len(history) == 1:
-        return last
-    prev = history[-2]
-    dcx = 0.5 * (last.x1 + last.x2) - 0.5 * (prev.x1 + prev.x2)
-    dcy = 0.5 * (last.y1 + last.y2) - 0.5 * (prev.y1 + prev.y2)
-    return Box(last.x1 + dcx, last.y1 + dcy, last.x2 + dcx, last.y2 + dcy)
-
-
-class ConstantVelocityTracker:
-    """Default pluggable tracker; pixel-free, pure box extrapolation."""
-
-    def predict_next(self, history):
-        return predict_next(history)
-
-
-@dataclass
-class _Track:
-    object_class: str
-    entries: list  # (frame, Box, score, provenance)
-    misses: int = 0
-    last_match_frame: int = 0
-    seed_order: int = 0
-
-
-def track_link(detections, tracker=None, config=LinkConfig(), stats=None):
-    """Tracking-based linking: live tracks predict a box every frame, merge
-    with unclaimed detections by IoU, and terminate after `patience`
-    consecutive unmatched frames. Trailing predicted-only frames are trimmed."""
-    if tracker is None:
-        tracker = ConstantVelocityTracker()
-    if stats is None:
-        stats = LinkStats()
+def _single_video(detections):
+    """The one video id of the detections ("" when there are none)."""
     video_ids = {d.video_id for d in detections}
     if len(video_ids) > 1:
         raise InvalidInputError(f"detections span multiple videos: {sorted(video_ids)}")
-    video_id = video_ids.pop() if video_ids else ""
+    return video_ids.pop() if video_ids else ""
 
-    by_frame = {}
-    for det in sorted(detections, key=lambda d: (d.frame, d.box, -d.score)):
-        by_frame.setdefault(det.frame, []).append(det)
 
-    finished = []
-    live = []
-    seed_counter = 0
-    if by_frame:
-        first, last = min(by_frame), max(by_frame)
-        for f in range(first, last + 1):
-            dets = by_frame.get(f, [])
-            claimed = set()
-            by_class = {}
-            for idx, det in enumerate(dets):
-                by_class.setdefault(det.object_class, []).append(idx)
+# ---------------------------------------------------------------------------
+# tracking-based linking
 
-            predictions = [tracker.predict_next([e[1] for e in tr.entries]) for tr in live]
+# Class codes follow the sorted class names, so ascending codes visit the
+# classes in the order `sorted` gives their names.
+_CLASS_ORDER = tuple(sorted(OBJECT_CLASSES))
+_DETECTED = PROVENANCES.index("detected")
+_TRACKED = PROVENANCES.index("tracked")
 
-            for cls in sorted(by_class):
-                track_ids = [ti for ti, tr in enumerate(live) if tr.object_class == cls]
-                det_ids = by_class[cls]
-                if not track_ids:
-                    continue
-                iou = kernels.iou_matrix(
-                    [[predictions[ti].x1, predictions[ti].y1, predictions[ti].x2, predictions[ti].y2]
-                     for ti in track_ids],
-                    [[dets[di].box.x1, dets[di].box.y1, dets[di].box.x2, dets[di].box.y2]
-                     for di in det_ids],
-                )
-                for r, c in _greedy_pairs(iou, config.iou_link_threshold, strict=False):
-                    tr = live[track_ids[r]]
-                    det = dets[det_ids[c]]
-                    tr.entries.append((f, det.box, det.score, "detected"))
-                    tr.misses = 0
-                    tr.last_match_frame = f
-                    claimed.add(det_ids[c])
 
-            still_live = []
-            for ti, tr in enumerate(live):
-                if tr.entries[-1][0] == f:
-                    still_live.append(tr)
-                    continue
-                carry_score = tr.entries[-1][2]
-                tr.entries.append((f, predictions[ti], carry_score, "tracked"))
-                tr.misses += 1
-                stats.tracked_frames += 1
-                if tr.misses >= config.patience:
-                    finished.append(tr)
-                else:
-                    still_live.append(tr)
-            live = still_live
+def predict_next(last, prev):
+    """Constant-velocity prediction for (k,4) arrays of each track's last box
+    and the box before it: the centre moves on by its last step, width and
+    height are carried forward. Elementwise float64, in the scalar formula's
+    order: d = 0.5*(l.x1+l.x2) - 0.5*(p.x1+p.x2), then l.x1 + d, ..."""
+    step = 0.5 * (last[:, :2] + last[:, 2:]) - 0.5 * (prev[:, :2] + prev[:, 2:])
+    return last + np.concatenate((step, step), axis=1)
 
-            for idx, det in enumerate(dets):
-                if idx in claimed:
-                    continue
-                live.append(
-                    _Track(
-                        object_class=det.object_class,
-                        entries=[(f, det.box, det.score, "detected")],
-                        last_match_frame=f,
-                        seed_order=seed_counter,
-                    )
-                )
-                seed_counter += 1
-    finished.extend(live)
+
+def _detection_arrays(detections):
+    """The detections ordered by frame, box (x1, y1, x2, y2), then descending
+    score, ties in input order: (n,4) boxes, scores, class codes, and a map
+    of each frame to its [first, end) rows."""
+    ordered = sorted(detections, key=lambda d: (d.frame, d.box.x1, d.box.y1, d.box.x2, d.box.y2, -d.score))
+    boxes = np.array([(d.box.x1, d.box.y1, d.box.x2, d.box.y2) for d in ordered], dtype=np.float64)
+    scores = np.array([d.score for d in ordered], dtype=np.float64)
+    classes = np.array([_CLASS_ORDER.index(d.object_class) for d in ordered], dtype=np.int64)
+    frame_rows = {}
+    for i, d in enumerate(ordered):
+        frame_rows.setdefault(d.frame, [i, i])[1] = i + 1
+    return boxes, scores, classes, frame_rows
+
+
+# Every `_COMPACT_BLOCKS` row blocks are merged into one without the rows an
+# ended track will not emit (a track ends after `patience` predicted rows,
+# all trimmed), so those rows do not pile up until the end of the video.
+# A live track keeps all its rows.
+_LIVE = np.iinfo(np.int64).max
+_COMPACT_BLOCKS = 64
+
+
+def _kept_rows(blocks, length):
+    """The rows of the blocks, column by column, without the rows of a track
+    past its end (age >= length[track id])."""
+    tids, ages, *columns = (np.concatenate(col) for col in zip(*blocks))
+    kept = ages < length[tids]
+    return [tids[kept], ages[kept]] + [col[kept] for col in columns]
+
+
+def track_link(detections, config=LinkConfig(), stats=None):
+    """Tracking-based linking: live tracks predict a box every frame, merge
+    with unclaimed detections by IoU, and terminate after `patience`
+    consecutive unmatched frames. Trailing predicted-only frames are trimmed.
+
+    The live tracks are parallel arrays in the order they were seeded. Every
+    frame records one row per live track (its matched detection, or else its
+    prediction) and one per new track, with the row's age (frame - seed
+    frame). At the end each track's rows up to its last match are scattered
+    into one array per column, the tracks in the order they ended and the
+    still-live ones last; `_numbered` sorts stably, so that order breaks its
+    ties."""
+    if stats is None:
+        stats = LinkStats()
+    video_id = _single_video(detections)
+    if not detections:
+        return [], stats
+    det_boxes, det_scores, det_classes, frame_rows = _detection_arrays(detections)
+
+    # live state, one entry per live track
+    tids = np.zeros(0, dtype=np.int64)
+    seeds = np.zeros(0, dtype=np.int64)  # frame of the first detection
+    last = np.zeros((0, 4))  # the last box and the one before it
+    prev = np.zeros((0, 4))
+    classes = np.zeros(0, dtype=np.int64)
+    misses = np.zeros(0, dtype=np.int64)  # frames since the last match
+    carried = np.zeros(0)  # score of the last matched detection
+    # by track id
+    seed_frame, seed_class, length = [], [], []
+    end_order = []  # track ids, in the order the tracks ended
+    blocks = []  # (track ids, ages, boxes, scores, detected?) rows
+
+    for f in range(min(frame_rows), max(frame_rows) + 1):
+        lo, hi = frame_rows.get(f, (0, 0))
+        f_boxes, f_scores, f_classes = det_boxes[lo:hi], det_scores[lo:hi], det_classes[lo:hi]
+
+        # a track seeded on the previous frame has one box: it stays put
+        ages = f - seeds
+        pred = np.where(ages[:, None] >= 2, predict_next(last, prev), last)
+        if not np.isfinite(pred).all():
+            raise InvalidInputError(f"non-finite predicted box at frame {f}")
+        match = np.full(len(tids), -1)
+        claimed = np.zeros(hi - lo, dtype=bool)
+        for c in sorted(set(f_classes.tolist())):
+            (rows,) = (classes == c).nonzero()
+            if not rows.size:
+                continue
+            (cols,) = (f_classes == c).nonzero()
+            iou = kernels.iou_matrix(pred[rows], f_boxes[cols])
+            for r, col in _greedy_pairs(iou, config.iou_link_threshold, strict=False):
+                match[rows[r]] = cols[col]
+                claimed[cols[col]] = True
+
+        hit = match >= 0
+        matched = match[hit]
+        pred[hit] = f_boxes[matched]
+        carried = carried.copy()  # the previous frame's block holds the old array
+        carried[hit] = f_scores[matched]
+        blocks.append((tids, ages, pred, carried, hit))
+        stats.tracked_frames += len(hit) - len(matched)
+        prev, last = last, pred
+        misses = np.where(hit, 0, misses + 1)
+
+        done = misses >= config.patience
+        if done.any():
+            end_order.append(tids[done])
+            for t, n in zip(tids[done].tolist(), (f + 1 - config.patience - seeds[done]).tolist()):
+                length[t] = n
+            keep = ~done
+            tids, seeds, last, prev = tids[keep], seeds[keep], last[keep], prev[keep]
+            classes, misses, carried = classes[keep], misses[keep], carried[keep]
+
+        (new,) = (~claimed).nonzero()
+        if new.size:
+            new_tids = np.arange(len(seed_frame), len(seed_frame) + new.size)
+            seed_frame.extend([f] * new.size)
+            seed_class.extend(f_classes[new].tolist())
+            length.extend([_LIVE] * new.size)
+            zeros = np.zeros(new.size, dtype=np.int64)
+            blocks.append((new_tids, zeros, f_boxes[new], f_scores[new], zeros == 0))
+            tids = np.concatenate((tids, new_tids))
+            seeds = np.concatenate((seeds, zeros + f))
+            last = np.concatenate((last, f_boxes[new]))
+            prev = np.concatenate((prev, f_boxes[new]))
+            classes = np.concatenate((classes, f_classes[new]))
+            misses = np.concatenate((misses, zeros))
+            carried = np.concatenate((carried, f_scores[new]))
+        if len(blocks) >= _COMPACT_BLOCKS:
+            blocks = [_kept_rows(blocks, np.array(length))]
+    end_order.append(tids)
+    for t, n in zip(tids.tolist(), (f + 1 - misses - seeds).tolist()):
+        length[t] = n
+
+    # track t's rows go to first[t] .. first[t] + length[t] - 1
+    order = np.concatenate(end_order)
+    length = np.array(length)
+    first = np.zeros(len(length), dtype=np.int64)
+    first[order] = np.cumsum(length[order]) - length[order]
+    row_tids, ages, *columns = _kept_rows(blocks, length)
+    boxes, scores, detected = (np.empty_like(col) for col in columns)
+    for out, col in zip((boxes, scores, detected), columns):
+        out[first[row_tids] + ages] = col
+    prov = np.where(detected, _DETECTED, _TRACKED).astype(np.int8)
 
     tubelets = []
-    for tr in finished:
-        entries = [e for e in tr.entries if e[0] <= tr.last_match_frame]
-        if entries:
-            tubelets.append(_emit(video_id, tr.object_class, entries))
-    tubelets.sort(key=_emit_order)
-    return [replace(t, id=i) for i, t in enumerate(tubelets)], stats
+    for t in order.tolist():
+        lo, n, start = int(first[t]), int(length[t]), seed_frame[t]
+        tubelets.append(
+            Tubelet(
+                id=-1,
+                video_id=video_id,
+                object_class=_CLASS_ORDER[seed_class[t]],
+                extent=Interval(start, start + n),
+                boxes=boxes[lo : lo + n],
+                box_scores=scores[lo : lo + n],
+                provenance=prov[lo : lo + n],
+            )
+        )
+    return _numbered(tubelets), stats
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +469,7 @@ def tubelet_from_record(rec):
         raise InvalidInputError(f"unknown provenance {unknown}")
     return Tubelet(
         id=int_field(rec, "id"),
-        video_id=str(rec["video_id"]),
+        video_id=str_field(rec, "video_id"),
         object_class=str(rec["class"]),
         extent=extent,
         boxes=boxes,

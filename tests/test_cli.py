@@ -6,6 +6,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from tubekit import data_model, linking
 from tubekit.cli import main
 
 runner = CliRunner()
@@ -360,3 +361,34 @@ def test_fuse_funnel_and_empty_output_warning(corpus_dir, tmp_path):
     assert res.exit_code == 0
     assert json.loads((tmp_path / "empty" / "run.manifest.json").read_text())["warnings"] == [warning]
     assert _warnings(res.output) == [warning]
+
+
+def test_link_funnel_in_manifests(dropout_corpus, tmp_path):
+    # two videos with dropout, plus detections of classes the linker drops
+    det = tmp_path / "detections.jsonl"
+    extra = [{"video_id": "synth_0000", "frame": f, "x1": 1.0, "y1": 1.0, "x2": 5.0, "y2": 5.0, "class": c,
+              "score": 0.5} for f, c in ((0, "dog"), (3, "dog"), (4, "cat"))]
+    det.write_text((dropout_corpus / "detections.jsonl").read_text() + "".join(json.dumps(r) + "\n" for r in extra))
+    meta, gt = str(dropout_corpus / "video_meta.jsonl"), str(dropout_corpus / "ground_truth.jsonl")
+    admitted = data_model.read_detections(det).detections
+
+    for strategy, link in (("tracking", linking.track_link), ("greedy", linking.greedy_link)):
+        stats = linking.LinkStats()
+        for video in sorted({d.video_id for d in admitted}):
+            link([d for d in admitted if d.video_id == video], stats=stats)
+        expected = {"detections_in": len(admitted), "dropped_class_names": {"cat": 1, "dog": 2},
+                    "splits_on_long_gap": stats.splits_on_long_gap,
+                    "interpolated_frames": stats.interpolated_frames, "tracked_frames": stats.tracked_frames}
+        assert (stats.tracked_frames if strategy == "tracking" else stats.interpolated_frames) > 0
+        for workers in (1, 2):
+            out = tmp_path / f"{strategy}_w{workers}.jsonl"
+            assert run(["link", "--detections", str(det), "--meta", meta, "--strategy", strategy,
+                        "--out", str(out), "--workers", str(workers)]).exit_code == 0
+            counts = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())["record_counts"]
+            assert {k: counts[k] for k in expected} == expected
+
+    cfg = write_config(tmp_path, {"link": {"strategy": "greedy"}})
+    assert run(["pipeline", "--out-dir", str(tmp_path / "run"), "--detections", str(det), "--ground-truth", gt,
+                "--meta", meta, "--config", cfg]).exit_code == 0
+    counts = json.loads((tmp_path / "run" / "run.manifest.json").read_text())["record_counts"]
+    assert {k: counts[k] for k in expected} == expected

@@ -1,19 +1,25 @@
 import itertools
+from collections import Counter
+from dataclasses import dataclass, replace
 
+import numpy as np
 import pytest
 
-from tubekit.data_model import Detection
+from tubekit import kernels, linking
+from tubekit.data_model import OBJECT_CLASSES, Detection
 from tubekit.errors import InvalidInputError
-from tubekit.geometry import Box, spatial_iou
+from tubekit.geometry import Box, Interval, spatial_iou
 from tubekit.linking import (
     PROVENANCES,
-    ConstantVelocityTracker,
     LinkConfig,
+    LinkStats,
+    Tubelet,
     greedy_link,
     interpolate_gaps,
     predict_next,
     track_link,
 )
+from tubekit.synthgen import SceneConfig, generate
 
 
 def det(frame, x1, y1=0.0, w=10.0, h=10.0, cls="person", score=0.9, video="v0"):
@@ -161,22 +167,324 @@ class TestTrackLink:
         assert len(detected) == len(set(detected)) == 3
 
 
+def rows(*boxes):
+    return np.array(boxes, dtype=np.float64)
+
+
 class TestPredictNext:
     def test_single_element_carry_forward(self):
-        b = Box(0, 0, 10, 10)
-        assert predict_next([b]) == b
+        # a track with one box predicts that box, bit for bit (-0.0 stays -0.0)
+        dets = [det(0, -0.0, w=40.0), det(0, 500.0), det(2, 0.0, w=40.0)]
+        tubes, _ = track_link(dets)
+        (t,) = [t for t in tubes if t.extent.length == 3]
+        assert PROVENANCES[t.provenance[1]] == "tracked"
+        assert t.boxes[1].tobytes() == t.boxes[0].tobytes()
+        assert np.signbit(t.boxes[1, 0])
 
     def test_constant_velocity(self):
-        assert predict_next([Box(0, 0, 10, 10), Box(5, 0, 15, 10)]) == Box(10, 0, 20, 10)
+        assert np.array_equal(predict_next(rows((5, 0, 15, 10)), rows((0, 0, 10, 10))), rows((10, 0, 20, 10)))
 
     def test_stationary(self):
-        b = Box(3, 4, 13, 14)
-        assert predict_next([b, b]) == b
+        b = rows((3, 4, 13, 14), (0.5, 0.25, 2.5, 8.0))
+        assert np.array_equal(predict_next(b, b), b)
 
-    def test_empty_history_rejected(self):
-        with pytest.raises(InvalidInputError):
-            predict_next([])
+    def test_rows_equal_the_scalar_formula(self):
+        rng = np.random.default_rng(5)
 
-    def test_tracker_class_delegates(self):
-        tracker = ConstantVelocityTracker()
-        assert tracker.predict_next([Box(0, 0, 2, 2), Box(1, 1, 3, 3)]) == Box(2, 2, 4, 4)
+        def boxes(n):
+            x, y = rng.uniform(-1e3, 1e3, n), rng.uniform(-1e3, 1e3, n)
+            return np.stack([x, y, x + rng.uniform(0.0, 90.0, n), y + rng.uniform(0.0, 90.0, n)], axis=1)
+
+        last, prev = boxes(300), boxes(300)
+        got = predict_next(last, prev)
+        for k in range(300):
+            b = reference_predict_next([Box(*prev[k].tolist()), Box(*last[k].tolist())])
+            assert got[k].tolist() == [b.x1, b.y1, b.x2, b.y2]
+
+
+# ---------------------------------------------------------------------------
+# the Box-based linkers the array code replaced, kept as references
+
+
+def reference_predict_next(history):
+    last = history[-1]
+    if len(history) == 1:
+        return last
+    prev = history[-2]
+    dcx = 0.5 * (last.x1 + last.x2) - 0.5 * (prev.x1 + prev.x2)
+    dcy = 0.5 * (last.y1 + last.y2) - 0.5 * (prev.y1 + prev.y2)
+    return Box(last.x1 + dcx, last.y1 + dcy, last.x2 + dcx, last.y2 + dcy)
+
+
+@dataclass
+class _RefTrack:
+    object_class: str
+    entries: list  # (frame, Box, score, provenance)
+    misses: int = 0
+    last_match_frame: int = 0
+
+
+def _ref_emit(video_id, object_class, entries):
+    frames, boxes, scores, prov = zip(*entries)
+    return Tubelet(
+        id=-1,
+        video_id=video_id,
+        object_class=object_class,
+        extent=Interval(frames[0], frames[-1] + 1),
+        boxes=np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64),
+        box_scores=np.array(scores, dtype=np.float64),
+        provenance=np.array([PROVENANCES.index(p) for p in prov], dtype=np.int8),
+    )
+
+
+def _ref_numbered(tubelets):
+    return [replace(t, id=i) for i, t in enumerate(sorted(tubelets, key=linking._emit_order))]
+
+
+def reference_track_link(detections, config=LinkConfig()):
+    stats = LinkStats()
+    video_ids = {d.video_id for d in detections}
+    video_id = video_ids.pop() if video_ids else ""
+    by_frame = {}
+    for d in sorted(detections, key=lambda d: (d.frame, d.box, -d.score)):
+        by_frame.setdefault(d.frame, []).append(d)
+    finished, live = [], []
+    if by_frame:
+        for f in range(min(by_frame), max(by_frame) + 1):
+            dets = by_frame.get(f, [])
+            claimed = set()
+            by_class = {}
+            for idx, d in enumerate(dets):
+                by_class.setdefault(d.object_class, []).append(idx)
+            predictions = [reference_predict_next([e[1] for e in tr.entries]) for tr in live]
+            for cls in sorted(by_class):
+                track_ids = [ti for ti, tr in enumerate(live) if tr.object_class == cls]
+                det_ids = by_class[cls]
+                if not track_ids:
+                    continue
+                iou = kernels.iou_matrix(
+                    [[predictions[ti].x1, predictions[ti].y1, predictions[ti].x2, predictions[ti].y2]
+                     for ti in track_ids],
+                    [[dets[di].box.x1, dets[di].box.y1, dets[di].box.x2, dets[di].box.y2] for di in det_ids],
+                )
+                for r, c in linking._greedy_pairs(iou, config.iou_link_threshold, strict=False):
+                    tr = live[track_ids[r]]
+                    d = dets[det_ids[c]]
+                    tr.entries.append((f, d.box, d.score, "detected"))
+                    tr.misses = 0
+                    tr.last_match_frame = f
+                    claimed.add(det_ids[c])
+            still_live = []
+            for ti, tr in enumerate(live):
+                if tr.entries[-1][0] == f:
+                    still_live.append(tr)
+                    continue
+                tr.entries.append((f, predictions[ti], tr.entries[-1][2], "tracked"))
+                tr.misses += 1
+                stats.tracked_frames += 1
+                if tr.misses >= config.patience:
+                    finished.append(tr)
+                else:
+                    still_live.append(tr)
+            live = still_live
+            for idx, d in enumerate(dets):
+                if idx not in claimed:
+                    live.append(_RefTrack(d.object_class, [(f, d.box, d.score, "detected")], last_match_frame=f))
+    finished.extend(live)
+    tubelets = [
+        _ref_emit(video_id, tr.object_class, [e for e in tr.entries if e[0] <= tr.last_match_frame])
+        for tr in finished
+    ]
+    return _ref_numbered(tubelets), stats
+
+
+def reference_merge_and_emit(chains, video_id, cls, config, stats):
+    n = len(chains)
+    candidates = []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            gap = chains[j][0].frame - chains[i][-1].frame - 1
+            if not 1 <= gap <= config.max_interp_gap:
+                continue
+            a, b = chains[i][-1].box, chains[j][0].box
+            iou = kernels.iou_matrix([[a.x1, a.y1, a.x2, a.y2]], [[b.x1, b.y1, b.x2, b.y2]])[0, 0]
+            if iou > config.iou_link_threshold:
+                candidates.append((iou, i, j))
+    candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
+    next_of, used_starts = {}, set()
+    for _, i, j in candidates:
+        if i in next_of or j in used_starts:
+            continue
+        next_of[i] = j
+        used_starts.add(j)
+    out = []
+    for i in range(n):
+        if i in used_starts:
+            continue
+        sequence = list(chains[i])
+        k = i
+        while k in next_of:
+            k = next_of[k]
+            sequence.extend(chains[k])
+        observed = {d.frame: (d.box, d.score) for d in sequence}
+        for boxes, scores, prov in interpolate_gaps(observed, config.max_interp_gap, stats):
+            out.append(_ref_emit(video_id, cls, [(f, boxes[f], scores[f], prov[f]) for f in sorted(boxes)]))
+    return out
+
+
+def reference_greedy_link(detections, config, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(linking, "_merge_and_emit", reference_merge_and_emit)
+        return greedy_link(detections, config)
+
+
+# ---------------------------------------------------------------------------
+# seeded scenes
+
+
+def scene(seed):
+    """Detections of one video: a few objects in several classes on a coarse
+    grid (so boxes and scores tie), some crossing, with dropout, exact
+    duplicates and false positives; now and then empty or a single detection."""
+    rng = np.random.default_rng(seed)
+    kind = seed % 25
+    if kind == 0:
+        return []
+    if kind == 1:
+        return [det(int(rng.integers(0, 5)), float(rng.integers(0, 50)), cls=str(rng.choice(OBJECT_CLASSES)))]
+    frames = int(rng.integers(2, 40))
+    classes = rng.choice(OBJECT_CLASSES, size=int(rng.integers(1, 4)), replace=False)
+    dets = []
+    for _ in range(int(rng.integers(1, 5))):
+        cls = str(rng.choice(classes))
+        x, y = float(rng.integers(0, 40)) * 2.0, float(rng.integers(0, 6)) * 4.0
+        vx, vy = float(rng.integers(-4, 5)) * 0.5, float(rng.integers(-1, 2)) * 0.5
+        w, h = float(rng.integers(4, 12)) * 2.0, float(rng.integers(4, 12)) * 2.0
+        score = float(rng.choice([0.5, 0.9]))
+        for f in range(frames):
+            if rng.random() < 0.2:
+                continue
+            d = det(f, x + vx * f, y + vy * f, w, h, cls=cls, score=score)
+            dets.append(d)
+            if rng.random() < 0.05:
+                dets.append(d)  # an exact duplicate
+    for _ in range(int(rng.poisson(frames * 0.5))):
+        dets.append(det(int(rng.integers(0, frames)), float(rng.integers(0, 60)) * 2.0,
+                        float(rng.integers(0, 6)) * 4.0, 10.0, 10.0,
+                        cls=str(rng.choice(classes)), score=float(rng.choice([0.3, 0.5]))))
+    order = rng.permutation(len(dets))
+    return [dets[k] for k in order]
+
+
+CONFIGS = [
+    LinkConfig(iou_link_threshold=t, patience=p, max_interp_gap=g)
+    for t, p, g in [(0.5, 50, 8), (0.05, 1, 2), (1.0, 2, 8), (0.05, 5, 0), (0.3, 50, 3)]
+]
+SCENES_PER_CONFIG = 50  # 250 scenes per linker, each config on its own seeds
+
+
+def assert_same_tubelets(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.id, a.video_id, a.object_class, a.extent) == (b.id, b.video_id, b.object_class, b.extent)
+        for x, y in ((a.boxes, b.boxes), (a.box_scores, b.box_scores), (a.provenance, b.provenance)):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert np.array_equal(x, y) and x.tobytes() == y.tobytes()
+
+
+@pytest.fixture(scope="module")
+def corpus_videos():
+    """One synthgen corpus, dropout 0.2 and 6 false positives per frame, as
+    per-video detection lists."""
+    corpus = generate(SceneConfig(seed=41, video_count=2, frames_per_video=120, objects_per_video=(2, 3),
+                                  dropout_rate=0.2, box_jitter_px=2.0, false_positive_rate=6.0, score_noise=0.05))
+    by_video = {}
+    for d in corpus.detections:
+        by_video.setdefault(d.video_id, []).append(d)
+    return [by_video[v] for v in sorted(by_video)]
+
+
+class TestTrackLinkEqualsReference:
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"t{c.iou_link_threshold}-p{c.patience}")
+    def test_seeded_scenes(self, config):
+        k = CONFIGS.index(config)
+        for seed in range(k * SCENES_PER_CONFIG, (k + 1) * SCENES_PER_CONFIG):
+            dets = scene(seed)
+            got, got_stats = track_link(dets, config=config)
+            want, want_stats = reference_track_link(dets, config)
+            assert_same_tubelets(got, want)
+            assert got_stats == want_stats
+
+    @pytest.mark.parametrize("patience", [1, 2, 5, 50])
+    def test_dropout_and_false_positive_corpus(self, patience, corpus_videos):
+        for dets in corpus_videos:
+            config = LinkConfig(patience=patience)
+            got, got_stats = track_link(dets, config=config)
+            want, want_stats = reference_track_link(dets, config)
+            assert_same_tubelets(got, want)
+            assert got_stats == want_stats
+
+
+class TestGreedyMergeEqualsReference:
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"t{c.iou_link_threshold}-g{c.max_interp_gap}")
+    def test_seeded_scenes(self, config, monkeypatch):
+        k = CONFIGS.index(config)
+        for seed in range(k * SCENES_PER_CONFIG, (k + 1) * SCENES_PER_CONFIG):
+            dets = scene(seed)
+            got, got_stats = greedy_link(dets, config)
+            want, want_stats = reference_greedy_link(dets, config, monkeypatch)
+            assert_same_tubelets(got, want)
+            assert got_stats == want_stats
+
+    def test_dropout_and_false_positive_corpus(self, monkeypatch, corpus_videos):
+        for dets in corpus_videos:
+            got, got_stats = greedy_link(dets)
+            want, want_stats = reference_greedy_link(dets, LinkConfig(), monkeypatch)
+            assert_same_tubelets(got, want)
+            assert got_stats == want_stats
+
+
+def detection_key(frame, cls, box, score):
+    return (frame, cls, tuple(float(v) for v in box), float(score))
+
+
+@pytest.mark.parametrize("link", [track_link, greedy_link], ids=["tracking", "greedy"])
+class TestLinkProperties:
+    @pytest.fixture
+    def scenes(self, corpus_videos):
+        return [scene(seed) for seed in range(60)] + corpus_videos
+
+    def test_tubelets_dense_and_frames_unique(self, link, scenes):
+        for dets in scenes:
+            tubes, _ = link(dets)
+            assert [t.id for t in tubes] == list(range(len(tubes)))
+            for t in tubes:
+                n = t.extent.length
+                assert t.boxes.shape == (n, 4) and t.box_scores.shape == (n,) and t.provenance.shape == (n,)
+                assert np.isfinite(t.boxes).all()
+
+    def test_each_detection_is_one_detected_row(self, link, scenes):
+        for dets in scenes:
+            tubes, _ = link(dets)
+            rows = Counter(
+                detection_key(f, t.object_class, t.boxes[k], t.box_scores[k])
+                for t in tubes
+                for k, f in enumerate(t.extent.frames())
+                if PROVENANCES[t.provenance[k]] == "detected"
+            )
+            assert rows == Counter(detection_key(d.frame, d.object_class, xyxy(d.box), d.score) for d in dets)
+
+    def test_filled_rows_never_trail_the_last_detected_row(self, link, scenes):
+        filled = "tracked" if link is track_link else "interpolated"
+        for dets in scenes:
+            tubes, _ = link(dets)
+            for t in tubes:
+                prov = [PROVENANCES[c] for c in t.provenance.tolist()]
+                assert prov[0] == prov[-1] == "detected"
+                assert set(prov) <= {"detected", filled}
+                if filled == "tracked":  # a tracked row carries the last detected score
+                    for k in range(1, len(prov)):
+                        if prov[k] == "tracked":
+                            assert t.box_scores[k] == t.box_scores[k - 1]

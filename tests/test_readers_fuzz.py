@@ -1,5 +1,6 @@
 """Fuzz of the file readers: tubelets, proposals (unscored and scored),
 instances (system output and ground truth), detections and video metadata.
+Mutations include a ``video_id`` that is not a string.
 
 Each example writes two valid records with the library's own writers, breaks
 one field of the second, and requires the reader to raise ParseError naming
@@ -160,7 +161,15 @@ def unknown_class(kind, rec, draw):
         rec["class"] = draw(st.sampled_from(("dog", "Person", "")))
 
 
-MUTATIONS = [drop_key, non_finite, inverted, missing_frame, duplicated_frame, fractional_integer, unknown_class]
+NOT_A_STRING = (None, 7, 0.5, ["v0"], True)
+
+
+def non_string_video_id(kind, rec, draw):
+    rec["video_id"] = draw(st.sampled_from(NOT_A_STRING))
+
+
+MUTATIONS = [drop_key, non_finite, inverted, missing_frame, duplicated_frame, fractional_integer, unknown_class,
+             non_string_video_id]
 
 
 def test_unmutated_files_read_and_run(tmp_path, inputs):
@@ -242,6 +251,7 @@ def flat_mutations(kind, rec):
     coordinate = (math.nan, math.inf, -math.inf, "x", None)
     if kind == "detections":
         return [
+            ("video_id", NOT_A_STRING),
             ("frame", NOT_AN_INTEGER + (-1,)),
             ("class", NOT_A_CLASS),
             ("score", (math.nan, math.inf, 1.5, -0.1, "high")),
@@ -251,6 +261,7 @@ def flat_mutations(kind, rec):
             ("y2", coordinate),
         ]
     return [
+        ("video_id", NOT_A_STRING),
         ("frame_count", NOT_AN_INTEGER + (0, -10)),
         ("frame_rate", (math.nan, math.inf, -math.inf, 0.0, -30.0, "fast", None)),
         ("width", coordinate + (-1.0,)),
@@ -308,3 +319,22 @@ def test_detection_and_meta_mutation_is_a_parse_error(tmp_path, flat_inputs, kin
     res = CliRunner().invoke(main, _flat_cli_args(kind, str(path), flat_inputs))
     assert res.exit_code == 1, res.output
     assert f"{path}:2: " in json.loads(res.output.strip().splitlines()[-1])["error"]
+
+
+@pytest.mark.parametrize("video_id", [None, 7])
+def test_non_string_video_id_rejected_even_when_the_files_agree(tmp_path, video_id):
+    # the same null or number in the detections and the meta used to link
+    # (a null became the video "None"); a string "7" must not match a number 7
+    meta = tmp_path / "meta.jsonl"
+    det = tmp_path / "detections.jsonl"
+    meta_rec = {"video_id": video_id, "frame_count": 10, "frame_rate": 30.0, "width": 1280.0, "height": 720.0}
+    meta.write_text(json.dumps(meta_rec) + "\n")
+    det_id = video_id if video_id is None else str(video_id)
+    det_rec = {"video_id": det_id, "frame": 0, "x1": 1.0, "y1": 2.0, "x2": 3.0, "y2": 4.0, "class": "car", "score": 0.5}
+    det.write_text(json.dumps(det_rec) + "\n")
+    with pytest.raises(ParseError, match=f"{meta}:1: .*video_id must be a string"):
+        data_model.read_video_meta(meta)
+    res = CliRunner().invoke(main, ["link", "--detections", str(det), "--meta", str(meta),
+                                    "--out", str(tmp_path / "tubelets.jsonl")])
+    assert res.exit_code == 1, res.output
+    assert ":1: " in json.loads(res.output.strip().splitlines()[-1])["error"]

@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from tubekit import cli, linking, synthgen
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -37,3 +39,30 @@ def test_install_patches_and_uninstall_restores():
         tracer.uninstall()
     for (m, f), original in before.items():
         assert getattr(modules[m], f) is original
+
+
+def test_link_counters_follow_track_link(tmp_path):
+    # the benchmark's linking.detections_in / tubelets_out read these counts;
+    # a change to track_link's arguments or return value must not zero them
+    corpus = synthgen.generate(
+        synthgen.SceneConfig(seed=7, video_count=2, frames_per_video=60, objects_per_video=(2, 3),
+                             dropout_rate=0.2, false_positive_rate=2.0)
+    )
+    paths = synthgen.write_corpus(corpus, tmp_path / "corpus")
+    video = [d for d in corpus.detections if d.video_id == "synth_0000"]
+    tracer = load_tracer().Tracer("test")
+    tracer.install()
+    try:
+        tubes, _ = linking.track_link(video)
+        direct = tracer.totals()
+        cli_tubes, _ = cli.run_link(paths["detections"], paths["video_meta"], "tracking",
+                                    cli._merged_config(), tmp_path / "tubelets.jsonl")
+        both = tracer.totals()
+    finally:
+        tracer.uninstall()
+    assert direct["linking.track_link"]["in"] == len(video)
+    assert direct["linking.track_link"]["out"] == len(tubes) > 0
+    assert direct.get("geometry.Box", {}).get("inits", 0) <= len(video)
+    assert both["linking.track_link"]["calls"] == 3  # once more per video
+    assert both["linking.track_link"]["in"] == len(video) + len(corpus.detections)
+    assert both["linking.track_link"]["out"] == len(tubes) + len(cli_tubes)
