@@ -1,4 +1,4 @@
-"""Golden digests: `tubekit pipeline` on three small fixed corpora must write
+"""Golden digests: `tubekit pipeline` on four small fixed corpora must write
 byte-identical tubelets and final outputs across refactors.
 
 A deliberate change to any of these files (a new corpus generator, a new
@@ -32,6 +32,18 @@ CORPORA = {
         "synth": {"seed": 2, "video_count": 2, "frames_per_video": 120, "box_jitter_px": 2.0},
         "scorer": {"name": "heuristic"},
     },
+    "greedy": {
+        "synth": {
+            "seed": 4,
+            "video_count": 2,
+            "frames_per_video": 160,
+            "dropout_rate": 0.15,
+            "box_jitter_px": 2.0,
+            "false_positive_rate": 1.0,
+            "score_noise": 0.05,
+        },
+        "link": {"strategy": "greedy"},
+    },
 }
 
 GOLDENS = {
@@ -55,6 +67,13 @@ GOLDENS = {
         "det.csv": "ddd8c692e332ea8e4d0c86c91e7b603e8a8387b645cd7a4f369d6dd58a64ecaf",
         "summary.json": "31da692103be9daa95d861256edf0c72236f1fddac2f0284fb3ffc3b97c18772",
         "recall.csv": "5e51d09b2b93076bc75f2275f9c5462b433d47fe2c6b3788bba156d1d1813cb8",
+    },
+    "greedy": {
+        "tubelets.jsonl": "63aa94d8b3d4d0e07392c4f04bf2a824de9d05826f3074b3004d79794d7ad762",
+        "instances.jsonl": "51133effd5faf65e6b7d3a420f1da1e13ec0909474e40512bd1695dbe14a3677",
+        "det.csv": "663d7c93d503347dca1194ff174b76f5ce180dfacb351f723b8e21b431cd3dca",
+        "summary.json": "513f81d7e595c0d5835126ea8717ec93369feade860dd2b012767b101ff83efa",
+        "recall.csv": "3bb98f5839d45a28069d239576d8c3527a570f141925aee56cd6556cc879e5b1",
     },
 }
 
