@@ -7,4 +7,4 @@ recall@IoU and miss-rate-vs-false-alarm (DET) metrics.
 
 __version__ = "0.1.0"
 
-from .geometry import Box, Interval, spatial_iou, temporal_iou  # noqa: F401
+from .geometry import Interval, temporal_iou  # noqa: F401

@@ -133,9 +133,9 @@ def run_link(detections_path, meta_path, strategy, cfg, out_path, workers=1):
     """Link every video and write the tubelets; returns them with the link
     funnel (detections in, dropped class names, and the `LinkStats` counts
     summed over the videos in sorted order)."""
-    result = data_model.read_detections(detections_path)
+    videos, dropped = data_model.read_detections(detections_path)
     metas = data_model.read_video_meta(meta_path)
-    unknown = {d.video_id for d in result.detections} - set(metas)
+    unknown = set(videos) - set(metas)
     if unknown:
         raise ConsistencyError(f"detections reference unknown video_id(s): {sorted(unknown)}")
     if strategy not in ("greedy", "tracking"):
@@ -143,11 +143,7 @@ def run_link(detections_path, meta_path, strategy, cfg, out_path, workers=1):
     link = linking.greedy_link if strategy == "greedy" else linking.track_link
 
     link_cfg = _stage_config(cfg, "link")
-    by_video = {}
-    for d in result.detections:
-        by_video.setdefault(d.video_id, []).append(d)
-
-    linked = _parallel_map(lambda v: link(by_video[v], config=link_cfg), sorted(by_video), workers)
+    linked = _parallel_map(lambda v: link(videos[v], config=link_cfg), sorted(videos), workers)
     all_tubes = []
     for tubes, _ in linked:
         for t in tubes:
@@ -155,8 +151,8 @@ def run_link(detections_path, meta_path, strategy, cfg, out_path, workers=1):
             all_tubes.append(t)
     linking.write_tubelets(all_tubes, out_path)
     funnel = {
-        "detections_in": len(result.detections),
-        "dropped_class_names": dict(sorted(result.dropped_class_names.items())),
+        "detections_in": sum(map(len, videos.values())),
+        "dropped_class_names": dict(sorted(dropped.items())),
         **{f.name: sum(getattr(stats, f.name) for _, stats in linked) for f in dataclasses.fields(linking.LinkStats)},
     }
     return all_tubes, funnel
@@ -173,7 +169,8 @@ def run_refine(tubelets_path, meta_path, cfg, out_path, workers=1):
     kept, removed = refinement.filter_static(tubes, refine_cfg)
 
     def _one(tub):
-        return refinement.make_proposals(tub, metas[tub.video_id].frame_bounds, refine_cfg)
+        meta = metas[tub.video_id]
+        return refinement.make_proposals(tub, meta.width, meta.height, refine_cfg)
 
     props = []
     for plist in _parallel_map(_one, kept, workers):
@@ -498,7 +495,7 @@ def pipeline_cmd(config_path, out_dir, detections, ground_truth, meta, workers):
     else:
         paths, corpus = timed("synth", lambda: run_synth(cfg, out_dir))
         det_path, gt_path, meta_path = paths["detections"], paths["ground_truth"], paths["video_meta"]
-        counts["detections"] = len(corpus.detections)
+        counts["detections"] = corpus.manifest["counts"]["detections"]
 
     tubelets_path = os.path.join(out_dir, "tubelets.jsonl")
     tubes, link_funnel = timed(

@@ -8,23 +8,26 @@ File formats, one JSON object per line:
                  "boxes": [{"frame", "x1", "y1", "x2", "y2"}, ...]}
 * video meta:   {"video_id", "frame_count", "frame_rate", "width", "height"}
 
-All numeric fields are decimal-encoded, and every ``video_id`` is a JSON
-string. Writers emit keys in sorted order and records in canonical order so
-output bytes are stable across runs.
+All numeric fields are decimal-encoded, every ``video_id`` is a JSON string
+and every real-valued field is a finite JSON number (not a string or bool).
+Writers emit keys in sorted order and records in canonical order so output
+bytes are stable across runs.
 
-Instances, tubelets and proposals are *tracks*: an ``extent`` plus an (n,4)
-float64 ``boxes`` array whose row k is frame ``extent.start + k``.
+Detections are held per video as columns (`VideoDetections`). Instances,
+tubelets and proposals are *tracks*: an ``extent`` plus an (n,4) float64
+``boxes`` array whose row k is frame ``extent.start + k``.
 ``encode_boxes``/``decode_boxes`` are the one JSON box-list codec they share.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, ParseError, SchemaError
-from .geometry import Box, Interval
+from .geometry import Interval
 
 OBJECT_CLASSES = ("person", "car", "truck", "bicycle")
 
@@ -55,23 +58,44 @@ PERSON_ACTIVITIES = (
 ACTIVITY_CLASSES = VEHICLE_ACTIVITIES + PERSON_ACTIVITIES
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One class-labeled, scored bounding box in one frame."""
+# A detection's class code indexes DETECTION_CLASSES, the admitted classes
+# in sorted order, so ascending codes visit the classes by name.
+DETECTION_CLASSES = tuple(sorted(OBJECT_CLASSES))
+
+
+@dataclass(frozen=True, eq=False)
+class VideoDetections:
+    """One video's detections as columns, row i being one detection. The rows
+    are ordered by frame, box (x1, y1, x2, y2), then descending score, exact
+    ties in input order; `detection_columns` builds them so."""
 
     video_id: str
-    frame: int
-    box: Box
-    object_class: str
-    score: float
+    frames: np.ndarray  # (n,) int64
+    boxes: np.ndarray  # (n,4) float64 x1, y1, x2, y2
+    scores: np.ndarray  # (n,) float64 in [0, 1]
+    classes: np.ndarray  # (n,) int64 index into DETECTION_CLASSES
 
-    def __post_init__(self):
-        if self.frame < 0:
-            raise InvalidInputError(f"negative frame: {self.frame}")
-        if self.object_class not in OBJECT_CLASSES:
-            raise InvalidInputError(f"object class not admitted: {self.object_class!r}")
-        if not 0.0 <= self.score <= 1.0:
-            raise InvalidInputError(f"score out of [0,1]: {self.score}")
+    def __len__(self):
+        return len(self.frames)
+
+
+def detection_columns(video_id, rows):
+    """`VideoDetections` from (frame, x1, y1, x2, y2, score, class code)
+    tuples in input order."""
+    frames, *coords, scores, classes = zip(*rows) if rows else [()] * 7
+    frames = np.array(frames, dtype=np.int64)
+    boxes = np.array(coords, dtype=np.float64).T.reshape(len(frames), 4)
+    scores = np.array(scores, dtype=np.float64)
+    classes = np.array(classes, dtype=np.int64)
+    bad = (
+        (frames < 0) | ~np.isfinite(boxes).all(axis=1) | (boxes[:, 0] > boxes[:, 2]) | (boxes[:, 1] > boxes[:, 3])
+        | ~((scores >= 0.0) & (scores <= 1.0))
+    )
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise InvalidInputError(f"invalid detection at frame {frames[k]}: box {boxes[k].tolist()}, score {scores[k]}")
+    order = np.lexsort((-scores, boxes[:, 3], boxes[:, 2], boxes[:, 1], boxes[:, 0], frames))  # stable
+    return VideoDetections(video_id, frames[order], boxes[order], scores[order], classes[order])
 
 
 def track_boxes(boxes, extent):
@@ -108,20 +132,16 @@ class VideoMeta:
     video_id: str
     frame_count: int
     frame_rate: float
-    frame_bounds: Box
+    width: float
+    height: float
 
     def __post_init__(self):
         if self.frame_count <= 0:
             raise InvalidInputError(f"frame_count must be positive: {self.frame_count}")
         if not (math.isfinite(self.frame_rate) and self.frame_rate > 0):
             raise InvalidInputError(f"frame_rate must be finite and positive: {self.frame_rate}")
-
-
-@dataclass
-class DetectionReadResult:
-    detections: list
-    dropped_classes: int = 0
-    dropped_class_names: dict = field(default_factory=dict)
+        if not (0.0 <= self.width < math.inf and 0.0 <= self.height < math.inf):
+            raise InvalidInputError(f"frame size must be finite and >= 0: {self.width} x {self.height}")
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +182,27 @@ def int_field(rec, key):
     raise InvalidInputError(f"{key} must be an integer: {value!r}")
 
 
+_FLOAT_MAX = sys.float_info.max
+_FRAME_MAX = np.iinfo(np.int64).max  # frames are int64 columns
+_NUMBER_TYPES = {int, float}  # a bool is neither
+
+
+def float_field(rec, key):
+    """`rec[key]` as a float. A finite JSON int or float is accepted; a bool,
+    string, null or non-finite number is an input error."""
+    value = rec[key]
+    if type(value) in _NUMBER_TYPES and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        return float(value)
+    raise InvalidInputError(f"{key} must be a finite number: {value!r}")
+
+
+def require_numbers(values, what):
+    """Raise unless every one of `values` is a JSON int or float: one type
+    check over the list, not one call per value."""
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        raise InvalidInputError(f"{what} must be JSON numbers")
+
+
 def str_field(rec, key):
     """`rec[key]`, which must be a string; a null, number, bool or list is an
     input error, not a value to stringify."""
@@ -180,7 +221,7 @@ def read_records(path, kind, build):
             out.append(build(rec))
         except KeyError as exc:
             raise ParseError(f"invalid {kind}: missing key {exc}", path=path, line=lineno)
-        except (InvalidInputError, SchemaError, ValueError, TypeError) as exc:
+        except (InvalidInputError, SchemaError, ValueError, TypeError, OverflowError) as exc:
             raise ParseError(f"invalid {kind}: {exc}", path=path, line=lineno)
     return out
 
@@ -204,7 +245,9 @@ def decode_boxes(rows, extent, *columns):
     rows = sorted(rows, key=lambda r: int_field(r, "frame"))
     if [int_field(r, "frame") for r in rows] != list(extent.frames()):
         raise InvalidInputError(f"boxes must hold each frame of [{extent.start}, {extent.end}) once")
-    boxes = np.array([[r[k] for k in BOX_KEYS] for r in rows], dtype=np.float64)
+    values = [r[k] for r in rows for k in BOX_KEYS]
+    require_numbers(values, "box coordinates")
+    boxes = np.array(values, dtype=np.float64).reshape(-1, 4)
     bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 0] > boxes[:, 2]) | (boxes[:, 1] > boxes[:, 3])
     if bad.any():
         raise InvalidInputError(f"non-finite or inverted box at frame {extent.start + int(np.argmax(bad))}")
@@ -222,50 +265,38 @@ def _require(rec, keys, path, lineno):
 
 
 def read_detections(path):
-    """Read a detections file; records with non-admitted classes are dropped
-    and counted rather than rejected."""
-    out = []
-    dropped = 0
-    dropped_names = {}
+    """Read a detections file into per-video columns: returns a dict of
+    `VideoDetections` by video id and a dict of dropped records by class name
+    (records with a class not admitted are dropped and counted, not
+    rejected)."""
+    rows = {}  # video id -> detection_columns rows
+    dropped = {}
     for lineno, rec in read_jsonl(path):
         _require(rec, ("video_id", "frame", "x1", "y1", "x2", "y2", "class", "score"), path, lineno)
-        cls = rec["class"]
-        if not isinstance(cls, str):
-            raise ParseError(f"invalid detection: class must be a string: {cls!r}", path=path, line=lineno)
-        if cls not in OBJECT_CLASSES:
-            dropped += 1
-            dropped_names[cls] = dropped_names.get(cls, 0) + 1
-            continue
         try:
-            det = Detection(
-                video_id=str_field(rec, "video_id"),
-                frame=int_field(rec, "frame"),
-                box=Box(float(rec["x1"]), float(rec["y1"]), float(rec["x2"]), float(rec["y2"])),
-                object_class=cls,
-                score=float(rec["score"]),
-            )
-        except (InvalidInputError, ValueError, TypeError) as exc:
+            cls = str_field(rec, "class")
+            if cls not in OBJECT_CLASSES:
+                dropped[cls] = dropped.get(cls, 0) + 1
+                continue
+            row = (int_field(rec, "frame"), *(float_field(rec, k) for k in (*BOX_KEYS, "score")))
+            frame, x1, y1, x2, y2, score = row
+            if not 0 <= frame <= _FRAME_MAX or x1 > x2 or y1 > y2 or not 0.0 <= score <= 1.0:
+                raise InvalidInputError(f"frame outside [0, 2**63), inverted box or score outside [0, 1]: {row}")
+            rows.setdefault(str_field(rec, "video_id"), []).append((*row, DETECTION_CLASSES.index(cls)))
+        except InvalidInputError as exc:
             raise ParseError(f"invalid detection: {exc}", path=path, line=lineno)
-        out.append(det)
-    out.sort(key=lambda d: (d.video_id, d.frame))
-    return DetectionReadResult(out, dropped, dropped_names)
+    return {v: detection_columns(v, rows[v]) for v in sorted(rows)}, dropped
 
 
-def write_detections(detections, path):
+def write_detections(videos, path):
+    """Write `VideoDetections` (an iterable), the videos in id order and each
+    video's rows in column order."""
+    keys = ("video_id", "frame", *BOX_KEYS, "class", "score")
     recs = []
-    for d in sorted(detections, key=lambda d: (d.video_id, d.frame, d.box)):
-        recs.append(
-            {
-                "video_id": d.video_id,
-                "frame": d.frame,
-                "x1": d.box.x1,
-                "y1": d.box.y1,
-                "x2": d.box.x2,
-                "y2": d.box.y2,
-                "class": d.object_class,
-                "score": d.score,
-            }
-        )
+    for d in sorted(videos, key=lambda d: d.video_id):
+        classes = [DETECTION_CLASSES[c] for c in d.classes.tolist()]
+        for row in zip(d.frames.tolist(), *d.boxes.T.tolist(), classes, d.scores.tolist()):
+            recs.append(dict(zip(keys, (d.video_id, *row))))
     write_jsonl(recs, path)
 
 
@@ -278,10 +309,10 @@ def _instance_from_record(rec):
     (boxes,) = decode_boxes(rec["boxes"], extent)
     return ActivityInstance(
         video_id=str_field(rec, "video_id"),
-        activity=str(rec["activity"]),
+        activity=str_field(rec, "activity"),
         extent=extent,
         boxes=boxes,
-        confidence=float(rec["confidence"]),
+        confidence=float_field(rec, "confidence"),
     )
 
 
@@ -327,8 +358,9 @@ def read_video_meta(path):
             meta = VideoMeta(
                 video_id=str_field(rec, "video_id"),
                 frame_count=int_field(rec, "frame_count"),
-                frame_rate=float(rec["frame_rate"]),
-                frame_bounds=Box(0.0, 0.0, float(rec["width"]), float(rec["height"])),
+                frame_rate=float_field(rec, "frame_rate"),
+                width=float_field(rec, "width"),
+                height=float_field(rec, "height"),
             )
         except (InvalidInputError, ValueError, TypeError) as exc:
             raise ParseError(f"invalid video meta: {exc}", path=path, line=lineno)
@@ -344,8 +376,8 @@ def write_video_meta(metas, path):
                 "video_id": m.video_id,
                 "frame_count": m.frame_count,
                 "frame_rate": m.frame_rate,
-                "width": m.frame_bounds.x2,
-                "height": m.frame_bounds.y2,
+                "width": m.width,
+                "height": m.height,
             }
         )
     write_jsonl(recs, path)

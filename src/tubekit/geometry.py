@@ -1,7 +1,11 @@
-"""Axis-aligned box and half-open frame-interval arithmetic.
+"""Half-open frame-interval arithmetic, box-track helpers, and the scalar
+box reference.
 
-Everything here is pure; these primitives underpin linking, refinement,
-suppression and evaluation.
+Everything here is pure. The pipeline holds boxes as (n,4) float64 arrays
+(see `kernels`); no code in the package builds a `Box`. `Box` and
+`spatial_iou` are the scalar definitions that the exact kernel tests compare
+the array code against, and the benchmark's tracer counts `Box`
+constructions to show that none happen.
 """
 
 import math

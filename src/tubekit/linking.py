@@ -11,19 +11,22 @@ import numpy as np
 
 from . import kernels
 from .data_model import (
+    DETECTION_CLASSES,
     OBJECT_CLASSES,
     decode_boxes,
     encode_boxes,
     int_field,
     read_records,
+    require_numbers,
     str_field,
     track_boxes,
     write_jsonl,
 )
 from .errors import InvalidInputError
-from .geometry import Box, Interval
+from .geometry import Interval
 
 PROVENANCES = ("detected", "interpolated", "tracked")
+_DETECTED, _INTERPOLATED, _TRACKED = range(len(PROVENANCES))
 
 
 @dataclass(eq=False)
@@ -74,59 +77,46 @@ class LinkStats:
     tracked_frames: int = 0
 
 
-def interpolate_gaps(observed, max_interp_gap, stats=None):
-    """Fill holes in a sparse frame -> (Box, score) map by linear interpolation.
+def interpolate_gaps(frames, boxes, scores, max_interp_gap, stats=None, heads=(0,)):
+    """Fill the holes between the detected rows of an object by linear
+    interpolation, in the scalar formula's order b0 + k * (b1 - b0) / span.
 
-    Holes longer than `max_interp_gap` split the sequence. Returns a list of
-    dense segments, each a (boxes, scores, provenance) triple of frame maps.
+    The rows (one frame, box and score each) hold one or more objects back to
+    back: object j starts at row `heads[j]`, and its frames strictly increase.
+    Holes longer than `max_interp_gap` split an object. Returns the dense
+    segments in row order as (extent, boxes, scores, provenance) tuples.
     """
-    if not observed:
-        return []
-    frames = sorted(observed)
+    span = np.diff(frames)
+    joined = np.ones(len(span), dtype=bool)
+    joined[np.asarray(heads[1:], dtype=np.int64) - 1] = False
+    filled = joined & (span <= max_interp_gap + 1)
+    # row i stands for its own frame and, when filled, the hole after it:
+    # output rows k = 0 .. span - 1 frames past row i
+    counts = np.append(np.where(filled, span, 1), 1)
+    src = np.repeat(np.arange(len(frames)), counts)
+    starts = np.cumsum(counts) - counts
+    k = np.arange(len(src)) - starts[src]
+    hole = k > 0
+    i, k_hole, n = src[hole], k[hole], span[src[hole]]
+    out_boxes, out_scores = boxes[src], scores[src]
+    out_boxes[hole] = boxes[i] + k_hole[:, None] * (boxes[i + 1] - boxes[i]) / n[:, None]
+    out_scores[hole] = scores[i] + k_hole * (scores[i + 1] - scores[i]) / n
+    if not np.isfinite(out_boxes).all():
+        raise InvalidInputError("non-finite interpolated box")
+    prov = np.where(hole, _INTERPOLATED, _DETECTED).astype(np.int8)
+    cuts = starts[1:][~filled].tolist()
+    if stats is not None:
+        stats.splits_on_long_gap += int(np.count_nonzero(joined & ~filled))
+        stats.interpolated_frames += len(i)
     segments = []
-    boxes = {frames[0]: observed[frames[0]][0]}
-    scores = {frames[0]: observed[frames[0]][1]}
-    prov = {frames[0]: "detected"}
-    for prev, cur in zip(frames, frames[1:]):
-        gap = cur - prev - 1
-        if gap > max_interp_gap:
-            segments.append((boxes, scores, prov))
-            if stats is not None:
-                stats.splits_on_long_gap += 1
-            boxes, scores, prov = {}, {}, {}
-        elif gap > 0:
-            b0, s0 = observed[prev]
-            b1, s1 = observed[cur]
-            for f in range(prev + 1, cur):
-                # (f-prev)*(delta)/(span) rather than a premultiplied ratio:
-                # exact for linear motion with representable velocities
-                k, span = f - prev, cur - prev
-                boxes[f] = Box(
-                    b0.x1 + k * (b1.x1 - b0.x1) / span,
-                    b0.y1 + k * (b1.y1 - b0.y1) / span,
-                    b0.x2 + k * (b1.x2 - b0.x2) / span,
-                    b0.y2 + k * (b1.y2 - b0.y2) / span,
-                )
-                scores[f] = s0 + k * (s1 - s0) / span
-                prov[f] = "interpolated"
-                if stats is not None:
-                    stats.interpolated_frames += 1
-        boxes[cur] = observed[cur][0]
-        scores[cur] = observed[cur][1]
-        prov[cur] = "detected"
-    segments.append((boxes, scores, prov))
+    for lo, hi in zip([0, *cuts], [*cuts, len(src)]):
+        first = int(frames[src[lo]])
+        segments.append((Interval(first, first + hi - lo), out_boxes[lo:hi], out_scores[lo:hi], prov[lo:hi]))
     return segments
 
 
 # ---------------------------------------------------------------------------
 # greedy linking
-
-
-def _group_by_class_frame(detections):
-    grouped = {}
-    for det in sorted(detections, key=lambda d: (d.frame, d.box, -d.score)):
-        grouped.setdefault(det.object_class, {}).setdefault(det.frame, []).append(det)
-    return grouped
 
 
 def _greedy_pairs(iou, threshold, strict):
@@ -147,56 +137,55 @@ def _greedy_pairs(iou, threshold, strict):
 
 
 def greedy_link(detections, config=LinkConfig(), stats=None):
-    """Greedy adjacent-frame linking; chains separated by short gaps are merged
-    and the holes filled by linear interpolation."""
+    """Greedy adjacent-frame linking of one video's `VideoDetections`; chains
+    separated by short gaps are merged and the holes filled by linear
+    interpolation."""
     if stats is None:
         stats = LinkStats()
-    video_id = _single_video(detections)
-
     tubelets = []
-    for cls, by_frame in sorted(_group_by_class_frame(detections).items()):
-        # chains: lists of Detection with strictly consecutive frames
+    for code in sorted(set(detections.classes.tolist())):
+        (rows,) = (detections.classes == code).nonzero()
+        frames = detections.frames[rows]
+        # chains: lists of rows with strictly consecutive frames
         chains = []
         open_by_tail = {}  # frame -> list of chain indices whose tail is at frame
-        for f in sorted(by_frame):
-            dets = by_frame[f]
+        for lo, hi in zip(*_runs(frames)):
+            f, dets = int(frames[lo]), rows[lo:hi].tolist()
             tails = open_by_tail.pop(f - 1, [])
             matched_dets = set()
             if tails:
-                tail_boxes = [chains[ci][-1].box for ci in tails]
-                det_boxes = [d.box for d in dets]
-                iou = kernels.iou_matrix(
-                    [[b.x1, b.y1, b.x2, b.y2] for b in tail_boxes],
-                    [[b.x1, b.y1, b.x2, b.y2] for b in det_boxes],
-                )
+                iou = kernels.iou_matrix(detections.boxes[[chains[ci][-1] for ci in tails]], detections.boxes[dets])
                 for r, c in _greedy_pairs(iou, config.iou_link_threshold, strict=True):
                     chains[tails[r]].append(dets[c])
                     open_by_tail.setdefault(f, []).append(tails[r])
                     matched_dets.add(c)
-            for c, det in enumerate(dets):
+            for c, row in enumerate(dets):
                 if c not in matched_dets:
-                    chains.append([det])
+                    chains.append([row])
                     open_by_tail.setdefault(f, []).append(len(chains) - 1)
-
-        tubelets.extend(
-            _merge_and_emit(chains, video_id, cls, config, stats)
-        )
-
+        tubelets.extend(_merge_and_emit(detections, chains, DETECTION_CLASSES[code], config, stats))
     return _numbered(tubelets), stats
 
 
-def _merge_and_emit(chains, video_id, cls, config, stats):
-    """Merge chains across gaps <= max_interp_gap when end/start boxes still
-    overlap above the link threshold, then emit tubelets.
+def _runs(values):
+    """[first, end) bounds of the runs of equal values in a sorted array."""
+    first = np.flatnonzero(np.diff(values, prepend=-1)).tolist()
+    return first, first[1:] + [len(values)]
+
+
+def _merge_and_emit(detections, chains, cls, config, stats):
+    """Merge chains (lists of detection rows) across gaps <= max_interp_gap
+    when end/start boxes still overlap above the link threshold, then emit
+    tubelets.
 
     A candidate is a (tail of i, head of j) pair whose gap is 1 to
     max_interp_gap frames; every candidate's IoU comes from one `paired_iou`
     over the pairs, found per tail by binary search in the heads' frames."""
     n = len(chains)
-    tails = np.array([(c[-1].box.x1, c[-1].box.y1, c[-1].box.x2, c[-1].box.y2) for c in chains], dtype=np.float64)
-    heads = np.array([(c[0].box.x1, c[0].box.y1, c[0].box.x2, c[0].box.y2) for c in chains], dtype=np.float64)
-    head_frames = np.array([c[0].frame for c in chains], dtype=np.int64)
-    tail_frames = np.array([c[-1].frame for c in chains], dtype=np.int64)
+    tail_rows = [c[-1] for c in chains]
+    head_rows = [c[0] for c in chains]
+    tails, heads = detections.boxes[tail_rows], detections.boxes[head_rows]
+    tail_frames, head_frames = detections.frames[tail_rows], detections.frames[head_rows]
     head_order = np.argsort(head_frames, kind="stable")
     # heads of tail i: frames tail + 2 .. tail + 1 + max_interp_gap
     lo = np.searchsorted(head_frames[head_order], tail_frames + 2, side="left")
@@ -215,34 +204,20 @@ def _merge_and_emit(chains, video_id, cls, config, stats):
         next_of[i] = j
         used_starts.add(j)
 
-    out = []
+    rows, firsts = [], []  # the merged sequences back to back, and where each starts
     for i in range(n):
         if i in used_starts:
             continue
-        sequence = list(chains[i])
+        firsts.append(len(rows))
+        rows.extend(chains[i])
         k = i
         while k in next_of:
             k = next_of[k]
-            sequence.extend(chains[k])
-        observed = {d.frame: (d.box, d.score) for d in sequence}
-        for boxes, scores, prov in interpolate_gaps(observed, config.max_interp_gap, stats):
-            out.append(_emit(video_id, cls, [(f, boxes[f], scores[f], prov[f]) for f in sorted(boxes)]))
-    return out
-
-
-def _emit(video_id, object_class, entries):
-    """A tubelet (id -1) from frame-ordered (frame, Box, score, provenance)
-    entries that hold every frame of their span."""
-    frames, boxes, scores, prov = zip(*entries)
-    return Tubelet(
-        id=-1,
-        video_id=video_id,
-        object_class=object_class,
-        extent=Interval(frames[0], frames[-1] + 1),
-        boxes=np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64),
-        box_scores=np.array(scores, dtype=np.float64),
-        provenance=np.array([PROVENANCES.index(p) for p in prov], dtype=np.int8),
+            rows.extend(chains[k])
+    segments = interpolate_gaps(
+        detections.frames[rows], detections.boxes[rows], detections.scores[rows], config.max_interp_gap, stats, firsts
     )
+    return [Tubelet(-1, detections.video_id, cls, *segment) for segment in segments]
 
 
 def _emit_order(t):
@@ -258,22 +233,8 @@ def _numbered(tubelets):
     return tubelets
 
 
-def _single_video(detections):
-    """The one video id of the detections ("" when there are none)."""
-    video_ids = {d.video_id for d in detections}
-    if len(video_ids) > 1:
-        raise InvalidInputError(f"detections span multiple videos: {sorted(video_ids)}")
-    return video_ids.pop() if video_ids else ""
-
-
 # ---------------------------------------------------------------------------
 # tracking-based linking
-
-# Class codes follow the sorted class names, so ascending codes visit the
-# classes in the order `sorted` gives their names.
-_CLASS_ORDER = tuple(sorted(OBJECT_CLASSES))
-_DETECTED = PROVENANCES.index("detected")
-_TRACKED = PROVENANCES.index("tracked")
 
 
 def predict_next(last, prev):
@@ -283,20 +244,6 @@ def predict_next(last, prev):
     order: d = 0.5*(l.x1+l.x2) - 0.5*(p.x1+p.x2), then l.x1 + d, ..."""
     step = 0.5 * (last[:, :2] + last[:, 2:]) - 0.5 * (prev[:, :2] + prev[:, 2:])
     return last + np.concatenate((step, step), axis=1)
-
-
-def _detection_arrays(detections):
-    """The detections ordered by frame, box (x1, y1, x2, y2), then descending
-    score, ties in input order: (n,4) boxes, scores, class codes, and a map
-    of each frame to its [first, end) rows."""
-    ordered = sorted(detections, key=lambda d: (d.frame, d.box.x1, d.box.y1, d.box.x2, d.box.y2, -d.score))
-    boxes = np.array([(d.box.x1, d.box.y1, d.box.x2, d.box.y2) for d in ordered], dtype=np.float64)
-    scores = np.array([d.score for d in ordered], dtype=np.float64)
-    classes = np.array([_CLASS_ORDER.index(d.object_class) for d in ordered], dtype=np.int64)
-    frame_rows = {}
-    for i, d in enumerate(ordered):
-        frame_rows.setdefault(d.frame, [i, i])[1] = i + 1
-    return boxes, scores, classes, frame_rows
 
 
 # Every `_COMPACT_BLOCKS` row blocks are merged into one without the rows an
@@ -316,9 +263,10 @@ def _kept_rows(blocks, length):
 
 
 def track_link(detections, config=LinkConfig(), stats=None):
-    """Tracking-based linking: live tracks predict a box every frame, merge
-    with unclaimed detections by IoU, and terminate after `patience`
-    consecutive unmatched frames. Trailing predicted-only frames are trimmed.
+    """Tracking-based linking of one video's `VideoDetections`: live tracks
+    predict a box every frame, merge with unclaimed detections by IoU, and
+    terminate after `patience` consecutive unmatched frames. Trailing
+    predicted-only frames are trimmed.
 
     The live tracks are parallel arrays in the order they were seeded. Every
     frame records one row per live track (its matched detection, or else its
@@ -329,10 +277,10 @@ def track_link(detections, config=LinkConfig(), stats=None):
     ties."""
     if stats is None:
         stats = LinkStats()
-    video_id = _single_video(detections)
-    if not detections:
+    if not len(detections):
         return [], stats
-    det_boxes, det_scores, det_classes, frame_rows = _detection_arrays(detections)
+    det_boxes, det_scores, det_classes = detections.boxes, detections.scores, detections.classes
+    frame_rows = {int(detections.frames[lo]): (lo, hi) for lo, hi in zip(*_runs(detections.frames))}
 
     # live state, one entry per live track
     tids = np.zeros(0, dtype=np.int64)
@@ -374,7 +322,6 @@ def track_link(detections, config=LinkConfig(), stats=None):
         carried = carried.copy()  # the previous frame's block holds the old array
         carried[hit] = f_scores[matched]
         blocks.append((tids, ages, pred, carried, hit))
-        stats.tracked_frames += len(hit) - len(matched)
         prev, last = last, pred
         misses = np.where(hit, 0, misses + 1)
 
@@ -418,6 +365,7 @@ def track_link(detections, config=LinkConfig(), stats=None):
     for out, col in zip((boxes, scores, detected), columns):
         out[first[row_tids] + ages] = col
     prov = np.where(detected, _DETECTED, _TRACKED).astype(np.int8)
+    stats.tracked_frames += int(np.count_nonzero(~detected))
 
     tubelets = []
     for t in order.tolist():
@@ -425,8 +373,8 @@ def track_link(detections, config=LinkConfig(), stats=None):
         tubelets.append(
             Tubelet(
                 id=-1,
-                video_id=video_id,
-                object_class=_CLASS_ORDER[seed_class[t]],
+                video_id=detections.video_id,
+                object_class=DETECTION_CLASSES[seed_class[t]],
                 extent=Interval(start, start + n),
                 boxes=boxes[lo : lo + n],
                 box_scores=scores[lo : lo + n],
@@ -461,6 +409,7 @@ def tubelet_from_record(rec):
     """Inverse of `tubelet_record`; raises on any invalid field."""
     extent = Interval(int_field(rec, "start"), int_field(rec, "end"))
     boxes, scores, prov = decode_boxes(rec["boxes"], extent, "score", "provenance")
+    require_numbers(scores, "box scores")
     scores = np.array(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
         raise InvalidInputError("non-finite box score")
@@ -470,7 +419,7 @@ def tubelet_from_record(rec):
     return Tubelet(
         id=int_field(rec, "id"),
         video_id=str_field(rec, "video_id"),
-        object_class=str(rec["class"]),
+        object_class=str_field(rec, "class"),
         extent=extent,
         boxes=boxes,
         box_scores=scores,

@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data_model import ACTIVITY_CLASSES, int_field, read_records, write_jsonl
+from .data_model import ACTIVITY_CLASSES, float_field, int_field, read_records, write_jsonl
 from .errors import InvalidInputError
 from .geometry import Interval, mean_center_step
 from .linking import Tubelet, tubelet_from_record, tubelet_record
@@ -115,9 +115,10 @@ def filter_static(tubelets, config=RefineConfig(), motion_source=None):
     return kept, removed
 
 
-def normalize_boxes(tubelet, frame_bounds, enlarge_factor=1.2):
+def normalize_boxes(tubelet, width, height, enlarge_factor=1.2):
     """Resize every box about its center to the tubelet-wide max width/height,
-    then enlarge by `enlarge_factor` and clamp to the frame."""
+    then enlarge by `enlarge_factor` and clamp to the frame [0, width] x
+    [0, height]."""
     if enlarge_factor < 1.0:
         raise InvalidInputError(f"enlarge factor must be >= 1: {enlarge_factor}")
     b = tubelet.boxes
@@ -126,9 +127,8 @@ def normalize_boxes(tubelet, frame_bounds, enlarge_factor=1.2):
     cx = 0.5 * (b[:, 0] + b[:, 2])
     cy = 0.5 * (b[:, 1] + b[:, 3])
     resized = np.stack([cx - hw, cy - hh, cx + hw, cy + hh], axis=1)
-    low = np.array([frame_bounds.x1, frame_bounds.y1] * 2)
-    high = np.array([frame_bounds.x2, frame_bounds.y2] * 2)
-    return replace(tubelet, boxes=np.minimum(np.maximum(resized, low), high))
+    high = np.array([width, height] * 2, dtype=np.float64)
+    return replace(tubelet, boxes=np.minimum(np.maximum(resized, 0.0), high))
 
 
 def jitter(tubelet, config=RefineConfig()):
@@ -161,9 +161,10 @@ def sample_frames(length, sample_count):
     return [k * length // sample_count for k in range(sample_count)]
 
 
-def make_proposals(tubelet, frame_bounds, config=RefineConfig(), id_start=0):
-    """Normalize a tubelet's boxes and cut it into proposal windows."""
-    norm = normalize_boxes(tubelet, frame_bounds, config.enlarge_factor)
+def make_proposals(tubelet, width, height, config=RefineConfig(), id_start=0):
+    """Normalize a tubelet's boxes in a width x height frame and cut it into
+    proposal windows."""
+    norm = normalize_boxes(tubelet, width, height, config.enlarge_factor)
     return [
         Proposal(id_start + i, norm, window, config.sample_count)
         for i, window in enumerate(jitter(norm, config))
@@ -190,7 +191,7 @@ def write_proposals(proposals, path):
 
 
 def _scores_from_record(scores):
-    out = {str(k): float(v) for k, v in scores.items()}
+    out = {k: float_field(scores, k) for k in scores}
     for key, value in out.items():
         if key not in ACTIVITY_CLASSES and key != NON_ACTION:
             raise InvalidInputError(f"unknown score class: {key!r}")

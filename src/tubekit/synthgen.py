@@ -16,17 +16,18 @@ import numpy as np
 
 from .data_model import (
     ACTIVITY_CLASSES,
+    DETECTION_CLASSES,
     OBJECT_CLASSES,
     VEHICLE_ACTIVITIES,
     ActivityInstance,
-    Detection,
     VideoMeta,
+    detection_columns,
     write_detections,
     write_instances,
     write_video_meta,
 )
 from .errors import InvalidInputError, SchemaError
-from .geometry import Box, Interval
+from .geometry import Interval
 
 RNG_ALGORITHM = "numpy.random.default_rng (PCG64); per-video child seed = seed + video_index"
 
@@ -75,7 +76,7 @@ class SceneConfig:
 
 @dataclass
 class SynthCorpus:
-    detections: list
+    detections: dict  # video_id -> VideoDetections
     ground_truth: list
     metas: dict  # video_id -> VideoMeta
     manifest: dict = field(default_factory=dict)
@@ -113,10 +114,9 @@ def generate(config: SceneConfig) -> SynthCorpus:
     probs = np.asarray(probs, dtype=np.float64)
     probs = probs / probs.sum()
 
-    detections = []
+    detections = {}
     ground_truth = []
     metas = {}
-    frame_bounds = Box(0.0, 0.0, config.frame_width, config.frame_height)
 
     for v in range(config.video_count):
         rng = np.random.default_rng(config.seed + v)
@@ -125,8 +125,10 @@ def generate(config: SceneConfig) -> SynthCorpus:
             video_id=video_id,
             frame_count=config.frames_per_video,
             frame_rate=config.frame_rate,
-            frame_bounds=frame_bounds,
+            width=config.frame_width,
+            height=config.frame_height,
         )
+        rows = []  # (frame, x1, y1, x2, y2, score, class code), in draw order
         lo, hi = config.objects_per_video
         n_objects = int(rng.integers(lo, hi + 1))
         lane_h = config.frame_height / n_objects
@@ -165,15 +167,7 @@ def generate(config: SceneConfig) -> SynthCorpus:
                 score = 0.9
                 if config.score_noise > 0.0:
                     score = float(np.clip(0.9 + rng.normal(0.0, config.score_noise), 0.05, 1.0))
-                detections.append(
-                    Detection(
-                        video_id=video_id,
-                        frame=f,
-                        box=Box(*b),
-                        object_class=object_class,
-                        score=score,
-                    )
-                )
+                rows.append((f, *b, score, DETECTION_CLASSES.index(object_class)))
 
         if config.false_positive_rate > 0.0:
             for f in range(config.frames_per_video):
@@ -182,15 +176,11 @@ def generate(config: SceneConfig) -> SynthCorpus:
                     h = rng.uniform(20.0, 60.0)
                     cx = rng.uniform(0.5 * w, config.frame_width - 0.5 * w)
                     cy = rng.uniform(0.5 * h, config.frame_height - 0.5 * h)
-                    detections.append(
-                        Detection(
-                            video_id=video_id,
-                            frame=f,
-                            box=Box(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h),
-                            object_class=OBJECT_CLASSES[int(rng.integers(len(OBJECT_CLASSES)))],
-                            score=float(rng.uniform(0.05, 0.5)),
-                        )
-                    )
+                    box = (cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)
+                    object_class = OBJECT_CLASSES[int(rng.integers(len(OBJECT_CLASSES)))]
+                    rows.append((f, *box, float(rng.uniform(0.05, 0.5)), DETECTION_CLASSES.index(object_class)))
+        if rows:
+            detections[video_id] = detection_columns(video_id, rows)
 
     manifest = {
         "rng": RNG_ALGORITHM,
@@ -198,7 +188,7 @@ def generate(config: SceneConfig) -> SynthCorpus:
         "counts": {
             "videos": config.video_count,
             "instances": len(ground_truth),
-            "detections": len(detections),
+            "detections": sum(map(len, detections.values())),
         },
     }
     return SynthCorpus(detections, ground_truth, metas, manifest)
@@ -212,7 +202,7 @@ def write_corpus(corpus: SynthCorpus, out_dir):
         "video_meta": os.path.join(out_dir, "video_meta.jsonl"),
         "manifest": os.path.join(out_dir, "corpus_manifest.json"),
     }
-    write_detections(corpus.detections, paths["detections"])
+    write_detections(corpus.detections.values(), paths["detections"])
     write_instances(corpus.ground_truth, paths["ground_truth"])
     write_video_meta(corpus.metas.values(), paths["video_meta"])
     with open(paths["manifest"], "w", encoding="utf-8") as fh:

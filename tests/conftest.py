@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from tubekit.geometry import Box, Interval
+from tubekit.geometry import Interval
 from tubekit.linking import Tubelet
 from tubekit.refinement import Proposal
 
@@ -34,5 +34,6 @@ def make_proposal(window, boxes=None, proposal_id=0, tubelet_id=0, video_id="v0"
 
 
 @pytest.fixture
-def frame_bounds():
-    return Box(0, 0, 1280, 720)
+def frame_size():
+    """(width, height) of the frame the refinement tests clamp to."""
+    return 1280.0, 720.0

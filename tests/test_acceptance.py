@@ -34,12 +34,9 @@ def _passed(n, detail):
 
 
 def _link_corpus(corpus, linker):
-    by_video = {}
-    for d in corpus.detections:
-        by_video.setdefault(d.video_id, []).append(d)
     tubes = []
-    for v in sorted(by_video):
-        out, _ = linker(by_video[v])
+    for v in sorted(corpus.detections):
+        out, _ = linker(corpus.detections[v])
         tubes.extend(out)
     return tubes
 
@@ -100,7 +97,7 @@ def test_criterion_02_interpolation_exactness():
     for vx, vy in ((0.5, 1.25), (-2.0, 0.75), (3.0, -1.5), (1.0, 0.0)):
         def true_box(f):
             x, y = 200.0 + vx * f, 150.0 + vy * f
-            return Box(x, y, x + 24.0, y + 40.0)
+            return [x, y, x + 24.0, y + 40.0]
 
         # holes of every length up to the max gap, including non-power-of-two
         kept = set(range(61))
@@ -108,20 +105,18 @@ def test_criterion_02_interpolation_exactness():
         for hole in (1, 2, 3, 5, 7, 8):
             kept -= set(range(hole_start, hole_start + hole))
             hole_start += hole + 2
-        observed = {f: (true_box(f), 0.9) for f in sorted(kept)}
-
-        segments = linking.interpolate_gaps(observed, max_interp_gap=8)
+        frames = sorted(kept)
+        segments = linking.interpolate_gaps(np.array(frames), np.array([true_box(f) for f in frames]),
+                                            np.full(len(frames), 0.9), max_interp_gap=8)
         assert len(segments) == 1
-        boxes, scores, prov = segments[0]
-        assert sorted(boxes) == list(range(61))
+        extent, boxes, scores, prov = segments[0]
+        assert extent == Interval(0, 61)
         for f in range(61):
-            want = true_box(f)
-            got = boxes[f]
-            assert (got.x1, got.y1, got.x2, got.y2) == (want.x1, want.y1, want.x2, want.y2)
+            assert boxes[f].tolist() == true_box(f)
             assert scores[f] == 0.9
             checked += 1
         interp = [f for f in range(61) if f not in kept]
-        assert all(prov[f] == "interpolated" for f in interp)
+        assert all(linking.PROVENANCES[prov[f]] == "interpolated" for f in interp)
     _passed(2, f"{checked} frames on 4 linear tracks reconstructed with zero coordinate error")
 
 

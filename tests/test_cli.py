@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -78,7 +80,7 @@ def test_full_stage_chain_and_pipeline_equivalence(corpus_dir, tmp_path):
 
     recall = str(tmp_path / "recall.csv")
     assert run(["eval-recall", "--tubelets", tubes, "--ground-truth", gt, "--out", recall]).exit_code == 0
-    assert open(recall).readline().strip() == "threshold,recall"
+    assert Path(recall).read_text().splitlines()[0] == "threshold,recall"
 
     det_csv = str(tmp_path / "det.csv")
     summary = str(tmp_path / "summary.json")
@@ -87,7 +89,7 @@ def test_full_stage_chain_and_pipeline_equivalence(corpus_dir, tmp_path):
         "--out-csv", det_csv, "--out-summary", summary,
     ])
     assert res.exit_code == 0
-    assert json.loads(open(summary).read())["mean_p_miss"] == 0.0
+    assert json.loads(Path(summary).read_text())["mean_p_miss"] == 0.0
 
     # pipeline subcommand on the same inputs produces identical data files
     pipe_dir = tmp_path / "pipe"
@@ -106,7 +108,7 @@ def test_full_stage_chain_and_pipeline_equivalence(corpus_dir, tmp_path):
         (det_csv, "det.csv"),
         (summary, "summary.json"),
     ):
-        assert open(manual, "rb").read() == open(pipe_dir / staged, "rb").read()
+        assert Path(manual).read_bytes() == (pipe_dir / staged).read_bytes()
 
 
 def test_pipeline_with_synth(tmp_path):
@@ -370,13 +372,13 @@ def test_link_funnel_in_manifests(dropout_corpus, tmp_path):
               "score": 0.5} for f, c in ((0, "dog"), (3, "dog"), (4, "cat"))]
     det.write_text((dropout_corpus / "detections.jsonl").read_text() + "".join(json.dumps(r) + "\n" for r in extra))
     meta, gt = str(dropout_corpus / "video_meta.jsonl"), str(dropout_corpus / "ground_truth.jsonl")
-    admitted = data_model.read_detections(det).detections
+    videos, _ = data_model.read_detections(det)
 
     for strategy, link in (("tracking", linking.track_link), ("greedy", linking.greedy_link)):
         stats = linking.LinkStats()
-        for video in sorted({d.video_id for d in admitted}):
-            link([d for d in admitted if d.video_id == video], stats=stats)
-        expected = {"detections_in": len(admitted), "dropped_class_names": {"cat": 1, "dog": 2},
+        for video in sorted(videos):
+            link(videos[video], stats=stats)
+        expected = {"detections_in": sum(map(len, videos.values())), "dropped_class_names": {"cat": 1, "dog": 2},
                     "splits_on_long_gap": stats.splits_on_long_gap,
                     "interpolated_frames": stats.interpolated_frames, "tracked_frames": stats.tracked_frames}
         assert (stats.tracked_frames if strategy == "tracking" else stats.interpolated_frames) > 0
@@ -386,6 +388,11 @@ def test_link_funnel_in_manifests(dropout_corpus, tmp_path):
                         "--out", str(out), "--workers", str(workers)]).exit_code == 0
             counts = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())["record_counts"]
             assert {k: counts[k] for k in expected} == expected
+            # the funnel counts the filled rows the file holds
+            written = Counter(b["provenance"] for line in out.read_text().splitlines()
+                              for b in json.loads(line)["boxes"])
+            assert (written["tracked"], written["interpolated"]) == (counts["tracked_frames"],
+                                                                     counts["interpolated_frames"])
 
     cfg = write_config(tmp_path, {"link": {"strategy": "greedy"}})
     assert run(["pipeline", "--out-dir", str(tmp_path / "run"), "--detections", str(det), "--ground-truth", gt,

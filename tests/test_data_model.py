@@ -1,9 +1,12 @@
+import math
+
+import numpy as np
 import pytest
 from conftest import box_rows
 
 from tubekit import data_model as dm
 from tubekit.errors import InvalidInputError, ParseError, SchemaError
-from tubekit.geometry import Box, Interval
+from tubekit.geometry import Interval
 
 
 def det_line(cls="person", frame=0, score=0.9):
@@ -17,24 +20,31 @@ class TestReadDetections:
     def test_singleton(self, tmp_path):
         p = tmp_path / "d.jsonl"
         p.write_text(det_line())
-        res = dm.read_detections(p)
-        assert len(res.detections) == 1
-        assert res.detections[0].object_class == "person"
-        assert res.dropped_classes == 0
+        videos, dropped = dm.read_detections(p)
+        assert list(videos) == ["v0"] and len(videos["v0"]) == 1
+        assert dm.DETECTION_CLASSES[videos["v0"].classes[0]] == "person"
+        assert videos["v0"].boxes.tolist() == [[0.0, 0.0, 10.0, 10.0]]  # JSON integers read as floats
+        assert videos["v0"].boxes.dtype == np.float64
+        assert dropped == {}
 
     def test_unknown_class_dropped_and_counted(self, tmp_path):
         p = tmp_path / "d.jsonl"
         p.write_text(det_line() + det_line(cls="dog"))
-        res = dm.read_detections(p)
-        assert len(res.detections) == 1
-        assert res.dropped_classes == 1
-        assert res.dropped_class_names == {"dog": 1}
+        videos, dropped = dm.read_detections(p)
+        assert len(videos["v0"]) == 1
+        assert dropped == {"dog": 1}
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.jsonl"
         p.write_text("")
-        res = dm.read_detections(p)
-        assert res.detections == []
+        assert dm.read_detections(p) == ({}, {})
+
+    def test_rows_sorted_by_frame_box_then_descending_score(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        p.write_text(det_line(frame=1) + det_line(frame=0, score=0.5) + det_line(frame=0, score=0.7))
+        videos, _ = dm.read_detections(p)
+        assert videos["v0"].frames.tolist() == [0, 0, 1]
+        assert videos["v0"].scores.tolist() == [0.7, 0.5, 0.9]
 
     def test_malformed_line_reports_number(self, tmp_path):
         p = tmp_path / "d.jsonl"
@@ -95,20 +105,26 @@ class TestInstances:
 
 class TestDetectionRoundTrip:
     def test_round_trip(self, tmp_path):
-        dets = [
-            dm.Detection("v0", f, Box(f, 0, f + 10, 10), "car", 0.8) for f in range(20)
-        ]
+        car = dm.DETECTION_CLASSES.index("car")
+        videos = {
+            v: dm.detection_columns(v, [(f, f + 0.5, 0.0, f + 10.0, 10.0, 0.8, car) for f in range(20)])
+            for v in ("v0", "v1")
+        }
         p = tmp_path / "d.jsonl"
-        dm.write_detections(dets, p)
-        back = dm.read_detections(p)
-        assert back.detections == dets
+        dm.write_detections(videos.values(), p)
+        back, dropped = dm.read_detections(p)
+        assert list(back) == ["v0", "v1"] and dropped == {}
+        for v, d in videos.items():
+            for column in ("frames", "boxes", "scores", "classes"):
+                a, b = getattr(back[v], column), getattr(d, column)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestVideoMeta:
     def test_round_trip(self, tmp_path):
         metas = [
-            dm.VideoMeta("v0", 100, 30.0, Box(0, 0, 1280, 720)),
-            dm.VideoMeta("v1", 200, 25.0, Box(0, 0, 640, 480)),
+            dm.VideoMeta("v0", 100, 30.0, 1280.0, 720.0),
+            dm.VideoMeta("v1", 200, 25.0, 640.0, 480.0),
         ]
         p = tmp_path / "m.jsonl"
         dm.write_video_meta(metas, p)
@@ -117,7 +133,12 @@ class TestVideoMeta:
 
     def test_non_positive_rate_rejected(self):
         with pytest.raises(InvalidInputError):
-            dm.VideoMeta("v0", 100, 0.0, Box(0, 0, 10, 10))
+            dm.VideoMeta("v0", 100, 0.0, 10.0, 10.0)
+
+    def test_negative_or_infinite_size_rejected(self):
+        for width, height in ((-1.0, 10.0), (10.0, math.inf)):
+            with pytest.raises(InvalidInputError):
+                dm.VideoMeta("v0", 100, 30.0, width, height)
 
 
 def test_group_partition_constants():

@@ -16,7 +16,7 @@ from tubekit.evaluation import (
     total_corpus_minutes,
     tubelet_recall,
 )
-from tubekit.geometry import Box, Interval, temporal_iou
+from tubekit.geometry import Interval, temporal_iou
 
 
 def instance(start, end, activity="Riding", confidence=1.0, video_id="v0", box=(0, 0, 10, 10)):
@@ -25,7 +25,7 @@ def instance(start, end, activity="Riding", confidence=1.0, video_id="v0", box=(
 
 def meta(video_id="v0", frame_count=18000, frame_rate=30.0):
     # 18000 frames at 30fps = 10 minutes
-    return VideoMeta(video_id, frame_count, frame_rate, Box(0, 0, 1280, 720))
+    return VideoMeta(video_id, frame_count, frame_rate, 1280.0, 720.0)
 
 
 class TestTubeletRecall:

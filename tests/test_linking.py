@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from tubekit import kernels, linking
-from tubekit.data_model import OBJECT_CLASSES, Detection
-from tubekit.errors import InvalidInputError
+from tubekit.data_model import DETECTION_CLASSES, OBJECT_CLASSES, detection_columns
 from tubekit.geometry import Box, Interval, spatial_iou
 from tubekit.linking import (
     PROVENANCES,
@@ -22,12 +21,39 @@ from tubekit.linking import (
 from tubekit.synthgen import SceneConfig, generate
 
 
+@dataclass(frozen=True)
+class Det:
+    """A scalar detection record: what the test scenes and the reference
+    linkers work on."""
+
+    video_id: str
+    frame: int
+    box: Box
+    object_class: str
+    score: float
+
+
 def det(frame, x1, y1=0.0, w=10.0, h=10.0, cls="person", score=0.9, video="v0"):
-    return Detection(video, frame, Box(x1, y1, x1 + w, y1 + h), cls, score)
+    return Det(video, frame, Box(x1, y1, x1 + w, y1 + h), cls, score)
 
 
 def xyxy(box):
     return (box.x1, box.y1, box.x2, box.y2)
+
+
+def columns(dets, video_id="v0"):
+    """The `VideoDetections` of scalar records, in their list order."""
+    rows = [(d.frame, *xyxy(d.box), d.score, DETECTION_CLASSES.index(d.object_class)) for d in dets]
+    return detection_columns(video_id, rows)
+
+
+def records(video):
+    """The scalar records of a `VideoDetections`, in row order."""
+    return [
+        Det(video.video_id, f, Box(*b), DETECTION_CLASSES[c], s)
+        for f, b, s, c in zip(video.frames.tolist(), video.boxes.tolist(), video.scores.tolist(),
+                              video.classes.tolist())
+    ]
 
 
 def detected_rows(tubelet):
@@ -39,36 +65,70 @@ def detected_rows(tubelet):
     ]
 
 
+def interpolate(observed, max_interp_gap=8, stats=None):
+    """`interpolate_gaps` on a frame -> (box tuple, score) map."""
+    frames = sorted(observed)
+    return interpolate_gaps(np.array(frames), rows(*(observed[f][0] for f in frames)),
+                            np.array([observed[f][1] for f in frames]), max_interp_gap, stats)
+
+
 class TestInterpolateGaps:
     def test_single_frame_hole_midpoint(self):
-        observed = {4: (Box(0, 0, 10, 10), 0.9), 6: (Box(10, 0, 20, 10), 0.7)}
-        (boxes, scores, prov), = interpolate_gaps(observed, max_interp_gap=8)
-        assert boxes[5] == Box(5, 0, 15, 10)
-        assert scores[5] == pytest.approx(0.8)
-        assert prov[5] == "interpolated"
-        assert prov[4] == prov[6] == "detected"
+        observed = {4: ((0, 0, 10, 10), 0.9), 6: ((10, 0, 20, 10), 0.7)}
+        (extent, boxes, scores, prov), = interpolate(observed)
+        assert extent == Interval(4, 7)
+        assert boxes[1].tolist() == [5, 0, 15, 10]
+        assert scores[1] == pytest.approx(0.8)
+        assert [PROVENANCES[p] for p in prov] == ["detected", "interpolated", "detected"]
 
     def test_no_holes_identity(self):
-        observed = {f: (Box(f, 0, f + 10, 10), 0.5) for f in range(5)}
-        (boxes, scores, prov), = interpolate_gaps(observed, 8)
-        assert boxes == {f: b for f, (b, _) in observed.items()}
-        assert set(prov.values()) == {"detected"}
+        observed = {f: ((f, 0, f + 10, 10), 0.5) for f in range(5)}
+        (extent, boxes, scores, prov), = interpolate(observed)
+        assert extent == Interval(0, 5)
+        assert boxes.tolist() == [list(observed[f][0]) for f in range(5)]
+        assert set(prov.tolist()) == {PROVENANCES.index("detected")}
 
     def test_three_frame_hole_linear(self):
-        observed = {0: (Box(0, 0, 10, 10), 1.0), 4: (Box(40, 0, 50, 10), 1.0)}
-        (boxes, _, _), = interpolate_gaps(observed, 8)
-        assert [boxes[f].x1 for f in (1, 2, 3)] == [10, 20, 30]
+        observed = {0: ((0, 0, 10, 10), 1.0), 4: ((40, 0, 50, 10), 1.0)}
+        (_, boxes, _, _), = interpolate(observed)
+        assert boxes[1:4, 0].tolist() == [10, 20, 30]
 
     def test_long_hole_splits(self):
-        observed = {0: (Box(0, 0, 10, 10), 1.0), 20: (Box(0, 0, 10, 10), 1.0)}
-        segments = interpolate_gaps(observed, max_interp_gap=8)
-        assert len(segments) == 2
+        observed = {0: ((0, 0, 10, 10), 1.0), 20: ((0, 0, 10, 10), 1.0)}
+        stats = LinkStats()
+        segments = interpolate(observed, max_interp_gap=8, stats=stats)
+        assert [extent for extent, *_ in segments] == [Interval(0, 1), Interval(20, 21)]
+        assert stats == LinkStats(splits_on_long_gap=1)
+
+    def test_rows_equal_the_scalar_reference(self):
+        # random holes of 0 to 12 frames, some split at max_interp_gap 8;
+        # -0.0 must survive on a detected row
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            frames = np.cumsum(rng.integers(1, 14, n))
+            x, y = rng.uniform(-1e3, 1e3, n), rng.uniform(-1e3, 1e3, n)
+            x[0] = -0.0
+            boxes = np.stack([x, y, x + rng.uniform(0, 90, n), y + rng.uniform(0, 90, n)], axis=1)
+            scores = rng.uniform(0, 1, n)
+            got_stats, want_stats = LinkStats(), LinkStats()
+            got = interpolate_gaps(frames, boxes, scores, 8, got_stats)
+            observed = {f: (Box(*b), s) for f, b, s in zip(frames.tolist(), boxes.tolist(), scores.tolist())}
+            want = reference_interpolate_gaps(observed, 8, want_stats)
+            assert got_stats == want_stats
+            assert len(got) == len(want)
+            for (extent, b, sc, prov), (want_boxes, want_scores, want_prov) in zip(got, want):
+                assert list(extent.frames()) == sorted(want_boxes)
+                want_rows = np.array([xyxy(want_boxes[f]) for f in extent.frames()])
+                assert b.tobytes() == want_rows.tobytes()
+                assert sc.tolist() == [want_scores[f] for f in extent.frames()]
+                assert [PROVENANCES[p] for p in prov] == [want_prov[f] for f in extent.frames()]
 
 
 class TestGreedyLink:
     def test_single_chain(self):
         dets = [det(f, x1=f * 1.0) for f in range(3)]
-        tubes, _ = greedy_link(dets)
+        tubes, _ = greedy_link(columns(dets))
         assert len(tubes) == 1
         assert tubes[0].extent.length == 3
 
@@ -77,7 +137,7 @@ class TestGreedyLink:
         dets = [det(0, 0.0), det(1, 5.5), det(2, 6.5)]
         assert spatial_iou(dets[0].box, dets[1].box) < 0.5
         assert spatial_iou(dets[1].box, dets[2].box) > 0.5
-        tubes, _ = greedy_link(dets)
+        tubes, _ = greedy_link(columns(dets))
         assert sorted(t.extent.length for t in tubes) == [1, 2]
 
     def test_two_parallel_lanes(self):
@@ -85,7 +145,7 @@ class TestGreedyLink:
         for f in range(5):
             dets.append(det(f, x1=f * 1.0, y1=0.0))
             dets.append(det(f, x1=f * 1.0, y1=100.0))
-        tubes, _ = greedy_link(dets)
+        tubes, _ = greedy_link(columns(dets))
         assert len(tubes) == 2
         assert all(t.extent.length == 5 for t in tubes)
 
@@ -94,7 +154,7 @@ class TestGreedyLink:
         # must equal the optimal one-to-one assignment
         frame0 = [det(0, 0.0), det(0, 30.0), det(0, 60.0)]
         frame1 = [det(1, 1.0), det(1, 31.0), det(1, 61.0)]
-        tubes, _ = greedy_link(frame0 + frame1)
+        tubes, _ = greedy_link(columns(frame0 + frame1))
         assert len(tubes) == 3
 
         iou = [[spatial_iou(a.box, b.box) for b in frame1] for a in frame0]
@@ -109,28 +169,24 @@ class TestGreedyLink:
 
     def test_class_gated(self):
         dets = [det(0, 0.0, cls="person"), det(1, 0.0, cls="car")]
-        tubes, _ = greedy_link(dets)
+        tubes, _ = greedy_link(columns(dets))
         assert len(tubes) == 2
 
     def test_no_detection_shared_between_tubelets(self):
         dets = [det(f, x1=x, y1=y) for f in range(4) for x, y in ((f * 2.0, 0.0), (f * 2.0, 8.0))]
-        tubes, _ = greedy_link(dets)
+        tubes, _ = greedy_link(columns(dets))
         seen = set()
         for t in tubes:
             for row in detected_rows(t):
                 assert row not in seen
                 seen.add(row)
 
-    def test_multi_video_rejected(self):
-        with pytest.raises(InvalidInputError):
-            greedy_link([det(0, 0.0), det(0, 0.0, video="v1")])
-
 
 class TestTrackLink:
     def test_bridges_gap_with_tracking(self):
         # constant motion 5 px/frame, detections missing on frames 5-9
         dets = [det(f, x1=5.0 * f, w=40.0) for f in list(range(5)) + [10]]
-        tubes, _ = track_link(dets)
+        tubes, _ = track_link(columns(dets))
         assert len(tubes) == 1
         t = tubes[0]
         assert (t.extent.start, t.extent.end) == (0, 11)
@@ -141,18 +197,18 @@ class TestTrackLink:
 
     def test_patience_splits_long_gap(self):
         dets = [det(f, x1=0.0) for f in range(5)] + [det(f, x1=0.0) for f in range(65, 70)]
-        tubes, _ = track_link(dets, config=LinkConfig(patience=50))
+        tubes, _ = track_link(columns(dets), config=LinkConfig(patience=50))
         assert len(tubes) == 2
 
     def test_trailing_tracked_frames_trimmed(self):
         dets = [det(f, x1=0.0) for f in range(5)] + [det(40, 500.0)]
-        tubes, _ = track_link(dets)
+        tubes, _ = track_link(columns(dets))
         first = min(tubes, key=lambda t: t.extent.start)
         assert first.extent.end == 5
         assert all(PROVENANCES[p] == "detected" for p in first.provenance)
 
     def test_single_frame_video(self):
-        tubes, _ = track_link([det(0, 0.0), det(0, 100.0)])
+        tubes, _ = track_link(columns([det(0, 0.0), det(0, 100.0)]))
         assert len(tubes) == 2
         assert all(t.extent.length == 1 for t in tubes)
 
@@ -162,7 +218,7 @@ class TestTrackLink:
             det(0, 0.0), det(0, 12.0),
             det(1, 6.0),
         ]
-        tubes, _ = track_link(dets)
+        tubes, _ = track_link(columns(dets))
         detected = [row for t in tubes for row in detected_rows(t)]
         assert len(detected) == len(set(detected)) == 3
 
@@ -175,7 +231,7 @@ class TestPredictNext:
     def test_single_element_carry_forward(self):
         # a track with one box predicts that box, bit for bit (-0.0 stays -0.0)
         dets = [det(0, -0.0, w=40.0), det(0, 500.0), det(2, 0.0, w=40.0)]
-        tubes, _ = track_link(dets)
+        tubes, _ = track_link(columns(dets))
         (t,) = [t for t in tubes if t.extent.length == 3]
         assert PROVENANCES[t.provenance[1]] == "tracked"
         assert t.boxes[1].tobytes() == t.boxes[0].tobytes()
@@ -203,7 +259,8 @@ class TestPredictNext:
 
 
 # ---------------------------------------------------------------------------
-# the Box-based linkers the array code replaced, kept as references
+# the Box-based linkers the array code replaced, kept as references; they
+# take lists of scalar records
 
 
 def reference_predict_next(history):
@@ -281,7 +338,6 @@ def reference_track_link(detections, config=LinkConfig()):
                     continue
                 tr.entries.append((f, predictions[ti], tr.entries[-1][2], "tracked"))
                 tr.misses += 1
-                stats.tracked_frames += 1
                 if tr.misses >= config.patience:
                     finished.append(tr)
                 else:
@@ -291,11 +347,51 @@ def reference_track_link(detections, config=LinkConfig()):
                 if idx not in claimed:
                     live.append(_RefTrack(d.object_class, [(f, d.box, d.score, "detected")], last_match_frame=f))
     finished.extend(live)
-    tubelets = [
-        _ref_emit(video_id, tr.object_class, [e for e in tr.entries if e[0] <= tr.last_match_frame])
-        for tr in finished
-    ]
+    tubelets = []
+    for tr in finished:
+        entries = [e for e in tr.entries if e[0] <= tr.last_match_frame]
+        stats.tracked_frames += sum(e[3] == "tracked" for e in entries)
+        tubelets.append(_ref_emit(video_id, tr.object_class, entries))
     return _ref_numbered(tubelets), stats
+
+
+def reference_interpolate_gaps(observed, max_interp_gap, stats=None):
+    """Fill holes in a sparse frame -> (Box, score) map; returns dense
+    (boxes, scores, provenance) frame maps."""
+    if not observed:
+        return []
+    frames = sorted(observed)
+    segments = []
+    boxes = {frames[0]: observed[frames[0]][0]}
+    scores = {frames[0]: observed[frames[0]][1]}
+    prov = {frames[0]: "detected"}
+    for prev, cur in zip(frames, frames[1:]):
+        gap = cur - prev - 1
+        if gap > max_interp_gap:
+            segments.append((boxes, scores, prov))
+            if stats is not None:
+                stats.splits_on_long_gap += 1
+            boxes, scores, prov = {}, {}, {}
+        elif gap > 0:
+            b0, s0 = observed[prev]
+            b1, s1 = observed[cur]
+            for f in range(prev + 1, cur):
+                k, span = f - prev, cur - prev
+                boxes[f] = Box(
+                    b0.x1 + k * (b1.x1 - b0.x1) / span,
+                    b0.y1 + k * (b1.y1 - b0.y1) / span,
+                    b0.x2 + k * (b1.x2 - b0.x2) / span,
+                    b0.y2 + k * (b1.y2 - b0.y2) / span,
+                )
+                scores[f] = s0 + k * (s1 - s0) / span
+                prov[f] = "interpolated"
+                if stats is not None:
+                    stats.interpolated_frames += 1
+        boxes[cur] = observed[cur][0]
+        scores[cur] = observed[cur][1]
+        prov[cur] = "detected"
+    segments.append((boxes, scores, prov))
+    return segments
 
 
 def reference_merge_and_emit(chains, video_id, cls, config, stats):
@@ -329,15 +425,38 @@ def reference_merge_and_emit(chains, video_id, cls, config, stats):
             k = next_of[k]
             sequence.extend(chains[k])
         observed = {d.frame: (d.box, d.score) for d in sequence}
-        for boxes, scores, prov in interpolate_gaps(observed, config.max_interp_gap, stats):
+        for boxes, scores, prov in reference_interpolate_gaps(observed, config.max_interp_gap, stats):
             out.append(_ref_emit(video_id, cls, [(f, boxes[f], scores[f], prov[f]) for f in sorted(boxes)]))
     return out
 
 
-def reference_greedy_link(detections, config, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(linking, "_merge_and_emit", reference_merge_and_emit)
-        return greedy_link(detections, config)
+def reference_greedy_link(detections, config=LinkConfig()):
+    stats = LinkStats()
+    video_ids = {d.video_id for d in detections}
+    video_id = video_ids.pop() if video_ids else ""
+    grouped = {}
+    for d in sorted(detections, key=lambda d: (d.frame, d.box, -d.score)):
+        grouped.setdefault(d.object_class, {}).setdefault(d.frame, []).append(d)
+    tubelets = []
+    for cls, by_frame in sorted(grouped.items()):
+        chains = []  # lists of records with strictly consecutive frames
+        open_by_tail = {}  # frame -> chain indices whose tail is at frame
+        for f in sorted(by_frame):
+            dets = by_frame[f]
+            tails = open_by_tail.pop(f - 1, [])
+            matched = set()
+            if tails:
+                iou = kernels.iou_matrix([xyxy(chains[ci][-1].box) for ci in tails], [xyxy(d.box) for d in dets])
+                for r, c in linking._greedy_pairs(iou, config.iou_link_threshold, strict=True):
+                    chains[tails[r]].append(dets[c])
+                    open_by_tail.setdefault(f, []).append(tails[r])
+                    matched.add(c)
+            for c, d in enumerate(dets):
+                if c not in matched:
+                    chains.append([d])
+                    open_by_tail.setdefault(f, []).append(len(chains) - 1)
+        tubelets.extend(reference_merge_and_emit(chains, video_id, cls, config, stats))
+    return _ref_numbered(tubelets), stats
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +516,10 @@ def assert_same_tubelets(got, want):
 @pytest.fixture(scope="module")
 def corpus_videos():
     """One synthgen corpus, dropout 0.2 and 6 false positives per frame, as
-    per-video detection lists."""
+    per-video scalar record lists."""
     corpus = generate(SceneConfig(seed=41, video_count=2, frames_per_video=120, objects_per_video=(2, 3),
                                   dropout_rate=0.2, box_jitter_px=2.0, false_positive_rate=6.0, score_noise=0.05))
-    by_video = {}
-    for d in corpus.detections:
-        by_video.setdefault(d.video_id, []).append(d)
-    return [by_video[v] for v in sorted(by_video)]
+    return [records(corpus.detections[v]) for v in sorted(corpus.detections)]
 
 
 class TestTrackLinkEqualsReference:
@@ -412,7 +528,7 @@ class TestTrackLinkEqualsReference:
         k = CONFIGS.index(config)
         for seed in range(k * SCENES_PER_CONFIG, (k + 1) * SCENES_PER_CONFIG):
             dets = scene(seed)
-            got, got_stats = track_link(dets, config=config)
+            got, got_stats = track_link(columns(dets), config=config)
             want, want_stats = reference_track_link(dets, config)
             assert_same_tubelets(got, want)
             assert got_stats == want_stats
@@ -421,7 +537,7 @@ class TestTrackLinkEqualsReference:
     def test_dropout_and_false_positive_corpus(self, patience, corpus_videos):
         for dets in corpus_videos:
             config = LinkConfig(patience=patience)
-            got, got_stats = track_link(dets, config=config)
+            got, got_stats = track_link(columns(dets, dets[0].video_id), config=config)
             want, want_stats = reference_track_link(dets, config)
             assert_same_tubelets(got, want)
             assert got_stats == want_stats
@@ -429,19 +545,19 @@ class TestTrackLinkEqualsReference:
 
 class TestGreedyMergeEqualsReference:
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"t{c.iou_link_threshold}-g{c.max_interp_gap}")
-    def test_seeded_scenes(self, config, monkeypatch):
+    def test_seeded_scenes(self, config):
         k = CONFIGS.index(config)
         for seed in range(k * SCENES_PER_CONFIG, (k + 1) * SCENES_PER_CONFIG):
             dets = scene(seed)
-            got, got_stats = greedy_link(dets, config)
-            want, want_stats = reference_greedy_link(dets, config, monkeypatch)
+            got, got_stats = greedy_link(columns(dets), config)
+            want, want_stats = reference_greedy_link(dets, config)
             assert_same_tubelets(got, want)
             assert got_stats == want_stats
 
-    def test_dropout_and_false_positive_corpus(self, monkeypatch, corpus_videos):
+    def test_dropout_and_false_positive_corpus(self, corpus_videos):
         for dets in corpus_videos:
-            got, got_stats = greedy_link(dets)
-            want, want_stats = reference_greedy_link(dets, LinkConfig(), monkeypatch)
+            got, got_stats = greedy_link(columns(dets, dets[0].video_id))
+            want, want_stats = reference_greedy_link(dets)
             assert_same_tubelets(got, want)
             assert got_stats == want_stats
 
@@ -458,7 +574,7 @@ class TestLinkProperties:
 
     def test_tubelets_dense_and_frames_unique(self, link, scenes):
         for dets in scenes:
-            tubes, _ = link(dets)
+            tubes, _ = link(columns(dets))
             assert [t.id for t in tubes] == list(range(len(tubes)))
             for t in tubes:
                 n = t.extent.length
@@ -467,7 +583,7 @@ class TestLinkProperties:
 
     def test_each_detection_is_one_detected_row(self, link, scenes):
         for dets in scenes:
-            tubes, _ = link(dets)
+            tubes, _ = link(columns(dets))
             rows = Counter(
                 detection_key(f, t.object_class, t.boxes[k], t.box_scores[k])
                 for t in tubes
@@ -479,7 +595,7 @@ class TestLinkProperties:
     def test_filled_rows_never_trail_the_last_detected_row(self, link, scenes):
         filled = "tracked" if link is track_link else "interpolated"
         for dets in scenes:
-            tubes, _ = link(dets)
+            tubes, _ = link(columns(dets))
             for t in tubes:
                 prov = [PROVENANCES[c] for c in t.provenance.tolist()]
                 assert prov[0] == prov[-1] == "detected"

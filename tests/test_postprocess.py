@@ -98,9 +98,9 @@ def corpus_proposals(seed):
     rng = np.random.default_rng(seed)
     props = []
     for video_id, meta in sorted(corpus.metas.items()):
-        tubes, _ = track_link([d for d in corpus.detections if d.video_id == video_id])
+        tubes, _ = track_link(corpus.detections[video_id])
         for t in filter_static(tubes)[0]:
-            for p in make_proposals(t, meta.frame_bounds, id_start=len(props)):
+            for p in make_proposals(t, meta.width, meta.height, id_start=len(props)):
                 p.scores = {"Riding": float(rng.uniform(0.0, 1.0)), "Pull": float(rng.uniform(0.0, 1.0))}
                 props.append(p)
     return props

@@ -1,6 +1,7 @@
 """Fuzz of the file readers: tubelets, proposals (unscored and scored),
 instances (system output and ground truth), detections and video metadata.
-Mutations include a ``video_id`` that is not a string.
+Mutations include a ``video_id`` that is not a string and a real-valued
+field given as a string, a bool or an integer beyond the float range.
 
 Each example writes two valid records with the library's own writers, breaks
 one field of the second, and requires the reader to raise ParseError naming
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from tubekit import data_model, linking, refinement
 from tubekit.cli import main
 from tubekit.errors import ParseError
-from tubekit.geometry import Box, Interval
+from tubekit.geometry import Interval
 
 KINDS = ("tubelets", "proposals", "scored", "instances", "ground_truth")
 
@@ -168,8 +169,21 @@ def non_string_video_id(kind, rec, draw):
     rec["video_id"] = draw(st.sampled_from(NOT_A_STRING))
 
 
+TOO_LARGE = 10**400  # a JSON integer no float can hold
+
+
+def not_a_float(kind, rec, draw):
+    """A real-valued field (a box coordinate or score, a confidence or a
+    proposal score) made a string of its value, a bool or `TOO_LARGE`."""
+    fields = [(row, k) for row in rec["boxes"] for k in ("x1", "y1", "x2", "y2", "score") if k in row]
+    fields += [(rec, "confidence")] if "confidence" in rec else []
+    fields += [(e["scores"], k) for e in rec.get("proposals", []) if "scores" in e for k in e["scores"]]
+    target, key = draw(st.sampled_from(fields))
+    target[key] = draw(st.sampled_from((str(target[key]), True, False, TOO_LARGE)))
+
+
 MUTATIONS = [drop_key, non_finite, inverted, missing_frame, duplicated_frame, fractional_integer, unknown_class,
-             non_string_video_id]
+             non_string_video_id, not_a_float]
 
 
 def test_unmutated_files_read_and_run(tmp_path, inputs):
@@ -230,11 +244,12 @@ def test_rows_in_any_order_decode_in_frame_order(tmp_path):
 
 
 def _detections():
-    return [data_model.Detection("v0", f, Box(10.0 + f, 20.0, 40.0 + f, 60.0), "car", 0.9) for f in (0, 1)]
+    car = data_model.DETECTION_CLASSES.index("car")
+    return [data_model.detection_columns("v0", [(f, 10.0 + f, 20.0, 40.0 + f, 60.0, 0.9, car) for f in (0, 1)])]
 
 
 def _metas():
-    return [data_model.VideoMeta(v, 10, 30.0, Box(0.0, 0.0, 1280.0, 720.0)) for v in ("v0", "v1")]
+    return [data_model.VideoMeta(v, 10, 30.0, 1280.0, 720.0) for v in ("v0", "v1")]
 
 
 FLAT_KINDS = {
@@ -249,23 +264,27 @@ NOT_A_CLASS = (["car"], {"name": "car"}, 3, None, True)
 def flat_mutations(kind, rec):
     """(key, bad values) pairs for one record of `kind`."""
     coordinate = (math.nan, math.inf, -math.inf, "x", None)
+
+    def as_non_float(key):  # the value as a string, a bool or TOO_LARGE
+        return (str(rec[key]), True, False, TOO_LARGE)
+
     if kind == "detections":
         return [
             ("video_id", NOT_A_STRING),
-            ("frame", NOT_AN_INTEGER + (-1,)),
+            ("frame", NOT_AN_INTEGER + (-1, 2**63)),
             ("class", NOT_A_CLASS),
-            ("score", (math.nan, math.inf, 1.5, -0.1, "high")),
-            ("x1", coordinate + (rec["x2"] + 1.0,)),
-            ("y1", coordinate + (rec["y2"] + 1.0,)),
-            ("x2", coordinate),
-            ("y2", coordinate),
+            ("score", (math.nan, math.inf, 1.5, -0.1, "high") + as_non_float("score")),
+            ("x1", coordinate + (rec["x2"] + 1.0,) + as_non_float("x1")),
+            ("y1", coordinate + (rec["y2"] + 1.0,) + as_non_float("y1")),
+            ("x2", coordinate + as_non_float("x2")),
+            ("y2", coordinate + as_non_float("y2")),
         ]
     return [
         ("video_id", NOT_A_STRING),
         ("frame_count", NOT_AN_INTEGER + (0, -10)),
-        ("frame_rate", (math.nan, math.inf, -math.inf, 0.0, -30.0, "fast", None)),
-        ("width", coordinate + (-1.0,)),
-        ("height", coordinate + (-1.0,)),
+        ("frame_rate", (math.nan, math.inf, -math.inf, 0.0, -30.0, "fast", None) + as_non_float("frame_rate")),
+        ("width", coordinate + (-1.0,) + as_non_float("width")),
+        ("height", coordinate + (-1.0,) + as_non_float("height")),
     ]
 
 

@@ -66,33 +66,33 @@ class TestFilterStatic:
 
 
 class TestNormalizeBoxes:
-    def test_max_extension(self, frame_bounds):
+    def test_max_extension(self, frame_size):
         t = make_tubelet([[100, 100, 110, 110], [100, 100, 120, 110]])
-        out = normalize_boxes(t, frame_bounds, enlarge_factor=1.0)
+        out = normalize_boxes(t, *frame_size, enlarge_factor=1.0)
         assert (out.boxes[:, 2] - out.boxes[:, 0]).tolist() == [20, 20]
         assert (out.boxes[:, 3] - out.boxes[:, 1]).tolist() == [10, 10]
 
-    def test_uniform_boxes_enlarged(self, frame_bounds):
+    def test_uniform_boxes_enlarged(self, frame_size):
         t = make_tubelet(box_rows((100, 100, 110, 110), 3))
-        out = normalize_boxes(t, frame_bounds, enlarge_factor=1.2)
+        out = normalize_boxes(t, *frame_size, enlarge_factor=1.2)
         assert out.boxes[:, 2] - out.boxes[:, 0] == pytest.approx([12] * 3)
         assert out.boxes[:, 3] - out.boxes[:, 1] == pytest.approx([12] * 3)
 
-    def test_single_frame_identity(self, frame_bounds):
+    def test_single_frame_identity(self, frame_size):
         t = make_tubelet([[100, 100, 110, 110]])
-        out = normalize_boxes(t, frame_bounds, enlarge_factor=1.0)
+        out = normalize_boxes(t, *frame_size, enlarge_factor=1.0)
         assert np.array_equal(out.boxes, t.boxes)
 
-    def test_double_apply_equals_single(self, frame_bounds):
+    def test_double_apply_equals_single(self, frame_size):
         t = make_tubelet([[100, 100, 110, 110], [100, 100, 130, 125]])
-        once = normalize_boxes(t, frame_bounds, 1.2)
-        twice = normalize_boxes(once, frame_bounds, 1.0)
+        once = normalize_boxes(t, *frame_size, 1.2)
+        twice = normalize_boxes(once, *frame_size, 1.0)
         assert np.array_equal(twice.boxes, once.boxes)
 
-    def test_factor_below_one_rejected(self, frame_bounds):
+    def test_factor_below_one_rejected(self, frame_size):
         t = make_tubelet([[100, 100, 110, 110]])
         with pytest.raises(InvalidInputError):
-            normalize_boxes(t, frame_bounds, enlarge_factor=0.9)
+            normalize_boxes(t, *frame_size, enlarge_factor=0.9)
 
 
 class TestJitter:
@@ -149,9 +149,9 @@ class TestSampleFrames:
 
 
 class TestMakeProposals:
-    def test_sampled_frames_inside_window(self, frame_bounds):
+    def test_sampled_frames_inside_window(self, frame_size):
         t = moving_tubelet(100)
-        props = make_proposals(t, frame_bounds)
+        props = make_proposals(t, *frame_size)
         for p in props:
             assert len(p.sampled_frames) == 64
             assert all(p.window.start <= f < p.window.end for f in p.sampled_frames)
@@ -162,7 +162,7 @@ class TestMakeProposals:
             offset = p.window.start - p.tubelet.extent.start
             assert np.array_equal(p.boxes, p.tubelet.boxes[offset:offset + p.window.length])
 
-    def test_ids_sequential(self, frame_bounds):
+    def test_ids_sequential(self, frame_size):
         t = moving_tubelet(100)
-        props = make_proposals(t, frame_bounds, id_start=7)
+        props = make_proposals(t, *frame_size, id_start=7)
         assert [p.proposal_id for p in props] == list(range(7, 7 + len(props)))

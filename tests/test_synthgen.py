@@ -1,16 +1,22 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tubekit import linking
-from tubekit.data_model import ACTIVITY_CLASSES, OBJECT_CLASSES
+from tubekit.data_model import ACTIVITY_CLASSES, DETECTION_CLASSES, OBJECT_CLASSES
 from tubekit.errors import InvalidInputError, SchemaError
 from tubekit.synthgen import SceneConfig, SynthCorpus, generate, write_corpus
 
 
-def xyxy(box):
-    return (box.x1, box.y1, box.x2, box.y2)
+def detection_rows(corpus):
+    """(video_id, frame, box tuple, class, score) of every detection."""
+    return [
+        (v, f, tuple(b), DETECTION_CLASSES[c], s)
+        for v, d in sorted(corpus.detections.items())
+        for f, b, c, s in zip(d.frames.tolist(), d.boxes.tolist(), d.classes.tolist(), d.scores.tolist())
+    ]
 
 
 def small(seed=0, **kw):
@@ -44,20 +50,21 @@ class TestGenerate:
         for inst in corpus.ground_truth:
             for f, row in zip(inst.extent.frames(), inst.boxes.tolist()):
                 gt_boxes.setdefault((inst.video_id, f), []).append(tuple(row))
-        assert len(corpus.detections) == sum(i.extent.length for i in corpus.ground_truth)
-        for d in corpus.detections:
-            assert xyxy(d.box) in gt_boxes[(d.video_id, d.frame)]
+        rows = detection_rows(corpus)
+        assert len(rows) == sum(i.extent.length for i in corpus.ground_truth)
+        for video_id, frame, box, _, _ in rows:
+            assert box in gt_boxes[(video_id, frame)]
 
     def test_same_seed_byte_identical(self, tmp_path):
         a = write_corpus(generate(small(seed=9)), tmp_path / "a")
         b = write_corpus(generate(small(seed=9)), tmp_path / "b")
         for key in ("detections", "ground_truth", "video_meta", "manifest"):
-            assert open(a[key], "rb").read() == open(b[key], "rb").read()
+            assert Path(a[key]).read_bytes() == Path(b[key]).read_bytes()
 
     def test_different_seed_differs(self):
         a = generate(small(seed=1))
         b = generate(small(seed=2))
-        assert a.detections != b.detections
+        assert detection_rows(a) != detection_rows(b)
 
     def test_dropout_binomial_bound(self):
         cfg = SceneConfig(
@@ -67,7 +74,7 @@ class TestGenerate:
         corpus = generate(cfg)
         slots = sum(i.extent.length for i in corpus.ground_truth)
         assert slots == 10000
-        dropped = slots - len(corpus.detections)
+        dropped = slots - corpus.manifest["counts"]["detections"]
         assert abs(dropped - 2000) <= 150  # 3 sigma of Binomial(10000, 0.2)
 
     def test_instances_valid_and_classes_admitted(self):
@@ -75,22 +82,20 @@ class TestGenerate:
         for inst in corpus.ground_truth:
             assert inst.activity in ACTIVITY_CLASSES
             assert inst.boxes.shape == (inst.extent.length, 4)
-        for d in corpus.detections:
-            assert d.object_class in OBJECT_CLASSES
-            assert 0.0 <= d.score <= 1.0
+        for _, _, _, object_class, score in detection_rows(corpus):
+            assert object_class in OBJECT_CLASSES
+            assert 0.0 <= score <= 1.0
 
     def test_vehicle_activities_on_vehicle_tracks(self):
         corpus = generate(small(seed=5, activity_mix={"Closing": 0.5, "Riding": 0.5}))
         by_video_frame = {}
-        for d in corpus.detections:
-            by_video_frame.setdefault((d.video_id, d.frame), []).append(d)
+        for video_id, frame, box, object_class, _ in detection_rows(corpus):
+            by_video_frame.setdefault((video_id, frame), []).append((box, object_class))
         for inst in corpus.ground_truth:
             f = inst.extent.start
-            matching = [
-                d for d in by_video_frame[(inst.video_id, f)] if xyxy(d.box) == tuple(inst.boxes[0])
-            ]
+            matching = [c for box, c in by_video_frame[(inst.video_id, f)] if box == tuple(inst.boxes[0])]
             assert len(matching) == 1
-            cls = matching[0].object_class
+            cls = matching[0]
             if inst.activity == "Closing":
                 assert cls in ("car", "truck")
             else:
@@ -98,16 +103,10 @@ class TestGenerate:
 
     def test_noise_free_linkers_reconstruct_tracks(self):
         corpus = generate(small(seed=6))
-        by_video = {}
-        for d in corpus.detections:
-            by_video.setdefault(d.video_id, []).append(d)
         for link in (linking.greedy_link, linking.track_link):
             tubes = []
-            for v in sorted(by_video):
-                if link is linking.track_link:
-                    out, _ = link(by_video[v])
-                else:
-                    out, _ = link(by_video[v])
+            for v in sorted(corpus.detections):
+                out, _ = link(corpus.detections[v])
                 tubes.extend(out)
             assert len(tubes) == len(corpus.ground_truth)
             gt_by_key = {(g.video_id, tuple(g.boxes[0])): g for g in corpus.ground_truth}
@@ -120,7 +119,7 @@ class TestGenerate:
 class TestWriteCorpus:
     def test_manifest_records_rng_and_config(self, tmp_path):
         paths = write_corpus(generate(small(seed=7)), tmp_path / "c")
-        manifest = json.loads(open(paths["manifest"]).read())
+        manifest = json.loads(Path(paths["manifest"]).read_text())
         assert "PCG64" in manifest["rng"]
         assert manifest["config"]["seed"] == 7
         assert manifest["counts"]["videos"] == 2

@@ -49,7 +49,7 @@ def test_link_counters_follow_track_link(tmp_path):
                              dropout_rate=0.2, false_positive_rate=2.0)
     )
     paths = synthgen.write_corpus(corpus, tmp_path / "corpus")
-    video = [d for d in corpus.detections if d.video_id == "synth_0000"]
+    video = corpus.detections["synth_0000"]
     tracer = load_tracer().Tracer("test")
     tracer.install()
     try:
@@ -62,7 +62,8 @@ def test_link_counters_follow_track_link(tmp_path):
         tracer.uninstall()
     assert direct["linking.track_link"]["in"] == len(video)
     assert direct["linking.track_link"]["out"] == len(tubes) > 0
-    assert direct.get("geometry.Box", {}).get("inits", 0) <= len(video)
+    assert direct.get("geometry.Box", {}).get("inits", 0) == 0
+    assert both.get("geometry.Box", {}).get("inits", 0) == 0
     assert both["linking.track_link"]["calls"] == 3  # once more per video
-    assert both["linking.track_link"]["in"] == len(video) + len(corpus.detections)
+    assert both["linking.track_link"]["in"] == len(video) + corpus.manifest["counts"]["detections"]
     assert both["linking.track_link"]["out"] == len(tubes) + len(cli_tubes)
