@@ -77,18 +77,18 @@ class LinkStats:
     tracked_frames: int = 0
 
 
-def interpolate_gaps(frames, boxes, scores, max_interp_gap, stats=None, heads=(0,)):
+def interpolate_gaps(frames, boxes, scores, max_interp_gap, stats=None, firsts=(0,)):
     """Fill the holes between the detected rows of an object by linear
     interpolation, in the scalar formula's order b0 + k * (b1 - b0) / span.
 
     The rows (one frame, box and score each) hold one or more objects back to
-    back: object j starts at row `heads[j]`, and its frames strictly increase.
+    back: object j starts at row `firsts[j]`, and its frames strictly increase.
     Holes longer than `max_interp_gap` split an object. Returns the dense
     segments in row order as (extent, boxes, scores, provenance) tuples.
     """
     span = np.diff(frames)
     joined = np.ones(len(span), dtype=bool)
-    joined[np.asarray(heads[1:], dtype=np.int64) - 1] = False
+    joined[np.asarray(firsts[1:], dtype=np.int64) - 1] = False
     filled = joined & (span <= max_interp_gap + 1)
     # row i stands for its own frame and, when filled, the hole after it:
     # output rows k = 0 .. span - 1 frames past row i
@@ -168,7 +168,8 @@ def greedy_link(detections, config=LinkConfig(), stats=None):
 
 
 def _runs(values):
-    """[first, end) bounds of the runs of equal values in a sorted array."""
+    """[first, end) bounds of the runs of equal values in a sorted array of
+    non-negative values (frames)."""
     first = np.flatnonzero(np.diff(values, prepend=-1)).tolist()
     return first, first[1:] + [len(values)]
 
