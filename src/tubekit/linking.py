@@ -79,7 +79,9 @@ class LinkStats:
 
 def interpolate_gaps(frames, boxes, scores, max_interp_gap, stats=None, firsts=(0,)):
     """Fill the holes between the detected rows of an object by linear
-    interpolation, in the scalar formula's order b0 + k * (b1 - b0) / span.
+    interpolation, in the scalar formula's order b0 + k * (b1 - b0) / span
+    (not a premultiplied ratio: exact for linear motion with representable
+    velocities).
 
     The rows (one frame, box and score each) hold one or more objects back to
     back: object j starts at row `firsts[j]`, and its frames strictly increase.

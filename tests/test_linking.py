@@ -101,20 +101,25 @@ class TestInterpolateGaps:
         assert stats == LinkStats(splits_on_long_gap=1)
 
     def test_rows_equal_the_scalar_reference(self):
-        # random holes of 0 to 12 frames, some split at max_interp_gap 8;
-        # -0.0 must survive on a detected row
+        # 1 to 3 objects back to back, each with holes of 0 to 12 frames (some
+        # split at max_interp_gap 8) and frames that may overlap the previous
+        # object's; -0.0 must survive on a detected row
         rng = np.random.default_rng(11)
         for _ in range(200):
-            n = int(rng.integers(1, 12))
-            frames = np.cumsum(rng.integers(1, 14, n))
-            x, y = rng.uniform(-1e3, 1e3, n), rng.uniform(-1e3, 1e3, n)
-            x[0] = -0.0
-            boxes = np.stack([x, y, x + rng.uniform(0, 90, n), y + rng.uniform(0, 90, n)], axis=1)
-            scores = rng.uniform(0, 1, n)
             got_stats, want_stats = LinkStats(), LinkStats()
-            got = interpolate_gaps(frames, boxes, scores, 8, got_stats)
-            observed = {f: (Box(*b), s) for f, b, s in zip(frames.tolist(), boxes.tolist(), scores.tolist())}
-            want = reference_interpolate_gaps(observed, 8, want_stats)
+            objects, want = [], []
+            for _ in range(int(rng.integers(1, 4))):
+                n = int(rng.integers(1, 12))
+                frames = int(rng.integers(0, 30)) + np.cumsum(rng.integers(1, 14, n))
+                x, y = rng.uniform(-1e3, 1e3, n), rng.uniform(-1e3, 1e3, n)
+                x[0] = -0.0
+                boxes = np.stack([x, y, x + rng.uniform(0, 90, n), y + rng.uniform(0, 90, n)], axis=1)
+                scores = rng.uniform(0, 1, n)
+                objects.append((frames, boxes, scores))
+                observed = {f: (Box(*b), sc) for f, b, sc in zip(frames.tolist(), boxes.tolist(), scores.tolist())}
+                want += reference_interpolate_gaps(observed, 8, want_stats)
+            firsts = np.cumsum([0] + [len(f) for f, _, _ in objects[:-1]]).tolist()
+            got = interpolate_gaps(*(np.concatenate(col) for col in zip(*objects)), 8, got_stats, firsts)
             assert got_stats == want_stats
             assert len(got) == len(want)
             for (extent, b, sc, prov), (want_boxes, want_scores, want_prov) in zip(got, want):
