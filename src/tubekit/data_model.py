@@ -316,9 +316,15 @@ def _instance_from_record(rec):
     )
 
 
+def instance_order(inst):
+    """The canonical order of instances: descending confidence, then
+    video_id, start and activity."""
+    return -inst.confidence, inst.video_id, inst.extent.start, inst.activity
+
+
 def read_instances(path):
     out = read_records(path, "instance", _instance_from_record)
-    out.sort(key=lambda i: (-i.confidence, i.video_id, i.extent.start, i.activity))
+    out.sort(key=instance_order)
     return out
 
 
@@ -327,11 +333,8 @@ read_ground_truth = read_instances
 
 
 def write_instances(instances, path):
-    ordered = sorted(
-        instances, key=lambda i: (-i.confidence, i.video_id, i.extent.start, i.activity)
-    )
     recs = []
-    for inst in ordered:
+    for inst in sorted(instances, key=instance_order):
         recs.append(
             {
                 "video_id": inst.video_id,

@@ -285,6 +285,16 @@ def mean_p_miss(per_class, weights=None):
     return sum(v * weights.get(cls, 1.0) for cls, v in per_class.items()) / total_w
 
 
+def det_summary(curves, target_rfa=0.15, weights=None):
+    """p_miss at `target_rfa` per class and their (weighted) mean."""
+    per_class = {cls: p_miss_at_rfa(curves[cls], target_rfa) for cls in sorted(curves)}
+    return {
+        "target_rfa": target_rfa,
+        "per_class_p_miss": per_class,
+        "mean_p_miss": mean_p_miss(per_class, weights),
+    }
+
+
 # ---------------------------------------------------------------------------
 # exports
 
@@ -304,14 +314,7 @@ def write_det_csv(curves, path):
                 fh.write(f"{cls},{rfa:.6f},{p:.6f}\n")
 
 
-def write_det_summary(curves, path, target_rfa=0.15, weights=None):
-    per_class = {cls: p_miss_at_rfa(curves[cls], target_rfa) for cls in sorted(curves)}
-    summary = {
-        "target_rfa": target_rfa,
-        "per_class_p_miss": per_class,
-        "mean_p_miss": mean_p_miss(per_class, weights),
-    }
+def write_det_summary(summary, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    return summary

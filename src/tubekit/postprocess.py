@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .data_model import ActivityInstance
+from .data_model import ActivityInstance, instance_order
 from .errors import InvalidInputError
 from .proposals import NON_ACTION
 
@@ -199,5 +199,5 @@ def proposals_to_instances(proposals, score_threshold=0.05):
                     confidence=s,
                 )
             )
-    instances.sort(key=lambda i: (-i.confidence, i.video_id, i.extent.start, i.activity))
+    instances.sort(key=instance_order)
     return instances

@@ -1,6 +1,7 @@
 """Proposal labeling against ground truth, vehicle/person model routing, and
 the pluggable scorer interface with two bundled scorers."""
 
+import threading
 import zlib
 from dataclasses import dataclass
 from typing import Optional
@@ -11,6 +12,7 @@ from .errors import InvalidInputError, ScoringError
 from .geometry import mean_center_step, temporal_iou
 
 NON_ACTION = "non_action"
+LABEL_KINDS = ("positive", "negative", "ignore")
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,10 @@ def score(proposal, group, scorer):
 class OracleScorer:
     """Ground-truth-backed scorer for end-to-end tests: a positive proposal
     gets its matched class at 1 - epsilon, optionally flipped to a random
-    wrong class with probability `label_noise` (deterministic per proposal)."""
+    wrong class with probability `label_noise` (deterministic per proposal).
+
+    `label_counts` tallies the label of every proposal scored, by group name
+    and then label kind; scoring threads share it under a lock."""
 
     def __init__(self, instances, epsilon=0.0, label_noise=0.0, seed=0, policy=LabelPolicy()):
         if not 0.0 <= epsilon < 1.0:
@@ -138,6 +143,8 @@ class OracleScorer:
         self.label_noise = label_noise
         self.seed = seed
         self.policy = policy
+        self.label_counts = {}
+        self._lock = threading.Lock()
 
     def _unit_draw(self, proposal, salt):
         token = f"{self.seed}:{salt}:{proposal.video_id}:{proposal.proposal_id}"
@@ -145,6 +152,9 @@ class OracleScorer:
 
     def score(self, proposal, group):
         label = label_proposal(proposal, self.instances, self.policy)
+        with self._lock:
+            counts = self.label_counts.setdefault(group.name, dict.fromkeys(LABEL_KINDS, 0))
+            counts[label.kind] += 1
         scores = {a: 0.0 for a in group.activities}
         if label.kind == "positive" and label.activity in group.activities:
             activity = label.activity

@@ -1,3 +1,4 @@
+import builtins
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from tubekit import data_model, linking
+from test_goldens import CORPORA
+from tubekit import cli, data_model, linking, refinement
 from tubekit.cli import main
 
 runner = CliRunner()
@@ -56,48 +58,63 @@ def test_link(corpus_dir, tmp_path, strategy):
     assert (tmp_path / f"tubes_{strategy}.jsonl.manifest.json").exists()
 
 
-def test_full_stage_chain_and_pipeline_equivalence(corpus_dir, tmp_path):
-    det = str(corpus_dir / "detections.jsonl")
-    meta = str(corpus_dir / "video_meta.jsonl")
-    gt = str(corpus_dir / "ground_truth.jsonl")
+def _manifest(out_path):
+    return json.loads(Path(f"{out_path}.manifest.json").read_text())
+
+
+def _check_phases(manifest, stage_phases):
+    """Every stage of `timings_s` has the read/compute/write phases
+    `stage_phases`, and they sum to no more than the stage's seconds."""
+    for stage, seconds in manifest["timings_s"].items():
+        phases = manifest["phases_s"][stage]
+        assert set(phases) == stage_phases, stage
+        assert sum(phases.values()) <= seconds
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_full_stage_chain_and_pipeline_equivalence(tmp_path, name):
+    cfg = write_config(tmp_path, CORPORA[name])
+    corpus = tmp_path / "corpus"
+    assert run(["synth", "--out-dir", str(corpus), "--config", cfg]).exit_code == 0
+    det, gt, meta = (str(corpus / n) for n in ("detections.jsonl", "ground_truth.jsonl", "video_meta.jsonl"))
 
     tubes = str(tmp_path / "tubelets.jsonl")
-    assert run(["link", "--detections", det, "--meta", meta, "--out", tubes]).exit_code == 0
+    assert run(["link", "--detections", det, "--meta", meta, "--out", tubes, "--config", cfg]).exit_code == 0
 
     props = str(tmp_path / "proposals.jsonl")
-    assert run(["refine", "--tubelets", tubes, "--meta", meta, "--out", props]).exit_code == 0
+    assert run(["refine", "--tubelets", tubes, "--meta", meta, "--out", props, "--config", cfg]).exit_code == 0
 
     veh = str(tmp_path / "scored_vehicle.jsonl")
     per = str(tmp_path / "scored_person.jsonl")
     for out, group in ((veh, "vehicle_related"), (per, "person_related")):
         assert run([
-            "score", "--proposals", props, "--scorer", "oracle", "--ground-truth", gt,
-            "--out", out, "--group", group,
+            "score", "--proposals", props, "--ground-truth", gt, "--out", out, "--group", group, "--config", cfg,
         ]).exit_code == 0
 
     inst = str(tmp_path / "instances.jsonl")
-    assert run(["fuse", "--vehicle", veh, "--person", per, "--out", inst]).exit_code == 0
+    assert run(["fuse", "--vehicle", veh, "--person", per, "--out", inst, "--config", cfg]).exit_code == 0
 
     recall = str(tmp_path / "recall.csv")
-    assert run(["eval-recall", "--tubelets", tubes, "--ground-truth", gt, "--out", recall]).exit_code == 0
+    assert run([
+        "eval-recall", "--tubelets", tubes, "--ground-truth", gt, "--out", recall, "--config", cfg,
+    ]).exit_code == 0
     assert Path(recall).read_text().splitlines()[0] == "threshold,recall"
 
     det_csv = str(tmp_path / "det.csv")
     summary = str(tmp_path / "summary.json")
-    res = run([
+    assert run([
         "eval-det", "--instances", inst, "--ground-truth", gt, "--meta", meta,
-        "--out-csv", det_csv, "--out-summary", summary,
-    ])
-    assert res.exit_code == 0
-    assert json.loads(Path(summary).read_text())["mean_p_miss"] == 0.0
+        "--out-csv", det_csv, "--out-summary", summary, "--config", cfg,
+    ]).exit_code == 0
+    if name == "clean":
+        assert json.loads(Path(summary).read_text())["mean_p_miss"] == 0.0
 
     # pipeline subcommand on the same inputs produces identical data files
     pipe_dir = tmp_path / "pipe"
-    res = run([
-        "pipeline", "--out-dir", str(pipe_dir),
-        "--detections", det, "--ground-truth", gt, "--meta", meta,
-    ])
-    assert res.exit_code == 0
+    assert run([
+        "pipeline", "--out-dir", str(pipe_dir), "--detections", det, "--ground-truth", gt, "--meta", meta,
+        "--config", cfg,
+    ]).exit_code == 0
     for manual, staged in (
         (tubes, "tubelets.jsonl"),
         (props, "proposals.jsonl"),
@@ -109,6 +126,82 @@ def test_full_stage_chain_and_pipeline_equivalence(corpus_dir, tmp_path):
         (summary, "summary.json"),
     ):
         assert Path(manual).read_bytes() == (pipe_dir / staged).read_bytes()
+
+    # each subcommand times its read, compute and write; pipeline reads its
+    # inputs once, as a phase of its own, and its stages read nothing
+    for out in (tubes, props, veh, per, inst, recall, det_csv):
+        _check_phases(_manifest(out), {"read", "compute", "write"})
+    pipeline = _manifest(pipe_dir / "run")
+    _check_phases(pipeline, {"compute", "write"})
+    assert set(pipeline["phases_s"]) == {"inputs", *pipeline["timings_s"]}
+    assert set(pipeline["phases_s"]["inputs"]) == {"read"}
+
+    # the oracle's label funnel is the same scored alone or in the pipeline
+    scored_labels = {}
+    for out in (veh, per):
+        scored_labels.update(_manifest(out)["record_counts"].get("labels", {}))
+    assert pipeline["record_counts"].get("labels", {}) == scored_labels
+    assert bool(scored_labels) == (CORPORA[name].get("scorer", {}).get("name", "oracle") == "oracle")
+
+
+def _same_track(a, b):
+    assert (a.video_id, a.extent) == (b.video_id, b.extent)
+    assert (a.boxes.dtype, a.boxes.shape) == (b.boxes.dtype, b.boxes.shape)
+    assert a.boxes.tobytes() == b.boxes.tobytes()
+
+
+def _same_proposals(held, read):
+    assert len(held) == len(read)
+    for a, b in zip(held, read):
+        _same_track(a, b)
+        assert (a.proposal_id, a.tubelet_id, a.sample_count) == (b.proposal_id, b.tubelet_id, b.sample_count)
+        assert a.scores == b.scores
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_pipeline_objects_equal_its_files(tmp_path, name):
+    # pipeline hands objects from stage to stage without reading its files
+    # back, so the codecs must round-trip them exactly
+    out = tmp_path / "run"
+    held = cli.run_pipeline(cli._merged_config(write_config(tmp_path, CORPORA[name])), str(out))
+
+    tubes = linking.read_tubelets(out / "tubelets.jsonl")
+    assert len(held["tubelets"]) == len(tubes) > 0
+    for a, b in zip(held["tubelets"], tubes):
+        _same_track(a, b)
+        assert (a.id, a.object_class) == (b.id, b.object_class)
+        assert a.box_scores.tobytes() == b.box_scores.tobytes()
+        assert a.provenance.tobytes() == b.provenance.tobytes()
+
+    _same_proposals(held["proposals"], refinement.read_proposals(out / "proposals.jsonl"))
+    assert all(p.scores is None for p in held["proposals"])
+    for group, file_name in (("vehicle_related", "scored_vehicle.jsonl"), ("person_related", "scored_person.jsonl")):
+        _same_proposals(held["scored"][group], refinement.read_proposals(out / file_name))
+
+    instances = data_model.read_instances(out / "instances.jsonl")
+    assert len(held["instances"]) == len(instances)
+    for a, b in zip(held["instances"], instances):
+        _same_track(a, b)
+        assert (a.activity, a.confidence) == (b.activity, b.confidence)
+
+
+def test_pipeline_reads_each_input_once(corpus_dir, tmp_path, monkeypatch):
+    inputs = [str(corpus_dir / n) for n in ("detections.jsonl", "ground_truth.jsonl", "video_meta.jsonl")]
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        opened.append((os.path.abspath(file), mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    res = run(["pipeline", "--out-dir", str(tmp_path / "run"), "--detections", inputs[0],
+               "--ground-truth", inputs[1], "--meta", inputs[2]])
+    monkeypatch.undo()
+    assert res.exit_code == 0
+    reads = Counter(path for path, mode in opened if "r" in mode)
+    assert reads == Counter(os.path.abspath(p) for p in inputs)
+    assert len([path for path, mode in opened if "w" in mode]) == 9  # 8 data files and the manifest
 
 
 def test_pipeline_with_synth(tmp_path):
@@ -170,6 +263,27 @@ def test_unknown_video_id_consistency_error(tmp_path):
     ])
     assert res.exit_code == 1
     assert "ghost" in res.output
+
+
+def test_detection_frame_past_frame_count_exits_one(tmp_path):
+    # a frame far past the video would make the tracker step through every
+    # frame in between
+    meta = tmp_path / "meta.jsonl"
+    meta.write_text('{"video_id": "v0", "frame_count": 10, "frame_rate": 30, "width": 100, "height": 100}\n')
+    reports = {}
+    for last in (9, 5000):
+        det = tmp_path / f"d{last}.jsonl"
+        det.write_text("".join(json.dumps({"video_id": "v0", "frame": f, "x1": 0, "y1": 0, "x2": 10, "y2": 10,
+                                           "class": "person", "score": 0.9}) + "\n" for f in (0, last)))
+        res = runner.invoke(main, ["link", "--detections", str(det), "--meta", str(meta),
+                                   "--out", str(tmp_path / f"o{last}.jsonl")])
+        reports[last] = (res.exit_code, res.output.strip().splitlines()[-1])
+    assert reports[9][0] == 0
+    code, line = reports[5000]
+    report = json.loads(line)
+    assert code == 1 and report["stage"] == "link"
+    assert all(part in report["error"] for part in ("'v0'", "frame 5000", "frame_count 10"))
+    assert not (tmp_path / "o5000.jsonl").exists()
 
 
 def test_oracle_without_ground_truth_exits_one(corpus_dir, tmp_path):
@@ -363,6 +477,44 @@ def test_fuse_funnel_and_empty_output_warning(corpus_dir, tmp_path):
     assert res.exit_code == 0
     assert json.loads((tmp_path / "empty" / "run.manifest.json").read_text())["warnings"] == [warning]
     assert _warnings(res.output) == [warning]
+
+
+@pytest.mark.parametrize("videos, frames", [(1, 600), (2, 120)])
+def test_zero_positive_labels_warning(tmp_path, videos, frames):
+    # no window (at most 256 frames) reaches temporal IoU 0.5 against an
+    # activity spanning a whole 600-frame video; at 120 frames every group
+    # with references gets positives
+    cfg = write_config(tmp_path, {"synth": {"seed": 0, "video_count": videos, "frames_per_video": frames}})
+    out = tmp_path / "run"
+    res = run(["pipeline", "--config", cfg, "--out-dir", str(out)])
+    assert res.exit_code == 0
+    manifest = _manifest(out / "run")
+    labels = manifest["record_counts"]["labels"]
+    assert sorted(labels) == ["person_related", "vehicle_related"]
+    assert sum(c["positive"] + c["negative"] + c["ignore"] for c in labels.values()) == \
+        manifest["record_counts"]["proposals"]
+    with_refs = [group for group in sorted(labels) if labels[group]["references"]]
+    assert with_refs and all(labels[g]["longest_reference"] == frames for g in with_refs)
+    warnings = [w for w in _warnings(res.output) if w.startswith("0 positive labels")]
+    if frames <= 256 * 2:
+        assert warnings == [] and manifest["warnings"] == []
+        assert all(labels[g]["positive"] > 0 for g in with_refs)
+        return
+    assert all(labels[g]["positive"] == 0 for g in with_refs)
+    assert len(warnings) == len(with_refs) and manifest["warnings"][:len(warnings)] == warnings
+    for group, warning in zip(with_refs, warnings):
+        assert f" {group} " in warning
+        assert all(part in warning for part in ("label.temporal_pos is 0.5", "256 frames", "600 frames"))
+
+    # the score subcommand counts and warns the same for the group it scores
+    group = with_refs[0]
+    scored = tmp_path / "scored.jsonl"
+    res = run(["score", "--proposals", str(out / "proposals.jsonl"), "--ground-truth",
+               str(out / "ground_truth.jsonl"), "--group", group, "--out", str(scored)])
+    assert res.exit_code == 0
+    score_manifest = _manifest(scored)
+    assert score_manifest["record_counts"]["labels"] == {group: labels[group]}
+    assert _warnings(res.output) == score_manifest["warnings"] == warnings[:1]
 
 
 def test_link_funnel_in_manifests(dropout_corpus, tmp_path):
