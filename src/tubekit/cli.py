@@ -5,18 +5,20 @@ Subcommands mirror the three pipeline stages plus evaluation:
     synth, link, refine, score, fuse, eval-recall, eval-det, pipeline,
     default-config
 
-Each stage is read, compute, write. Its compute function (`link`, `refine`,
-`score`, `fuse`, `eval_recall`, `eval_det`) takes and returns objects and
-never touches a path. A subcommand (`run_link` ... `run_eval_det`) reads its
-input files, computes and writes its output files. `pipeline`
-(`run_pipeline`) reads only its three inputs, or generates them, hands the
-objects from stage to stage in memory, and still writes every file the
-subcommands write, byte for byte.
+Each stage is one function (`synth`, `link`, `refine`, `score`, `fuse`,
+`eval_recall`, `eval_det`) that takes objects and output paths, computes,
+writes its file(s), records its counts, warnings and phase seconds in a
+`Manifest`, and returns objects. A subcommand merges the config and its
+flags, reads its input files in a timed `read` phase, calls its stage and
+writes the manifest. `pipeline` (`run_pipeline`) reads its three inputs once,
+or generates them, calls the stages in sequence on the objects they return
+and writes one manifest; its files are those of the subcommands, byte for
+byte.
 
 Each run writes a manifest (``<output>.manifest.json``) with the config hash,
 the seconds per stage (``timings_s``) and per read/compute/write phase
-(``phases_s``), and record counts; data outputs are byte-reproducible across
-runs and worker counts.
+(``phases_s``), record counts and warnings; data outputs are
+byte-reproducible across runs and worker counts.
 
 Exit codes: 0 success, 1 input error, 2 stage failure.
 """
@@ -68,9 +70,13 @@ DEFAULT_CONFIG = {
 DEFAULT_CONFIG["link"]["strategy"] = "tracking"
 
 
-def _merged_config(path=None):
-    """The default config overridden by the JSON file at `path`; an unknown
-    section or key is an input error."""
+def _merged_config(path=None, flags=None):
+    """The default config overridden by the JSON file at `path`, then by each
+    value of `flags` ({"section.key" or "key": value}) that is not None.
+
+    The config is checked before any stage runs: an unknown section or key, a
+    section its stage dataclass rejects, an unknown `link.strategy` or a
+    `workers` that is not an integer >= 1 is an input error."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path:
         try:
@@ -92,6 +98,21 @@ def _merged_config(path=None):
                 if key not in cfg[section]:
                     raise InvalidInputError(f"unknown config key: {section}.{key}")
             cfg[section].update(value)
+    for name, value in (flags or {}).items():
+        if value is not None:
+            *section, key = name.split(".")
+            (cfg[section[0]] if section else cfg)[key] = value
+
+    for section in STAGE_CONFIGS:
+        try:
+            _stage_config(cfg, section)
+        except (TypeError, ValueError, InvalidInputError, SchemaError) as exc:
+            raise InvalidInputError(f"config section {section!r}: {exc}")
+    if cfg["link"]["strategy"] not in ("greedy", "tracking"):
+        raise InvalidInputError(f"unknown link.strategy: {cfg['link']['strategy']!r}")
+    workers = cfg["workers"]
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+        raise InvalidInputError(f"workers must be an integer >= 1: {workers!r}")
     return cfg
 
 
@@ -105,39 +126,41 @@ def _stage_config(cfg, section):
     return cls(**kwargs)
 
 
-def _config_hash(cfg):
-    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+class Manifest:
+    """What one command records about its run: the read/compute/write seconds
+    of each stage, the record counts and the warnings, and the config they
+    ran under."""
 
+    def __init__(self, command, cfg):
+        self.command, self.cfg = command, cfg
+        self.phases, self.counts, self.warnings = {}, {}, []
 
-_INPUTS = "inputs"  # the phases_s entry of pipeline's input read
+    @contextlib.contextmanager
+    def phase(self, stage, name):
+        """Record the wall seconds of the `with` body as stage `stage`'s phase `name`."""
+        started = time.perf_counter()
+        yield
+        self.phases.setdefault(stage, {})[name] = time.perf_counter() - started
 
+    def warn(self, warning):
+        click.echo(json.dumps({"stage": self.command, "warning": warning}), err=True)
+        self.warnings.append(warning)
 
-def _write_manifest(out_path, stage, cfg, phases, counts, warnings=None):
-    """Write `<out_path>.manifest.json`. `phases` holds the read/compute/write
-    seconds of each stage (`phases_s`); a stage's `timings_s` entry is their
-    sum. The pipeline's one read of its inputs belongs to no stage."""
-    manifest = {
-        "stage": stage,
-        "config_hash": _config_hash(cfg),
-        "timings_s": {name: sum(seconds.values()) for name, seconds in phases.items() if name != _INPUTS},
-        "phases_s": phases,
-        "record_counts": counts,
-    }
-    if warnings is not None:
-        manifest["warnings"] = warnings
-    with open(str(out_path) + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-@contextlib.contextmanager
-def _phase(phases, stage, name):
-    """Record the wall seconds of the `with` body as `phases[stage][name]`
-    (when `phases` is a dict)."""
-    started = time.perf_counter()
-    yield
-    if phases is not None:
-        phases.setdefault(stage, {})[name] = time.perf_counter() - started
+    def write(self, out_path):
+        """Write `<out_path>.manifest.json`. A stage's `timings_s` entry is the
+        sum of its phases; the pipeline's one read of its inputs (`inputs`)
+        belongs to no stage."""
+        manifest = {
+            "stage": self.command,
+            "config_hash": hashlib.sha256(json.dumps(self.cfg, sort_keys=True).encode()).hexdigest(),
+            "timings_s": {name: sum(s.values()) for name, s in self.phases.items() if name != "inputs"},
+            "phases_s": self.phases,
+            "record_counts": self.counts,
+            "warnings": self.warnings,
+        }
+        with open(str(out_path) + ".manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, sort_keys=True, indent=2)
+            fh.write("\n")
 
 
 def _parallel_map(fn, items, workers):
@@ -147,333 +170,235 @@ def _parallel_map(fn, items, workers):
         return list(pool.map(fn, items))
 
 
+def _check_frame_range(what, tracks, metas):
+    """The frame-range rule of every input: each track (detection columns,
+    tubelet or instance) must name a video of `metas` and its extent must end
+    at or before that video's frame_count; a ConsistencyError otherwise."""
+    for track in tracks:
+        meta, extent = metas.get(track.video_id), track.extent
+        if meta is None:
+            raise ConsistencyError(f"{what} references unknown video_id {track.video_id!r}")
+        if extent.end > meta.frame_count:
+            raise ConsistencyError(
+                f"video {track.video_id!r}: {what} extent [{extent.start}, {extent.end}) ends at frame "
+                f"{extent.end - 1}, outside its frame_count {meta.frame_count}"
+            )
+
+
 # ---------------------------------------------------------------------------
-# stage computations: objects in, objects out, no paths
+# stages: objects and output paths in, files written, counts recorded,
+# objects out
 
 
-def link(detections, metas, strategy, cfg, workers=1):
+def synth(m, out_dir):
+    """Generate the synthetic corpus into `out_dir`; returns it and its paths."""
+    with m.phase("synth", "compute"):
+        corpus = synthgen.generate(_stage_config(m.cfg, "synth"))
+    with m.phase("synth", "write"):
+        paths = synthgen.write_corpus(corpus, out_dir)
+    m.counts.update(corpus.manifest["counts"])
+    return corpus, paths
+
+
+def link(m, detections, metas, out):
     """Link every video of `detections` (what `read_detections` returns:
     per-video columns and the dropped-class counts) into tubelets numbered
-    across the videos in id order. Returns them with the link funnel
-    (detections in, dropped class names, and the `LinkStats` counts summed
-    over the videos in sorted order). A video missing from `metas`, or with
-    a detection frame at or past its `frame_count`, is a ConsistencyError."""
+    across the videos in id order. Counts the link funnel: detections in,
+    dropped class names, and the `LinkStats` counts summed over the videos
+    in sorted order."""
+    cfg = m.cfg
     videos, dropped = detections
-    unknown = set(videos) - set(metas)
-    if unknown:
-        raise ConsistencyError(f"detections reference unknown video_id(s): {sorted(unknown)}")
-    for video_id in sorted(videos):
-        frames, frame_count = videos[video_id].frames, metas[video_id].frame_count
-        if len(frames) and frames[-1] >= frame_count:  # frames ascend
-            raise ConsistencyError(
-                f"video {video_id!r}: detection frame {int(frames[-1])} is outside its frame_count {frame_count}"
-            )
-    if strategy not in ("greedy", "tracking"):
-        raise InvalidInputError(f"unknown strategy: {strategy!r}")
-    link_video = linking.greedy_link if strategy == "greedy" else linking.track_link
-
-    link_cfg = _stage_config(cfg, "link")
-    linked = _parallel_map(lambda v: link_video(videos[v], config=link_cfg), sorted(videos), workers)
-    all_tubes = []
-    for tubes, _ in linked:
-        for t in tubes:
-            t.id = len(all_tubes)
-            all_tubes.append(t)
-    funnel = {
-        "detections_in": sum(map(len, videos.values())),
-        "dropped_class_names": dict(sorted(dropped.items())),
+    with m.phase("link", "compute"):
+        _check_frame_range("detection", videos.values(), metas)
+        link_video = linking.greedy_link if cfg["link"]["strategy"] == "greedy" else linking.track_link
+        link_cfg = _stage_config(cfg, "link")
+        linked = _parallel_map(lambda v: link_video(videos[v], config=link_cfg), sorted(videos), cfg["workers"])
+        tubes = []
+        for video_tubes, _ in linked:
+            for t in video_tubes:
+                t.id = len(tubes)
+                tubes.append(t)
+    with m.phase("link", "write"):
+        linking.write_tubelets(tubes, out)
+    m.counts.update(
+        tubelets=len(tubes),
+        detections_in=sum(map(len, videos.values())),
+        dropped_class_names=dict(sorted(dropped.items())),
         **{f.name: sum(getattr(stats, f.name) for _, stats in linked) for f in dataclasses.fields(linking.LinkStats)},
-    }
-    return all_tubes, funnel
+    )
+    return tubes
 
 
-def refine(tubelets, metas, cfg, workers=1):
+def refine(m, tubelets, metas, out):
     """Drop the static tubelets and cut the others into proposals, numbered
-    in (video_id, tubelet_id, start, end) order; returns the proposals and
-    the number of tubelets removed."""
-    unknown = {t.video_id for t in tubelets} - set(metas)
-    if unknown:
-        raise ConsistencyError(f"tubelets reference unknown video_id(s): {sorted(unknown)}")
+    in (video_id, tubelet_id, start, end) order."""
+    with m.phase("refine", "compute"):
+        _check_frame_range("tubelet", tubelets, metas)
+        refine_cfg = _stage_config(m.cfg, "refine")
+        kept, removed = refinement.filter_static(tubelets, refine_cfg)
 
-    refine_cfg = _stage_config(cfg, "refine")
-    kept, removed = refinement.filter_static(tubelets, refine_cfg)
+        def _one(tub):
+            meta = metas[tub.video_id]
+            return refinement.make_proposals(tub, meta.width, meta.height, refine_cfg)
 
-    def _one(tub):
-        meta = metas[tub.video_id]
-        return refinement.make_proposals(tub, meta.width, meta.height, refine_cfg)
-
-    props = []
-    for plist in _parallel_map(_one, kept, workers):
-        props.extend(plist)
-    props.sort(key=lambda p: (p.video_id, p.tubelet_id, p.window.start, p.window.end))
-    for i, p in enumerate(props):
-        p.proposal_id = i
-    return props, removed
+        props = [p for plist in _parallel_map(_one, kept, m.cfg["workers"]) for p in plist]
+        props.sort(key=lambda p: (p.video_id, p.tubelet_id, p.window.start, p.window.end))
+        for i, p in enumerate(props):
+            p.proposal_id = i
+    with m.phase("refine", "write"):
+        refinement.write_proposals(props, out)
+    m.counts.update(proposals=len(props), removed_static=removed)
+    return props
 
 
-def score(props, ground_truth, cfg, groups=tuple(proposals.MODEL_GROUPS), workers=1):
+def score(m, props, ground_truth, outs):
     """Route each proposal once and score it under its model group, skipping
-    those routed outside `groups` (group names). The scored proposals are new
-    objects; `props` keep `scores` unset. Returns {group name: scored
-    proposals in input order} and the label funnel: for the oracle scorer,
-    per group the positive/negative/ignore label counts, the number of
-    references of the group's activities and the longest one's frame count;
-    empty for any other scorer."""
-    scorer_cfg = cfg["scorer"]
-    scorer = proposals.make_scorer(
-        scorer_cfg["name"],
-        ground_truth=ground_truth,
-        epsilon=scorer_cfg["epsilon"],
-        label_noise=scorer_cfg["label_noise"],
-        seed=scorer_cfg["seed"],
-        policy=_stage_config(cfg, "label"),
-    )
-    routed = []
-    for p in props:
-        group = proposals.route(p)
-        if group.name in groups:
-            routed.append((p, group))
+    those routed outside the groups `outs` maps to a file; groups that share
+    a file are written together. The scored proposals are new objects;
+    `props` keep `scores` unset. Returns {group name: scored proposals in
+    input order}.
 
-    def _one(item):
-        p, group = item
-        return dataclasses.replace(p, scores=proposals.score(p, group, scorer))
-
-    scored = _parallel_map(_one, routed, workers)
-    by_group = {name: [] for name in groups}
-    for (_, group), p in zip(routed, scored):
-        by_group[group.name].append(p)
-
-    labels = {}
-    if isinstance(scorer, proposals.OracleScorer):
-        for name in groups:
-            activities = proposals.MODEL_GROUPS[name].activities
-            lengths = [r.extent.length for r in ground_truth if r.activity in activities]
-            labels[name] = {
-                **dict.fromkeys(proposals.LABEL_KINDS, 0),
-                **scorer.label_counts.get(name, {}),
-                "references": len(lengths),
-                "longest_reference": max(lengths, default=0),
-            }
-    return by_group, labels
-
-
-def fuse(vehicle, person, cfg, funnel=None):
-    """Late-fuse the two groups' scored proposals into the final instances,
-    in `data_model.instance_order`; `funnel` receives `nms_in`/`nms_kept`."""
-    nms_cfg = _stage_config(cfg, "nms")
-    weights = (cfg["fusion"]["vehicle_weight"], cfg["fusion"]["person_weight"])
-    fused = postprocess.fuse(vehicle, person, nms_cfg, weights, funnel)
-    return postprocess.proposals_to_instances(fused, cfg["output"]["score_threshold"])
-
-
-def eval_recall(tubelets, references, cfg):
-    return evaluation.tubelet_recall(tubelets, references, cfg["eval"]["recall_thresholds"])
-
-
-def eval_det(instances, references, metas, cfg):
-    """DET curves per activity and their summary at `eval.target_rfa`."""
-    curves = evaluation.det_curve(instances, references, metas, _stage_config(cfg, "align"))
-    return curves, evaluation.det_summary(curves, cfg["eval"]["target_rfa"])
-
-
-def _label_warnings(stage, labels, cfg):
-    """Warn on stderr for each group that has references but no positive
-    label; returns the warnings for the manifest."""
-    window = cfg["refine"]["window_sizes"][-1]
-    warnings = []
-    for group, counts in sorted(labels.items()):
-        if not counts["references"] or counts["positive"]:
-            continue
-        warnings.append(
-            f"0 positive labels in {group} against {counts['references']} references: label.temporal_pos is "
-            f"{cfg['label']['temporal_pos']}, the longest window (refine.window_sizes) is {window} frames and "
-            f"the longest reference is {counts['longest_reference']} frames; a window inside a longer "
-            f"reference has temporal IoU at most window / reference"
+    With the oracle scorer, counts the label funnel: per group the
+    positive/negative/ignore label counts, the number of references of the
+    group's activities and the longest one's frame count. A group with
+    references but no positive label warns."""
+    cfg = m.cfg
+    groups = tuple(outs)
+    with m.phase("score", "compute"):
+        scorer_cfg = cfg["scorer"]
+        scorer = proposals.make_scorer(
+            scorer_cfg["name"],
+            ground_truth=ground_truth,
+            epsilon=scorer_cfg["epsilon"],
+            label_noise=scorer_cfg["label_noise"],
+            seed=scorer_cfg["seed"],
+            policy=_stage_config(cfg, "label"),
         )
-    for warning in warnings:
-        click.echo(json.dumps({"stage": stage, "warning": warning}), err=True)
-    return warnings
+        routed = []
+        for p in props:
+            group = proposals.route(p)
+            if group.name in groups:
+                routed.append((p, group))
+
+        def _one(item):
+            p, group = item
+            return dataclasses.replace(p, scores=proposals.score(p, group, scorer))
+
+        by_group = {name: [] for name in groups}
+        for (_, group), p in zip(routed, _parallel_map(_one, routed, cfg["workers"])):
+            by_group[group.name].append(p)
+    with m.phase("score", "write"):
+        for path in dict.fromkeys(outs.values()):
+            refinement.write_proposals([p for g in groups if outs[g] == path for p in by_group[g]], path)
+    m.counts["scored"] = len(routed)
+
+    if not isinstance(scorer, proposals.OracleScorer):
+        return by_group
+    labels = m.counts["labels"] = {}
+    for name in sorted(groups):
+        activities = proposals.MODEL_GROUPS[name].activities
+        lengths = [r.extent.length for r in ground_truth if r.activity in activities]
+        counts = labels[name] = {
+            **dict.fromkeys(proposals.LABEL_KINDS, 0),
+            **scorer.label_counts.get(name, {}),
+            "references": len(lengths),
+            "longest_reference": max(lengths, default=0),
+        }
+        if counts["references"] and not counts["positive"]:
+            m.warn(
+                f"0 positive labels in {name} against {counts['references']} references: label.temporal_pos is "
+                f"{cfg['label']['temporal_pos']}, the longest window (refine.window_sizes) is "
+                f"{cfg['refine']['window_sizes'][-1]} frames and the longest reference is "
+                f"{counts['longest_reference']} frames; a window inside a longer reference has temporal IoU "
+                f"at most window / reference"
+            )
+    return by_group
 
 
-def _fuse_warnings(stage, instances, funnel, cfg):
-    """Warn on stderr when fusion produced no instance; returns the warnings
-    for the manifest."""
-    if instances:
-        return []
-    warning = (
-        f"0 instances: soft-NMS kept {funnel['nms_kept']} of {funnel['nms_in']} bucket entries at "
-        f"nms.score_floor {cfg['nms']['score_floor']}, and none reached output.score_threshold "
-        f"{cfg['output']['score_threshold']}"
-    )
-    click.echo(json.dumps({"stage": stage, "warning": warning}), err=True)
-    return [warning]
-
-
-# ---------------------------------------------------------------------------
-# subcommand stages: read the input files, compute, write the output files
-
-
-def run_synth(cfg, out_dir, phases=None):
-    with _phase(phases, "synth", "compute"):
-        corpus = synthgen.generate(_stage_config(cfg, "synth"))
-    with _phase(phases, "synth", "write"):
-        paths = synthgen.write_corpus(corpus, out_dir)
-    return paths, corpus
-
-
-def run_link(detections_path, meta_path, strategy, cfg, out_path, workers=1, phases=None):
-    with _phase(phases, "link", "read"):
-        detections = data_model.read_detections(detections_path)
-        metas = data_model.read_video_meta(meta_path)
-    with _phase(phases, "link", "compute"):
-        tubes, funnel = link(detections, metas, strategy, cfg, workers)
-    with _phase(phases, "link", "write"):
-        linking.write_tubelets(tubes, out_path)
-    return tubes, funnel
-
-
-def run_refine(tubelets_path, meta_path, cfg, out_path, workers=1, phases=None):
-    with _phase(phases, "refine", "read"):
-        tubes = linking.read_tubelets(tubelets_path)
-        metas = data_model.read_video_meta(meta_path)
-    with _phase(phases, "refine", "compute"):
-        props, removed = refine(tubes, metas, cfg, workers)
-    with _phase(phases, "refine", "write"):
-        refinement.write_proposals(props, out_path)
-    return props, removed
-
-
-def run_score(proposals_path, cfg, out_path, ground_truth_path=None, group_filter=None, workers=1, phases=None):
-    """Score the proposals of every group, or of `group_filter` alone, into
-    one file; returns the scored proposals and the label funnel."""
-    with _phase(phases, "score", "read"):
-        props = refinement.read_proposals(proposals_path)
-        ground_truth = None
-        if cfg["scorer"]["name"] == "oracle":
-            if ground_truth_path is None:
-                raise InvalidInputError("oracle scorer requires --ground-truth")
-            ground_truth = data_model.read_ground_truth(ground_truth_path)
-    groups = tuple(proposals.MODEL_GROUPS) if group_filter is None else (group_filter,)
-    with _phase(phases, "score", "compute"):
-        by_group, labels = score(props, ground_truth, cfg, groups, workers)
-    scored = [p for group in by_group.values() for p in group]
-    with _phase(phases, "score", "write"):
-        refinement.write_proposals(scored, out_path)
-    return scored, labels
-
-
-def run_fuse(vehicle_path, person_path, cfg, out_path, funnel=None, phases=None):
-    with _phase(phases, "fuse", "read"):
-        vehicle = refinement.read_proposals(vehicle_path)
-        person = refinement.read_proposals(person_path)
-    with _phase(phases, "fuse", "compute"):
-        instances = fuse(vehicle, person, cfg, funnel)
-    with _phase(phases, "fuse", "write"):
-        data_model.write_instances(instances, out_path)
+def fuse(m, vehicle, person, out):
+    """Late-fuse the two groups' scored proposals into the final instances,
+    in `data_model.instance_order`. Counts them and soft-NMS's `nms_in`/
+    `nms_kept`; no instance at all warns."""
+    cfg = m.cfg
+    with m.phase("fuse", "compute"):
+        weights = (cfg["fusion"]["vehicle_weight"], cfg["fusion"]["person_weight"])
+        fused = postprocess.fuse(vehicle, person, _stage_config(cfg, "nms"), weights, m.counts)
+        instances = postprocess.proposals_to_instances(fused, cfg["output"]["score_threshold"])
+    with m.phase("fuse", "write"):
+        data_model.write_instances(instances, out)
+    m.counts["instances"] = len(instances)
+    if not instances:
+        m.warn(
+            f"0 instances: soft-NMS kept {m.counts['nms_kept']} of {m.counts['nms_in']} bucket entries at "
+            f"nms.score_floor {cfg['nms']['score_floor']}, and none reached output.score_threshold "
+            f"{cfg['output']['score_threshold']}"
+        )
     return instances
 
 
-def run_eval_recall(tubelets_path, ground_truth_path, cfg, out_path, phases=None):
-    with _phase(phases, "eval-recall", "read"):
-        tubes = linking.read_tubelets(tubelets_path)
-        refs = data_model.read_ground_truth(ground_truth_path)
-    with _phase(phases, "eval-recall", "compute"):
-        curve = eval_recall(tubes, refs, cfg)
-    with _phase(phases, "eval-recall", "write"):
-        evaluation.write_recall_csv(curve, out_path)
+def eval_recall(m, tubelets, references, out):
+    """Tubelet recall at each `eval.recall_thresholds` IoU."""
+    with m.phase("eval-recall", "compute"):
+        curve = evaluation.tubelet_recall(tubelets, references, m.cfg["eval"]["recall_thresholds"])
+    with m.phase("eval-recall", "write"):
+        evaluation.write_recall_csv(curve, out)
+    m.counts["thresholds"] = len(curve.thresholds)
     return curve
 
 
-def run_eval_det(instances_path, ground_truth_path, meta_path, cfg, out_csv, out_summary, phases=None):
-    with _phase(phases, "eval-det", "read"):
-        system = data_model.read_instances(instances_path)
-        refs = data_model.read_ground_truth(ground_truth_path)
-        metas = data_model.read_video_meta(meta_path)
-    with _phase(phases, "eval-det", "compute"):
-        curves, summary = eval_det(system, refs, metas, cfg)
-    with _phase(phases, "eval-det", "write"):
+def eval_det(m, instances, references, metas, out_csv, out_summary):
+    """DET curves per activity and their summary at `eval.target_rfa`."""
+    with m.phase("eval-det", "compute"):
+        _check_frame_range("instance", instances, metas)
+        _check_frame_range("ground-truth instance", references, metas)
+        curves = evaluation.det_curve(instances, references, metas, _stage_config(m.cfg, "align"))
+        summary = evaluation.det_summary(curves, m.cfg["eval"]["target_rfa"])
+    with m.phase("eval-det", "write"):
         evaluation.write_det_csv(curves, out_csv)
         evaluation.write_det_summary(summary, out_summary)
+    m.counts["classes"] = len(summary["per_class_p_miss"])
     return curves, summary
 
 
 def run_pipeline(cfg, out_dir, inputs=None):
     """Every stage in sequence on the (detections, ground truth, video meta)
     files `inputs`, or on a corpus generated into `out_dir` when `inputs` is
-    None. The inputs are read once; each stage takes the objects the stages
-    before it returned and writes the same file its subcommand writes. Writes
-    the run manifest and returns the tubelets, proposals, scored proposals
-    (by group), instances and DET summary by name."""
+    None; a generated corpus adds synth's `videos` and `detections` counts
+    (its `instances` count gives way to fuse's). Writes the run manifest and
+    returns the tubelets, proposals, scored proposals (by group), instances
+    and DET summary by name."""
     os.makedirs(out_dir, exist_ok=True)
-    workers = cfg["workers"]
-    phases, counts = {}, {}
+    m = Manifest("pipeline", cfg)
 
     def out(name):
         return os.path.join(out_dir, name)
 
     if inputs is None:
-        _, corpus = run_synth(cfg, out_dir, phases)
+        corpus, _ = synth(m, out_dir)
         detections = corpus.detections, {}
         # the order read_ground_truth sorts to: the oracle breaks ties by it
         ground_truth = sorted(corpus.ground_truth, key=data_model.instance_order)
         metas = corpus.metas
-        counts["detections"] = corpus.manifest["counts"]["detections"]
     else:
         detections_path, ground_truth_path, meta_path = inputs
-        with _phase(phases, _INPUTS, "read"):
+        with m.phase("inputs", "read"):
             detections = data_model.read_detections(detections_path)
             ground_truth = data_model.read_ground_truth(ground_truth_path)
             metas = data_model.read_video_meta(meta_path)
 
-    with _phase(phases, "link", "compute"):
-        tubes, link_funnel = link(detections, metas, cfg["link"]["strategy"], cfg, workers)
-    with _phase(phases, "link", "write"):
-        linking.write_tubelets(tubes, out("tubelets.jsonl"))
-    counts["tubelets"] = len(tubes)
-    counts.update(link_funnel)
-
-    with _phase(phases, "refine", "compute"):
-        props, removed = refine(tubes, metas, cfg, workers)
-    with _phase(phases, "refine", "write"):
-        refinement.write_proposals(props, out("proposals.jsonl"))
-    counts["proposals"] = len(props)
-    counts["removed_static"] = removed
-
-    with _phase(phases, "score", "compute"):
-        scored, labels = score(props, ground_truth, cfg, workers=workers)
-    with _phase(phases, "score", "write"):
-        refinement.write_proposals(scored["vehicle_related"], out("scored_vehicle.jsonl"))
-        refinement.write_proposals(scored["person_related"], out("scored_person.jsonl"))
-    if labels:
-        counts["labels"] = labels
-    warnings = _label_warnings("pipeline", labels, cfg)
-
-    funnel = {}
-    with _phase(phases, "fuse", "compute"):
-        instances = fuse(scored["vehicle_related"], scored["person_related"], cfg, funnel)
-    with _phase(phases, "fuse", "write"):
-        data_model.write_instances(instances, out("instances.jsonl"))
-    counts["instances"] = len(instances)
-    counts.update(funnel)
-    warnings += _fuse_warnings("pipeline", instances, funnel, cfg)
-
-    with _phase(phases, "eval-recall", "compute"):
-        recall = eval_recall(tubes, ground_truth, cfg)
-    with _phase(phases, "eval-recall", "write"):
-        evaluation.write_recall_csv(recall, out("recall.csv"))
-
-    with _phase(phases, "eval-det", "compute"):
-        curves, summary = eval_det(instances, ground_truth, metas, cfg)
-    with _phase(phases, "eval-det", "write"):
-        evaluation.write_det_csv(curves, out("det.csv"))
-        evaluation.write_det_summary(summary, out("summary.json"))
-
-    _write_manifest(out("run"), "pipeline", cfg, phases, counts, warnings)
+    tubes = link(m, detections, metas, out("tubelets.jsonl"))
+    props = refine(m, tubes, metas, out("proposals.jsonl"))
+    scored = score(m, props, ground_truth, {"vehicle_related": out("scored_vehicle.jsonl"),
+                                            "person_related": out("scored_person.jsonl")})
+    instances = fuse(m, scored["vehicle_related"], scored["person_related"], out("instances.jsonl"))
+    eval_recall(m, tubes, ground_truth, out("recall.csv"))
+    _, summary = eval_det(m, instances, ground_truth, metas, out("det.csv"), out("summary.json"))
+    m.write(out("run"))
     return {"tubelets": tubes, "proposals": props, "scored": scored, "instances": instances, "summary": summary}
 
 
 # ---------------------------------------------------------------------------
-# click wiring
+# click wiring: merge the config and flags, read the inputs, call the stage
 
 
 def _guarded(stage):
@@ -525,18 +450,11 @@ def default_config_cmd(out):
 @_guarded("synth")
 def synth_cmd(config_path, out_dir, seed, videos, frames, dropout):
     """Generate a synthetic corpus (detections, ground truth, video meta)."""
-    cfg = _merged_config(config_path)
-    for key, value in (
-        ("seed", seed),
-        ("video_count", videos),
-        ("frames_per_video", frames),
-        ("dropout_rate", dropout),
-    ):
-        if value is not None:
-            cfg["synth"][key] = value
-    phases = {}
-    paths, corpus = run_synth(cfg, out_dir, phases)
-    _write_manifest(os.path.join(out_dir, "synth"), "synth", cfg, phases, corpus.manifest["counts"])
+    flags = {"synth.seed": seed, "synth.video_count": videos, "synth.frames_per_video": frames,
+             "synth.dropout_rate": dropout}
+    m = Manifest("synth", _merged_config(config_path, flags))
+    _, paths = synth(m, out_dir)
+    m.write(os.path.join(out_dir, "synth"))
     click.echo(json.dumps(paths, sort_keys=True))
 
 
@@ -550,14 +468,12 @@ def synth_cmd(config_path, out_dir, seed, videos, frames, dropout):
 @_guarded("link")
 def link_cmd(detections, meta, strategy, out, config_path, workers):
     """Link per-frame detections into tubelets."""
-    cfg = _merged_config(config_path)
-    if strategy is not None:
-        cfg["link"]["strategy"] = strategy
-    if workers is not None:
-        cfg["workers"] = workers
-    phases = {}
-    tubes, funnel = run_link(detections, meta, cfg["link"]["strategy"], cfg, out, cfg["workers"], phases)
-    _write_manifest(out, "link", cfg, phases, {"tubelets": len(tubes), **funnel})
+    m = Manifest("link", _merged_config(config_path, {"link.strategy": strategy, "workers": workers}))
+    with m.phase("link", "read"):
+        videos = data_model.read_detections(detections)
+        metas = data_model.read_video_meta(meta)
+    tubes = link(m, videos, metas, out)
+    m.write(out)
     click.echo(f"wrote {len(tubes)} tubelets to {out}")
 
 
@@ -570,13 +486,13 @@ def link_cmd(detections, meta, strategy, out, config_path, workers):
 @_guarded("refine")
 def refine_cmd(tubelets, meta, out, config_path, workers):
     """Filter static tubelets, normalize boxes, jitter into proposals."""
-    cfg = _merged_config(config_path)
-    if workers is not None:
-        cfg["workers"] = workers
-    phases = {}
-    props, removed = run_refine(tubelets, meta, cfg, out, cfg["workers"], phases)
-    _write_manifest(out, "refine", cfg, phases, {"proposals": len(props), "removed_static": removed})
-    click.echo(f"wrote {len(props)} proposals to {out} ({removed} static tubelets removed)")
+    m = Manifest("refine", _merged_config(config_path, {"workers": workers}))
+    with m.phase("refine", "read"):
+        tubes = linking.read_tubelets(tubelets)
+        metas = data_model.read_video_meta(meta)
+    props = refine(m, tubes, metas, out)
+    m.write(out)
+    click.echo(f"wrote {len(props)} proposals to {out} ({m.counts['removed_static']} static tubelets removed)")
 
 
 @main.command("score")
@@ -591,19 +507,18 @@ def refine_cmd(tubelets, meta, out, config_path, workers):
 @_guarded("score")
 def score_cmd(proposals_path, scorer, ground_truth, out, group, epsilon, config_path, workers):
     """Score proposals with the selected scorer (optionally one model group)."""
-    cfg = _merged_config(config_path)
-    if scorer is not None:
-        cfg["scorer"]["name"] = scorer
-    if epsilon is not None:
-        cfg["scorer"]["epsilon"] = epsilon
-    if workers is not None:
-        cfg["workers"] = workers
-    phases = {}
-    scored, labels = run_score(proposals_path, cfg, out, ground_truth, group, cfg["workers"], phases)
-    warnings = _label_warnings("score", labels, cfg)
-    counts = {"scored": len(scored), **({"labels": labels} if labels else {})}
-    _write_manifest(out, "score", cfg, phases, counts, warnings)
-    click.echo(f"wrote {len(scored)} scored proposals to {out}")
+    flags = {"scorer.name": scorer, "scorer.epsilon": epsilon, "workers": workers}
+    m = Manifest("score", _merged_config(config_path, flags))
+    with m.phase("score", "read"):
+        props = refinement.read_proposals(proposals_path)
+        references = None
+        if m.cfg["scorer"]["name"] == "oracle":
+            if ground_truth is None:
+                raise InvalidInputError("oracle scorer requires --ground-truth")
+            references = data_model.read_ground_truth(ground_truth)
+    score(m, props, references, dict.fromkeys(proposals.MODEL_GROUPS if group is None else (group,), out))
+    m.write(out)
+    click.echo(f"wrote {m.counts['scored']} scored proposals to {out}")
 
 
 @main.command("fuse")
@@ -616,15 +531,13 @@ def score_cmd(proposals_path, scorer, ground_truth, out, group, epsilon, config_
 @_guarded("fuse")
 def fuse_cmd(vehicle, person, out, vehicle_weight, person_weight, config_path):
     """Late-fuse the two model outputs into final activity instances."""
-    cfg = _merged_config(config_path)
-    if vehicle_weight is not None:
-        cfg["fusion"]["vehicle_weight"] = vehicle_weight
-    if person_weight is not None:
-        cfg["fusion"]["person_weight"] = person_weight
-    phases, funnel = {}, {}
-    instances = run_fuse(vehicle, person, cfg, out, funnel, phases)
-    warnings = _fuse_warnings("fuse", instances, funnel, cfg)
-    _write_manifest(out, "fuse", cfg, phases, {"instances": len(instances), **funnel}, warnings)
+    flags = {"fusion.vehicle_weight": vehicle_weight, "fusion.person_weight": person_weight}
+    m = Manifest("fuse", _merged_config(config_path, flags))
+    with m.phase("fuse", "read"):
+        vehicle_scored = refinement.read_proposals(vehicle)
+        person_scored = refinement.read_proposals(person)
+    instances = fuse(m, vehicle_scored, person_scored, out)
+    m.write(out)
     click.echo(f"wrote {len(instances)} instances to {out}")
 
 
@@ -636,10 +549,12 @@ def fuse_cmd(vehicle, person, out, vehicle_weight, person_weight, config_path):
 @_guarded("eval-recall")
 def eval_recall_cmd(tubelets, ground_truth, out, config_path):
     """Recall of tubelet generation across IoU thresholds (CSV)."""
-    cfg = _merged_config(config_path)
-    phases = {}
-    curve = run_eval_recall(tubelets, ground_truth, cfg, out, phases)
-    _write_manifest(out, "eval-recall", cfg, phases, {"thresholds": len(curve.thresholds)})
+    m = Manifest("eval-recall", _merged_config(config_path))
+    with m.phase("eval-recall", "read"):
+        tubes = linking.read_tubelets(tubelets)
+        references = data_model.read_ground_truth(ground_truth)
+    eval_recall(m, tubes, references, out)
+    m.write(out)
     click.echo(f"wrote recall curve to {out}")
 
 
@@ -654,12 +569,13 @@ def eval_recall_cmd(tubelets, ground_truth, out, config_path):
 @_guarded("eval-det")
 def eval_det_cmd(instances, ground_truth, meta, out_csv, out_summary, target_rfa, config_path):
     """DET curves (p_miss vs rfa) and the summary p_miss@target."""
-    cfg = _merged_config(config_path)
-    if target_rfa is not None:
-        cfg["eval"]["target_rfa"] = target_rfa
-    phases = {}
-    _, summary = run_eval_det(instances, ground_truth, meta, cfg, out_csv, out_summary, phases)
-    _write_manifest(out_csv, "eval-det", cfg, phases, {"classes": len(summary["per_class_p_miss"])})
+    m = Manifest("eval-det", _merged_config(config_path, {"eval.target_rfa": target_rfa}))
+    with m.phase("eval-det", "read"):
+        system = data_model.read_instances(instances)
+        references = data_model.read_ground_truth(ground_truth)
+        metas = data_model.read_video_meta(meta)
+    _, summary = eval_det(m, system, references, metas, out_csv, out_summary)
+    m.write(out_csv)
     click.echo(json.dumps({"mean_p_miss": summary["mean_p_miss"]}))
 
 
@@ -674,9 +590,7 @@ def eval_det_cmd(instances, ground_truth, meta, out_csv, out_summary, target_rfa
 def pipeline_cmd(config_path, out_dir, detections, ground_truth, meta, workers):
     """Run every stage in sequence. Inputs come from the synthetic generator
     unless --detections/--ground-truth/--meta are all given."""
-    cfg = _merged_config(config_path)
-    if workers is not None:
-        cfg["workers"] = workers
+    cfg = _merged_config(config_path, {"workers": workers})
     inputs = (detections, ground_truth, meta) if detections and ground_truth and meta else None
     summary = run_pipeline(cfg, out_dir, inputs)["summary"]
     click.echo(json.dumps({"mean_p_miss": summary["mean_p_miss"], "out_dir": out_dir}))

@@ -78,6 +78,11 @@ class VideoDetections:
     def __len__(self):
         return len(self.frames)
 
+    @property
+    def extent(self):
+        """[first detection frame, last + 1); needs at least one row."""
+        return Interval(int(self.frames[0]), int(self.frames[-1]) + 1)
+
 
 def detection_columns(video_id, rows):
     """`VideoDetections` from (frame, x1, y1, x2, y2, score, class code)

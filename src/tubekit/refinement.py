@@ -14,16 +14,8 @@ from .proposals import NON_ACTION
 
 
 @dataclass(frozen=True)
-class MotionStats:
-    flow_max: float
-    flow_mean: float
-    coord_displacement: float  # mean per-frame center displacement, px
-
-
-@dataclass(frozen=True)
 class RefineConfig:
     coord_displacement_min: float = 0.5  # px/frame
-    flow_mean_min: float = 1.0
     enlarge_factor: float = 1.2
     window_sizes: tuple = (32, 64, 128, 256)
     window_stride: int = 16
@@ -87,32 +79,12 @@ class Proposal:
         return [self.window.start + r for r in sample_frames(self.window.length, self.sample_count)]
 
 
-def motion_stats(tubelet, motion_source=None):
-    """Per-tubelet motion summary from box centers and an optional per-frame
-    motion-magnitude provider ``motion_source(video_id, frame) -> float``."""
-    disp = mean_center_step(tubelet.boxes)
-    if motion_source is None:
-        return MotionStats(0.0, 0.0, disp)
-    mags = [float(motion_source(tubelet.video_id, f)) for f in tubelet.extent.frames()]
-    return MotionStats(max(mags), sum(mags) / len(mags), disp)
-
-
-def filter_static(tubelets, config=RefineConfig(), motion_source=None):
-    """Drop low-motion tubelets. A tubelet is kept when either its mean center
-    displacement or (when a flow source is present) its mean flow magnitude
-    clears the configured threshold. Order-preserving."""
-    kept = []
-    removed = 0
-    for t in tubelets:
-        stats = motion_stats(t, motion_source)
-        keep = stats.coord_displacement >= config.coord_displacement_min
-        if motion_source is not None:
-            keep = keep or stats.flow_mean >= config.flow_mean_min
-        if keep:
-            kept.append(t)
-        else:
-            removed += 1
-    return kept, removed
+def filter_static(tubelets, config=RefineConfig()):
+    """Drop low-motion tubelets: a tubelet is kept when its mean per-frame box
+    center displacement reaches `config.coord_displacement_min`.
+    Order-preserving; returns the kept tubelets and the number removed."""
+    kept = [t for t in tubelets if mean_center_step(t.boxes) >= config.coord_displacement_min]
+    return kept, len(tubelets) - len(kept)
 
 
 def normalize_boxes(tubelet, width, height, enlarge_factor=1.2):

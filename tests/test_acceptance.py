@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 from conftest import box_rows, make_proposal
 
-from tubekit import cli, linking, synthgen
+from tubekit import cli, data_model, linking, synthgen
 from tubekit.data_model import ActivityInstance
 from tubekit.evaluation import AlignmentPolicy, align_instances, tubelet_recall
 from tubekit.geometry import Box, Interval, spatial_iou, temporal_iou
@@ -356,22 +356,15 @@ def _pipeline_mean_p_miss(tmp_path, dropout):
     cfg = cli._merged_config()
     cfg["synth"].update(seed=900, video_count=4, frames_per_video=200,
                         objects_per_video=[3, 5], dropout_rate=dropout)
-    paths, _ = cli.run_synth(cfg, d)
-    tubes = d / "tubelets.jsonl"
-    props = d / "proposals.jsonl"
-    cli.run_link(paths["detections"], paths["video_meta"], "tracking", cfg, tubes)
-    cli.run_refine(tubes, paths["video_meta"], cfg, props)
-    scored = {}
-    for group in ("vehicle_related", "person_related"):
-        out = d / f"scored_{group}.jsonl"
-        cli.run_score(props, cfg, out, paths["ground_truth"], group)
-        scored[group] = out
-    inst = d / "instances.jsonl"
-    cli.run_fuse(scored["vehicle_related"], scored["person_related"], cfg, inst)
-    curves, summary = cli.run_eval_det(
-        inst, paths["ground_truth"], paths["video_meta"], cfg,
-        d / "det.csv", d / "summary.json",
-    )
+    m = cli.Manifest("pipeline", cfg)
+    _, paths = cli.synth(m, d)
+    metas = data_model.read_video_meta(paths["video_meta"])
+    refs = data_model.read_ground_truth(paths["ground_truth"])
+    tubes = cli.link(m, data_model.read_detections(paths["detections"]), metas, d / "tubelets.jsonl")
+    props = cli.refine(m, tubes, metas, d / "proposals.jsonl")
+    scored = cli.score(m, props, refs, {g: d / f"scored_{g}.jsonl" for g in ("vehicle_related", "person_related")})
+    inst = cli.fuse(m, scored["vehicle_related"], scored["person_related"], d / "instances.jsonl")
+    curves, summary = cli.eval_det(m, inst, refs, metas, d / "det.csv", d / "summary.json")
     for c in curves.values():
         pms = [p[1] for p in c.points]
         assert pms == sorted(pms, reverse=True), c.activity

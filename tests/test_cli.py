@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from conftest import box_rows, make_tubelet
 from test_goldens import CORPORA
 from tubekit import cli, data_model, linking, refinement
+from tubekit.geometry import Interval
 from tubekit.cli import main
 
 runner = CliRunner()
@@ -135,6 +137,18 @@ def test_full_stage_chain_and_pipeline_equivalence(tmp_path, name):
     _check_phases(pipeline, {"compute", "write"})
     assert set(pipeline["phases_s"]) == {"inputs", *pipeline["timings_s"]}
     assert set(pipeline["phases_s"]["inputs"]) == {"read"}
+
+    # pipeline counts and warns what the seven subcommands count and warn
+    subcommands = [_manifest(out) for out in (tubes, props, veh, per, inst, recall, det_csv)]
+    merged = {}
+    for manifest in subcommands:
+        for key, value in manifest["record_counts"].items():
+            if key not in merged:
+                merged[key] = value
+            else:  # the two score manifests: scored proposals and labels per group
+                merged[key] = {**merged[key], **value} if isinstance(value, dict) else merged[key] + value
+    assert pipeline["record_counts"] == merged
+    assert sorted(pipeline["warnings"]) == sorted(w for manifest in subcommands for w in manifest["warnings"])
 
     # the oracle's label funnel is the same scored alone or in the pipeline
     scored_labels = {}
@@ -361,7 +375,11 @@ def test_label_policy_reaches_oracle(corpus_dir, tmp_path):
 
 @pytest.mark.parametrize(
     "cfg, name",
-    [({"link": {"patiense": 5}}, "link.patiense"), ({"linking": {"patience": 5}}, "linking")],
+    [
+        ({"link": {"patiense": 5}}, "link.patiense"),
+        ({"linking": {"patience": 5}}, "linking"),
+        ({"refine": {"flow_mean_min": 1.0}}, "refine.flow_mean_min"),
+    ],
 )
 def test_unknown_config_key_exits_one(corpus_dir, tmp_path, cfg, name):
     res = runner.invoke(main, [
@@ -372,6 +390,74 @@ def test_unknown_config_key_exits_one(corpus_dir, tmp_path, cfg, name):
     assert res.exit_code == 1
     report = json.loads(res.output.strip().splitlines()[-1])
     assert report["stage"] == "link" and name in report["error"]
+
+
+@pytest.mark.parametrize(
+    "cfg, extra, section",
+    [
+        ({"link": {"patience": "5"}}, [], "'link'"),
+        ({"refine": {"window_sizes": 5}}, [], "'refine'"),
+        ({"nms": {"method": "box"}}, [], "'nms'"),
+        ({"align": {"temporal_iou_min": 0.0}}, [], "'align'"),
+        ({"link": {"strategy": "nearest"}}, [], "link.strategy"),
+        ({"workers": 0}, [], "workers"),
+        ({"workers": 1.5}, [], "workers"),
+        ({}, ["--workers", "0"], "workers"),
+    ],
+)
+def test_bad_config_value_exits_one_before_any_write(corpus_dir, tmp_path, cfg, extra, section):
+    out = tmp_path / "run"
+    res = runner.invoke(main, [
+        "pipeline", "--out-dir", str(out), "--detections", str(corpus_dir / "detections.jsonl"),
+        "--ground-truth", str(corpus_dir / "ground_truth.jsonl"), "--meta", str(corpus_dir / "video_meta.jsonl"),
+        "--config", write_config(tmp_path, cfg), *extra,
+    ])
+    assert res.exit_code == 1, res.output
+    report = json.loads(res.output.strip().splitlines()[-1])
+    assert report["stage"] == "pipeline" and section in report["error"]
+    assert not out.exists()
+
+
+META_V0 = '{"video_id": "v0", "frame_count": 10, "frame_rate": 30, "width": 100, "height": 100}\n'
+
+
+def test_tubelet_past_frame_count_exits_one(tmp_path):
+    meta = tmp_path / "meta.jsonl"
+    meta.write_text(META_V0)
+    moving = [[2.0 * k, 0.0, 2.0 * k + 10, 10.0] for k in range(40)]
+    reports = {}
+    for start in (0, 5000):
+        tubes = tmp_path / f"t{start}.jsonl"
+        linking.write_tubelets([make_tubelet(moving[:10] if start == 0 else moving, start=start)], tubes)
+        res = runner.invoke(main, ["refine", "--tubelets", str(tubes), "--meta", str(meta),
+                                   "--out", str(tmp_path / f"p{start}.jsonl")])
+        reports[start] = (res.exit_code, res.output.strip().splitlines()[-1])
+    assert reports[0][0] == 0
+    code, line = reports[5000]
+    report = json.loads(line)
+    assert code == 1 and report["stage"] == "refine"
+    assert all(part in report["error"] for part in ("'v0'", "[5000, 5040)", "frame_count 10"))
+    assert not (tmp_path / "p5000.jsonl").exists()
+
+
+@pytest.mark.parametrize("past", ["instances", "ground_truth"])
+def test_instance_past_frame_count_exits_one(tmp_path, past):
+    meta = tmp_path / "meta.jsonl"
+    meta.write_text(META_V0)
+    paths = {}
+    for name in ("instances", "ground_truth"):
+        start = 5000 if name == past else 0
+        paths[name] = tmp_path / f"{name}.jsonl"
+        data_model.write_instances([data_model.ActivityInstance("v0", "Riding", Interval(start, start + 5),
+                                                                box_rows((0, 0, 10, 10), 5), 0.9)], paths[name])
+    res = runner.invoke(main, ["eval-det", "--instances", str(paths["instances"]),
+                               "--ground-truth", str(paths["ground_truth"]), "--meta", str(meta),
+                               "--out-csv", str(tmp_path / "det.csv"), "--out-summary", str(tmp_path / "s.json")])
+    assert res.exit_code == 1, res.output
+    report = json.loads(res.output.strip().splitlines()[-1])
+    assert report["stage"] == "eval-det"
+    assert all(part in report["error"] for part in ("'v0'", "[5000, 5005)", "frame_count 10"))
+    assert not (tmp_path / "det.csv").exists()
 
 
 def test_default_config_round_trips(corpus_dir, tmp_path):

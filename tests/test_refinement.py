@@ -3,13 +3,12 @@ import pytest
 from conftest import box_rows, make_tubelet
 
 from tubekit.errors import InvalidInputError
-from tubekit.geometry import Interval
+from tubekit.geometry import Interval, mean_center_step
 from tubekit.refinement import (
     RefineConfig,
     filter_static,
     jitter,
     make_proposals,
-    motion_stats,
     normalize_boxes,
     sample_frames,
 )
@@ -21,23 +20,13 @@ def moving_tubelet(length, step=2.0, w=10.0, start_x=50.0):
 
 class TestMotionStats:
     def test_static(self):
-        t = make_tubelet(box_rows((0, 0, 10, 10), 5))
-        s = motion_stats(t)
-        assert (s.flow_max, s.flow_mean, s.coord_displacement) == (0.0, 0.0, 0.0)
+        assert mean_center_step(make_tubelet(box_rows((0, 0, 10, 10), 5)).boxes) == 0.0
 
     def test_constant_motion(self):
-        s = motion_stats(moving_tubelet(10, step=2.0))
-        assert s.coord_displacement == pytest.approx(2.0)
+        assert mean_center_step(moving_tubelet(10, step=2.0).boxes) == pytest.approx(2.0)
 
     def test_length_one(self):
-        assert motion_stats(moving_tubelet(1)).coord_displacement == 0.0
-
-    def test_flow_source(self):
-        t = moving_tubelet(4)
-        s = motion_stats(t, motion_source=lambda vid, f: float(f))
-        assert s.flow_max == 3.0
-        assert s.flow_mean == pytest.approx(1.5)
-        assert s.flow_max >= s.flow_mean >= 0.0
+        assert mean_center_step(moving_tubelet(1).boxes) == 0.0
 
 
 class TestFilterStatic:
@@ -58,11 +47,6 @@ class TestFilterStatic:
         once, _ = filter_static(tubes)
         twice, removed = filter_static(once)
         assert twice == once and removed == 0
-
-    def test_flow_channel_can_rescue(self):
-        static = make_tubelet(box_rows((0, 0, 10, 10), 5))
-        kept, _ = filter_static([static], motion_source=lambda vid, f: 5.0)
-        assert kept == [static]
 
 
 class TestNormalizeBoxes:

@@ -6,7 +6,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from tubekit import cli, linking, synthgen
+from tubekit import cli, data_model, linking, synthgen
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -55,8 +55,9 @@ def test_link_counters_follow_track_link(tmp_path):
     try:
         tubes, _ = linking.track_link(video)
         direct = tracer.totals()
-        cli_tubes, _ = cli.run_link(paths["detections"], paths["video_meta"], "tracking",
-                                    cli._merged_config(), tmp_path / "tubelets.jsonl")
+        cli_tubes = cli.link(cli.Manifest("link", cli._merged_config()),
+                             data_model.read_detections(paths["detections"]),
+                             data_model.read_video_meta(paths["video_meta"]), tmp_path / "tubelets.jsonl")
         both = tracer.totals()
     finally:
         tracer.uninstall()
