@@ -1,5 +1,6 @@
 """Golden digests: `tubekit pipeline` on four small fixed corpora must write
-byte-identical tubelets and final outputs across refactors.
+byte-identical data files across refactors: the generated corpus, the
+tubelets, the unscored and scored proposals, and the final outputs.
 
 A deliberate change to any of these files (a new corpus generator, a new
 scoring rule) re-baselines the digests below in its own commit, and says so.
@@ -13,7 +14,11 @@ from click.testing import CliRunner
 
 from tubekit.cli import main
 
-OUTPUTS = ("tubelets.jsonl", "instances.jsonl", "det.csv", "summary.json", "recall.csv")
+OUTPUTS = (
+    "tubelets.jsonl", "instances.jsonl", "det.csv", "summary.json", "recall.csv",
+    "proposals.jsonl", "scored_vehicle.jsonl", "scored_person.jsonl",
+    "detections.jsonl", "ground_truth.jsonl", "video_meta.jsonl",
+)
 
 CORPORA = {
     "clean": {"synth": {"seed": 0, "video_count": 2, "frames_per_video": 120}},
@@ -53,6 +58,12 @@ GOLDENS = {
         "det.csv": "f02f47cf6b7672d63219802c3bfc9fd9325c2dec2574db90df11963c9f7ad27d",
         "summary.json": "9bff52cc11c503e658c6b6b6869682e26dccdb4072d7f0555d5e0da285232f85",
         "recall.csv": "8e4b46849f1759038253abdd6d3b500146e4a52e28c7c698bf4aa6cccf19a7b2",
+        "proposals.jsonl": "624334a84531a41ac4e381f87c6b67d1a73636d52f95b2a5bcbf75cfeb8ca7c4",
+        "scored_vehicle.jsonl": "ed5d6cc97328ffe5407cae6e2bb92b0b99ca1389e2e9525168bd29bd87566123",
+        "scored_person.jsonl": "e490044988efcc10aee2e27d5ac2989ed0b399c88365b1b0ede5746d90df54dd",
+        "detections.jsonl": "3baa2b2eefe42619c8c2e48b7ed05e120c8b3e3a4a0f3e16c8aaa6b2239449e6",
+        "ground_truth.jsonl": "b9328db26a102de86bfc379223c008bdcd5193b90608c3f93e238f78b4cb9db4",
+        "video_meta.jsonl": "7dea6b64797909f97fc7bbc5f6e2988d720b2be1eb423bd21dff2cb594e9bc65",
     },
     "noisy-oracle": {
         "tubelets.jsonl": "499f74d32bb6f7cff9855c73f3b92b670190fda01b302cb5bff595b7b2930aee",
@@ -60,6 +71,12 @@ GOLDENS = {
         "det.csv": "539e03fd721eb0f284cbe64bc1fe6915c36b25d6029af20091f2ef7eff0c0912",
         "summary.json": "109afd18287af97207ca88fff4f980e063b0643f235744cf41ae1eee9c362cc0",
         "recall.csv": "3824620ba9051be4a75e2a01270cb3abbc11102ee0c57792c4940f4824c9f86d",
+        "proposals.jsonl": "ca784b84ea486c22bf62f98d7d4888a03ef7e6aa95a79618fcc1dfeee364743a",
+        "scored_vehicle.jsonl": "9db38e6ec0ad5971067e13ee71ab6beaee4f524a8c0c8df9bc2317acc53309fe",
+        "scored_person.jsonl": "d487e9bc5278b5fa41fb0d95e95bc84c789287585beee4a72e9a1d97ee6227f4",
+        "detections.jsonl": "7fcf7ec5123ebe8fc40dd66a042d9c9ab6bc6f4ae17fbae5db361c905d7ca915",
+        "ground_truth.jsonl": "efa97b836643ef037240f53d26413c6ecedda748d07ece63f9a373c694a2919d",
+        "video_meta.jsonl": "77e3dc2abb330e09f647ef241f1f3f297301fd6c0bb210602cb94f17cc05eafb",
     },
     "heuristic": {
         "tubelets.jsonl": "35ed5c999fbb915afc01243778762d535412f2c5c4cb51b1a5ef581c3b547674",
@@ -67,6 +84,12 @@ GOLDENS = {
         "det.csv": "ddd8c692e332ea8e4d0c86c91e7b603e8a8387b645cd7a4f369d6dd58a64ecaf",
         "summary.json": "31da692103be9daa95d861256edf0c72236f1fddac2f0284fb3ffc3b97c18772",
         "recall.csv": "5e51d09b2b93076bc75f2275f9c5462b433d47fe2c6b3788bba156d1d1813cb8",
+        "proposals.jsonl": "399b45ac69bc9934170da96f9b74cbeb7608679c527d1e80b9ff733e85ad9028",
+        "scored_vehicle.jsonl": "6bfeefcdd33862e0c4792e562b7c311b1cc0e600cfa86fa4f10b7add3fe9d693",
+        "scored_person.jsonl": "4086e7a3706e7bf122de20c39cd96e39447c04aab4bb1876abb5e3b0f38fb182",
+        "detections.jsonl": "ace3e0f03ffaa4145bc3482aa6cf9f8de4e6aba6e53e5ee569c8402f62cc2e13",
+        "ground_truth.jsonl": "d54ba0fb0d3915275a218a2920734718ce91796b5332054c03fbec578e8d1e66",
+        "video_meta.jsonl": "7dea6b64797909f97fc7bbc5f6e2988d720b2be1eb423bd21dff2cb594e9bc65",
     },
     "greedy": {
         "tubelets.jsonl": "63aa94d8b3d4d0e07392c4f04bf2a824de9d05826f3074b3004d79794d7ad762",
@@ -74,6 +97,12 @@ GOLDENS = {
         "det.csv": "663d7c93d503347dca1194ff174b76f5ce180dfacb351f723b8e21b431cd3dca",
         "summary.json": "513f81d7e595c0d5835126ea8717ec93369feade860dd2b012767b101ff83efa",
         "recall.csv": "3bb98f5839d45a28069d239576d8c3527a570f141925aee56cd6556cc879e5b1",
+        "proposals.jsonl": "6814a7568c9eb16328adb36f73367c309b11bc04f3c8f8dce8d836113ba5347a",
+        "scored_vehicle.jsonl": "5da128b31d06e2068879c1c1ae219cf649fcd4c7ea057ad1f5d5744cccfb1414",
+        "scored_person.jsonl": "bb2ec13fba439d8974ecd69ae9232d9bc9721c0c2e0bdab712ab81e4c1e59a82",
+        "detections.jsonl": "8bd632150cbfd814adbb83847f947b87a3bc36a5b47476ce4d6f922bb7b54ca2",
+        "ground_truth.jsonl": "f07004e9ba05d5a2e8d191b3d75d4ccea84337b86bff3e19b440e42183bf7497",
+        "video_meta.jsonl": "2cdc9b1c4274100deaa26b7804676666e20a6b819c7f00ec9f59b498ecc37b81",
     },
 }
 

@@ -68,3 +68,22 @@ def test_link_counters_follow_track_link(tmp_path):
     assert both["linking.track_link"]["calls"] == 3  # once more per video
     assert both["linking.track_link"]["in"] == len(video) + corpus.manifest["counts"]["detections"]
     assert both["linking.track_link"]["out"] == len(tubes) + len(cli_tubes)
+
+
+def test_write_counters_equal_the_written_files(tmp_path):
+    # the benchmark's data_model.write_jsonl_records / write_mb read these
+    # counts; a writer that bypasses write_jsonl would silently lower them
+    cfg = cli._merged_config()
+    cfg["synth"].update(seed=3, video_count=2, frames_per_video=80, dropout_rate=0.1, false_positive_rate=0.5)
+    tracer = load_tracer().Tracer("test")
+    tracer.install()
+    try:
+        cli.run_pipeline(cfg, tmp_path / "run")
+        writes = tracer.totals()["data_model.write_jsonl"]
+    finally:
+        tracer.uninstall()
+    files = sorted((tmp_path / "run").glob("*.jsonl"))
+    assert len(files) == 8
+    assert writes["calls"] == len(files)
+    assert writes["bytes"] == sum(f.stat().st_size for f in files)
+    assert writes["records"] == sum(len(f.read_bytes().splitlines()) for f in files)
