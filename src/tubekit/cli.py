@@ -36,38 +36,31 @@ import click
 
 from . import data_model, evaluation, linking, postprocess, proposals, refinement, synthgen
 from .errors import ConsistencyError, InvalidInputError, ParseError, SchemaError, TubekitError
-from .evaluation import AlignmentPolicy
+from .evaluation import AlignmentPolicy, EvalConfig
 from .linking import LinkConfig
-from .postprocess import SoftNmsConfig
-from .proposals import LabelPolicy
+from .postprocess import FusionConfig, OutputConfig, SoftNmsConfig
+from .proposals import LabelPolicy, ScorerConfig
 from .refinement import RefineConfig
 
-# Config sections backed by a stage dataclass: their defaults are the
-# dataclass defaults, and `_stage_config` builds the dataclass from the section.
+# Config sections backed by a dataclass: their defaults are the dataclass
+# defaults, and `_stage_config` builds the dataclass from the section.
 STAGE_CONFIGS = {
     "synth": synthgen.SceneConfig,
     "link": LinkConfig,
     "refine": RefineConfig,
     "label": LabelPolicy,
+    "scorer": ScorerConfig,
     "nms": SoftNmsConfig,
+    "fusion": FusionConfig,
+    "output": OutputConfig,
+    "eval": EvalConfig,
     "align": AlignmentPolicy,
 }
 
-DEFAULT_CONFIG = {
-    **{
-        section: {f.name: f.default for f in dataclasses.fields(cls)}
-        for section, cls in STAGE_CONFIGS.items()
-    },
-    "scorer": {"name": "oracle", "epsilon": 0.0, "label_noise": 0.0, "seed": 0},
-    "fusion": {"vehicle_weight": 1.0, "person_weight": 1.0},
-    "eval": {
-        "target_rfa": 0.15,
-        "recall_thresholds": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
-    },
-    "output": {"score_threshold": 0.05},
-    "workers": 1,
-}
+DEFAULT_CONFIG = {section: {f.name: f.default for f in dataclasses.fields(cls)}
+                  for section, cls in STAGE_CONFIGS.items()}
 DEFAULT_CONFIG["link"]["strategy"] = "tracking"
+DEFAULT_CONFIG["workers"] = 1
 
 
 def _merged_config(path=None, flags=None):
@@ -75,8 +68,8 @@ def _merged_config(path=None, flags=None):
     value of `flags` ({"section.key" or "key": value}) that is not None.
 
     The config is checked before any stage runs: an unknown section or key, a
-    section its stage dataclass rejects, an unknown `link.strategy` or a
-    `workers` that is not an integer >= 1 is an input error."""
+    section its dataclass rejects, an unknown `link.strategy` or a `workers`
+    that is not an integer >= 1 is an input error."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path:
         try:
@@ -119,11 +112,8 @@ def _merged_config(path=None, flags=None):
 def _stage_config(cfg, section):
     """Build the stage dataclass from its config section; JSON lists become tuples."""
     cls = STAGE_CONFIGS[section]
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        value = cfg[section][f.name]
-        kwargs[f.name] = tuple(value) if isinstance(value, list) else value
-    return cls(**kwargs)
+    values = {f.name: cfg[section][f.name] for f in dataclasses.fields(cls)}
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
 
 class Manifest:
@@ -265,15 +255,8 @@ def score(m, props, ground_truth, outs):
     cfg = m.cfg
     groups = tuple(outs)
     with m.phase("score", "compute"):
-        scorer_cfg = cfg["scorer"]
-        scorer = proposals.make_scorer(
-            scorer_cfg["name"],
-            ground_truth=ground_truth,
-            epsilon=scorer_cfg["epsilon"],
-            label_noise=scorer_cfg["label_noise"],
-            seed=scorer_cfg["seed"],
-            policy=_stage_config(cfg, "label"),
-        )
+        scorer = proposals.make_scorer(**dataclasses.asdict(_stage_config(cfg, "scorer")), ground_truth=ground_truth,
+                                       policy=_stage_config(cfg, "label"))
         routed = []
         for p in props:
             group = proposals.route(p)
@@ -321,9 +304,10 @@ def fuse(m, vehicle, person, out):
     `nms_kept`; no instance at all warns."""
     cfg = m.cfg
     with m.phase("fuse", "compute"):
-        weights = (cfg["fusion"]["vehicle_weight"], cfg["fusion"]["person_weight"])
+        fusion = _stage_config(cfg, "fusion")
+        weights = (fusion.vehicle_weight, fusion.person_weight)
         fused = postprocess.fuse(vehicle, person, _stage_config(cfg, "nms"), weights, m.counts)
-        instances = postprocess.proposals_to_instances(fused, cfg["output"]["score_threshold"])
+        instances = postprocess.proposals_to_instances(fused, _stage_config(cfg, "output").score_threshold)
     with m.phase("fuse", "write"):
         data_model.write_instances(instances, out)
     m.counts["instances"] = len(instances)
@@ -339,7 +323,7 @@ def fuse(m, vehicle, person, out):
 def eval_recall(m, tubelets, references, out):
     """Tubelet recall at each `eval.recall_thresholds` IoU."""
     with m.phase("eval-recall", "compute"):
-        curve = evaluation.tubelet_recall(tubelets, references, m.cfg["eval"]["recall_thresholds"])
+        curve = evaluation.tubelet_recall(tubelets, references, _stage_config(m.cfg, "eval").recall_thresholds)
     with m.phase("eval-recall", "write"):
         evaluation.write_recall_csv(curve, out)
     m.counts["thresholds"] = len(curve.thresholds)
@@ -352,7 +336,7 @@ def eval_det(m, instances, references, metas, out_csv, out_summary):
         _check_frame_range("instance", instances, metas)
         _check_frame_range("ground-truth instance", references, metas)
         curves = evaluation.det_curve(instances, references, metas, _stage_config(m.cfg, "align"))
-        summary = evaluation.det_summary(curves, m.cfg["eval"]["target_rfa"])
+        summary = evaluation.det_summary(curves, _stage_config(m.cfg, "eval").target_rfa)
     with m.phase("eval-det", "write"):
         evaluation.write_det_csv(curves, out_csv)
         evaluation.write_det_summary(summary, out_summary)
@@ -412,11 +396,9 @@ def _guarded(stage):
             except (ParseError, SchemaError, ConsistencyError, InvalidInputError, FileNotFoundError) as exc:
                 click.echo(json.dumps({"stage": stage, "error": str(exc)}), err=True)
                 sys.exit(1)
-            except TubekitError as exc:
-                click.echo(json.dumps({"stage": stage, "error": str(exc)}), err=True)
-                sys.exit(2)
             except Exception as exc:  # stage failure
-                click.echo(json.dumps({"stage": stage, "error": repr(exc)}), err=True)
+                error = str(exc) if isinstance(exc, TubekitError) else repr(exc)
+                click.echo(json.dumps({"stage": stage, "error": error}), err=True)
                 sys.exit(2)
 
         wrapper.__name__ = fn.__name__

@@ -10,13 +10,15 @@ File formats, one JSON object per line:
 
 All numeric fields are decimal-encoded, every ``video_id`` is a JSON string
 and every real-valued field is a finite JSON number (not a string or bool).
-Writers emit keys in sorted order and records in canonical order so output
-bytes are stable across runs.
+Writers emit records in canonical order, each line the text
+``json.dumps(record, sort_keys=True)`` gives (ints and floats as ``repr``
+writes them). They format it directly, with ``box_rows_text`` and one line
+format per record kind, not a dict per record, and refuse NaN and infinity.
 
 Detections are held per video as columns (`VideoDetections`). Instances,
 tubelets and proposals are *tracks*: an ``extent`` plus an (n,4) float64
-``boxes`` array whose row k is frame ``extent.start + k``.
-``encode_boxes``/``decode_boxes`` are the one JSON box-list codec they share.
+``boxes`` array whose row k is frame ``extent.start + k``. They share one box
+list format: ``box_rows_text`` writes it and ``decode_boxes`` reads it.
 """
 
 import json
@@ -108,9 +110,7 @@ def track_boxes(boxes, extent):
     `extent`; any other shape is an input error."""
     boxes = np.asarray(boxes, dtype=np.float64)
     if boxes.shape != (extent.length, 4):
-        raise InvalidInputError(
-            f"need one box per frame of [{extent.start}, {extent.end}), got shape {boxes.shape}"
-        )
+        raise InvalidInputError(f"need one box per frame of [{extent.start}, {extent.end}), got shape {boxes.shape}")
     return boxes
 
 
@@ -169,11 +169,20 @@ def read_jsonl(path):
             yield lineno, rec
 
 
-def write_jsonl(records, path):
+def write_jsonl(lines, path):
+    """Write each JSON text of `lines` as one line; every writer's lines pass
+    through here."""
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True))
+        for line in lines:
+            fh.write(line)
             fh.write("\n")
+
+
+def finite_list(array, what):
+    """`array.tolist()`; a NaN or infinity raises ValueError (JSON has none)."""
+    if not np.isfinite(array).all():
+        raise ValueError(f"cannot write a non-finite {what}: JSON has no NaN or infinity")
+    return array.tolist()
 
 
 def int_field(rec, key):
@@ -234,17 +243,21 @@ def read_records(path, kind, build):
 BOX_KEYS = ("x1", "y1", "x2", "y2")
 
 
-def encode_boxes(extent, boxes, **columns):
-    """The JSON box list of a track: one {"frame", "x1", "y1", "x2", "y2"}
-    object per frame, plus one key per extra column (a list, one value per
-    frame)."""
-    keys = ("frame", *BOX_KEYS, *columns)
-    rows = zip(extent.frames(), *boxes.T.tolist(), *columns.values())
-    return [dict(zip(keys, row)) for row in rows]
+# One box-list row: the frame, then x1, x2, y1, y2 (sorted key order).
+BOX_ROW = '{"frame": %d, "x1": %r, "x2": %r, "y1": %r, "y2": %r}'
+
+
+def box_rows_text(start, boxes, row_format=BOX_ROW, columns=()):
+    """The JSON text of each row of a track's box list, row k being frame
+    `start + k`: `row_format` filled with the frame, then one value of each
+    extra column in `columns` (lists whose keys sort between "frame" and
+    "x1"), then x1, x2, y1 and y2."""
+    x1, y1, x2, y2 = finite_list(boxes.T, "box coordinate")
+    return list(map(row_format.__mod__, zip(range(start, start + len(x1)), *columns, x1, x2, y1, y2)))
 
 
 def decode_boxes(rows, extent, *columns):
-    """Inverse of `encode_boxes`: the box array in frame order, then one list
+    """Inverse of `box_rows_text`: the box array in frame order, then one list
     per named extra column. The rows must hold every frame of `extent` once,
     in any order, and every box must be finite and not inverted."""
     rows = sorted(rows, key=lambda r: int_field(r, "frame"))
@@ -293,16 +306,23 @@ def read_detections(path):
     return {v: detection_columns(v, rows[v]) for v in sorted(rows)}, dropped
 
 
+_DETECTION_LINE = '{"class": %s, "frame": %d, "score": %r, "video_id": %s, "x1": %r, "x2": %r, "y1": %r, "y2": %r}'
+_CLASS_TEXT = [json.dumps(c) for c in DETECTION_CLASSES]
+
+
 def write_detections(videos, path):
     """Write `VideoDetections` (an iterable), the videos in id order and each
     video's rows in column order."""
-    keys = ("video_id", "frame", *BOX_KEYS, "class", "score")
-    recs = []
-    for d in sorted(videos, key=lambda d: d.video_id):
-        classes = [DETECTION_CLASSES[c] for c in d.classes.tolist()]
-        for row in zip(d.frames.tolist(), *d.boxes.T.tolist(), classes, d.scores.tolist()):
-            recs.append(dict(zip(keys, (d.video_id, *row))))
-    write_jsonl(recs, path)
+
+    def lines():
+        for d in sorted(videos, key=lambda d: d.video_id):
+            x1, y1, x2, y2 = finite_list(d.boxes.T, "box coordinate")
+            classes = [_CLASS_TEXT[c] for c in d.classes.tolist()]
+            video = [json.dumps(d.video_id)] * len(d)
+            rows = zip(classes, d.frames.tolist(), finite_list(d.scores, "score"), video, x1, x2, y1, y2)
+            yield from map(_DETECTION_LINE.__mod__, rows)
+
+    write_jsonl(lines(), path)
 
 
 # ---------------------------------------------------------------------------
@@ -337,20 +357,50 @@ def read_instances(path):
 read_ground_truth = read_instances
 
 
+_INSTANCE_LINE = '{"activity": %s, "boxes": [%s], "confidence": %s, "end": %d, "start": %d, "video_id": %s}'
+
+
+def _row_owner(boxes):
+    """(owner, k) when `boxes` is rows k, k+1, ... of `owner`, the ndarray
+    that holds its memory; (boxes, 0) when it is not such a row slice."""
+    owner = boxes
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    if owner is boxes or owner.shape[1:] != (4,) or (owner.dtype, owner.strides) != (boxes.dtype, boxes.strides):
+        return boxes, 0
+    offset = boxes.__array_interface__["data"][0] - owner.__array_interface__["data"][0]
+    k, rest = divmod(offset, owner.strides[0])
+    return (boxes, 0) if rest or not 0 <= k <= len(owner) - len(boxes) else (owner, k)
+
+
 def write_instances(instances, path):
-    recs = []
-    for inst in sorted(instances, key=instance_order):
-        recs.append(
-            {
-                "video_id": inst.video_id,
-                "activity": inst.activity,
-                "start": inst.extent.start,
-                "end": inst.extent.end,
-                "confidence": inst.confidence,
-                "boxes": encode_boxes(inst.extent, inst.boxes),
-            }
-        )
-    write_jsonl(recs, path)
+    """Write instances in `instance_order`. Instances cut from one tubelet view
+    its box array: each owner array's rows are formatted once, for the frames
+    its instances need, and dropped after its last instance. Two rows share
+    text only when they are the same memory at the same frame."""
+    instances = sorted(instances, key=instance_order)
+    spans, owners = [], {}  # per instance (key, first row); key -> [owner, lo, hi, last user]
+    for i, inst in enumerate(instances):
+        owner, k = _row_owner(inst.boxes)
+        key = (id(owner), inst.extent.start - k)  # the owner and the frame of its row 0
+        lo, hi = owners[key][1:3] if key in owners else (k, k)
+        owners[key] = [owner, min(lo, k), max(hi, k + len(inst.boxes)), i]
+        spans.append((key, k))
+
+    def lines():
+        texts = {}
+        for i, (inst, (key, k)) in enumerate(zip(instances, spans)):
+            owner, lo, hi, last = owners[key]
+            if key not in texts:
+                texts[key] = box_rows_text(key[1] + lo, owner[lo:hi])
+            rows = texts.pop(key) if i == last else texts[key]
+            yield _INSTANCE_LINE % (
+                json.dumps(inst.activity), ", ".join(rows[k - lo : k - lo + len(inst.boxes)]),
+                json.dumps(inst.confidence, allow_nan=False), inst.extent.end, inst.extent.start,
+                json.dumps(inst.video_id),
+            )
+
+    write_jsonl(lines(), path)
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +427,6 @@ def read_video_meta(path):
 
 
 def write_video_meta(metas, path):
-    recs = []
-    for m in sorted(metas, key=lambda m: m.video_id):
-        recs.append(
-            {
-                "video_id": m.video_id,
-                "frame_count": m.frame_count,
-                "frame_rate": m.frame_rate,
-                "width": m.width,
-                "height": m.height,
-            }
-        )
-    write_jsonl(recs, path)
+    keys = ("video_id", "frame_count", "frame_rate", "width", "height")
+    recs = ({k: getattr(m, k) for k in keys} for m in sorted(metas, key=lambda m: m.video_id))
+    write_jsonl((json.dumps(rec, sort_keys=True, allow_nan=False) for rec in recs), path)

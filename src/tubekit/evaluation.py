@@ -24,6 +24,18 @@ class DetCurve:
 
 
 @dataclass(frozen=True)
+class EvalConfig:
+    target_rfa: float = 0.15  # the DET summary's p_miss is read at this rfa
+    recall_thresholds: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)  # tubelet recall IoUs
+
+    def __post_init__(self):
+        thresholds = self.recall_thresholds
+        if not (0.0 <= self.target_rfa < float("inf") and isinstance(thresholds, (tuple, list))
+                and thresholds and all(0.0 <= t <= 1.0 for t in thresholds)):
+            raise InvalidInputError(f"need a finite target_rfa >= 0 and nonempty recall_thresholds in [0,1]: {self}")
+
+
+@dataclass(frozen=True)
 class AlignmentPolicy:
     temporal_iou_min: float = 0.2
     # "optimal": maximize match count, then total temporal IoU (Hungarian).
@@ -288,11 +300,7 @@ def mean_p_miss(per_class, weights=None):
 def det_summary(curves, target_rfa=0.15, weights=None):
     """p_miss at `target_rfa` per class and their (weighted) mean."""
     per_class = {cls: p_miss_at_rfa(curves[cls], target_rfa) for cls in sorted(curves)}
-    return {
-        "target_rfa": target_rfa,
-        "per_class_p_miss": per_class,
-        "mean_p_miss": mean_p_miss(per_class, weights),
-    }
+    return {"target_rfa": target_rfa, "per_class_p_miss": per_class, "mean_p_miss": mean_p_miss(per_class, weights)}
 
 
 # ---------------------------------------------------------------------------

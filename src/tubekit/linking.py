@@ -5,6 +5,7 @@ tracking-based linking that bridges missed detections with a
 constant-velocity predictor and a patience window.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,8 +14,9 @@ from . import kernels
 from .data_model import (
     DETECTION_CLASSES,
     OBJECT_CLASSES,
+    box_rows_text,
     decode_boxes,
-    encode_boxes,
+    finite_list,
     int_field,
     read_records,
     require_numbers,
@@ -391,25 +393,23 @@ def track_link(detections, config=LinkConfig(), stats=None):
 # serialization
 
 
-def tubelet_record(t):
-    """The tubelets.jsonl record of one tubelet."""
-    return {
-        "id": t.id,
-        "video_id": t.video_id,
-        "class": t.object_class,
-        "start": t.extent.start,
-        "end": t.extent.end,
-        "boxes": encode_boxes(
-            t.extent,
-            t.boxes,
-            score=t.box_scores.tolist(),
-            provenance=[PROVENANCES[c] for c in t.provenance.tolist()],
-        ),
-    }
+_TUBELET_ROW = '{"frame": %d, "provenance": %s, "score": %r, "x1": %r, "x2": %r, "y1": %r, "y2": %r}'
+_PROVENANCE_TEXT = [json.dumps(p) for p in PROVENANCES]
+
+
+def tubelet_line(t, extra=""):
+    """The tubelets.jsonl line of one tubelet. `extra` is the JSON text of
+    further fields whose keys sort between "id" and "start", each led by
+    ", " (a proposals line adds its `proposals` and `sample_count`)."""
+    columns = ([_PROVENANCE_TEXT[c] for c in t.provenance.tolist()], finite_list(t.box_scores, "box score"))
+    rows = box_rows_text(t.extent.start, t.boxes, _TUBELET_ROW, columns)
+    return '{"boxes": [%s], "class": %s, "end": %d, "id": %d%s, "start": %d, "video_id": %s}' % (
+        ", ".join(rows), json.dumps(t.object_class), t.extent.end, t.id, extra, t.extent.start, json.dumps(t.video_id)
+    )
 
 
 def tubelet_from_record(rec):
-    """Inverse of `tubelet_record`; raises on any invalid field."""
+    """Inverse of `tubelet_line` (as a parsed record); raises on any invalid field."""
     extent = Interval(int_field(rec, "start"), int_field(rec, "end"))
     boxes, scores, prov = decode_boxes(rec["boxes"], extent, "score", "provenance")
     require_numbers(scores, "box scores")
@@ -431,7 +431,7 @@ def tubelet_from_record(rec):
 
 
 def write_tubelets(tubelets, path):
-    write_jsonl([tubelet_record(t) for t in sorted(tubelets, key=lambda t: (t.video_id, t.id))], path)
+    write_jsonl((tubelet_line(t) for t in sorted(tubelets, key=lambda t: (t.video_id, t.id))), path)
 
 
 def read_tubelets(path):

@@ -13,6 +13,25 @@ from .proposals import NON_ACTION
 
 
 @dataclass(frozen=True)
+class FusionConfig:
+    vehicle_weight: float = 1.0  # scales the group's class scores before soft-NMS
+    person_weight: float = 1.0
+
+    def __post_init__(self):
+        if not all(math.isfinite(w) and w >= 0.0 for w in (self.vehicle_weight, self.person_weight)):
+            raise InvalidInputError(f"fusion weights must be finite and >= 0: {self}")
+
+
+@dataclass(frozen=True)
+class OutputConfig:
+    score_threshold: float = 0.05  # the lowest score that becomes an instance
+
+    def __post_init__(self):
+        if not 0.0 <= self.score_threshold <= 1.0:
+            raise InvalidInputError(f"score_threshold out of [0,1]: {self.score_threshold}")
+
+
+@dataclass(frozen=True)
 class SoftNmsConfig:
     method: str = "gaussian"  # "gaussian" | "linear"
     sigma: float = 0.5
@@ -143,9 +162,7 @@ def fuse(vehicle_scored, person_scored, config=SoftNmsConfig(), weights=(1.0, 1.
     pool = []
     for source, weight in ((vehicle_scored, weights[0]), (person_scored, weights[1])):
         for p in source:
-            scores = {
-                k: (v * weight if k != NON_ACTION else v) for k, v in (p.scores or {}).items()
-            }
+            scores = {k: (v * weight if k != NON_ACTION else v) for k, v in (p.scores or {}).items()}
             pool.append(replace(p, scores=scores))
 
     buckets = {}

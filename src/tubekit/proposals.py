@@ -181,6 +181,19 @@ class HeuristicScorer:
         return scores
 
 
+@dataclass(frozen=True)
+class ScorerConfig:
+    name: str = "oracle"  # "oracle" | "heuristic"
+    epsilon: float = 0.0
+    label_noise: float = 0.0
+    seed: int = 0
+
+    def __post_init__(self):
+        valid = 0.0 <= self.epsilon < 1.0 and 0.0 <= self.label_noise <= 1.0 and type(self.seed) is int
+        if self.name not in ("oracle", "heuristic") or not valid:
+            raise InvalidInputError(f"need a known name, epsilon in [0,1), label_noise in [0,1], int seed: {self}")
+
+
 def make_scorer(name, ground_truth=None, epsilon=0.0, label_noise=0.0, seed=0, policy=LabelPolicy()):
     if name == "oracle":
         if ground_truth is None:

@@ -1,6 +1,7 @@
 """Tubelet refinement: static-tubelet filtering, box-size normalization,
 multi-scale temporal jittering and uniform frame sampling."""
 
+import json
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -9,7 +10,7 @@ import numpy as np
 from .data_model import ACTIVITY_CLASSES, float_field, int_field, read_records, write_jsonl
 from .errors import InvalidInputError
 from .geometry import Interval, mean_center_step
-from .linking import Tubelet, tubelet_from_record, tubelet_record
+from .linking import Tubelet, tubelet_from_record, tubelet_line
 from .proposals import NON_ACTION
 
 
@@ -44,10 +45,8 @@ class Proposal:
     def __post_init__(self):
         extent = self.tubelet.extent
         if not extent.start <= self.window.start < self.window.end <= extent.end:
-            raise InvalidInputError(
-                f"window [{self.window.start}, {self.window.end}) outside its tubelet "
-                f"[{extent.start}, {extent.end})"
-            )
+            raise InvalidInputError(f"window [{self.window.start}, {self.window.end}) outside its tubelet "
+                                    f"[{extent.start}, {extent.end})")
         if self.sample_count < 1:
             raise InvalidInputError(f"sample_count must be >= 1: {self.sample_count}")
 
@@ -148,18 +147,20 @@ def make_proposals(tubelet, width, height, config=RefineConfig(), id_start=0):
 
 
 def write_proposals(proposals, path):
-    """One line per normalised tubelet: its tubelets.jsonl record plus
+    """One line per normalised tubelet: its tubelets.jsonl line plus
     `sample_count` and a `proposals` list of {proposal_id, start, end[, scores]}."""
-    lines = {}
+    lines = {}  # (video_id, tubelet_id) -> (tubelet, sample_count, proposal entries)
     for p in sorted(proposals, key=lambda p: (p.video_id, p.proposal_id)):
-        key = (p.video_id, p.tubelet_id)
-        if key not in lines:
-            lines[key] = {**tubelet_record(p.tubelet), "sample_count": p.sample_count, "proposals": []}
         entry = {"proposal_id": p.proposal_id, "start": p.window.start, "end": p.window.end}
         if p.scores is not None:
             entry["scores"] = p.scores
-        lines[key]["proposals"].append(entry)
-    write_jsonl([lines[key] for key in sorted(lines)], path)
+        lines.setdefault((p.video_id, p.tubelet_id), (p.tubelet, p.sample_count, []))[2].append(entry)
+
+    def text(tubelet, sample_count, entries):
+        entries = json.dumps(entries, sort_keys=True, allow_nan=False)
+        return tubelet_line(tubelet, f', "proposals": {entries}, "sample_count": {sample_count:d}')
+
+    write_jsonl((text(*lines[key]) for key in sorted(lines)), path)
 
 
 def _scores_from_record(scores):

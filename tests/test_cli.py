@@ -403,6 +403,13 @@ def test_unknown_config_key_exits_one(corpus_dir, tmp_path, cfg, name):
         ({"workers": 0}, [], "workers"),
         ({"workers": 1.5}, [], "workers"),
         ({}, ["--workers", "0"], "workers"),
+        ({"eval": {"recall_thresholds": 5}}, [], "'eval'"),
+        ({"output": {"score_threshold": "0.1"}}, [], "'output'"),
+        ({"eval": {"target_rfa": "x"}}, [], "'eval'"),
+        ({"scorer": {"name": "oracel"}}, [], "'scorer'"),
+        ({"scorer": {"epsilon": 2}}, [], "'scorer'"),
+        ({"fusion": {"vehicle_weight": -1.0}}, [], "'fusion'"),
+        ({"fusion": {"person_weight": -0.5}}, [], "'fusion'"),
     ],
 )
 def test_bad_config_value_exits_one_before_any_write(corpus_dir, tmp_path, cfg, extra, section):
