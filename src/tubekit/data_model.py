@@ -244,10 +244,10 @@ BOX_KEYS = ("x1", "y1", "x2", "y2")
 
 
 # One box-list row: the frame, then x1, x2, y1, y2 (sorted key order).
-BOX_ROW = '{"frame": %d, "x1": %r, "x2": %r, "y1": %r, "y2": %r}'
+_BOX_ROW = '{"frame": %d, "x1": %r, "x2": %r, "y1": %r, "y2": %r}'
 
 
-def box_rows_text(start, boxes, row_format=BOX_ROW, columns=()):
+def box_rows_text(start, boxes, row_format=_BOX_ROW, columns=()):
     """The JSON text of each row of a track's box list, row k being frame
     `start + k`: `row_format` filled with the frame, then one value of each
     extra column in `columns` (lists whose keys sort between "frame" and
