@@ -109,11 +109,27 @@ def _merged_config(path=None, flags=None):
     return cfg
 
 
+_FIELD_READERS = {int: data_model.int_field, float: data_model.float_field, str: data_model.str_field}
+
+
+def _config_value(name, value, default):
+    """`value` read as its `default`'s type: an int, float or string, or for
+    a tuple default a list read element by element as the type of the
+    default's first; a None default takes the value as it is."""
+    if default is None:
+        return value
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise InvalidInputError(f"{name} must be a list: {value!r}")
+        return tuple(_config_value(f"{name}[{i}]", v, default[0]) for i, v in enumerate(value))
+    return _FIELD_READERS[type(default)]({name: value}, name)
+
+
 def _stage_config(cfg, section):
-    """Build the stage dataclass from its config section; JSON lists become tuples."""
+    """Build the stage dataclass from its config section, each value read as
+    the type of its dataclass default."""
     cls = STAGE_CONFIGS[section]
-    values = {f.name: cfg[section][f.name] for f in dataclasses.fields(cls)}
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+    return cls(**{f.name: _config_value(f.name, cfg[section][f.name], f.default) for f in dataclasses.fields(cls)})
 
 
 class Manifest:
@@ -305,9 +321,9 @@ def fuse(m, vehicle, person, out):
     cfg = m.cfg
     with m.phase("fuse", "compute"):
         fusion = _stage_config(cfg, "fusion")
-        weights = (fusion.vehicle_weight, fusion.person_weight)
-        fused = postprocess.fuse(vehicle, person, _stage_config(cfg, "nms"), weights, m.counts)
-        instances = postprocess.proposals_to_instances(fused, _stage_config(cfg, "output").score_threshold)
+        instances = postprocess.fuse(vehicle, person, _stage_config(cfg, "nms"),
+                                     (fusion.vehicle_weight, fusion.person_weight),
+                                     _stage_config(cfg, "output").score_threshold, m.counts)
     with m.phase("fuse", "write"):
         data_model.write_instances(instances, out)
     m.counts["instances"] = len(instances)

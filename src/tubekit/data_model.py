@@ -265,7 +265,8 @@ def decode_boxes(rows, extent, *columns):
         raise InvalidInputError(f"boxes must hold each frame of [{extent.start}, {extent.end}) once")
     values = [r[k] for r in rows for k in BOX_KEYS]
     require_numbers(values, "box coordinates")
-    boxes = np.array(values, dtype=np.float64).reshape(-1, 4)
+    boxes = np.empty((len(rows), 4))  # owns its memory, so `_row_owner` finds row views of it
+    boxes.reshape(-1)[:] = values
     bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 0] > boxes[:, 2]) | (boxes[:, 1] > boxes[:, 3])
     if bad.any():
         raise InvalidInputError(f"non-finite or inverted box at frame {extent.start + int(np.argmax(bad))}")

@@ -30,8 +30,7 @@ class EvalConfig:
 
     def __post_init__(self):
         thresholds = self.recall_thresholds
-        if not (0.0 <= self.target_rfa < float("inf") and isinstance(thresholds, (tuple, list))
-                and thresholds and all(0.0 <= t <= 1.0 for t in thresholds)):
+        if not (0.0 <= self.target_rfa < float("inf") and thresholds and all(0.0 <= t <= 1.0 for t in thresholds)):
             raise InvalidInputError(f"need a finite target_rfa >= 0 and nonempty recall_thresholds in [0,1]: {self}")
 
 
@@ -225,7 +224,8 @@ def det_curve(system, references, metas, policy=AlignmentPolicy()):
     Misses and false alarms depend only on how many instances are matched,
     so the sweep adds system instances in descending confidence and grows
     one matching per (video, activity) bucket instead of re-aligning at
-    every threshold."""
+    every threshold. A matching grows by at most one per instance and never
+    shrinks, so the points come in rising rfa with non-increasing p_miss."""
     minutes = total_corpus_minutes(metas)
     classes = sorted({r.activity for r in references})
     if not classes:
@@ -251,23 +251,11 @@ def det_curve(system, references, metas, policy=AlignmentPolicy()):
                 bucket.add(s)
                 matched += bucket.size - before
             if k + 1 == len(sys_c) or sys_c[k + 1].confidence != s.confidence:
-                points.append(((k + 1 - matched) / minutes, (len(refs_c) - matched) / len(refs_c)))
-        if not points:
-            points = [(0.0, 1.0)]
-        points.sort()
-        # collapse duplicate rfa values and enforce monotonicity
-        cleaned = []
-        for rfa, p in points:
-            if cleaned and cleaned[-1][0] == rfa:
-                cleaned[-1] = (rfa, min(cleaned[-1][1], p))
-            else:
-                cleaned.append((rfa, p))
-        running = 1.0
-        mono = []
-        for rfa, p in cleaned:
-            running = min(running, p)
-            mono.append((rfa, running))
-        curves[cls] = DetCurve(cls, tuple(mono))
+                point = ((k + 1 - matched) / minutes, (len(refs_c) - matched) / len(refs_c))
+                if points and points[-1][0] == point[0]:
+                    points.pop()  # the same false alarms with no more misses: keep the last
+                points.append(point)
+        curves[cls] = DetCurve(cls, tuple(points or [(0.0, 1.0)]))
     return curves
 
 

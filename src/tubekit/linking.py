@@ -64,6 +64,8 @@ class LinkConfig:
             raise InvalidInputError(f"iou_link_threshold out of (0,1]: {self.iou_link_threshold}")
         if self.patience < 1:
             raise InvalidInputError(f"patience must be >= 1: {self.patience}")
+        if self.max_interp_gap < 0:
+            raise InvalidInputError(f"max_interp_gap must be >= 0: {self.max_interp_gap}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 outputs into final activity instances."""
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +43,8 @@ class SoftNmsConfig:
             raise InvalidInputError(f"unknown soft-NMS method: {self.method!r}")
         if self.sigma <= 0.0:
             raise InvalidInputError(f"sigma must be positive: {self.sigma}")
+        if not 0.0 <= self.linear_threshold <= 1.0:
+            raise InvalidInputError(f"linear_threshold out of [0,1]: {self.linear_threshold}")
 
 
 def _decay_matrix(tiou, config):
@@ -108,113 +110,68 @@ def _window_overlaps(ta, tb, windows_a, windows_b):
     return common & (overlapping[np.clip(hi, 0, end - start)] > overlapping[np.clip(lo, 0, end - start)])
 
 
-def soft_nms(proposals, activity, config=SoftNmsConfig()):
-    """Rescore proposals of one video for one activity class.
+def soft_nms(entries, config=SoftNmsConfig()):
+    """Rescore one (video, activity) bucket of (proposal, score) entries.
 
-    Iteratively selects the highest-scoring proposal and decays the scores of
-    its temporal neighbors (gaussian exp(-tiou^2/sigma) or linear 1-tiou).
-    Proposals falling below `score_floor` are dropped. Returns rescored
-    copies sorted by final score, descending."""
-    for p in proposals:
-        if p.scores is None or activity not in p.scores:
-            raise InvalidInputError(f"proposal {p.proposal_id} lacks a score for {activity!r}")
-    live = [p for p in proposals if float(p.scores[activity]) >= config.score_floor]
+    Iteratively selects the highest-scoring entry and decays the scores of
+    its neighbours (gaussian exp(-tiou^2/sigma) or linear 1-tiou). Entries
+    falling below `score_floor` are dropped. Returns the kept (proposal,
+    final score) pairs in selection order, so by final score, descending."""
+    # argmax takes the first of tied scores, so this order breaks ties
+    live = sorted((e for e in entries if e[1] >= config.score_floor),
+                  key=lambda e: (e[0].video_id, e[0].window.start, e[0].proposal_id))
     if not live:
         return []
-    # argmax takes the first of tied scores, so this order breaks ties
-    live.sort(key=lambda p: (p.video_id, p.window.start, p.proposal_id))
-    scores = np.array([float(p.scores[activity]) for p in live])
-    windows = [(p.window.start, p.window.end) for p in live]
+    proposals = [p for p, _ in live]
+    scores = np.array([s for _, s in live], dtype=np.float64)
+    windows = [(p.window.start, p.window.end) for p in proposals]
     decay = _decay_matrix(kernels.temporal_iou_matrix(windows, windows), config)
-    neighbors = _neighbor_mask(live)
+    neighbors = _neighbor_mask(proposals)
 
     alive = np.ones(len(live), dtype=bool)
     result = []
     while alive.any():
         candidates = np.flatnonzero(alive)
         top = int(candidates[np.argmax(scores[candidates])])
-        result.append((live[top], float(scores[top])))
+        result.append((proposals[top], float(scores[top])))
         alive[top] = False
         hit = alive & neighbors[top]
         scores[hit] *= decay[top, hit]
         alive &= scores >= config.score_floor
-    return [replace(p, scores={**p.scores, activity: s}) for p, s in result]
+    return result
 
 
-def _activity_set(proposals):
-    acts = set()
-    for p in proposals:
-        if p.scores:
-            acts.update(k for k in p.scores if k != NON_ACTION)
-    return acts
-
-
-def fuse(vehicle_scored, person_scored, config=SoftNmsConfig(), weights=(1.0, 1.0), funnel=None):
-    """Late fusion: scale each model's class scores by its fusion weight,
-    concatenate, and run per-(video, class) soft-NMS. Class scores of
-    suppressed proposals are zeroed so downstream thresholding drops them.
-    A `funnel` dict receives `nms_in` and `nms_kept`, the bucket entries
-    given to soft-NMS and returned by it."""
-    overlap = _activity_set(vehicle_scored) & _activity_set(person_scored)
-    if overlap:
-        raise InvalidInputError(f"model outputs share activity classes: {sorted(overlap)}")
-
-    pool = []
-    for source, weight in ((vehicle_scored, weights[0]), (person_scored, weights[1])):
+def fuse(vehicle_scored, person_scored, nms=SoftNmsConfig(), weights=(1.0, 1.0), score_threshold=0.05, funnel=None):
+    """Late fusion: put each activity score of each proposal, times its
+    group's fusion weight, in its (video, activity) bucket, run soft-NMS per
+    bucket and return the kept entries at or above `score_threshold` as
+    instances. The two groups must score disjoint activity sets. A `funnel`
+    dict receives `nms_in` and `nms_kept`, the bucket entries given to
+    soft-NMS and returned by it."""
+    buckets, group_of = {}, {}
+    for group, (source, weight) in enumerate(((vehicle_scored, weights[0]), (person_scored, weights[1]))):
         for p in source:
-            scores = {k: (v * weight if k != NON_ACTION else v) for k, v in (p.scores or {}).items()}
-            pool.append(replace(p, scores=scores))
+            for act, s in (p.scores or {}).items():
+                if act == NON_ACTION:
+                    continue
+                if group_of.setdefault(act, group) != group:
+                    raise InvalidInputError(f"model outputs share activity class {act!r}")
+                buckets.setdefault((p.video_id, act), []).append((p, s * weight))
 
-    buckets = {}
-    for p in pool:
-        for act in p.scores:
-            if act == NON_ACTION:
-                continue
-            buckets.setdefault((p.video_id, act), []).append(p)
-
-    final_scores = {}  # (proposal key, activity) -> post-NMS score
-    nms_kept = 0
-    for (video_id, act), bucket in sorted(buckets.items()):
-        kept_bucket = soft_nms(bucket, act, config)
-        nms_kept += len(kept_bucket)
-        for kept in kept_bucket:
-            final_scores[(video_id, kept.proposal_id, act)] = kept.scores[act]
+    kept = []
+    for (_, act), entries in sorted(buckets.items()):
+        kept.extend((p, act, s) for p, s in soft_nms(entries, nms))
     if funnel is not None:
-        funnel["nms_in"] = sum(len(bucket) for bucket in buckets.values())
-        funnel["nms_kept"] = nms_kept
-
-    fused = []
-    for p in pool:
-        scores = {}
-        for act, s in p.scores.items():
-            if act == NON_ACTION:
-                scores[act] = s
-            else:
-                scores[act] = final_scores.get((p.video_id, p.proposal_id, act), 0.0)
-        fused.append(replace(p, scores=scores))
-    fused.sort(key=lambda p: (p.video_id, p.proposal_id))
-    return fused
+        funnel["nms_in"] = sum(map(len, buckets.values()))
+        funnel["nms_kept"] = len(kept)
+    return proposals_to_instances(kept, score_threshold)
 
 
-def proposals_to_instances(proposals, score_threshold=0.05):
-    """Materialize every (class, proposal) pair at or above the threshold as
-    an ActivityInstance. Output ordering is deterministic: descending
-    confidence, ties by (video_id, start, activity)."""
-    instances = []
-    for p in proposals:
-        if not p.scores:
-            continue
-        for act, s in p.scores.items():
-            if act == NON_ACTION or s < score_threshold:
-                continue
-            instances.append(
-                ActivityInstance(
-                    video_id=p.video_id,
-                    activity=act,
-                    extent=p.window,
-                    boxes=p.boxes,
-                    confidence=s,
-                )
-            )
+def proposals_to_instances(kept, score_threshold=0.05):
+    """An ActivityInstance, viewing its proposal's boxes, for each (proposal,
+    activity, score) triple whose score reaches the threshold. Ordered by
+    `instance_order`, ties by (video_id, proposal_id)."""
+    kept = sorted((t for t in kept if t[2] >= score_threshold), key=lambda t: (t[0].video_id, t[0].proposal_id))
+    instances = [ActivityInstance(p.video_id, act, p.window, p.boxes, s) for p, act, s in kept]
     instances.sort(key=instance_order)
     return instances

@@ -22,6 +22,8 @@ class LabelPolicy:
     temporal_neg: float = 0.2
 
     def __post_init__(self):
+        if not 0.0 <= self.spatial_pos <= 1.0:
+            raise InvalidInputError(f"spatial_pos out of [0,1]: {self.spatial_pos}")
         if not 0.0 <= self.temporal_neg < self.temporal_pos <= 1.0:
             raise InvalidInputError(
                 f"need 0 <= temporal_neg < temporal_pos <= 1: {self.temporal_neg}/{self.temporal_pos}"
@@ -189,9 +191,9 @@ class ScorerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        valid = 0.0 <= self.epsilon < 1.0 and 0.0 <= self.label_noise <= 1.0 and type(self.seed) is int
+        valid = 0.0 <= self.epsilon < 1.0 and 0.0 <= self.label_noise <= 1.0
         if self.name not in ("oracle", "heuristic") or not valid:
-            raise InvalidInputError(f"need a known name, epsilon in [0,1), label_noise in [0,1], int seed: {self}")
+            raise InvalidInputError(f"need a known name, epsilon in [0,1) and label_noise in [0,1]: {self}")
 
 
 def make_scorer(name, ground_truth=None, epsilon=0.0, label_noise=0.0, seed=0, policy=LabelPolicy()):

@@ -23,8 +23,10 @@ class RefineConfig:
     sample_count: int = 64
 
     def __post_init__(self):
-        if not self.window_sizes or list(self.window_sizes) != sorted(self.window_sizes):
-            raise InvalidInputError(f"window_sizes must be nonempty ascending: {self.window_sizes}")
+        if self.enlarge_factor < 1.0:
+            raise InvalidInputError(f"enlarge_factor must be >= 1: {self.enlarge_factor}")
+        if not self.window_sizes or self.window_sizes[0] < 1 or list(self.window_sizes) != sorted(self.window_sizes):
+            raise InvalidInputError(f"window_sizes must be nonempty, ascending and >= 1: {self.window_sizes}")
         if self.window_stride < 1:
             raise InvalidInputError(f"window_stride must be >= 1: {self.window_stride}")
         if self.sample_count < 1:
@@ -90,8 +92,6 @@ def normalize_boxes(tubelet, width, height, enlarge_factor=1.2):
     """Resize every box about its center to the tubelet-wide max width/height,
     then enlarge by `enlarge_factor` and clamp to the frame [0, width] x
     [0, height]."""
-    if enlarge_factor < 1.0:
-        raise InvalidInputError(f"enlarge factor must be >= 1: {enlarge_factor}")
     b = tubelet.boxes
     hw = 0.5 * float((b[:, 2] - b[:, 0]).max()) * enlarge_factor
     hh = 0.5 * float((b[:, 3] - b[:, 1]).max()) * enlarge_factor

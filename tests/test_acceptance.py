@@ -286,15 +286,16 @@ def test_criterion_07_soft_nms_closed_form():
             ))
         method = "gaussian" if case % 2 == 0 else "linear"
         cfg = SoftNmsConfig(method=method)
-        out = soft_nms(props, "Riding", cfg)
+        entries = [(p, p.scores["Riding"]) for p in props]
+        out = soft_nms(entries, cfg)
         want = _nms_oracle(props, "Riding", method, cfg.sigma,
                            cfg.linear_threshold, cfg.score_floor)
-        assert [p.proposal_id for p in out] == [pid for pid, _ in want]
-        for p, (_, s) in zip(out, want):
-            assert p.scores["Riding"] == pytest.approx(s, abs=1e-9)
+        assert [p.proposal_id for p, _ in out] == [pid for pid, _ in want]
+        for (_, got), (_, s) in zip(out, want):
+            assert got == pytest.approx(s, abs=1e-9)
 
-        limit = soft_nms(props, "Riding", SoftNmsConfig(sigma=1e-12))
-        assert [p.proposal_id for p in limit] == _hard_nms_oracle(
+        limit = soft_nms(entries, SoftNmsConfig(sigma=1e-12))
+        assert [p.proposal_id for p, _ in limit] == _hard_nms_oracle(
             props, "Riding", cfg.score_floor)
     _passed(7, "100 random sets match the decay formulas within 1e-9; "
                "sigma->0 reproduces hard NMS")

@@ -410,6 +410,14 @@ def test_unknown_config_key_exits_one(corpus_dir, tmp_path, cfg, name):
         ({"scorer": {"epsilon": 2}}, [], "'scorer'"),
         ({"fusion": {"vehicle_weight": -1.0}}, [], "'fusion'"),
         ({"fusion": {"person_weight": -0.5}}, [], "'fusion'"),
+        ({"refine": {"enlarge_factor": 0.5}}, [], "enlarge_factor"),
+        ({"refine": {"window_sizes": [0, 32]}}, [], "window_sizes"),
+        ({"refine": {"window_stride": 2.5}}, [], "window_stride"),
+        ({"refine": {"sample_count": 2.5}}, [], "sample_count"),
+        ({"label": {"spatial_pos": "x"}}, [], "spatial_pos"),
+        ({"link": {"patience": 2.5}}, [], "patience"),
+        ({"link": {"max_interp_gap": -3}}, [], "max_interp_gap"),
+        ({"nms": {"linear_threshold": "x"}}, [], "linear_threshold"),
     ],
 )
 def test_bad_config_value_exits_one_before_any_write(corpus_dir, tmp_path, cfg, extra, section):
@@ -570,6 +578,19 @@ def test_fuse_funnel_and_empty_output_warning(corpus_dir, tmp_path):
     assert res.exit_code == 0
     assert json.loads((tmp_path / "empty" / "run.manifest.json").read_text())["warnings"] == [warning]
     assert _warnings(res.output) == [warning]
+
+
+def test_threshold_zero_writes_only_what_soft_nms_kept(corpus_dir, tmp_path):
+    # an entry soft-NMS dropped is no instance, not one of confidence 0
+    det, gt, meta = (str(corpus_dir / n) for n in ("detections.jsonl", "ground_truth.jsonl", "video_meta.jsonl"))
+    res = run(["pipeline", "--out-dir", str(tmp_path / "run"), "--detections", det, "--ground-truth", gt,
+               "--meta", meta, "--config", write_config(tmp_path, {"output": {"score_threshold": 0.0}})])
+    assert res.exit_code == 0
+    counts = _manifest(tmp_path / "run" / "run")["record_counts"]
+    assert counts["nms_in"] > counts["nms_kept"] == counts["instances"] > 0
+    instances = data_model.read_instances(tmp_path / "run" / "instances.jsonl")
+    assert len(instances) == counts["instances"]
+    assert min(i.confidence for i in instances) >= cli.DEFAULT_CONFIG["nms"]["score_floor"]
 
 
 @pytest.mark.parametrize("videos, frames", [(1, 600), (2, 120)])

@@ -26,68 +26,69 @@ def scored(window, s, pid, tubelet_id=0, activity="Riding", video_id="v0", objec
     )
 
 
+def nms(proposals, activity, config=SoftNmsConfig()):
+    """`soft_nms` over the bucket of the proposals' `activity` scores: the
+    kept (proposal, final score) pairs."""
+    return soft_nms([(p, p.scores[activity]) for p in proposals], config)
+
+
 class TestSoftNms:
     def test_single_proposal_unchanged(self):
         p = scored(Interval(0, 10), 0.7, 0)
-        out = soft_nms([p], "Riding")
+        out = nms([p], "Riding")
         assert len(out) == 1
-        assert out[0].scores["Riding"] == 0.7
+        assert out[0][1] == 0.7
 
     def test_gaussian_closed_form(self):
         a = scored(Interval(0, 10), 0.9, 0)
         b = scored(Interval(0, 10), 0.8, 1)
-        out = soft_nms([a, b], "Riding", SoftNmsConfig(method="gaussian", sigma=0.5))
-        by_id = {p.proposal_id: p.scores["Riding"] for p in out}
+        out = nms([a, b], "Riding", SoftNmsConfig(method="gaussian", sigma=0.5))
+        by_id = {p.proposal_id: s for p, s in out}
         assert by_id[0] == 0.9
         assert by_id[1] == pytest.approx(0.8 * math.exp(-2.0), abs=1e-12)
 
     def test_zero_overlap_no_decay(self):
         a = scored(Interval(0, 10), 0.9, 0)
         b = scored(Interval(10, 20), 0.8, 1, boxes=box_rows((0, 0, 10, 10), 10))
-        out = soft_nms([a, b], "Riding")
-        assert {p.scores["Riding"] for p in out} == {0.9, 0.8}
+        out = nms([a, b], "Riding")
+        assert {s for _, s in out} == {0.9, 0.8}
 
     def test_linear_decay(self):
         a = scored(Interval(0, 10), 0.9, 0)
         b = scored(Interval(0, 10), 0.8, 1)
-        out = soft_nms([a, b], "Riding", SoftNmsConfig(method="linear", linear_threshold=0.3))
+        out = nms([a, b], "Riding", SoftNmsConfig(method="linear", linear_threshold=0.3))
         # tiou 1.0 decays the second score to 0.8 * (1 - 1.0) = 0, below the floor
-        assert [p.proposal_id for p in out] == [0]
+        assert [p.proposal_id for p, _ in out] == [0]
 
     def test_linear_below_threshold_untouched(self):
         a = scored(Interval(0, 10), 0.9, 0)
         b = scored(Interval(8, 20), 0.8, 1, boxes=box_rows((0, 0, 10, 10), 12))
         # tiou = 2/20 = 0.1 <= 0.3 threshold
-        out = soft_nms([a, b], "Riding", SoftNmsConfig(method="linear", linear_threshold=0.3))
-        assert {p.scores["Riding"] for p in out} == {0.9, 0.8}
+        out = nms([a, b], "Riding", SoftNmsConfig(method="linear", linear_threshold=0.3))
+        assert {s for _, s in out} == {0.9, 0.8}
 
     def test_sigma_to_zero_is_hard_nms(self):
         a = scored(Interval(0, 10), 0.9, 0)
         b = scored(Interval(2, 12), 0.8, 1, boxes=box_rows((0, 0, 10, 10), 10))
-        out = soft_nms([a, b], "Riding", SoftNmsConfig(sigma=1e-12))
-        assert [p.proposal_id for p in out] == [0]
+        out = nms([a, b], "Riding", SoftNmsConfig(sigma=1e-12))
+        assert [p.proposal_id for p, _ in out] == [0]
 
     def test_never_increases_scores_and_sorted(self):
         props = [scored(Interval(2 * i, 2 * i + 10), 0.5 + 0.04 * i, i) for i in range(8)]
-        out = soft_nms(props, "Riding")
+        out = nms(props, "Riding")
         originals = {p.proposal_id: p.scores["Riding"] for p in props}
-        final = [p.scores["Riding"] for p in out]
+        final = [s for _, s in out]
         assert final == sorted(final, reverse=True)
-        for p in out:
-            assert p.scores["Riding"] <= originals[p.proposal_id] + 1e-15
+        for p, s in out:
+            assert s <= originals[p.proposal_id] + 1e-15
 
     def test_distinct_objects_not_suppressed(self):
         # same time span, disjoint boxes, different tubelets: no decay
         a = scored(Interval(0, 10), 0.9, 0, tubelet_id=0)
         b = scored(Interval(0, 10), 0.8, 1, tubelet_id=1,
                    boxes=box_rows((500, 500, 510, 510), 10))
-        out = soft_nms([a, b], "Riding")
-        assert {p.scores["Riding"] for p in out} == {0.9, 0.8}
-
-    def test_missing_score_rejected(self):
-        p = make_proposal(Interval(0, 10), scores={NON_ACTION: 1.0})
-        with pytest.raises(InvalidInputError):
-            soft_nms([p], "Riding")
+        out = nms([a, b], "Riding")
+        assert {s for _, s in out} == {0.9, 0.8}
 
 
 def corpus_proposals(seed):
@@ -116,46 +117,52 @@ class TestSoftNmsOnCorpus:
                 for video_id in {p.video_id for p in props}:
                     bucket = [p for p in props if p.video_id == video_id]
                     before = {p.proposal_id: p.scores[activity] for p in bucket}
-                    out = soft_nms(bucket, activity, cfg)
-                    after = [p.scores[activity] for p in out]
+                    out = nms(bucket, activity, cfg)
+                    after = [s for _, s in out]
                     assert after == sorted(after, reverse=True)
-                    assert all(p.scores[activity] <= before[p.proposal_id] for p in out)
-                    assert len({p.proposal_id for p in out}) == len(out)
+                    assert all(s <= before[p.proposal_id] for p, s in out)
+                    assert len({p.proposal_id for p, _ in out}) == len(out)
 
     def test_single_proposal_unchanged(self):
         floor = SoftNmsConfig().score_floor
         for p in corpus_proposals(5):
-            out = soft_nms([p], "Riding")
+            out = nms([p], "Riding")
             if p.scores["Riding"] < floor:
                 assert out == []
                 continue
-            (kept,) = out
+            ((kept, s),) = out
             assert kept.proposal_id == p.proposal_id and kept.tubelet is p.tubelet
-            assert kept.scores == p.scores
+            assert s == p.scores["Riding"]
+
+
+def vehicle_and_person():
+    """One vehicle and one person proposal at the same time, boxes apart."""
+    v = [scored(Interval(0, 10), 0.9, 0, activity="Closing", object_class="car")]
+    p = [scored(Interval(0, 10), 0.8, 1, tubelet_id=1, activity="Riding",
+                boxes=box_rows((300, 300, 310, 310), 10))]
+    return v, p
+
+
+def facts(instances):
+    return [(i.video_id, i.activity, i.extent, i.confidence) for i in instances]
 
 
 class TestFuse:
     def test_disjoint_singletons(self):
-        v = [scored(Interval(0, 10), 0.9, 0, activity="Closing", object_class="car")]
-        p = [scored(Interval(0, 10), 0.8, 1, tubelet_id=1, activity="Riding",
-                    boxes=box_rows((300, 300, 310, 310), 10))]
-        fused = fuse(v, p)
+        fused = fuse(*vehicle_and_person())
         assert len(fused) == 2
 
     def test_one_empty(self):
         p = [scored(Interval(0, 10), 0.8, 0, activity="Riding")]
         fused = fuse([], p)
         assert len(fused) == 1
-        assert fused[0].scores["Riding"] == 0.8
+        assert fused[0].confidence == 0.8
 
     def test_weights_scale_before_nms(self):
-        v = [scored(Interval(0, 10), 0.9, 0, activity="Closing", object_class="car")]
-        p = [scored(Interval(0, 10), 0.8, 1, tubelet_id=1, activity="Riding",
-                    boxes=box_rows((300, 300, 310, 310), 10))]
-        fused = fuse(v, p, weights=(1.0, 0.5))
-        by_id = {f.proposal_id: f for f in fused}
-        assert by_id[0].scores["Closing"] == pytest.approx(0.9)
-        assert by_id[1].scores["Riding"] == pytest.approx(0.4)
+        fused = fuse(*vehicle_and_person(), weights=(1.0, 0.5))
+        by_activity = {i.activity: i.confidence for i in fused}
+        assert by_activity["Closing"] == pytest.approx(0.9)
+        assert by_activity["Riding"] == pytest.approx(0.4)
 
     def test_overlapping_activity_sets_rejected(self):
         a = [scored(Interval(0, 10), 0.9, 0, activity="Riding")]
@@ -164,31 +171,42 @@ class TestFuse:
             fuse(a, b)
 
     def test_commutative_up_to_order(self):
-        v = [scored(Interval(0, 10), 0.9, 0, activity="Closing", object_class="car")]
-        p = [scored(Interval(0, 10), 0.8, 1, tubelet_id=1, activity="Riding",
-                    boxes=box_rows((300, 300, 310, 310), 10))]
-        ab = {(f.proposal_id, tuple(sorted(f.scores.items()))) for f in fuse(v, p)}
+        v, p = vehicle_and_person()
         # swapping requires swapping weights too, which default equal
-        ba = {(f.proposal_id, tuple(sorted(f.scores.items()))) for f in fuse(p, v)}
-        assert ab == ba
+        assert facts(fuse(v, p)) == facts(fuse(p, v))
+
+    def test_dropped_entry_never_becomes_an_instance(self):
+        # linear decay takes the second score to 0, under the floor: even at
+        # threshold 0 only the kept entry becomes an instance
+        a = scored(Interval(0, 10), 0.9, 0)
+        b = scored(Interval(0, 10), 0.8, 1)
+        funnel = {}
+        out = fuse([], [a, b], SoftNmsConfig(method="linear"), score_threshold=0.0, funnel=funnel)
+        assert funnel == {"nms_in": 2, "nms_kept": 1}
+        assert facts(out) == [("v0", "Riding", Interval(0, 10), 0.9)]
+
+
+def triples(*proposals):
+    """The (proposal, activity, score) triple of each activity score."""
+    return [(p, act, s) for p in proposals for act, s in p.scores.items() if act != NON_ACTION]
 
 
 class TestProposalsToInstances:
     def test_threshold_zero_keeps_all_scored_classes(self):
         p = scored(Interval(0, 10), 0.9, 0)
-        out = proposals_to_instances([p], 0.0)
+        out = proposals_to_instances(triples(p), 0.0)
         assert len(out) == 1  # one activity class carries a score
         assert out[0].activity == "Riding"
         assert out[0].confidence == 0.9
 
     def test_threshold_one_filters_everything(self):
         p = scored(Interval(0, 10), 0.9, 0)
-        assert proposals_to_instances([p], 1.0) == []
+        assert proposals_to_instances(triples(p), 1.0) == []
 
     def test_mixed_scores(self):
         a = scored(Interval(0, 10), 0.9, 0)
         b = scored(Interval(20, 30), 0.4, 1, boxes=box_rows((0, 0, 10, 10), 10))
-        out = proposals_to_instances([a, b], 0.5)
+        out = proposals_to_instances(triples(a, b), 0.5)
         assert len(out) == 1
         assert out[0].extent == Interval(0, 10)
 
@@ -198,13 +216,20 @@ class TestProposalsToInstances:
             scored(Interval(0, 10), 0.5, 1, video_id="va"),
             scored(Interval(0, 10), 0.9, 2, video_id="vc"),
         ]
-        out = proposals_to_instances(props, 0.1)
+        out = proposals_to_instances(triples(*props), 0.1)
         assert [i.video_id for i in out] == ["vc", "va", "vb"]
+
+    def test_ties_in_proposal_id_order(self):
+        # equal confidence, video, start and activity: the lower proposal id
+        # comes first, whatever the input order
+        props = [scored(Interval(0, end), 0.5, pid) for end, pid in ((10, 3), (11, 1), (12, 2))]
+        for kept in (triples(*props), triples(*props[::-1])):
+            assert [i.extent.end for i in proposals_to_instances(kept, 0.1)] == [11, 12, 10]
 
     def test_instance_carries_window_and_boxes(self):
         boxes = np.array([[f, 0, f + 10, 10] for f in range(5, 15)], dtype=np.float64)
         p = scored(Interval(5, 15), 0.7, 0, boxes=boxes)
-        (inst,) = proposals_to_instances([p], 0.1)
+        (inst,) = proposals_to_instances(triples(p), 0.1)
         assert inst.extent == Interval(5, 15)
         assert np.array_equal(inst.boxes, boxes)
         assert np.shares_memory(inst.boxes, p.tubelet.boxes)
@@ -279,9 +304,8 @@ class TestSoftNmsEqualsPairwiseLoop:
         for _ in range(300):
             bucket = random_bucket(rng)
             for cfg in CONFIGS:
-                out = soft_nms(bucket, "Riding", cfg)
-                assert [(p.proposal_id, p.scores["Riding"]) for p in out] == \
-                    reference_soft_nms(bucket, "Riding", cfg)
+                out = nms(bucket, "Riding", cfg)
+                assert [(p.proposal_id, s) for p, s in out] == reference_soft_nms(bucket, "Riding", cfg)
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_corpus_buckets(self, seed):
@@ -290,9 +314,8 @@ class TestSoftNmsEqualsPairwiseLoop:
             for video_id in sorted({p.video_id for p in props}):
                 bucket = [p for p in props if p.video_id == video_id]
                 for activity in ("Riding", "Pull"):
-                    out = soft_nms(bucket, activity, cfg)
-                    assert [(p.proposal_id, p.scores[activity]) for p in out] == \
-                        reference_soft_nms(bucket, activity, cfg)
+                    out = nms(bucket, activity, cfg)
+                    assert [(p.proposal_id, s) for p, s in out] == reference_soft_nms(bucket, activity, cfg)
 
     def test_tiny_overlap_whose_mean_rounds_to_zero(self):
         # frame 0 overlaps by one subnormal IoU; its mean over the two frames
@@ -309,5 +332,5 @@ class TestSoftNmsEqualsPairwiseLoop:
         assert tubelet_spatial_iou(props[0], props[1]) == 0.0
         assert tubelet_spatial_iou(props[0], props[2]) > 0.0
         for cfg in CONFIGS:
-            out = soft_nms(props, "Riding", cfg)
-            assert [(p.proposal_id, p.scores["Riding"]) for p in out] == reference_soft_nms(props, "Riding", cfg)
+            out = nms(props, "Riding", cfg)
+            assert [(p.proposal_id, s) for p, s in out] == reference_soft_nms(props, "Riding", cfg)

@@ -73,10 +73,10 @@ class TestNormalizeBoxes:
         twice = normalize_boxes(once, *frame_size, 1.0)
         assert np.array_equal(twice.boxes, once.boxes)
 
-    def test_factor_below_one_rejected(self, frame_size):
-        t = make_tubelet([[100, 100, 110, 110]])
+    def test_factor_below_one_rejected(self):
+        # the config rejects the factor before any box is normalised
         with pytest.raises(InvalidInputError):
-            normalize_boxes(t, *frame_size, enlarge_factor=0.9)
+            RefineConfig(enlarge_factor=0.9)
 
 
 class TestJitter:

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_tubelet
+from tubekit import data_model
 from tubekit.data_model import (
     ACTIVITY_CLASSES,
     BOX_KEYS,
@@ -26,7 +27,7 @@ from tubekit.data_model import (
 )
 from tubekit.geometry import Interval
 from tubekit.linking import PROVENANCES, Tubelet, write_tubelets
-from tubekit.refinement import Proposal, write_proposals
+from tubekit.refinement import Proposal, read_proposals, write_proposals
 
 # -- the reference: the dict-per-row encoder the writers used before --------
 
@@ -233,6 +234,29 @@ def test_non_contiguous_box_arrays(tmp_path, layout):
                  ActivityInstance("v0", "Talking", Interval(0, 16), base, 0.3)]
     assert written(tmp_path, write_instances, instances) == reference_text(
         reference_instance_record(i) for i in sorted(instances, key=instance_order))
+
+
+def test_instances_read_from_a_file_share_rows(tmp_path, monkeypatch):
+    # the instances `fuse` makes from scored files view the box arrays the
+    # reader decoded, and each of those arrays' rows is formatted once
+    tubelets = [make_tubelet(np.arange(48, dtype=np.float64).reshape(12, 4) + k, start=3, tubelet_id=k)
+                for k in range(2)]
+    windows = [Interval(3, 15), Interval(3, 9), Interval(5, 11), Interval(9, 15)]
+    props = [Proposal(len(windows) * k + i, t, w, 8, {"Riding": 0.5}) for k, t in enumerate(tubelets)
+             for i, w in enumerate(windows)]
+    write_proposals(props, tmp_path / "scored.jsonl")
+    instances = [ActivityInstance(p.video_id, "Riding", p.window, p.boxes, 0.1 * (1 + p.proposal_id % 4))
+                 for p in read_proposals(tmp_path / "scored.jsonl")]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return box_rows_text(*args)
+
+    monkeypatch.setattr(data_model, "box_rows_text", counted)
+    assert written(tmp_path, write_instances, instances) == reference_text(
+        reference_instance_record(i) for i in sorted(instances, key=instance_order))
+    assert len(calls) == len(tubelets)
 
 
 # -- non-finite values raise ------------------------------------------------

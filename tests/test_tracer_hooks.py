@@ -4,6 +4,7 @@ being measured, so every name it hooks must resolve."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 from tubekit import cli, data_model, linking, synthgen
@@ -87,3 +88,23 @@ def test_write_counters_equal_the_written_files(tmp_path):
     assert writes["calls"] == len(files)
     assert writes["bytes"] == sum(f.stat().st_size for f in files)
     assert writes["records"] == sum(len(f.read_bytes().splitlines()) for f in files)
+
+
+def test_fuse_counters_equal_the_manifest_funnel(tmp_path):
+    # the benchmark's postprocess.soft_nms_in / soft_nms_kept_ratio /
+    # instances_out read these counts; they must agree with the funnel the
+    # run records
+    cfg = cli._merged_config()
+    cfg["synth"].update(seed=3, video_count=2, frames_per_video=80, dropout_rate=0.1, false_positive_rate=0.5)
+    tracer = load_tracer().Tracer("test")
+    tracer.install()
+    try:
+        cli.run_pipeline(cfg, tmp_path / "run")
+        totals = tracer.totals()
+    finally:
+        tracer.uninstall()
+    counts = json.loads((tmp_path / "run" / "run.manifest.json").read_text())["record_counts"]
+    assert counts["nms_in"] > counts["nms_kept"] >= counts["instances"] > 0
+    assert totals["postprocess.soft_nms"]["in"] == counts["nms_in"]
+    assert totals["postprocess.soft_nms"]["out"] == counts["nms_kept"]
+    assert totals["postprocess.proposals_to_instances"]["out"] == counts["instances"]
