@@ -115,9 +115,14 @@ _FIELD_READERS = {int: data_model.int_field, float: data_model.float_field, str:
 def _config_value(name, value, default):
     """`value` read as its `default`'s type: an int, float or string, or for
     a tuple default a list read element by element as the type of the
-    default's first; a None default takes the value as it is."""
+    default's first. A None default (`synth.activity_mix`) takes null or an
+    object of finite numbers."""
     if default is None:
-        return value
+        if value is None:
+            return None
+        if not isinstance(value, dict):
+            raise InvalidInputError(f"{name} must be null or an object: {value!r}")
+        return {key: _config_value(f"{name}.{key}", v, 0.0) for key, v in value.items()}
     if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)):
             raise InvalidInputError(f"{name} must be a list: {value!r}")
@@ -129,7 +134,8 @@ def _stage_config(cfg, section):
     """Build the stage dataclass from its config section, each value read as
     the type of its dataclass default."""
     cls = STAGE_CONFIGS[section]
-    return cls(**{f.name: _config_value(f.name, cfg[section][f.name], f.default) for f in dataclasses.fields(cls)})
+    return cls(**{f.name: _config_value(f"{section}.{f.name}", cfg[section][f.name], f.default)
+                  for f in dataclasses.fields(cls)})
 
 
 class Manifest:

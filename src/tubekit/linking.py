@@ -5,6 +5,7 @@ tracking-based linking that bridges missed detections with a
 constant-velocity predictor and a patience window.
 """
 
+import bisect
 import json
 from dataclasses import dataclass
 
@@ -253,10 +254,14 @@ def predict_next(last, prev):
     return last + np.concatenate((step, step), axis=1)
 
 
-# Every `_COMPACT_BLOCKS` row blocks are merged into one without the rows an
-# ended track will not emit (a track ends after `patience` predicted rows,
-# all trimmed), so those rows do not pile up until the end of the video.
-# A live track keeps all its rows.
+# A row `patience` or more frames before the current one is final: either
+# its track has ended and `length` says whether it is kept, or its track has
+# matched since (a live track has fewer than `patience` misses) and keeps it.
+# Once `_COMPACT_BLOCKS` row blocks are that old, they are compacted into one
+# chunk without the rows an ended track will not emit (a track ends after
+# `patience` predicted rows, all trimmed), so those rows do not pile up until
+# the end of the video. A chunk loses no row later, so each row is copied
+# once before the final pass, whatever the video length.
 _LIVE = np.iinfo(np.int64).max
 _COMPACT_BLOCKS = 64
 
@@ -275,13 +280,18 @@ def track_link(detections, config=LinkConfig(), stats=None):
     terminate after `patience` consecutive unmatched frames. Trailing
     predicted-only frames are trimmed.
 
-    The live tracks are parallel arrays in the order they were seeded. Every
-    frame records one row per live track (its matched detection, or else its
-    prediction) and one per new track, with the row's age (frame - seed
-    frame). At the end each track's rows up to its last match are scattered
-    into one array per column, the tracks in the order they ended and the
-    still-live ones last; `_numbered` sorts stably, so that order breaks its
-    ties."""
+    The live tracks are parallel arrays in the order they were seeded. Each
+    frame matches the predictions to the detections through one IoU matrix
+    over all live tracks and all detections, its cross-class cells set to 0:
+    `iou_link_threshold` is > 0, so each class is a block of its own and the
+    (row, col) tie order holds within it. A frame with no live track and no
+    detection is skipped. Every frame records one row per live track (its
+    matched detection, or else its prediction) and one per new track, with
+    the row's age (frame - seed frame); rows `patience` or more frames old
+    are compacted as they go. At the end each track's rows up to its last
+    match are scattered into one array per column, the tracks in the order
+    they ended and the still-live ones last; `_numbered` sorts stably, so
+    that order breaks its ties."""
     if stats is None:
         stats = LinkStats()
     if not len(detections):
@@ -297,58 +307,60 @@ def track_link(detections, config=LinkConfig(), stats=None):
     classes = np.zeros(0, dtype=np.int64)
     misses = np.zeros(0, dtype=np.int64)  # frames since the last match
     carried = np.zeros(0)  # score of the last matched detection
-    # by track id
-    seed_frame, seed_class, length = [], [], []
+    # by track id; `length` has room for more tracks than were seeded
+    seed_frame, seed_class = [], []
+    length = np.full(64, _LIVE, dtype=np.int64)
     end_order = []  # track ids, in the order the tracks ended
-    blocks = []  # (track ids, ages, boxes, scores, detected?) rows
+    blocks, block_frames = [], []  # (track ids, ages, boxes, scores, detected?) rows, and their frames
+    chunks = []  # compacted blocks, oldest first
 
     for f in range(min(frame_rows), max(frame_rows) + 1):
         lo, hi = frame_rows.get(f, (0, 0))
+        if not len(tids) and lo == hi:
+            continue
         f_boxes, f_scores, f_classes = det_boxes[lo:hi], det_scores[lo:hi], det_classes[lo:hi]
-
-        # a track seeded on the previous frame has one box: it stays put
-        ages = f - seeds
-        pred = np.where(ages[:, None] >= 2, predict_next(last, prev), last)
-        if not np.isfinite(pred).all():
-            raise InvalidInputError(f"non-finite predicted box at frame {f}")
-        match = np.full(len(tids), -1)
         claimed = np.zeros(hi - lo, dtype=bool)
-        for c in sorted(set(f_classes.tolist())):
-            (rows,) = (classes == c).nonzero()
-            if not rows.size:
-                continue
-            (cols,) = (f_classes == c).nonzero()
-            iou = kernels.iou_matrix(pred[rows], f_boxes[cols])
-            for r, col in _greedy_pairs(iou, config.iou_link_threshold, strict=False):
-                match[rows[r]] = cols[col]
-                claimed[cols[col]] = True
 
-        hit = match >= 0
-        matched = match[hit]
-        pred[hit] = f_boxes[matched]
-        carried = carried.copy()  # the previous frame's block holds the old array
-        carried[hit] = f_scores[matched]
-        blocks.append((tids, ages, pred, carried, hit))
-        prev, last = last, pred
-        misses = np.where(hit, 0, misses + 1)
+        if len(tids):
+            # a track seeded on the previous frame has one box: it stays put
+            ages = f - seeds
+            pred = np.where(ages[:, None] >= 2, predict_next(last, prev), last)
+            if not np.isfinite(pred).all():
+                raise InvalidInputError(f"non-finite predicted box at frame {f}")
+            hit = np.zeros(len(tids), dtype=bool)
+            if hi > lo:
+                iou = kernels.iou_matrix(pred, f_boxes)
+                iou[classes[:, None] != f_classes] = 0.0
+                pairs = _greedy_pairs(iou, config.iou_link_threshold, strict=False)
+                if pairs:
+                    rows, matched = np.array(pairs).T
+                    hit[rows] = claimed[matched] = True
+                    pred[rows] = f_boxes[matched]
+                    carried = carried.copy()  # the previous frame's block holds the old array
+                    carried[rows] = f_scores[matched]
+            blocks.append((tids, ages, pred, carried, hit))
+            block_frames.append(f)
+            prev, last = last, pred
+            misses = np.where(hit, 0, misses + 1)
 
-        done = misses >= config.patience
-        if done.any():
-            end_order.append(tids[done])
-            for t, n in zip(tids[done].tolist(), (f + 1 - config.patience - seeds[done]).tolist()):
-                length[t] = n
-            keep = ~done
-            tids, seeds, last, prev = tids[keep], seeds[keep], last[keep], prev[keep]
-            classes, misses, carried = classes[keep], misses[keep], carried[keep]
+            done = misses >= config.patience
+            if done.any():
+                end_order.append(tids[done])
+                length[tids[done]] = f + 1 - config.patience - seeds[done]
+                keep = ~done
+                tids, seeds, last, prev = tids[keep], seeds[keep], last[keep], prev[keep]
+                classes, misses, carried = classes[keep], misses[keep], carried[keep]
 
         (new,) = (~claimed).nonzero()
         if new.size:
             new_tids = np.arange(len(seed_frame), len(seed_frame) + new.size)
             seed_frame.extend([f] * new.size)
             seed_class.extend(f_classes[new].tolist())
-            length.extend([_LIVE] * new.size)
+            if len(seed_frame) > len(length):
+                length = np.concatenate((length, np.full(len(seed_frame), _LIVE, dtype=np.int64)))
             zeros = np.zeros(new.size, dtype=np.int64)
             blocks.append((new_tids, zeros, f_boxes[new], f_scores[new], zeros == 0))
+            block_frames.append(f)
             tids = np.concatenate((tids, new_tids))
             seeds = np.concatenate((seeds, zeros + f))
             last = np.concatenate((last, f_boxes[new]))
@@ -356,18 +368,19 @@ def track_link(detections, config=LinkConfig(), stats=None):
             classes = np.concatenate((classes, f_classes[new]))
             misses = np.concatenate((misses, zeros))
             carried = np.concatenate((carried, f_scores[new]))
-        if len(blocks) >= _COMPACT_BLOCKS:
-            blocks = [_kept_rows(blocks, np.array(length))]
+        if len(blocks) >= _COMPACT_BLOCKS and block_frames[_COMPACT_BLOCKS - 1] <= f - config.patience:
+            k = bisect.bisect_right(block_frames, f - config.patience)
+            chunks.append(_kept_rows(blocks[:k], length))
+            del blocks[:k], block_frames[:k]
     end_order.append(tids)
-    for t, n in zip(tids.tolist(), (f + 1 - misses - seeds).tolist()):
-        length[t] = n
+    length[tids] = f + 1 - misses - seeds
 
     # track t's rows go to first[t] .. first[t] + length[t] - 1
     order = np.concatenate(end_order)
-    length = np.array(length)
+    length = length[: len(seed_frame)]
     first = np.zeros(len(length), dtype=np.int64)
     first[order] = np.cumsum(length[order]) - length[order]
-    row_tids, ages, *columns = _kept_rows(blocks, length)
+    row_tids, ages, *columns = _kept_rows(chunks + blocks, length)
     boxes, scores, detected = (np.empty_like(col) for col in columns)
     for out, col in zip((boxes, scores, detected), columns):
         out[first[row_tids] + ages] = col

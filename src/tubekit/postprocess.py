@@ -18,8 +18,9 @@ class FusionConfig:
     person_weight: float = 1.0
 
     def __post_init__(self):
-        if not all(math.isfinite(w) and w >= 0.0 for w in (self.vehicle_weight, self.person_weight)):
-            raise InvalidInputError(f"fusion weights must be finite and >= 0: {self}")
+        for key in ("vehicle_weight", "person_weight"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise InvalidInputError(f"fusion.{key} out of [0,1]: {getattr(self, key)}")
 
 
 @dataclass(frozen=True)

@@ -418,6 +418,11 @@ def test_unknown_config_key_exits_one(corpus_dir, tmp_path, cfg, name):
         ({"link": {"patience": 2.5}}, [], "patience"),
         ({"link": {"max_interp_gap": -3}}, [], "max_interp_gap"),
         ({"nms": {"linear_threshold": "x"}}, [], "linear_threshold"),
+        ({"synth": {"activity_mix": [1]}}, [], "synth.activity_mix"),
+        ({"synth": {"activity_mix": {"Closing": True}}}, [], "synth.activity_mix"),
+        ({"synth": {"activity_mix": {"Closing": "1"}}}, [], "synth.activity_mix"),
+        ({"fusion": {"vehicle_weight": 3.0}}, [], "fusion.vehicle_weight"),
+        ({"fusion": {"person_weight": 1.5}}, [], "fusion.person_weight"),
     ],
 )
 def test_bad_config_value_exits_one_before_any_write(corpus_dir, tmp_path, cfg, extra, section):
@@ -430,6 +435,18 @@ def test_bad_config_value_exits_one_before_any_write(corpus_dir, tmp_path, cfg, 
     assert res.exit_code == 1, res.output
     report = json.loads(res.output.strip().splitlines()[-1])
     assert report["stage"] == "pipeline" and section in report["error"]
+    assert not out.exists()
+
+
+def test_fusion_weight_flag_above_one_exits_one_before_any_write(tmp_path):
+    scored = tmp_path / "scored.jsonl"
+    scored.write_text("")
+    out = tmp_path / "instances.jsonl"
+    res = runner.invoke(main, ["fuse", "--vehicle", str(scored), "--person", str(scored), "--out", str(out),
+                               "--vehicle-weight", "3.0"])
+    assert res.exit_code == 1, res.output
+    report = json.loads(res.output.strip().splitlines()[-1])
+    assert report["stage"] == "fuse" and "fusion.vehicle_weight" in report["error"]
     assert not out.exists()
 
 

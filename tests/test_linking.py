@@ -502,6 +502,48 @@ def scene(seed):
     return [dets[k] for k in order]
 
 
+def long_scene(seed, frames=1600, quiet=(760, 860)):
+    """Detections of one long video in three classes: objects that come and
+    go on a coarse grid (so boxes and scores tie), with dropout and false
+    positives, and no detection at all in the frames [quiet[0], quiet[1])."""
+    rng = np.random.default_rng(seed)
+    classes = ("car", "person", "truck")
+    dets = []
+    for _ in range(24):
+        cls = classes[int(rng.integers(3))]
+        first = int(rng.integers(0, frames - 20))
+        x, y = float(rng.integers(0, 40)) * 2.0, float(rng.integers(0, 6)) * 4.0
+        vx, vy = float(rng.integers(-4, 5)) * 0.5, float(rng.integers(-1, 2)) * 0.5
+        w, h = float(rng.integers(4, 12)) * 2.0, float(rng.integers(4, 12)) * 2.0
+        score = float(rng.choice([0.5, 0.9]))
+        for k in range(min(frames - first, int(rng.integers(20, 400)))):
+            if rng.random() >= 0.15:
+                dets.append(det(first + k, x + vx * k, y + vy * k, w, h, cls=cls, score=score))
+    for _ in range(int(rng.poisson(frames * 0.3))):
+        dets.append(det(int(rng.integers(0, frames)), float(rng.integers(0, 60)) * 2.0,
+                        float(rng.integers(0, 6)) * 4.0, 10.0, 10.0,
+                        cls=classes[int(rng.integers(3))], score=float(rng.choice([0.3, 0.5]))))
+    return [d for d in dets if not quiet[0] <= d.frame < quiet[1]]
+
+
+def recorded_kept_rows(monkeypatch):
+    """Record every `linking._kept_rows` call as (rows in, rows out, rows
+    dropped from the results of earlier calls)."""
+    calls, results = [], []
+    kept_rows = linking._kept_rows
+
+    def recording(blocks, length):
+        out = kept_rows(blocks, length)
+        chunks = [b for b in blocks if any(b is r for r in results)]
+        dropped = sum(len(c[0]) for c in chunks) - (len(kept_rows(chunks, length)[0]) if chunks else 0)
+        results.append(out)
+        calls.append((sum(len(b[0]) for b in blocks), len(out[0]), dropped))
+        return out
+
+    monkeypatch.setattr(linking, "_kept_rows", recording)
+    return calls
+
+
 CONFIGS = [
     LinkConfig(iou_link_threshold=t, patience=p, max_interp_gap=g)
     for t, p, g in [(0.5, 50, 8), (0.05, 1, 2), (1.0, 2, 8), (0.05, 5, 0), (0.3, 50, 3)]
@@ -546,6 +588,58 @@ class TestTrackLinkEqualsReference:
             want, want_stats = reference_track_link(dets, config)
             assert_same_tubelets(got, want)
             assert got_stats == want_stats
+
+    @pytest.mark.parametrize("patience", [5, 50])
+    def test_long_scene_with_a_quiet_stretch(self, patience, monkeypatch):
+        dets = long_scene(7)
+        frames = sorted({d.frame for d in dets})
+        assert frames[-1] - frames[0] >= 1500 and len({d.object_class for d in dets}) == 3
+        # every track ends in the quiet stretch, and the frames after that are skipped
+        assert max(np.diff(frames)) > patience + 1
+        calls = recorded_kept_rows(monkeypatch)
+        config = LinkConfig(patience=patience)
+        got, got_stats = track_link(columns(dets), config=config)
+        want, want_stats = reference_track_link(dets, config)
+        assert_same_tubelets(got, want)
+        assert got_stats == want_stats
+        # many compactions drop ended tracks' rows, and a compacted row is never dropped later
+        assert sum(rows_in > rows_out for rows_in, rows_out, _ in calls[:-1]) >= 20
+        assert all(dropped == 0 for _, _, dropped in calls)
+
+
+class TestTrackLinkCost:
+    def test_one_iou_matrix_per_frame_with_live_tracks_and_detections(self, monkeypatch):
+        dets = long_scene(3)
+        config = LinkConfig(patience=5)
+        shapes = []
+        iou_matrix = kernels.iou_matrix
+
+        def recording(boxes_a, boxes_b):
+            shapes.append((len(boxes_a), len(boxes_b)))
+            return iou_matrix(boxes_a, boxes_b)
+
+        monkeypatch.setattr(kernels, "iou_matrix", recording)
+        track_link(columns(dets), config=config)
+        monkeypatch.undo()
+        # a track is live from the frame after its seed to `patience` frames
+        # after its last match, the last row of its tubelet
+        tubelets, _ = reference_track_link(dets, config)
+        per_frame = Counter(d.frame for d in dets)
+        live = [sum(t.extent.start < f < t.extent.end + config.patience for t in tubelets) for f in sorted(per_frame)]
+        want = [(n, per_frame[f]) for f, n in zip(sorted(per_frame), live) if n]
+        assert len({d.object_class for d in dets}) == 3 and len(want) < len(per_frame)
+        assert shapes == want
+
+    def test_compaction_copies_each_row_a_bounded_number_of_times(self, monkeypatch):
+        corpus = generate(SceneConfig(seed=5, video_count=1, frames_per_video=6000, objects_per_video=(6, 6),
+                                      dropout_rate=0.1, box_jitter_px=2.0, false_positive_rate=0.3))
+        (video,) = corpus.detections.values()
+        calls = recorded_kept_rows(monkeypatch)
+        track_link(video)
+        # re-filtering all the rows so far at every compaction copies each
+        # kept row about 64 times on this scene; compacting each row once, 4.3
+        rows_in = sum(n for n, _, _ in calls)
+        assert rows_in < 8 * calls[-1][1]
 
 
 class TestGreedyMergeEqualsReference:
