@@ -15,10 +15,18 @@ or generates them, calls the stages in sequence on the objects they return
 and writes one manifest; its files are those of the subcommands, byte for
 byte.
 
+The config is built once per command, by `_merged_config`, into a frozen
+`Config`: one field per section, each the dataclass of its stage, plus
+`workers`. Each section checks its own values when it is built
+(`link.strategy` by `LinkConfig`), and the stages read their sections from
+`m.cfg`. `DEFAULT_CONFIG`, what `default-config` writes, is `Config()` as a
+dict.
+
 Each run writes a manifest (``<output>.manifest.json``) with the config hash,
 the seconds per stage (``timings_s``) and per read/compute/write phase
 (``phases_s``), record counts and warnings; data outputs are
-byte-reproducible across runs and worker counts.
+byte-reproducible across runs and worker counts. The config hash is of the
+checked values, so an integral ``3.0`` given for an int hashes as ``3``.
 
 Exit codes: 0 success, 1 input error, 2 stage failure.
 """
@@ -42,34 +50,39 @@ from .postprocess import FusionConfig, OutputConfig, SoftNmsConfig
 from .proposals import LabelPolicy, ScorerConfig
 from .refinement import RefineConfig
 
-# Config sections backed by a dataclass: their defaults are the dataclass
-# defaults, and `_stage_config` builds the dataclass from the section.
-STAGE_CONFIGS = {
-    "synth": synthgen.SceneConfig,
-    "link": LinkConfig,
-    "refine": RefineConfig,
-    "label": LabelPolicy,
-    "scorer": ScorerConfig,
-    "nms": SoftNmsConfig,
-    "fusion": FusionConfig,
-    "output": OutputConfig,
-    "eval": EvalConfig,
-    "align": AlignmentPolicy,
-}
+@dataclasses.dataclass(frozen=True)
+class Config:
+    """The checked config: one field per section, each its stage's dataclass,
+    and the worker count. `_merged_config` builds it once per command."""
 
-DEFAULT_CONFIG = {section: {f.name: f.default for f in dataclasses.fields(cls)}
-                  for section, cls in STAGE_CONFIGS.items()}
-DEFAULT_CONFIG["link"]["strategy"] = "tracking"
-DEFAULT_CONFIG["workers"] = 1
+    synth: synthgen.SceneConfig = synthgen.SceneConfig()
+    link: LinkConfig = LinkConfig()
+    refine: RefineConfig = RefineConfig()
+    label: LabelPolicy = LabelPolicy()
+    scorer: ScorerConfig = ScorerConfig()
+    nms: SoftNmsConfig = SoftNmsConfig()
+    fusion: FusionConfig = FusionConfig()
+    output: OutputConfig = OutputConfig()
+    eval: EvalConfig = EvalConfig()
+    align: AlignmentPolicy = AlignmentPolicy()
+    workers: int = 1
+
+    def __post_init__(self):
+        if self.workers < 1:
+            raise InvalidInputError(f"workers must be an integer >= 1: {self.workers!r}")
+
+
+DEFAULT_CONFIG = dataclasses.asdict(Config())
 
 
 def _merged_config(path=None, flags=None):
-    """The default config overridden by the JSON file at `path`, then by each
-    value of `flags` ({"section.key" or "key": value}) that is not None.
+    """The `Config` of the default config overridden by the JSON file at
+    `path`, then by each value of `flags` ({"section.key" or "key": value})
+    that is not None.
 
-    The config is checked before any stage runs: an unknown section or key, a
-    section its dataclass rejects, an unknown `link.strategy` or a `workers`
-    that is not an integer >= 1 is an input error."""
+    The config is checked before any stage runs: an unknown section or key,
+    a value not of its default's type or a section its dataclass rejects is
+    an input error."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path:
         try:
@@ -95,18 +108,7 @@ def _merged_config(path=None, flags=None):
         if value is not None:
             *section, key = name.split(".")
             (cfg[section[0]] if section else cfg)[key] = value
-
-    for section in STAGE_CONFIGS:
-        try:
-            _stage_config(cfg, section)
-        except (TypeError, ValueError, InvalidInputError, SchemaError) as exc:
-            raise InvalidInputError(f"config section {section!r}: {exc}")
-    if cfg["link"]["strategy"] not in ("greedy", "tracking"):
-        raise InvalidInputError(f"unknown link.strategy: {cfg['link']['strategy']!r}")
-    workers = cfg["workers"]
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise InvalidInputError(f"workers must be an integer >= 1: {workers!r}")
-    return cfg
+    return Config(**{f.name: _config_value(f.name, cfg[f.name], f.default) for f in dataclasses.fields(Config)})
 
 
 _FIELD_READERS = {int: data_model.int_field, float: data_model.float_field, str: data_model.str_field}
@@ -116,7 +118,14 @@ def _config_value(name, value, default):
     """`value` read as its `default`'s type: an int, float or string, or for
     a tuple default a list read element by element as the type of the
     default's first. A None default (`synth.activity_mix`) takes null or an
-    object of finite numbers."""
+    object of finite numbers. A dataclass default (a section) takes an
+    object with each of its fields, and the section is built from them."""
+    if dataclasses.is_dataclass(default):
+        try:
+            return type(default)(**{f.name: _config_value(f"{name}.{f.name}", value[f.name], f.default)
+                                    for f in dataclasses.fields(default)})
+        except (TypeError, ValueError, InvalidInputError, SchemaError) as exc:
+            raise InvalidInputError(f"config section {name!r}: {exc}")
     if default is None:
         if value is None:
             return None
@@ -128,14 +137,6 @@ def _config_value(name, value, default):
             raise InvalidInputError(f"{name} must be a list: {value!r}")
         return tuple(_config_value(f"{name}[{i}]", v, default[0]) for i, v in enumerate(value))
     return _FIELD_READERS[type(default)]({name: value}, name)
-
-
-def _stage_config(cfg, section):
-    """Build the stage dataclass from its config section, each value read as
-    the type of its dataclass default."""
-    cls = STAGE_CONFIGS[section]
-    return cls(**{f.name: _config_value(f"{section}.{f.name}", cfg[section][f.name], f.default)
-                  for f in dataclasses.fields(cls)})
 
 
 class Manifest:
@@ -162,9 +163,10 @@ class Manifest:
         """Write `<out_path>.manifest.json`. A stage's `timings_s` entry is the
         sum of its phases; the pipeline's one read of its inputs (`inputs`)
         belongs to no stage."""
+        config = json.dumps(dataclasses.asdict(self.cfg), sort_keys=True)
         manifest = {
             "stage": self.command,
-            "config_hash": hashlib.sha256(json.dumps(self.cfg, sort_keys=True).encode()).hexdigest(),
+            "config_hash": hashlib.sha256(config.encode()).hexdigest(),
             "timings_s": {name: sum(s.values()) for name, s in self.phases.items() if name != "inputs"},
             "phases_s": self.phases,
             "record_counts": self.counts,
@@ -205,7 +207,7 @@ def _check_frame_range(what, tracks, metas):
 def synth(m, out_dir):
     """Generate the synthetic corpus into `out_dir`; returns it and its paths."""
     with m.phase("synth", "compute"):
-        corpus = synthgen.generate(_stage_config(m.cfg, "synth"))
+        corpus = synthgen.generate(m.cfg.synth)
     with m.phase("synth", "write"):
         paths = synthgen.write_corpus(corpus, out_dir)
     m.counts.update(corpus.manifest["counts"])
@@ -222,9 +224,8 @@ def link(m, detections, metas, out):
     videos, dropped = detections
     with m.phase("link", "compute"):
         _check_frame_range("detection", videos.values(), metas)
-        link_video = linking.greedy_link if cfg["link"]["strategy"] == "greedy" else linking.track_link
-        link_cfg = _stage_config(cfg, "link")
-        linked = _parallel_map(lambda v: link_video(videos[v], config=link_cfg), sorted(videos), cfg["workers"])
+        link_video = linking.greedy_link if cfg.link.strategy == "greedy" else linking.track_link
+        linked = _parallel_map(lambda v: link_video(videos[v], config=cfg.link), sorted(videos), cfg.workers)
         tubes = []
         for video_tubes, _ in linked:
             for t in video_tubes:
@@ -246,14 +247,13 @@ def refine(m, tubelets, metas, out):
     in (video_id, tubelet_id, start, end) order."""
     with m.phase("refine", "compute"):
         _check_frame_range("tubelet", tubelets, metas)
-        refine_cfg = _stage_config(m.cfg, "refine")
-        kept, removed = refinement.filter_static(tubelets, refine_cfg)
+        kept, removed = refinement.filter_static(tubelets, m.cfg.refine)
 
         def _one(tub):
             meta = metas[tub.video_id]
-            return refinement.make_proposals(tub, meta.width, meta.height, refine_cfg)
+            return refinement.make_proposals(tub, meta.width, meta.height, m.cfg.refine)
 
-        props = [p for plist in _parallel_map(_one, kept, m.cfg["workers"]) for p in plist]
+        props = [p for plist in _parallel_map(_one, kept, m.cfg.workers) for p in plist]
         props.sort(key=lambda p: (p.video_id, p.tubelet_id, p.window.start, p.window.end))
         for i, p in enumerate(props):
             p.proposal_id = i
@@ -277,8 +277,8 @@ def score(m, props, ground_truth, outs):
     cfg = m.cfg
     groups = tuple(outs)
     with m.phase("score", "compute"):
-        scorer = proposals.make_scorer(**dataclasses.asdict(_stage_config(cfg, "scorer")), ground_truth=ground_truth,
-                                       policy=_stage_config(cfg, "label"))
+        oracle = cfg.scorer.name == "oracle"
+        scorer = proposals.OracleScorer(ground_truth, cfg.scorer, cfg.label) if oracle else proposals.HeuristicScorer()
         routed = []
         for p in props:
             group = proposals.route(p)
@@ -290,14 +290,14 @@ def score(m, props, ground_truth, outs):
             return dataclasses.replace(p, scores=proposals.score(p, group, scorer))
 
         by_group = {name: [] for name in groups}
-        for (_, group), p in zip(routed, _parallel_map(_one, routed, cfg["workers"])):
+        for (_, group), p in zip(routed, _parallel_map(_one, routed, cfg.workers)):
             by_group[group.name].append(p)
     with m.phase("score", "write"):
         for path in dict.fromkeys(outs.values()):
             refinement.write_proposals([p for g in groups if outs[g] == path for p in by_group[g]], path)
     m.counts["scored"] = len(routed)
 
-    if not isinstance(scorer, proposals.OracleScorer):
+    if not oracle:
         return by_group
     labels = m.counts["labels"] = {}
     for name in sorted(groups):
@@ -312,8 +312,8 @@ def score(m, props, ground_truth, outs):
         if counts["references"] and not counts["positive"]:
             m.warn(
                 f"0 positive labels in {name} against {counts['references']} references: label.temporal_pos is "
-                f"{cfg['label']['temporal_pos']}, the longest window (refine.window_sizes) is "
-                f"{cfg['refine']['window_sizes'][-1]} frames and the longest reference is "
+                f"{cfg.label.temporal_pos}, the longest window (refine.window_sizes) is "
+                f"{cfg.refine.window_sizes[-1]} frames and the longest reference is "
                 f"{counts['longest_reference']} frames; a window inside a longer reference has temporal IoU "
                 f"at most window / reference"
             )
@@ -326,18 +326,15 @@ def fuse(m, vehicle, person, out):
     `nms_kept`; no instance at all warns."""
     cfg = m.cfg
     with m.phase("fuse", "compute"):
-        fusion = _stage_config(cfg, "fusion")
-        instances = postprocess.fuse(vehicle, person, _stage_config(cfg, "nms"),
-                                     (fusion.vehicle_weight, fusion.person_weight),
-                                     _stage_config(cfg, "output").score_threshold, m.counts)
+        instances = postprocess.fuse(vehicle, person, cfg.nms, cfg.fusion, cfg.output, m.counts)
     with m.phase("fuse", "write"):
         data_model.write_instances(instances, out)
     m.counts["instances"] = len(instances)
     if not instances:
         m.warn(
             f"0 instances: soft-NMS kept {m.counts['nms_kept']} of {m.counts['nms_in']} bucket entries at "
-            f"nms.score_floor {cfg['nms']['score_floor']}, and none reached output.score_threshold "
-            f"{cfg['output']['score_threshold']}"
+            f"nms.score_floor {cfg.nms.score_floor}, and none reached output.score_threshold "
+            f"{cfg.output.score_threshold}"
         )
     return instances
 
@@ -345,7 +342,7 @@ def fuse(m, vehicle, person, out):
 def eval_recall(m, tubelets, references, out):
     """Tubelet recall at each `eval.recall_thresholds` IoU."""
     with m.phase("eval-recall", "compute"):
-        curve = evaluation.tubelet_recall(tubelets, references, _stage_config(m.cfg, "eval").recall_thresholds)
+        curve = evaluation.tubelet_recall(tubelets, references, m.cfg.eval.recall_thresholds)
     with m.phase("eval-recall", "write"):
         evaluation.write_recall_csv(curve, out)
     m.counts["thresholds"] = len(curve.thresholds)
@@ -357,8 +354,8 @@ def eval_det(m, instances, references, metas, out_csv, out_summary):
     with m.phase("eval-det", "compute"):
         _check_frame_range("instance", instances, metas)
         _check_frame_range("ground-truth instance", references, metas)
-        curves = evaluation.det_curve(instances, references, metas, _stage_config(m.cfg, "align"))
-        summary = evaluation.det_summary(curves, _stage_config(m.cfg, "eval").target_rfa)
+        curves = evaluation.det_curve(instances, references, metas, m.cfg.align)
+        summary = evaluation.det_summary(curves, m.cfg.eval.target_rfa)
     with m.phase("eval-det", "write"):
         evaluation.write_det_csv(curves, out_csv)
         evaluation.write_det_summary(summary, out_summary)
@@ -465,7 +462,7 @@ def synth_cmd(config_path, out_dir, seed, videos, frames, dropout):
 @main.command("link")
 @click.option("--detections", type=click.Path(exists=True), required=True)
 @click.option("--meta", type=click.Path(exists=True), required=True)
-@click.option("--strategy", type=click.Choice(["greedy", "tracking"]), default=None)
+@click.option("--strategy", default=None, help="link.strategy: greedy or tracking")
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--workers", type=int, default=None)
@@ -501,7 +498,7 @@ def refine_cmd(tubelets, meta, out, config_path, workers):
 
 @main.command("score")
 @click.option("--proposals", "proposals_path", type=click.Path(exists=True), required=True)
-@click.option("--scorer", type=click.Choice(["oracle", "heuristic"]), default=None)
+@click.option("--scorer", default=None, help="scorer.name: oracle or heuristic")
 @click.option("--ground-truth", type=click.Path(exists=True), default=None)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--group", type=click.Choice(["vehicle_related", "person_related"]), default=None)
@@ -516,7 +513,7 @@ def score_cmd(proposals_path, scorer, ground_truth, out, group, epsilon, config_
     with m.phase("score", "read"):
         props = refinement.read_proposals(proposals_path)
         references = None
-        if m.cfg["scorer"]["name"] == "oracle":
+        if m.cfg.scorer.name == "oracle":
             if ground_truth is None:
                 raise InvalidInputError("oracle scorer requires --ground-truth")
             references = data_model.read_ground_truth(ground_truth)

@@ -226,10 +226,11 @@ def str_field(rec, key):
     return value
 
 
-def read_records(path, kind, build):
+def read_records(path, kind, build, key=None):
     """`build(record)` for each record of a JSONL file; a record it cannot
-    build raises ParseError naming path:line."""
-    out = []
+    build raises ParseError naming path:line. With `key`, so does a record
+    whose `key(record)` an earlier record of the file has."""
+    out, seen = [], set()
     for lineno, rec in read_jsonl(path):
         try:
             out.append(build(rec))
@@ -237,6 +238,11 @@ def read_records(path, kind, build):
             raise ParseError(f"invalid {kind}: missing key {exc}", path=path, line=lineno)
         except (InvalidInputError, SchemaError, ValueError, TypeError, OverflowError) as exc:
             raise ParseError(f"invalid {kind}: {exc}", path=path, line=lineno)
+        if key is not None:
+            k = key(rec)
+            if k in seen:
+                raise ParseError(f"duplicate {kind} {k!r}: an earlier line has it", path=path, line=lineno)
+            seen.add(k)
     return out
 
 
@@ -409,7 +415,8 @@ def write_instances(instances, path):
 
 
 def read_video_meta(path):
-    """Read video metadata into a dict keyed by video_id."""
+    """Read video metadata into a dict keyed by video_id; a second record of
+    a video_id raises ParseError naming path:line."""
     out = {}
     for lineno, rec in read_jsonl(path):
         _require(rec, ("video_id", "frame_count", "frame_rate", "width", "height"), path, lineno)
@@ -423,6 +430,8 @@ def read_video_meta(path):
             )
         except (InvalidInputError, ValueError, TypeError) as exc:
             raise ParseError(f"invalid video meta: {exc}", path=path, line=lineno)
+        if meta.video_id in out:
+            raise ParseError(f"duplicate video meta for video_id {meta.video_id!r}", path=path, line=lineno)
         out[meta.video_id] = meta
     return out
 

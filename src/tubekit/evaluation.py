@@ -259,7 +259,7 @@ def det_curve(system, references, metas, policy=AlignmentPolicy()):
     return curves
 
 
-def p_miss_at_rfa(curve, target_rfa=0.15):
+def p_miss_at_rfa(curve, target_rfa):
     """p_miss at the largest swept rfa <= target, linearly interpolated when a
     bracketing point exists; 1.0 when the whole curve sits above the target."""
     points = sorted(curve.points)
@@ -275,20 +275,17 @@ def p_miss_at_rfa(curve, target_rfa=0.15):
     return p0 + t * (p1 - p0)
 
 
-def mean_p_miss(per_class, weights=None):
-    """Mean p_miss over the classes present; per-class weights pluggable."""
+def mean_p_miss(per_class):
+    """Mean p_miss over the classes present."""
     if not per_class:
         raise InvalidInputError("no per-class values")
-    if weights is None:
-        weights = {cls: 1.0 for cls in per_class}
-    total_w = sum(weights.get(cls, 1.0) for cls in per_class)
-    return sum(v * weights.get(cls, 1.0) for cls, v in per_class.items()) / total_w
+    return sum(per_class.values()) / len(per_class)
 
 
-def det_summary(curves, target_rfa=0.15, weights=None):
-    """p_miss at `target_rfa` per class and their (weighted) mean."""
+def det_summary(curves, target_rfa):
+    """p_miss at `target_rfa` per class and their mean."""
     per_class = {cls: p_miss_at_rfa(curves[cls], target_rfa) for cls in sorted(curves)}
-    return {"target_rfa": target_rfa, "per_class_p_miss": per_class, "mean_p_miss": mean_p_miss(per_class, weights)}
+    return {"target_rfa": target_rfa, "per_class_p_miss": per_class, "mean_p_miss": mean_p_miss(per_class)}
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ class LinkConfig:
     iou_link_threshold: float = 0.5
     patience: int = 50
     max_interp_gap: int = 8
+    strategy: str = "tracking"  # "tracking" (track_link) | "greedy" (greedy_link)
 
     def __post_init__(self):
         if not 0.0 < self.iou_link_threshold <= 1.0:
@@ -67,6 +68,8 @@ class LinkConfig:
             raise InvalidInputError(f"patience must be >= 1: {self.patience}")
         if self.max_interp_gap < 0:
             raise InvalidInputError(f"max_interp_gap must be >= 0: {self.max_interp_gap}")
+        if self.strategy not in ("greedy", "tracking"):
+            raise InvalidInputError(f"unknown link.strategy: {self.strategy!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +448,17 @@ def tubelet_from_record(rec):
     )
 
 
+def tubelet_key(rec):
+    """The (video_id, id) that names a tubelet in a tubelets or proposals
+    file: no two lines of one file may share it."""
+    return rec["video_id"], int_field(rec, "id")
+
+
 def write_tubelets(tubelets, path):
     write_jsonl((tubelet_line(t) for t in sorted(tubelets, key=lambda t: (t.video_id, t.id))), path)
 
 
 def read_tubelets(path):
-    out = read_records(path, "tubelet", tubelet_from_record)
+    out = read_records(path, "tubelet", tubelet_from_record, tubelet_key)
     out.sort(key=lambda t: (t.video_id, t.id))
     return out

@@ -62,8 +62,7 @@ def _neighbor_mask(proposals):
     """(n,n) bool: proposals i and j may suppress each other. That is when
     they share a tubelet id, or when some common frame of their windows has
     box IoU > 0. One `paired_iou` per pair of tubelets covers every pair of
-    their windows through a prefix count of the frames with IoU > 0, which
-    answers the same as "mean IoU over the common frames > 0"."""
+    their windows through a prefix count of the frames with IoU > 0."""
     groups = {}
     for i, p in enumerate(proposals):
         groups.setdefault(id(p.tubelet), (p.tubelet, []))[1].append(i)
@@ -83,11 +82,6 @@ def _neighbor_mask(proposals):
     return mask
 
 
-# A mean of non-negative IoUs is > 0 exactly when one of them is, unless one
-# is so small that dividing the sum by the frame count rounds it to 0.
-_TINY_IOU = 2.0 ** -960
-
-
 def _window_overlaps(ta, tb, windows_a, windows_b):
     """(len(windows_a), len(windows_b)) bool: the two windows, over tubelets
     `ta` and `tb`, have a common frame where the boxes overlap. None when the
@@ -102,13 +96,8 @@ def _window_overlaps(ta, tb, windows_a, windows_b):
     )
     lo = np.maximum(windows_a[:, 0, None], windows_b[None, :, 0]) - start
     hi = np.minimum(windows_a[:, 1, None], windows_b[None, :, 1]) - start
-    common = lo < hi
-    if (iou[iou > 0.0] < _TINY_IOU).any():
-        means = [[iou[l:h].mean() if l < h else 0.0 for l, h in zip(*row)]
-                 for row in zip(lo.tolist(), hi.tolist())]
-        return np.array(means) > 0.0
     overlapping = np.concatenate(([0], np.cumsum(iou > 0.0)))
-    return common & (overlapping[np.clip(hi, 0, end - start)] > overlapping[np.clip(lo, 0, end - start)])
+    return (lo < hi) & (overlapping[np.clip(hi, 0, end - start)] > overlapping[np.clip(lo, 0, end - start)])
 
 
 def soft_nms(entries, config=SoftNmsConfig()):
@@ -142,15 +131,16 @@ def soft_nms(entries, config=SoftNmsConfig()):
     return result
 
 
-def fuse(vehicle_scored, person_scored, nms=SoftNmsConfig(), weights=(1.0, 1.0), score_threshold=0.05, funnel=None):
+def fuse(vehicle_scored, person_scored, nms, fusion, output, funnel=None):
     """Late fusion: put each activity score of each proposal, times its
-    group's fusion weight, in its (video, activity) bucket, run soft-NMS per
-    bucket and return the kept entries at or above `score_threshold` as
-    instances. The two groups must score disjoint activity sets. A `funnel`
-    dict receives `nms_in` and `nms_kept`, the bucket entries given to
-    soft-NMS and returned by it."""
+    group's `fusion` weight, in its (video, activity) bucket, run soft-NMS
+    under `nms` per bucket and return the kept entries at or above
+    `output.score_threshold` as instances. The two groups must score
+    disjoint activity sets. A `funnel` dict receives `nms_in` and
+    `nms_kept`, the bucket entries given to soft-NMS and returned by it."""
     buckets, group_of = {}, {}
-    for group, (source, weight) in enumerate(((vehicle_scored, weights[0]), (person_scored, weights[1]))):
+    sources = ((vehicle_scored, fusion.vehicle_weight), (person_scored, fusion.person_weight))
+    for group, (source, weight) in enumerate(sources):
         for p in source:
             for act, s in (p.scores or {}).items():
                 if act == NON_ACTION:
@@ -165,10 +155,10 @@ def fuse(vehicle_scored, person_scored, nms=SoftNmsConfig(), weights=(1.0, 1.0),
     if funnel is not None:
         funnel["nms_in"] = sum(map(len, buckets.values()))
         funnel["nms_kept"] = len(kept)
-    return proposals_to_instances(kept, score_threshold)
+    return proposals_to_instances(kept, output.score_threshold)
 
 
-def proposals_to_instances(kept, score_threshold=0.05):
+def proposals_to_instances(kept, score_threshold):
     """An ActivityInstance, viewing its proposal's boxes, for each (proposal,
     activity, score) triple whose score reaches the threshold. Ordered by
     `instance_order`, ties by (video_id, proposal_id)."""

@@ -130,26 +130,23 @@ def score(proposal, group, scorer):
 
 
 class OracleScorer:
-    """Ground-truth-backed scorer for end-to-end tests: a positive proposal
-    gets its matched class at 1 - epsilon, optionally flipped to a random
-    wrong class with probability `label_noise` (deterministic per proposal).
+    """Ground-truth-backed scorer for end-to-end tests: a proposal that
+    `policy` labels positive gets its matched class at 1 - `config.epsilon`,
+    flipped to a random wrong class with probability `config.label_noise`
+    (deterministic per proposal and `config.seed`).
 
     `label_counts` tallies the label of every proposal scored, by group name
     and then label kind; scoring threads share it under a lock."""
 
-    def __init__(self, instances, epsilon=0.0, label_noise=0.0, seed=0, policy=LabelPolicy()):
-        if not 0.0 <= epsilon < 1.0:
-            raise InvalidInputError(f"epsilon out of [0,1): {epsilon}")
+    def __init__(self, instances, config, policy):
         self.instances = list(instances)
-        self.epsilon = epsilon
-        self.label_noise = label_noise
-        self.seed = seed
+        self.config = config
         self.policy = policy
         self.label_counts = {}
         self._lock = threading.Lock()
 
     def _unit_draw(self, proposal, salt):
-        token = f"{self.seed}:{salt}:{proposal.video_id}:{proposal.proposal_id}"
+        token = f"{self.config.seed}:{salt}:{proposal.video_id}:{proposal.proposal_id}"
         return (zlib.crc32(token.encode()) & 0xFFFFFFFF) / 2**32
 
     def score(self, proposal, group):
@@ -160,11 +157,11 @@ class OracleScorer:
         scores = {a: 0.0 for a in group.activities}
         if label.kind == "positive" and label.activity in group.activities:
             activity = label.activity
-            if self.label_noise > 0.0 and self._unit_draw(proposal, "flip") < self.label_noise:
+            if self.config.label_noise > 0.0 and self._unit_draw(proposal, "flip") < self.config.label_noise:
                 others = sorted(group.activities - {activity})
                 activity = others[int(self._unit_draw(proposal, "pick") * len(others)) % len(others)]
-            scores[activity] = 1.0 - self.epsilon
-            scores[NON_ACTION] = self.epsilon
+            scores[activity] = 1.0 - self.config.epsilon
+            scores[NON_ACTION] = self.config.epsilon
         else:
             scores[NON_ACTION] = 1.0
         return scores
@@ -194,13 +191,3 @@ class ScorerConfig:
         valid = 0.0 <= self.epsilon < 1.0 and 0.0 <= self.label_noise <= 1.0
         if self.name not in ("oracle", "heuristic") or not valid:
             raise InvalidInputError(f"need a known name, epsilon in [0,1) and label_noise in [0,1]: {self}")
-
-
-def make_scorer(name, ground_truth=None, epsilon=0.0, label_noise=0.0, seed=0, policy=LabelPolicy()):
-    if name == "oracle":
-        if ground_truth is None:
-            raise InvalidInputError("oracle scorer requires ground truth")
-        return OracleScorer(ground_truth, epsilon=epsilon, label_noise=label_noise, seed=seed, policy=policy)
-    if name == "heuristic":
-        return HeuristicScorer()
-    raise InvalidInputError(f"unknown scorer: {name!r}")

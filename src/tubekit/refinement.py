@@ -10,7 +10,7 @@ import numpy as np
 from .data_model import ACTIVITY_CLASSES, float_field, int_field, read_records, write_jsonl
 from .errors import InvalidInputError
 from .geometry import Interval, mean_center_step
-from .linking import Tubelet, tubelet_from_record, tubelet_line
+from .linking import Tubelet, tubelet_from_record, tubelet_key, tubelet_line
 from .proposals import NON_ACTION
 
 
@@ -88,7 +88,7 @@ def filter_static(tubelets, config=RefineConfig()):
     return kept, len(tubelets) - len(kept)
 
 
-def normalize_boxes(tubelet, width, height, enlarge_factor=1.2):
+def normalize_boxes(tubelet, width, height, enlarge_factor):
     """Resize every box about its center to the tubelet-wide max width/height,
     then enlarge by `enlarge_factor` and clamp to the frame [0, width] x
     [0, height]."""
@@ -189,6 +189,6 @@ def _proposals_from_record(rec):
 
 
 def read_proposals(path):
-    out = [p for line in read_records(path, "proposals", _proposals_from_record) for p in line]
+    out = [p for line in read_records(path, "proposals", _proposals_from_record, tubelet_key) for p in line]
     out.sort(key=lambda p: (p.video_id, p.proposal_id))
     return out

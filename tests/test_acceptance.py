@@ -15,9 +15,9 @@ import pytest
 from click.testing import CliRunner
 from conftest import box_rows, make_proposal
 
-from tubekit import cli, data_model, linking, synthgen
+from tubekit import cli, data_model, evaluation, linking, synthgen
 from tubekit.data_model import ActivityInstance
-from tubekit.evaluation import AlignmentPolicy, align_instances, tubelet_recall
+from tubekit.evaluation import AlignmentPolicy, tubelet_recall
 from tubekit.geometry import Box, Interval, spatial_iou, temporal_iou
 from tubekit.postprocess import SoftNmsConfig, soft_nms
 from tubekit.proposals import (
@@ -302,7 +302,7 @@ def test_criterion_07_soft_nms_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# 8. alignment equals brute-force optimum
+# 8. the DET sweep's matching equals the brute-force optimum
 
 
 def _instance(start, end, confidence=1.0):
@@ -310,21 +310,17 @@ def _instance(start, end, confidence=1.0):
                             box_rows((0, 0, 10, 10), end - start), confidence)
 
 
-def _brute_force_alignment(system, reference, min_tiou):
+def _brute_force_matching_size(system, reference, min_tiou):
+    """The size of a maximum one-to-one matching over the pairs with tIoU >=
+    `min_tiou`, found by trying every assignment of every size."""
     n, m = len(system), len(reference)
     tiou = [[temporal_iou(s.extent, r.extent) for r in reference] for s in system]
-    best = (0, 0.0)
-    for k in range(min(n, m), -1, -1):
-        found = False
+    for k in range(min(n, m), 0, -1):
         for si in itertools.combinations(range(n), k):
             for rj in itertools.permutations(range(m), k):
-                ts = [tiou[i][j] for i, j in zip(si, rj)]
-                if all(t >= min_tiou for t in ts):
-                    found = True
-                    best = max(best, (k, sum(ts)))
-        if found:
-            break
-    return best
+                if all(tiou[i][j] >= min_tiou for i, j in zip(si, rj)):
+                    return k
+    return 0
 
 
 def test_criterion_08_alignment_oracle():
@@ -339,12 +335,13 @@ def test_criterion_08_alignment_oracle():
 
         system = [iv(round(float(rng.random()), 3)) for _ in range(n)]
         reference = [iv(1.0) for _ in range(m)]
-        res = align_instances(system, reference, policy)
-        got = (len(res.matches), sum(t for _, _, t in res.matches))
-        want = _brute_force_alignment(system, reference, policy.temporal_iou_min)
-        assert got[0] == want[0]
-        assert got[1] == pytest.approx(want[1], abs=1e-9)
-    _passed(8, "200 seeded cases (<= 6 per side) equal the brute-force optimum")
+        # det_curve grows one matching per bucket, in descending confidence
+        system.sort(key=lambda s: -s.confidence)
+        matching = evaluation._Matching(reference, policy)
+        for k in range(n):
+            matching.add(system[k])
+            assert matching.size == _brute_force_matching_size(system[:k + 1], reference, policy.temporal_iou_min)
+    _passed(8, "200 seeded cases (<= 6 per side): after each added instance the matching is a maximum one")
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +351,8 @@ def test_criterion_08_alignment_oracle():
 def _pipeline_mean_p_miss(tmp_path, dropout):
     d = tmp_path / f"drop_{int(dropout * 100):02d}"
     d.mkdir()
-    cfg = cli._merged_config()
-    cfg["synth"].update(seed=900, video_count=4, frames_per_video=200,
-                        objects_per_video=[3, 5], dropout_rate=dropout)
+    cfg = cli._merged_config(flags={"synth.seed": 900, "synth.video_count": 4, "synth.frames_per_video": 200,
+                                    "synth.objects_per_video": [3, 5], "synth.dropout_rate": dropout})
     m = cli.Manifest("pipeline", cfg)
     _, paths = cli.synth(m, d)
     metas = data_model.read_video_meta(paths["video_meta"])

@@ -1,4 +1,5 @@
 import builtins
+import hashlib
 import json
 import os
 import subprocess
@@ -438,6 +439,20 @@ def test_bad_config_value_exits_one_before_any_write(corpus_dir, tmp_path, cfg, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, key", [(["link", "--strategy", "nearest"], "link.strategy"),
+                                       (["score", "--scorer", "p3d"], "'scorer'")])
+def test_unknown_strategy_or_scorer_flag_exits_one(corpus_dir, tmp_path, args, key):
+    # the flag is checked by the config section it sets, like its config key
+    inputs = {"link": ["--detections", str(corpus_dir / "detections.jsonl"),
+                       "--meta", str(corpus_dir / "video_meta.jsonl")],
+              "score": ["--proposals", str(tmp_path / "p.jsonl")]}[args[0]]
+    (tmp_path / "p.jsonl").write_text("")
+    res = runner.invoke(main, [*args, *inputs, "--out", str(tmp_path / "out.jsonl")])
+    assert res.exit_code == 1, res.output
+    report = json.loads(res.output.strip().splitlines()[-1])
+    assert report["stage"] == args[0] and key in report["error"]
+
+
 def test_fusion_weight_flag_above_one_exits_one_before_any_write(tmp_path):
     scored = tmp_path / "scored.jsonl"
     scored.write_text("")
@@ -492,18 +507,27 @@ def test_instance_past_frame_count_exits_one(tmp_path, past):
     assert not (tmp_path / "det.csv").exists()
 
 
+# The config's identity: the bytes of `default-config` and the hash a run
+# under it records. A new, renamed or re-defaulted key changes both.
+DEFAULT_CONFIG_SHA256 = "d33da00c3f97ae79a893df19a44259938e892bc79bcc5d37f9dba8f63c537ee3"
+DEFAULT_CONFIG_HASH = "73da52ccb355cd0d2e19a44a66edbadac1ca6e5ab29eb65afb08066242fb38cf"
+
+
 def test_default_config_round_trips(corpus_dir, tmp_path):
     cfg_path = tmp_path / "default.json"
     assert run(["default-config", "--out", str(cfg_path)]).exit_code == 0
+    assert hashlib.sha256(cfg_path.read_bytes()).hexdigest() == DEFAULT_CONFIG_SHA256
+    # the hash is of the checked values: an integral 50.0 is the int 50
+    integral = write_config(tmp_path, {"link": {"patience": 50.0}})
     hashes = []
-    for extra in ([], ["--config", str(cfg_path)]):
+    for extra in ([], ["--config", str(cfg_path)], ["--config", integral]):
         out = tmp_path / f"tubes{len(hashes)}.jsonl"
         assert run([
             "link", "--detections", str(corpus_dir / "detections.jsonl"),
             "--meta", str(corpus_dir / "video_meta.jsonl"), "--out", str(out), *extra,
         ]).exit_code == 0
         hashes.append(json.loads((tmp_path / f"{out.name}.manifest.json").read_text())["config_hash"])
-    assert hashes[0] == hashes[1]
+    assert hashes == [DEFAULT_CONFIG_HASH] * 3
 
 
 def test_malformed_instance_box_exits_one(tmp_path):
@@ -607,7 +631,7 @@ def test_threshold_zero_writes_only_what_soft_nms_kept(corpus_dir, tmp_path):
     assert counts["nms_in"] > counts["nms_kept"] == counts["instances"] > 0
     instances = data_model.read_instances(tmp_path / "run" / "instances.jsonl")
     assert len(instances) == counts["instances"]
-    assert min(i.confidence for i in instances) >= cli.DEFAULT_CONFIG["nms"]["score_floor"]
+    assert min(i.confidence for i in instances) >= cli.Config().nms.score_floor
 
 
 @pytest.mark.parametrize("videos, frames", [(1, 600), (2, 120)])

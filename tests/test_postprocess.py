@@ -7,7 +7,8 @@ from conftest import box_rows, make_proposal, make_tubelet
 from tubekit.errors import InvalidInputError
 from tubekit.geometry import Interval, temporal_iou
 from tubekit.linking import track_link
-from tubekit.postprocess import SoftNmsConfig, fuse, proposals_to_instances, soft_nms
+from tubekit.kernels import paired_iou
+from tubekit.postprocess import FusionConfig, OutputConfig, SoftNmsConfig, fuse, proposals_to_instances, soft_nms
 from tubekit.proposals import NON_ACTION, tubelet_spatial_iou
 from tubekit.refinement import Proposal, filter_static, make_proposals
 from tubekit.synthgen import SceneConfig, generate
@@ -147,19 +148,23 @@ def facts(instances):
     return [(i.video_id, i.activity, i.extent, i.confidence) for i in instances]
 
 
+# fuse's nms, fusion and output sections at their defaults
+DEFAULTS = (SoftNmsConfig(), FusionConfig(), OutputConfig())
+
+
 class TestFuse:
     def test_disjoint_singletons(self):
-        fused = fuse(*vehicle_and_person())
+        fused = fuse(*vehicle_and_person(), *DEFAULTS)
         assert len(fused) == 2
 
     def test_one_empty(self):
         p = [scored(Interval(0, 10), 0.8, 0, activity="Riding")]
-        fused = fuse([], p)
+        fused = fuse([], p, *DEFAULTS)
         assert len(fused) == 1
         assert fused[0].confidence == 0.8
 
     def test_weights_scale_before_nms(self):
-        fused = fuse(*vehicle_and_person(), weights=(1.0, 0.5))
+        fused = fuse(*vehicle_and_person(), SoftNmsConfig(), FusionConfig(person_weight=0.5), OutputConfig())
         by_activity = {i.activity: i.confidence for i in fused}
         assert by_activity["Closing"] == pytest.approx(0.9)
         assert by_activity["Riding"] == pytest.approx(0.4)
@@ -168,12 +173,12 @@ class TestFuse:
         a = [scored(Interval(0, 10), 0.9, 0, activity="Riding")]
         b = [scored(Interval(0, 10), 0.8, 1, activity="Riding")]
         with pytest.raises(InvalidInputError):
-            fuse(a, b)
+            fuse(a, b, *DEFAULTS)
 
     def test_commutative_up_to_order(self):
         v, p = vehicle_and_person()
         # swapping requires swapping weights too, which default equal
-        assert facts(fuse(v, p)) == facts(fuse(p, v))
+        assert facts(fuse(v, p, *DEFAULTS)) == facts(fuse(p, v, *DEFAULTS))
 
     def test_dropped_entry_never_becomes_an_instance(self):
         # linear decay takes the second score to 0, under the floor: even at
@@ -181,7 +186,8 @@ class TestFuse:
         a = scored(Interval(0, 10), 0.9, 0)
         b = scored(Interval(0, 10), 0.8, 1)
         funnel = {}
-        out = fuse([], [a, b], SoftNmsConfig(method="linear"), score_threshold=0.0, funnel=funnel)
+        out = fuse([], [a, b], SoftNmsConfig(method="linear"), FusionConfig(), OutputConfig(score_threshold=0.0),
+                   funnel)
         assert funnel == {"nms_in": 2, "nms_kept": 1}
         assert facts(out) == [("v0", "Riding", Interval(0, 10), 0.9)]
 
@@ -249,7 +255,10 @@ def reference_soft_nms(proposals, activity, config):
         return 1.0 - tiou if tiou > config.linear_threshold else 1.0
 
     def is_neighbor(a, b):
-        return a.tubelet_id == b.tubelet_id or tubelet_spatial_iou(a, b) > 0.0
+        # the same tubelet id, or some common frame where the boxes overlap
+        start, end = max(a.window.start, b.window.start), min(a.window.end, b.window.end)
+        rows_a, rows_b = (p.boxes[start - p.window.start:end - p.window.start] for p in (a, b))
+        return a.tubelet_id == b.tubelet_id or (start < end and bool((paired_iou(rows_a, rows_b) > 0.0).any()))
 
     remaining = [[p, float(p.scores[activity])] for p in proposals]
     remaining = [it for it in remaining if it[1] >= config.score_floor]
@@ -319,18 +328,20 @@ class TestSoftNmsEqualsPairwiseLoop:
 
     def test_tiny_overlap_whose_mean_rounds_to_zero(self):
         # frame 0 overlaps by one subnormal IoU; its mean over the two frames
-        # of window [0, 2) rounds to 0, so those windows are not neighbours,
-        # while window [0, 1) alone overlaps
+        # of window [0, 2) rounds to 0, yet that one frame makes the windows
+        # neighbours: the rule is "some common frame has IoU > 0", not
+        # "mean IoU > 0"
         a = make_tubelet(box_rows((0.0, 0.0, 1.0, 1.0), 2), tubelet_id=0)
         b_rows = np.array([[-1.0, -1.0, 3e-162, 3e-162], [5.0, 5.0, 6.0, 6.0]])
         b = make_tubelet(b_rows, tubelet_id=1)
         props = [
             Proposal(0, a, Interval(0, 2), 8, {"Riding": 0.9}),
             Proposal(1, b, Interval(0, 2), 8, {"Riding": 0.8}),
-            Proposal(2, b, Interval(0, 1), 8, {"Riding": 0.7}),
         ]
-        assert tubelet_spatial_iou(props[0], props[1]) == 0.0
-        assert tubelet_spatial_iou(props[0], props[2]) > 0.0
+        assert 0.0 < paired_iou(a.boxes[:1], b.boxes[:1])[0] < 2.0 ** -1000
+        assert tubelet_spatial_iou(*props) == 0.0
         for cfg in CONFIGS:
             out = nms(props, "Riding", cfg)
             assert [(p.proposal_id, s) for p, s in out] == reference_soft_nms(props, "Riding", cfg)
+        # tIoU 1: the gaussian decays the second score by exp(-1 / sigma)
+        assert [(p.proposal_id, s) for p, s in nms(props, "Riding")] == [(0, 0.9), (1, 0.8 * math.exp(-2.0))]

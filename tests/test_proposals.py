@@ -20,8 +20,8 @@ from tubekit.proposals import (
     HeuristicScorer,
     LabelPolicy,
     OracleScorer,
+    ScorerConfig,
     label_proposal,
-    make_scorer,
     route,
     score,
     tubelet_spatial_iou,
@@ -176,27 +176,27 @@ class TestOracleScorer:
     def test_matched_proposal(self):
         inst = instance("Loading")
         p = make_proposal(Interval(0, 10), boxes=inst.boxes)
-        scores = OracleScorer([inst]).score(p, PERSON_GROUP)
+        scores = OracleScorer([inst], ScorerConfig(), LabelPolicy()).score(p, PERSON_GROUP)
         assert scores["Loading"] == 1.0
         assert scores[NON_ACTION] == 0.0
         assert all(scores[a] == 0.0 for a in PERSON_GROUP.activities if a != "Loading")
 
     def test_unmatched_proposal(self):
         p = make_proposal(Interval(0, 10))
-        scores = OracleScorer([]).score(p, PERSON_GROUP)
+        scores = OracleScorer([], ScorerConfig(), LabelPolicy()).score(p, PERSON_GROUP)
         assert scores[NON_ACTION] == 1.0
 
     def test_epsilon(self):
         inst = instance("Loading")
         p = make_proposal(Interval(0, 10), boxes=inst.boxes)
-        scores = OracleScorer([inst], epsilon=0.1).score(p, PERSON_GROUP)
+        scores = OracleScorer([inst], ScorerConfig(epsilon=0.1), LabelPolicy()).score(p, PERSON_GROUP)
         assert scores["Loading"] == pytest.approx(0.9)
         assert scores[NON_ACTION] == pytest.approx(0.1)
 
     def test_label_noise_deterministic(self):
         inst = instance("Loading")
         p = make_proposal(Interval(0, 10), boxes=inst.boxes)
-        scorer = OracleScorer([inst], label_noise=1.0, seed=3)
+        scorer = OracleScorer([inst], ScorerConfig(label_noise=1.0, seed=3), LabelPolicy())
         first = scorer.score(p, PERSON_GROUP)
         assert first == scorer.score(p, PERSON_GROUP)
         assert first["Loading"] == 0.0  # always flipped at noise 1.0
@@ -248,10 +248,3 @@ class TestScoreValidation:
         label = label_proposal(p, [inst])
         assert label.kind == "positive"
         assert label.activity in group.activities
-
-
-def test_make_scorer_oracle_requires_gt():
-    with pytest.raises(InvalidInputError):
-        make_scorer("oracle")
-    with pytest.raises(InvalidInputError):
-        make_scorer("p3d")

@@ -239,6 +239,25 @@ def test_rows_in_any_order_decode_in_frame_order(tmp_path):
     assert np.array_equal(back.boxes, tube.boxes)
 
 
+@pytest.mark.parametrize("as_id", [int, float])
+@pytest.mark.parametrize("kind", ["tubelets", "proposals", "scored"])
+def test_second_line_with_an_earlier_tubelet_key_is_a_parse_error(tmp_path, inputs, kind, as_id):
+    # the two lines would be written back as one, the second's windows over
+    # the first's boxes; an integral float id names the same tubelet
+    path = tmp_path / f"{kind}.jsonl"
+    _write(kind, path)
+    first, second = (json.loads(line) for line in path.read_text().splitlines())
+    second["id"] = as_id(first["id"])
+    path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+
+    with pytest.raises(ParseError, match="duplicate") as exc:
+        READERS[kind](path)
+    assert (exc.value.path, exc.value.line) == (path, 2)
+    res = CliRunner().invoke(main, _cli_args(kind, str(path), inputs))
+    assert res.exit_code == 1, res.output
+    assert f"{path}:2: " in json.loads(res.output.strip().splitlines()[-1])["error"]
+
+
 # ---------------------------------------------------------------------------
 # detections and video metadata
 
@@ -357,3 +376,23 @@ def test_non_string_video_id_rejected_even_when_the_files_agree(tmp_path, video_
                                     "--out", str(tmp_path / "tubelets.jsonl")])
     assert res.exit_code == 1, res.output
     assert ":1: " in json.loads(res.output.strip().splitlines()[-1])["error"]
+
+
+@pytest.mark.parametrize("order", ["short_first", "long_first"])
+def test_second_meta_of_a_video_is_a_parse_error(tmp_path, order):
+    # the last record used to win, so whether `link` passed the frame-range
+    # rule hung on the line order
+    det = tmp_path / "detections.jsonl"
+    det.write_text(json.dumps({"video_id": "v0", "frame": 50, "x1": 1.0, "y1": 2.0, "x2": 3.0, "y2": 4.0,
+                               "class": "car", "score": 0.5}) + "\n")
+    metas = [{"video_id": "v0", "frame_count": n, "frame_rate": 30.0, "width": 1280.0, "height": 720.0}
+             for n in (10, 100)]
+    meta = tmp_path / "meta.jsonl"
+    meta.write_text("".join(json.dumps(m) + "\n" for m in (metas if order == "short_first" else metas[::-1])))
+    with pytest.raises(ParseError, match="duplicate") as exc:
+        data_model.read_video_meta(meta)
+    assert (exc.value.path, exc.value.line) == (meta, 2)
+    res = CliRunner().invoke(main, ["link", "--detections", str(det), "--meta", str(meta),
+                                    "--out", str(tmp_path / "tubelets.jsonl")])
+    assert res.exit_code == 1, res.output
+    assert f"{meta}:2: " in json.loads(res.output.strip().splitlines()[-1])["error"]

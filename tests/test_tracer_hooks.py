@@ -11,6 +11,10 @@ from tubekit import cli, data_model, linking, synthgen
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
+# a small corpus with dropout and false positives, for whole runs
+SMALL_RUN = {"synth.seed": 3, "synth.video_count": 2, "synth.frames_per_video": 80, "synth.dropout_rate": 0.1,
+             "synth.false_positive_rate": 0.5}
+
 
 def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
@@ -74,8 +78,7 @@ def test_link_counters_follow_track_link(tmp_path):
 def test_write_counters_equal_the_written_files(tmp_path):
     # the benchmark's data_model.write_jsonl_records / write_mb read these
     # counts; a writer that bypasses write_jsonl would silently lower them
-    cfg = cli._merged_config()
-    cfg["synth"].update(seed=3, video_count=2, frames_per_video=80, dropout_rate=0.1, false_positive_rate=0.5)
+    cfg = cli._merged_config(flags=SMALL_RUN)
     tracer = load_tracer().Tracer("test")
     tracer.install()
     try:
@@ -94,8 +97,7 @@ def test_fuse_counters_equal_the_manifest_funnel(tmp_path):
     # the benchmark's postprocess.soft_nms_in / soft_nms_kept_ratio /
     # instances_out read these counts; they must agree with the funnel the
     # run records
-    cfg = cli._merged_config()
-    cfg["synth"].update(seed=3, video_count=2, frames_per_video=80, dropout_rate=0.1, false_positive_rate=0.5)
+    cfg = cli._merged_config(flags=SMALL_RUN)
     tracer = load_tracer().Tracer("test")
     tracer.install()
     try:
