@@ -273,7 +273,8 @@ def score(m, props, ground_truth, outs):
     With the oracle scorer, counts the label funnel: per group the
     positive/negative/ignore label counts, the number of references of the
     group's activities and the longest one's frame count. A group with
-    references but no positive label warns."""
+    references but no positive label warns, blaming the longest window only
+    when it binds (longest reference * label.temporal_pos > that window)."""
     cfg = m.cfg
     groups = tuple(outs)
     with m.phase("score", "compute"):
@@ -310,13 +311,19 @@ def score(m, props, ground_truth, outs):
             "longest_reference": max(lengths, default=0),
         }
         if counts["references"] and not counts["positive"]:
-            m.warn(
-                f"0 positive labels in {name} against {counts['references']} references: label.temporal_pos is "
-                f"{cfg.label.temporal_pos}, the longest window (refine.window_sizes) is "
-                f"{cfg.refine.window_sizes[-1]} frames and the longest reference is "
-                f"{counts['longest_reference']} frames; a window inside a longer reference has temporal IoU "
-                f"at most window / reference"
-            )
+            if counts["longest_reference"] * cfg.label.temporal_pos > cfg.refine.window_sizes[-1]:
+                cause = (
+                    f"label.temporal_pos is {cfg.label.temporal_pos}, the longest window (refine.window_sizes) is "
+                    f"{cfg.refine.window_sizes[-1]} frames and the longest reference is "
+                    f"{counts['longest_reference']} frames; a window inside a longer reference has temporal IoU "
+                    f"at most window / reference"
+                )
+            else:
+                cause = (
+                    f"none of its {len(by_group[name])} scored proposals reaches both label.spatial_pos "
+                    f"{cfg.label.spatial_pos} and label.temporal_pos {cfg.label.temporal_pos} against a reference"
+                )
+            m.warn(f"0 positive labels in {name} against {counts['references']} references: {cause}")
     return by_group
 
 

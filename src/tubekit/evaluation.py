@@ -36,16 +36,17 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class AlignmentPolicy:
+    """A system instance and a reference of one (video, activity) may match
+    when their temporal IoU is at least `temporal_iou_min`. The DET sweep
+    uses only the size of a maximum matching over those pairs. Among the
+    maximum matchings, `align_instances` (Hungarian) keeps one of largest
+    total temporal IoU; no output depends on that tie-break."""
+
     temporal_iou_min: float = 0.2
-    # "optimal": maximize match count, then total temporal IoU (Hungarian).
-    # "greedy": system instances claim references in descending confidence.
-    method: str = "optimal"
 
     def __post_init__(self):
         if not 0.0 < self.temporal_iou_min <= 1.0:
             raise InvalidInputError(f"temporal_iou_min out of (0,1]: {self.temporal_iou_min}")
-        if self.method not in ("optimal", "greedy"):
-            raise InvalidInputError(f"unknown alignment method: {self.method!r}")
 
 
 @dataclass
@@ -97,7 +98,7 @@ def _align_group(system, reference, policy):
     admissible = tiou >= policy.temporal_iou_min
 
     pairs = []
-    if policy.method == "optimal" and system and reference:
+    if system and reference:
         # imported here: scipy.optimize is most of the CLI's import time
         from scipy.optimize import linear_sum_assignment
 
@@ -107,19 +108,6 @@ def _align_group(system, reference, policy):
         weights = np.where(admissible, tiou + bonus, 0.0)
         rows, cols = linear_sum_assignment(weights, maximize=True)
         pairs = [(int(i), int(j)) for i, j in zip(rows, cols) if admissible[i, j]]
-    elif policy.method == "greedy":
-        order = sorted(range(len(system)), key=lambda i: (-system[i].confidence, i))
-        used = set()
-        for i in order:
-            best_j, best_t = None, 0.0
-            for j in range(len(reference)):
-                if j in used or not admissible[i, j]:
-                    continue
-                if tiou[i, j] > best_t:
-                    best_t, best_j = tiou[i, j], j
-            if best_j is not None:
-                used.add(best_j)
-                pairs.append((i, best_j))
 
     matched_sys = {i for i, _ in pairs}
     matched_ref = {j for _, j in pairs}
@@ -161,12 +149,9 @@ def total_corpus_minutes(metas):
 
 
 class _Matching:
-    """A growing one-to-one matching of system instances to the references
-    of one (video, activity) bucket, over the pairs with tIoU >= the policy's
-    minimum. Instances arrive in descending confidence. "optimal" keeps a
-    maximum matching with one augmenting-path search per instance (Kuhn);
-    "greedy" lets each instance claim its best free reference, as
-    `_align_group` does, so earlier claims stand."""
+    """A growing maximum matching of system instances to the references of
+    one (video, activity) bucket, over the pairs with tIoU >= the policy's
+    minimum: one augmenting-path search per added instance (Kuhn)."""
 
     def __init__(self, references, policy):
         self.references = references
@@ -176,18 +161,11 @@ class _Matching:
         self.size = 0
 
     def add(self, instance):
-        tious = [temporal_iou(instance.extent, r.extent) for r in self.references]
-        admissible = [j for j, t in enumerate(tious) if t >= self.policy.temporal_iou_min]
-        self.edges.append(admissible)
-        if self.policy.method == "greedy":
-            best_j, best_t = None, 0.0
-            for j in admissible:
-                if self.owner[j] is None and tious[j] > best_t:
-                    best_j, best_t = j, tious[j]
-            if best_j is not None:
-                self.owner[best_j] = len(self.edges) - 1
-                self.size += 1
-        elif self._augment(len(self.edges) - 1):
+        self.edges.append(
+            [j for j, r in enumerate(self.references)
+             if temporal_iou(instance.extent, r.extent) >= self.policy.temporal_iou_min]
+        )
+        if self._augment(len(self.edges) - 1):
             self.size += 1
 
     def _augment(self, root):

@@ -7,19 +7,8 @@ import numpy as np
 NUMBA_ENABLED = False
 
 
-def _as_f64(x, cols):
-    arr = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
-    if arr.size == 0:
-        return arr.reshape(0, cols)
-    return arr.reshape(-1, cols)
-
-
-def iou_matrix(boxes_a, boxes_b):
-    """Pairwise spatial IoU of two (n,4)/(m,4) xyxy box arrays -> (n,m)."""
-    a = _as_f64(boxes_a, 4)
-    b = _as_f64(boxes_b, 4)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((a.shape[0], b.shape[0]))
+def iou_matrix(a, b):
+    """Pairwise spatial IoU of two (n,4)/(m,4) float64 xyxy box arrays -> (n,m)."""
     ax1, ay1, ax2, ay2 = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
     bx1, by1, bx2, by2 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
     iw = np.minimum(ax2[:, None], bx2[None, :]) - np.maximum(ax1[:, None], bx1[None, :])
@@ -33,14 +22,10 @@ def iou_matrix(boxes_a, boxes_b):
     return out
 
 
-def paired_iou(boxes_a, boxes_b):
-    """Elementwise spatial IoU of two equally-shaped (n,4) box arrays -> (n,)."""
-    a = _as_f64(boxes_a, 4)
-    b = _as_f64(boxes_b, 4)
+def paired_iou(a, b):
+    """Elementwise spatial IoU of two equally-shaped (n,4) float64 box arrays -> (n,)."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.shape[0] == 0:
-        return np.zeros(0)
     iw = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
     ih = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
@@ -52,12 +37,8 @@ def paired_iou(boxes_a, boxes_b):
     return out
 
 
-def temporal_iou_matrix(ivals_a, ivals_b):
-    """Pairwise temporal IoU of two (n,2)/(m,2) half-open interval arrays."""
-    a = _as_f64(ivals_a, 2)
-    b = _as_f64(ivals_b, 2)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((a.shape[0], b.shape[0]))
+def temporal_iou_matrix(a, b):
+    """Pairwise temporal IoU of two (n,2)/(m,2) float64 half-open interval arrays."""
     inter = np.minimum(a[:, 1, None], b[None, :, 1]) - np.maximum(a[:, 0, None], b[None, :, 0])
     union = np.maximum(a[:, 1, None], b[None, :, 1]) - np.minimum(a[:, 0, None], b[None, :, 0])
     inter = np.clip(inter, 0.0, None)

@@ -129,15 +129,13 @@ def interpolate_gaps(frames, boxes, scores, max_interp_gap, stats=None, firsts=(
 # greedy linking
 
 
-def _greedy_pairs(iou, threshold, strict):
-    """One-to-one matching of an IoU matrix, descending IoU, deterministic
-    tie-break on (row, col). `strict` selects > vs >= against the threshold."""
-    rows, cols = np.nonzero(iou > threshold if strict else iou >= threshold)
-    order = sorted(range(len(rows)), key=lambda k: (-iou[rows[k], cols[k]], rows[k], cols[k]))
+def _greedy_pairs(iou, rows, cols):
+    """One-to-one matching of the candidate pairs (rows[k], cols[k]) of IoU
+    iou[k]: descending IoU, ties broken by (row, col), each row and column
+    claimed once. Returns the claimed (row, col) pairs in that order."""
     used_r, used_c = set(), set()
     out = []
-    for k in order:
-        r, c = int(rows[k]), int(cols[k])
+    for _, r, c in sorted(zip((-iou).tolist(), rows.tolist(), cols.tolist())):
         if r in used_r or c in used_c:
             continue
         used_r.add(r)
@@ -165,7 +163,8 @@ def greedy_link(detections, config=LinkConfig(), stats=None):
             matched_dets = set()
             if tails:
                 iou = kernels.iou_matrix(detections.boxes[[chains[ci][-1] for ci in tails]], detections.boxes[dets])
-                for r, c in _greedy_pairs(iou, config.iou_link_threshold, strict=True):
+                linked = np.nonzero(iou > config.iou_link_threshold)
+                for r, c in _greedy_pairs(iou[linked], *linked):
                     chains[tails[r]].append(dets[c])
                     open_by_tail.setdefault(f, []).append(tails[r])
                     matched_dets.add(c)
@@ -206,14 +205,8 @@ def _merge_and_emit(detections, chains, cls, config, stats):
     j = head_order[np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
     iou = kernels.paired_iou(tails[i], heads[j])
     linked = iou > config.iou_link_threshold
-    candidates = sorted(zip((-iou[linked]).tolist(), i[linked].tolist(), j[linked].tolist()))
-    next_of = {}
-    used_starts = set()
-    for _, i, j in candidates:
-        if i in next_of or j in used_starts:
-            continue
-        next_of[i] = j
-        used_starts.add(j)
+    next_of = dict(_greedy_pairs(iou[linked], i[linked], j[linked]))
+    used_starts = set(next_of.values())
 
     rows, firsts = [], []  # the merged sequences back to back, and where each starts
     for i in range(n):
@@ -334,7 +327,8 @@ def track_link(detections, config=LinkConfig(), stats=None):
             if hi > lo:
                 iou = kernels.iou_matrix(pred, f_boxes)
                 iou[classes[:, None] != f_classes] = 0.0
-                pairs = _greedy_pairs(iou, config.iou_link_threshold, strict=False)
+                linked = np.nonzero(iou >= config.iou_link_threshold)
+                pairs = _greedy_pairs(iou[linked], *linked)
                 if pairs:
                     rows, matched = np.array(pairs).T
                     hit[rows] = claimed[matched] = True

@@ -9,7 +9,7 @@ import numpy as np
 from . import kernels
 from .data_model import ActivityInstance, instance_order
 from .errors import InvalidInputError
-from .proposals import NON_ACTION
+from .proposals import NON_ACTION, PERSON_GROUP, VEHICLE_GROUP
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ def soft_nms(entries, config=SoftNmsConfig()):
         return []
     proposals = [p for p, _ in live]
     scores = np.array([s for _, s in live], dtype=np.float64)
-    windows = [(p.window.start, p.window.end) for p in proposals]
+    windows = np.array([(p.window.start, p.window.end) for p in proposals], dtype=np.float64)
     decay = _decay_matrix(kernels.temporal_iou_matrix(windows, windows), config)
     neighbors = _neighbor_mask(proposals)
 
@@ -135,18 +135,20 @@ def fuse(vehicle_scored, person_scored, nms, fusion, output, funnel=None):
     """Late fusion: put each activity score of each proposal, times its
     group's `fusion` weight, in its (video, activity) bucket, run soft-NMS
     under `nms` per bucket and return the kept entries at or above
-    `output.score_threshold` as instances. The two groups must score
-    disjoint activity sets. A `funnel` dict receives `nms_in` and
-    `nms_kept`, the bucket entries given to soft-NMS and returned by it."""
-    buckets, group_of = {}, {}
-    sources = ((vehicle_scored, fusion.vehicle_weight), (person_scored, fusion.person_weight))
-    for group, (source, weight) in enumerate(sources):
+    `output.score_threshold` as instances. Each source may score only the
+    activities of its group (`VEHICLE_GROUP`, `PERSON_GROUP`). A `funnel`
+    dict receives `nms_in` and `nms_kept`, the bucket entries given to
+    soft-NMS and returned by it."""
+    buckets = {}
+    sources = ((vehicle_scored, VEHICLE_GROUP, fusion.vehicle_weight),
+               (person_scored, PERSON_GROUP, fusion.person_weight))
+    for source, group, weight in sources:
         for p in source:
             for act, s in (p.scores or {}).items():
                 if act == NON_ACTION:
                     continue
-                if group_of.setdefault(act, group) != group:
-                    raise InvalidInputError(f"model outputs share activity class {act!r}")
+                if act not in group.activities:
+                    raise InvalidInputError(f"{group.name} output scores activity class {act!r} outside its group")
                 buckets.setdefault((p.video_id, act), []).append((p, s * weight))
 
     kept = []

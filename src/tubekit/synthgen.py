@@ -48,6 +48,8 @@ class SceneConfig:
     frame_rate: float = 30.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0: {self.seed}")
         if self.video_count < 1 or self.frames_per_video < 1:
             raise InvalidInputError("video_count and frames_per_video must be positive")
         lo, hi = self.objects_per_video

@@ -424,6 +424,7 @@ def test_unknown_config_key_exits_one(corpus_dir, tmp_path, cfg, name):
         ({"synth": {"activity_mix": {"Closing": "1"}}}, [], "synth.activity_mix"),
         ({"fusion": {"vehicle_weight": 3.0}}, [], "fusion.vehicle_weight"),
         ({"fusion": {"person_weight": 1.5}}, [], "fusion.person_weight"),
+        ({"synth": {"seed": -1}}, [], "seed must be >= 0"),
     ],
 )
 def test_bad_config_value_exits_one_before_any_write(corpus_dir, tmp_path, cfg, extra, section):
@@ -509,8 +510,8 @@ def test_instance_past_frame_count_exits_one(tmp_path, past):
 
 # The config's identity: the bytes of `default-config` and the hash a run
 # under it records. A new, renamed or re-defaulted key changes both.
-DEFAULT_CONFIG_SHA256 = "d33da00c3f97ae79a893df19a44259938e892bc79bcc5d37f9dba8f63c537ee3"
-DEFAULT_CONFIG_HASH = "73da52ccb355cd0d2e19a44a66edbadac1ca6e5ab29eb65afb08066242fb38cf"
+DEFAULT_CONFIG_SHA256 = "90d1c359ffc4e46652960ede9919baa4941c49640412c7ee7369fdd673e7a8db"
+DEFAULT_CONFIG_HASH = "ac4c9de31f956f3b71b03c7155c1cadf073844f8d0dd62f8f46c712a7db8aee4"
 
 
 def test_default_config_round_trips(corpus_dir, tmp_path):
@@ -634,12 +635,17 @@ def test_threshold_zero_writes_only_what_soft_nms_kept(corpus_dir, tmp_path):
     assert min(i.confidence for i in instances) >= cli.Config().nms.score_floor
 
 
-@pytest.mark.parametrize("videos, frames", [(1, 600), (2, 120)])
-def test_zero_positive_labels_warning(tmp_path, videos, frames):
+@pytest.mark.parametrize("videos, frames, spatial_pos", [(1, 600, None), (2, 120, None), (2, 120, 1.0)],
+                         ids=["1-600", "2-120", "2-120-spatial_pos_1"])
+def test_zero_positive_labels_warning(tmp_path, videos, frames, spatial_pos):
     # no window (at most 256 frames) reaches temporal IoU 0.5 against an
     # activity spanning a whole 600-frame video; at 120 frames every group
-    # with references gets positives
-    cfg = write_config(tmp_path, {"synth": {"seed": 0, "video_count": videos, "frames_per_video": frames}})
+    # with references gets positives, unless label.spatial_pos 1.0 asks for
+    # exact boxes, and then the warning blames that and not the window bound
+    settings = {"synth": {"seed": 0, "video_count": videos, "frames_per_video": frames}}
+    if spatial_pos is not None:
+        settings["label"] = {"spatial_pos": spatial_pos}
+    cfg = write_config(tmp_path, settings)
     out = tmp_path / "run"
     res = run(["pipeline", "--config", cfg, "--out-dir", str(out)])
     assert res.exit_code == 0
@@ -651,7 +657,7 @@ def test_zero_positive_labels_warning(tmp_path, videos, frames):
     with_refs = [group for group in sorted(labels) if labels[group]["references"]]
     assert with_refs and all(labels[g]["longest_reference"] == frames for g in with_refs)
     warnings = [w for w in _warnings(res.output) if w.startswith("0 positive labels")]
-    if frames <= 256 * 2:
+    if frames <= 256 * 2 and spatial_pos is None:
         assert warnings == [] and manifest["warnings"] == []
         assert all(labels[g]["positive"] > 0 for g in with_refs)
         return
@@ -659,13 +665,18 @@ def test_zero_positive_labels_warning(tmp_path, videos, frames):
     assert len(warnings) == len(with_refs) and manifest["warnings"][:len(warnings)] == warnings
     for group, warning in zip(with_refs, warnings):
         assert f" {group} " in warning
-        assert all(part in warning for part in ("label.temporal_pos is 0.5", "256 frames", "600 frames"))
+        if frames > 256 * 2:
+            assert all(part in warning for part in ("label.temporal_pos is 0.5", "256 frames", "600 frames"))
+        else:
+            scored = labels[group]["negative"] + labels[group]["ignore"]
+            assert f"its {scored} scored proposals" in warning and "label.spatial_pos 1.0" in warning
+            assert "refine.window_sizes" not in warning and "frames" not in warning
 
     # the score subcommand counts and warns the same for the group it scores
     group = with_refs[0]
     scored = tmp_path / "scored.jsonl"
     res = run(["score", "--proposals", str(out / "proposals.jsonl"), "--ground-truth",
-               str(out / "ground_truth.jsonl"), "--group", group, "--out", str(scored)])
+               str(out / "ground_truth.jsonl"), "--group", group, "--config", cfg, "--out", str(scored)])
     assert res.exit_code == 0
     score_manifest = _manifest(scored)
     assert score_manifest["record_counts"]["labels"] == {group: labels[group]}

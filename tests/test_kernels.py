@@ -64,15 +64,17 @@ def test_backends_agree_on_temporal_iou_matrix():
 
 
 def test_empty_inputs():
-    assert kernels.iou_matrix([], []).shape == (0, 0)
-    assert kernels.iou_matrix([[0, 0, 1, 1]], []).shape == (1, 0)
-    assert kernels.paired_iou([], []).shape == (0,)
-    assert kernels.temporal_iou_matrix([], [[0, 1]]).shape == (0, 1)
+    no_boxes, one_box = np.zeros((0, 4)), np.array([[0.0, 0.0, 1.0, 1.0]])
+    assert kernels.iou_matrix(no_boxes, no_boxes).shape == (0, 0)
+    assert kernels.iou_matrix(one_box, no_boxes).shape == (1, 0)
+    assert kernels.iou_matrix(no_boxes, one_box).shape == (0, 1)
+    assert kernels.paired_iou(no_boxes, no_boxes).shape == (0,)
+    assert kernels.temporal_iou_matrix(np.zeros((0, 2)), np.array([[0.0, 1.0]])).shape == (0, 1)
 
 
 def test_paired_shape_mismatch():
     with pytest.raises(ValueError):
-        kernels.paired_iou([[0, 0, 1, 1]], [[0, 0, 1, 1], [0, 0, 2, 2]])
+        kernels.paired_iou(np.array([[0.0, 0.0, 1.0, 1.0]]), np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 2.0, 2.0]]))
 
 
 def test_degenerate_union_is_zero():

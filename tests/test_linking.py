@@ -303,6 +303,27 @@ def _ref_numbered(tubelets):
     return [replace(t, id=i) for i, t in enumerate(sorted(tubelets, key=linking._emit_order))]
 
 
+def reference_greedy_pairs(candidates):
+    """Sort-and-claim over (iou, row, col) candidates: descending IoU, ties
+    by (row, col), each row and column claimed once."""
+    pairs, used_rows, used_cols = [], set(), set()
+    for _, r, c in sorted(candidates, key=lambda t: (-t[0], t[1], t[2])):
+        if r not in used_rows and c not in used_cols:
+            used_rows.add(r)
+            used_cols.add(c)
+            pairs.append((r, c))
+    return pairs
+
+
+def reference_iou_pairs(boxes_a, boxes_b, linked):
+    """`reference_greedy_pairs` over the cells of the IoU matrix of two box
+    lists whose IoU passes `linked`."""
+    iou = kernels.iou_matrix(np.array([xyxy(b) for b in boxes_a]), np.array([xyxy(b) for b in boxes_b]))
+    return reference_greedy_pairs(
+        [(iou[r, c], r, c) for r in range(len(boxes_a)) for c in range(len(boxes_b)) if linked(iou[r, c])]
+    )
+
+
 def reference_track_link(detections, config=LinkConfig()):
     stats = LinkStats()
     video_ids = {d.video_id for d in detections}
@@ -324,12 +345,9 @@ def reference_track_link(detections, config=LinkConfig()):
                 det_ids = by_class[cls]
                 if not track_ids:
                     continue
-                iou = kernels.iou_matrix(
-                    [[predictions[ti].x1, predictions[ti].y1, predictions[ti].x2, predictions[ti].y2]
-                     for ti in track_ids],
-                    [[dets[di].box.x1, dets[di].box.y1, dets[di].box.x2, dets[di].box.y2] for di in det_ids],
-                )
-                for r, c in linking._greedy_pairs(iou, config.iou_link_threshold, strict=False):
+                pairs = reference_iou_pairs([predictions[ti] for ti in track_ids], [dets[di].box for di in det_ids],
+                                            lambda iou: iou >= config.iou_link_threshold)
+                for r, c in pairs:
                     tr = live[track_ids[r]]
                     d = dets[det_ids[c]]
                     tr.entries.append((f, d.box, d.score, "detected"))
@@ -410,16 +428,11 @@ def reference_merge_and_emit(chains, video_id, cls, config, stats):
             if not 1 <= gap <= config.max_interp_gap:
                 continue
             a, b = chains[i][-1].box, chains[j][0].box
-            iou = kernels.iou_matrix([[a.x1, a.y1, a.x2, a.y2]], [[b.x1, b.y1, b.x2, b.y2]])[0, 0]
+            iou = kernels.iou_matrix(np.array([xyxy(a)]), np.array([xyxy(b)]))[0, 0]
             if iou > config.iou_link_threshold:
                 candidates.append((iou, i, j))
-    candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
-    next_of, used_starts = {}, set()
-    for _, i, j in candidates:
-        if i in next_of or j in used_starts:
-            continue
-        next_of[i] = j
-        used_starts.add(j)
+    next_of = dict(reference_greedy_pairs(candidates))
+    used_starts = set(next_of.values())
     out = []
     for i in range(n):
         if i in used_starts:
@@ -451,8 +464,9 @@ def reference_greedy_link(detections, config=LinkConfig()):
             tails = open_by_tail.pop(f - 1, [])
             matched = set()
             if tails:
-                iou = kernels.iou_matrix([xyxy(chains[ci][-1].box) for ci in tails], [xyxy(d.box) for d in dets])
-                for r, c in linking._greedy_pairs(iou, config.iou_link_threshold, strict=True):
+                pairs = reference_iou_pairs([chains[ci][-1].box for ci in tails], [d.box for d in dets],
+                                            lambda iou: iou > config.iou_link_threshold)
+                for r, c in pairs:
                     chains[tails[r]].append(dets[c])
                     open_by_tail.setdefault(f, []).append(tails[r])
                     matched.add(c)
@@ -567,6 +581,16 @@ def corpus_videos():
     corpus = generate(SceneConfig(seed=41, video_count=2, frames_per_video=120, objects_per_video=(2, 3),
                                   dropout_rate=0.2, box_jitter_px=2.0, false_positive_rate=6.0, score_noise=0.05))
     return [records(corpus.detections[v]) for v in sorted(corpus.detections)]
+
+
+def test_greedy_pairs_equal_the_reference_on_tied_ious():
+    # three IoU values only, so most candidates tie and the (row, col) order decides
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        iou = rng.choice([0.25, 0.5, 0.75], size=tuple(rng.integers(1, 6, size=2)))
+        rows, cols = np.nonzero(iou >= 0.5)
+        want = reference_greedy_pairs([(iou[r, c], r, c) for r, c in zip(rows.tolist(), cols.tolist())])
+        assert linking._greedy_pairs(iou[rows, cols], rows, cols) == want
 
 
 class TestTrackLinkEqualsReference:

@@ -176,9 +176,14 @@ class TestFuse:
             fuse(a, b, *DEFAULTS)
 
     def test_commutative_up_to_order(self):
+        # fuse is not commutative in its sources: each may score only its own
+        # group's activities, so swapped sources raise instead of weighting a
+        # group by the other group's weight
         v, p = vehicle_and_person()
-        # swapping requires swapping weights too, which default equal
-        assert facts(fuse(v, p, *DEFAULTS)) == facts(fuse(p, v, *DEFAULTS))
+        with pytest.raises(InvalidInputError, match="vehicle_related output scores activity class 'Riding'"):
+            fuse(p, v, SoftNmsConfig(), FusionConfig(vehicle_weight=0.5), OutputConfig())
+        with pytest.raises(InvalidInputError, match="person_related output scores activity class 'Closing'"):
+            fuse([], v, *DEFAULTS)
 
     def test_dropped_entry_never_becomes_an_instance(self):
         # linear decay takes the second score to 0, under the floor: even at
