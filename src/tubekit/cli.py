@@ -28,7 +28,8 @@ the seconds per stage (``timings_s``) and per read/compute/write phase
 byte-reproducible across runs and worker counts. The config hash is of the
 checked values, so an integral ``3.0`` given for an int hashes as ``3``.
 
-Exit codes: 0 success, 1 input error, 2 stage failure.
+Exit codes, all set by `_ExitCodeGroup`: 0 success, 1 bad input (a usage
+error, such as a missing input file, or an `InvalidInputError`), 2 stage failure.
 """
 
 import contextlib
@@ -43,7 +44,7 @@ from concurrent.futures import ThreadPoolExecutor
 import click
 
 from . import data_model, evaluation, linking, postprocess, proposals, refinement, synthgen
-from .errors import ConsistencyError, InvalidInputError, ParseError, SchemaError, TubekitError
+from .errors import InvalidInputError, TubekitError
 from .evaluation import AlignmentPolicy, EvalConfig
 from .linking import LinkConfig
 from .postprocess import FusionConfig, OutputConfig, SoftNmsConfig
@@ -124,7 +125,7 @@ def _config_value(name, value, default):
         try:
             return type(default)(**{f.name: _config_value(f"{name}.{f.name}", value[f.name], f.default)
                                     for f in dataclasses.fields(default)})
-        except (TypeError, ValueError, InvalidInputError, SchemaError) as exc:
+        except (TypeError, ValueError, InvalidInputError) as exc:
             raise InvalidInputError(f"config section {name!r}: {exc}")
     if default is None:
         if value is None:
@@ -187,13 +188,13 @@ def _parallel_map(fn, items, workers):
 def _check_frame_range(what, tracks, metas):
     """The frame-range rule of every input: each track (detection columns,
     tubelet or instance) must name a video of `metas` and its extent must end
-    at or before that video's frame_count; a ConsistencyError otherwise."""
+    at or before that video's frame_count; an InvalidInputError otherwise."""
     for track in tracks:
         meta, extent = metas.get(track.video_id), track.extent
         if meta is None:
-            raise ConsistencyError(f"{what} references unknown video_id {track.video_id!r}")
+            raise InvalidInputError(f"{what} references unknown video_id {track.video_id!r}")
         if extent.end > meta.frame_count:
-            raise ConsistencyError(
+            raise InvalidInputError(
                 f"video {track.video_id!r}: {what} extent [{extent.start}, {extent.end}) ends at frame "
                 f"{extent.end - 1}, outside its frame_count {meta.frame_count}"
             )
@@ -411,29 +412,28 @@ def run_pipeline(cfg, out_dir, inputs=None):
 # click wiring: merge the config and flags, read the inputs, call the stage
 
 
-def _guarded(stage):
-    """Abort with a structured error naming the stage: exit 1 on input errors,
-    exit 2 on anything else."""
+class _ExitCodeGroup(click.Group):
+    """The one exit handler of every subcommand: a usage error (such as a
+    missing input file), an `InvalidInputError` or a `FileNotFoundError` exits
+    1, any other error exits 2, each as one JSON line on stderr naming the
+    subcommand. Click's own exits, such as `--help`'s, pass through."""
 
-    def decorator(fn):
-        def wrapper(*args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except (ParseError, SchemaError, ConsistencyError, InvalidInputError, FileNotFoundError) as exc:
-                click.echo(json.dumps({"stage": stage, "error": str(exc)}), err=True)
-                sys.exit(1)
-            except Exception as exc:  # stage failure
-                error = str(exc) if isinstance(exc, TubekitError) else repr(exc)
-                click.echo(json.dumps({"stage": stage, "error": error}), err=True)
-                sys.exit(2)
-
-        wrapper.__name__ = fn.__name__
-        return wrapper
-
-    return decorator
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.exceptions.Exit, click.Abort):
+            raise
+        except click.UsageError as exc:
+            code, error = 1, exc.format_message()
+        except (InvalidInputError, FileNotFoundError) as exc:
+            code, error = 1, str(exc)
+        except Exception as exc:  # stage failure
+            code, error = 2, str(exc) if isinstance(exc, TubekitError) else repr(exc)
+        click.echo(json.dumps({"stage": ctx.invoked_subcommand, "error": error}), err=True)
+        sys.exit(code)
 
 
-@click.group()
+@click.group(cls=_ExitCodeGroup)
 def main():
     """Spatio-temporal activity detection pipeline toolkit."""
 
@@ -455,7 +455,6 @@ def default_config_cmd(out):
 @click.option("--videos", type=int, default=None)
 @click.option("--frames", type=int, default=None)
 @click.option("--dropout", type=float, default=None)
-@_guarded("synth")
 def synth_cmd(config_path, out_dir, seed, videos, frames, dropout):
     """Generate a synthetic corpus (detections, ground truth, video meta)."""
     flags = {"synth.seed": seed, "synth.video_count": videos, "synth.frames_per_video": frames,
@@ -473,7 +472,6 @@ def synth_cmd(config_path, out_dir, seed, videos, frames, dropout):
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--workers", type=int, default=None)
-@_guarded("link")
 def link_cmd(detections, meta, strategy, out, config_path, workers):
     """Link per-frame detections into tubelets."""
     m = Manifest("link", _merged_config(config_path, {"link.strategy": strategy, "workers": workers}))
@@ -491,7 +489,6 @@ def link_cmd(detections, meta, strategy, out, config_path, workers):
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--workers", type=int, default=None)
-@_guarded("refine")
 def refine_cmd(tubelets, meta, out, config_path, workers):
     """Filter static tubelets, normalize boxes, jitter into proposals."""
     m = Manifest("refine", _merged_config(config_path, {"workers": workers}))
@@ -512,7 +509,6 @@ def refine_cmd(tubelets, meta, out, config_path, workers):
 @click.option("--epsilon", type=float, default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--workers", type=int, default=None)
-@_guarded("score")
 def score_cmd(proposals_path, scorer, ground_truth, out, group, epsilon, config_path, workers):
     """Score proposals with the selected scorer (optionally one model group)."""
     flags = {"scorer.name": scorer, "scorer.epsilon": epsilon, "workers": workers}
@@ -536,7 +532,6 @@ def score_cmd(proposals_path, scorer, ground_truth, out, group, epsilon, config_
 @click.option("--vehicle-weight", type=float, default=None)
 @click.option("--person-weight", type=float, default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@_guarded("fuse")
 def fuse_cmd(vehicle, person, out, vehicle_weight, person_weight, config_path):
     """Late-fuse the two model outputs into final activity instances."""
     flags = {"fusion.vehicle_weight": vehicle_weight, "fusion.person_weight": person_weight}
@@ -554,7 +549,6 @@ def fuse_cmd(vehicle, person, out, vehicle_weight, person_weight, config_path):
 @click.option("--ground-truth", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@_guarded("eval-recall")
 def eval_recall_cmd(tubelets, ground_truth, out, config_path):
     """Recall of tubelet generation across IoU thresholds (CSV)."""
     m = Manifest("eval-recall", _merged_config(config_path))
@@ -574,7 +568,6 @@ def eval_recall_cmd(tubelets, ground_truth, out, config_path):
 @click.option("--out-summary", type=click.Path(), required=True)
 @click.option("--target-rfa", type=float, default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@_guarded("eval-det")
 def eval_det_cmd(instances, ground_truth, meta, out_csv, out_summary, target_rfa, config_path):
     """DET curves (p_miss vs rfa) and the summary p_miss@target."""
     m = Manifest("eval-det", _merged_config(config_path, {"eval.target_rfa": target_rfa}))
@@ -594,13 +587,15 @@ def eval_det_cmd(instances, ground_truth, meta, out_csv, out_summary, target_rfa
 @click.option("--ground-truth", type=click.Path(exists=True), default=None)
 @click.option("--meta", type=click.Path(exists=True), default=None)
 @click.option("--workers", type=int, default=None)
-@_guarded("pipeline")
 def pipeline_cmd(config_path, out_dir, detections, ground_truth, meta, workers):
-    """Run every stage in sequence. Inputs come from the synthetic generator
-    unless --detections/--ground-truth/--meta are all given."""
+    """Run every stage in sequence on --detections, --ground-truth and --meta,
+    or, given none of them, on a corpus from the synthetic generator."""
+    inputs = {"--detections": detections, "--ground-truth": ground_truth, "--meta": meta}
+    missing = [flag for flag, path in inputs.items() if path is None]
+    if 0 < len(missing) < len(inputs):
+        raise click.UsageError(f"give all of {', '.join(inputs)} or none of them; missing {', '.join(missing)}")
     cfg = _merged_config(config_path, {"workers": workers})
-    inputs = (detections, ground_truth, meta) if detections and ground_truth and meta else None
-    summary = run_pipeline(cfg, out_dir, inputs)["summary"]
+    summary = run_pipeline(cfg, out_dir, None if missing else tuple(inputs.values()))["summary"]
     click.echo(json.dumps({"mean_p_miss": summary["mean_p_miss"], "out_dir": out_dir}))
 
 

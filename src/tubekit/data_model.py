@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ParseError, SchemaError
+from .errors import InvalidInputError, ParseError
 from .geometry import Interval
 
 OBJECT_CLASSES = ("person", "car", "truck", "bicycle")
@@ -94,15 +94,17 @@ def detection_columns(video_id, rows):
     boxes = np.array(coords, dtype=np.float64).T.reshape(len(frames), 4)
     scores = np.array(scores, dtype=np.float64)
     classes = np.array(classes, dtype=np.int64)
-    bad = (
-        (frames < 0) | ~np.isfinite(boxes).all(axis=1) | (boxes[:, 0] > boxes[:, 2]) | (boxes[:, 1] > boxes[:, 3])
-        | ~((scores >= 0.0) & (scores <= 1.0))
-    )
+    bad = (frames < 0) | _bad_boxes(boxes) | ~((scores >= 0.0) & (scores <= 1.0))
     if bad.any():
         k = int(np.argmax(bad))
         raise InvalidInputError(f"invalid detection at frame {frames[k]}: box {boxes[k].tolist()}, score {scores[k]}")
     order = np.lexsort((-scores, boxes[:, 3], boxes[:, 2], boxes[:, 1], boxes[:, 0], frames))  # stable
     return VideoDetections(video_id, frames[order], boxes[order], scores[order], classes[order])
+
+
+def _bad_boxes(boxes):
+    """(n,) bool: the rows of an (n,4) box array that are non-finite or inverted."""
+    return ~np.isfinite(boxes).all(axis=1) | (boxes[:, 0] > boxes[:, 2]) | (boxes[:, 1] > boxes[:, 3])
 
 
 def track_boxes(boxes, extent):
@@ -126,7 +128,7 @@ class ActivityInstance:
 
     def __post_init__(self):
         if self.activity not in ACTIVITY_CLASSES:
-            raise SchemaError(f"unknown activity class: {self.activity!r}")
+            raise InvalidInputError(f"unknown activity class: {self.activity!r}")
         if not 0.0 <= self.confidence <= 1.0:
             raise InvalidInputError(f"confidence out of [0,1]: {self.confidence}")
         object.__setattr__(self, "boxes", track_boxes(self.boxes, self.extent))
@@ -227,23 +229,24 @@ def str_field(rec, key):
 
 
 def read_records(path, kind, build, key=None):
-    """`build(record)` for each record of a JSONL file; a record it cannot
-    build raises ParseError naming path:line. With `key`, so does a record
-    whose `key(record)` an earlier record of the file has."""
-    out, seen = [], set()
+    """Yield `build(record)` for each record of a JSONL file, the one loop
+    over `read_jsonl`: a malformed line or a record `build` cannot build
+    raises ParseError naming path:line. With `key`, so does a record whose
+    `key(record)` an earlier record of the file has."""
+    seen = set()
     for lineno, rec in read_jsonl(path):
         try:
-            out.append(build(rec))
+            built = build(rec)
         except KeyError as exc:
             raise ParseError(f"invalid {kind}: missing key {exc}", path=path, line=lineno)
-        except (InvalidInputError, SchemaError, ValueError, TypeError, OverflowError) as exc:
+        except (InvalidInputError, ValueError, TypeError, OverflowError) as exc:
             raise ParseError(f"invalid {kind}: {exc}", path=path, line=lineno)
         if key is not None:
             k = key(rec)
             if k in seen:
                 raise ParseError(f"duplicate {kind} {k!r}: an earlier line has it", path=path, line=lineno)
             seen.add(k)
-    return out
+        yield built
 
 
 BOX_KEYS = ("x1", "y1", "x2", "y2")
@@ -273,20 +276,34 @@ def decode_boxes(rows, extent, *columns):
     require_numbers(values, "box coordinates")
     boxes = np.empty((len(rows), 4))  # owns its memory, so `_row_owner` finds row views of it
     boxes.reshape(-1)[:] = values
-    bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 0] > boxes[:, 2]) | (boxes[:, 1] > boxes[:, 3])
+    bad = _bad_boxes(boxes)
     if bad.any():
         raise InvalidInputError(f"non-finite or inverted box at frame {extent.start + int(np.argmax(bad))}")
     return (boxes, *([r[c] for r in rows] for c in columns))
 
 
-def _require(rec, keys, path, lineno):
-    missing = [k for k in keys if k not in rec]
-    if missing:
-        raise ParseError(f"missing keys {missing}", path=path, line=lineno)
-
-
 # ---------------------------------------------------------------------------
 # detections
+
+
+_DETECTION_KEYS = frozenset(("video_id", "frame", *BOX_KEYS, "class", "score"))
+
+
+def _detection_from_record(rec):
+    """(video id, `detection_columns` row) of one detection record, or (None,
+    class name) when its class is not admitted: such a record is counted, not
+    checked, but it too must carry every key."""
+    cls = str_field(rec, "class")
+    if cls not in OBJECT_CLASSES:
+        missing = _DETECTION_KEYS - rec.keys()
+        if missing:
+            raise KeyError(min(missing))
+        return None, cls
+    row = (int_field(rec, "frame"), *(float_field(rec, k) for k in (*BOX_KEYS, "score")))
+    frame, x1, y1, x2, y2, score = row
+    if not 0 <= frame <= _FRAME_MAX or x1 > x2 or y1 > y2 or not 0.0 <= score <= 1.0:
+        raise InvalidInputError(f"frame outside [0, 2**63), inverted box or score outside [0, 1]: {row}")
+    return str_field(rec, "video_id"), (*row, DETECTION_CLASSES.index(cls))
 
 
 def read_detections(path):
@@ -294,22 +311,12 @@ def read_detections(path):
     `VideoDetections` by video id and a dict of dropped records by class name
     (records with a class not admitted are dropped and counted, not
     rejected)."""
-    rows = {}  # video id -> detection_columns rows
-    dropped = {}
-    for lineno, rec in read_jsonl(path):
-        _require(rec, ("video_id", "frame", "x1", "y1", "x2", "y2", "class", "score"), path, lineno)
-        try:
-            cls = str_field(rec, "class")
-            if cls not in OBJECT_CLASSES:
-                dropped[cls] = dropped.get(cls, 0) + 1
-                continue
-            row = (int_field(rec, "frame"), *(float_field(rec, k) for k in (*BOX_KEYS, "score")))
-            frame, x1, y1, x2, y2, score = row
-            if not 0 <= frame <= _FRAME_MAX or x1 > x2 or y1 > y2 or not 0.0 <= score <= 1.0:
-                raise InvalidInputError(f"frame outside [0, 2**63), inverted box or score outside [0, 1]: {row}")
-            rows.setdefault(str_field(rec, "video_id"), []).append((*row, DETECTION_CLASSES.index(cls)))
-        except InvalidInputError as exc:
-            raise ParseError(f"invalid detection: {exc}", path=path, line=lineno)
+    rows, dropped = {}, {}  # video id -> detection_columns rows; class name -> count
+    for video_id, row in read_records(path, "detection", _detection_from_record):
+        if video_id is None:
+            dropped[row] = dropped.get(row, 0) + 1
+        else:
+            rows.setdefault(video_id, []).append(row)
     return {v: detection_columns(v, rows[v]) for v in sorted(rows)}, dropped
 
 
@@ -355,9 +362,7 @@ def instance_order(inst):
 
 
 def read_instances(path):
-    out = read_records(path, "instance", _instance_from_record)
-    out.sort(key=instance_order)
-    return out
+    return sorted(read_records(path, "instance", _instance_from_record), key=instance_order)
 
 
 # Ground truth is the same format; the name documents intent at call sites.
@@ -414,26 +419,21 @@ def write_instances(instances, path):
 # video metadata
 
 
+def _meta_from_record(rec):
+    return VideoMeta(
+        video_id=str_field(rec, "video_id"),
+        frame_count=int_field(rec, "frame_count"),
+        frame_rate=float_field(rec, "frame_rate"),
+        width=float_field(rec, "width"),
+        height=float_field(rec, "height"),
+    )
+
+
 def read_video_meta(path):
     """Read video metadata into a dict keyed by video_id; a second record of
     a video_id raises ParseError naming path:line."""
-    out = {}
-    for lineno, rec in read_jsonl(path):
-        _require(rec, ("video_id", "frame_count", "frame_rate", "width", "height"), path, lineno)
-        try:
-            meta = VideoMeta(
-                video_id=str_field(rec, "video_id"),
-                frame_count=int_field(rec, "frame_count"),
-                frame_rate=float_field(rec, "frame_rate"),
-                width=float_field(rec, "width"),
-                height=float_field(rec, "height"),
-            )
-        except (InvalidInputError, ValueError, TypeError) as exc:
-            raise ParseError(f"invalid video meta: {exc}", path=path, line=lineno)
-        if meta.video_id in out:
-            raise ParseError(f"duplicate video meta for video_id {meta.video_id!r}", path=path, line=lineno)
-        out[meta.video_id] = meta
-    return out
+    metas = read_records(path, "video meta", _meta_from_record, key=lambda rec: rec["video_id"])
+    return {m.video_id: m for m in metas}
 
 
 def write_video_meta(metas, path):

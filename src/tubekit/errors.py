@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the pipeline."""
+"""Exception hierarchy shared across the pipeline. Bad input of any kind (a
+malformed record, a schema violation, an unknown video, a bad config value)
+is an `InvalidInputError`, a `ParseError` when it names path:line, and the
+CLI exits 1 on it; it exits 2 on any other error, a stage failure."""
 
 
 class TubekitError(Exception):
@@ -6,29 +9,15 @@ class TubekitError(Exception):
 
 
 class InvalidInputError(TubekitError):
-    """Raised when a value violates a documented precondition."""
+    """Raised when an input or a value violates a documented precondition."""
 
 
-class ParseError(TubekitError):
-    """Raised on malformed file input; carries the offending line number."""
+class ParseError(InvalidInputError):
+    """Raised on malformed file input; carries the file and the line number."""
 
-    def __init__(self, message, path=None, line=None):
-        self.path = path
-        self.line = line
-        where = ""
-        if path is not None:
-            where = f"{path}:"
-        if line is not None:
-            where += f"{line}: "
-        super().__init__(f"{where}{message}")
-
-
-class SchemaError(TubekitError):
-    """Raised when a record is well-formed but violates a schema constraint."""
-
-
-class ConsistencyError(TubekitError):
-    """Raised when cross-file references do not line up (e.g. unknown video_id)."""
+    def __init__(self, message, path, line):
+        self.path, self.line = path, line
+        super().__init__(f"{path}:{line}: {message}")
 
 
 class ScoringError(TubekitError):

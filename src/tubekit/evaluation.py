@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data_model import instance_order
 from .errors import InvalidInputError
 from .geometry import temporal_iou
 from .proposals import tubelet_spatial_iou
@@ -212,10 +213,7 @@ def det_curve(system, references, metas, policy=AlignmentPolicy()):
     curves = {}
     for cls in classes:
         refs_c = [r for r in references if r.activity == cls]
-        sys_c = sorted(
-            (s for s in system if s.activity == cls),
-            key=lambda s: (-s.confidence, s.video_id, s.extent.start),
-        )
+        sys_c = sorted((s for s in system if s.activity == cls), key=instance_order)
         buckets = {}
         for r in refs_c:
             buckets.setdefault(r.video_id, []).append(r)

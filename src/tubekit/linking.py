@@ -453,6 +453,4 @@ def write_tubelets(tubelets, path):
 
 
 def read_tubelets(path):
-    out = read_records(path, "tubelet", tubelet_from_record, tubelet_key)
-    out.sort(key=lambda t: (t.video_id, t.id))
-    return out
+    return sorted(read_records(path, "tubelet", tubelet_from_record, tubelet_key), key=lambda t: (t.video_id, t.id))

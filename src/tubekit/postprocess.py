@@ -46,6 +46,8 @@ class SoftNmsConfig:
             raise InvalidInputError(f"sigma must be positive: {self.sigma}")
         if not 0.0 <= self.linear_threshold <= 1.0:
             raise InvalidInputError(f"linear_threshold out of [0,1]: {self.linear_threshold}")
+        if not 0.0 <= self.score_floor <= 1.0:
+            raise InvalidInputError(f"nms.score_floor out of [0,1]: {self.score_floor}")
 
 
 def _decay_matrix(tiou, config):
@@ -144,7 +146,9 @@ def fuse(vehicle_scored, person_scored, nms, fusion, output, funnel=None):
                (person_scored, PERSON_GROUP, fusion.person_weight))
     for source, group, weight in sources:
         for p in source:
-            for act, s in (p.scores or {}).items():
+            if p.scores is None:
+                raise InvalidInputError(f"{group.name} input holds unscored proposal {p.proposal_id}: fuse needs scores")
+            for act, s in p.scores.items():
                 if act == NON_ACTION:
                     continue
                 if act not in group.activities:

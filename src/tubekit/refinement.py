@@ -23,6 +23,8 @@ class RefineConfig:
     sample_count: int = 64
 
     def __post_init__(self):
+        if self.coord_displacement_min < 0.0:
+            raise InvalidInputError(f"refine.coord_displacement_min must be >= 0: {self.coord_displacement_min}")
         if self.enlarge_factor < 1.0:
             raise InvalidInputError(f"enlarge_factor must be >= 1: {self.enlarge_factor}")
         if not self.window_sizes or self.window_sizes[0] < 1 or list(self.window_sizes) != sorted(self.window_sizes):

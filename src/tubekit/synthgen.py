@@ -26,7 +26,7 @@ from .data_model import (
     write_instances,
     write_video_meta,
 )
-from .errors import InvalidInputError, SchemaError
+from .errors import InvalidInputError
 from .geometry import Interval
 
 RNG_ALGORITHM = "numpy.random.default_rng (PCG64); per-video child seed = seed + video_index"
@@ -59,10 +59,15 @@ class SceneConfig:
             raise InvalidInputError(f"dropout_rate out of [0,1]: {self.dropout_rate}")
         if self.box_jitter_px < 0 or self.false_positive_rate < 0 or self.score_noise < 0:
             raise InvalidInputError("noise magnitudes must be >= 0")
+        if self.frame_rate <= 0.0:
+            raise InvalidInputError(f"synth.frame_rate must be positive: {self.frame_rate}")
+        for key in ("frame_width", "frame_height"):
+            if getattr(self, key) < 0.0:
+                raise InvalidInputError(f"synth.{key} must be >= 0: {getattr(self, key)}")
         if self.activity_mix is not None:
             for act, p in self.activity_mix.items():
                 if act not in ACTIVITY_CLASSES:
-                    raise SchemaError(f"unknown activity in mix: {act!r}")
+                    raise InvalidInputError(f"unknown activity in mix: {act!r}")
                 if not 0.0 <= p <= 1.0:
                     raise InvalidInputError(f"mix probability out of [0,1]: {act}={p}")
             total = sum(self.activity_mix.values())

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import box_rows, make_tubelet
+from conftest import box_rows, make_proposal, make_tubelet
 from test_goldens import CORPORA
 from tubekit import cli, data_model, linking, refinement
 from tubekit.geometry import Interval
@@ -250,7 +250,71 @@ def test_missing_input_exits_one(tmp_path):
         "link", "--detections", str(tmp_path / "nope.jsonl"),
         "--meta", str(tmp_path / "nope_meta.jsonl"), "--out", str(tmp_path / "o.jsonl"),
     ])
-    assert res.exit_code != 0
+    assert res.exit_code == 1
+
+
+@pytest.mark.parametrize("args, stage, names", [
+    (["link", "--detections", "{d}/nope.jsonl", "--meta", "{d}/meta.jsonl", "--out", "{d}/o"], "link",
+     "does not exist"),
+    (["synth", "--out-dir", "{d}/corpus", "--seed", "abc"], "synth", "'abc'"),
+    (["score", "--proposals", "{d}/empty.jsonl", "--out", "{d}/o", "--group", "bogus"], "score", "'bogus'"),
+    (["link", "--detections", "{d}/empty.jsonl", "--out", "{d}/o"], "link", "--meta"),
+    (["link", "--detections", "{d}/empty.jsonl", "--meta", "{d}/meta.jsonl", "--out", "{d}/o", "--bogus"], "link",
+     "--bogus"),
+], ids=["missing-input", "bad-int", "bad-choice", "missing-option", "unknown-option"])
+def test_usage_error_exits_one_with_one_json_line(tmp_path, args, stage, names):
+    (tmp_path / "empty.jsonl").write_text("")
+    (tmp_path / "meta.jsonl").write_text("")
+    res = runner.invoke(main, [a.format(d=tmp_path) for a in args])
+    assert res.exit_code == 1, res.output
+    (line,) = res.stderr.splitlines()
+    report = json.loads(line)
+    assert report["stage"] == stage and names in report["error"]
+    assert not (tmp_path / "o").exists() and not (tmp_path / "corpus").exists()
+
+
+def test_help_exits_zero():
+    res = runner.invoke(main, ["link", "--help"])
+    assert res.exit_code == 0 and res.stderr == ""
+    assert "--detections" in res.output
+
+
+def test_stage_failure_exits_two(corpus_dir, tmp_path, monkeypatch):
+    def fail(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "link", fail)
+    res = runner.invoke(main, ["link", "--detections", str(corpus_dir / "detections.jsonl"),
+                               "--meta", str(corpus_dir / "video_meta.jsonl"), "--out", str(tmp_path / "o.jsonl")])
+    assert res.exit_code == 2, res.output
+    (line,) = res.stderr.splitlines()
+    assert json.loads(line) == {"stage": "link", "error": "RuntimeError('boom')"}
+
+
+@pytest.mark.parametrize("given", [("--detections",), ("--ground-truth",), ("--detections", "--meta")])
+def test_pipeline_with_some_inputs_exits_one_before_any_write(corpus_dir, tmp_path, given):
+    # it used to ignore them and run on a synthetic corpus
+    paths = {"--detections": "detections.jsonl", "--ground-truth": "ground_truth.jsonl", "--meta": "video_meta.jsonl"}
+    out = tmp_path / "run"
+    res = runner.invoke(main, ["pipeline", "--out-dir", str(out),
+                               *(arg for flag in given for arg in (flag, str(corpus_dir / paths[flag])))])
+    assert res.exit_code == 1, res.output
+    report = json.loads(res.stderr)
+    missing = [flag for flag in paths if flag not in given]
+    assert report["stage"] == "pipeline" and report["error"].endswith("missing " + ", ".join(missing))
+    assert not out.exists()
+
+
+def test_fuse_of_unscored_proposals_exits_one(tmp_path):
+    # refine's output given to fuse used to exit 0 with 0 instances
+    props = tmp_path / "proposals.jsonl"
+    refinement.write_proposals([make_proposal(Interval(0, 10))], props)
+    out = tmp_path / "instances.jsonl"
+    res = runner.invoke(main, ["fuse", "--vehicle", str(props), "--person", str(props), "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    report = json.loads(res.stderr)
+    assert report["stage"] == "fuse" and "vehicle_related input holds unscored proposal 0" in report["error"]
+    assert not out.exists()
 
 
 def test_malformed_input_exits_one(tmp_path):
@@ -425,6 +489,12 @@ def test_unknown_config_key_exits_one(corpus_dir, tmp_path, cfg, name):
         ({"fusion": {"vehicle_weight": 3.0}}, [], "fusion.vehicle_weight"),
         ({"fusion": {"person_weight": 1.5}}, [], "fusion.person_weight"),
         ({"synth": {"seed": -1}}, [], "seed must be >= 0"),
+        ({"nms": {"score_floor": 2.0}}, [], "nms.score_floor"),
+        ({"nms": {"score_floor": -1.0}}, [], "nms.score_floor"),
+        ({"refine": {"coord_displacement_min": -5.0}}, [], "refine.coord_displacement_min"),
+        ({"synth": {"frame_rate": 0.0}}, [], "synth.frame_rate"),
+        ({"synth": {"frame_width": -1.0}}, [], "synth.frame_width"),
+        ({"synth": {"frame_height": -1.0}}, [], "synth.frame_height"),
     ],
 )
 def test_bad_config_value_exits_one_before_any_write(corpus_dir, tmp_path, cfg, extra, section):

@@ -5,7 +5,7 @@ import pytest
 from conftest import box_rows
 
 from tubekit import data_model as dm
-from tubekit.errors import InvalidInputError, ParseError, SchemaError
+from tubekit.errors import InvalidInputError, ParseError
 from tubekit.geometry import Interval
 
 
@@ -80,7 +80,7 @@ class TestInstances:
         assert sorted(map(fields, back)) == sorted(map(fields, instances))
 
     def test_unknown_activity_rejected(self):
-        with pytest.raises(SchemaError) as exc:
+        with pytest.raises(InvalidInputError, match="unknown activity class: 'Swimming'") as exc:
             make_instance(activity="Swimming")
         assert "Swimming" in str(exc.value)
 

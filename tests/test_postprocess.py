@@ -185,6 +185,13 @@ class TestFuse:
         with pytest.raises(InvalidInputError, match="person_related output scores activity class 'Closing'"):
             fuse([], v, *DEFAULTS)
 
+    def test_unscored_proposal_rejected(self):
+        # refine's output given to fuse: an unscored proposal names its input
+        v, _ = vehicle_and_person()
+        unscored = [make_proposal(Interval(0, 10), proposal_id=3)]
+        with pytest.raises(InvalidInputError, match="person_related input holds unscored proposal 3"):
+            fuse(v, unscored, *DEFAULTS)
+
     def test_dropped_entry_never_becomes_an_instance(self):
         # linear decay takes the second score to 0, under the floor: even at
         # threshold 0 only the kept entry becomes an instance

@@ -6,7 +6,7 @@ import pytest
 
 from tubekit import linking
 from tubekit.data_model import ACTIVITY_CLASSES, DETECTION_CLASSES, OBJECT_CLASSES
-from tubekit.errors import InvalidInputError, SchemaError
+from tubekit.errors import InvalidInputError
 from tubekit.synthgen import SceneConfig, SynthCorpus, generate, write_corpus
 
 
@@ -27,7 +27,7 @@ def small(seed=0, **kw):
 
 class TestConfigValidation:
     def test_unknown_activity_in_mix(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(InvalidInputError, match="unknown activity in mix: 'Swimming'"):
             SceneConfig(activity_mix={"Swimming": 1.0})
 
     def test_mix_must_sum_to_one(self):
