@@ -39,7 +39,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
@@ -181,6 +180,8 @@ class Manifest:
 def _parallel_map(fn, items, workers):
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor  # loaded only when threads run
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -217,21 +218,17 @@ def synth(m, out_dir):
 
 def link(m, detections, metas, out):
     """Link every video of `detections` (what `read_detections` returns:
-    per-video columns and the dropped-class counts) into tubelets numbered
-    across the videos in id order. Counts the link funnel: detections in,
-    dropped class names, and the `LinkStats` counts summed over the videos
-    in sorted order."""
+    per-video columns and the dropped-class counts) into one `LinkedTubelets`,
+    numbered across the videos in id order; writing it makes no `Tubelet`.
+    Counts the link funnel: detections in, dropped class names, and the
+    `LinkStats` counts summed over the videos in sorted order."""
     cfg = m.cfg
     videos, dropped = detections
     with m.phase("link", "compute"):
         _check_frame_range("detection", videos.values(), metas)
         link_video = linking.greedy_link if cfg.link.strategy == "greedy" else linking.track_link
         linked = _parallel_map(lambda v: link_video(videos[v], config=cfg.link), sorted(videos), cfg.workers)
-        tubes = []
-        for video_tubes, _ in linked:
-            for t in video_tubes:
-                t.id = len(tubes)
-                tubes.append(t)
+        tubes = linking.LinkedTubelets([table for table, _ in linked])
     with m.phase("link", "write"):
         linking.write_tubelets(tubes, out)
     m.counts.update(
@@ -412,28 +409,41 @@ def run_pipeline(cfg, out_dir, inputs=None):
 # click wiring: merge the config and flags, read the inputs, call the stage
 
 
+def _exit_codes(ctx, call, *args):
+    """`call(*args)`, with its errors mapped to exit codes: a usage error (such
+    as a missing input file or an unknown subcommand), an `InvalidInputError`
+    or a `FileNotFoundError` exits 1, any other error exits 2, each as one
+    JSON line on stderr naming the subcommand, if one was named. Click's own
+    exits, such as `--help`'s, pass through."""
+    try:
+        return call(*args)
+    except (click.exceptions.Exit, click.Abort):
+        raise
+    except click.UsageError as exc:
+        code, error = 1, exc.format_message()
+    except (InvalidInputError, FileNotFoundError) as exc:
+        code, error = 1, str(exc)
+    except Exception as exc:  # stage failure
+        code, error = 2, str(exc) if isinstance(exc, TubekitError) else repr(exc)
+    stage = ctx.invoked_subcommand
+    click.echo(json.dumps({"stage": stage, "error": error} if stage else {"error": error}), err=True)
+    sys.exit(code)
+
+
 class _ExitCodeGroup(click.Group):
-    """The one exit handler of every subcommand: a usage error (such as a
-    missing input file), an `InvalidInputError` or a `FileNotFoundError` exits
-    1, any other error exits 2, each as one JSON line on stderr naming the
-    subcommand. Click's own exits, such as `--help`'s, pass through."""
+    """The one exit handler of the command line: the group's own arguments
+    and every subcommand run through `_exit_codes`. With no arguments at all
+    (`no_args_is_help=False`) the group fails with "Missing command." rather
+    than printing its help."""
+
+    def parse_args(self, ctx, args):
+        return _exit_codes(ctx, super().parse_args, ctx, args)
 
     def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (click.exceptions.Exit, click.Abort):
-            raise
-        except click.UsageError as exc:
-            code, error = 1, exc.format_message()
-        except (InvalidInputError, FileNotFoundError) as exc:
-            code, error = 1, str(exc)
-        except Exception as exc:  # stage failure
-            code, error = 2, str(exc) if isinstance(exc, TubekitError) else repr(exc)
-        click.echo(json.dumps({"stage": ctx.invoked_subcommand, "error": error}), err=True)
-        sys.exit(code)
+        return _exit_codes(ctx, super().invoke, ctx)
 
 
-@click.group(cls=_ExitCodeGroup)
+@click.group(cls=_ExitCodeGroup, no_args_is_help=False)
 def main():
     """Spatio-temporal activity detection pipeline toolkit."""
 

@@ -3,11 +3,21 @@
 Two strategies: greedy adjacent-frame linking with gap interpolation, and
 tracking-based linking that bridges missed detections with a
 constant-velocity predictor and a patience window.
+
+Both linkers return one video's tubelets as one `VideoTubelets` column
+table: each tubelet's start frame, length, class code and first row, and the
+box, score and provenance rows of all of them. The table is a read-only
+sequence that makes a `Tubelet` (views of its rows) only when one is indexed
+or iterated, so a one-frame tubelet, most of a cluttered scene's, costs its
+row, not an object. `link` numbers the tables of a file's videos on across
+them as one `LinkedTubelets`, and `write_tubelets` formats their lines
+straight from the columns.
 """
 
-import bisect
+import itertools
 import json
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,8 +45,9 @@ _DETECTED, _INTERPOLATED, _TRACKED = range(len(PROVENANCES))
 @dataclass(eq=False)
 class Tubelet:
     """Temporally contiguous boxes of one object; row k of every array is
-    frame extent.start + k. `id` is assigned by whoever numbers the tubelets
-    (a linker within a video, `link` across the videos of a file)."""
+    frame extent.start + k. A linker's tubelet is a view made by its
+    `VideoTubelets` table, which numbers it (`link` numbers the tables of a
+    file's videos on across them); a read one is numbered by its file."""
 
     id: int
     video_id: str
@@ -52,6 +63,71 @@ class Tubelet:
             raise InvalidInputError("tubelet scores and provenance need one value per frame of the extent")
         if self.object_class not in OBJECT_CLASSES:
             raise InvalidInputError(f"object class not admitted: {self.object_class!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class VideoTubelets(Sequence):
+    """One video's tubelets as columns, in the order the linkers number them
+    (`_numbered`). Tubelet i has id `first_id + i` and class
+    DETECTION_CLASSES[classes[i]]; its row k, frame starts[i] + k for
+    k < lengths[i], is row firsts[i] + k of `boxes`, `box_scores` and
+    `provenance`. Indexing makes a `Tubelet` whose arrays view those rows;
+    the rows are read-only, so no view can change the table."""
+
+    video_id: str
+    starts: np.ndarray  # (t,) int64 first frame
+    lengths: np.ndarray  # (t,) int64 frame count
+    classes: np.ndarray  # (t,) int64 index into DETECTION_CLASSES
+    firsts: np.ndarray  # (t,) int64 first row
+    boxes: np.ndarray  # (r,4) float64 x1, y1, x2, y2
+    box_scores: np.ndarray  # (r,) float64
+    provenance: np.ndarray  # (r,) int8 index into PROVENANCES
+    first_id: int = 0
+
+    def __len__(self):
+        return len(self.starts)
+
+    def __getitem__(self, i):
+        k = range(len(self))[i]
+        lo, n, start = int(self.firsts[k]), int(self.lengths[k]), int(self.starts[k])
+        rows = slice(lo, lo + n)
+        return Tubelet(self.first_id + k, self.video_id, DETECTION_CLASSES[self.classes[k]],
+                       Interval(start, start + n), self.boxes[rows], self.box_scores[rows], self.provenance[rows])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def lines(self):
+        """The tubelets.jsonl line of each tubelet, in id order, formatted
+        from the columns."""
+        video = json.dumps(self.video_id)
+        columns = (self.starts.tolist(), self.lengths.tolist(), self.classes.tolist(), self.firsts.tolist())
+        for i, (start, n, code, lo) in enumerate(zip(*columns)):
+            rows = slice(lo, lo + n)
+            yield _tubelet_text(self.first_id + i, _CLASS_TEXT[code], start, video, self.boxes[rows],
+                                self.box_scores[rows], self.provenance[rows])
+
+
+class LinkedTubelets:
+    """The tables of several videos as one sequence of tubelets, numbered on
+    from 0 across the tables in their order: what `link` returns. Iterating
+    makes each `Tubelet` as its table does."""
+
+    def __init__(self, tables):
+        first_ids = np.cumsum([0] + [len(t) for t in tables]).tolist()
+        self.tables = [replace(t, first_id=i) for t, i in zip(tables, first_ids)]
+        self._len = first_ids[-1]
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self.tables)
+
+    def lines(self):
+        """The tubelets.jsonl lines of every table, in (video_id, id) order."""
+        tables = sorted(self.tables, key=lambda t: (t.video_id, t.first_id))
+        return itertools.chain.from_iterable(t.lines() for t in tables)
 
 
 @dataclass(frozen=True)
@@ -94,7 +170,8 @@ def interpolate_gaps(frames, boxes, scores, max_interp_gap, stats=None, firsts=(
     The rows (one frame, box and score each) hold one or more objects back to
     back: object j starts at row `firsts[j]`, and its frames strictly increase.
     Holes longer than `max_interp_gap` split an object. Returns the dense
-    segments in row order as (extent, boxes, scores, provenance) tuples.
+    segments in row order as columns: their start frames and lengths, then
+    their box, score and provenance rows back to back.
     """
     span = np.diff(frames)
     joined = np.ones(len(span), dtype=bool)
@@ -114,15 +191,11 @@ def interpolate_gaps(frames, boxes, scores, max_interp_gap, stats=None, firsts=(
     if not np.isfinite(out_boxes).all():
         raise InvalidInputError("non-finite interpolated box")
     prov = np.where(hole, _INTERPOLATED, _DETECTED).astype(np.int8)
-    cuts = starts[1:][~filled].tolist()
+    heads = np.append(0, starts[1:][~filled])  # the first output row of each segment
     if stats is not None:
         stats.splits_on_long_gap += int(np.count_nonzero(joined & ~filled))
         stats.interpolated_frames += len(i)
-    segments = []
-    for lo, hi in zip([0, *cuts], [*cuts, len(src)]):
-        first = int(frames[src[lo]])
-        segments.append((Interval(first, first + hi - lo), out_boxes[lo:hi], out_scores[lo:hi], prov[lo:hi]))
-    return segments
+    return frames[src[heads]], np.diff(heads, append=len(src)), out_boxes, out_scores, prov
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +223,7 @@ def greedy_link(detections, config=LinkConfig(), stats=None):
     interpolation."""
     if stats is None:
         stats = LinkStats()
-    tubelets = []
+    parts = []
     for code in sorted(set(detections.classes.tolist())):
         (rows,) = (detections.classes == code).nonzero()
         frames = detections.frames[rows]
@@ -172,8 +245,8 @@ def greedy_link(detections, config=LinkConfig(), stats=None):
                 if c not in matched_dets:
                     chains.append([row])
                     open_by_tail.setdefault(f, []).append(len(chains) - 1)
-        tubelets.extend(_merge_and_emit(detections, chains, DETECTION_CLASSES[code], config, stats))
-    return _numbered(tubelets), stats
+        parts.append(_merge_and_emit(detections, chains, code, config, stats))
+    return _numbered(detections.video_id, parts), stats
 
 
 def _runs(values):
@@ -183,10 +256,10 @@ def _runs(values):
     return first, first[1:] + [len(values)]
 
 
-def _merge_and_emit(detections, chains, cls, config, stats):
-    """Merge chains (lists of detection rows) across gaps <= max_interp_gap
-    when end/start boxes still overlap above the link threshold, then emit
-    tubelets.
+def _merge_and_emit(detections, chains, code, config, stats):
+    """Merge chains (lists of detection rows of class `code`) across gaps <=
+    max_interp_gap when end/start boxes still overlap above the link
+    threshold, then emit the tubelets as one part of `_numbered`.
 
     A candidate is a (tail of i, head of j) pair whose gap is 1 to
     max_interp_gap frames; every candidate's IoU comes from one `paired_iou`
@@ -218,23 +291,29 @@ def _merge_and_emit(detections, chains, cls, config, stats):
         while k in next_of:
             k = next_of[k]
             rows.extend(chains[k])
-    segments = interpolate_gaps(
+    starts, lengths, *rows = interpolate_gaps(
         detections.frames[rows], detections.boxes[rows], detections.scores[rows], config.max_interp_gap, stats, firsts
     )
-    return [Tubelet(-1, detections.video_id, cls, *segment) for segment in segments]
+    return (starts, lengths, np.full(len(starts), code), *rows)
 
 
-def _emit_order(t):
-    """Linkers number tubelets by start frame, class, then first box."""
-    return (t.extent.start, t.object_class, tuple(t.boxes[0].tolist()))
+# no tubelet: starts, lengths, class codes, boxes, scores, provenance
+_NO_TUBELETS = (np.zeros(0, np.int64),) * 3 + (np.zeros((0, 4)), np.zeros(0), np.zeros(0, np.int8))
 
 
-def _numbered(tubelets):
-    """The tubelets sorted by `_emit_order` (a stable sort) and numbered from 0."""
-    tubelets.sort(key=_emit_order)
-    for i, t in enumerate(tubelets):
-        t.id = i
-    return tubelets
+def _numbered(video_id, parts):
+    """One video's `VideoTubelets` from `parts`, each the columns (start
+    frames, lengths, class codes, boxes, scores, provenance) of tubelets
+    whose rows lie back to back. The tubelets are numbered from 0 by start
+    frame, class, then first box (x1, y1, x2, y2); a stable sort, so the
+    order of `parts` breaks the ties."""
+    starts, lengths, classes, boxes, scores, prov = (np.concatenate(col) for col in zip(_NO_TUBELETS, *parts))
+    firsts = np.cumsum(lengths) - lengths
+    head = boxes[firsts]
+    order = np.lexsort((head[:, 3], head[:, 2], head[:, 1], head[:, 0], classes, starts))
+    for rows in (boxes, scores, prov):
+        rows.flags.writeable = False
+    return VideoTubelets(video_id, starts[order], lengths[order], classes[order], firsts[order], boxes, scores, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +332,16 @@ def predict_next(last, prev):
 # A row `patience` or more frames before the current one is final: either
 # its track has ended and `length` says whether it is kept, or its track has
 # matched since (a live track has fewer than `patience` misses) and keeps it.
-# Once `_COMPACT_BLOCKS` row blocks are that old, they are compacted into one
-# chunk without the rows an ended track will not emit (a track ends after
-# `patience` predicted rows, all trimmed), so those rows do not pile up until
-# the end of the video. A chunk loses no row later, so each row is copied
-# once before the final pass, whatever the video length.
+# Once the final row blocks number `_COMPACT_BLOCKS` or hold `_COMPACT_ROWS`
+# rows, they are compacted into one chunk without the rows an ended track
+# will not emit (a track ends after `patience` predicted rows, all trimmed),
+# so those rows do not pile up until the end of the video: the blocks hold
+# fewer rows than the last `patience` frames' plus `_COMPACT_ROWS`. A chunk
+# loses no row later, so each row is copied once before the final pass,
+# whatever the video length.
 _LIVE = np.iinfo(np.int64).max
 _COMPACT_BLOCKS = 64
+_COMPACT_ROWS = 4096
 
 
 def _kept_rows(blocks, length):
@@ -291,7 +373,7 @@ def track_link(detections, config=LinkConfig(), stats=None):
     if stats is None:
         stats = LinkStats()
     if not len(detections):
-        return [], stats
+        return _numbered(detections.video_id, []), stats
     det_boxes, det_scores, det_classes = detections.boxes, detections.scores, detections.classes
     frame_rows = {int(detections.frames[lo]): (lo, hi) for lo, hi in zip(*_runs(detections.frames))}
 
@@ -308,6 +390,7 @@ def track_link(detections, config=LinkConfig(), stats=None):
     length = np.full(64, _LIVE, dtype=np.int64)
     end_order = []  # track ids, in the order the tracks ended
     blocks, block_frames = [], []  # (track ids, ages, boxes, scores, detected?) rows, and their frames
+    final = final_rows = 0  # how many of the first blocks are final, and their rows
     chunks = []  # compacted blocks, oldest first
 
     for f in range(min(frame_rows), max(frame_rows) + 1):
@@ -365,10 +448,13 @@ def track_link(detections, config=LinkConfig(), stats=None):
             classes = np.concatenate((classes, f_classes[new]))
             misses = np.concatenate((misses, zeros))
             carried = np.concatenate((carried, f_scores[new]))
-        if len(blocks) >= _COMPACT_BLOCKS and block_frames[_COMPACT_BLOCKS - 1] <= f - config.patience:
-            k = bisect.bisect_right(block_frames, f - config.patience)
-            chunks.append(_kept_rows(blocks[:k], length))
-            del blocks[:k], block_frames[:k]
+        while final < len(blocks) and block_frames[final] <= f - config.patience:
+            final_rows += len(blocks[final][0])
+            final += 1
+        if final >= _COMPACT_BLOCKS or final_rows >= _COMPACT_ROWS:
+            chunks.append(_kept_rows(blocks[:final], length))
+            del blocks[:final], block_frames[:final]
+            final = final_rows = 0
     end_order.append(tids)
     length[tids] = f + 1 - misses - seeds
 
@@ -383,41 +469,34 @@ def track_link(detections, config=LinkConfig(), stats=None):
         out[first[row_tids] + ages] = col
     prov = np.where(detected, _DETECTED, _TRACKED).astype(np.int8)
     stats.tracked_frames += int(np.count_nonzero(~detected))
-
-    tubelets = []
-    for t in order.tolist():
-        lo, n, start = int(first[t]), int(length[t]), seed_frame[t]
-        tubelets.append(
-            Tubelet(
-                id=-1,
-                video_id=detections.video_id,
-                object_class=DETECTION_CLASSES[seed_class[t]],
-                extent=Interval(start, start + n),
-                boxes=boxes[lo : lo + n],
-                box_scores=scores[lo : lo + n],
-                provenance=prov[lo : lo + n],
-            )
-        )
-    return _numbered(tubelets), stats
+    starts, classes = np.array(seed_frame)[order], np.array(seed_class, dtype=np.int64)[order]
+    return _numbered(detections.video_id, [(starts, length[order], classes, boxes, scores, prov)]), stats
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
+_TUBELET_LINE = '{"boxes": [%s], "class": %s, "end": %d, "id": %d%s, "start": %d, "video_id": %s}'
 _TUBELET_ROW = '{"frame": %d, "provenance": %s, "score": %r, "x1": %r, "x2": %r, "y1": %r, "y2": %r}'
 _PROVENANCE_TEXT = [json.dumps(p) for p in PROVENANCES]
+_CLASS_TEXT = [json.dumps(c) for c in DETECTION_CLASSES]
+
+
+def _tubelet_text(tubelet_id, class_text, start, video_text, boxes, scores, provenance, extra=""):
+    """The one tubelets.jsonl line format, filled from a tubelet's fields
+    (the class and video id as JSON text) and its row arrays."""
+    columns = ([_PROVENANCE_TEXT[c] for c in provenance.tolist()], finite_list(scores, "box score"))
+    rows = box_rows_text(start, boxes, _TUBELET_ROW, columns)
+    return _TUBELET_LINE % (", ".join(rows), class_text, start + len(rows), tubelet_id, extra, start, video_text)
 
 
 def tubelet_line(t, extra=""):
-    """The tubelets.jsonl line of one tubelet. `extra` is the JSON text of
+    """The tubelets.jsonl line of one `Tubelet`. `extra` is the JSON text of
     further fields whose keys sort between "id" and "start", each led by
     ", " (a proposals line adds its `proposals` and `sample_count`)."""
-    columns = ([_PROVENANCE_TEXT[c] for c in t.provenance.tolist()], finite_list(t.box_scores, "box score"))
-    rows = box_rows_text(t.extent.start, t.boxes, _TUBELET_ROW, columns)
-    return '{"boxes": [%s], "class": %s, "end": %d, "id": %d%s, "start": %d, "video_id": %s}' % (
-        ", ".join(rows), json.dumps(t.object_class), t.extent.end, t.id, extra, t.extent.start, json.dumps(t.video_id)
-    )
+    return _tubelet_text(t.id, json.dumps(t.object_class), t.extent.start, json.dumps(t.video_id), t.boxes,
+                         t.box_scores, t.provenance, extra)
 
 
 def tubelet_from_record(rec):
@@ -449,7 +528,14 @@ def tubelet_key(rec):
 
 
 def write_tubelets(tubelets, path):
-    write_jsonl((tubelet_line(t) for t in sorted(tubelets, key=lambda t: (t.video_id, t.id))), path)
+    """Write tubelets in (video_id, id) order. A `VideoTubelets` or
+    `LinkedTubelets` is formatted from its columns, making no `Tubelet`; any
+    other iterable of `Tubelet`s one `tubelet_line` each."""
+    if isinstance(tubelets, (VideoTubelets, LinkedTubelets)):
+        lines = tubelets.lines()
+    else:
+        lines = map(tubelet_line, sorted(tubelets, key=lambda t: (t.video_id, t.id)))
+    write_jsonl(lines, path)
 
 
 def read_tubelets(path):

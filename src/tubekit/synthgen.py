@@ -170,10 +170,10 @@ def generate(config: SceneConfig) -> SynthCorpus:
                 b = boxes[f]
                 if config.box_jitter_px > 0.0:
                     j = config.box_jitter_px
-                    b = [v + rng.uniform(-j, j) for v in b]  # x1, y1, x2, y2 draw order
+                    b = [v + d for v, d in zip(b, rng.uniform(-j, j, 4).tolist())]  # x1, y1, x2, y2 draw order
                 score = 0.9
                 if config.score_noise > 0.0:
-                    score = float(np.clip(0.9 + rng.normal(0.0, config.score_noise), 0.05, 1.0))
+                    score = min(max(0.9 + rng.normal(0.0, config.score_noise), 0.05), 1.0)
                 rows.append((f, *b, score, DETECTION_CLASSES.index(object_class)))
 
         if config.false_positive_rate > 0.0:

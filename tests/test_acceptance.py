@@ -106,11 +106,9 @@ def test_criterion_02_interpolation_exactness():
             kept -= set(range(hole_start, hole_start + hole))
             hole_start += hole + 2
         frames = sorted(kept)
-        segments = linking.interpolate_gaps(np.array(frames), np.array([true_box(f) for f in frames]),
-                                            np.full(len(frames), 0.9), max_interp_gap=8)
-        assert len(segments) == 1
-        extent, boxes, scores, prov = segments[0]
-        assert extent == Interval(0, 61)
+        starts, lengths, boxes, scores, prov = linking.interpolate_gaps(
+            np.array(frames), np.array([true_box(f) for f in frames]), np.full(len(frames), 0.9), max_interp_gap=8)
+        assert (starts.tolist(), lengths.tolist()) == ([0], [61])  # one segment, frames [0, 61)
         for f in range(61):
             assert boxes[f].tolist() == true_box(f)
             assert scores[f] == 0.9

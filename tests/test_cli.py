@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 from conftest import box_rows, make_proposal, make_tubelet
 from test_goldens import CORPORA
-from tubekit import cli, data_model, linking, refinement
+from tubekit import cli, data_model, linking, refinement, synthgen
 from tubekit.geometry import Interval
 from tubekit.cli import main
 
@@ -59,6 +59,36 @@ def test_link(corpus_dir, tmp_path, strategy):
     assert res.exit_code == 0
     assert out.exists() and out.stat().st_size > 0
     assert (tmp_path / f"tubes_{strategy}.jsonl.manifest.json").exists()
+
+
+@pytest.mark.parametrize("strategy, link", [("tracking", linking.track_link), ("greedy", linking.greedy_link)])
+def test_link_makes_no_tubelet(tmp_path, monkeypatch, strategy, link):
+    # 6 false positives per frame, so most tubelets are one frame long: the
+    # linkers' tables hold their rows, and `link` writes the file from the
+    # columns without making a `Tubelet`
+    corpus = synthgen.generate(synthgen.SceneConfig(
+        seed=41, video_count=2, frames_per_video=120, objects_per_video=(2, 3), dropout_rate=0.2,
+        box_jitter_px=2.0, false_positive_rate=6.0, score_noise=0.05))
+    paths = synthgen.write_corpus(corpus, tmp_path / "corpus")
+    made = []
+
+    class Counted(linking.Tubelet):
+        def __post_init__(self):
+            made.append(self.id)
+            super().__post_init__()
+
+    monkeypatch.setattr(linking, "Tubelet", Counted)
+    out = tmp_path / "tubelets.jsonl"
+    assert run(["link", "--detections", paths["detections"], "--meta", paths["video_meta"], "--strategy", strategy,
+                "--out", str(out), "--workers", "2"]).exit_code == 0
+    assert made == []
+
+    # the tables' `Tubelet` views, each made when iterated, write the same bytes one `tubelet_line` each
+    tubes = list(linking.LinkedTubelets([link(corpus.detections[v])[0] for v in sorted(corpus.detections)]))
+    assert made == list(range(len(tubes)))
+    assert sum(t.extent.length == 1 for t in tubes) > len(tubes) / 2
+    linking.write_tubelets(tubes, tmp_path / "views.jsonl")
+    assert (tmp_path / "views.jsonl").read_bytes() == out.read_bytes()
 
 
 def _manifest(out_path):
@@ -277,6 +307,24 @@ def test_help_exits_zero():
     res = runner.invoke(main, ["link", "--help"])
     assert res.exit_code == 0 and res.stderr == ""
     assert "--detections" in res.output
+
+
+@pytest.mark.parametrize("args, code, report", [
+    (["--bogus"], 1, {"error": "No such option '--bogus'."}),
+    ([], 1, {"error": "Missing command."}),
+    (["bogus"], 1, {"error": "No such command 'bogus'."}),
+    (["--help"], 0, None),
+], ids=["unknown-option", "no-arguments", "unknown-subcommand", "help"])
+def test_group_usage_errors_exit_one_with_one_json_line(args, code, report):
+    # the group's own arguments go through the same handler as a subcommand's;
+    # no subcommand was named, so the line names no stage
+    res = runner.invoke(main, args)
+    assert res.exit_code == code, res.output
+    if report is None:
+        assert res.stderr == "" and "Usage:" in res.output
+    else:
+        (line,) = res.stderr.splitlines()
+        assert json.loads(line) == report
 
 
 def test_stage_failure_exits_two(corpus_dir, tmp_path, monkeypatch):
@@ -636,6 +684,16 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    # concurrent.futures (and the logging it imports) loads only when a stage
+    # runs with more than one worker
+    code = "import sys, tubekit.cli; print('concurrent.futures' in sys.modules, 'logging' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False False"
 
 
 def test_eval_det_leaves_scipy_unloaded(corpus_dir, tmp_path):

@@ -1,4 +1,4 @@
-"""Golden digests: `tubekit pipeline` on four small fixed corpora must write
+"""Golden digests: `tubekit pipeline` on five small fixed corpora must write
 byte-identical data files across refactors: the generated corpus, the
 tubelets, the unscored and scored proposals, and the final outputs.
 
@@ -48,6 +48,18 @@ CORPORA = {
             "score_noise": 0.05,
         },
         "link": {"strategy": "greedy"},
+    },
+    # score noise wide enough that the synthetic scores hit both clip ends, 0.05 and 1.0
+    "clipped-scores": {
+        "synth": {
+            "seed": 6,
+            "video_count": 2,
+            "frames_per_video": 80,
+            "dropout_rate": 0.1,
+            "box_jitter_px": 2.0,
+            "false_positive_rate": 0.5,
+            "score_noise": 0.5,
+        },
     },
 }
 
@@ -103,6 +115,19 @@ GOLDENS = {
         "detections.jsonl": "8bd632150cbfd814adbb83847f947b87a3bc36a5b47476ce4d6f922bb7b54ca2",
         "ground_truth.jsonl": "f07004e9ba05d5a2e8d191b3d75d4ccea84337b86bff3e19b440e42183bf7497",
         "video_meta.jsonl": "2cdc9b1c4274100deaa26b7804676666e20a6b819c7f00ec9f59b498ecc37b81",
+    },
+    "clipped-scores": {
+        "tubelets.jsonl": "c5b369b2ba3299fd403cf855f61e4a4e3c12513498b01bb3f5bff9d3814560e0",
+        "instances.jsonl": "e371c4c75726e96a97097bedac59e7474a10b5c4175da857eab1c1a9a6c944d2",
+        "det.csv": "622b4c3cd009f315a9860458c0d762d328019e7fddcc367aa315b372766cfed8",
+        "summary.json": "52a96f24f3cf7ef7999750c7122ecab65a4298aee66a37d11da7cfeb3b498827",
+        "recall.csv": "7c30912fa7d56dcf0d53eea80477eb59e2334ddf424616f513d24367c3aed37d",
+        "proposals.jsonl": "e0fb97a6eecdd3fe06a584c1bce86c1181f78b2cf268615d0c4b9bb0096397e8",
+        "scored_vehicle.jsonl": "7a21721d9488445c88120ce1fe177f969cdb9fa23e84b71ea7883ba754b2b232",
+        "scored_person.jsonl": "357d28620f41663e608d8bc2ae0cac439219eeef7e51b8299160d8d3041f3c7e",
+        "detections.jsonl": "03531ab44e27852ae037715799182a33a2eb1a74c13b7798273a1e89f5b102c6",
+        "ground_truth.jsonl": "906b953c78dd2181090f0ac1c3026910d9010ff0ea08b5cf93615c23def91e79",
+        "video_meta.jsonl": "61d613d8555c428412ce9fa19a4b708e4d2f01710936336cb5b190f9d5a47618",
     },
 }
 

@@ -65,11 +65,19 @@ def detected_rows(tubelet):
     ]
 
 
+def segments(starts, lengths, boxes, scores, prov):
+    """The (extent, boxes, scores, provenance) of each segment of the columns
+    `interpolate_gaps` returns."""
+    firsts = np.cumsum(lengths) - lengths
+    return [(Interval(s, s + n), boxes[lo:lo + n], scores[lo:lo + n], prov[lo:lo + n])
+            for s, n, lo in zip(starts.tolist(), lengths.tolist(), firsts.tolist())]
+
+
 def interpolate(observed, max_interp_gap=8, stats=None):
-    """`interpolate_gaps` on a frame -> (box tuple, score) map."""
+    """The segments of `interpolate_gaps` on a frame -> (box tuple, score) map."""
     frames = sorted(observed)
-    return interpolate_gaps(np.array(frames), rows(*(observed[f][0] for f in frames)),
-                            np.array([observed[f][1] for f in frames]), max_interp_gap, stats)
+    return segments(*interpolate_gaps(np.array(frames), rows(*(observed[f][0] for f in frames)),
+                                      np.array([observed[f][1] for f in frames]), max_interp_gap, stats))
 
 
 class TestInterpolateGaps:
@@ -119,7 +127,7 @@ class TestInterpolateGaps:
                 observed = {f: (Box(*b), sc) for f, b, sc in zip(frames.tolist(), boxes.tolist(), scores.tolist())}
                 want += reference_interpolate_gaps(observed, 8, want_stats)
             firsts = np.cumsum([0] + [len(f) for f, _, _ in objects[:-1]]).tolist()
-            got = interpolate_gaps(*(np.concatenate(col) for col in zip(*objects)), 8, got_stats, firsts)
+            got = segments(*interpolate_gaps(*(np.concatenate(col) for col in zip(*objects)), 8, got_stats, firsts))
             assert got_stats == want_stats
             assert len(got) == len(want)
             for (extent, b, sc, prov), (want_boxes, want_scores, want_prov) in zip(got, want):
@@ -300,7 +308,9 @@ def _ref_emit(video_id, object_class, entries):
 
 
 def _ref_numbered(tubelets):
-    return [replace(t, id=i) for i, t in enumerate(sorted(tubelets, key=linking._emit_order))]
+    # by start frame, class, then first box; ties in emit order
+    order = sorted(tubelets, key=lambda t: (t.extent.start, t.object_class, tuple(t.boxes[0].tolist())))
+    return [replace(t, id=i) for i, t in enumerate(order)]
 
 
 def reference_greedy_pairs(candidates):
@@ -540,22 +550,51 @@ def long_scene(seed, frames=1600, quiet=(760, 860)):
     return [d for d in dets if not quiet[0] <= d.frame < quiet[1]]
 
 
+_kept_rows = linking._kept_rows
+
+
 def recorded_kept_rows(monkeypatch):
-    """Record every `linking._kept_rows` call as (rows in, rows out, rows
-    dropped from the results of earlier calls)."""
-    calls, results = [], []
-    kept_rows = linking._kept_rows
+    """Record every `linking._kept_rows` call as (blocks, a copy of the track
+    lengths, result). The last call is the final pass, the others compactions."""
+    calls = []
 
     def recording(blocks, length):
-        out = kept_rows(blocks, length)
-        chunks = [b for b in blocks if any(b is r for r in results)]
-        dropped = sum(len(c[0]) for c in chunks) - (len(kept_rows(chunks, length)[0]) if chunks else 0)
-        results.append(out)
-        calls.append((sum(len(b[0]) for b in blocks), len(out[0]), dropped))
+        out = _kept_rows(blocks, length)
+        calls.append((list(blocks), length.copy(), out))
         return out
 
     monkeypatch.setattr(linking, "_kept_rows", recording)
     return calls
+
+
+def row_count(blocks):
+    return sum(len(b[0]) for b in blocks)
+
+
+def check_compactions(calls, tubelets, patience):
+    """The compactions that `recorded_kept_rows` saw, against the reference
+    tubelets: each takes only blocks (no chunk), so a row is compacted at
+    most once; each row it keeps or drops is final, as the final pass's track
+    lengths keep or drop it too; and a compaction takes fewer rows than
+    `_COMPACT_ROWS` plus the rows of `patience` consecutive frames, so the
+    blocks never hold more than that plus the last `patience` frames' rows.
+    Returns the compactions as (blocks, rows in, rows out)."""
+    *compactions, (_, final_length, _) = calls
+    chunks = [out for _, _, out in compactions]
+    # a track seeded at frame s with tubelet [s, e) has a row at each frame
+    # from s to e - 1 + patience, the last `patience` of them predicted
+    frame_rows = np.zeros(max(t.extent.end for t in tubelets) + patience, dtype=np.int64)
+    for t in tubelets:
+        frame_rows[t.extent.start:t.extent.end + patience] += 1
+    window = int(np.convolve(frame_rows, np.ones(patience, dtype=np.int64)).max())
+    out = []
+    for blocks, _, kept in compactions:
+        assert not any(b is c for b in blocks for c in chunks)
+        final = _kept_rows(blocks, final_length)
+        assert all(np.array_equal(a, b) for a, b in zip(final, kept))
+        assert row_count(blocks) < linking._COMPACT_ROWS + window
+        out.append((blocks, row_count(blocks), len(kept[0])))
+    return out
 
 
 CONFIGS = [
@@ -620,15 +659,19 @@ class TestTrackLinkEqualsReference:
         assert frames[-1] - frames[0] >= 1500 and len({d.object_class for d in dets}) == 3
         # every track ends in the quiet stretch, and the frames after that are skipped
         assert max(np.diff(frames)) > patience + 1
-        calls = recorded_kept_rows(monkeypatch)
         config = LinkConfig(patience=patience)
-        got, got_stats = track_link(columns(dets), config=config)
         want, want_stats = reference_track_link(dets, config)
-        assert_same_tubelets(got, want)
-        assert got_stats == want_stats
-        # many compactions drop ended tracks' rows, and a compacted row is never dropped later
-        assert sum(rows_in > rows_out for rows_in, rows_out, _ in calls[:-1]) >= 20
-        assert all(dropped == 0 for _, _, dropped in calls)
+        for compact_rows in (64, linking._COMPACT_ROWS):
+            monkeypatch.setattr(linking, "_COMPACT_ROWS", compact_rows)
+            calls = recorded_kept_rows(monkeypatch)
+            got, got_stats = track_link(columns(dets), config=config)
+            assert_same_tubelets(got, want)
+            assert got_stats == want_stats
+            compactions = check_compactions(calls, want, patience)
+            # many compactions drop ended tracks' rows
+            assert sum(rows_in > rows_out for _, rows_in, rows_out in compactions) >= 20
+            if compact_rows == 64:  # the row count, not the block count, starts most compactions
+                assert sum(len(blocks) < linking._COMPACT_BLOCKS for blocks, _, _ in compactions) > len(compactions) / 2
 
 
 class TestTrackLinkCost:
@@ -659,11 +702,12 @@ class TestTrackLinkCost:
                                       dropout_rate=0.1, box_jitter_px=2.0, false_positive_rate=0.3))
         (video,) = corpus.detections.values()
         calls = recorded_kept_rows(monkeypatch)
-        track_link(video)
+        tubelets, _ = track_link(video)
+        check_compactions(calls, tubelets, LinkConfig().patience)
         # re-filtering all the rows so far at every compaction copies each
         # kept row about 64 times on this scene; compacting each row once, 4.3
-        rows_in = sum(n for n, _, _ in calls)
-        assert rows_in < 8 * calls[-1][1]
+        rows_in = sum(row_count(blocks) for blocks, _, _ in calls)
+        assert rows_in < 8 * len(calls[-1][2][0])
 
 
 class TestGreedyMergeEqualsReference:
