@@ -221,21 +221,22 @@ def link(m, detections, metas, out):
     per-video columns and the dropped-class counts) into one `LinkedTubelets`,
     numbered across the videos in id order; writing it makes no `Tubelet`.
     Counts the link funnel: detections in, dropped class names, and the
-    `LinkStats` counts summed over the videos in sorted order."""
+    interpolated and tracked rows of the tubelets."""
     cfg = m.cfg
     videos, dropped = detections
     with m.phase("link", "compute"):
         _check_frame_range("detection", videos.values(), metas)
         link_video = linking.greedy_link if cfg.link.strategy == "greedy" else linking.track_link
-        linked = _parallel_map(lambda v: link_video(videos[v], config=cfg.link), sorted(videos), cfg.workers)
-        tubes = linking.LinkedTubelets([table for table, _ in linked])
+        tubes = linking.LinkedTubelets(
+            _parallel_map(lambda v: link_video(videos[v], config=cfg.link), sorted(videos), cfg.workers))
     with m.phase("link", "write"):
         linking.write_tubelets(tubes, out)
     m.counts.update(
         tubelets=len(tubes),
         detections_in=sum(map(len, videos.values())),
         dropped_class_names=dict(sorted(dropped.items())),
-        **{f.name: sum(getattr(stats, f.name) for _, stats in linked) for f in dataclasses.fields(linking.LinkStats)},
+        interpolated_frames=tubes.row_count("interpolated"),
+        tracked_frames=tubes.row_count("tracked"),
     )
     return tubes
 

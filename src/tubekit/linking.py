@@ -11,7 +11,9 @@ sequence that makes a `Tubelet` (views of its rows) only when one is indexed
 or iterated, so a one-frame tubelet, most of a cluttered scene's, costs its
 row, not an object. `link` numbers the tables of a file's videos on across
 them as one `LinkedTubelets`, and `write_tubelets` formats their lines
-straight from the columns.
+straight from the columns. A linker returns only its table. Greedy linking
+joins chains only across at most `link.max_interp_gap` missing frames and
+fills each such hole, so it never cuts a tubelet at a gap.
 """
 
 import itertools
@@ -23,6 +25,7 @@ import numpy as np
 
 from . import kernels
 from .data_model import (
+    _CLASS_TEXT,
     DETECTION_CLASSES,
     OBJECT_CLASSES,
     box_rows_text,
@@ -129,6 +132,10 @@ class LinkedTubelets:
         tables = sorted(self.tables, key=lambda t: (t.video_id, t.first_id))
         return itertools.chain.from_iterable(t.lines() for t in tables)
 
+    def row_count(self, provenance):
+        """How many rows of the tables have `provenance` (0 with no table)."""
+        return sum(int(np.count_nonzero(t.provenance == PROVENANCES.index(provenance))) for t in self.tables)
+
 
 @dataclass(frozen=True)
 class LinkConfig:
@@ -152,34 +159,25 @@ class LinkConfig:
 # interpolation
 
 
-@dataclass
-class LinkStats:
-    """Book-keeping emitted alongside tubelets."""
-
-    splits_on_long_gap: int = 0
-    interpolated_frames: int = 0
-    tracked_frames: int = 0
-
-
-def interpolate_gaps(frames, boxes, scores, max_interp_gap, stats=None, firsts=(0,)):
-    """Fill the holes between the detected rows of an object by linear
+def interpolate_gaps(frames, boxes, scores, firsts=(0,)):
+    """Fill every hole between the detected rows of an object by linear
     interpolation, in the scalar formula's order b0 + k * (b1 - b0) / span
     (not a premultiplied ratio: exact for linear motion with representable
-    velocities).
+    velocities). The caller passes only holes to fill: greedy linking joins
+    rows across at most `link.max_interp_gap` missing frames.
 
     The rows (one frame, box and score each) hold one or more objects back to
     back: object j starts at row `firsts[j]`, and its frames strictly increase.
-    Holes longer than `max_interp_gap` split an object. Returns the dense
-    segments in row order as columns: their start frames and lengths, then
-    their box, score and provenance rows back to back.
+    Returns each object as one dense tubelet, in row order, as columns: their
+    start frames and lengths, then their box, score and provenance rows back
+    to back.
     """
     span = np.diff(frames)
-    joined = np.ones(len(span), dtype=bool)
+    joined = np.ones(len(span), dtype=bool)  # rows i and i + 1 are one object's
     joined[np.asarray(firsts[1:], dtype=np.int64) - 1] = False
-    filled = joined & (span <= max_interp_gap + 1)
-    # row i stands for its own frame and, when filled, the hole after it:
+    # row i stands for its own frame and, when joined, the hole after it:
     # output rows k = 0 .. span - 1 frames past row i
-    counts = np.append(np.where(filled, span, 1), 1)
+    counts = np.append(np.where(joined, span, 1), 1)
     src = np.repeat(np.arange(len(frames)), counts)
     starts = np.cumsum(counts) - counts
     k = np.arange(len(src)) - starts[src]
@@ -191,10 +189,7 @@ def interpolate_gaps(frames, boxes, scores, max_interp_gap, stats=None, firsts=(
     if not np.isfinite(out_boxes).all():
         raise InvalidInputError("non-finite interpolated box")
     prov = np.where(hole, _INTERPOLATED, _DETECTED).astype(np.int8)
-    heads = np.append(0, starts[1:][~filled])  # the first output row of each segment
-    if stats is not None:
-        stats.splits_on_long_gap += int(np.count_nonzero(joined & ~filled))
-        stats.interpolated_frames += len(i)
+    heads = np.append(0, starts[1:][~joined])  # the first output row of each object
     return frames[src[heads]], np.diff(heads, append=len(src)), out_boxes, out_scores, prov
 
 
@@ -217,12 +212,11 @@ def _greedy_pairs(iou, rows, cols):
     return out
 
 
-def greedy_link(detections, config=LinkConfig(), stats=None):
+def greedy_link(detections, config=LinkConfig()):
     """Greedy adjacent-frame linking of one video's `VideoDetections`; chains
     separated by short gaps are merged and the holes filled by linear
-    interpolation."""
-    if stats is None:
-        stats = LinkStats()
+    interpolation. A pair links at IoU >= `iou_link_threshold`, as in
+    `track_link`."""
     parts = []
     for code in sorted(set(detections.classes.tolist())):
         (rows,) = (detections.classes == code).nonzero()
@@ -236,7 +230,7 @@ def greedy_link(detections, config=LinkConfig(), stats=None):
             matched_dets = set()
             if tails:
                 iou = kernels.iou_matrix(detections.boxes[[chains[ci][-1] for ci in tails]], detections.boxes[dets])
-                linked = np.nonzero(iou > config.iou_link_threshold)
+                linked = np.nonzero(iou >= config.iou_link_threshold)
                 for r, c in _greedy_pairs(iou[linked], *linked):
                     chains[tails[r]].append(dets[c])
                     open_by_tail.setdefault(f, []).append(tails[r])
@@ -245,8 +239,8 @@ def greedy_link(detections, config=LinkConfig(), stats=None):
                 if c not in matched_dets:
                     chains.append([row])
                     open_by_tail.setdefault(f, []).append(len(chains) - 1)
-        parts.append(_merge_and_emit(detections, chains, code, config, stats))
-    return _numbered(detections.video_id, parts), stats
+        parts.append(_merge_and_emit(detections, chains, code, config))
+    return _numbered(detections.video_id, parts)
 
 
 def _runs(values):
@@ -256,10 +250,10 @@ def _runs(values):
     return first, first[1:] + [len(values)]
 
 
-def _merge_and_emit(detections, chains, code, config, stats):
+def _merge_and_emit(detections, chains, code, config):
     """Merge chains (lists of detection rows of class `code`) across gaps <=
-    max_interp_gap when end/start boxes still overlap above the link
-    threshold, then emit the tubelets as one part of `_numbered`.
+    max_interp_gap when end/start boxes still reach the link threshold, then
+    emit the tubelets as one part of `_numbered`.
 
     A candidate is a (tail of i, head of j) pair whose gap is 1 to
     max_interp_gap frames; every candidate's IoU comes from one `paired_iou`
@@ -277,7 +271,7 @@ def _merge_and_emit(detections, chains, code, config, stats):
     i = np.repeat(np.arange(n), counts)
     j = head_order[np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
     iou = kernels.paired_iou(tails[i], heads[j])
-    linked = iou > config.iou_link_threshold
+    linked = iou >= config.iou_link_threshold
     next_of = dict(_greedy_pairs(iou[linked], i[linked], j[linked]))
     used_starts = set(next_of.values())
 
@@ -291,9 +285,8 @@ def _merge_and_emit(detections, chains, code, config, stats):
         while k in next_of:
             k = next_of[k]
             rows.extend(chains[k])
-    starts, lengths, *rows = interpolate_gaps(
-        detections.frames[rows], detections.boxes[rows], detections.scores[rows], config.max_interp_gap, stats, firsts
-    )
+    starts, lengths, *rows = interpolate_gaps(detections.frames[rows], detections.boxes[rows],
+                                              detections.scores[rows], firsts)
     return (starts, lengths, np.full(len(starts), code), *rows)
 
 
@@ -352,7 +345,7 @@ def _kept_rows(blocks, length):
     return [tids[kept], ages[kept]] + [col[kept] for col in columns]
 
 
-def track_link(detections, config=LinkConfig(), stats=None):
+def track_link(detections, config=LinkConfig()):
     """Tracking-based linking of one video's `VideoDetections`: live tracks
     predict a box every frame, merge with unclaimed detections by IoU, and
     terminate after `patience` consecutive unmatched frames. Trailing
@@ -370,10 +363,8 @@ def track_link(detections, config=LinkConfig(), stats=None):
     match are scattered into one array per column, the tracks in the order
     they ended and the still-live ones last; `_numbered` sorts stably, so
     that order breaks its ties."""
-    if stats is None:
-        stats = LinkStats()
     if not len(detections):
-        return _numbered(detections.video_id, []), stats
+        return _numbered(detections.video_id, [])
     det_boxes, det_scores, det_classes = detections.boxes, detections.scores, detections.classes
     frame_rows = {int(detections.frames[lo]): (lo, hi) for lo, hi in zip(*_runs(detections.frames))}
 
@@ -468,9 +459,8 @@ def track_link(detections, config=LinkConfig(), stats=None):
     for out, col in zip((boxes, scores, detected), columns):
         out[first[row_tids] + ages] = col
     prov = np.where(detected, _DETECTED, _TRACKED).astype(np.int8)
-    stats.tracked_frames += int(np.count_nonzero(~detected))
     starts, classes = np.array(seed_frame)[order], np.array(seed_class, dtype=np.int64)[order]
-    return _numbered(detections.video_id, [(starts, length[order], classes, boxes, scores, prov)]), stats
+    return _numbered(detections.video_id, [(starts, length[order], classes, boxes, scores, prov)])
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +470,6 @@ def track_link(detections, config=LinkConfig(), stats=None):
 _TUBELET_LINE = '{"boxes": [%s], "class": %s, "end": %d, "id": %d%s, "start": %d, "video_id": %s}'
 _TUBELET_ROW = '{"frame": %d, "provenance": %s, "score": %r, "x1": %r, "x2": %r, "y1": %r, "y2": %r}'
 _PROVENANCE_TEXT = [json.dumps(p) for p in PROVENANCES]
-_CLASS_TEXT = [json.dumps(c) for c in DETECTION_CLASSES]
 
 
 def _tubelet_text(tubelet_id, class_text, start, video_text, boxes, scores, provenance, extra=""):
@@ -528,14 +517,9 @@ def tubelet_key(rec):
 
 
 def write_tubelets(tubelets, path):
-    """Write tubelets in (video_id, id) order. A `VideoTubelets` or
-    `LinkedTubelets` is formatted from its columns, making no `Tubelet`; any
-    other iterable of `Tubelet`s one `tubelet_line` each."""
-    if isinstance(tubelets, (VideoTubelets, LinkedTubelets)):
-        lines = tubelets.lines()
-    else:
-        lines = map(tubelet_line, sorted(tubelets, key=lambda t: (t.video_id, t.id)))
-    write_jsonl(lines, path)
+    """Write a `LinkedTubelets` or `VideoTubelets` in (video_id, id) order,
+    formatted from its columns, making no `Tubelet`."""
+    write_jsonl(tubelets.lines(), path)
 
 
 def read_tubelets(path):

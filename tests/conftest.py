@@ -6,8 +6,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from tubekit.data_model import write_jsonl
 from tubekit.geometry import Interval
-from tubekit.linking import Tubelet
+from tubekit.linking import Tubelet, tubelet_line
 from tubekit.refinement import Proposal
 
 
@@ -21,6 +22,12 @@ def make_tubelet(boxes, start=0, tubelet_id=0, video_id="v0", object_class="pers
     n = len(boxes)
     return Tubelet(tubelet_id, video_id, object_class, Interval(start, start + n),
                    np.asarray(boxes, dtype=np.float64), np.full(n, 0.9), np.zeros(n, dtype=np.int8))
+
+
+def write_tubelet_list(tubelets, path):
+    """Write `Tubelet`s as a tubelets file: one `tubelet_line` each, in
+    (video_id, id) order, as `linking.write_tubelets` writes a linker's table."""
+    write_jsonl(map(tubelet_line, sorted(tubelets, key=lambda t: (t.video_id, t.id))), path)
 
 
 def make_proposal(window, boxes=None, proposal_id=0, tubelet_id=0, video_id="v0",

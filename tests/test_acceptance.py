@@ -36,8 +36,7 @@ def _passed(n, detail):
 def _link_corpus(corpus, linker):
     tubes = []
     for v in sorted(corpus.detections):
-        out, _ = linker(corpus.detections[v])
-        tubes.extend(out)
+        tubes.extend(linker(corpus.detections[v]))
     return tubes
 
 
@@ -107,7 +106,7 @@ def test_criterion_02_interpolation_exactness():
             hole_start += hole + 2
         frames = sorted(kept)
         starts, lengths, boxes, scores, prov = linking.interpolate_gaps(
-            np.array(frames), np.array([true_box(f) for f in frames]), np.full(len(frames), 0.9), max_interp_gap=8)
+            np.array(frames), np.array([true_box(f) for f in frames]), np.full(len(frames), 0.9))
         assert (starts.tolist(), lengths.tolist()) == ([0], [61])  # one segment, frames [0, 61)
         for f in range(61):
             assert boxes[f].tolist() == true_box(f)

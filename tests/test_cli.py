@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import box_rows, make_proposal, make_tubelet
+from conftest import box_rows, make_proposal, make_tubelet, write_tubelet_list
 from test_goldens import CORPORA
 from tubekit import cli, data_model, linking, refinement, synthgen
 from tubekit.geometry import Interval
@@ -84,10 +84,10 @@ def test_link_makes_no_tubelet(tmp_path, monkeypatch, strategy, link):
     assert made == []
 
     # the tables' `Tubelet` views, each made when iterated, write the same bytes one `tubelet_line` each
-    tubes = list(linking.LinkedTubelets([link(corpus.detections[v])[0] for v in sorted(corpus.detections)]))
+    tubes = list(linking.LinkedTubelets([link(corpus.detections[v]) for v in sorted(corpus.detections)]))
     assert made == list(range(len(tubes)))
     assert sum(t.extent.length == 1 for t in tubes) > len(tubes) / 2
-    linking.write_tubelets(tubes, tmp_path / "views.jsonl")
+    write_tubelet_list(tubes, tmp_path / "views.jsonl")
     assert (tmp_path / "views.jsonl").read_bytes() == out.read_bytes()
 
 
@@ -594,7 +594,7 @@ def test_tubelet_past_frame_count_exits_one(tmp_path):
     reports = {}
     for start in (0, 5000):
         tubes = tmp_path / f"t{start}.jsonl"
-        linking.write_tubelets([make_tubelet(moving[:10] if start == 0 else moving, start=start)], tubes)
+        write_tubelet_list([make_tubelet(moving[:10] if start == 0 else moving, start=start)], tubes)
         res = runner.invoke(main, ["refine", "--tubelets", str(tubes), "--meta", str(meta),
                                    "--out", str(tmp_path / f"p{start}.jsonl")])
         reports[start] = (res.exit_code, res.output.strip().splitlines()[-1])
@@ -821,13 +821,10 @@ def test_link_funnel_in_manifests(dropout_corpus, tmp_path):
     videos, _ = data_model.read_detections(det)
 
     for strategy, link in (("tracking", linking.track_link), ("greedy", linking.greedy_link)):
-        stats = linking.LinkStats()
-        for video in sorted(videos):
-            link(videos[video], stats=stats)
+        rows = Counter(linking.PROVENANCES[p] for v in sorted(videos) for p in link(videos[v]).provenance.tolist())
         expected = {"detections_in": sum(map(len, videos.values())), "dropped_class_names": {"cat": 1, "dog": 2},
-                    "splits_on_long_gap": stats.splits_on_long_gap,
-                    "interpolated_frames": stats.interpolated_frames, "tracked_frames": stats.tracked_frames}
-        assert (stats.tracked_frames if strategy == "tracking" else stats.interpolated_frames) > 0
+                    "interpolated_frames": rows["interpolated"], "tracked_frames": rows["tracked"]}
+        assert rows["tracked" if strategy == "tracking" else "interpolated"] > 0
         for workers in (1, 2):
             out = tmp_path / f"{strategy}_w{workers}.jsonl"
             assert run(["link", "--detections", str(det), "--meta", meta, "--strategy", strategy,
@@ -845,3 +842,32 @@ def test_link_funnel_in_manifests(dropout_corpus, tmp_path):
                 "--meta", meta, "--config", cfg]).exit_code == 0
     counts = json.loads((tmp_path / "run" / "run.manifest.json").read_text())["record_counts"]
     assert {k: counts[k] for k in expected} == expected
+
+
+LINK_FUNNEL = {"tubelets", "detections_in", "dropped_class_names", "interpolated_frames", "tracked_frames"}
+
+
+def test_funnel_keys_are_pinned(dropout_corpus, tmp_path):
+    # adding or dropping a funnel key must change this test
+    det, gt, meta = (str(dropout_corpus / n) for n in ("detections.jsonl", "ground_truth.jsonl", "video_meta.jsonl"))
+    out = tmp_path / "tubelets.jsonl"
+    assert run(["link", "--detections", det, "--meta", meta, "--out", str(out)]).exit_code == 0
+    assert set(_manifest(out)["record_counts"]) == LINK_FUNNEL
+    assert run(["pipeline", "--out-dir", str(tmp_path / "run"), "--detections", det, "--ground-truth", gt,
+                "--meta", meta]).exit_code == 0
+    assert set(_manifest(tmp_path / "run" / "run")["record_counts"]) == LINK_FUNNEL | {
+        "proposals", "removed_static", "scored", "labels", "nms_in", "nms_kept", "instances", "thresholds", "classes"}
+
+
+@pytest.mark.parametrize("strategy", ["tracking", "greedy"])
+def test_link_with_no_admitted_detection_writes_an_empty_file(dropout_corpus, tmp_path, strategy):
+    det = tmp_path / "detections.jsonl"
+    det.write_text("".join(json.dumps({"video_id": "synth_0000", "frame": f, "x1": 1.0, "y1": 1.0, "x2": 5.0,
+                                       "y2": 5.0, "class": "dog", "score": 0.5}) + "\n" for f in range(3)))
+    out = tmp_path / "tubelets.jsonl"
+    res = run(["link", "--detections", str(det), "--meta", str(dropout_corpus / "video_meta.jsonl"),
+               "--strategy", strategy, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert out.read_bytes() == b""
+    assert _manifest(out)["record_counts"] == {"tubelets": 0, "detections_in": 0, "dropped_class_names": {"dog": 3},
+                                               "interpolated_frames": 0, "tracked_frames": 0}

@@ -11,7 +11,6 @@ from tubekit.geometry import Box, Interval, spatial_iou
 from tubekit.linking import (
     PROVENANCES,
     LinkConfig,
-    LinkStats,
     Tubelet,
     greedy_link,
     interpolate_gaps,
@@ -73,11 +72,11 @@ def segments(starts, lengths, boxes, scores, prov):
             for s, n, lo in zip(starts.tolist(), lengths.tolist(), firsts.tolist())]
 
 
-def interpolate(observed, max_interp_gap=8, stats=None):
+def interpolate(observed):
     """The segments of `interpolate_gaps` on a frame -> (box tuple, score) map."""
     frames = sorted(observed)
     return segments(*interpolate_gaps(np.array(frames), rows(*(observed[f][0] for f in frames)),
-                                      np.array([observed[f][1] for f in frames]), max_interp_gap, stats))
+                                      np.array([observed[f][1] for f in frames])))
 
 
 class TestInterpolateGaps:
@@ -101,20 +100,12 @@ class TestInterpolateGaps:
         (_, boxes, _, _), = interpolate(observed)
         assert boxes[1:4, 0].tolist() == [10, 20, 30]
 
-    def test_long_hole_splits(self):
-        observed = {0: ((0, 0, 10, 10), 1.0), 20: ((0, 0, 10, 10), 1.0)}
-        stats = LinkStats()
-        segments = interpolate(observed, max_interp_gap=8, stats=stats)
-        assert [extent for extent, *_ in segments] == [Interval(0, 1), Interval(20, 21)]
-        assert stats == LinkStats(splits_on_long_gap=1)
-
     def test_rows_equal_the_scalar_reference(self):
-        # 1 to 3 objects back to back, each with holes of 0 to 12 frames (some
-        # split at max_interp_gap 8) and frames that may overlap the previous
+        # 1 to 3 objects back to back, each with holes of 0 to 12 frames (all
+        # filled, one object each) and frames that may overlap the previous
         # object's; -0.0 must survive on a detected row
         rng = np.random.default_rng(11)
         for _ in range(200):
-            got_stats, want_stats = LinkStats(), LinkStats()
             objects, want = [], []
             for _ in range(int(rng.integers(1, 4))):
                 n = int(rng.integers(1, 12))
@@ -125,10 +116,9 @@ class TestInterpolateGaps:
                 scores = rng.uniform(0, 1, n)
                 objects.append((frames, boxes, scores))
                 observed = {f: (Box(*b), sc) for f, b, sc in zip(frames.tolist(), boxes.tolist(), scores.tolist())}
-                want += reference_interpolate_gaps(observed, 8, want_stats)
+                want.append(reference_interpolate_gaps(observed))
             firsts = np.cumsum([0] + [len(f) for f, _, _ in objects[:-1]]).tolist()
-            got = segments(*interpolate_gaps(*(np.concatenate(col) for col in zip(*objects)), 8, got_stats, firsts))
-            assert got_stats == want_stats
+            got = segments(*interpolate_gaps(*(np.concatenate(col) for col in zip(*objects)), firsts))
             assert len(got) == len(want)
             for (extent, b, sc, prov), (want_boxes, want_scores, want_prov) in zip(got, want):
                 assert list(extent.frames()) == sorted(want_boxes)
@@ -141,7 +131,7 @@ class TestInterpolateGaps:
 class TestGreedyLink:
     def test_single_chain(self):
         dets = [det(f, x1=f * 1.0) for f in range(3)]
-        tubes, _ = greedy_link(columns(dets))
+        tubes = greedy_link(columns(dets))
         assert len(tubes) == 1
         assert tubes[0].extent.length == 3
 
@@ -150,7 +140,7 @@ class TestGreedyLink:
         dets = [det(0, 0.0), det(1, 5.5), det(2, 6.5)]
         assert spatial_iou(dets[0].box, dets[1].box) < 0.5
         assert spatial_iou(dets[1].box, dets[2].box) > 0.5
-        tubes, _ = greedy_link(columns(dets))
+        tubes = greedy_link(columns(dets))
         assert sorted(t.extent.length for t in tubes) == [1, 2]
 
     def test_two_parallel_lanes(self):
@@ -158,7 +148,7 @@ class TestGreedyLink:
         for f in range(5):
             dets.append(det(f, x1=f * 1.0, y1=0.0))
             dets.append(det(f, x1=f * 1.0, y1=100.0))
-        tubes, _ = greedy_link(columns(dets))
+        tubes = greedy_link(columns(dets))
         assert len(tubes) == 2
         assert all(t.extent.length == 5 for t in tubes)
 
@@ -167,7 +157,7 @@ class TestGreedyLink:
         # must equal the optimal one-to-one assignment
         frame0 = [det(0, 0.0), det(0, 30.0), det(0, 60.0)]
         frame1 = [det(1, 1.0), det(1, 31.0), det(1, 61.0)]
-        tubes, _ = greedy_link(columns(frame0 + frame1))
+        tubes = greedy_link(columns(frame0 + frame1))
         assert len(tubes) == 3
 
         iou = [[spatial_iou(a.box, b.box) for b in frame1] for a in frame0]
@@ -182,12 +172,12 @@ class TestGreedyLink:
 
     def test_class_gated(self):
         dets = [det(0, 0.0, cls="person"), det(1, 0.0, cls="car")]
-        tubes, _ = greedy_link(columns(dets))
+        tubes = greedy_link(columns(dets))
         assert len(tubes) == 2
 
     def test_no_detection_shared_between_tubelets(self):
         dets = [det(f, x1=x, y1=y) for f in range(4) for x, y in ((f * 2.0, 0.0), (f * 2.0, 8.0))]
-        tubes, _ = greedy_link(columns(dets))
+        tubes = greedy_link(columns(dets))
         seen = set()
         for t in tubes:
             for row in detected_rows(t):
@@ -199,7 +189,7 @@ class TestTrackLink:
     def test_bridges_gap_with_tracking(self):
         # constant motion 5 px/frame, detections missing on frames 5-9
         dets = [det(f, x1=5.0 * f, w=40.0) for f in list(range(5)) + [10]]
-        tubes, _ = track_link(columns(dets))
+        tubes = track_link(columns(dets))
         assert len(tubes) == 1
         t = tubes[0]
         assert (t.extent.start, t.extent.end) == (0, 11)
@@ -210,18 +200,18 @@ class TestTrackLink:
 
     def test_patience_splits_long_gap(self):
         dets = [det(f, x1=0.0) for f in range(5)] + [det(f, x1=0.0) for f in range(65, 70)]
-        tubes, _ = track_link(columns(dets), config=LinkConfig(patience=50))
+        tubes = track_link(columns(dets), config=LinkConfig(patience=50))
         assert len(tubes) == 2
 
     def test_trailing_tracked_frames_trimmed(self):
         dets = [det(f, x1=0.0) for f in range(5)] + [det(40, 500.0)]
-        tubes, _ = track_link(columns(dets))
+        tubes = track_link(columns(dets))
         first = min(tubes, key=lambda t: t.extent.start)
         assert first.extent.end == 5
         assert all(PROVENANCES[p] == "detected" for p in first.provenance)
 
     def test_single_frame_video(self):
-        tubes, _ = track_link(columns([det(0, 0.0), det(0, 100.0)]))
+        tubes = track_link(columns([det(0, 0.0), det(0, 100.0)]))
         assert len(tubes) == 2
         assert all(t.extent.length == 1 for t in tubes)
 
@@ -231,7 +221,7 @@ class TestTrackLink:
             det(0, 0.0), det(0, 12.0),
             det(1, 6.0),
         ]
-        tubes, _ = track_link(columns(dets))
+        tubes = track_link(columns(dets))
         detected = [row for t in tubes for row in detected_rows(t)]
         assert len(detected) == len(set(detected)) == 3
 
@@ -244,7 +234,7 @@ class TestPredictNext:
     def test_single_element_carry_forward(self):
         # a track with one box predicts that box, bit for bit (-0.0 stays -0.0)
         dets = [det(0, -0.0, w=40.0), det(0, 500.0), det(2, 0.0, w=40.0)]
-        tubes, _ = track_link(columns(dets))
+        tubes = track_link(columns(dets))
         (t,) = [t for t in tubes if t.extent.length == 3]
         assert PROVENANCES[t.provenance[1]] == "tracked"
         assert t.boxes[1].tobytes() == t.boxes[0].tobytes()
@@ -335,7 +325,6 @@ def reference_iou_pairs(boxes_a, boxes_b, linked):
 
 
 def reference_track_link(detections, config=LinkConfig()):
-    stats = LinkStats()
     video_ids = {d.video_id for d in detections}
     video_id = video_ids.pop() if video_ids else ""
     by_frame = {}
@@ -383,29 +372,19 @@ def reference_track_link(detections, config=LinkConfig()):
     tubelets = []
     for tr in finished:
         entries = [e for e in tr.entries if e[0] <= tr.last_match_frame]
-        stats.tracked_frames += sum(e[3] == "tracked" for e in entries)
         tubelets.append(_ref_emit(video_id, tr.object_class, entries))
-    return _ref_numbered(tubelets), stats
+    return _ref_numbered(tubelets)
 
 
-def reference_interpolate_gaps(observed, max_interp_gap, stats=None):
-    """Fill holes in a sparse frame -> (Box, score) map; returns dense
-    (boxes, scores, provenance) frame maps."""
-    if not observed:
-        return []
+def reference_interpolate_gaps(observed):
+    """Fill every hole in a non-empty sparse frame -> (Box, score) map;
+    returns dense (boxes, scores, provenance) frame maps."""
     frames = sorted(observed)
-    segments = []
     boxes = {frames[0]: observed[frames[0]][0]}
     scores = {frames[0]: observed[frames[0]][1]}
     prov = {frames[0]: "detected"}
     for prev, cur in zip(frames, frames[1:]):
-        gap = cur - prev - 1
-        if gap > max_interp_gap:
-            segments.append((boxes, scores, prov))
-            if stats is not None:
-                stats.splits_on_long_gap += 1
-            boxes, scores, prov = {}, {}, {}
-        elif gap > 0:
+        if cur - prev > 1:
             b0, s0 = observed[prev]
             b1, s1 = observed[cur]
             for f in range(prev + 1, cur):
@@ -418,16 +397,13 @@ def reference_interpolate_gaps(observed, max_interp_gap, stats=None):
                 )
                 scores[f] = s0 + k * (s1 - s0) / span
                 prov[f] = "interpolated"
-                if stats is not None:
-                    stats.interpolated_frames += 1
         boxes[cur] = observed[cur][0]
         scores[cur] = observed[cur][1]
         prov[cur] = "detected"
-    segments.append((boxes, scores, prov))
-    return segments
+    return boxes, scores, prov
 
 
-def reference_merge_and_emit(chains, video_id, cls, config, stats):
+def reference_merge_and_emit(chains, video_id, cls, config):
     n = len(chains)
     candidates = []
     for i in range(n):
@@ -439,7 +415,7 @@ def reference_merge_and_emit(chains, video_id, cls, config, stats):
                 continue
             a, b = chains[i][-1].box, chains[j][0].box
             iou = kernels.iou_matrix(np.array([xyxy(a)]), np.array([xyxy(b)]))[0, 0]
-            if iou > config.iou_link_threshold:
+            if iou >= config.iou_link_threshold:
                 candidates.append((iou, i, j))
     next_of = dict(reference_greedy_pairs(candidates))
     used_starts = set(next_of.values())
@@ -452,14 +428,12 @@ def reference_merge_and_emit(chains, video_id, cls, config, stats):
         while k in next_of:
             k = next_of[k]
             sequence.extend(chains[k])
-        observed = {d.frame: (d.box, d.score) for d in sequence}
-        for boxes, scores, prov in reference_interpolate_gaps(observed, config.max_interp_gap, stats):
-            out.append(_ref_emit(video_id, cls, [(f, boxes[f], scores[f], prov[f]) for f in sorted(boxes)]))
+        boxes, scores, prov = reference_interpolate_gaps({d.frame: (d.box, d.score) for d in sequence})
+        out.append(_ref_emit(video_id, cls, [(f, boxes[f], scores[f], prov[f]) for f in sorted(boxes)]))
     return out
 
 
 def reference_greedy_link(detections, config=LinkConfig()):
-    stats = LinkStats()
     video_ids = {d.video_id for d in detections}
     video_id = video_ids.pop() if video_ids else ""
     grouped = {}
@@ -475,7 +449,7 @@ def reference_greedy_link(detections, config=LinkConfig()):
             matched = set()
             if tails:
                 pairs = reference_iou_pairs([chains[ci][-1].box for ci in tails], [d.box for d in dets],
-                                            lambda iou: iou > config.iou_link_threshold)
+                                            lambda iou: iou >= config.iou_link_threshold)
                 for r, c in pairs:
                     chains[tails[r]].append(dets[c])
                     open_by_tail.setdefault(f, []).append(tails[r])
@@ -484,8 +458,8 @@ def reference_greedy_link(detections, config=LinkConfig()):
                 if c not in matched:
                     chains.append([d])
                     open_by_tail.setdefault(f, []).append(len(chains) - 1)
-        tubelets.extend(reference_merge_and_emit(chains, video_id, cls, config, stats))
-    return _ref_numbered(tubelets), stats
+        tubelets.extend(reference_merge_and_emit(chains, video_id, cls, config))
+    return _ref_numbered(tubelets)
 
 
 # ---------------------------------------------------------------------------
@@ -638,19 +612,14 @@ class TestTrackLinkEqualsReference:
         k = CONFIGS.index(config)
         for seed in range(k * SCENES_PER_CONFIG, (k + 1) * SCENES_PER_CONFIG):
             dets = scene(seed)
-            got, got_stats = track_link(columns(dets), config=config)
-            want, want_stats = reference_track_link(dets, config)
-            assert_same_tubelets(got, want)
-            assert got_stats == want_stats
+            assert_same_tubelets(track_link(columns(dets), config=config), reference_track_link(dets, config))
 
     @pytest.mark.parametrize("patience", [1, 2, 5, 50])
     def test_dropout_and_false_positive_corpus(self, patience, corpus_videos):
         for dets in corpus_videos:
             config = LinkConfig(patience=patience)
-            got, got_stats = track_link(columns(dets, dets[0].video_id), config=config)
-            want, want_stats = reference_track_link(dets, config)
-            assert_same_tubelets(got, want)
-            assert got_stats == want_stats
+            assert_same_tubelets(track_link(columns(dets, dets[0].video_id), config=config),
+                                 reference_track_link(dets, config))
 
     @pytest.mark.parametrize("patience", [5, 50])
     def test_long_scene_with_a_quiet_stretch(self, patience, monkeypatch):
@@ -660,13 +629,11 @@ class TestTrackLinkEqualsReference:
         # every track ends in the quiet stretch, and the frames after that are skipped
         assert max(np.diff(frames)) > patience + 1
         config = LinkConfig(patience=patience)
-        want, want_stats = reference_track_link(dets, config)
+        want = reference_track_link(dets, config)
         for compact_rows in (64, linking._COMPACT_ROWS):
             monkeypatch.setattr(linking, "_COMPACT_ROWS", compact_rows)
             calls = recorded_kept_rows(monkeypatch)
-            got, got_stats = track_link(columns(dets), config=config)
-            assert_same_tubelets(got, want)
-            assert got_stats == want_stats
+            assert_same_tubelets(track_link(columns(dets), config=config), want)
             compactions = check_compactions(calls, want, patience)
             # many compactions drop ended tracks' rows
             assert sum(rows_in > rows_out for _, rows_in, rows_out in compactions) >= 20
@@ -690,7 +657,7 @@ class TestTrackLinkCost:
         monkeypatch.undo()
         # a track is live from the frame after its seed to `patience` frames
         # after its last match, the last row of its tubelet
-        tubelets, _ = reference_track_link(dets, config)
+        tubelets = reference_track_link(dets, config)
         per_frame = Counter(d.frame for d in dets)
         live = [sum(t.extent.start < f < t.extent.end + config.patience for t in tubelets) for f in sorted(per_frame)]
         want = [(n, per_frame[f]) for f, n in zip(sorted(per_frame), live) if n]
@@ -702,7 +669,7 @@ class TestTrackLinkCost:
                                       dropout_rate=0.1, box_jitter_px=2.0, false_positive_rate=0.3))
         (video,) = corpus.detections.values()
         calls = recorded_kept_rows(monkeypatch)
-        tubelets, _ = track_link(video)
+        tubelets = track_link(video)
         check_compactions(calls, tubelets, LinkConfig().patience)
         # re-filtering all the rows so far at every compaction copies each
         # kept row about 64 times on this scene; compacting each row once, 4.3
@@ -716,32 +683,49 @@ class TestGreedyMergeEqualsReference:
         k = CONFIGS.index(config)
         for seed in range(k * SCENES_PER_CONFIG, (k + 1) * SCENES_PER_CONFIG):
             dets = scene(seed)
-            got, got_stats = greedy_link(columns(dets), config)
-            want, want_stats = reference_greedy_link(dets, config)
-            assert_same_tubelets(got, want)
-            assert got_stats == want_stats
+            assert_same_tubelets(greedy_link(columns(dets), config), reference_greedy_link(dets, config))
 
     def test_dropout_and_false_positive_corpus(self, corpus_videos):
         for dets in corpus_videos:
-            got, got_stats = greedy_link(columns(dets, dets[0].video_id))
-            want, want_stats = reference_greedy_link(dets)
-            assert_same_tubelets(got, want)
-            assert got_stats == want_stats
+            assert_same_tubelets(greedy_link(columns(dets, dets[0].video_id)), reference_greedy_link(dets))
 
 
 def detection_key(frame, cls, box, score):
     return (frame, cls, tuple(float(v) for v in box), float(score))
 
 
+@pytest.fixture
+def scenes(corpus_videos):
+    return [scene(seed) for seed in range(60)] + corpus_videos
+
+
+@pytest.mark.parametrize("link", [track_link, greedy_link], ids=["tracking", "greedy"])
+def test_a_still_object_is_one_tubelet_at_threshold_one(link):
+    # the same box on 10 frames has IoU exactly 1.0 from frame to frame
+    tubes = link(columns([det(f, 20.0) for f in range(10)]), LinkConfig(iou_link_threshold=1.0))
+    assert [(t.extent, t.provenance.tolist()) for t in tubes] == [(Interval(0, 10), [0] * 10)]
+
+
+@pytest.mark.parametrize("max_interp_gap", [0, 2, 8])
+def test_greedy_interpolates_no_hole_longer_than_max_interp_gap(scenes, max_interp_gap):
+    # greedy joins chains only across holes it may fill, so interpolate_gaps
+    # needs no rule for a longer hole
+    config = LinkConfig(max_interp_gap=max_interp_gap)
+    runs = []
+    for dets in scenes:
+        for t in greedy_link(columns(dets), config):
+            interpolated = np.append(t.provenance == PROVENANCES.index("interpolated"), False)
+            edges = np.flatnonzero(np.diff(interpolated, prepend=False))  # run starts and ends, alternating
+            runs.extend(np.diff(edges)[::2].tolist())
+    assert max(runs, default=0) <= max_interp_gap
+    assert bool(runs) == (max_interp_gap > 0)
+
+
 @pytest.mark.parametrize("link", [track_link, greedy_link], ids=["tracking", "greedy"])
 class TestLinkProperties:
-    @pytest.fixture
-    def scenes(self, corpus_videos):
-        return [scene(seed) for seed in range(60)] + corpus_videos
-
     def test_tubelets_dense_and_frames_unique(self, link, scenes):
         for dets in scenes:
-            tubes, _ = link(columns(dets))
+            tubes = link(columns(dets))
             assert [t.id for t in tubes] == list(range(len(tubes)))
             for t in tubes:
                 n = t.extent.length
@@ -750,7 +734,7 @@ class TestLinkProperties:
 
     def test_each_detection_is_one_detected_row(self, link, scenes):
         for dets in scenes:
-            tubes, _ = link(columns(dets))
+            tubes = link(columns(dets))
             rows = Counter(
                 detection_key(f, t.object_class, t.boxes[k], t.box_scores[k])
                 for t in tubes
@@ -762,7 +746,7 @@ class TestLinkProperties:
     def test_filled_rows_never_trail_the_last_detected_row(self, link, scenes):
         filled = "tracked" if link is track_link else "interpolated"
         for dets in scenes:
-            tubes, _ = link(columns(dets))
+            tubes = link(columns(dets))
             for t in tubes:
                 prov = [PROVENANCES[c] for c in t.provenance.tolist()]
                 assert prov[0] == prov[-1] == "detected"

@@ -100,7 +100,7 @@ def corpus_proposals(seed):
     rng = np.random.default_rng(seed)
     props = []
     for video_id, meta in sorted(corpus.metas.items()):
-        tubes, _ = track_link(corpus.detections[video_id])
+        tubes = track_link(corpus.detections[video_id])
         for t in filter_static(tubes)[0]:
             for p in make_proposals(t, meta.width, meta.height, id_start=len(props)):
                 p.scores = {"Riding": float(rng.uniform(0.0, 1.0)), "Pull": float(rng.uniform(0.0, 1.0))}

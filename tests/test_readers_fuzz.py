@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from conftest import make_tubelet
+from conftest import make_tubelet, write_tubelet_list
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -51,7 +51,7 @@ def _instances():
 
 def _write(kind, path):
     if kind == "tubelets":
-        linking.write_tubelets(_tubelets(), path)
+        write_tubelet_list(_tubelets(), path)
     elif kind in ("proposals", "scored"):
         refinement.write_proposals(_proposals(kind == "scored"), path)
     else:
@@ -86,7 +86,7 @@ def inputs(tmp_path_factory):
     """Valid companion files for the CLI stages."""
     d = tmp_path_factory.mktemp("inputs")
     data_model.write_instances(_instances(), d / "gt.jsonl")
-    linking.write_tubelets(_tubelets(), d / "tubes.jsonl")
+    write_tubelet_list(_tubelets(), d / "tubes.jsonl")
     (d / "meta.jsonl").write_text(
         '{"frame_count": 10, "frame_rate": 30.0, "height": 720.0, "video_id": "v0", "width": 1280.0}\n'
     )
@@ -220,7 +220,7 @@ def test_single_field_mutation_is_a_parse_error(tmp_path, inputs, kind, data):
 def test_extent_must_match_box_rows(tmp_path):
     # frames 0-4 written, extent widened to 0-6: the rows no longer cover it
     path = tmp_path / "tubelets.jsonl"
-    linking.write_tubelets(_tubelets()[:1], path)
+    write_tubelet_list(_tubelets()[:1], path)
     rec = json.loads(path.read_text())
     rec["end"] = 6
     path.write_text(json.dumps(rec) + "\n")
@@ -231,7 +231,7 @@ def test_extent_must_match_box_rows(tmp_path):
 def test_rows_in_any_order_decode_in_frame_order(tmp_path):
     path = tmp_path / "tubelets.jsonl"
     tube = _tubelets()[1]
-    linking.write_tubelets([tube], path)
+    write_tubelet_list([tube], path)
     rec = json.loads(path.read_text())
     rec["boxes"].reverse()
     path.write_text(json.dumps(rec) + "\n")

@@ -106,8 +106,7 @@ class TestGenerate:
         for link in (linking.greedy_link, linking.track_link):
             tubes = []
             for v in sorted(corpus.detections):
-                out, _ = link(corpus.detections[v])
-                tubes.extend(out)
+                tubes.extend(link(corpus.detections[v]))
             assert len(tubes) == len(corpus.ground_truth)
             gt_by_key = {(g.video_id, tuple(g.boxes[0])): g for g in corpus.ground_truth}
             for t in tubes:

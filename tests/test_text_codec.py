@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_tubelet
+from conftest import make_tubelet, write_tubelet_list
 from tubekit import data_model
 from tubekit.data_model import (
     ACTIVITY_CLASSES,
@@ -26,7 +26,7 @@ from tubekit.data_model import (
     write_instances,
 )
 from tubekit.geometry import Interval
-from tubekit.linking import PROVENANCES, Tubelet, write_tubelets
+from tubekit.linking import PROVENANCES, Tubelet
 from tubekit.refinement import Proposal, read_proposals, write_proposals
 
 # -- the reference: the dict-per-row encoder the writers used before --------
@@ -148,7 +148,7 @@ def test_tubelet_and_proposal_lines_equal_the_reference(tmp_path, drawn):
         n = len(boxes)
         tubes.append(Tubelet(tid, video, cls, Interval(start, start + n), boxes,
                              np.array(scores[:n]), np.array(prov[:n], dtype=np.int8)))
-    assert written(tmp_path, write_tubelets, tubes) == reference_text(
+    assert written(tmp_path, write_tubelet_list, tubes) == reference_text(
         reference_tubelet_record(t) for t in sorted(tubes, key=lambda t: (t.video_id, t.id)))
     props = [
         Proposal(10 * i + j, t, Interval(t.extent.start + j, t.extent.end), 64,
@@ -269,11 +269,11 @@ def test_non_finite_values_raise(tmp_path, bad):
     with pytest.raises(ValueError, match="non-finite"):
         write_instances([ActivityInstance("v0", "Riding", Interval(0, 3), boxes, 0.5)], tmp_path / "i.jsonl")
     with pytest.raises(ValueError, match="non-finite"):
-        write_tubelets([make_tubelet(boxes)], tmp_path / "t.jsonl")
+        write_tubelet_list([make_tubelet(boxes)], tmp_path / "t.jsonl")
     scores_bad = make_tubelet(boxes[[0, 0, 0]])
     scores_bad.box_scores[2] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        write_tubelets([scores_bad], tmp_path / "t.jsonl")
+        write_tubelet_list([scores_bad], tmp_path / "t.jsonl")
     props = [Proposal(0, make_tubelet(boxes[[0, 0, 0]]), Interval(0, 3), 8, {"Riding": bad})]
     with pytest.raises(ValueError):
         write_proposals(props, tmp_path / "p.jsonl")

@@ -58,7 +58,7 @@ def test_link_counters_follow_track_link(tmp_path):
     tracer = load_tracer().Tracer("test")
     tracer.install()
     try:
-        tubes, _ = linking.track_link(video)
+        tubes = linking.track_link(video)
         direct = tracer.totals()
         cli_tubes = cli.link(cli.Manifest("link", cli._merged_config()),
                              data_model.read_detections(paths["detections"]),
