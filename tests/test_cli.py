@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import hashlib
 import json
 import os
@@ -676,24 +677,27 @@ def test_malformed_config_file_exits_one(tmp_path, text):
     assert report["stage"] == "synth" and str(cfg) in report["error"]
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy.optimize is most of the start-up time of a stage process; only
-    # eval-det needs it, and it loads it when it aligns
-    code = "import sys, tubekit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _python_last_line(code):
+    """The last line that `code` prints when run by a fresh interpreter with
+    this checkout's `src` on its path."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.optimize is most of the start-up time of a stage process; only
+    # `evaluation.align_instances` needs it, and it loads it when it runs
+    code = "import sys, tubekit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _python_last_line(code) == "[]"
 
 
 def test_cli_import_leaves_the_thread_pool_unloaded():
     # concurrent.futures (and the logging it imports) loads only when a stage
     # runs with more than one worker
     code = "import sys, tubekit.cli; print('concurrent.futures' in sys.modules, 'logging' in sys.modules)"
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False False"
+    assert _python_last_line(code) == "False False"
 
 
 def test_eval_det_leaves_scipy_unloaded(corpus_dir, tmp_path):
@@ -707,11 +711,59 @@ def test_eval_det_leaves_scipy_unloaded(corpus_dir, tmp_path):
         f"main({args!r}, standalone_mode=False)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert _python_last_line(code) == "[]"
     assert json.loads((tmp_path / "summary.json").read_text())["mean_p_miss"] == 0.0
+
+
+def test_stage_processes_leave_openssl_unloaded(corpus_dir, tmp_path):
+    # the config hash is the interpreter's built-in SHA-256, so no stage but
+    # `synth` loads OpenSSL's `_hashlib`; `synth` does, because numpy.random
+    # imports `secrets`, which imports `hmac`
+    det, gt, meta = (str(corpus_dir / n) for n in ("detections.jsonl", "ground_truth.jsonl", "video_meta.jsonl"))
+    tubes, props, vehicle, person, inst = (str(tmp_path / f"{n}.jsonl") for n in
+                                           ("tubelets", "proposals", "vehicle", "person", "instances"))
+    commands = [
+        ["link", "--detections", det, "--meta", meta, "--out", tubes],
+        ["refine", "--tubelets", tubes, "--meta", meta, "--out", props],
+        ["score", "--proposals", props, "--ground-truth", gt, "--group", "vehicle_related", "--out", vehicle],
+        ["score", "--proposals", props, "--ground-truth", gt, "--group", "person_related", "--out", person],
+        ["fuse", "--vehicle", vehicle, "--person", person, "--out", inst],
+        ["eval-recall", "--tubelets", tubes, "--ground-truth", gt, "--out", str(tmp_path / "recall.csv")],
+        ["eval-det", "--instances", inst, "--ground-truth", gt, "--meta", meta,
+         "--out-csv", str(tmp_path / "det.csv"), "--out-summary", str(tmp_path / "summary.json")],
+        ["pipeline", "--out-dir", str(tmp_path / "run"), "--detections", det, "--ground-truth", gt, "--meta", meta],
+    ]
+    code = (
+        "import sys\n"
+        "from tubekit.cli import main\n"
+        f"for args in {commands!r}:\n"
+        "    main(args, standalone_mode=False)\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    assert _python_last_line(code) == "False"
+
+
+def test_config_hash_is_the_sha256_of_the_checked_config(corpus_dir, tmp_path):
+    cfg_path = write_config(tmp_path, {"link": {"patience": 3.0},
+                                       "synth": {"activity_mix": {"Closing": 0.25, "Riding": 0.75}}})
+    cfg = cli.Config(synthgen.SceneConfig(activity_mix={"Closing": 0.25, "Riding": 0.75}),
+                     linking.LinkConfig(patience=3, strategy="greedy"))
+    expected = hashlib.sha256(json.dumps(dataclasses.asdict(cfg), sort_keys=True).encode()).hexdigest()
+    args = ["link", "--detections", str(corpus_dir / "detections.jsonl"), "--meta", str(corpus_dir / "video_meta.jsonl"),
+            "--config", cfg_path, "--strategy", "greedy"]
+    assert run([*args, "--out", str(tmp_path / "a.jsonl")]).exit_code == 0
+    assert json.loads((tmp_path / "a.jsonl.manifest.json").read_text())["config_hash"] == expected
+    # without the built-in modules the hash falls back to hashlib's, and is the same
+    fallback = [*args, "--out", str(tmp_path / "b.jsonl")]
+    code = (
+        "import hashlib, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from tubekit import cli\n"
+        f"cli.main({fallback!r}, standalone_mode=False)\n"
+        "print(cli.sha256 is hashlib.sha256)\n"
+    )
+    assert _python_last_line(code) == "True"
+    assert json.loads((tmp_path / "b.jsonl.manifest.json").read_text())["config_hash"] == expected
 
 
 def _warnings(output):
