@@ -46,7 +46,7 @@ from . import data_model, evaluation, linking, postprocess, proposals, refinemen
 from .errors import InvalidInputError, TubekitError
 from .evaluation import AlignmentPolicy, EvalConfig
 from .linking import LinkConfig
-from .postprocess import FusionConfig, OutputConfig, SoftNmsConfig
+from .postprocess import FusionConfig, SoftNmsConfig
 from .proposals import LabelPolicy, ScorerConfig
 from .refinement import RefineConfig
 try:  # the built-in SHA-256 that hashlib falls back to; hashlib's own loads OpenSSL
@@ -69,7 +69,6 @@ class Config:
     scorer: ScorerConfig = ScorerConfig()
     nms: SoftNmsConfig = SoftNmsConfig()
     fusion: FusionConfig = FusionConfig()
-    output: OutputConfig = OutputConfig()
     eval: EvalConfig = EvalConfig()
     align: AlignmentPolicy = AlignmentPolicy()
     workers: int = 1
@@ -334,20 +333,17 @@ def score(m, props, ground_truth, outs):
 
 def fuse(m, vehicle, person, out):
     """Late-fuse the two groups' scored proposals into the final instances,
-    in `data_model.instance_order`. Counts them and soft-NMS's `nms_in`/
-    `nms_kept`; no instance at all warns."""
+    in `data_model.instance_order`: every entry soft-NMS keeps. Counts them
+    and soft-NMS's `nms_in`; no instance at all warns."""
     cfg = m.cfg
     with m.phase("fuse", "compute"):
-        instances = postprocess.fuse(vehicle, person, cfg.nms, cfg.fusion, cfg.output, m.counts)
+        instances = postprocess.fuse(vehicle, person, cfg.nms, cfg.fusion, m.counts)
     with m.phase("fuse", "write"):
         data_model.write_instances(instances, out)
     m.counts["instances"] = len(instances)
     if not instances:
-        m.warn(
-            f"0 instances: soft-NMS kept {m.counts['nms_kept']} of {m.counts['nms_in']} bucket entries at "
-            f"nms.score_floor {cfg.nms.score_floor}, and none reached output.score_threshold "
-            f"{cfg.output.score_threshold}"
-        )
+        m.warn(f"0 instances: soft-NMS kept none of {m.counts['nms_in']} bucket entries at "
+               f"nms.score_threshold {cfg.nms.score_threshold}")
     return instances
 
 

@@ -24,20 +24,11 @@ class FusionConfig:
 
 
 @dataclass(frozen=True)
-class OutputConfig:
-    score_threshold: float = 0.05  # the lowest score that becomes an instance
-
-    def __post_init__(self):
-        if not 0.0 <= self.score_threshold <= 1.0:
-            raise InvalidInputError(f"score_threshold out of [0,1]: {self.score_threshold}")
-
-
-@dataclass(frozen=True)
 class SoftNmsConfig:
     method: str = "gaussian"  # "gaussian" | "linear"
     sigma: float = 0.5
     linear_threshold: float = 0.3
-    score_floor: float = 0.001
+    score_threshold: float = 0.05  # the lowest score soft-NMS keeps; each kept entry is an instance
 
     def __post_init__(self):
         if self.method not in ("gaussian", "linear"):
@@ -46,8 +37,8 @@ class SoftNmsConfig:
             raise InvalidInputError(f"sigma must be positive: {self.sigma}")
         if not 0.0 <= self.linear_threshold <= 1.0:
             raise InvalidInputError(f"linear_threshold out of [0,1]: {self.linear_threshold}")
-        if not 0.0 <= self.score_floor <= 1.0:
-            raise InvalidInputError(f"nms.score_floor out of [0,1]: {self.score_floor}")
+        if not 0.0 < self.score_threshold <= 1.0:
+            raise InvalidInputError(f"nms.score_threshold out of (0,1]: {self.score_threshold}")
 
 
 def _decay_matrix(tiou, config):
@@ -107,10 +98,12 @@ def soft_nms(entries, config=SoftNmsConfig()):
 
     Iteratively selects the highest-scoring entry and decays the scores of
     its neighbours (gaussian exp(-tiou^2/sigma) or linear 1-tiou). Entries
-    falling below `score_floor` are dropped. Returns the kept (proposal,
-    final score) pairs in selection order, so by final score, descending."""
+    falling below `score_threshold` are dropped. Returns the kept (proposal,
+    final score) pairs in selection order, so by final score, descending.
+    An entry decays only entries selected after it, so at threshold t2 this
+    returns exactly its output at any t1 <= t2 cut to the scores >= t2."""
     # argmax takes the first of tied scores, so this order breaks ties
-    live = sorted((e for e in entries if e[1] >= config.score_floor),
+    live = sorted((e for e in entries if e[1] >= config.score_threshold),
                   key=lambda e: (e[0].video_id, e[0].window.start, e[0].proposal_id))
     if not live:
         return []
@@ -129,18 +122,17 @@ def soft_nms(entries, config=SoftNmsConfig()):
         alive[top] = False
         hit = alive & neighbors[top]
         scores[hit] *= decay[top, hit]
-        alive &= scores >= config.score_floor
+        alive &= scores >= config.score_threshold
     return result
 
 
-def fuse(vehicle_scored, person_scored, nms, fusion, output, funnel=None):
+def fuse(vehicle_scored, person_scored, nms, fusion, funnel=None):
     """Late fusion: put each activity score of each proposal, times its
     group's `fusion` weight, in its (video, activity) bucket, run soft-NMS
-    under `nms` per bucket and return the kept entries at or above
-    `output.score_threshold` as instances. Each source may score only the
-    activities of its group (`VEHICLE_GROUP`, `PERSON_GROUP`). A `funnel`
-    dict receives `nms_in` and `nms_kept`, the bucket entries given to
-    soft-NMS and returned by it."""
+    under `nms` per bucket and return every entry it keeps as an instance.
+    Each source may score only the activities of its group (`VEHICLE_GROUP`,
+    `PERSON_GROUP`). A `funnel` dict receives `nms_in`, the bucket entries
+    given to soft-NMS."""
     buckets = {}
     sources = ((vehicle_scored, VEHICLE_GROUP, fusion.vehicle_weight),
                (person_scored, PERSON_GROUP, fusion.person_weight))
@@ -160,15 +152,14 @@ def fuse(vehicle_scored, person_scored, nms, fusion, output, funnel=None):
         kept.extend((p, act, s) for p, s in soft_nms(entries, nms))
     if funnel is not None:
         funnel["nms_in"] = sum(map(len, buckets.values()))
-        funnel["nms_kept"] = len(kept)
-    return proposals_to_instances(kept, output.score_threshold)
+    return proposals_to_instances(kept)
 
 
-def proposals_to_instances(kept, score_threshold):
+def proposals_to_instances(kept):
     """An ActivityInstance, viewing its proposal's boxes, for each (proposal,
-    activity, score) triple whose score reaches the threshold. Ordered by
-    `instance_order`, ties by (video_id, proposal_id)."""
-    kept = sorted((t for t in kept if t[2] >= score_threshold), key=lambda t: (t[0].video_id, t[0].proposal_id))
+    activity, score) triple. Ordered by `instance_order`, ties by (video_id,
+    proposal_id)."""
+    kept = sorted(kept, key=lambda t: (t[0].video_id, t[0].proposal_id))
     instances = [ActivityInstance(p.video_id, act, p.window, p.boxes, s) for p, act, s in kept]
     instances.sort(key=instance_order)
     return instances

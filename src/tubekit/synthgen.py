@@ -92,7 +92,7 @@ class SynthCorpus:
 def _trajectory(rng, config, lane_center_y, half_w, frames):
     """Piecewise-linear x-motion with reflection at the frame walls."""
     margin = half_w + 2.0
-    lo, hi = margin, config.frame_width - margin
+    lo, hi = margin, max(margin, config.frame_width - margin)  # a frame narrower than the box pins it
     x = rng.uniform(lo, hi)
     speed = rng.uniform(3.0, 6.0)
     direction = 1.0 if rng.random() < 0.5 else -1.0
@@ -170,7 +170,8 @@ def generate(config: SceneConfig) -> SynthCorpus:
                 b = boxes[f]
                 if config.box_jitter_px > 0.0:
                     j = config.box_jitter_px
-                    b = [v + d for v, d in zip(b, rng.uniform(-j, j, 4).tolist())]  # x1, y1, x2, y2 draw order
+                    x1, y1, x2, y2 = (v + d for v, d in zip(b, rng.uniform(-j, j, 4).tolist()))  # in draw order
+                    b = (min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))  # jitter past half the box flips it
                 score = 0.9
                 if config.score_noise > 0.0:
                     score = min(max(0.9 + rng.normal(0.0, config.score_noise), 0.05), 1.0)
@@ -181,8 +182,8 @@ def generate(config: SceneConfig) -> SynthCorpus:
                 for _ in range(int(rng.poisson(config.false_positive_rate))):
                     w = rng.uniform(20.0, 60.0)
                     h = rng.uniform(20.0, 60.0)
-                    cx = rng.uniform(0.5 * w, config.frame_width - 0.5 * w)
-                    cy = rng.uniform(0.5 * h, config.frame_height - 0.5 * h)
+                    cx = rng.uniform(0.5 * w, max(0.5 * w, config.frame_width - 0.5 * w))
+                    cy = rng.uniform(0.5 * h, max(0.5 * h, config.frame_height - 0.5 * h))
                     box = (cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)
                     object_class = OBJECT_CLASSES[int(rng.integers(len(OBJECT_CLASSES)))]
                     rows.append((f, *box, float(rng.uniform(0.05, 0.5)), DETECTION_CLASSES.index(object_class)))

@@ -286,14 +286,14 @@ def test_criterion_07_soft_nms_closed_form():
         entries = [(p, p.scores["Riding"]) for p in props]
         out = soft_nms(entries, cfg)
         want = _nms_oracle(props, "Riding", method, cfg.sigma,
-                           cfg.linear_threshold, cfg.score_floor)
+                           cfg.linear_threshold, cfg.score_threshold)
         assert [p.proposal_id for p, _ in out] == [pid for pid, _ in want]
         for (_, got), (_, s) in zip(out, want):
             assert got == pytest.approx(s, abs=1e-9)
 
         limit = soft_nms(entries, SoftNmsConfig(sigma=1e-12))
         assert [p.proposal_id for p, _ in limit] == _hard_nms_oracle(
-            props, "Riding", cfg.score_floor)
+            props, "Riding", cfg.score_threshold)
     _passed(7, "100 random sets match the decay formulas within 1e-9; "
                "sigma->0 reproduces hard NMS")
 

@@ -493,6 +493,8 @@ def test_label_policy_reaches_oracle(corpus_dir, tmp_path):
         ({"link": {"patiense": 5}}, "link.patiense"),
         ({"linking": {"patience": 5}}, "linking"),
         ({"refine": {"flow_mean_min": 1.0}}, "refine.flow_mean_min"),
+        ({"output": {"score_threshold": 0.1}}, "'output'"),
+        ({"nms": {"score_floor": 0.001}}, "nms.score_floor"),
     ],
 )
 def test_unknown_config_key_exits_one(corpus_dir, tmp_path, cfg, name):
@@ -518,7 +520,7 @@ def test_unknown_config_key_exits_one(corpus_dir, tmp_path, cfg, name):
         ({"workers": 1.5}, [], "workers"),
         ({}, ["--workers", "0"], "workers"),
         ({"eval": {"recall_thresholds": 5}}, [], "'eval'"),
-        ({"output": {"score_threshold": "0.1"}}, [], "'output'"),
+        ({"nms": {"score_threshold": "0.1"}}, [], "nms.score_threshold"),
         ({"eval": {"target_rfa": "x"}}, [], "'eval'"),
         ({"scorer": {"name": "oracel"}}, [], "'scorer'"),
         ({"scorer": {"epsilon": 2}}, [], "'scorer'"),
@@ -538,12 +540,13 @@ def test_unknown_config_key_exits_one(corpus_dir, tmp_path, cfg, name):
         ({"fusion": {"vehicle_weight": 3.0}}, [], "fusion.vehicle_weight"),
         ({"fusion": {"person_weight": 1.5}}, [], "fusion.person_weight"),
         ({"synth": {"seed": -1}}, [], "seed must be >= 0"),
-        ({"nms": {"score_floor": 2.0}}, [], "nms.score_floor"),
-        ({"nms": {"score_floor": -1.0}}, [], "nms.score_floor"),
+        ({"nms": {"score_threshold": 1.5}}, [], "nms.score_threshold"),
+        ({"nms": {"score_threshold": -0.1}}, [], "nms.score_threshold"),
         ({"refine": {"coord_displacement_min": -5.0}}, [], "refine.coord_displacement_min"),
         ({"synth": {"frame_rate": 0.0}}, [], "synth.frame_rate"),
         ({"synth": {"frame_width": -1.0}}, [], "synth.frame_width"),
         ({"synth": {"frame_height": -1.0}}, [], "synth.frame_height"),
+        ({"nms": {"score_threshold": 0.0}}, [], "nms.score_threshold"),
     ],
 )
 def test_bad_config_value_exits_one_before_any_write(corpus_dir, tmp_path, cfg, extra, section):
@@ -629,8 +632,8 @@ def test_instance_past_frame_count_exits_one(tmp_path, past):
 
 # The config's identity: the bytes of `default-config` and the hash a run
 # under it records. A new, renamed or re-defaulted key changes both.
-DEFAULT_CONFIG_SHA256 = "90d1c359ffc4e46652960ede9919baa4941c49640412c7ee7369fdd673e7a8db"
-DEFAULT_CONFIG_HASH = "ac4c9de31f956f3b71b03c7155c1cadf073844f8d0dd62f8f46c712a7db8aee4"
+DEFAULT_CONFIG_SHA256 = "c2895f64699c0b9f0990f051683457db0b943bbd58856b1ef5a9e67c374d7d81"
+DEFAULT_CONFIG_HASH = "edd311ec9e7098cfb05dd1e2abf58a845c365ea3f3286e0d76318dc61f7cd37c"
 
 
 def test_default_config_round_trips(corpus_dir, tmp_path):
@@ -778,13 +781,13 @@ def test_fuse_funnel_and_empty_output_warning(corpus_dir, tmp_path):
     assert res.exit_code == 0 and _warnings(res.output) == []
     manifest = json.loads((tmp_path / "run" / "run.manifest.json").read_text())
     counts = manifest["record_counts"]
-    assert counts["nms_in"] >= counts["nms_kept"] >= counts["instances"] > 0
+    assert counts["nms_in"] > counts["instances"] > 0
     assert manifest["warnings"] == []
 
     # halved by the fusion weights, no score reaches 0.75: fuse and pipeline both warn
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"fusion": {"vehicle_weight": 0.5, "person_weight": 0.5},
-                               "output": {"score_threshold": 0.75}}))
+                               "nms": {"score_threshold": 0.75}}))
     veh, per = (str(tmp_path / "run" / f"scored_{g}.jsonl") for g in ("vehicle", "person"))
     fused = tmp_path / "instances.jsonl"
     res = run(["fuse", "--vehicle", veh, "--person", per, "--out", str(fused), "--config", str(cfg)])
@@ -792,7 +795,7 @@ def test_fuse_funnel_and_empty_output_warning(corpus_dir, tmp_path):
     fuse_manifest = json.loads((tmp_path / "instances.jsonl.manifest.json").read_text())
     assert fuse_manifest["record_counts"]["nms_in"] == counts["nms_in"]
     (warning,) = fuse_manifest["warnings"]
-    assert "output.score_threshold" in warning and "nms.score_floor" in warning
+    assert "nms.score_threshold 0.75" in warning and f"of {counts['nms_in']} bucket entries" in warning
     assert _warnings(res.output) == [warning]
 
     res = run(["pipeline", "--out-dir", str(tmp_path / "empty"), "--detections", det, "--ground-truth", gt,
@@ -802,17 +805,23 @@ def test_fuse_funnel_and_empty_output_warning(corpus_dir, tmp_path):
     assert _warnings(res.output) == [warning]
 
 
-def test_threshold_zero_writes_only_what_soft_nms_kept(corpus_dir, tmp_path):
-    # an entry soft-NMS dropped is no instance, not one of confidence 0
+def test_score_threshold_takes_effect(corpus_dir, tmp_path):
+    # at 0.3, pipeline and fuse both write exactly the default run's
+    # instances of confidence >= 0.3
     det, gt, meta = (str(corpus_dir / n) for n in ("detections.jsonl", "ground_truth.jsonl", "video_meta.jsonl"))
-    res = run(["pipeline", "--out-dir", str(tmp_path / "run"), "--detections", det, "--ground-truth", gt,
-               "--meta", meta, "--config", write_config(tmp_path, {"output": {"score_threshold": 0.0}})])
-    assert res.exit_code == 0
-    counts = _manifest(tmp_path / "run" / "run")["record_counts"]
-    assert counts["nms_in"] > counts["nms_kept"] == counts["instances"] > 0
-    instances = data_model.read_instances(tmp_path / "run" / "instances.jsonl")
-    assert len(instances) == counts["instances"]
-    assert min(i.confidence for i in instances) >= cli.Config().nms.score_floor
+    assert run(["pipeline", "--out-dir", str(tmp_path / "run"), "--detections", det, "--ground-truth", gt,
+                "--meta", meta]).exit_code == 0
+    lines = (tmp_path / "run" / "instances.jsonl").read_text().splitlines(keepends=True)
+    want = "".join(line for line in lines if json.loads(line)["confidence"] >= 0.3)
+    assert 0 < len(want.splitlines()) < len(lines)
+    cfg = write_config(tmp_path, {"nms": {"score_threshold": 0.3}})
+    assert run(["pipeline", "--out-dir", str(tmp_path / "cut"), "--detections", det, "--ground-truth", gt,
+                "--meta", meta, "--config", cfg]).exit_code == 0
+    veh, per = (str(tmp_path / "run" / f"scored_{g}.jsonl") for g in ("vehicle", "person"))
+    fused = tmp_path / "instances.jsonl"
+    assert run(["fuse", "--vehicle", veh, "--person", per, "--out", str(fused), "--config", cfg]).exit_code == 0
+    assert (tmp_path / "cut" / "instances.jsonl").read_text() == fused.read_text() == want
+    assert _manifest(fused)["record_counts"]["instances"] == len(want.splitlines())
 
 
 @pytest.mark.parametrize("videos, frames, spatial_pos", [(1, 600, None), (2, 120, None), (2, 120, 1.0)],
@@ -908,7 +917,7 @@ def test_funnel_keys_are_pinned(dropout_corpus, tmp_path):
     assert run(["pipeline", "--out-dir", str(tmp_path / "run"), "--detections", det, "--ground-truth", gt,
                 "--meta", meta]).exit_code == 0
     assert set(_manifest(tmp_path / "run" / "run")["record_counts"]) == LINK_FUNNEL | {
-        "proposals", "removed_static", "scored", "labels", "nms_in", "nms_kept", "instances", "thresholds", "classes"}
+        "proposals", "removed_static", "scored", "labels", "nms_in", "instances", "thresholds", "classes"}
 
 
 @pytest.mark.parametrize("strategy", ["tracking", "greedy"])

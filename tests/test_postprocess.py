@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from tubekit.errors import InvalidInputError
 from tubekit.geometry import Interval, temporal_iou
 from tubekit.linking import track_link
 from tubekit.kernels import paired_iou
-from tubekit.postprocess import FusionConfig, OutputConfig, SoftNmsConfig, fuse, proposals_to_instances, soft_nms
+from tubekit.postprocess import FusionConfig, SoftNmsConfig, fuse, proposals_to_instances, soft_nms
 from tubekit.proposals import NON_ACTION, tubelet_spatial_iou
 from tubekit.refinement import Proposal, filter_static, make_proposals
 from tubekit.synthgen import SceneConfig, generate
@@ -58,7 +59,7 @@ class TestSoftNms:
         a = scored(Interval(0, 10), 0.9, 0)
         b = scored(Interval(0, 10), 0.8, 1)
         out = nms([a, b], "Riding", SoftNmsConfig(method="linear", linear_threshold=0.3))
-        # tiou 1.0 decays the second score to 0.8 * (1 - 1.0) = 0, below the floor
+        # tiou 1.0 decays the second score to 0.8 * (1 - 1.0) = 0, below the threshold
         assert [p.proposal_id for p, _ in out] == [0]
 
     def test_linear_below_threshold_untouched(self):
@@ -125,10 +126,10 @@ class TestSoftNmsOnCorpus:
                     assert len({p.proposal_id for p, _ in out}) == len(out)
 
     def test_single_proposal_unchanged(self):
-        floor = SoftNmsConfig().score_floor
+        threshold = SoftNmsConfig().score_threshold
         for p in corpus_proposals(5):
             out = nms([p], "Riding")
-            if p.scores["Riding"] < floor:
+            if p.scores["Riding"] < threshold:
                 assert out == []
                 continue
             ((kept, s),) = out
@@ -148,8 +149,8 @@ def facts(instances):
     return [(i.video_id, i.activity, i.extent, i.confidence) for i in instances]
 
 
-# fuse's nms, fusion and output sections at their defaults
-DEFAULTS = (SoftNmsConfig(), FusionConfig(), OutputConfig())
+# fuse's nms and fusion sections at their defaults
+DEFAULTS = (SoftNmsConfig(), FusionConfig())
 
 
 class TestFuse:
@@ -164,7 +165,7 @@ class TestFuse:
         assert fused[0].confidence == 0.8
 
     def test_weights_scale_before_nms(self):
-        fused = fuse(*vehicle_and_person(), SoftNmsConfig(), FusionConfig(person_weight=0.5), OutputConfig())
+        fused = fuse(*vehicle_and_person(), SoftNmsConfig(), FusionConfig(person_weight=0.5))
         by_activity = {i.activity: i.confidence for i in fused}
         assert by_activity["Closing"] == pytest.approx(0.9)
         assert by_activity["Riding"] == pytest.approx(0.4)
@@ -181,7 +182,7 @@ class TestFuse:
         # group by the other group's weight
         v, p = vehicle_and_person()
         with pytest.raises(InvalidInputError, match="vehicle_related output scores activity class 'Riding'"):
-            fuse(p, v, SoftNmsConfig(), FusionConfig(vehicle_weight=0.5), OutputConfig())
+            fuse(p, v, SoftNmsConfig(), FusionConfig(vehicle_weight=0.5))
         with pytest.raises(InvalidInputError, match="person_related output scores activity class 'Closing'"):
             fuse([], v, *DEFAULTS)
 
@@ -193,15 +194,23 @@ class TestFuse:
             fuse(v, unscored, *DEFAULTS)
 
     def test_dropped_entry_never_becomes_an_instance(self):
-        # linear decay takes the second score to 0, under the floor: even at
-        # threshold 0 only the kept entry becomes an instance
+        # linear decay takes the second score to 0, under the threshold: only
+        # the kept entry becomes an instance
         a = scored(Interval(0, 10), 0.9, 0)
         b = scored(Interval(0, 10), 0.8, 1)
         funnel = {}
-        out = fuse([], [a, b], SoftNmsConfig(method="linear"), FusionConfig(), OutputConfig(score_threshold=0.0),
-                   funnel)
-        assert funnel == {"nms_in": 2, "nms_kept": 1}
+        out = fuse([], [a, b], SoftNmsConfig(method="linear"), FusionConfig(), funnel)
+        assert funnel == {"nms_in": 2}
         assert facts(out) == [("v0", "Riding", Interval(0, 10), 0.9)]
+
+    def test_every_entry_soft_nms_keeps_is_an_instance(self):
+        # 0.04 is under the default threshold, 0.06 over it, and no window
+        # overlaps another: nothing decays
+        props = [scored(Interval(20 * i, 20 * i + 10), s, i) for i, s in enumerate((0.04, 0.06, 0.9))]
+        for cfg in (SoftNmsConfig(), SoftNmsConfig(score_threshold=0.5), SoftNmsConfig(score_threshold=1.0)):
+            kept = nms(props, "Riding", cfg)
+            assert facts(fuse([], props, cfg, FusionConfig())) == [("v0", "Riding", p.window, s) for p, s in kept]
+        assert [s for _, s in nms(props, "Riding")] == [0.9, 0.06]
 
 
 def triples(*proposals):
@@ -210,23 +219,18 @@ def triples(*proposals):
 
 
 class TestProposalsToInstances:
-    def test_threshold_zero_keeps_all_scored_classes(self):
+    def test_keeps_all_scored_classes(self):
         p = scored(Interval(0, 10), 0.9, 0)
-        out = proposals_to_instances(triples(p), 0.0)
+        out = proposals_to_instances(triples(p))
         assert len(out) == 1  # one activity class carries a score
         assert out[0].activity == "Riding"
         assert out[0].confidence == 0.9
 
-    def test_threshold_one_filters_everything(self):
-        p = scored(Interval(0, 10), 0.9, 0)
-        assert proposals_to_instances(triples(p), 1.0) == []
-
     def test_mixed_scores(self):
         a = scored(Interval(0, 10), 0.9, 0)
-        b = scored(Interval(20, 30), 0.4, 1, boxes=box_rows((0, 0, 10, 10), 10))
-        out = proposals_to_instances(triples(a, b), 0.5)
-        assert len(out) == 1
-        assert out[0].extent == Interval(0, 10)
+        b = scored(Interval(20, 30), 0.01, 1, boxes=box_rows((0, 0, 10, 10), 10))
+        out = proposals_to_instances(triples(a, b))
+        assert [(i.extent, i.confidence) for i in out] == [(Interval(0, 10), 0.9), (Interval(20, 30), 0.01)]
 
     def test_output_ordering_deterministic(self):
         props = [
@@ -234,7 +238,7 @@ class TestProposalsToInstances:
             scored(Interval(0, 10), 0.5, 1, video_id="va"),
             scored(Interval(0, 10), 0.9, 2, video_id="vc"),
         ]
-        out = proposals_to_instances(triples(*props), 0.1)
+        out = proposals_to_instances(triples(*props))
         assert [i.video_id for i in out] == ["vc", "va", "vb"]
 
     def test_ties_in_proposal_id_order(self):
@@ -242,12 +246,12 @@ class TestProposalsToInstances:
         # comes first, whatever the input order
         props = [scored(Interval(0, end), 0.5, pid) for end, pid in ((10, 3), (11, 1), (12, 2))]
         for kept in (triples(*props), triples(*props[::-1])):
-            assert [i.extent.end for i in proposals_to_instances(kept, 0.1)] == [11, 12, 10]
+            assert [i.extent.end for i in proposals_to_instances(kept)] == [11, 12, 10]
 
     def test_instance_carries_window_and_boxes(self):
         boxes = np.array([[f, 0, f + 10, 10] for f in range(5, 15)], dtype=np.float64)
         p = scored(Interval(5, 15), 0.7, 0, boxes=boxes)
-        (inst,) = proposals_to_instances(triples(p), 0.1)
+        (inst,) = proposals_to_instances(triples(p))
         assert inst.extent == Interval(5, 15)
         assert np.array_equal(inst.boxes, boxes)
         assert np.shares_memory(inst.boxes, p.tubelet.boxes)
@@ -273,7 +277,7 @@ def reference_soft_nms(proposals, activity, config):
         return a.tubelet_id == b.tubelet_id or (start < end and bool((paired_iou(rows_a, rows_b) > 0.0).any()))
 
     remaining = [[p, float(p.scores[activity])] for p in proposals]
-    remaining = [it for it in remaining if it[1] >= config.score_floor]
+    remaining = [it for it in remaining if it[1] >= config.score_threshold]
     result = []
     while remaining:
         remaining.sort(key=lambda it: (-it[1], it[0].video_id, it[0].window.start, it[0].proposal_id))
@@ -283,7 +287,7 @@ def reference_soft_nms(proposals, activity, config):
         for it in remaining:
             if is_neighbor(top[0], it[0]):
                 it[1] *= decay(temporal_iou(top[0].window, it[0].window))
-            if it[1] >= config.score_floor:
+            if it[1] >= config.score_threshold:
                 survivors.append(it)
         remaining = survivors
     return [(p.proposal_id, s) for p, s in result]
@@ -293,14 +297,15 @@ CONFIGS = (
     SoftNmsConfig(),
     SoftNmsConfig(sigma=0.1),
     SoftNmsConfig(method="linear"),
-    SoftNmsConfig(method="linear", linear_threshold=0.0, score_floor=0.2),
+    SoftNmsConfig(method="linear", linear_threshold=0.0, score_threshold=0.2),
+    SoftNmsConfig(score_threshold=0.001),
 )
 
 
 def random_bucket(rng):
     """Proposals over 1-4 tubelets whose boxes drift across each other, so
     that some common frames overlap and others do not. Windows often touch,
-    scores often tie or sit under the floor, and two distinct tubelets may
+    scores often tie or sit under the threshold, and two distinct tubelets may
     carry the same id."""
     proposals = []
     for k in range(int(rng.integers(1, 5))):
@@ -357,3 +362,19 @@ class TestSoftNmsEqualsPairwiseLoop:
             assert [(p.proposal_id, s) for p, s in out] == reference_soft_nms(props, "Riding", cfg)
         # tIoU 1: the gaussian decays the second score by exp(-1 / sigma)
         assert [(p.proposal_id, s) for p, s in nms(props, "Riding")] == [(0, 0.9), (1, 0.8 * math.exp(-2.0))]
+
+
+class TestOneCut:
+    def test_a_higher_threshold_keeps_the_kept_entries_at_or_above_it(self):
+        # selection runs in non-increasing score order and an entry decays
+        # only the entries selected after it, so an entry kept below t2
+        # changes nothing kept at or above t2
+        rng = np.random.default_rng(2026)
+        cuts = (0.0005, 0.001, 0.05, 0.3, 0.5, 0.9, 1.0)
+        for _ in range(300):
+            bucket = random_bucket(rng)
+            t1, t2 = sorted(float(rng.choice([*cuts, rng.uniform(0.0005, 1.0)])) for _ in range(2))
+            for cfg in CONFIGS:
+                low = nms(bucket, "Riding", dataclasses.replace(cfg, score_threshold=t1))
+                high = nms(bucket, "Riding", dataclasses.replace(cfg, score_threshold=t2))
+                assert [(p.proposal_id, s) for p, s in high] == [(p.proposal_id, s) for p, s in low if s >= t2]

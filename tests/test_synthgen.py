@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubekit import linking
 from tubekit.data_model import ACTIVITY_CLASSES, DETECTION_CLASSES, OBJECT_CLASSES
@@ -113,6 +115,32 @@ class TestGenerate:
                 g = gt_by_key[(t.video_id, tuple(t.boxes[0]))]
                 assert t.extent == g.extent
                 assert np.array_equal(t.boxes, g.boxes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    width=st.floats(0.0, 200.0),
+    height=st.floats(0.0, 200.0),
+    objects=st.integers(1, 200),
+    jitter=st.floats(0.0, 60.0),
+    false_positives=st.floats(0.0, 3.0),
+    frames=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_any_frame_size_and_noise_gives_valid_detections(width, height, objects, jitter, false_positives, frames,
+                                                         seed):
+    # a frame smaller than the box pins its position draws, and jitter past
+    # half the box is sorted back into x1 <= x2, y1 <= y2
+    cfg = SceneConfig(seed=seed, video_count=1, frames_per_video=frames, objects_per_video=(objects, objects),
+                      box_jitter_px=jitter, false_positive_rate=false_positives, frame_width=width,
+                      frame_height=height)
+    corpus = generate(cfg)
+    for d in corpus.detections.values():
+        assert ((d.frames >= 0) & (d.frames < frames)).all()
+        assert np.isfinite(d.boxes).all()
+        assert (d.boxes[:, 0] <= d.boxes[:, 2]).all() and (d.boxes[:, 1] <= d.boxes[:, 3]).all()
+        assert ((d.scores >= 0.0) & (d.scores <= 1.0)).all()
+    assert len(corpus.ground_truth) == objects
 
 
 class TestWriteCorpus:
