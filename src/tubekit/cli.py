@@ -16,18 +16,17 @@ and writes one manifest; its files are those of the subcommands, byte for
 byte.
 
 The config is built once per command, by `_merged_config`, into a frozen
-`Config`: one field per section, each the dataclass of its stage, plus
-`workers`. Each section checks its own values when it is built
-(`link.strategy` by `LinkConfig`), and the stages read their sections from
-`m.cfg`. `DEFAULT_CONFIG`, what `default-config` writes, is `Config()` as a
-dict.
+`Config`: one field per section, each the dataclass of its stage. Each
+section checks its own values when it is built (`link.strategy` by
+`LinkConfig`), and the stages read their sections from `m.cfg`.
+`DEFAULT_CONFIG`, what `default-config` writes, is `Config()` as a dict.
 
 Each run writes a manifest (``<output>.manifest.json``) with the config hash,
 the seconds per stage (``timings_s``) and per read/compute/write phase
 (``phases_s``), record counts and warnings; data outputs are byte-reproducible
-across runs and worker counts. The config hash is the built-in SHA-256 of the
-checked values (an integral ``3.0`` for an int hashes as ``3``), so that no
-stage process but `synth` loads OpenSSL, which costs 3.5-3.8 MB of peak RSS.
+across runs. The config hash is the built-in SHA-256 of the checked values
+(an integral ``3.0`` for an int hashes as ``3``), so that no stage process
+but `synth` loads OpenSSL, which costs 3.5-3.8 MB of peak RSS.
 
 Exit codes, all set by `_ExitCodeGroup`: 0 success, 1 bad input (a usage
 error, such as a missing input file, or an `InvalidInputError`), 2 stage failure.
@@ -59,8 +58,8 @@ except ImportError:
 
 @dataclasses.dataclass(frozen=True)
 class Config:
-    """The checked config: one field per section, each its stage's dataclass,
-    and the worker count. `_merged_config` builds it once per command."""
+    """The checked config: one field per section, each its stage's dataclass.
+    `_merged_config` builds it once per command."""
 
     synth: synthgen.SceneConfig = synthgen.SceneConfig()
     link: LinkConfig = LinkConfig()
@@ -71,11 +70,6 @@ class Config:
     fusion: FusionConfig = FusionConfig()
     eval: EvalConfig = EvalConfig()
     align: AlignmentPolicy = AlignmentPolicy()
-    workers: int = 1
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise InvalidInputError(f"workers must be an integer >= 1: {self.workers!r}")
 
 
 DEFAULT_CONFIG = dataclasses.asdict(Config())
@@ -83,8 +77,8 @@ DEFAULT_CONFIG = dataclasses.asdict(Config())
 
 def _merged_config(path=None, flags=None):
     """The `Config` of the default config overridden by the JSON file at
-    `path`, then by each value of `flags` ({"section.key" or "key": value})
-    that is not None.
+    `path`, then by each value of `flags` ({"section.key": value}) that is
+    not None.
 
     The config is checked before any stage runs: an unknown section or key,
     a value not of its default's type or a section its dataclass rejects is
@@ -101,9 +95,6 @@ def _merged_config(path=None, flags=None):
         for section, value in user.items():
             if section not in cfg:
                 raise InvalidInputError(f"unknown config section: {section!r}")
-            if not isinstance(cfg[section], dict):
-                cfg[section] = value
-                continue
             if not isinstance(value, dict):
                 raise InvalidInputError(f"config section {section!r} must be an object")
             for key in value:
@@ -112,8 +103,8 @@ def _merged_config(path=None, flags=None):
             cfg[section].update(value)
     for name, value in (flags or {}).items():
         if value is not None:
-            *section, key = name.split(".")
-            (cfg[section[0]] if section else cfg)[key] = value
+            section, key = name.split(".")
+            cfg[section][key] = value
     return Config(**{f.name: _config_value(f.name, cfg[f.name], f.default) for f in dataclasses.fields(Config)})
 
 
@@ -148,11 +139,14 @@ def _config_value(name, value, default):
 class Manifest:
     """What one command records about its run: the read/compute/write seconds
     of each stage, the record counts and the warnings, and the config they
-    ran under."""
+    ran under. A `workers` value, from the deprecated `--workers` flag, is
+    warned about and not used: every stage runs on the calling thread."""
 
-    def __init__(self, command, cfg):
+    def __init__(self, command, cfg, workers=None):
         self.command, self.cfg = command, cfg
         self.phases, self.counts, self.warnings = {}, {}, []
+        if workers is not None:
+            self.warn("--workers is deprecated and has no effect: every stage runs on one thread")
 
     @contextlib.contextmanager
     def phase(self, stage, name):
@@ -180,15 +174,6 @@ class Manifest:
         with open(str(out_path) + ".manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=2)
             fh.write("\n")
-
-
-def _parallel_map(fn, items, workers):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor  # loaded only when threads run
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _check_frame_range(what, tracks, metas):
@@ -232,8 +217,7 @@ def link(m, detections, metas, out):
     with m.phase("link", "compute"):
         _check_frame_range("detection", videos.values(), metas)
         link_video = linking.greedy_link if cfg.link.strategy == "greedy" else linking.track_link
-        tubes = linking.LinkedTubelets(
-            _parallel_map(lambda v: link_video(videos[v], config=cfg.link), sorted(videos), cfg.workers))
+        tubes = linking.LinkedTubelets([link_video(videos[v], config=cfg.link) for v in sorted(videos)])
     with m.phase("link", "write"):
         linking.write_tubelets(tubes, out)
     m.counts.update(
@@ -248,22 +232,25 @@ def link(m, detections, metas, out):
 
 def refine(m, tubelets, metas, out):
     """Drop the static tubelets and cut the others into proposals, numbered
-    in (video_id, tubelet_id, start, end) order."""
+    in (video_id, tubelet_id, start, end) order. Warns, naming
+    `refine.coord_displacement_min`, when every tubelet is static."""
+    cfg = m.cfg
     with m.phase("refine", "compute"):
         _check_frame_range("tubelet", tubelets, metas)
-        kept, removed = refinement.filter_static(tubelets, m.cfg.refine)
-
-        def _one(tub):
+        kept, removed = refinement.filter_static(tubelets, cfg.refine)
+        props = []
+        for tub in kept:
             meta = metas[tub.video_id]
-            return refinement.make_proposals(tub, meta.width, meta.height, m.cfg.refine)
-
-        props = [p for plist in _parallel_map(_one, kept, m.cfg.workers) for p in plist]
+            props.extend(refinement.make_proposals(tub, meta.width, meta.height, cfg.refine))
         props.sort(key=lambda p: (p.video_id, p.tubelet_id, p.window.start, p.window.end))
         for i, p in enumerate(props):
             p.proposal_id = i
     with m.phase("refine", "write"):
         refinement.write_proposals(props, out)
     m.counts.update(proposals=len(props), removed_static=removed)
+    if removed and not kept:
+        m.warn(f"all {removed} tubelets were removed as static: none moves its box centre by a mean of "
+               f"refine.coord_displacement_min {cfg.refine.coord_displacement_min} px a frame; no proposal is left")
     return props
 
 
@@ -277,30 +264,22 @@ def score(m, props, ground_truth, outs):
     With the oracle scorer, counts the label funnel: per group the
     positive/negative/ignore label counts, the number of references of the
     group's activities and the longest one's frame count. A group with
-    references but no positive label warns, blaming the longest window only
-    when it binds (longest reference * label.temporal_pos > that window)."""
+    references and scored proposals but no positive label warns, blaming the
+    longest window only when it binds (longest reference * temporal_pos > it)."""
     cfg = m.cfg
     groups = tuple(outs)
     with m.phase("score", "compute"):
         oracle = cfg.scorer.name == "oracle"
         scorer = proposals.OracleScorer(ground_truth, cfg.scorer, cfg.label) if oracle else proposals.HeuristicScorer()
-        routed = []
+        by_group = {name: [] for name in groups}
         for p in props:
             group = proposals.route(p)
             if group.name in groups:
-                routed.append((p, group))
-
-        def _one(item):
-            p, group = item
-            return dataclasses.replace(p, scores=proposals.score(p, group, scorer))
-
-        by_group = {name: [] for name in groups}
-        for (_, group), p in zip(routed, _parallel_map(_one, routed, cfg.workers)):
-            by_group[group.name].append(p)
+                by_group[group.name].append(dataclasses.replace(p, scores=proposals.score(p, group, scorer)))
     with m.phase("score", "write"):
         for path in dict.fromkeys(outs.values()):
             refinement.write_proposals([p for g in groups if outs[g] == path for p in by_group[g]], path)
-    m.counts["scored"] = len(routed)
+    m.counts["scored"] = sum(map(len, by_group.values()))
 
     if not oracle:
         return by_group
@@ -314,7 +293,7 @@ def score(m, props, ground_truth, outs):
             "references": len(lengths),
             "longest_reference": max(lengths, default=0),
         }
-        if counts["references"] and not counts["positive"]:
+        if counts["references"] and by_group[name] and not counts["positive"]:
             if counts["longest_reference"] * cfg.label.temporal_pos > cfg.refine.window_sizes[-1]:
                 cause = (
                     f"label.temporal_pos is {cfg.label.temporal_pos}, the longest window (refine.window_sizes) is "
@@ -334,14 +313,16 @@ def score(m, props, ground_truth, outs):
 def fuse(m, vehicle, person, out):
     """Late-fuse the two groups' scored proposals into the final instances,
     in `data_model.instance_order`: every entry soft-NMS keeps. Counts them
-    and soft-NMS's `nms_in`; no instance at all warns."""
+    and `nms_in`; 0 instances warn, blaming the cut only if `nms_in` > 0."""
     cfg = m.cfg
     with m.phase("fuse", "compute"):
         instances = postprocess.fuse(vehicle, person, cfg.nms, cfg.fusion, m.counts)
     with m.phase("fuse", "write"):
         data_model.write_instances(instances, out)
     m.counts["instances"] = len(instances)
-    if not instances:
+    if not m.counts["nms_in"]:
+        m.warn("0 instances: there is no scored proposal to fuse")
+    elif not instances:
         m.warn(f"0 instances: soft-NMS kept none of {m.counts['nms_in']} bucket entries at "
                f"nms.score_threshold {cfg.nms.score_threshold}")
     return instances
@@ -371,15 +352,15 @@ def eval_det(m, instances, references, metas, out_csv, out_summary):
     return curves, summary
 
 
-def run_pipeline(cfg, out_dir, inputs=None):
+def run_pipeline(cfg, out_dir, inputs=None, workers=None):
     """Every stage in sequence on the (detections, ground truth, video meta)
     files `inputs`, or on a corpus generated into `out_dir` when `inputs` is
     None; a generated corpus adds synth's `videos` and `detections` counts
     (its `instances` count gives way to fuse's). Writes the run manifest and
     returns the tubelets, proposals, scored proposals (by group), instances
-    and DET summary by name."""
+    and DET summary by name. `workers` only warns (see `Manifest`)."""
     os.makedirs(out_dir, exist_ok=True)
-    m = Manifest("pipeline", cfg)
+    m = Manifest("pipeline", cfg, workers)
 
     def out(name):
         return os.path.join(out_dir, name)
@@ -451,6 +432,11 @@ def main():
     """Spatio-temporal activity detection pipeline toolkit."""
 
 
+# Threads took turns on the GIL and only added time and allocator arenas, so
+# `--workers` is kept only so that old command lines still parse.
+_workers_option = click.option("--workers", type=click.IntRange(min=1), default=None, hidden=True)
+
+
 @main.command("default-config")
 @click.option("--out", type=click.Path(), required=True)
 def default_config_cmd(out):
@@ -484,10 +470,10 @@ def synth_cmd(config_path, out_dir, seed, videos, frames, dropout):
 @click.option("--strategy", default=None, help="link.strategy: greedy or tracking")
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--workers", type=int, default=None)
+@_workers_option
 def link_cmd(detections, meta, strategy, out, config_path, workers):
     """Link per-frame detections into tubelets."""
-    m = Manifest("link", _merged_config(config_path, {"link.strategy": strategy, "workers": workers}))
+    m = Manifest("link", _merged_config(config_path, {"link.strategy": strategy}), workers)
     with m.phase("link", "read"):
         videos = data_model.read_detections(detections)
         metas = data_model.read_video_meta(meta)
@@ -501,10 +487,10 @@ def link_cmd(detections, meta, strategy, out, config_path, workers):
 @click.option("--meta", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--workers", type=int, default=None)
+@_workers_option
 def refine_cmd(tubelets, meta, out, config_path, workers):
     """Filter static tubelets, normalize boxes, jitter into proposals."""
-    m = Manifest("refine", _merged_config(config_path, {"workers": workers}))
+    m = Manifest("refine", _merged_config(config_path), workers)
     with m.phase("refine", "read"):
         tubes = linking.read_tubelets(tubelets)
         metas = data_model.read_video_meta(meta)
@@ -521,11 +507,10 @@ def refine_cmd(tubelets, meta, out, config_path, workers):
 @click.option("--group", type=click.Choice(["vehicle_related", "person_related"]), default=None)
 @click.option("--epsilon", type=float, default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--workers", type=int, default=None)
+@_workers_option
 def score_cmd(proposals_path, scorer, ground_truth, out, group, epsilon, config_path, workers):
     """Score proposals with the selected scorer (optionally one model group)."""
-    flags = {"scorer.name": scorer, "scorer.epsilon": epsilon, "workers": workers}
-    m = Manifest("score", _merged_config(config_path, flags))
+    m = Manifest("score", _merged_config(config_path, {"scorer.name": scorer, "scorer.epsilon": epsilon}), workers)
     with m.phase("score", "read"):
         props = refinement.read_proposals(proposals_path)
         references = None
@@ -599,7 +584,7 @@ def eval_det_cmd(instances, ground_truth, meta, out_csv, out_summary, target_rfa
 @click.option("--detections", type=click.Path(exists=True), default=None)
 @click.option("--ground-truth", type=click.Path(exists=True), default=None)
 @click.option("--meta", type=click.Path(exists=True), default=None)
-@click.option("--workers", type=int, default=None)
+@_workers_option
 def pipeline_cmd(config_path, out_dir, detections, ground_truth, meta, workers):
     """Run every stage in sequence on --detections, --ground-truth and --meta,
     or, given none of them, on a corpus from the synthetic generator."""
@@ -607,8 +592,8 @@ def pipeline_cmd(config_path, out_dir, detections, ground_truth, meta, workers):
     missing = [flag for flag, path in inputs.items() if path is None]
     if 0 < len(missing) < len(inputs):
         raise click.UsageError(f"give all of {', '.join(inputs)} or none of them; missing {', '.join(missing)}")
-    cfg = _merged_config(config_path, {"workers": workers})
-    summary = run_pipeline(cfg, out_dir, None if missing else tuple(inputs.values()))["summary"]
+    summary = run_pipeline(_merged_config(config_path), out_dir, None if missing else tuple(inputs.values()),
+                           workers)["summary"]
     click.echo(json.dumps({"mean_p_miss": summary["mean_p_miss"], "out_dir": out_dir}))
 
 

@@ -24,6 +24,7 @@ list format: ``box_rows_text`` writes it and ``decode_boxes`` reads it.
 import json
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +70,7 @@ DETECTION_CLASSES = tuple(sorted(OBJECT_CLASSES))
 class VideoDetections:
     """One video's detections as columns, row i being one detection. The rows
     are ordered by frame, box (x1, y1, x2, y2), then descending score, exact
-    ties in input order; `detection_columns` builds them so."""
+    ties in input order; `_sorted_columns` builds them so."""
 
     video_id: str
     frames: np.ndarray  # (n,) int64
@@ -89,11 +90,14 @@ class VideoDetections:
 def detection_columns(video_id, rows):
     """`VideoDetections` from (frame, x1, y1, x2, y2, score, class code)
     tuples in input order."""
-    frames, *coords, scores, classes = zip(*rows) if rows else [()] * 7
-    frames = np.array(frames, dtype=np.int64)
-    boxes = np.array(coords, dtype=np.float64).T.reshape(len(frames), 4)
-    scores = np.array(scores, dtype=np.float64)
-    classes = np.array(classes, dtype=np.int64)
+    ints = np.array([(r[0], r[6]) for r in rows], dtype=np.int64).reshape(-1, 2)
+    return _sorted_columns(video_id, ints, np.array([r[1:6] for r in rows], dtype=np.float64).reshape(-1, 5))
+
+
+def _sorted_columns(video_id, ints, reals):
+    """`VideoDetections` from (frame, class code) and (x1, y1, x2, y2, score)
+    rows in input order: the one check and sort of every detection."""
+    frames, classes, boxes, scores = ints[:, 0], ints[:, 1], reals[:, :4], reals[:, 4]
     bad = (frames < 0) | _bad_boxes(boxes) | ~((scores >= 0.0) & (scores <= 1.0))
     if bad.any():
         k = int(np.argmax(bad))
@@ -290,34 +294,43 @@ _DETECTION_KEYS = frozenset(("video_id", "frame", *BOX_KEYS, "class", "score"))
 
 
 def _detection_from_record(rec):
-    """(video id, `detection_columns` row) of one detection record, or (None,
-    class name) when its class is not admitted: such a record is counted, not
-    checked, but it too must carry every key."""
+    """(video id, (frame, class code), (x1, y1, x2, y2, score)) of a detection
+    record; (None, class name, None) for a class not admitted, which is
+    counted, not checked, but must still carry every key."""
     cls = str_field(rec, "class")
     if cls not in OBJECT_CLASSES:
         missing = _DETECTION_KEYS - rec.keys()
         if missing:
             raise KeyError(min(missing))
-        return None, cls
-    row = (int_field(rec, "frame"), *(float_field(rec, k) for k in (*BOX_KEYS, "score")))
-    frame, x1, y1, x2, y2, score = row
+        return None, cls, None
+    frame, reals = int_field(rec, "frame"), tuple(float_field(rec, k) for k in (*BOX_KEYS, "score"))
+    x1, y1, x2, y2, score = reals
     if not 0 <= frame <= _FRAME_MAX or x1 > x2 or y1 > y2 or not 0.0 <= score <= 1.0:
-        raise InvalidInputError(f"frame outside [0, 2**63), inverted box or score outside [0, 1]: {row}")
-    return str_field(rec, "video_id"), (*row, DETECTION_CLASSES.index(cls))
+        raise InvalidInputError(f"frame outside [0, 2**63), inverted box or score outside [0, 1]: {(frame, *reals)}")
+    return str_field(rec, "video_id"), (frame, DETECTION_CLASSES.index(cls)), reals
 
 
 def read_detections(path):
     """Read a detections file into per-video columns: returns a dict of
     `VideoDetections` by video id and a dict of dropped records by class name
     (records with a class not admitted are dropped and counted, not
-    rejected)."""
-    rows, dropped = {}, {}  # video id -> detection_columns rows; class name -> count
-    for video_id, row in read_records(path, "detection", _detection_from_record):
+    rejected). An admitted row's values go straight into its video's two
+    typed arrays, 56 bytes a row, with no Python object kept per row."""
+    columns, dropped = {}, {}  # video id -> _sorted_columns' rows, flat; class name -> count
+    for video_id, ints, reals in read_records(path, "detection", _detection_from_record):
         if video_id is None:
-            dropped[row] = dropped.get(row, 0) + 1
-        else:
-            rows.setdefault(video_id, []).append(row)
-    return {v: detection_columns(v, rows[v]) for v in sorted(rows)}, dropped
+            dropped[ints] = dropped.get(ints, 0) + 1
+            continue
+        if video_id not in columns:
+            columns[video_id] = array("q"), array("d")  # int64, float64
+        columns[video_id][0].extend(ints)
+        columns[video_id][1].extend(reals)
+    videos = {}
+    for v in sorted(columns):
+        ints, reals = columns.pop(v)
+        videos[v] = _sorted_columns(v, np.frombuffer(ints, np.int64).reshape(-1, 2),
+                                    np.frombuffer(reals).reshape(-1, 5))
+    return videos, dropped
 
 
 _DETECTION_LINE = '{"class": %s, "frame": %d, "score": %r, "video_id": %s, "x1": %r, "x2": %r, "y1": %r, "y2": %r}'

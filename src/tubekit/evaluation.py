@@ -63,7 +63,9 @@ class AlignmentResult:
 
 def tubelet_recall(tubelets, instances, thresholds):
     """Fraction of ground-truth instances covered by at least one tubelet with
-    both mean spatial IoU and temporal IoU above each threshold."""
+    both mean spatial IoU and coverage |T∩R| / |R| above each threshold: a
+    tubelet follows its object through every activity, so its temporal IoU
+    with a short one is at most reference / tubelet."""
     if not instances:
         raise InvalidInputError("recall is undefined for empty ground truth")
     thresholds = sorted(thresholds)
@@ -73,13 +75,12 @@ def tubelet_recall(tubelets, instances, thresholds):
 
     coverage = []
     for inst in instances:
-        best = 0.0
+        best, ref = 0.0, inst.extent
         for tub in by_video.get(inst.video_id, []):
-            tiou = temporal_iou(tub.extent, inst.extent)
-            if tiou <= best:
+            cover = max(min(tub.extent.end, ref.end) - max(tub.extent.start, ref.start), 0) / ref.length
+            if cover <= best:
                 continue
-            siou = tubelet_spatial_iou(tub, inst)
-            best = max(best, min(tiou, siou))
+            best = max(best, min(cover, tubelet_spatial_iou(tub, inst)))
         coverage.append(best)
 
     recall = tuple(sum(1 for c in coverage if c > tau) / len(coverage) for tau in thresholds)

@@ -197,13 +197,14 @@ def interpolate_gaps(frames, boxes, scores, firsts=(0,)):
 # greedy linking
 
 
-def _greedy_pairs(iou, rows, cols):
-    """One-to-one matching of the candidate pairs (rows[k], cols[k]) of IoU
-    iou[k]: descending IoU, ties broken by (row, col), each row and column
-    claimed once. Returns the claimed (row, col) pairs in that order."""
+def _greedy_pairs(iou, rows, cols, gaps=None):
+    """One-to-one matching of the candidate pairs (rows[k], cols[k]) by
+    ascending gaps[k] if given, descending iou[k], then (row, col), each row
+    and column claimed once. Returns the claimed (row, col) pairs in order."""
+    keys = ([] if gaps is None else [gaps.tolist()]) + [(-iou).tolist(), rows.tolist(), cols.tolist()]
     used_r, used_c = set(), set()
     out = []
-    for _, r, c in sorted(zip((-iou).tolist(), rows.tolist(), cols.tolist())):
+    for *_, r, c in sorted(zip(*keys)):
         if r in used_r or c in used_c:
             continue
         used_r.add(r)
@@ -257,7 +258,9 @@ def _merge_and_emit(detections, chains, code, config):
 
     A candidate is a (tail of i, head of j) pair whose gap is 1 to
     max_interp_gap frames; every candidate's IoU comes from one `paired_iou`
-    over the pairs, found per tail by binary search in the heads' frames."""
+    over the pairs, found per tail by binary search in the heads' frames.
+    They are claimed by shortest gap, then highest IoU: a tail that passed
+    over a nearer head would leave it to start a second, overlapping tubelet."""
     n = len(chains)
     tail_rows = [c[-1] for c in chains]
     head_rows = [c[0] for c in chains]
@@ -272,7 +275,8 @@ def _merge_and_emit(detections, chains, code, config):
     j = head_order[np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
     iou = kernels.paired_iou(tails[i], heads[j])
     linked = iou >= config.iou_link_threshold
-    next_of = dict(_greedy_pairs(iou[linked], i[linked], j[linked]))
+    gaps = head_frames[j[linked]] - tail_frames[i[linked]]
+    next_of = dict(_greedy_pairs(iou[linked], i[linked], j[linked], gaps))
     used_starts = set(next_of.values())
 
     rows, firsts = [], []  # the merged sequences back to back, and where each starts

@@ -1,7 +1,6 @@
 """Proposal labeling against ground truth, vehicle/person model routing, and
 the pluggable scorer interface with two bundled scorers."""
 
-import threading
 import zlib
 from dataclasses import dataclass
 from typing import Optional
@@ -136,14 +135,13 @@ class OracleScorer:
     (deterministic per proposal and `config.seed`).
 
     `label_counts` tallies the label of every proposal scored, by group name
-    and then label kind; scoring threads share it under a lock."""
+    and then label kind."""
 
     def __init__(self, instances, config, policy):
         self.instances = list(instances)
         self.config = config
         self.policy = policy
         self.label_counts = {}
-        self._lock = threading.Lock()
 
     def _unit_draw(self, proposal, salt):
         token = f"{self.config.seed}:{salt}:{proposal.video_id}:{proposal.proposal_id}"
@@ -151,9 +149,8 @@ class OracleScorer:
 
     def score(self, proposal, group):
         label = label_proposal(proposal, self.instances, self.policy)
-        with self._lock:
-            counts = self.label_counts.setdefault(group.name, dict.fromkeys(LABEL_KINDS, 0))
-            counts[label.kind] += 1
+        counts = self.label_counts.setdefault(group.name, dict.fromkeys(LABEL_KINDS, 0))
+        counts[label.kind] += 1
         scores = {a: 0.0 for a in group.activities}
         if label.kind == "positive" and label.activity in group.activities:
             activity = label.activity

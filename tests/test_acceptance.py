@@ -380,12 +380,11 @@ def test_criterion_09_det_properties(tmp_path):
 # 10. byte determinism of every subcommand
 
 
-def _run_all_stages(runner, corpus_dir, out_dir, workers):
+def _run_all_stages(runner, corpus_dir, out_dir):
     out_dir.mkdir()
     det = str(corpus_dir / "detections.jsonl")
     meta = str(corpus_dir / "video_meta.jsonl")
     gt = str(corpus_dir / "ground_truth.jsonl")
-    w = str(workers)
 
     def ok(args):
         res = runner.invoke(cli.main, args, catch_exceptions=False)
@@ -393,14 +392,14 @@ def _run_all_stages(runner, corpus_dir, out_dir, workers):
 
     ok(["default-config", "--out", str(out_dir / "config.json")])
     tubes = str(out_dir / "tubelets.jsonl")
-    ok(["link", "--detections", det, "--meta", meta, "--out", tubes, "--workers", w])
+    ok(["link", "--detections", det, "--meta", meta, "--out", tubes])
     props = str(out_dir / "proposals.jsonl")
-    ok(["refine", "--tubelets", tubes, "--meta", meta, "--out", props, "--workers", w])
+    ok(["refine", "--tubelets", tubes, "--meta", meta, "--out", props])
     veh = str(out_dir / "scored_vehicle.jsonl")
     per = str(out_dir / "scored_person.jsonl")
     for out, group in ((veh, "vehicle_related"), (per, "person_related")):
         ok(["score", "--proposals", props, "--scorer", "oracle", "--ground-truth", gt,
-            "--out", out, "--group", group, "--workers", w])
+            "--out", out, "--group", group])
     inst = str(out_dir / "instances.jsonl")
     ok(["fuse", "--vehicle", veh, "--person", per, "--out", inst])
     ok(["eval-recall", "--tubelets", tubes, "--ground-truth", gt,
@@ -410,7 +409,7 @@ def _run_all_stages(runner, corpus_dir, out_dir, workers):
         "--out-summary", str(out_dir / "summary.json")])
     pipe = out_dir / "pipe"
     ok(["pipeline", "--out-dir", str(pipe), "--detections", det,
-        "--ground-truth", gt, "--meta", meta, "--workers", w])
+        "--ground-truth", gt, "--meta", meta])
 
 
 def _data_files(root):
@@ -434,10 +433,9 @@ def test_criterion_10_determinism(tmp_path):
         corpora.append(out)
     assert _data_files(corpora[0]) == _data_files(corpora[1])
 
-    runs = {}
-    for name, workers in (("run1_w1", 1), ("run2_w1", 1), ("run3_w4", 4)):
-        _run_all_stages(runner, corpora[0], tmp_path / name, workers)
-        runs[name] = _data_files(tmp_path / name)
-    assert runs["run1_w1"] == runs["run2_w1"]
-    assert runs["run1_w1"] == runs["run3_w4"]
-    _passed(10, "every subcommand byte-identical across repeat runs and workers 1 vs 4")
+    runs = []
+    for name in ("run1", "run2", "run3"):
+        _run_all_stages(runner, corpora[0], tmp_path / name)
+        runs.append(_data_files(tmp_path / name))
+    assert runs[0] == runs[1] == runs[2]
+    _passed(10, "every subcommand byte-identical across three repeat runs")

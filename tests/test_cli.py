@@ -81,7 +81,7 @@ def test_link_makes_no_tubelet(tmp_path, monkeypatch, strategy, link):
     monkeypatch.setattr(linking, "Tubelet", Counted)
     out = tmp_path / "tubelets.jsonl"
     assert run(["link", "--detections", paths["detections"], "--meta", paths["video_meta"], "--strategy", strategy,
-                "--out", str(out), "--workers", "2"]).exit_code == 0
+                "--out", str(out)]).exit_code == 0
     assert made == []
 
     # the tables' `Tubelet` views, each made when iterated, write the same bytes one `tubelet_line` each
@@ -263,17 +263,51 @@ def test_pipeline_with_synth(tmp_path):
 
 
 def test_worker_counts_do_not_change_bytes(corpus_dir, tmp_path):
-    det = str(corpus_dir / "detections.jsonl")
-    meta = str(corpus_dir / "video_meta.jsonl")
-    outputs = []
-    for workers in (1, 4):
-        out = tmp_path / f"tubes_w{workers}.jsonl"
-        assert run([
-            "link", "--detections", det, "--meta", meta, "--out", str(out),
-            "--workers", str(workers),
-        ]).exit_code == 0
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+    # `--workers` is deprecated: every stage runs on the calling thread, and
+    # the flag still parses, warns once and changes no byte
+    det, gt, meta = (str(corpus_dir / n) for n in ("detections.jsonl", "ground_truth.jsonl", "video_meta.jsonl"))
+
+    def commands(out_dir, *extra):
+        out_dir.mkdir()
+        tubes, props, scored = (str(out_dir / f"{n}.jsonl") for n in ("tubelets", "proposals", "scored"))
+        return [
+            ["link", "--detections", det, "--meta", meta, "--out", tubes, *extra],
+            ["refine", "--tubelets", tubes, "--meta", meta, "--out", props, *extra],
+            ["score", "--proposals", props, "--ground-truth", gt, "--out", scored, *extra],
+            ["pipeline", "--out-dir", str(out_dir / "run"), "--detections", det, "--ground-truth", gt,
+             "--meta", meta, *extra],
+        ]
+
+    for args in commands(tmp_path / "plain"):
+        assert run(args).exit_code == 0
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys, threading\n"
+        "from tubekit.cli import main\n"
+        f"for args in {commands(tmp_path / 'flag', '--workers', '2')!r}:\n"
+        "    main(args, standalone_mode=False)\n"
+        "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip().splitlines()[-1] == "1 False"
+    warning = "--workers is deprecated and has no effect: every stage runs on one thread"
+    assert _warnings(out.stderr) == [warning] * 4
+
+    written = [p.relative_to(tmp_path / "plain") for p in sorted((tmp_path / "plain").rglob("*"))
+               if p.is_file() and not p.name.endswith(".manifest.json")]
+    assert len(written) == 11  # 3 stage files and the pipeline's 8
+    for name in written:
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
+    for manifest in ("tubelets.jsonl", "proposals.jsonl", "scored.jsonl", "run/run"):
+        assert _manifest(tmp_path / "flag" / manifest)["warnings"] == [warning]
+        assert _manifest(tmp_path / "plain" / manifest)["warnings"] == []
+
+    res = runner.invoke(main, commands(tmp_path / "zero", "--workers", "0")[0])
+    assert res.exit_code == 1
+    report = json.loads(res.output.strip().splitlines()[-1])
+    assert report["stage"] == "link" and "--workers" in report["error"]
+    assert not (tmp_path / "zero" / "tubelets.jsonl").exists()
 
 
 def test_missing_input_exits_one(tmp_path):
@@ -495,6 +529,7 @@ def test_label_policy_reaches_oracle(corpus_dir, tmp_path):
         ({"refine": {"flow_mean_min": 1.0}}, "refine.flow_mean_min"),
         ({"output": {"score_threshold": 0.1}}, "'output'"),
         ({"nms": {"score_floor": 0.001}}, "nms.score_floor"),
+        ({"workers": 1}, "unknown config section: 'workers'"),
     ],
 )
 def test_unknown_config_key_exits_one(corpus_dir, tmp_path, cfg, name):
@@ -516,7 +551,7 @@ def test_unknown_config_key_exits_one(corpus_dir, tmp_path, cfg, name):
         ({"nms": {"method": "box"}}, [], "'nms'"),
         ({"align": {"temporal_iou_min": 0.0}}, [], "'align'"),
         ({"link": {"strategy": "nearest"}}, [], "link.strategy"),
-        ({"workers": 0}, [], "workers"),
+        ({"workers": 0}, [], "workers"),  # no longer a section: any value exits 1
         ({"workers": 1.5}, [], "workers"),
         ({}, ["--workers", "0"], "workers"),
         ({"eval": {"recall_thresholds": 5}}, [], "'eval'"),
@@ -632,8 +667,8 @@ def test_instance_past_frame_count_exits_one(tmp_path, past):
 
 # The config's identity: the bytes of `default-config` and the hash a run
 # under it records. A new, renamed or re-defaulted key changes both.
-DEFAULT_CONFIG_SHA256 = "c2895f64699c0b9f0990f051683457db0b943bbd58856b1ef5a9e67c374d7d81"
-DEFAULT_CONFIG_HASH = "edd311ec9e7098cfb05dd1e2abf58a845c365ea3f3286e0d76318dc61f7cd37c"
+DEFAULT_CONFIG_SHA256 = "e907fe6257a1919b5ea55ffd6e814c58b73e961bce983b2c9d2503ab9cae85ee"
+DEFAULT_CONFIG_HASH = "ddf998f627e5ee9117b9eb94bdde1743c25d32721b6d8b9356ebc46a3aeafab1"
 
 
 def test_default_config_round_trips(corpus_dir, tmp_path):
@@ -697,8 +732,8 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_cli_import_leaves_the_thread_pool_unloaded():
-    # concurrent.futures (and the logging it imports) loads only when a stage
-    # runs with more than one worker
+    # no stage runs on a thread pool, so neither concurrent.futures nor the
+    # logging it imports is ever loaded
     code = "import sys, tubekit.cli; print('concurrent.futures' in sys.modules, 'logging' in sys.modules)"
     assert _python_last_line(code) == "False False"
 
@@ -872,6 +907,33 @@ def test_zero_positive_labels_warning(tmp_path, videos, frames, spatial_pos):
     assert _warnings(res.output) == score_manifest["warnings"] == warnings[:1]
 
 
+def test_all_static_tubelets_warning_names_the_static_filter(tmp_path):
+    # boxes wider than a 10-px frame pin every object, so refine removes every
+    # tubelet; the run warns about the static filter, and no later stage
+    # blames its labels or the score cut for the missing proposals
+    cfg = write_config(tmp_path, {"synth": {"frame_width": 10.0, "video_count": 2, "frames_per_video": 80}})
+    out = tmp_path / "run"
+    res = run(["pipeline", "--config", cfg, "--out-dir", str(out)])
+    assert res.exit_code == 0
+    manifest = _manifest(out / "run")
+    counts = manifest["record_counts"]
+    assert counts["tubelets"] == counts["removed_static"] > 0 and counts["proposals"] == counts["instances"] == 0
+    assert _warnings(res.output) == manifest["warnings"]
+    static, fused = manifest["warnings"]
+    assert f"all {counts['tubelets']} tubelets were removed as static" in static
+    assert "refine.coord_displacement_min 0.5" in static
+    assert fused == "0 instances: there is no scored proposal to fuse"
+    assert not any("label." in w or "nms.score_threshold" in w for w in manifest["warnings"])
+
+    # the refine and score subcommands say the same: refine warns, score does not
+    props, scored = str(tmp_path / "proposals.jsonl"), str(tmp_path / "scored.jsonl")
+    res = run(["refine", "--tubelets", str(out / "tubelets.jsonl"), "--meta", str(out / "video_meta.jsonl"),
+               "--out", props])
+    assert res.exit_code == 0 and _warnings(res.output) == _manifest(props)["warnings"] == [static]
+    res = run(["score", "--proposals", props, "--ground-truth", str(out / "ground_truth.jsonl"), "--out", scored])
+    assert res.exit_code == 0 and _warnings(res.output) == _manifest(scored)["warnings"] == []
+
+
 def test_link_funnel_in_manifests(dropout_corpus, tmp_path):
     # two videos with dropout, plus detections of classes the linker drops
     det = tmp_path / "detections.jsonl"
@@ -886,17 +948,16 @@ def test_link_funnel_in_manifests(dropout_corpus, tmp_path):
         expected = {"detections_in": sum(map(len, videos.values())), "dropped_class_names": {"cat": 1, "dog": 2},
                     "interpolated_frames": rows["interpolated"], "tracked_frames": rows["tracked"]}
         assert rows["tracked" if strategy == "tracking" else "interpolated"] > 0
-        for workers in (1, 2):
-            out = tmp_path / f"{strategy}_w{workers}.jsonl"
-            assert run(["link", "--detections", str(det), "--meta", meta, "--strategy", strategy,
-                        "--out", str(out), "--workers", str(workers)]).exit_code == 0
-            counts = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())["record_counts"]
-            assert {k: counts[k] for k in expected} == expected
-            # the funnel counts the filled rows the file holds
-            written = Counter(b["provenance"] for line in out.read_text().splitlines()
-                              for b in json.loads(line)["boxes"])
-            assert (written["tracked"], written["interpolated"]) == (counts["tracked_frames"],
-                                                                     counts["interpolated_frames"])
+        out = tmp_path / f"{strategy}.jsonl"
+        assert run(["link", "--detections", str(det), "--meta", meta, "--strategy", strategy,
+                    "--out", str(out)]).exit_code == 0
+        counts = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())["record_counts"]
+        assert {k: counts[k] for k in expected} == expected
+        # the funnel counts the filled rows the file holds
+        written = Counter(b["provenance"] for line in out.read_text().splitlines()
+                          for b in json.loads(line)["boxes"])
+        assert (written["tracked"], written["interpolated"]) == (counts["tracked_frames"],
+                                                                 counts["interpolated_frames"])
 
     cfg = write_config(tmp_path, {"link": {"strategy": "greedy"}})
     assert run(["pipeline", "--out-dir", str(tmp_path / "run"), "--detections", str(det), "--ground-truth", gt,

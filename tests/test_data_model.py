@@ -1,8 +1,13 @@
+import json
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from conftest import box_rows
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tubekit import data_model as dm
 from tubekit.errors import InvalidInputError, ParseError
@@ -118,6 +123,52 @@ class TestDetectionRoundTrip:
             for column in ("frames", "boxes", "scores", "classes"):
                 a, b = getattr(back[v], column), getattr(d, column)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_written_columns_read_back_exactly(self, tmp_path, data):
+        # few distinct values, so that rows tie exactly on frame, box and score
+        # and only their input order, kept by a stable sort, tells them apart
+        frames = st.sampled_from([0, 1, 7, 2**63 - 1]) | st.integers(0, 2**63 - 1)
+        coords = st.sampled_from([0.0, 0.5, 3.25, 1e300]) | st.floats(-1e6, 1e6, allow_nan=False)
+        scores = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+        codes = st.integers(0, len(dm.DETECTION_CLASSES) - 1)
+
+        def row(frame, xs, ys, score, code):
+            return (frame, min(xs), min(ys), max(xs), max(ys), score, code)
+
+        rows = st.builds(row, frames, st.tuples(coords, coords), st.tuples(coords, coords), scores, codes)
+        video_ids = data.draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=4, unique=True))
+        videos = {v: dm.detection_columns(v, data.draw(st.lists(rows, min_size=1, max_size=25))) for v in video_ids}
+        p = tmp_path / "d.jsonl"
+        dm.write_detections(videos.values(), p)
+        lines = p.read_text().splitlines(keepends=True)
+        # records of classes that are not admitted, anywhere in the file
+        extra = data.draw(st.lists(st.sampled_from(["dog", "cat"]), max_size=5))
+        for cls in extra:
+            k = data.draw(st.integers(0, len(lines)))
+            lines.insert(k, json.dumps({"video_id": video_ids[0], "frame": 0, "x1": 0, "y1": 0, "x2": 1, "y2": 1,
+                                        "class": cls, "score": 0.5}) + "\n")
+        p.write_text("".join(lines))
+
+        back, dropped = dm.read_detections(p)
+        assert list(back) == sorted(video_ids)
+        assert dropped == Counter(extra)
+        for v, d in videos.items():
+            assert back[v].video_id == v and len(back[v]) == len(d)
+            for column in ("frames", "boxes", "scores", "classes"):
+                a, b = getattr(back[v], column), getattr(d, column)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        # one bad row still names its file and line
+        k = data.draw(st.integers(0, len(lines) - 1))
+        bad = json.loads(lines[k])
+        bad.update(data.draw(st.sampled_from([{"score": 1.5}, {"x1": 2.0, "x2": 1.0}, {"frame": -1},
+                                              {"frame": 2**63}, {"y2": "1"}])), **{"class": "car"})
+        lines[k] = json.dumps(bad) + "\n"
+        p.write_text("".join(lines))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(p))}:{k + 1}: invalid detection"):
+            dm.read_detections(p)
 
 
 class TestVideoMeta:

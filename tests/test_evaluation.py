@@ -49,6 +49,14 @@ class TestTubeletRecall:
         curve = tubelet_recall([t1, t2], [g1, g2], [0.3])
         assert curve.recall == (0.5,)
 
+    def test_a_tubelet_scores_its_coverage_of_a_short_reference(self):
+        # one object's tubelet over frames [0, 300) and one 40-frame activity
+        # of it: temporal IoU 40/300, but the tubelet covers the whole reference
+        tube = make_tubelet(box_rows((0, 0, 10, 10), 300))
+        gt = [instance(100, 140), instance(280, 320, activity="Pull")]
+        curve = tubelet_recall([tube], gt, [0.1, 0.4, 0.5, 0.9])
+        assert curve.recall == (1.0, 1.0, 0.5, 0.5)  # the second reference is half covered
+
     def test_empty_ground_truth_rejected(self):
         with pytest.raises(InvalidInputError):
             tubelet_recall([], [], [0.5])

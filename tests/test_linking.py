@@ -7,6 +7,7 @@ import pytest
 
 from tubekit import kernels, linking
 from tubekit.data_model import DETECTION_CLASSES, OBJECT_CLASSES, detection_columns
+from tubekit.evaluation import tubelet_recall
 from tubekit.geometry import Box, Interval, spatial_iou
 from tubekit.linking import (
     PROVENANCES,
@@ -303,11 +304,12 @@ def _ref_numbered(tubelets):
     return [replace(t, id=i) for i, t in enumerate(order)]
 
 
-def reference_greedy_pairs(candidates):
-    """Sort-and-claim over (iou, row, col) candidates: descending IoU, ties
-    by (row, col), each row and column claimed once."""
+def reference_greedy_pairs(candidates, rank=lambda t: (-t[0], t[1], t[2])):
+    """Sort-and-claim over (..., row, col) candidates, by default (iou, row,
+    col) ones: in `rank` order, by default descending IoU with ties by (row,
+    col), each row and column claimed once."""
     pairs, used_rows, used_cols = [], set(), set()
-    for _, r, c in sorted(candidates, key=lambda t: (-t[0], t[1], t[2])):
+    for *_, r, c in sorted(candidates, key=rank):
         if r not in used_rows and c not in used_cols:
             used_rows.add(r)
             used_cols.add(c)
@@ -416,8 +418,9 @@ def reference_merge_and_emit(chains, video_id, cls, config):
             a, b = chains[i][-1].box, chains[j][0].box
             iou = kernels.iou_matrix(np.array([xyxy(a)]), np.array([xyxy(b)]))[0, 0]
             if iou >= config.iou_link_threshold:
-                candidates.append((iou, i, j))
-    next_of = dict(reference_greedy_pairs(candidates))
+                candidates.append((gap, iou, i, j))
+    # the nearest head first, then the highest IoU, ties by (tail, head)
+    next_of = dict(reference_greedy_pairs(candidates, rank=lambda t: (t[0], -t[1], t[2], t[3])))
     used_starts = set(next_of.values())
     out = []
     for i in range(n):
@@ -688,6 +691,29 @@ class TestGreedyMergeEqualsReference:
     def test_dropout_and_false_positive_corpus(self, corpus_videos):
         for dets in corpus_videos:
             assert_same_tubelets(greedy_link(columns(dets, dets[0].video_id)), reference_greedy_link(dets))
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_greedy_gives_one_tubelet_per_object_at_length(seed):
+    # at 3,000 frames an object moves about 0.3 px a frame, less than the 2 px
+    # jitter; ranking the merges by IoU alone then skipped nearer heads, and
+    # each skipped chain started a second, overlapping tubelet of its object
+    corpus = generate(SceneConfig(seed=seed, video_count=2, frames_per_video=3000, objects_per_video=(6, 6),
+                                  dropout_rate=0.1, box_jitter_px=2.0, score_noise=0.05))
+    tubes = [t for v in sorted(corpus.detections) for t in greedy_link(corpus.detections[v])]
+
+    def center_y(boxes):
+        return 0.5 * float(boxes[0, 1] + boxes[0, 3])
+
+    extents = {}  # (video, object lane) -> extents of its tubelets
+    for t in tubes:
+        lanes = [r for r in corpus.ground_truth if r.video_id == t.video_id]
+        lane = min(range(len(lanes)), key=lambda k: abs(center_y(lanes[k].boxes) - center_y(t.boxes)))
+        extents.setdefault((t.video_id, lane), []).append(t.extent)
+    for spans in extents.values():
+        spans.sort()
+        assert all(a.end <= b.start for a, b in zip(spans, spans[1:]))
+    assert tubelet_recall(tubes, corpus.ground_truth, (0.5,)).recall == (1.0,)
 
 
 def detection_key(frame, cls, box, score):
