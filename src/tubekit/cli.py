@@ -210,8 +210,8 @@ def link(m, detections, metas, out):
     """Link every video of `detections` (what `read_detections` returns:
     per-video columns and the dropped-class counts) into one `LinkedTubelets`,
     numbered across the videos in id order; writing it makes no `Tubelet`.
-    Counts the link funnel: detections in, dropped class names, and the
-    interpolated and tracked rows of the tubelets."""
+    Counts the link funnel: detections in, dropped class names, the tubelets'
+    interpolated and tracked rows and the tracks that `link.patience` ended."""
     cfg = m.cfg
     videos, dropped = detections
     with m.phase("link", "compute"):
@@ -226,13 +226,15 @@ def link(m, detections, metas, out):
         dropped_class_names=dict(sorted(dropped.items())),
         interpolated_frames=tubes.row_count("interpolated"),
         tracked_frames=tubes.row_count("tracked"),
+        tracks_ended=0 if cfg.link.strategy == "greedy" else tubes.tracks_ended(videos, cfg.link.patience),
     )
     return tubes
 
 
 def refine(m, tubelets, metas, out):
-    """Drop the static tubelets and cut the others into proposals, numbered
-    in (video_id, tubelet_id, start, end) order. Warns, naming
+    """Drop the static tubelets and cut the others into proposals, numbered as
+    they are made in (video_id, tubelet_id, start, end) order: `link` and
+    `read_tubelets` give that order, and `jitter` gives (start, end). Warns, naming
     `refine.coord_displacement_min`, when every tubelet is static."""
     cfg = m.cfg
     with m.phase("refine", "compute"):
@@ -241,10 +243,7 @@ def refine(m, tubelets, metas, out):
         props = []
         for tub in kept:
             meta = metas[tub.video_id]
-            props.extend(refinement.make_proposals(tub, meta.width, meta.height, cfg.refine))
-        props.sort(key=lambda p: (p.video_id, p.tubelet_id, p.window.start, p.window.end))
-        for i, p in enumerate(props):
-            p.proposal_id = i
+            props.extend(refinement.make_proposals(tub, meta.width, meta.height, cfg.refine, id_start=len(props)))
     with m.phase("refine", "write"):
         refinement.write_proposals(props, out)
     m.counts.update(proposals=len(props), removed_static=removed)

@@ -46,26 +46,35 @@ _DETECTED, _INTERPOLATED, _TRACKED = range(len(PROVENANCES))
 
 
 @dataclass(eq=False)
-class Tubelet:
-    """Temporally contiguous boxes of one object; row k of every array is
-    frame extent.start + k. A linker's tubelet is a view made by its
-    `VideoTubelets` table, which numbers it (`link` numbers the tables of a
-    file's videos on across them); a read one is numbered by its file."""
+class Track:
+    """Temporally contiguous boxes of one object; row k of `boxes` is frame
+    extent.start + k. A proposal's normalised tubelet is one."""
 
     id: int
     video_id: str
     object_class: str
     extent: Interval
     boxes: np.ndarray  # (n,4) float64 x1, y1, x2, y2
+
+    def __post_init__(self):
+        self.boxes = track_boxes(self.boxes, self.extent)
+        if self.object_class not in OBJECT_CLASSES:
+            raise InvalidInputError(f"object class not admitted: {self.object_class!r}")
+
+
+@dataclass(eq=False)
+class Tubelet(Track):
+    """A linked track, with each row's detection score and provenance. A
+    linker's tubelet is a view that its `VideoTubelets` table makes and
+    numbers; a read one is numbered by its file."""
+
     box_scores: np.ndarray  # (n,) float64
     provenance: np.ndarray  # (n,) int8 index into PROVENANCES
 
     def __post_init__(self):
-        self.boxes = track_boxes(self.boxes, self.extent)
+        super().__post_init__()
         if self.box_scores.shape != (self.extent.length,) or self.provenance.shape != (self.extent.length,):
             raise InvalidInputError("tubelet scores and provenance need one value per frame of the extent")
-        if self.object_class not in OBJECT_CLASSES:
-            raise InvalidInputError(f"object class not admitted: {self.object_class!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,6 +144,12 @@ class LinkedTubelets:
     def row_count(self, provenance):
         """How many rows of the tables have `provenance` (0 with no table)."""
         return sum(int(np.count_nonzero(t.provenance == PROVENANCES.index(provenance))) for t in self.tables)
+
+    def tracks_ended(self, videos, patience):
+        """How many tubelets end `patience` or more frames before the last frame
+        of their `videos[video_id]`: for `track_link`, the tracks patience ended."""
+        return sum(int((t.starts + t.lengths + patience <= videos[t.video_id].extent.end).sum())
+                   for t in self.tables if len(t))
 
 
 @dataclass(frozen=True)
@@ -471,31 +486,30 @@ def track_link(detections, config=LinkConfig()):
 # serialization
 
 
-_TUBELET_LINE = '{"boxes": [%s], "class": %s, "end": %d, "id": %d%s, "start": %d, "video_id": %s}'
+_TUBELET_LINE = '{"boxes": [%s], "class": %s, "end": %d, "id": %d, "start": %d, "video_id": %s}'
 _TUBELET_ROW = '{"frame": %d, "provenance": %s, "score": %r, "x1": %r, "x2": %r, "y1": %r, "y2": %r}'
 _PROVENANCE_TEXT = [json.dumps(p) for p in PROVENANCES]
 
 
-def _tubelet_text(tubelet_id, class_text, start, video_text, boxes, scores, provenance, extra=""):
+def _tubelet_text(tubelet_id, class_text, start, video_text, boxes, scores, provenance):
     """The one tubelets.jsonl line format, filled from a tubelet's fields
     (the class and video id as JSON text) and its row arrays."""
     columns = ([_PROVENANCE_TEXT[c] for c in provenance.tolist()], finite_list(scores, "box score"))
     rows = box_rows_text(start, boxes, _TUBELET_ROW, columns)
-    return _TUBELET_LINE % (", ".join(rows), class_text, start + len(rows), tubelet_id, extra, start, video_text)
+    return _TUBELET_LINE % (", ".join(rows), class_text, start + len(rows), tubelet_id, start, video_text)
 
 
-def tubelet_line(t, extra=""):
-    """The tubelets.jsonl line of one `Tubelet`. `extra` is the JSON text of
-    further fields whose keys sort between "id" and "start", each led by
-    ", " (a proposals line adds its `proposals` and `sample_count`)."""
-    return _tubelet_text(t.id, json.dumps(t.object_class), t.extent.start, json.dumps(t.video_id), t.boxes,
-                         t.box_scores, t.provenance, extra)
+def track_fields(rec, *columns):
+    """The `Track` fields of a tubelets or proposals record, in field order,
+    then the named extra columns of its box rows as `decode_boxes` gives them."""
+    extent = Interval(int_field(rec, "start"), int_field(rec, "end"))
+    boxes, *values = decode_boxes(rec["boxes"], extent, *columns)
+    return (int_field(rec, "id"), str_field(rec, "video_id"), str_field(rec, "class"), extent, boxes), *values
 
 
 def tubelet_from_record(rec):
-    """Inverse of `tubelet_line` (as a parsed record); raises on any invalid field."""
-    extent = Interval(int_field(rec, "start"), int_field(rec, "end"))
-    boxes, scores, prov = decode_boxes(rec["boxes"], extent, "score", "provenance")
+    """The `Tubelet` of a parsed tubelets.jsonl line; raises on any invalid field."""
+    fields, scores, prov = track_fields(rec, "score", "provenance")
     require_numbers(scores, "box scores")
     scores = np.array(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
@@ -503,15 +517,7 @@ def tubelet_from_record(rec):
     unknown = set(prov) - set(PROVENANCES)
     if unknown:
         raise InvalidInputError(f"unknown provenance {unknown}")
-    return Tubelet(
-        id=int_field(rec, "id"),
-        video_id=str_field(rec, "video_id"),
-        object_class=str_field(rec, "class"),
-        extent=extent,
-        boxes=boxes,
-        box_scores=scores,
-        provenance=np.array([PROVENANCES.index(p) for p in prov], dtype=np.int8),
-    )
+    return Tubelet(*fields, scores, np.array(list(map(PROVENANCES.index, prov)), dtype=np.int8))
 
 
 def tubelet_key(rec):

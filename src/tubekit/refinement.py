@@ -1,16 +1,16 @@
-"""Tubelet refinement: static-tubelet filtering, box-size normalization,
-multi-scale temporal jittering and uniform frame sampling."""
+"""Tubelet refinement: static-tubelet filtering, box-size normalization and
+multi-scale temporal jittering into proposals."""
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .data_model import ACTIVITY_CLASSES, float_field, int_field, read_records, write_jsonl
+from .data_model import ACTIVITY_CLASSES, box_rows_text, float_field, int_field, read_records, write_jsonl
 from .errors import InvalidInputError
 from .geometry import Interval, mean_center_step
-from .linking import Tubelet, tubelet_from_record, tubelet_key, tubelet_line
+from .linking import Track, track_fields, tubelet_key
 from .proposals import NON_ACTION
 
 
@@ -20,7 +20,6 @@ class RefineConfig:
     enlarge_factor: float = 1.2
     window_sizes: tuple = (32, 64, 128, 256)
     window_stride: int = 16
-    sample_count: int = 64
 
     def __post_init__(self):
         if self.coord_displacement_min < 0.0:
@@ -31,8 +30,6 @@ class RefineConfig:
             raise InvalidInputError(f"window_sizes must be nonempty, ascending and >= 1: {self.window_sizes}")
         if self.window_stride < 1:
             raise InvalidInputError(f"window_stride must be >= 1: {self.window_stride}")
-        if self.sample_count < 1:
-            raise InvalidInputError(f"sample_count must be >= 1: {self.sample_count}")
 
 
 @dataclass(eq=False)
@@ -41,9 +38,8 @@ class Proposal:
     scored. Every proposal over a tubelet shares that one tubelet object."""
 
     proposal_id: int
-    tubelet: Tubelet  # size-normalised
+    tubelet: Track  # size-normalised
     window: Interval
-    sample_count: int
     scores: Optional[dict] = None  # activity class (or "non_action") -> score
 
     def __post_init__(self):
@@ -51,8 +47,6 @@ class Proposal:
         if not extent.start <= self.window.start < self.window.end <= extent.end:
             raise InvalidInputError(f"window [{self.window.start}, {self.window.end}) outside its tubelet "
                                     f"[{extent.start}, {extent.end})")
-        if self.sample_count < 1:
-            raise InvalidInputError(f"sample_count must be >= 1: {self.sample_count}")
 
     @property
     def video_id(self):
@@ -76,11 +70,6 @@ class Proposal:
         offset = self.tubelet.extent.start
         return self.tubelet.boxes[self.window.start - offset:self.window.end - offset]
 
-    @property
-    def sampled_frames(self):
-        """Absolute indices of the `sample_count` frames fed to a scorer."""
-        return [self.window.start + r for r in sample_frames(self.window.length, self.sample_count)]
-
 
 def filter_static(tubelets, config=RefineConfig()):
     """Drop low-motion tubelets: a tubelet is kept when its mean per-frame box
@@ -93,7 +82,7 @@ def filter_static(tubelets, config=RefineConfig()):
 def normalize_boxes(tubelet, width, height, enlarge_factor):
     """Resize every box about its center to the tubelet-wide max width/height,
     then enlarge by `enlarge_factor` and clamp to the frame [0, width] x
-    [0, height]."""
+    [0, height]; returns them as a `Track` of the tubelet's id and extent."""
     b = tubelet.boxes
     hw = 0.5 * float((b[:, 2] - b[:, 0]).max()) * enlarge_factor
     hh = 0.5 * float((b[:, 3] - b[:, 1]).max()) * enlarge_factor
@@ -101,7 +90,8 @@ def normalize_boxes(tubelet, width, height, enlarge_factor):
     cy = 0.5 * (b[:, 1] + b[:, 3])
     resized = np.stack([cx - hw, cy - hh, cx + hw, cy + hh], axis=1)
     high = np.array([width, height] * 2, dtype=np.float64)
-    return replace(tubelet, boxes=np.minimum(np.maximum(resized, 0.0), high))
+    return Track(tubelet.id, tubelet.video_id, tubelet.object_class, tubelet.extent,
+                 np.minimum(np.maximum(resized, 0.0), high))
 
 
 def jitter(tubelet, config=RefineConfig()):
@@ -126,41 +116,34 @@ def jitter(tubelet, config=RefineConfig()):
     return [Interval(s, e) for s, e in sorted(windows)]
 
 
-def sample_frames(length, sample_count):
-    """Uniform sampling of `sample_count` indices in [0, length); repeats
-    naturally when the window is shorter than the sample count."""
-    if length < 1 or sample_count < 1:
-        raise InvalidInputError(f"need positive length/count, got {length}/{sample_count}")
-    return [k * length // sample_count for k in range(sample_count)]
-
-
 def make_proposals(tubelet, width, height, config=RefineConfig(), id_start=0):
     """Normalize a tubelet's boxes in a width x height frame and cut it into
     proposal windows."""
     norm = normalize_boxes(tubelet, width, height, config.enlarge_factor)
-    return [
-        Proposal(id_start + i, norm, window, config.sample_count)
-        for i, window in enumerate(jitter(norm, config))
-    ]
+    return [Proposal(id_start + i, norm, window) for i, window in enumerate(jitter(norm, config))]
 
 
 # ---------------------------------------------------------------------------
 # serialization (scored and unscored proposals share the format)
 
 
+_PROPOSALS_LINE = '{"boxes": [%s], "class": %s, "end": %d, "id": %d, "proposals": %s, "start": %d, "video_id": %s}'
+
+
 def write_proposals(proposals, path):
-    """One line per normalised tubelet: its tubelets.jsonl line plus
-    `sample_count` and a `proposals` list of {proposal_id, start, end[, scores]}."""
-    lines = {}  # (video_id, tubelet_id) -> (tubelet, sample_count, proposal entries)
+    """One line per normalised tubelet: its `Track` fields, box rows in the
+    instances' format and a `proposals` list of {proposal_id, start, end[, scores]}."""
+    lines = {}  # (video_id, tubelet_id) -> (track, proposal entries)
     for p in sorted(proposals, key=lambda p: (p.video_id, p.proposal_id)):
         entry = {"proposal_id": p.proposal_id, "start": p.window.start, "end": p.window.end}
         if p.scores is not None:
             entry["scores"] = p.scores
-        lines.setdefault((p.video_id, p.tubelet_id), (p.tubelet, p.sample_count, []))[2].append(entry)
+        lines.setdefault((p.video_id, p.tubelet_id), (p.tubelet, []))[1].append(entry)
 
-    def text(tubelet, sample_count, entries):
-        entries = json.dumps(entries, sort_keys=True, allow_nan=False)
-        return tubelet_line(tubelet, f', "proposals": {entries}, "sample_count": {sample_count:d}')
+    def text(t, entries):
+        return _PROPOSALS_LINE % (", ".join(box_rows_text(t.extent.start, t.boxes)), json.dumps(t.object_class),
+                                  t.extent.end, t.id, json.dumps(entries, sort_keys=True, allow_nan=False),
+                                  t.extent.start, json.dumps(t.video_id))
 
     write_jsonl((text(*lines[key]) for key in sorted(lines)), path)
 
@@ -176,21 +159,23 @@ def _scores_from_record(scores):
 
 
 def _proposals_from_record(rec):
-    tubelet = tubelet_from_record(rec)
-    sample_count = int_field(rec, "sample_count")
-    return [
-        Proposal(
-            proposal_id=int_field(e, "proposal_id"),
-            tubelet=tubelet,
-            window=Interval(int_field(e, "start"), int_field(e, "end")),
-            sample_count=sample_count,
-            scores=_scores_from_record(e["scores"]) if "scores" in e else None,
-        )
-        for e in rec["proposals"]
-    ]
+    track = Track(*track_fields(rec)[0])
+    return [Proposal(int_field(e, "proposal_id"), track, Interval(int_field(e, "start"), int_field(e, "end")),
+                     _scores_from_record(e["scores"]) if "scores" in e else None) for e in rec["proposals"]]
 
 
 def read_proposals(path):
-    out = [p for line in read_records(path, "proposals", _proposals_from_record, tubelet_key) for p in line]
-    out.sort(key=lambda p: (p.video_id, p.proposal_id))
-    return out
+    """A proposals or scored file's proposals, in (video_id, proposal_id) order;
+    each (video_id, proposal_id) and each line's (video_id, id) is unique."""
+    seen = set()
+
+    def build(rec):
+        props = _proposals_from_record(rec)
+        for key in ((p.video_id, p.proposal_id) for p in props):
+            if key in seen:
+                raise InvalidInputError(f"duplicate proposal {key!r}: an earlier proposal has it")
+            seen.add(key)
+        return props
+
+    lines = read_records(path, "proposals", build, tubelet_key)
+    return sorted((p for line in lines for p in line), key=lambda p: (p.video_id, p.proposal_id))

@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -8,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from tubekit.data_model import write_jsonl
 from tubekit.geometry import Interval
-from tubekit.linking import Tubelet, tubelet_line
+from tubekit.linking import Tubelet, _tubelet_text
 from tubekit.refinement import Proposal
 
 
@@ -24,6 +25,13 @@ def make_tubelet(boxes, start=0, tubelet_id=0, video_id="v0", object_class="pers
                    np.asarray(boxes, dtype=np.float64), np.full(n, 0.9), np.zeros(n, dtype=np.int8))
 
 
+def tubelet_line(t):
+    """The tubelets.jsonl line of one `Tubelet`, in the one line format that
+    `linking.write_tubelets` fills from a linker's columns."""
+    return _tubelet_text(t.id, json.dumps(t.object_class), t.extent.start, json.dumps(t.video_id), t.boxes,
+                         t.box_scores, t.provenance)
+
+
 def write_tubelet_list(tubelets, path):
     """Write `Tubelet`s as a tubelets file: one `tubelet_line` each, in
     (video_id, id) order, as `linking.write_tubelets` writes a linker's table."""
@@ -31,13 +39,13 @@ def write_tubelet_list(tubelets, path):
 
 
 def make_proposal(window, boxes=None, proposal_id=0, tubelet_id=0, video_id="v0",
-                  object_class="person", scores=None, sample_count=8):
+                  object_class="person", scores=None):
     """A proposal over its own tubelet spanning exactly `window`; boxes default
     to (0, 0, 10, 10) on every frame."""
     if boxes is None:
         boxes = box_rows((0, 0, 10, 10), window.length)
     tubelet = make_tubelet(boxes, window.start, tubelet_id, video_id, object_class)
-    return Proposal(proposal_id, tubelet, window, sample_count, scores)
+    return Proposal(proposal_id, tubelet, window, scores)
 
 
 @pytest.fixture

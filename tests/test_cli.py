@@ -200,7 +200,7 @@ def _same_proposals(held, read):
     assert len(held) == len(read)
     for a, b in zip(held, read):
         _same_track(a, b)
-        assert (a.proposal_id, a.tubelet_id, a.sample_count) == (b.proposal_id, b.tubelet_id, b.sample_count)
+        assert (a.proposal_id, a.tubelet_id, a.object_class) == (b.proposal_id, b.tubelet_id, b.object_class)
         assert a.scores == b.scores
 
 
@@ -530,6 +530,7 @@ def test_label_policy_reaches_oracle(corpus_dir, tmp_path):
         ({"output": {"score_threshold": 0.1}}, "'output'"),
         ({"nms": {"score_floor": 0.001}}, "nms.score_floor"),
         ({"workers": 1}, "unknown config section: 'workers'"),
+        ({"refine": {"sample_count": 64}}, "unknown config key: refine.sample_count"),
     ],
 )
 def test_unknown_config_key_exits_one(corpus_dir, tmp_path, cfg, name):
@@ -564,7 +565,7 @@ def test_unknown_config_key_exits_one(corpus_dir, tmp_path, cfg, name):
         ({"refine": {"enlarge_factor": 0.5}}, [], "enlarge_factor"),
         ({"refine": {"window_sizes": [0, 32]}}, [], "window_sizes"),
         ({"refine": {"window_stride": 2.5}}, [], "window_stride"),
-        ({"refine": {"sample_count": 2.5}}, [], "sample_count"),
+        ({"refine": {"sample_count": 2.5}}, [], "sample_count"),  # no longer a key: any value exits 1
         ({"label": {"spatial_pos": "x"}}, [], "spatial_pos"),
         ({"link": {"patience": 2.5}}, [], "patience"),
         ({"link": {"max_interp_gap": -3}}, [], "max_interp_gap"),
@@ -667,8 +668,8 @@ def test_instance_past_frame_count_exits_one(tmp_path, past):
 
 # The config's identity: the bytes of `default-config` and the hash a run
 # under it records. A new, renamed or re-defaulted key changes both.
-DEFAULT_CONFIG_SHA256 = "e907fe6257a1919b5ea55ffd6e814c58b73e961bce983b2c9d2503ab9cae85ee"
-DEFAULT_CONFIG_HASH = "ddf998f627e5ee9117b9eb94bdde1743c25d32721b6d8b9356ebc46a3aeafab1"
+DEFAULT_CONFIG_SHA256 = "d6abbafa9400490a92826fbf48937e9d5be105f3d67ea532bb611c653fdb8ad6"
+DEFAULT_CONFIG_HASH = "4aa513a158a61e87b9c7ce4336290b88826361e153d7bd1bb146c4377cd495b8"
 
 
 def test_default_config_round_trips(corpus_dir, tmp_path):
@@ -966,7 +967,8 @@ def test_link_funnel_in_manifests(dropout_corpus, tmp_path):
     assert {k: counts[k] for k in expected} == expected
 
 
-LINK_FUNNEL = {"tubelets", "detections_in", "dropped_class_names", "interpolated_frames", "tracked_frames"}
+LINK_FUNNEL = {"tubelets", "detections_in", "dropped_class_names", "interpolated_frames", "tracked_frames",
+               "tracks_ended"}
 
 
 def test_funnel_keys_are_pinned(dropout_corpus, tmp_path):
@@ -992,4 +994,108 @@ def test_link_with_no_admitted_detection_writes_an_empty_file(dropout_corpus, tm
     assert res.exit_code == 0, res.output
     assert out.read_bytes() == b""
     assert _manifest(out)["record_counts"] == {"tubelets": 0, "detections_in": 0, "dropped_class_names": {"dog": 3},
-                                               "interpolated_frames": 0, "tracked_frames": 0}
+                                               "interpolated_frames": 0, "tracked_frames": 0, "tracks_ended": 0}
+
+
+# One case per key of `default-config`: the overrides of the base run under
+# which the key can show, then a changed valid value for it.
+KEY_CASES_BASE = {"synth.seed": 3, "synth.video_count": 2, "synth.frames_per_video": 80,
+                  "synth.objects_per_video": [2, 3], "synth.dropout_rate": 0.1, "synth.box_jitter_px": 2.0,
+                  "synth.false_positive_rate": 0.5}
+KEY_CASES = {
+    "synth.seed": ({}, 4),
+    "synth.video_count": ({}, 1),
+    "synth.frames_per_video": ({}, 64),
+    "synth.objects_per_video": ({}, [1, 1]),
+    "synth.activity_mix": ({}, {"Riding": 0.5, "Closing": 0.5}),
+    "synth.dropout_rate": ({}, 0.3),
+    "synth.box_jitter_px": ({}, 1.0),
+    "synth.false_positive_rate": ({}, 1.0),
+    "synth.score_noise": ({}, 0.1),
+    "synth.frame_width": ({}, 960.0),
+    "synth.frame_height": ({}, 540.0),
+    "synth.frame_rate": ({}, 25.0),
+    "link.iou_link_threshold": ({}, 0.8),
+    "link.patience": ({}, 1),
+    "link.max_interp_gap": ({"link.strategy": "greedy"}, 1),
+    "link.strategy": ({}, "greedy"),
+    "refine.coord_displacement_min": ({}, 0.0),
+    "refine.enlarge_factor": ({}, 1.5),
+    "refine.window_sizes": ({}, [16, 48]),
+    "refine.window_stride": ({}, 8),
+    "label.spatial_pos": ({}, 0.6),
+    "label.temporal_pos": ({}, 0.9),  # above a 64-frame window's 0.8 against an 80-frame reference
+    "label.temporal_neg": ({}, 0.45),  # above a 32-frame window's 0.4
+    "scorer.name": ({}, "heuristic"),
+    "scorer.epsilon": ({}, 0.2),
+    "scorer.label_noise": ({}, 0.5),
+    "scorer.seed": ({"scorer.label_noise": 0.5}, 1),
+    "nms.method": ({}, "linear"),
+    "nms.sigma": ({}, 0.1),
+    "nms.linear_threshold": ({"nms.method": "linear"}, 0.8),
+    "nms.score_threshold": ({}, 0.5),
+    "fusion.vehicle_weight": ({}, 0.5),
+    "fusion.person_weight": ({}, 0.5),
+    "eval.target_rfa": ({}, 1.0),
+    "eval.recall_thresholds": ({}, [0.5]),
+    "align.temporal_iou_min": ({}, 0.9),
+}
+# what a run shows of its config: the proposals and scored files are left
+# out, so a key that only they echo counts as dead
+OBSERVED_FILES = ("detections.jsonl", "ground_truth.jsonl", "video_meta.jsonl", "tubelets.jsonl",
+                  "instances.jsonl", "det.csv", "summary.json", "recall.csv")
+
+
+def test_every_config_key_takes_effect(tmp_path):
+    # every tunable changes what a run writes or counts, or it is dead; a new
+    # key needs a case here
+    assert set(KEY_CASES) == {f"{section}.{key}" for section, keys in cli.DEFAULT_CONFIG.items() for key in keys}
+    runs = {}
+
+    def observed(flags):
+        name = json.dumps(flags, sort_keys=True)
+        if name not in runs:
+            out = tmp_path / str(len(runs))
+            cli.run_pipeline(cli._merged_config(None, flags), str(out))
+            runs[name] = ({f: (out / f).read_bytes() for f in OBSERVED_FILES},
+                          _manifest(out / "run")["record_counts"])
+        return runs[name]
+
+    dead = [key for key, (override, value) in KEY_CASES.items()
+            if observed({**KEY_CASES_BASE, **override}) == observed({**KEY_CASES_BASE, **override, key: value})]
+    assert dead == []
+
+
+# The noisy-oracle golden corpus's proposals and scored files as the format
+# before this one wrote them: each line also held `sample_count` and each box
+# row its tubelet row's `score` and `provenance`.
+PREVIOUS_FORMAT_DIGESTS = {
+    "proposals.jsonl": "ca784b84ea486c22bf62f98d7d4888a03ef7e6aa95a79618fcc1dfeee364743a",
+    "scored_vehicle.jsonl": "9db38e6ec0ad5971067e13ee71ab6beaee4f524a8c0c8df9bc2317acc53309fe",
+    "scored_person.jsonl": "d487e9bc5278b5fa41fb0d95e95bc84c789287585beee4a72e9a1d97ee6227f4",
+}
+
+
+def test_previous_proposals_format_still_reads(tmp_path):
+    # the readers ignore the keys they do not use, so a file in the previous
+    # format reads to the same proposals and fuses to the same bytes
+    out, cfg = tmp_path / "run", write_config(tmp_path, CORPORA["noisy-oracle"])
+    cli.run_pipeline(cli._merged_config(cfg), str(out))
+    tubelets = {(rec["video_id"], rec["id"]): rec for _, rec in data_model.read_jsonl(out / "tubelets.jsonl")}
+    old = {}
+    for name, digest in PREVIOUS_FORMAT_DIGESTS.items():
+        lines = []
+        for _, rec in data_model.read_jsonl(out / name):
+            for row, tubelet_row in zip(rec["boxes"], tubelets[rec["video_id"], rec["id"]]["boxes"]):
+                row.update(score=tubelet_row["score"], provenance=tubelet_row["provenance"])
+            lines.append(json.dumps({**rec, "sample_count": 64}, sort_keys=True) + "\n")
+        old[name] = tmp_path / f"old_{name}"
+        old[name].write_text("".join(lines))
+        assert hashlib.sha256(old[name].read_bytes()).hexdigest() == digest
+        _same_proposals(refinement.read_proposals(out / name), refinement.read_proposals(old[name]))
+
+    fused = tmp_path / "instances.jsonl"
+    res = run(["fuse", "--vehicle", str(old["scored_vehicle.jsonl"]), "--person", str(old["scored_person.jsonl"]),
+               "--out", str(fused), "--config", cfg])
+    assert res.exit_code == 0
+    assert fused.read_bytes() == (out / "instances.jsonl").read_bytes()

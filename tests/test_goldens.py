@@ -70,9 +70,9 @@ GOLDENS = {
         "det.csv": "f02f47cf6b7672d63219802c3bfc9fd9325c2dec2574db90df11963c9f7ad27d",
         "summary.json": "9bff52cc11c503e658c6b6b6869682e26dccdb4072d7f0555d5e0da285232f85",
         "recall.csv": "8e4b46849f1759038253abdd6d3b500146e4a52e28c7c698bf4aa6cccf19a7b2",
-        "proposals.jsonl": "624334a84531a41ac4e381f87c6b67d1a73636d52f95b2a5bcbf75cfeb8ca7c4",
-        "scored_vehicle.jsonl": "ed5d6cc97328ffe5407cae6e2bb92b0b99ca1389e2e9525168bd29bd87566123",
-        "scored_person.jsonl": "e490044988efcc10aee2e27d5ac2989ed0b399c88365b1b0ede5746d90df54dd",
+        "proposals.jsonl": "5ad2c92ea782548e90143a2ac3de283d6a4213019f22e62b5a223e4298aeba0f",
+        "scored_vehicle.jsonl": "d14b4f5edfab76622fc7793ed40d9baec1f20145644dd96928ff2942639d8d6c",
+        "scored_person.jsonl": "7c92e96c5b8a79b6e1d0ad7d1bf527913bea7961dd973303f129b496b52153f7",
         "detections.jsonl": "3baa2b2eefe42619c8c2e48b7ed05e120c8b3e3a4a0f3e16c8aaa6b2239449e6",
         "ground_truth.jsonl": "b9328db26a102de86bfc379223c008bdcd5193b90608c3f93e238f78b4cb9db4",
         "video_meta.jsonl": "7dea6b64797909f97fc7bbc5f6e2988d720b2be1eb423bd21dff2cb594e9bc65",
@@ -83,9 +83,9 @@ GOLDENS = {
         "det.csv": "539e03fd721eb0f284cbe64bc1fe6915c36b25d6029af20091f2ef7eff0c0912",
         "summary.json": "109afd18287af97207ca88fff4f980e063b0643f235744cf41ae1eee9c362cc0",
         "recall.csv": "3824620ba9051be4a75e2a01270cb3abbc11102ee0c57792c4940f4824c9f86d",
-        "proposals.jsonl": "ca784b84ea486c22bf62f98d7d4888a03ef7e6aa95a79618fcc1dfeee364743a",
-        "scored_vehicle.jsonl": "9db38e6ec0ad5971067e13ee71ab6beaee4f524a8c0c8df9bc2317acc53309fe",
-        "scored_person.jsonl": "d487e9bc5278b5fa41fb0d95e95bc84c789287585beee4a72e9a1d97ee6227f4",
+        "proposals.jsonl": "b4a9e941d33f0413d44ac64b0ce264f22e391cdd8d282c00a6e9970a294fea64",
+        "scored_vehicle.jsonl": "8925eabb89bae041671363e54cd09ed8e37bc58ac7dc20e66e7286a18e6eb109",
+        "scored_person.jsonl": "0759ad8d0b0dd9da280036a77c10a82ae17fd0edde76e8f5c6304385be02f0fd",
         "detections.jsonl": "7fcf7ec5123ebe8fc40dd66a042d9c9ab6bc6f4ae17fbae5db361c905d7ca915",
         "ground_truth.jsonl": "efa97b836643ef037240f53d26413c6ecedda748d07ece63f9a373c694a2919d",
         "video_meta.jsonl": "77e3dc2abb330e09f647ef241f1f3f297301fd6c0bb210602cb94f17cc05eafb",
@@ -96,9 +96,9 @@ GOLDENS = {
         "det.csv": "ddd8c692e332ea8e4d0c86c91e7b603e8a8387b645cd7a4f369d6dd58a64ecaf",
         "summary.json": "31da692103be9daa95d861256edf0c72236f1fddac2f0284fb3ffc3b97c18772",
         "recall.csv": "5e51d09b2b93076bc75f2275f9c5462b433d47fe2c6b3788bba156d1d1813cb8",
-        "proposals.jsonl": "399b45ac69bc9934170da96f9b74cbeb7608679c527d1e80b9ff733e85ad9028",
-        "scored_vehicle.jsonl": "6bfeefcdd33862e0c4792e562b7c311b1cc0e600cfa86fa4f10b7add3fe9d693",
-        "scored_person.jsonl": "4086e7a3706e7bf122de20c39cd96e39447c04aab4bb1876abb5e3b0f38fb182",
+        "proposals.jsonl": "6351fd0da5cf36a5c67642ad94c4c657df0174354a4968dfce1312d8a04ea574",
+        "scored_vehicle.jsonl": "e2226db172fb77b008d57af9062076e019506126434c9262a80314eba7a6bd54",
+        "scored_person.jsonl": "f533fccf2f958231ee42621304d5a91ac46f948c903c9b09e33aaccea8e085bf",
         "detections.jsonl": "ace3e0f03ffaa4145bc3482aa6cf9f8de4e6aba6e53e5ee569c8402f62cc2e13",
         "ground_truth.jsonl": "d54ba0fb0d3915275a218a2920734718ce91796b5332054c03fbec578e8d1e66",
         "video_meta.jsonl": "7dea6b64797909f97fc7bbc5f6e2988d720b2be1eb423bd21dff2cb594e9bc65",
@@ -109,9 +109,9 @@ GOLDENS = {
         "det.csv": "663d7c93d503347dca1194ff174b76f5ce180dfacb351f723b8e21b431cd3dca",
         "summary.json": "513f81d7e595c0d5835126ea8717ec93369feade860dd2b012767b101ff83efa",
         "recall.csv": "3bb98f5839d45a28069d239576d8c3527a570f141925aee56cd6556cc879e5b1",
-        "proposals.jsonl": "6814a7568c9eb16328adb36f73367c309b11bc04f3c8f8dce8d836113ba5347a",
-        "scored_vehicle.jsonl": "5da128b31d06e2068879c1c1ae219cf649fcd4c7ea057ad1f5d5744cccfb1414",
-        "scored_person.jsonl": "bb2ec13fba439d8974ecd69ae9232d9bc9721c0c2e0bdab712ab81e4c1e59a82",
+        "proposals.jsonl": "89190dea1e7c25f9a69802ee9ded71cf102927f7aee96d3a476d3cc1ca43aaba",
+        "scored_vehicle.jsonl": "8e82df2c369eb92e959d917887b8957316dafce23929798c5b6e8ef119a7d016",
+        "scored_person.jsonl": "2ad716f57d29618f44cd3ba3bf4d492b0e0e30566f95ae8eaaef5879a52c8057",
         "detections.jsonl": "8bd632150cbfd814adbb83847f947b87a3bc36a5b47476ce4d6f922bb7b54ca2",
         "ground_truth.jsonl": "f07004e9ba05d5a2e8d191b3d75d4ccea84337b86bff3e19b440e42183bf7497",
         "video_meta.jsonl": "2cdc9b1c4274100deaa26b7804676666e20a6b819c7f00ec9f59b498ecc37b81",
@@ -122,9 +122,9 @@ GOLDENS = {
         "det.csv": "622b4c3cd009f315a9860458c0d762d328019e7fddcc367aa315b372766cfed8",
         "summary.json": "52a96f24f3cf7ef7999750c7122ecab65a4298aee66a37d11da7cfeb3b498827",
         "recall.csv": "7c30912fa7d56dcf0d53eea80477eb59e2334ddf424616f513d24367c3aed37d",
-        "proposals.jsonl": "e0fb97a6eecdd3fe06a584c1bce86c1181f78b2cf268615d0c4b9bb0096397e8",
-        "scored_vehicle.jsonl": "7a21721d9488445c88120ce1fe177f969cdb9fa23e84b71ea7883ba754b2b232",
-        "scored_person.jsonl": "357d28620f41663e608d8bc2ae0cac439219eeef7e51b8299160d8d3041f3c7e",
+        "proposals.jsonl": "bfac8ce004094f59cacf104aa0b4793db9425f313bb3a5a2bdd8706d3e904b3e",
+        "scored_vehicle.jsonl": "d1c38e03a8970ed8eea936458603a8773a2cb71d59fc49d1a41085946b03fbd2",
+        "scored_person.jsonl": "019eec7122925ee29c08b61c3f4225ff256db4e545da35e58664f1eca263a5dc",
         "detections.jsonl": "03531ab44e27852ae037715799182a33a2eb1a74c13b7798273a1e89f5b102c6",
         "ground_truth.jsonl": "906b953c78dd2181090f0ac1c3026910d9010ff0ea08b5cf93615c23def91e79",
         "video_meta.jsonl": "61d613d8555c428412ce9fa19a4b708e4d2f01710936336cb5b190f9d5a47618",

@@ -5,8 +5,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from tubekit import kernels, linking
-from tubekit.data_model import DETECTION_CLASSES, OBJECT_CLASSES, detection_columns
+from tubekit import cli, kernels, linking
+from tubekit.data_model import DETECTION_CLASSES, OBJECT_CLASSES, VideoMeta, detection_columns
 from tubekit.evaluation import tubelet_recall
 from tubekit.geometry import Box, Interval, spatial_iou
 from tubekit.linking import (
@@ -326,9 +326,9 @@ def reference_iou_pairs(boxes_a, boxes_b, linked):
     )
 
 
-def reference_track_link(detections, config=LinkConfig()):
-    video_ids = {d.video_id for d in detections}
-    video_id = video_ids.pop() if video_ids else ""
+def reference_tracks(detections, config=LinkConfig()):
+    """The scalar tracker's tracks: those `patience` ended, in the order they
+    ended, then those still live after the last detection frame."""
     by_frame = {}
     for d in sorted(detections, key=lambda d: (d.frame, d.box, -d.score)):
         by_frame.setdefault(d.frame, []).append(d)
@@ -370,9 +370,14 @@ def reference_track_link(detections, config=LinkConfig()):
             for idx, d in enumerate(dets):
                 if idx not in claimed:
                     live.append(_RefTrack(d.object_class, [(f, d.box, d.score, "detected")], last_match_frame=f))
-    finished.extend(live)
+    return finished, live
+
+
+def reference_track_link(detections, config=LinkConfig()):
+    video_ids = {d.video_id for d in detections}
+    video_id = video_ids.pop() if video_ids else ""
     tubelets = []
-    for tr in finished:
+    for tr in itertools.chain(*reference_tracks(detections, config)):
         entries = [e for e in tr.entries if e[0] <= tr.last_match_frame]
         tubelets.append(_ref_emit(video_id, tr.object_class, entries))
     return _ref_numbered(tubelets)
@@ -642,6 +647,48 @@ class TestTrackLinkEqualsReference:
             assert sum(rows_in > rows_out for _, rows_in, rows_out in compactions) >= 20
             if compact_rows == 64:  # the row count, not the block count, starts most compactions
                 assert sum(len(blocks) < linking._COMPACT_BLOCKS for blocks, _, _ in compactions) > len(compactions) / 2
+
+
+def linked_funnel(tmp_path, videos, config):
+    """The record counts of `cli.link` on `videos` (scalar record lists, one
+    per video) under `config`."""
+    columns_by_id = {dets[0].video_id: columns(dets, dets[0].video_id) for dets in videos}
+    metas = {v: VideoMeta(v, 10**6, 30.0, 1280.0, 720.0) for v in columns_by_id}
+    m = cli.Manifest("link", cli.Config(link=config))
+    cli.link(m, (columns_by_id, {}), metas, tmp_path / "tubelets.jsonl")
+    return m.counts
+
+
+class TestTracksEnded:
+    # the link funnel's `tracks_ended` is read from the tubelets alone: the
+    # tracks whose last row + patience is at most the video's last frame
+    @pytest.mark.parametrize("patience", [1, 2, 5, 50])
+    def test_dropout_and_false_positive_corpus(self, tmp_path, patience, corpus_videos):
+        config = LinkConfig(patience=patience)
+        want = sum(len(reference_tracks(dets, config)[0]) for dets in corpus_videos)
+        assert want > 0
+        assert linked_funnel(tmp_path, corpus_videos, config)["tracks_ended"] == want
+
+    @pytest.mark.parametrize("patience", [5, 50])
+    def test_long_scene_with_a_quiet_stretch(self, tmp_path, patience):
+        dets = long_scene(7)
+        config = LinkConfig(patience=patience)
+        finished, live = reference_tracks(dets, config)
+        assert finished and live
+        assert linked_funnel(tmp_path, [dets], config)["tracks_ended"] == len(finished)
+
+    def test_seeded_scenes(self, tmp_path):
+        ended = 0
+        for k, config in enumerate(CONFIGS):
+            for dets in filter(None, map(scene, range(k * 10, k * 10 + 10))):
+                want = len(reference_tracks(dets, config)[0])
+                assert linked_funnel(tmp_path, [dets], config)["tracks_ended"] == want
+                ended += want
+        assert ended > 0
+
+    def test_greedy_ends_no_track(self, tmp_path, corpus_videos):
+        counts = linked_funnel(tmp_path, corpus_videos, LinkConfig(strategy="greedy", patience=1))
+        assert counts["tubelets"] > 0 and counts["tracks_ended"] == 0
 
 
 class TestTrackLinkCost:

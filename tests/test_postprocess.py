@@ -318,7 +318,7 @@ def random_bucket(rng):
         spans = list(zip(cuts[:-1], cuts[1:])) + [(start, start + length)]
         for lo, hi in spans:
             score = float(rng.choice([0.0005, 0.3, 0.5, 0.9, rng.uniform(0.0, 1.0)]))
-            proposals.append(Proposal(0, tubelet, Interval(int(lo), int(hi)), 8, {"Riding": score}))
+            proposals.append(Proposal(0, tubelet, Interval(int(lo), int(hi)), {"Riding": score}))
     for pid, i in enumerate(rng.permutation(len(proposals))):
         proposals[int(i)].proposal_id = pid
     return proposals
@@ -352,8 +352,8 @@ class TestSoftNmsEqualsPairwiseLoop:
         b_rows = np.array([[-1.0, -1.0, 3e-162, 3e-162], [5.0, 5.0, 6.0, 6.0]])
         b = make_tubelet(b_rows, tubelet_id=1)
         props = [
-            Proposal(0, a, Interval(0, 2), 8, {"Riding": 0.9}),
-            Proposal(1, b, Interval(0, 2), 8, {"Riding": 0.8}),
+            Proposal(0, a, Interval(0, 2), {"Riding": 0.9}),
+            Proposal(1, b, Interval(0, 2), {"Riding": 0.8}),
         ]
         assert 0.0 < paired_iou(a.boxes[:1], b.boxes[:1])[0] < 2.0 ** -1000
         assert tubelet_spatial_iou(*props) == 0.0

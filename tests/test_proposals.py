@@ -77,7 +77,7 @@ class TestTubeletSpatialIou:
                 b = make_tubelet(random_track(rng, eb - sb), start=sb, tubelet_id=1)
                 # a proposal is a view into its tubelet at an offset
                 window = Interval(sb + (eb - sb) // 4, eb)
-                p = Proposal(0, b, window, 8)
+                p = Proposal(0, b, window)
                 inst = ActivityInstance("v0", "Riding", Interval(sa, ea), a.boxes, 1.0)
                 for x, y in ((a, b), (b, a), (p, a), (inst, p), (a, a)):
                     assert tubelet_spatial_iou(x, y) == scalar_spatial_iou(x, y)

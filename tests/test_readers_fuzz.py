@@ -36,9 +36,9 @@ def _proposals(scored):
     t0, t1 = _tubelets()
     scores = (lambda s: {"Riding": s, "non_action": 1.0 - s}) if scored else (lambda s: None)
     return [
-        refinement.Proposal(0, t0, Interval(0, 3), 8, scores(0.75)),
-        refinement.Proposal(1, t0, Interval(1, 5), 8, scores(0.5)),
-        refinement.Proposal(2, t1, Interval(5, 10), 8, scores(0.25)),
+        refinement.Proposal(0, t0, Interval(0, 3), scores(0.75)),
+        refinement.Proposal(1, t0, Interval(1, 5), scores(0.5)),
+        refinement.Proposal(2, t1, Interval(5, 10), scores(0.25)),
     ]
 
 
@@ -145,7 +145,7 @@ def window_outside(kind, rec, draw):
 def fractional_integer(kind, rec, draw):
     """An integer field of the record, a box row or a proposal entry made
     fractional, non-finite, a string or a bool."""
-    fields = [(rec, k) for k in ("start", "end", "id", "sample_count") if k in rec]
+    fields = [(rec, k) for k in ("start", "end", "id") if k in rec]
     fields += [(row, "frame") for row in rec["boxes"]]
     fields += [(e, k) for e in rec.get("proposals", []) for k in ("proposal_id", "start", "end")]
     target, key = draw(st.sampled_from(fields))
@@ -256,6 +256,29 @@ def test_second_line_with_an_earlier_tubelet_key_is_a_parse_error(tmp_path, inpu
     res = CliRunner().invoke(main, _cli_args(kind, str(path), inputs))
     assert res.exit_code == 1, res.output
     assert f"{path}:2: " in json.loads(res.output.strip().splitlines()[-1])["error"]
+
+
+@pytest.mark.parametrize("as_id", [int, float])
+@pytest.mark.parametrize("kind", ["proposals", "scored"])
+@pytest.mark.parametrize("line", [1, 2])
+def test_proposal_with_an_earlier_proposal_id_is_a_parse_error(tmp_path, inputs, kind, as_id, line):
+    # two proposals with one id would share the oracle's label-noise draw and
+    # tie in soft-NMS's order; the first line holds proposals 0 and 1, the
+    # second proposal 2, which takes the id of proposal 0 (line 2) or proposal
+    # 1 does (line 1)
+    path = tmp_path / f"{kind}.jsonl"
+    _write(kind, path)
+    first, second = (json.loads(line) for line in path.read_text().splitlines())
+    entry = second["proposals"][0] if line == 2 else first["proposals"][1]
+    entry["proposal_id"] = as_id(first["proposals"][0]["proposal_id"])
+    path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+
+    with pytest.raises(ParseError, match="duplicate proposal \\('v0', 0\\)") as exc:
+        READERS[kind](path)
+    assert (exc.value.path, exc.value.line) == (path, line)
+    res = CliRunner().invoke(main, _cli_args(kind, str(path), inputs))
+    assert res.exit_code == 1, res.output
+    assert f"{path}:{line}: " in json.loads(res.output.strip().splitlines()[-1])["error"]
 
 
 # ---------------------------------------------------------------------------

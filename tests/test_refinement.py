@@ -4,13 +4,13 @@ from conftest import box_rows, make_tubelet
 
 from tubekit.errors import InvalidInputError
 from tubekit.geometry import Interval, mean_center_step
+from tubekit.linking import Track
 from tubekit.refinement import (
     RefineConfig,
     filter_static,
     jitter,
     make_proposals,
     normalize_boxes,
-    sample_frames,
 )
 
 
@@ -109,36 +109,14 @@ class TestJitter:
         assert jitter(t, cfg) == [Interval(100, 132), Interval(108, 140)]
 
 
-class TestSampleFrames:
-    def test_repeats_when_short(self):
-        assert sample_frames(4, 8) == [0, 0, 1, 1, 2, 2, 3, 3]
-
-    def test_identity_when_equal(self):
-        assert sample_frames(8, 8) == list(range(8))
-
-    def test_stride_two(self):
-        assert sample_frames(16, 8) == [0, 2, 4, 6, 8, 10, 12, 14]
-
-    def test_properties(self):
-        for length in (1, 3, 63, 64, 65, 500):
-            out = sample_frames(length, 64)
-            assert len(out) == 64
-            assert out[0] == 0
-            assert out == sorted(out)
-            assert all(0 <= i < length for i in out)
-
-    def test_invalid(self):
-        with pytest.raises(InvalidInputError):
-            sample_frames(0, 8)
-
-
 class TestMakeProposals:
-    def test_sampled_frames_inside_window(self, frame_size):
+    def test_windows_view_one_normalised_track(self, frame_size):
         t = moving_tubelet(100)
         props = make_proposals(t, *frame_size)
+        # the normalised track keeps the tubelet's identity, not its scores or provenance
+        assert type(props[0].tubelet) is Track
+        assert (props[0].tubelet.id, props[0].tubelet.extent) == (t.id, t.extent)
         for p in props:
-            assert len(p.sampled_frames) == 64
-            assert all(p.window.start <= f < p.window.end for f in p.sampled_frames)
             assert p.boxes.shape == (p.window.length, 4)
             # boxes are rows of the one shared normalised tubelet, not copies
             assert p.tubelet is props[0].tubelet

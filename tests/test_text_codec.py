@@ -38,18 +38,20 @@ def reference_encode_boxes(extent, boxes, **columns):
     return [dict(zip(keys, row)) for row in rows]
 
 
-def reference_tubelet_record(t):
+def reference_track_record(t, **columns):
     return {
         "id": t.id,
         "video_id": t.video_id,
         "class": t.object_class,
         "start": t.extent.start,
         "end": t.extent.end,
-        "boxes": reference_encode_boxes(
-            t.extent, t.boxes, score=t.box_scores.tolist(),
-            provenance=[PROVENANCES[c] for c in t.provenance.tolist()],
-        ),
+        "boxes": reference_encode_boxes(t.extent, t.boxes, **columns),
     }
+
+
+def reference_tubelet_record(t):
+    return reference_track_record(t, score=t.box_scores.tolist(),
+                                  provenance=[PROVENANCES[c] for c in t.provenance.tolist()])
 
 
 def reference_instance_record(inst):
@@ -68,7 +70,7 @@ def reference_proposal_records(proposals):
     for p in sorted(proposals, key=lambda p: (p.video_id, p.proposal_id)):
         key = (p.video_id, p.tubelet_id)
         if key not in lines:
-            lines[key] = {**reference_tubelet_record(p.tubelet), "sample_count": p.sample_count, "proposals": []}
+            lines[key] = {**reference_track_record(p.tubelet), "proposals": []}
         entry = {"proposal_id": p.proposal_id, "start": p.window.start, "end": p.window.end}
         if p.scores is not None:
             entry["scores"] = p.scores
@@ -151,7 +153,7 @@ def test_tubelet_and_proposal_lines_equal_the_reference(tmp_path, drawn):
     assert written(tmp_path, write_tubelet_list, tubes) == reference_text(
         reference_tubelet_record(t) for t in sorted(tubes, key=lambda t: (t.video_id, t.id)))
     props = [
-        Proposal(10 * i + j, t, Interval(t.extent.start + j, t.extent.end), 64,
+        Proposal(10 * i + j, t, Interval(t.extent.start + j, t.extent.end),
                  None if j else {"Riding": t.box_scores[0].item(), "non_action": 1.0 - t.box_scores[0].item()})
         for i, t in enumerate(tubes) for j in range(min(2, t.extent.length))
     ]
@@ -242,7 +244,7 @@ def test_instances_read_from_a_file_share_rows(tmp_path, monkeypatch):
     tubelets = [make_tubelet(np.arange(48, dtype=np.float64).reshape(12, 4) + k, start=3, tubelet_id=k)
                 for k in range(2)]
     windows = [Interval(3, 15), Interval(3, 9), Interval(5, 11), Interval(9, 15)]
-    props = [Proposal(len(windows) * k + i, t, w, 8, {"Riding": 0.5}) for k, t in enumerate(tubelets)
+    props = [Proposal(len(windows) * k + i, t, w, {"Riding": 0.5}) for k, t in enumerate(tubelets)
              for i, w in enumerate(windows)]
     write_proposals(props, tmp_path / "scored.jsonl")
     instances = [ActivityInstance(p.video_id, "Riding", p.window, p.boxes, 0.1 * (1 + p.proposal_id % 4))
@@ -274,7 +276,7 @@ def test_non_finite_values_raise(tmp_path, bad):
     scores_bad.box_scores[2] = bad
     with pytest.raises(ValueError, match="non-finite"):
         write_tubelet_list([scores_bad], tmp_path / "t.jsonl")
-    props = [Proposal(0, make_tubelet(boxes[[0, 0, 0]]), Interval(0, 3), 8, {"Riding": bad})]
+    props = [Proposal(0, make_tubelet(boxes[[0, 0, 0]]), Interval(0, 3), {"Riding": bad})]
     with pytest.raises(ValueError):
         write_proposals(props, tmp_path / "p.jsonl")
     frames, scores, classes = np.arange(3), np.full(3, 0.5), np.zeros(3, dtype=np.int64)
