@@ -40,10 +40,12 @@ import sys
 import time
 
 import click
+import numpy as np
 
 from . import data_model, evaluation, linking, postprocess, proposals, refinement, synthgen
 from .errors import InvalidInputError, TubekitError
 from .evaluation import AlignmentPolicy, EvalConfig
+from .geometry import Interval
 from .linking import LinkConfig
 from .postprocess import FusionConfig, SoftNmsConfig
 from .proposals import LabelPolicy, ScorerConfig
@@ -181,14 +183,30 @@ def _check_frame_range(what, tracks, metas):
     tubelet or instance) must name a video of `metas` and its extent must end
     at or before that video's frame_count; an InvalidInputError otherwise."""
     for track in tracks:
-        meta, extent = metas.get(track.video_id), track.extent
-        if meta is None:
-            raise InvalidInputError(f"{what} references unknown video_id {track.video_id!r}")
-        if extent.end > meta.frame_count:
-            raise InvalidInputError(
-                f"video {track.video_id!r}: {what} extent [{extent.start}, {extent.end}) ends at frame "
-                f"{extent.end - 1}, outside its frame_count {meta.frame_count}"
-            )
+        _check_extent(what, track.video_id, track.extent, metas)
+
+
+def _check_extent(what, video_id, extent, metas):
+    meta = metas.get(video_id)
+    if meta is None:
+        raise InvalidInputError(f"{what} references unknown video_id {video_id!r}")
+    if extent.end > meta.frame_count:
+        raise InvalidInputError(
+            f"video {video_id!r}: {what} extent [{extent.start}, {extent.end}) ends at frame "
+            f"{extent.end - 1}, outside its frame_count {meta.frame_count}"
+        )
+
+
+def _check_tubelet_range(tubelets, metas):
+    """`_check_frame_range` of a `LinkedTubelets`, on its columns: one array
+    step finds the first tubelet of a table that breaks the rule, and it
+    raises as its `Tubelet` would."""
+    for table in tubelets.tables:
+        if len(table):
+            meta = metas.get(table.video_id)
+            ends = table.starts + table.lengths
+            k = 0 if meta is None else int(np.argmax(ends > meta.frame_count))
+            _check_extent("tubelet", table.video_id, Interval(int(table.starts[k]), int(ends[k])), metas)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +235,7 @@ def link(m, detections, metas, out):
     with m.phase("link", "compute"):
         _check_frame_range("detection", videos.values(), metas)
         link_video = linking.greedy_link if cfg.link.strategy == "greedy" else linking.track_link
-        tubes = linking.LinkedTubelets([link_video(videos[v], config=cfg.link) for v in sorted(videos)])
+        tubes = linking.LinkedTubelets.numbered([link_video(videos[v], config=cfg.link) for v in sorted(videos)])
     with m.phase("link", "write"):
         linking.write_tubelets(tubes, out)
     m.counts.update(
@@ -238,7 +256,7 @@ def refine(m, tubelets, metas, out):
     `refine.coord_displacement_min`, when every tubelet is static."""
     cfg = m.cfg
     with m.phase("refine", "compute"):
-        _check_frame_range("tubelet", tubelets, metas)
+        _check_tubelet_range(tubelets, metas)
         kept, removed = refinement.filter_static(tubelets, cfg.refine)
         props = []
         for tub in kept:
@@ -246,7 +264,7 @@ def refine(m, tubelets, metas, out):
             props.extend(refinement.make_proposals(tub, meta.width, meta.height, cfg.refine, id_start=len(props)))
     with m.phase("refine", "write"):
         refinement.write_proposals(props, out)
-    m.counts.update(proposals=len(props), removed_static=removed)
+    m.counts.update(tubelets=len(tubelets), proposals=len(props), removed_static=removed)
     if removed and not kept:
         m.warn(f"all {removed} tubelets were removed as static: none moves its box centre by a mean of "
                f"refine.coord_displacement_min {cfg.refine.coord_displacement_min} px a frame; no proposal is left")
@@ -333,7 +351,7 @@ def eval_recall(m, tubelets, references, out):
         curve = evaluation.tubelet_recall(tubelets, references, m.cfg.eval.recall_thresholds)
     with m.phase("eval-recall", "write"):
         evaluation.write_recall_csv(curve, out)
-    m.counts["thresholds"] = len(curve.thresholds)
+    m.counts.update(tubelets=len(tubelets), thresholds=len(curve.thresholds))
     return curve
 
 

@@ -18,7 +18,8 @@ format per record kind, not a dict per record, and refuse NaN and infinity.
 Detections are held per video as columns (`VideoDetections`). Instances,
 tubelets and proposals are *tracks*: an ``extent`` plus an (n,4) float64
 ``boxes`` array whose row k is frame ``extent.start + k``. They share one box
-list format: ``box_rows_text`` writes it and ``decode_boxes`` reads it.
+list format: ``box_rows_text`` writes it, and ``box_values`` checks it as
+``decode_boxes`` and the tubelet reader read it.
 """
 
 import json
@@ -269,21 +270,31 @@ def box_rows_text(start, boxes, row_format=_BOX_ROW, columns=()):
     return list(map(row_format.__mod__, zip(range(start, start + len(x1)), *columns, x1, x2, y1, y2)))
 
 
-def decode_boxes(rows, extent, *columns):
-    """Inverse of `box_rows_text`: the box array in frame order, then one list
-    per named extra column. The rows must hold every frame of `extent` once,
-    in any order, and every box must be finite and not inverted."""
+def box_values(rows, extent):
+    """The rows of a track's box list in frame order, and their x1, y1, x2, y2
+    values back to back as a float64 `array`. The rows must hold every frame
+    of `extent` once, in any order, and every box must be finite and not
+    inverted."""
     rows = sorted(rows, key=lambda r: int_field(r, "frame"))
     if [int_field(r, "frame") for r in rows] != list(extent.frames()):
         raise InvalidInputError(f"boxes must hold each frame of [{extent.start}, {extent.end}) once")
     values = [r[k] for r in rows for k in BOX_KEYS]
     require_numbers(values, "box coordinates")
+    values = array("d", values)
+    for k, (x1, y1, x2, y2) in enumerate(zip(*[iter(values)] * 4)):
+        # a NaN fails every comparison; an infinity fails the outer ones
+        if not (-math.inf < x1 <= x2 < math.inf and -math.inf < y1 <= y2 < math.inf):
+            raise InvalidInputError(f"non-finite or inverted box at frame {extent.start + k}")
+    return rows, values
+
+
+def decode_boxes(rows, extent):
+    """Inverse of `box_rows_text`: the (n,4) box array in frame order of rows
+    that `box_values` accepts."""
+    rows, values = box_values(rows, extent)
     boxes = np.empty((len(rows), 4))  # owns its memory, so `_row_owner` finds row views of it
     boxes.reshape(-1)[:] = values
-    bad = _bad_boxes(boxes)
-    if bad.any():
-        raise InvalidInputError(f"non-finite or inverted box at frame {extent.start + int(np.argmax(bad))}")
-    return (boxes, *([r[c] for r in rows] for c in columns))
+    return boxes
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +369,7 @@ def write_detections(videos, path):
 
 def _instance_from_record(rec):
     extent = Interval(int_field(rec, "start"), int_field(rec, "end"))
-    (boxes,) = decode_boxes(rec["boxes"], extent)
+    boxes = decode_boxes(rec["boxes"], extent)
     return ActivityInstance(
         video_id=str_field(rec, "video_id"),
         activity=str_field(rec, "activity"),

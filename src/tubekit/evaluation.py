@@ -62,25 +62,35 @@ class AlignmentResult:
 
 
 def tubelet_recall(tubelets, instances, thresholds):
-    """Fraction of ground-truth instances covered by at least one tubelet with
-    both mean spatial IoU and coverage |T∩R| / |R| above each threshold: a
-    tubelet follows its object through every activity, so its temporal IoU
-    with a short one is at most reference / tubelet."""
+    """Fraction of ground-truth instances covered by at least one tubelet of a
+    `LinkedTubelets` with both mean spatial IoU and coverage |T∩R| / |R|
+    above each threshold: a tubelet follows its object through every
+    activity, so its temporal IoU with a short one is at most reference /
+    tubelet.
+
+    An instance's overlap with each tubelet of its video's table is one
+    array step. The tubelets that overlap it are scored in descending
+    coverage, as `Tubelet` views, until the coverage is no more than the best
+    score: it bounds the score, and the best is a max, so the order does not
+    change it."""
     if not instances:
         raise InvalidInputError("recall is undefined for empty ground truth")
     thresholds = sorted(thresholds)
     by_video = {}
-    for t in tubelets:
-        by_video.setdefault(t.video_id, []).append(t)
+    for table in tubelets.tables:
+        by_video.setdefault(table.video_id, []).append(table)
 
     coverage = []
     for inst in instances:
         best, ref = 0.0, inst.extent
-        for tub in by_video.get(inst.video_id, []):
-            cover = max(min(tub.extent.end, ref.end) - max(tub.extent.start, ref.start), 0) / ref.length
-            if cover <= best:
-                continue
-            best = max(best, min(cover, tubelet_spatial_iou(tub, inst)))
+        for table in by_video.get(inst.video_id, ()):
+            overlap = np.minimum(table.starts + table.lengths, ref.end) - np.maximum(table.starts, ref.start)
+            (candidates,) = (overlap > 0).nonzero()
+            for i in candidates[np.argsort(-overlap[candidates], kind="stable")].tolist():
+                cover = int(overlap[i]) / ref.length
+                if cover <= best:
+                    break
+                best = max(best, min(cover, tubelet_spatial_iou(table[i], inst)))
         coverage.append(best)
 
     recall = tuple(sum(1 for c in coverage if c > tau) / len(coverage) for tau in thresholds)

@@ -11,6 +11,8 @@ constructions to show that none happen.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidInputError
 
 
@@ -73,18 +75,25 @@ def temporal_iou(a: Interval, b: Interval) -> float:
     return inter / union
 
 
-def mean_center_step(boxes):
-    """Mean distance between the centres of consecutive rows of an (n,4)
-    x1, y1, x2, y2 array; 0 for fewer than two rows. The distances go through
-    math.hypot and are summed left to right, so the result does not depend on
-    numpy's summation order."""
-    if len(boxes) < 2:
-        return 0.0
+def mean_center_steps(boxes, firsts, lengths):
+    """The mean distance between the centres of consecutive rows of each
+    track whose rows are `lengths[i]` rows of an (r,4) x1, y1, x2, y2 array
+    from row `firsts[i]`; 0 for fewer than two rows. The distances go through
+    math.hypot and each track's are summed left to right, so a mean does not
+    depend on numpy's summation order or on the other tracks."""
     cx = 0.5 * (boxes[:, 0] + boxes[:, 2])
     cy = 0.5 * (boxes[:, 1] + boxes[:, 3])
-    dx = (cx[1:] - cx[:-1]).tolist()
-    dy = (cy[1:] - cy[:-1]).tolist()
-    total = 0.0
-    for step_x, step_y in zip(dx, dy):
-        total += math.hypot(step_x, step_y)
-    return total / (len(boxes) - 1)
+    dx, dy = cx[1:] - cx[:-1], cy[1:] - cy[:-1]  # step k: from row k to row k + 1
+    means = np.zeros(len(lengths))
+    for i in np.flatnonzero(np.asarray(lengths) > 1).tolist():
+        lo, n = int(firsts[i]), int(lengths[i])
+        total = 0.0
+        for step in map(math.hypot, dx[lo:lo + n - 1].tolist(), dy[lo:lo + n - 1].tolist()):
+            total += step
+        means[i] = total / (n - 1)
+    return means
+
+
+def mean_center_step(boxes):
+    """`mean_center_steps` of the one track whose rows are all of `boxes`."""
+    return float(mean_center_steps(boxes, (0,), (len(boxes),))[0])

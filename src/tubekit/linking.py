@@ -5,19 +5,24 @@ tracking-based linking that bridges missed detections with a
 constant-velocity predictor and a patience window.
 
 Both linkers return one video's tubelets as one `VideoTubelets` column
-table: each tubelet's start frame, length, class code and first row, and the
-box, score and provenance rows of all of them. The table is a read-only
-sequence that makes a `Tubelet` (views of its rows) only when one is indexed
-or iterated, so a one-frame tubelet, most of a cluttered scene's, costs its
-row, not an object. `link` numbers the tables of a file's videos on across
-them as one `LinkedTubelets`, and `write_tubelets` formats their lines
-straight from the columns. A linker returns only its table. Greedy linking
-joins chains only across at most `link.max_interp_gap` missing frames and
-fills each such hole, so it never cuts a tubelet at a gap.
+table: each tubelet's id, start frame, length, class code and first row,
+and the box, score and provenance rows of all of them. The table is a
+read-only sequence that makes a `Tubelet` (views of its rows) only when one
+is indexed or iterated, so a one-frame tubelet, most of a cluttered scene's,
+costs its row, not an object. `link` numbers the tables of a file's videos
+on across them as one `LinkedTubelets`, and `write_tubelets` formats their
+lines straight from the columns; `read_tubelets` fills the same tables from
+a file, one per video. A linker returns only its table, and the tracker
+records only the rows that its tubelets keep. Greedy linking joins chains
+only across at most `link.max_interp_gap` missing frames and fills each
+such hole, so it never cuts a tubelet at a gap.
 """
 
 import itertools
 import json
+import math
+import sys
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -29,7 +34,7 @@ from .data_model import (
     DETECTION_CLASSES,
     OBJECT_CLASSES,
     box_rows_text,
-    decode_boxes,
+    box_values,
     finite_list,
     int_field,
     read_records,
@@ -64,9 +69,9 @@ class Track:
 
 @dataclass(eq=False)
 class Tubelet(Track):
-    """A linked track, with each row's detection score and provenance. A
-    linker's tubelet is a view that its `VideoTubelets` table makes and
-    numbers; a read one is numbered by its file."""
+    """A linked track, with each row's detection score and provenance: a view
+    of the rows of the `VideoTubelets` table that a linker or `read_tubelets`
+    fills."""
 
     box_scores: np.ndarray  # (n,) float64
     provenance: np.ndarray  # (n,) int8 index into PROVENANCES
@@ -79,8 +84,8 @@ class Tubelet(Track):
 
 @dataclass(frozen=True, eq=False)
 class VideoTubelets(Sequence):
-    """One video's tubelets as columns, in the order the linkers number them
-    (`_numbered`). Tubelet i has id `first_id + i` and class
+    """One video's tubelets as columns, in id order: the order the linkers
+    number them (`_numbered`) or a file's. Tubelet i has id ids[i] and class
     DETECTION_CLASSES[classes[i]]; its row k, frame starts[i] + k for
     k < lengths[i], is row firsts[i] + k of `boxes`, `box_scores` and
     `provenance`. Indexing makes a `Tubelet` whose arrays view those rows;
@@ -94,7 +99,7 @@ class VideoTubelets(Sequence):
     boxes: np.ndarray  # (r,4) float64 x1, y1, x2, y2
     box_scores: np.ndarray  # (r,) float64
     provenance: np.ndarray  # (r,) int8 index into PROVENANCES
-    first_id: int = 0
+    ids: np.ndarray  # (t,) int64
 
     def __len__(self):
         return len(self.starts)
@@ -103,7 +108,7 @@ class VideoTubelets(Sequence):
         k = range(len(self))[i]
         lo, n, start = int(self.firsts[k]), int(self.lengths[k]), int(self.starts[k])
         rows = slice(lo, lo + n)
-        return Tubelet(self.first_id + k, self.video_id, DETECTION_CLASSES[self.classes[k]],
+        return Tubelet(int(self.ids[k]), self.video_id, DETECTION_CLASSES[self.classes[k]],
                        Interval(start, start + n), self.boxes[rows], self.box_scores[rows], self.provenance[rows])
 
     def __iter__(self):
@@ -113,22 +118,28 @@ class VideoTubelets(Sequence):
         """The tubelets.jsonl line of each tubelet, in id order, formatted
         from the columns."""
         video = json.dumps(self.video_id)
-        columns = (self.starts.tolist(), self.lengths.tolist(), self.classes.tolist(), self.firsts.tolist())
-        for i, (start, n, code, lo) in enumerate(zip(*columns)):
+        columns = (self.ids, self.starts, self.lengths, self.classes, self.firsts)
+        for tubelet_id, start, n, code, lo in zip(*(col.tolist() for col in columns)):
             rows = slice(lo, lo + n)
-            yield _tubelet_text(self.first_id + i, _CLASS_TEXT[code], start, video, self.boxes[rows],
+            yield _tubelet_text(tubelet_id, _CLASS_TEXT[code], start, video, self.boxes[rows],
                                 self.box_scores[rows], self.provenance[rows])
 
 
 class LinkedTubelets:
-    """The tables of several videos as one sequence of tubelets, numbered on
-    from 0 across the tables in their order: what `link` returns. Iterating
+    """The tables of several videos, one per video in video id order, as one
+    sequence of tubelets: what `link` and `read_tubelets` return. Iterating
     makes each `Tubelet` as its table does."""
 
     def __init__(self, tables):
+        self.tables = tables
+        self._len = sum(map(len, tables))
+
+    @classmethod
+    def numbered(cls, tables):
+        """The linkers' `tables`, their tubelets numbered on from 0 across
+        the tables in their order."""
         first_ids = np.cumsum([0] + [len(t) for t in tables]).tolist()
-        self.tables = [replace(t, first_id=i) for t, i in zip(tables, first_ids)]
-        self._len = first_ids[-1]
+        return cls([replace(t, ids=t.ids + i) for t, i in zip(tables, first_ids)])
 
     def __len__(self):
         return self._len
@@ -138,8 +149,7 @@ class LinkedTubelets:
 
     def lines(self):
         """The tubelets.jsonl lines of every table, in (video_id, id) order."""
-        tables = sorted(self.tables, key=lambda t: (t.video_id, t.first_id))
-        return itertools.chain.from_iterable(t.lines() for t in tables)
+        return itertools.chain.from_iterable(t.lines() for t in self.tables)
 
     def row_count(self, provenance):
         """How many rows of the tables have `provenance` (0 with no table)."""
@@ -319,13 +329,17 @@ def _numbered(video_id, parts):
     whose rows lie back to back. The tubelets are numbered from 0 by start
     frame, class, then first box (x1, y1, x2, y2); a stable sort, so the
     order of `parts` breaks the ties."""
-    starts, lengths, classes, boxes, scores, prov = (np.concatenate(col) for col in zip(_NO_TUBELETS, *parts))
+    if len(parts) == 1:  # its arrays become the table's, not copied
+        (starts, lengths, classes, boxes, scores, prov), = parts
+    else:
+        starts, lengths, classes, boxes, scores, prov = (np.concatenate(col) for col in zip(_NO_TUBELETS, *parts))
     firsts = np.cumsum(lengths) - lengths
     head = boxes[firsts]
     order = np.lexsort((head[:, 3], head[:, 2], head[:, 1], head[:, 0], classes, starts))
     for rows in (boxes, scores, prov):
         rows.flags.writeable = False
-    return VideoTubelets(video_id, starts[order], lengths[order], classes[order], firsts[order], boxes, scores, prov)
+    return VideoTubelets(video_id, starts[order], lengths[order], classes[order], firsts[order], boxes, scores, prov,
+                         np.arange(len(order)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,27 +355,14 @@ def predict_next(last, prev):
     return last + np.concatenate((step, step), axis=1)
 
 
-# A row `patience` or more frames before the current one is final: either
-# its track has ended and `length` says whether it is kept, or its track has
-# matched since (a live track has fewer than `patience` misses) and keeps it.
-# Once the final row blocks number `_COMPACT_BLOCKS` or hold `_COMPACT_ROWS`
-# rows, they are compacted into one chunk without the rows an ended track
-# will not emit (a track ends after `patience` predicted rows, all trimmed),
-# so those rows do not pile up until the end of the video: the blocks hold
-# fewer rows than the last `patience` frames' plus `_COMPACT_ROWS`. A chunk
-# loses no row later, so each row is copied once before the final pass,
-# whatever the video length.
-_LIVE = np.iinfo(np.int64).max
-_COMPACT_BLOCKS = 64
-_COMPACT_ROWS = 4096
+# Every `_CHUNK_BLOCKS` row blocks that `track_link` records are joined into
+# one chunk, so a long video keeps few small arrays.
+_CHUNK_BLOCKS = 64
 
 
-def _kept_rows(blocks, length):
-    """The rows of the blocks, column by column, without the rows of a track
-    past its end (age >= length[track id])."""
-    tids, ages, *columns = (np.concatenate(col) for col in zip(*blocks))
-    kept = ages < length[tids]
-    return [tids[kept], ages[kept]] + [col[kept] for col in columns]
+def _joined(blocks):
+    """Each column of `blocks` (sequences of arrays, one per column) as one array."""
+    return [np.concatenate(col) for col in zip(*blocks)]
 
 
 def track_link(detections, config=LinkConfig()):
@@ -375,13 +376,10 @@ def track_link(detections, config=LinkConfig()):
     over all live tracks and all detections, its cross-class cells set to 0:
     `iou_link_threshold` is > 0, so each class is a block of its own and the
     (row, col) tie order holds within it. A frame with no live track and no
-    detection is skipped. Every frame records one row per live track (its
-    matched detection, or else its prediction) and one per new track, with
-    the row's age (frame - seed frame); rows `patience` or more frames old
-    are compacted as they go. At the end each track's rows up to its last
-    match are scattered into one array per column, the tracks in the order
-    they ended and the still-live ones last; `_numbered` sorts stably, so
-    that order breaks its ties."""
+    detection is skipped. Only the detected rows are recorded, when a track
+    is seeded or matched: each with its age (frame - seed frame), the box the
+    track had before it and the misses it bridges. See `_track_columns` for
+    the predicted rows."""
     if not len(detections):
         return _numbered(detections.video_id, [])
     det_boxes, det_scores, det_classes = detections.boxes, detections.scores, detections.classes
@@ -394,14 +392,8 @@ def track_link(detections, config=LinkConfig()):
     prev = np.zeros((0, 4))
     classes = np.zeros(0, dtype=np.int64)
     misses = np.zeros(0, dtype=np.int64)  # frames since the last match
-    carried = np.zeros(0)  # score of the last matched detection
-    # by track id; `length` has room for more tracks than were seeded
-    seed_frame, seed_class = [], []
-    length = np.full(64, _LIVE, dtype=np.int64)
-    end_order = []  # track ids, in the order the tracks ended
-    blocks, block_frames = [], []  # (track ids, ages, boxes, scores, detected?) rows, and their frames
-    final = final_rows = 0  # how many of the first blocks are final, and their rows
-    chunks = []  # compacted blocks, oldest first
+    seed_frame, seed_class = [], []  # by track id
+    blocks, chunks = [], 0  # (track ids, ages, boxes, scores, boxes before, misses) rows; the first `chunks` joined
 
     for f in range(min(frame_rows), max(frame_rows) + 1):
         lo, hi = frame_rows.get(f, (0, 0))
@@ -416,70 +408,83 @@ def track_link(detections, config=LinkConfig()):
             pred = np.where(ages[:, None] >= 2, predict_next(last, prev), last)
             if not np.isfinite(pred).all():
                 raise InvalidInputError(f"non-finite predicted box at frame {f}")
-            hit = np.zeros(len(tids), dtype=bool)
+            pairs = []
             if hi > lo:
                 iou = kernels.iou_matrix(pred, f_boxes)
                 iou[classes[:, None] != f_classes] = 0.0
                 linked = np.nonzero(iou >= config.iou_link_threshold)
                 pairs = _greedy_pairs(iou[linked], *linked)
-                if pairs:
-                    rows, matched = np.array(pairs).T
-                    hit[rows] = claimed[matched] = True
-                    pred[rows] = f_boxes[matched]
-                    carried = carried.copy()  # the previous frame's block holds the old array
-                    carried[rows] = f_scores[matched]
-            blocks.append((tids, ages, pred, carried, hit))
-            block_frames.append(f)
+            if pairs:
+                rows, matched = np.array(pairs).T
+                claimed[matched] = True
+                boxes, scores = f_boxes[matched], f_scores[matched]
+                blocks.append((tids[rows], ages[rows], boxes, scores, last[rows], misses[rows]))
+                pred[rows], misses[rows] = boxes, -1  # 0 after the += 1 below
             prev, last = last, pred
-            misses = np.where(hit, 0, misses + 1)
+            misses += 1
 
             done = misses >= config.patience
             if done.any():
-                end_order.append(tids[done])
-                length[tids[done]] = f + 1 - config.patience - seeds[done]
                 keep = ~done
                 tids, seeds, last, prev = tids[keep], seeds[keep], last[keep], prev[keep]
-                classes, misses, carried = classes[keep], misses[keep], carried[keep]
+                classes, misses = classes[keep], misses[keep]
 
         (new,) = (~claimed).nonzero()
         if new.size:
+            boxes, scores, zeros = f_boxes[new], f_scores[new], np.zeros(new.size, dtype=np.int64)
             new_tids = np.arange(len(seed_frame), len(seed_frame) + new.size)
             seed_frame.extend([f] * new.size)
             seed_class.extend(f_classes[new].tolist())
-            if len(seed_frame) > len(length):
-                length = np.concatenate((length, np.full(len(seed_frame), _LIVE, dtype=np.int64)))
-            zeros = np.zeros(new.size, dtype=np.int64)
-            blocks.append((new_tids, zeros, f_boxes[new], f_scores[new], zeros == 0))
-            block_frames.append(f)
+            blocks.append((new_tids, zeros, boxes, scores, boxes, zeros))
             tids = np.concatenate((tids, new_tids))
             seeds = np.concatenate((seeds, zeros + f))
-            last = np.concatenate((last, f_boxes[new]))
-            prev = np.concatenate((prev, f_boxes[new]))
+            last = np.concatenate((last, boxes))
+            prev = np.concatenate((prev, boxes))
             classes = np.concatenate((classes, f_classes[new]))
             misses = np.concatenate((misses, zeros))
-            carried = np.concatenate((carried, f_scores[new]))
-        while final < len(blocks) and block_frames[final] <= f - config.patience:
-            final_rows += len(blocks[final][0])
-            final += 1
-        if final >= _COMPACT_BLOCKS or final_rows >= _COMPACT_ROWS:
-            chunks.append(_kept_rows(blocks[:final], length))
-            del blocks[:final], block_frames[:final]
-            final = final_rows = 0
-    end_order.append(tids)
-    length[tids] = f + 1 - misses - seeds
+        if len(blocks) - chunks >= _CHUNK_BLOCKS:
+            blocks[chunks:] = [_joined(blocks[chunks:])]
+            chunks += 1
+    return _numbered(detections.video_id, [_track_columns(blocks, seed_frame, seed_class, f + 1, config)])
 
-    # track t's rows go to first[t] .. first[t] + length[t] - 1
-    order = np.concatenate(end_order)
-    length = length[: len(seed_frame)]
+
+def _track_columns(blocks, seed_frame, seed_class, end, config):
+    """The tubelet columns of `track_link` (a part of `_numbered`) from the
+    row blocks it recorded, which this empties, the tracks' seed frames and
+    classes and the frame after the last one linked: each track's rows by
+    age, the tracks in the order they ended (in seed order within a frame)
+    and the still-live ones last; `_numbered` sorts stably, so that order
+    breaks its ties."""
+    row_tids, ages, boxes, scores, before, gaps = _joined(blocks)
+    blocks.clear()
+    starts = np.array(seed_frame, dtype=np.int64)
+    length = np.zeros(len(starts), dtype=np.int64)
+    np.maximum.at(length, row_tids, ages + 1)  # a track's last row is detected
+    # a track ends `patience` frames after its last row, unless it is still
+    # live at `end`; track t's rows go to first[t] .. first[t] + length[t] - 1
+    order = np.argsort(np.minimum(starts + length - 1 + config.patience, end), kind="stable")
     first = np.zeros(len(length), dtype=np.int64)
     first[order] = np.cumsum(length[order]) - length[order]
-    row_tids, ages, *columns = _kept_rows(chunks + blocks, length)
-    boxes, scores, detected = (np.empty_like(col) for col in columns)
-    for out, col in zip((boxes, scores, detected), columns):
-        out[first[row_tids] + ages] = col
-    prov = np.where(detected, _DETECTED, _TRACKED).astype(np.int8)
-    starts, classes = np.array(seed_frame)[order], np.array(seed_class, dtype=np.int64)[order]
-    return _numbered(detections.video_id, [(starts, length[order], classes, boxes, scores, prov)])
+    slots = first[row_tids] + ages
+    row_at = np.empty(int(length.sum()), dtype=np.int64)
+    row_at[slots] = np.arange(len(slots))
+    out_boxes, out_scores = np.empty((len(row_at), 4)), np.empty(len(row_at))
+    prov = np.full(len(row_at), _TRACKED, dtype=np.int8)
+    out_boxes[slots], out_scores[slots], prov[slots] = boxes, scores, _DETECTED
+    # the m predictions before a row that bridged m misses, replayed from the
+    # detected row before them (the same `predict_next` on the same values,
+    # so the same floats), with that row's score
+    (bridges,) = gaps.nonzero()
+    gaps = gaps[bridges]
+    at, age = slots[bridges] - gaps, ages[bridges] - gaps  # each first prediction's slot and age
+    anchor = row_at[at - 1]
+    last, prev = boxes[anchor], before[anchor]
+    for k in range(int(gaps.max(initial=0))):
+        prev, last = last, np.where((age + k)[:, None] >= 2, predict_next(last, prev), last)
+        live = gaps > k
+        out_boxes[at[live] + k], out_scores[at[live] + k] = last[live], scores[anchor[live]]
+    classes = np.array(seed_class, dtype=np.int64)[order]
+    return starts[order], length[order], classes, out_boxes, out_scores, prov
 
 
 # ---------------------------------------------------------------------------
@@ -499,31 +504,33 @@ def _tubelet_text(tubelet_id, class_text, start, video_text, boxes, scores, prov
     return _TUBELET_LINE % (", ".join(rows), class_text, start + len(rows), tubelet_id, start, video_text)
 
 
-def track_fields(rec, *columns):
-    """The `Track` fields of a tubelets or proposals record, in field order,
-    then the named extra columns of its box rows as `decode_boxes` gives them."""
+def _tubelet_columns(rec):
+    """A parsed tubelets.jsonl line as its video id, its (id, start frame,
+    length, class code), then its box values, scores and provenance codes
+    back to back. Every check of a `Tubelet` of the line is made, in the
+    order its fields are: an invalid field raises."""
     extent = Interval(int_field(rec, "start"), int_field(rec, "end"))
-    boxes, *values = decode_boxes(rec["boxes"], extent, *columns)
-    return (int_field(rec, "id"), str_field(rec, "video_id"), str_field(rec, "class"), extent, boxes), *values
-
-
-def tubelet_from_record(rec):
-    """The `Tubelet` of a parsed tubelets.jsonl line; raises on any invalid field."""
-    fields, scores, prov = track_fields(rec, "score", "provenance")
+    rows, values = box_values(rec["boxes"], extent)
+    scores, prov = [r["score"] for r in rows], [r["provenance"] for r in rows]
+    tubelet_id, video_id, object_class = int_field(rec, "id"), str_field(rec, "video_id"), str_field(rec, "class")
     require_numbers(scores, "box scores")
-    scores = np.array(scores, dtype=np.float64)
-    if not np.isfinite(scores).all():
+    scores = array("d", scores)
+    if not all(map(math.isfinite, scores)):
         raise InvalidInputError("non-finite box score")
     unknown = set(prov) - set(PROVENANCES)
     if unknown:
         raise InvalidInputError(f"unknown provenance {unknown}")
-    return Tubelet(*fields, scores, np.array(list(map(PROVENANCES.index, prov)), dtype=np.int8))
+    if object_class not in OBJECT_CLASSES:
+        raise InvalidInputError(f"object class not admitted: {object_class!r}")
+    ints = array("q", (tubelet_id, extent.start, extent.length, DETECTION_CLASSES.index(object_class)))
+    return video_id, ints, values, scores, bytes(map(PROVENANCES.index, prov))
 
 
 def tubelet_key(rec):
     """The (video_id, id) that names a tubelet in a tubelets or proposals
-    file: no two lines of one file may share it."""
-    return rec["video_id"], int_field(rec, "id")
+    file: no two lines of one file may share it. The video id is interned,
+    so the keys of one video share one string."""
+    return sys.intern(rec["video_id"]), int_field(rec, "id")
 
 
 def write_tubelets(tubelets, path):
@@ -533,4 +540,25 @@ def write_tubelets(tubelets, path):
 
 
 def read_tubelets(path):
-    return sorted(read_records(path, "tubelet", tubelet_from_record, tubelet_key), key=lambda t: (t.video_id, t.id))
+    """A tubelets file as a `LinkedTubelets` of one `VideoTubelets` per video,
+    each in id order: every line's values go straight into its video's typed
+    columns, and no `Tubelet` is made. A line that is not a valid tubelet, or
+    that repeats an earlier line's (video_id, id), raises ParseError naming
+    path:line."""
+    columns = {}  # video id -> (id, start, length, class code) rows, box values, scores, provenance codes
+    for video_id, ints, values, scores, prov in read_records(path, "tubelet", _tubelet_columns, tubelet_key):
+        if video_id not in columns:
+            columns[video_id] = array("q"), array("d"), array("d"), array("b")
+        for column, part in zip(columns[video_id], (ints, values, scores, prov)):
+            column.extend(part)
+    tables = []
+    for video_id in sorted(columns):
+        ints, values, scores, prov = columns.pop(video_id)
+        ids, starts, lengths, classes = np.frombuffer(ints, np.int64).reshape(-1, 4).T
+        order = np.argsort(ids)
+        rows = np.frombuffer(values).reshape(-1, 4), np.frombuffer(scores), np.frombuffer(prov, np.int8)
+        for col in rows:
+            col.flags.writeable = False
+        tables.append(VideoTubelets(video_id, starts[order], lengths[order], classes[order],
+                                    (np.cumsum(lengths) - lengths)[order], *rows, ids[order]))
+    return LinkedTubelets(tables)

@@ -7,10 +7,19 @@ from typing import Optional
 
 import numpy as np
 
-from .data_model import ACTIVITY_CLASSES, box_rows_text, float_field, int_field, read_records, write_jsonl
+from .data_model import (
+    ACTIVITY_CLASSES,
+    box_rows_text,
+    decode_boxes,
+    float_field,
+    int_field,
+    read_records,
+    str_field,
+    write_jsonl,
+)
 from .errors import InvalidInputError
-from .geometry import Interval, mean_center_step
-from .linking import Track, track_fields, tubelet_key
+from .geometry import Interval, mean_center_steps
+from .linking import Track, tubelet_key
 from .proposals import NON_ACTION
 
 
@@ -72,10 +81,15 @@ class Proposal:
 
 
 def filter_static(tubelets, config=RefineConfig()):
-    """Drop low-motion tubelets: a tubelet is kept when its mean per-frame box
-    center displacement reaches `config.coord_displacement_min`.
-    Order-preserving; returns the kept tubelets and the number removed."""
-    kept = [t for t in tubelets if mean_center_step(t.boxes) >= config.coord_displacement_min]
+    """Drop the low-motion tubelets of a `LinkedTubelets`: a tubelet is kept
+    when its mean per-frame box centre displacement reaches
+    `config.coord_displacement_min`, computed on its table's columns (0.0 for
+    one row). Returns the kept tubelets, a `Tubelet` view each in table
+    order, and the number removed."""
+    kept = []
+    for table in tubelets.tables:
+        moving = mean_center_steps(table.boxes, table.firsts, table.lengths) >= config.coord_displacement_min
+        kept.extend(map(table.__getitem__, np.flatnonzero(moving).tolist()))
     return kept, len(tubelets) - len(kept)
 
 
@@ -159,7 +173,9 @@ def _scores_from_record(scores):
 
 
 def _proposals_from_record(rec):
-    track = Track(*track_fields(rec)[0])
+    extent = Interval(int_field(rec, "start"), int_field(rec, "end"))
+    boxes = decode_boxes(rec["boxes"], extent)
+    track = Track(int_field(rec, "id"), str_field(rec, "video_id"), str_field(rec, "class"), extent, boxes)
     return [Proposal(int_field(e, "proposal_id"), track, Interval(int_field(e, "start"), int_field(e, "end")),
                      _scores_from_record(e["scores"]) if "scores" in e else None) for e in rec["proposals"]]
 

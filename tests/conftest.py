@@ -1,3 +1,4 @@
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -7,9 +8,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from tubekit.data_model import write_jsonl
+from tubekit.data_model import DETECTION_CLASSES, write_jsonl
 from tubekit.geometry import Interval
-from tubekit.linking import Tubelet, _tubelet_text
+from tubekit.linking import LinkedTubelets, Tubelet, VideoTubelets, _tubelet_text
 from tubekit.refinement import Proposal
 
 
@@ -23,6 +24,22 @@ def make_tubelet(boxes, start=0, tubelet_id=0, video_id="v0", object_class="pers
     n = len(boxes)
     return Tubelet(tubelet_id, video_id, object_class, Interval(start, start + n),
                    np.asarray(boxes, dtype=np.float64), np.full(n, 0.9), np.zeros(n, dtype=np.int8))
+
+
+def linked(tubelets):
+    """`Tubelet`s as a `LinkedTubelets`, one column table per run of one
+    video's tubelets, in list order and with their own ids."""
+    tables = []
+    for video_id, run in itertools.groupby(tubelets, key=lambda t: t.video_id):
+        run = list(run)
+        lengths = np.array([t.extent.length for t in run], dtype=np.int64)
+        tables.append(VideoTubelets(
+            video_id, np.array([t.extent.start for t in run], dtype=np.int64), lengths,
+            np.array([DETECTION_CLASSES.index(t.object_class) for t in run], dtype=np.int64),
+            np.cumsum(lengths) - lengths, np.concatenate([t.boxes for t in run]),
+            np.concatenate([t.box_scores for t in run]), np.concatenate([t.provenance for t in run]),
+            np.array([t.id for t in run], dtype=np.int64)))
+    return LinkedTubelets(tables)
 
 
 def tubelet_line(t):

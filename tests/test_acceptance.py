@@ -34,10 +34,7 @@ def _passed(n, detail):
 
 
 def _link_corpus(corpus, linker):
-    tubes = []
-    for v in sorted(corpus.detections):
-        tubes.extend(linker(corpus.detections[v]))
-    return tubes
+    return linking.LinkedTubelets.numbered([linker(corpus.detections[v]) for v in sorted(corpus.detections)])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest.mock import ANY
 
 import pytest
 from click.testing import CliRunner
@@ -85,7 +86,7 @@ def test_link_makes_no_tubelet(tmp_path, monkeypatch, strategy, link):
     assert made == []
 
     # the tables' `Tubelet` views, each made when iterated, write the same bytes one `tubelet_line` each
-    tubes = list(linking.LinkedTubelets([link(corpus.detections[v]) for v in sorted(corpus.detections)]))
+    tubes = list(linking.LinkedTubelets.numbered([link(corpus.detections[v]) for v in sorted(corpus.detections)]))
     assert made == list(range(len(tubes)))
     assert sum(t.extent.length == 1 for t in tubes) > len(tubes) / 2
     write_tubelet_list(tubes, tmp_path / "views.jsonl")
@@ -177,6 +178,8 @@ def test_full_stage_chain_and_pipeline_equivalence(tmp_path, name):
         for key, value in manifest["record_counts"].items():
             if key not in merged:
                 merged[key] = value
+            elif key == "tubelets":  # link writes them; refine and eval-recall read the same file
+                assert value == merged[key]
             else:  # the two score manifests: scored proposals and labels per group
                 merged[key] = {**merged[key], **value} if isinstance(value, dict) else merged[key] + value
     assert pipeline["record_counts"] == merged
@@ -977,6 +980,13 @@ def test_funnel_keys_are_pinned(dropout_corpus, tmp_path):
     out = tmp_path / "tubelets.jsonl"
     assert run(["link", "--detections", det, "--meta", meta, "--out", str(out)]).exit_code == 0
     assert set(_manifest(out)["record_counts"]) == LINK_FUNNEL
+    # refine and eval-recall count the tubelets they read, so a stagewise run shows the whole funnel
+    props, recall = str(tmp_path / "proposals.jsonl"), str(tmp_path / "recall.csv")
+    assert run(["refine", "--tubelets", str(out), "--meta", meta, "--out", props]).exit_code == 0
+    assert run(["eval-recall", "--tubelets", str(out), "--ground-truth", gt, "--out", recall]).exit_code == 0
+    tubelets = _manifest(out)["record_counts"]["tubelets"]
+    assert _manifest(props)["record_counts"] == {"tubelets": tubelets, "proposals": ANY, "removed_static": ANY}
+    assert _manifest(recall)["record_counts"] == {"tubelets": tubelets, "thresholds": 9}
     assert run(["pipeline", "--out-dir", str(tmp_path / "run"), "--detections", det, "--ground-truth", gt,
                 "--meta", meta]).exit_code == 0
     assert set(_manifest(tmp_path / "run" / "run")["record_counts"]) == LINK_FUNNEL | {

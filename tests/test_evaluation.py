@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import box_rows, make_tubelet
+from conftest import box_rows, linked, make_tubelet
 
 from tubekit.data_model import ActivityInstance, VideoMeta
 from tubekit.errors import InvalidInputError
@@ -32,11 +32,11 @@ class TestTubeletRecall:
     def test_perfect_cover(self):
         gt = [instance(0, 10), instance(20, 40, activity="Pull")]
         tubes = [make_tubelet(g.boxes, start=g.extent.start, tubelet_id=i) for i, g in enumerate(gt)]
-        curve = tubelet_recall(tubes, gt, [0.1, 0.5, 0.9])
+        curve = tubelet_recall(linked(tubes), gt, [0.1, 0.5, 0.9])
         assert curve.recall == (1.0, 1.0, 1.0)
 
     def test_no_tubelets(self):
-        curve = tubelet_recall([], [instance(0, 10)], [0.1, 0.5])
+        curve = tubelet_recall(linked([]), [instance(0, 10)], [0.1, 0.5])
         assert curve.recall == (0.0, 0.0)
 
     def test_partial_cover(self):
@@ -46,7 +46,7 @@ class TestTubeletRecall:
         t1 = make_tubelet(box_rows((0, 0, 10, 10), 6))
         # covers g2 at IoU 0.2
         t2 = make_tubelet(box_rows((0, 0, 10, 10), 2), start=100, tubelet_id=1)
-        curve = tubelet_recall([t1, t2], [g1, g2], [0.3])
+        curve = tubelet_recall(linked([t1, t2]), [g1, g2], [0.3])
         assert curve.recall == (0.5,)
 
     def test_a_tubelet_scores_its_coverage_of_a_short_reference(self):
@@ -54,12 +54,12 @@ class TestTubeletRecall:
         # of it: temporal IoU 40/300, but the tubelet covers the whole reference
         tube = make_tubelet(box_rows((0, 0, 10, 10), 300))
         gt = [instance(100, 140), instance(280, 320, activity="Pull")]
-        curve = tubelet_recall([tube], gt, [0.1, 0.4, 0.5, 0.9])
+        curve = tubelet_recall(linked([tube]), gt, [0.1, 0.4, 0.5, 0.9])
         assert curve.recall == (1.0, 1.0, 0.5, 0.5)  # the second reference is half covered
 
     def test_empty_ground_truth_rejected(self):
         with pytest.raises(InvalidInputError):
-            tubelet_recall([], [], [0.5])
+            tubelet_recall(linked([]), [], [0.5])
 
     def test_non_increasing(self):
         gt = [instance(0, 10), instance(30, 60, activity="Pull")]
@@ -67,7 +67,7 @@ class TestTubeletRecall:
             make_tubelet(box_rows((0, 0, 10, 10), 7)),
             make_tubelet(box_rows((2, 0, 12, 10), 30), start=30, tubelet_id=1),
         ]
-        curve = tubelet_recall(tubes, gt, [0.1 * i for i in range(1, 10)])
+        curve = tubelet_recall(linked(tubes), gt, [0.1 * i for i in range(1, 10)])
         assert list(curve.recall) == sorted(curve.recall, reverse=True)
 
 

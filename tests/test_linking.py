@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -532,53 +533,6 @@ def long_scene(seed, frames=1600, quiet=(760, 860)):
     return [d for d in dets if not quiet[0] <= d.frame < quiet[1]]
 
 
-_kept_rows = linking._kept_rows
-
-
-def recorded_kept_rows(monkeypatch):
-    """Record every `linking._kept_rows` call as (blocks, a copy of the track
-    lengths, result). The last call is the final pass, the others compactions."""
-    calls = []
-
-    def recording(blocks, length):
-        out = _kept_rows(blocks, length)
-        calls.append((list(blocks), length.copy(), out))
-        return out
-
-    monkeypatch.setattr(linking, "_kept_rows", recording)
-    return calls
-
-
-def row_count(blocks):
-    return sum(len(b[0]) for b in blocks)
-
-
-def check_compactions(calls, tubelets, patience):
-    """The compactions that `recorded_kept_rows` saw, against the reference
-    tubelets: each takes only blocks (no chunk), so a row is compacted at
-    most once; each row it keeps or drops is final, as the final pass's track
-    lengths keep or drop it too; and a compaction takes fewer rows than
-    `_COMPACT_ROWS` plus the rows of `patience` consecutive frames, so the
-    blocks never hold more than that plus the last `patience` frames' rows.
-    Returns the compactions as (blocks, rows in, rows out)."""
-    *compactions, (_, final_length, _) = calls
-    chunks = [out for _, _, out in compactions]
-    # a track seeded at frame s with tubelet [s, e) has a row at each frame
-    # from s to e - 1 + patience, the last `patience` of them predicted
-    frame_rows = np.zeros(max(t.extent.end for t in tubelets) + patience, dtype=np.int64)
-    for t in tubelets:
-        frame_rows[t.extent.start:t.extent.end + patience] += 1
-    window = int(np.convolve(frame_rows, np.ones(patience, dtype=np.int64)).max())
-    out = []
-    for blocks, _, kept in compactions:
-        assert not any(b is c for b in blocks for c in chunks)
-        final = _kept_rows(blocks, final_length)
-        assert all(np.array_equal(a, b) for a, b in zip(final, kept))
-        assert row_count(blocks) < linking._COMPACT_ROWS + window
-        out.append((blocks, row_count(blocks), len(kept[0])))
-    return out
-
-
 CONFIGS = [
     LinkConfig(iou_link_threshold=t, patience=p, max_interp_gap=g)
     for t, p, g in [(0.5, 50, 8), (0.05, 1, 2), (1.0, 2, 8), (0.05, 5, 0), (0.3, 50, 3)]
@@ -630,23 +584,23 @@ class TestTrackLinkEqualsReference:
                                  reference_track_link(dets, config))
 
     @pytest.mark.parametrize("patience", [5, 50])
-    def test_long_scene_with_a_quiet_stretch(self, patience, monkeypatch):
+    def test_long_scene_with_a_quiet_stretch(self, patience):
         dets = long_scene(7)
         frames = sorted({d.frame for d in dets})
         assert frames[-1] - frames[0] >= 1500 and len({d.object_class for d in dets}) == 3
         # every track ends in the quiet stretch, and the frames after that are skipped
         assert max(np.diff(frames)) > patience + 1
         config = LinkConfig(patience=patience)
-        want = reference_track_link(dets, config)
-        for compact_rows in (64, linking._COMPACT_ROWS):
-            monkeypatch.setattr(linking, "_COMPACT_ROWS", compact_rows)
-            calls = recorded_kept_rows(monkeypatch)
-            assert_same_tubelets(track_link(columns(dets), config=config), want)
-            compactions = check_compactions(calls, want, patience)
-            # many compactions drop ended tracks' rows
-            assert sum(rows_in > rows_out for _, rows_in, rows_out in compactions) >= 20
-            if compact_rows == 64:  # the row count, not the block count, starts most compactions
-                assert sum(len(blocks) < linking._COMPACT_BLOCKS for blocks, _, _ in compactions) > len(compactions) / 2
+        assert_same_tubelets(track_link(columns(dets), config=config), reference_track_link(dets, config))
+
+    def test_six_thousand_frames(self):
+        # dropout bridges hundreds of misses, each replayed at the end of the video
+        corpus = generate(SceneConfig(seed=5, video_count=1, frames_per_video=6000, objects_per_video=(6, 6),
+                                      dropout_rate=0.1, box_jitter_px=2.0, false_positive_rate=0.3))
+        (video,) = corpus.detections.values()
+        got = track_link(video)
+        assert np.count_nonzero(got.provenance == PROVENANCES.index("tracked")) > 500
+        assert_same_tubelets(got, reference_track_link(records(video)))
 
 
 def linked_funnel(tmp_path, videos, config):
@@ -714,17 +668,21 @@ class TestTrackLinkCost:
         assert len({d.object_class for d in dets}) == 3 and len(want) < len(per_frame)
         assert shapes == want
 
-    def test_compaction_copies_each_row_a_bounded_number_of_times(self, monkeypatch):
-        corpus = generate(SceneConfig(seed=5, video_count=1, frames_per_video=6000, objects_per_video=(6, 6),
-                                      dropout_rate=0.1, box_jitter_px=2.0, false_positive_rate=0.3))
-        (video,) = corpus.detections.values()
-        calls = recorded_kept_rows(monkeypatch)
-        tubelets = track_link(video)
-        check_compactions(calls, tubelets, LinkConfig().patience)
-        # re-filtering all the rows so far at every compaction copies each
-        # kept row about 64 times on this scene; compacting each row once, 4.3
-        rows_in = sum(row_count(blocks) for blocks, _, _ in calls)
-        assert rows_in < 8 * len(calls[-1][2][0])
+    def test_clutter_holds_only_the_rows_it_emits(self):
+        # 6 false positives a frame keep about 300 tracks live; a row per live
+        # track per frame over the last `patience` frames peaked near 3.0 MB a
+        # video, the emitted rows alone at 0.7-0.9 MB
+        corpus = generate(SceneConfig(seed=0, video_count=2, frames_per_video=400, objects_per_video=(1, 2),
+                                      dropout_rate=0.2, box_jitter_px=2.0, false_positive_rate=6.0,
+                                      score_noise=0.05))
+        for video in corpus.detections.values():
+            tracemalloc.start()
+            try:
+                tubelets = track_link(video, LinkConfig(patience=50))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(tubelets) > 2000 and peak < 2.0e6, (len(tubelets), peak)
 
 
 class TestGreedyMergeEqualsReference:
@@ -747,7 +705,7 @@ def test_greedy_gives_one_tubelet_per_object_at_length(seed):
     # each skipped chain started a second, overlapping tubelet of its object
     corpus = generate(SceneConfig(seed=seed, video_count=2, frames_per_video=3000, objects_per_video=(6, 6),
                                   dropout_rate=0.1, box_jitter_px=2.0, score_noise=0.05))
-    tubes = [t for v in sorted(corpus.detections) for t in greedy_link(corpus.detections[v])]
+    tubes = linking.LinkedTubelets.numbered([greedy_link(corpus.detections[v]) for v in sorted(corpus.detections)])
 
     def center_y(boxes):
         return 0.5 * float(boxes[0, 1] + boxes[0, 3])

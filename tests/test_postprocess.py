@@ -7,7 +7,7 @@ from conftest import box_rows, make_proposal, make_tubelet
 
 from tubekit.errors import InvalidInputError
 from tubekit.geometry import Interval, temporal_iou
-from tubekit.linking import track_link
+from tubekit.linking import LinkedTubelets, track_link
 from tubekit.kernels import paired_iou
 from tubekit.postprocess import FusionConfig, SoftNmsConfig, fuse, proposals_to_instances, soft_nms
 from tubekit.proposals import NON_ACTION, tubelet_spatial_iou
@@ -102,7 +102,7 @@ def corpus_proposals(seed):
     props = []
     for video_id, meta in sorted(corpus.metas.items()):
         tubes = track_link(corpus.detections[video_id])
-        for t in filter_static(tubes)[0]:
+        for t in filter_static(LinkedTubelets([tubes]))[0]:
             for p in make_proposals(t, meta.width, meta.height, id_start=len(props)):
                 p.scores = {"Riding": float(rng.uniform(0.0, 1.0)), "Pull": float(rng.uniform(0.0, 1.0))}
                 props.append(p)

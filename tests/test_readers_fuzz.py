@@ -18,6 +18,7 @@ from click.testing import CliRunner
 from conftest import make_tubelet, write_tubelet_list
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_tubelet_columns import reference_read_tubelets
 
 from tubekit import data_model, linking, refinement
 from tubekit.cli import main
@@ -211,6 +212,10 @@ def test_single_field_mutation_is_a_parse_error(tmp_path, inputs, kind, data):
         READERS[kind](path)
     assert (exc.value.path, exc.value.line) == (path, 2)
     assert str(exc.value).startswith(f"{path}:2: ")
+    if kind == "tubelets":  # the column reader says what a reader of one `Tubelet` a line said
+        with pytest.raises(ParseError) as ref:
+            reference_read_tubelets(path)
+        assert str(exc.value) == str(ref.value)
 
     res = CliRunner().invoke(main, _cli_args(kind, str(path), inputs))
     assert res.exit_code == 1, res.output

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import box_rows, make_tubelet
+from conftest import box_rows, linked, make_tubelet
 
 from tubekit.errors import InvalidInputError
 from tubekit.geometry import Interval, mean_center_step
@@ -32,21 +32,22 @@ class TestMotionStats:
 class TestFilterStatic:
     def test_static_removed(self):
         static = make_tubelet(box_rows((0, 0, 10, 10), 5))
-        kept, removed = filter_static([static])
+        kept, removed = filter_static(linked([static]))
         assert kept == [] and removed == 1
 
     def test_mover_kept(self):
-        kept, removed = filter_static([moving_tubelet(10, step=2.0)])
+        kept, removed = filter_static(linked([moving_tubelet(10, step=2.0)]))
         assert len(kept) == 1 and removed == 0
 
     def test_empty(self):
-        assert filter_static([]) == ([], 0)
+        assert filter_static(linked([])) == ([], 0)
 
     def test_idempotent_and_order_preserving(self):
         tubes = [moving_tubelet(10, step=2.0, start_x=10.0), moving_tubelet(10, step=3.0, start_x=300.0)]
-        once, _ = filter_static(tubes)
-        twice, removed = filter_static(once)
-        assert twice == once and removed == 0
+        once, _ = filter_static(linked(tubes))
+        twice, removed = filter_static(linked(once))
+        fields = [[(t.id, t.extent, t.boxes.tolist()) for t in kept] for kept in (tubes, once, twice)]
+        assert fields[0] == fields[1] == fields[2] and removed == 0
 
 
 class TestNormalizeBoxes:
