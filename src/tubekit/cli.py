@@ -200,7 +200,7 @@ def _check_extent(what, video_id, extent, metas):
 def _check_tubelet_range(tubelets, metas):
     """`_check_frame_range` of a `LinkedTubelets`, on its columns: one array
     step finds the first tubelet of a table that breaks the rule, and it
-    raises as its `Tubelet` would."""
+    raises as its `Track` would."""
     for table in tubelets.tables:
         if len(table):
             meta = metas.get(table.video_id)
@@ -227,24 +227,28 @@ def synth(m, out_dir):
 def link(m, detections, metas, out):
     """Link every video of `detections` (what `read_detections` returns:
     per-video columns and the dropped-class counts) into one `LinkedTubelets`,
-    numbered across the videos in id order; writing it makes no `Tubelet`.
-    Counts the link funnel: detections in, dropped class names, the tubelets'
-    interpolated and tracked rows and the tracks that `link.patience` ended."""
+    numbered across the videos in id order; writing it makes no `Track`.
+    Counts the link funnel: detections in, dropped class names, the rows the
+    linker filled in (all rows less the detections, each one row) and the
+    tracks that `link.patience` ended."""
     cfg = m.cfg
     videos, dropped = detections
+    greedy = cfg.link.strategy == "greedy"
     with m.phase("link", "compute"):
         _check_frame_range("detection", videos.values(), metas)
-        link_video = linking.greedy_link if cfg.link.strategy == "greedy" else linking.track_link
+        link_video = linking.greedy_link if greedy else linking.track_link
         tubes = linking.LinkedTubelets.numbered([link_video(videos[v], config=cfg.link) for v in sorted(videos)])
     with m.phase("link", "write"):
         linking.write_tubelets(tubes, out)
+    detections_in = sum(map(len, videos.values()))
+    filled = sum(len(t.boxes) for t in tubes.tables) - detections_in
     m.counts.update(
         tubelets=len(tubes),
-        detections_in=sum(map(len, videos.values())),
+        detections_in=detections_in,
         dropped_class_names=dict(sorted(dropped.items())),
-        interpolated_frames=tubes.row_count("interpolated"),
-        tracked_frames=tubes.row_count("tracked"),
-        tracks_ended=0 if cfg.link.strategy == "greedy" else tubes.tracks_ended(videos, cfg.link.patience),
+        interpolated_frames=filled if greedy else 0,
+        tracked_frames=0 if greedy else filled,
+        tracks_ended=0 if greedy else tubes.tracks_ended(videos, cfg.link.patience),
     )
     return tubes
 

@@ -17,9 +17,10 @@ format per record kind, not a dict per record, and refuse NaN and infinity.
 
 Detections are held per video as columns (`VideoDetections`). Instances,
 tubelets and proposals are *tracks*: an ``extent`` plus an (n,4) float64
-``boxes`` array whose row k is frame ``extent.start + k``. They share one box
-list format: ``box_rows_text`` writes it, and ``box_values`` checks it as
-``decode_boxes`` and the tubelet reader read it.
+``boxes`` array whose row k is frame ``extent.start + k``; ``extent_field``
+reads the extent of each. They share one box list format: ``box_rows_text``
+writes it, and ``box_values`` checks it as ``decode_boxes`` and the tubelet
+reader read it.
 """
 
 import json
@@ -257,24 +258,29 @@ def read_records(path, kind, build, key=None):
 BOX_KEYS = ("x1", "y1", "x2", "y2")
 
 
+def extent_field(rec):
+    """The [start, end) frames of a track record; a start below 0 is an input error."""
+    start = int_field(rec, "start")
+    if start < 0:
+        raise InvalidInputError(f"start must be >= 0: {start}")
+    return Interval(start, int_field(rec, "end"))
+
+
 # One box-list row: the frame, then x1, x2, y1, y2 (sorted key order).
 _BOX_ROW = '{"frame": %d, "x1": %r, "x2": %r, "y1": %r, "y2": %r}'
 
 
-def box_rows_text(start, boxes, row_format=_BOX_ROW, columns=()):
+def box_rows_text(start, boxes):
     """The JSON text of each row of a track's box list, row k being frame
-    `start + k`: `row_format` filled with the frame, then one value of each
-    extra column in `columns` (lists whose keys sort between "frame" and
-    "x1"), then x1, x2, y1 and y2."""
+    `start + k`."""
     x1, y1, x2, y2 = finite_list(boxes.T, "box coordinate")
-    return list(map(row_format.__mod__, zip(range(start, start + len(x1)), *columns, x1, x2, y1, y2)))
+    return list(map(_BOX_ROW.__mod__, zip(range(start, start + len(x1)), x1, x2, y1, y2)))
 
 
 def box_values(rows, extent):
-    """The rows of a track's box list in frame order, and their x1, y1, x2, y2
-    values back to back as a float64 `array`. The rows must hold every frame
-    of `extent` once, in any order, and every box must be finite and not
-    inverted."""
+    """The x1, y1, x2, y2 values of a track's box list back to back, in frame
+    order, as a float64 `array`. The rows must hold every frame of `extent`
+    once, in any order, and every box must be finite and not inverted."""
     rows = sorted(rows, key=lambda r: int_field(r, "frame"))
     if [int_field(r, "frame") for r in rows] != list(extent.frames()):
         raise InvalidInputError(f"boxes must hold each frame of [{extent.start}, {extent.end}) once")
@@ -285,16 +291,14 @@ def box_values(rows, extent):
         # a NaN fails every comparison; an infinity fails the outer ones
         if not (-math.inf < x1 <= x2 < math.inf and -math.inf < y1 <= y2 < math.inf):
             raise InvalidInputError(f"non-finite or inverted box at frame {extent.start + k}")
-    return rows, values
+    return values
 
 
 def decode_boxes(rows, extent):
     """Inverse of `box_rows_text`: the (n,4) box array in frame order of rows
-    that `box_values` accepts."""
-    rows, values = box_values(rows, extent)
-    boxes = np.empty((len(rows), 4))  # owns its memory, so `_row_owner` finds row views of it
-    boxes.reshape(-1)[:] = values
-    return boxes
+    that `box_values` accepts. It owns its memory, so `_row_owner` finds row
+    views of it."""
+    return np.frombuffer(box_values(rows, extent)).reshape(-1, 4).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +372,7 @@ def write_detections(videos, path):
 
 
 def _instance_from_record(rec):
-    extent = Interval(int_field(rec, "start"), int_field(rec, "end"))
+    extent = extent_field(rec)
     boxes = decode_boxes(rec["boxes"], extent)
     return ActivityInstance(
         video_id=str_field(rec, "video_id"),

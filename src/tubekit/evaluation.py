@@ -70,7 +70,7 @@ def tubelet_recall(tubelets, instances, thresholds):
 
     An instance's overlap with each tubelet of its video's table is one
     array step. The tubelets that overlap it are scored in descending
-    coverage, as `Tubelet` views, until the coverage is no more than the best
+    coverage, as `Track` views, until the coverage is no more than the best
     score: it bounds the score, and the best is a max, so the order does not
     change it."""
     if not instances:

@@ -6,21 +6,22 @@ constant-velocity predictor and a patience window.
 
 Both linkers return one video's tubelets as one `VideoTubelets` column
 table: each tubelet's id, start frame, length, class code and first row,
-and the box, score and provenance rows of all of them. The table is a
-read-only sequence that makes a `Tubelet` (views of its rows) only when one
+and the box rows of all of them: only a tubelet's boxes feed the later
+stages, so a row keeps no detection score or provenance. The table is a
+read-only sequence that makes a `Track` (a view of its rows) only when one
 is indexed or iterated, so a one-frame tubelet, most of a cluttered scene's,
 costs its row, not an object. `link` numbers the tables of a file's videos
 on across them as one `LinkedTubelets`, and `write_tubelets` formats their
 lines straight from the columns; `read_tubelets` fills the same tables from
 a file, one per video. A linker returns only its table, and the tracker
-records only the rows that its tubelets keep. Greedy linking joins chains
-only across at most `link.max_interp_gap` missing frames and fills each
-such hole, so it never cuts a tubelet at a gap.
+records only the rows that its tubelets keep. Each admitted detection is
+one tubelet row in both linkers. Greedy linking joins chains only across at
+most `link.max_interp_gap` missing frames and fills each such hole, so it
+never cuts a tubelet at a gap.
 """
 
 import itertools
 import json
-import math
 import sys
 from array import array
 from collections.abc import Sequence
@@ -35,10 +36,9 @@ from .data_model import (
     OBJECT_CLASSES,
     box_rows_text,
     box_values,
-    finite_list,
+    extent_field,
     int_field,
     read_records,
-    require_numbers,
     str_field,
     track_boxes,
     write_jsonl,
@@ -46,14 +46,11 @@ from .data_model import (
 from .errors import InvalidInputError
 from .geometry import Interval
 
-PROVENANCES = ("detected", "interpolated", "tracked")
-_DETECTED, _INTERPOLATED, _TRACKED = range(len(PROVENANCES))
-
 
 @dataclass(eq=False)
 class Track:
     """Temporally contiguous boxes of one object; row k of `boxes` is frame
-    extent.start + k. A proposal's normalised tubelet is one."""
+    extent.start + k. A tubelet is one, as is a proposal's normalised tubelet."""
 
     id: int
     video_id: str
@@ -67,19 +64,7 @@ class Track:
             raise InvalidInputError(f"object class not admitted: {self.object_class!r}")
 
 
-@dataclass(eq=False)
-class Tubelet(Track):
-    """A linked track, with each row's detection score and provenance: a view
-    of the rows of the `VideoTubelets` table that a linker or `read_tubelets`
-    fills."""
-
-    box_scores: np.ndarray  # (n,) float64
-    provenance: np.ndarray  # (n,) int8 index into PROVENANCES
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.box_scores.shape != (self.extent.length,) or self.provenance.shape != (self.extent.length,):
-            raise InvalidInputError("tubelet scores and provenance need one value per frame of the extent")
+_TUBELET_LINE = '{"boxes": [%s], "class": %s, "end": %d, "id": %d, "start": %d, "video_id": %s}'
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,9 +72,9 @@ class VideoTubelets(Sequence):
     """One video's tubelets as columns, in id order: the order the linkers
     number them (`_numbered`) or a file's. Tubelet i has id ids[i] and class
     DETECTION_CLASSES[classes[i]]; its row k, frame starts[i] + k for
-    k < lengths[i], is row firsts[i] + k of `boxes`, `box_scores` and
-    `provenance`. Indexing makes a `Tubelet` whose arrays view those rows;
-    the rows are read-only, so no view can change the table."""
+    k < lengths[i], is row firsts[i] + k of `boxes`. Indexing makes a
+    `Track` whose boxes view those rows; the rows are read-only, so no view
+    can change the table."""
 
     video_id: str
     starts: np.ndarray  # (t,) int64 first frame
@@ -97,8 +82,6 @@ class VideoTubelets(Sequence):
     classes: np.ndarray  # (t,) int64 index into DETECTION_CLASSES
     firsts: np.ndarray  # (t,) int64 first row
     boxes: np.ndarray  # (r,4) float64 x1, y1, x2, y2
-    box_scores: np.ndarray  # (r,) float64
-    provenance: np.ndarray  # (r,) int8 index into PROVENANCES
     ids: np.ndarray  # (t,) int64
 
     def __len__(self):
@@ -107,9 +90,8 @@ class VideoTubelets(Sequence):
     def __getitem__(self, i):
         k = range(len(self))[i]
         lo, n, start = int(self.firsts[k]), int(self.lengths[k]), int(self.starts[k])
-        rows = slice(lo, lo + n)
-        return Tubelet(int(self.ids[k]), self.video_id, DETECTION_CLASSES[self.classes[k]],
-                       Interval(start, start + n), self.boxes[rows], self.box_scores[rows], self.provenance[rows])
+        return Track(int(self.ids[k]), self.video_id, DETECTION_CLASSES[self.classes[k]],
+                     Interval(start, start + n), self.boxes[lo:lo + n])
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -120,15 +102,14 @@ class VideoTubelets(Sequence):
         video = json.dumps(self.video_id)
         columns = (self.ids, self.starts, self.lengths, self.classes, self.firsts)
         for tubelet_id, start, n, code, lo in zip(*(col.tolist() for col in columns)):
-            rows = slice(lo, lo + n)
-            yield _tubelet_text(tubelet_id, _CLASS_TEXT[code], start, video, self.boxes[rows],
-                                self.box_scores[rows], self.provenance[rows])
+            rows = ", ".join(box_rows_text(start, self.boxes[lo:lo + n]))
+            yield _TUBELET_LINE % (rows, _CLASS_TEXT[code], start + n, tubelet_id, start, video)
 
 
 class LinkedTubelets:
     """The tables of several videos, one per video in video id order, as one
     sequence of tubelets: what `link` and `read_tubelets` return. Iterating
-    makes each `Tubelet` as its table does."""
+    makes each `Track` as its table does."""
 
     def __init__(self, tables):
         self.tables = tables
@@ -150,10 +131,6 @@ class LinkedTubelets:
     def lines(self):
         """The tubelets.jsonl lines of every table, in (video_id, id) order."""
         return itertools.chain.from_iterable(t.lines() for t in self.tables)
-
-    def row_count(self, provenance):
-        """How many rows of the tables have `provenance` (0 with no table)."""
-        return sum(int(np.count_nonzero(t.provenance == PROVENANCES.index(provenance))) for t in self.tables)
 
     def tracks_ended(self, videos, patience):
         """How many tubelets end `patience` or more frames before the last frame
@@ -184,18 +161,17 @@ class LinkConfig:
 # interpolation
 
 
-def interpolate_gaps(frames, boxes, scores, firsts=(0,)):
+def interpolate_gaps(frames, boxes, firsts=(0,)):
     """Fill every hole between the detected rows of an object by linear
     interpolation, in the scalar formula's order b0 + k * (b1 - b0) / span
     (not a premultiplied ratio: exact for linear motion with representable
     velocities). The caller passes only holes to fill: greedy linking joins
     rows across at most `link.max_interp_gap` missing frames.
 
-    The rows (one frame, box and score each) hold one or more objects back to
-    back: object j starts at row `firsts[j]`, and its frames strictly increase.
+    The rows (one frame and box each) hold one or more objects back to back:
+    object j starts at row `firsts[j]`, and its frames strictly increase.
     Returns each object as one dense tubelet, in row order, as columns: their
-    start frames and lengths, then their box, score and provenance rows back
-    to back.
+    start frames and lengths, then their box rows back to back.
     """
     span = np.diff(frames)
     joined = np.ones(len(span), dtype=bool)  # rows i and i + 1 are one object's
@@ -208,14 +184,12 @@ def interpolate_gaps(frames, boxes, scores, firsts=(0,)):
     k = np.arange(len(src)) - starts[src]
     hole = k > 0
     i, k_hole, n = src[hole], k[hole], span[src[hole]]
-    out_boxes, out_scores = boxes[src], scores[src]
-    out_boxes[hole] = boxes[i] + k_hole[:, None] * (boxes[i + 1] - boxes[i]) / n[:, None]
-    out_scores[hole] = scores[i] + k_hole * (scores[i + 1] - scores[i]) / n
-    if not np.isfinite(out_boxes).all():
+    out = boxes[src]
+    out[hole] = boxes[i] + k_hole[:, None] * (boxes[i + 1] - boxes[i]) / n[:, None]
+    if not np.isfinite(out).all():
         raise InvalidInputError("non-finite interpolated box")
-    prov = np.where(hole, _INTERPOLATED, _DETECTED).astype(np.int8)
     heads = np.append(0, starts[1:][~joined])  # the first output row of each object
-    return frames[src[heads]], np.diff(heads, append=len(src)), out_boxes, out_scores, prov
+    return frames[src[heads]], np.diff(heads, append=len(src)), out
 
 
 # ---------------------------------------------------------------------------
@@ -314,31 +288,29 @@ def _merge_and_emit(detections, chains, code, config):
         while k in next_of:
             k = next_of[k]
             rows.extend(chains[k])
-    starts, lengths, *rows = interpolate_gaps(detections.frames[rows], detections.boxes[rows],
-                                              detections.scores[rows], firsts)
-    return (starts, lengths, np.full(len(starts), code), *rows)
+    starts, lengths, boxes = interpolate_gaps(detections.frames[rows], detections.boxes[rows], firsts)
+    return starts, lengths, np.full(len(starts), code), boxes
 
 
-# no tubelet: starts, lengths, class codes, boxes, scores, provenance
-_NO_TUBELETS = (np.zeros(0, np.int64),) * 3 + (np.zeros((0, 4)), np.zeros(0), np.zeros(0, np.int8))
+# no tubelet: starts, lengths, class codes, boxes
+_NO_TUBELETS = (np.zeros(0, np.int64),) * 3 + (np.zeros((0, 4)),)
 
 
 def _numbered(video_id, parts):
     """One video's `VideoTubelets` from `parts`, each the columns (start
-    frames, lengths, class codes, boxes, scores, provenance) of tubelets
-    whose rows lie back to back. The tubelets are numbered from 0 by start
-    frame, class, then first box (x1, y1, x2, y2); a stable sort, so the
-    order of `parts` breaks the ties."""
+    frames, lengths, class codes, boxes) of tubelets whose rows lie back to
+    back. The tubelets are numbered from 0 by start frame, class, then first
+    box (x1, y1, x2, y2); a stable sort, so the order of `parts` breaks the
+    ties."""
     if len(parts) == 1:  # its arrays become the table's, not copied
-        (starts, lengths, classes, boxes, scores, prov), = parts
+        (starts, lengths, classes, boxes), = parts
     else:
-        starts, lengths, classes, boxes, scores, prov = (np.concatenate(col) for col in zip(_NO_TUBELETS, *parts))
+        starts, lengths, classes, boxes = (np.concatenate(col) for col in zip(_NO_TUBELETS, *parts))
     firsts = np.cumsum(lengths) - lengths
     head = boxes[firsts]
     order = np.lexsort((head[:, 3], head[:, 2], head[:, 1], head[:, 0], classes, starts))
-    for rows in (boxes, scores, prov):
-        rows.flags.writeable = False
-    return VideoTubelets(video_id, starts[order], lengths[order], classes[order], firsts[order], boxes, scores, prov,
+    boxes.flags.writeable = False
+    return VideoTubelets(video_id, starts[order], lengths[order], classes[order], firsts[order], boxes,
                          np.arange(len(order)))
 
 
@@ -382,7 +354,7 @@ def track_link(detections, config=LinkConfig()):
     the predicted rows."""
     if not len(detections):
         return _numbered(detections.video_id, [])
-    det_boxes, det_scores, det_classes = detections.boxes, detections.scores, detections.classes
+    det_boxes, det_classes = detections.boxes, detections.classes
     frame_rows = {int(detections.frames[lo]): (lo, hi) for lo, hi in zip(*_runs(detections.frames))}
 
     # live state, one entry per live track
@@ -393,13 +365,13 @@ def track_link(detections, config=LinkConfig()):
     classes = np.zeros(0, dtype=np.int64)
     misses = np.zeros(0, dtype=np.int64)  # frames since the last match
     seed_frame, seed_class = [], []  # by track id
-    blocks, chunks = [], 0  # (track ids, ages, boxes, scores, boxes before, misses) rows; the first `chunks` joined
+    blocks, chunks = [], 0  # (track ids, ages, boxes, boxes before, misses) rows; the first `chunks` joined
 
     for f in range(min(frame_rows), max(frame_rows) + 1):
         lo, hi = frame_rows.get(f, (0, 0))
         if not len(tids) and lo == hi:
             continue
-        f_boxes, f_scores, f_classes = det_boxes[lo:hi], det_scores[lo:hi], det_classes[lo:hi]
+        f_boxes, f_classes = det_boxes[lo:hi], det_classes[lo:hi]
         claimed = np.zeros(hi - lo, dtype=bool)
 
         if len(tids):
@@ -417,8 +389,8 @@ def track_link(detections, config=LinkConfig()):
             if pairs:
                 rows, matched = np.array(pairs).T
                 claimed[matched] = True
-                boxes, scores = f_boxes[matched], f_scores[matched]
-                blocks.append((tids[rows], ages[rows], boxes, scores, last[rows], misses[rows]))
+                boxes = f_boxes[matched]
+                blocks.append((tids[rows], ages[rows], boxes, last[rows], misses[rows]))
                 pred[rows], misses[rows] = boxes, -1  # 0 after the += 1 below
             prev, last = last, pred
             misses += 1
@@ -431,11 +403,11 @@ def track_link(detections, config=LinkConfig()):
 
         (new,) = (~claimed).nonzero()
         if new.size:
-            boxes, scores, zeros = f_boxes[new], f_scores[new], np.zeros(new.size, dtype=np.int64)
+            boxes, zeros = f_boxes[new], np.zeros(new.size, dtype=np.int64)
             new_tids = np.arange(len(seed_frame), len(seed_frame) + new.size)
             seed_frame.extend([f] * new.size)
             seed_class.extend(f_classes[new].tolist())
-            blocks.append((new_tids, zeros, boxes, scores, boxes, zeros))
+            blocks.append((new_tids, zeros, boxes, boxes, zeros))
             tids = np.concatenate((tids, new_tids))
             seeds = np.concatenate((seeds, zeros + f))
             last = np.concatenate((last, boxes))
@@ -455,7 +427,7 @@ def _track_columns(blocks, seed_frame, seed_class, end, config):
     age, the tracks in the order they ended (in seed order within a frame)
     and the still-live ones last; `_numbered` sorts stably, so that order
     breaks its ties."""
-    row_tids, ages, boxes, scores, before, gaps = _joined(blocks)
+    row_tids, ages, boxes, before, gaps = _joined(blocks)
     blocks.clear()
     starts = np.array(seed_frame, dtype=np.int64)
     length = np.zeros(len(starts), dtype=np.int64)
@@ -468,12 +440,11 @@ def _track_columns(blocks, seed_frame, seed_class, end, config):
     slots = first[row_tids] + ages
     row_at = np.empty(int(length.sum()), dtype=np.int64)
     row_at[slots] = np.arange(len(slots))
-    out_boxes, out_scores = np.empty((len(row_at), 4)), np.empty(len(row_at))
-    prov = np.full(len(row_at), _TRACKED, dtype=np.int8)
-    out_boxes[slots], out_scores[slots], prov[slots] = boxes, scores, _DETECTED
+    out = np.empty((len(row_at), 4))
+    out[slots] = boxes
     # the m predictions before a row that bridged m misses, replayed from the
     # detected row before them (the same `predict_next` on the same values,
-    # so the same floats), with that row's score
+    # so the same floats)
     (bridges,) = gaps.nonzero()
     gaps = gaps[bridges]
     at, age = slots[bridges] - gaps, ages[bridges] - gaps  # each first prediction's slot and age
@@ -482,48 +453,28 @@ def _track_columns(blocks, seed_frame, seed_class, end, config):
     for k in range(int(gaps.max(initial=0))):
         prev, last = last, np.where((age + k)[:, None] >= 2, predict_next(last, prev), last)
         live = gaps > k
-        out_boxes[at[live] + k], out_scores[at[live] + k] = last[live], scores[anchor[live]]
+        out[at[live] + k] = last[live]
     classes = np.array(seed_class, dtype=np.int64)[order]
-    return starts[order], length[order], classes, out_boxes, out_scores, prov
+    return starts[order], length[order], classes, out
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-_TUBELET_LINE = '{"boxes": [%s], "class": %s, "end": %d, "id": %d, "start": %d, "video_id": %s}'
-_TUBELET_ROW = '{"frame": %d, "provenance": %s, "score": %r, "x1": %r, "x2": %r, "y1": %r, "y2": %r}'
-_PROVENANCE_TEXT = [json.dumps(p) for p in PROVENANCES]
-
-
-def _tubelet_text(tubelet_id, class_text, start, video_text, boxes, scores, provenance):
-    """The one tubelets.jsonl line format, filled from a tubelet's fields
-    (the class and video id as JSON text) and its row arrays."""
-    columns = ([_PROVENANCE_TEXT[c] for c in provenance.tolist()], finite_list(scores, "box score"))
-    rows = box_rows_text(start, boxes, _TUBELET_ROW, columns)
-    return _TUBELET_LINE % (", ".join(rows), class_text, start + len(rows), tubelet_id, start, video_text)
-
-
 def _tubelet_columns(rec):
     """A parsed tubelets.jsonl line as its video id, its (id, start frame,
-    length, class code), then its box values, scores and provenance codes
-    back to back. Every check of a `Tubelet` of the line is made, in the
-    order its fields are: an invalid field raises."""
-    extent = Interval(int_field(rec, "start"), int_field(rec, "end"))
-    rows, values = box_values(rec["boxes"], extent)
-    scores, prov = [r["score"] for r in rows], [r["provenance"] for r in rows]
+    length, class code), then its box values back to back. Every check of a
+    `Track` of the line is made, in the order its fields are: an invalid
+    field raises. Keys it does not read, such as the per-row `score` and
+    `provenance` of older files, are ignored."""
+    extent = extent_field(rec)
+    values = box_values(rec["boxes"], extent)
     tubelet_id, video_id, object_class = int_field(rec, "id"), str_field(rec, "video_id"), str_field(rec, "class")
-    require_numbers(scores, "box scores")
-    scores = array("d", scores)
-    if not all(map(math.isfinite, scores)):
-        raise InvalidInputError("non-finite box score")
-    unknown = set(prov) - set(PROVENANCES)
-    if unknown:
-        raise InvalidInputError(f"unknown provenance {unknown}")
     if object_class not in OBJECT_CLASSES:
         raise InvalidInputError(f"object class not admitted: {object_class!r}")
     ints = array("q", (tubelet_id, extent.start, extent.length, DETECTION_CLASSES.index(object_class)))
-    return video_id, ints, values, scores, bytes(map(PROVENANCES.index, prov))
+    return video_id, ints, values
 
 
 def tubelet_key(rec):
@@ -535,30 +486,29 @@ def tubelet_key(rec):
 
 def write_tubelets(tubelets, path):
     """Write a `LinkedTubelets` or `VideoTubelets` in (video_id, id) order,
-    formatted from its columns, making no `Tubelet`."""
+    formatted from its columns, making no `Track`."""
     write_jsonl(tubelets.lines(), path)
 
 
 def read_tubelets(path):
     """A tubelets file as a `LinkedTubelets` of one `VideoTubelets` per video,
-    each in id order: every line's values go straight into its video's typed
-    columns, and no `Tubelet` is made. A line that is not a valid tubelet, or
-    that repeats an earlier line's (video_id, id), raises ParseError naming
-    path:line."""
-    columns = {}  # video id -> (id, start, length, class code) rows, box values, scores, provenance codes
-    for video_id, ints, values, scores, prov in read_records(path, "tubelet", _tubelet_columns, tubelet_key):
+    each in id order: every line's values go straight into its video's two
+    typed columns, and no `Track` is made. A line that is not a valid
+    tubelet, or that repeats an earlier line's (video_id, id), raises
+    ParseError naming path:line."""
+    columns = {}  # video id -> (id, start, length, class code) rows, box values
+    for video_id, ints, values in read_records(path, "tubelet", _tubelet_columns, tubelet_key):
         if video_id not in columns:
-            columns[video_id] = array("q"), array("d"), array("d"), array("b")
-        for column, part in zip(columns[video_id], (ints, values, scores, prov)):
-            column.extend(part)
+            columns[video_id] = array("q"), array("d")
+        columns[video_id][0].extend(ints)
+        columns[video_id][1].extend(values)
     tables = []
     for video_id in sorted(columns):
-        ints, values, scores, prov = columns.pop(video_id)
+        ints, values = columns.pop(video_id)
         ids, starts, lengths, classes = np.frombuffer(ints, np.int64).reshape(-1, 4).T
         order = np.argsort(ids)
-        rows = np.frombuffer(values).reshape(-1, 4), np.frombuffer(scores), np.frombuffer(prov, np.int8)
-        for col in rows:
-            col.flags.writeable = False
+        boxes = np.frombuffer(values).reshape(-1, 4)
+        boxes.flags.writeable = False
         tables.append(VideoTubelets(video_id, starts[order], lengths[order], classes[order],
-                                    (np.cumsum(lengths) - lengths)[order], *rows, ids[order]))
+                                    (np.cumsum(lengths) - lengths)[order], boxes, ids[order]))
     return LinkedTubelets(tables)

@@ -11,6 +11,7 @@ from .data_model import (
     ACTIVITY_CLASSES,
     box_rows_text,
     decode_boxes,
+    extent_field,
     float_field,
     int_field,
     read_records,
@@ -84,7 +85,7 @@ def filter_static(tubelets, config=RefineConfig()):
     """Drop the low-motion tubelets of a `LinkedTubelets`: a tubelet is kept
     when its mean per-frame box centre displacement reaches
     `config.coord_displacement_min`, computed on its table's columns (0.0 for
-    one row). Returns the kept tubelets, a `Tubelet` view each in table
+    one row). Returns the kept tubelets, a `Track` view each in table
     order, and the number removed."""
     kept = []
     for table in tubelets.tables:
@@ -173,10 +174,10 @@ def _scores_from_record(scores):
 
 
 def _proposals_from_record(rec):
-    extent = Interval(int_field(rec, "start"), int_field(rec, "end"))
+    extent = extent_field(rec)
     boxes = decode_boxes(rec["boxes"], extent)
     track = Track(int_field(rec, "id"), str_field(rec, "video_id"), str_field(rec, "class"), extent, boxes)
-    return [Proposal(int_field(e, "proposal_id"), track, Interval(int_field(e, "start"), int_field(e, "end")),
+    return [Proposal(int_field(e, "proposal_id"), track, extent_field(e),
                      _scores_from_record(e["scores"]) if "scores" in e else None) for e in rec["proposals"]]
 
 

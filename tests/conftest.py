@@ -1,5 +1,4 @@
 import itertools
-import json
 import sys
 from pathlib import Path
 
@@ -10,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from tubekit.data_model import DETECTION_CLASSES, write_jsonl
 from tubekit.geometry import Interval
-from tubekit.linking import LinkedTubelets, Tubelet, VideoTubelets, _tubelet_text
+from tubekit.linking import LinkedTubelets, Track, VideoTubelets
 from tubekit.refinement import Proposal
 
 
@@ -20,14 +19,12 @@ def box_rows(box, n):
 
 
 def make_tubelet(boxes, start=0, tubelet_id=0, video_id="v0", object_class="person"):
-    """A tubelet whose row k of `boxes` is frame start + k; scores 0.9, all detected."""
-    n = len(boxes)
-    return Tubelet(tubelet_id, video_id, object_class, Interval(start, start + n),
-                   np.asarray(boxes, dtype=np.float64), np.full(n, 0.9), np.zeros(n, dtype=np.int8))
+    """A tubelet (a `Track`) whose row k of `boxes` is frame start + k."""
+    return Track(tubelet_id, video_id, object_class, Interval(start, start + len(boxes)), boxes)
 
 
 def linked(tubelets):
-    """`Tubelet`s as a `LinkedTubelets`, one column table per run of one
+    """`Track`s as a `LinkedTubelets`, one column table per run of one
     video's tubelets, in list order and with their own ids."""
     tables = []
     for video_id, run in itertools.groupby(tubelets, key=lambda t: t.video_id):
@@ -37,20 +34,19 @@ def linked(tubelets):
             video_id, np.array([t.extent.start for t in run], dtype=np.int64), lengths,
             np.array([DETECTION_CLASSES.index(t.object_class) for t in run], dtype=np.int64),
             np.cumsum(lengths) - lengths, np.concatenate([t.boxes for t in run]),
-            np.concatenate([t.box_scores for t in run]), np.concatenate([t.provenance for t in run]),
             np.array([t.id for t in run], dtype=np.int64)))
     return LinkedTubelets(tables)
 
 
 def tubelet_line(t):
-    """The tubelets.jsonl line of one `Tubelet`, in the one line format that
-    `linking.write_tubelets` fills from a linker's columns."""
-    return _tubelet_text(t.id, json.dumps(t.object_class), t.extent.start, json.dumps(t.video_id), t.boxes,
-                         t.box_scores, t.provenance)
+    """The tubelets.jsonl line of one tubelet `Track`, as `linking.write_tubelets`
+    formats it from a table's columns."""
+    (line,) = linked([t]).lines()
+    return line
 
 
 def write_tubelet_list(tubelets, path):
-    """Write `Tubelet`s as a tubelets file: one `tubelet_line` each, in
+    """Write tubelet `Track`s as a tubelets file: one `tubelet_line` each, in
     (video_id, id) order, as `linking.write_tubelets` writes a linker's table."""
     write_jsonl(map(tubelet_line, sorted(tubelets, key=lambda t: (t.video_id, t.id))), path)
 

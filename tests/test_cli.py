@@ -14,6 +14,7 @@ from click.testing import CliRunner
 
 from conftest import box_rows, make_proposal, make_tubelet, write_tubelet_list
 from test_goldens import CORPORA
+from test_linking import filled_rows, previous_format_line, reference_link
 from tubekit import cli, data_model, linking, refinement, synthgen
 from tubekit.geometry import Interval
 from tubekit.cli import main
@@ -67,25 +68,25 @@ def test_link(corpus_dir, tmp_path, strategy):
 def test_link_makes_no_tubelet(tmp_path, monkeypatch, strategy, link):
     # 6 false positives per frame, so most tubelets are one frame long: the
     # linkers' tables hold their rows, and `link` writes the file from the
-    # columns without making a `Tubelet`
+    # columns without making a `Track`
     corpus = synthgen.generate(synthgen.SceneConfig(
         seed=41, video_count=2, frames_per_video=120, objects_per_video=(2, 3), dropout_rate=0.2,
         box_jitter_px=2.0, false_positive_rate=6.0, score_noise=0.05))
     paths = synthgen.write_corpus(corpus, tmp_path / "corpus")
     made = []
 
-    class Counted(linking.Tubelet):
+    class Counted(linking.Track):
         def __post_init__(self):
             made.append(self.id)
             super().__post_init__()
 
-    monkeypatch.setattr(linking, "Tubelet", Counted)
+    monkeypatch.setattr(linking, "Track", Counted)
     out = tmp_path / "tubelets.jsonl"
     assert run(["link", "--detections", paths["detections"], "--meta", paths["video_meta"], "--strategy", strategy,
                 "--out", str(out)]).exit_code == 0
     assert made == []
 
-    # the tables' `Tubelet` views, each made when iterated, write the same bytes one `tubelet_line` each
+    # the tables' `Track` views, each made when iterated, write the same bytes one `tubelet_line` each
     tubes = list(linking.LinkedTubelets.numbered([link(corpus.detections[v]) for v in sorted(corpus.detections)]))
     assert made == list(range(len(tubes)))
     assert sum(t.extent.length == 1 for t in tubes) > len(tubes) / 2
@@ -219,8 +220,6 @@ def test_pipeline_objects_equal_its_files(tmp_path, name):
     for a, b in zip(held["tubelets"], tubes):
         _same_track(a, b)
         assert (a.id, a.object_class) == (b.id, b.object_class)
-        assert a.box_scores.tobytes() == b.box_scores.tobytes()
-        assert a.provenance.tobytes() == b.provenance.tobytes()
 
     _same_proposals(held["proposals"], refinement.read_proposals(out / "proposals.jsonl"))
     assert all(p.scores is None for p in held["proposals"])
@@ -947,21 +946,20 @@ def test_link_funnel_in_manifests(dropout_corpus, tmp_path):
     meta, gt = str(dropout_corpus / "video_meta.jsonl"), str(dropout_corpus / "ground_truth.jsonl")
     videos, _ = data_model.read_detections(det)
 
-    for strategy, link in (("tracking", linking.track_link), ("greedy", linking.greedy_link)):
-        rows = Counter(linking.PROVENANCES[p] for v in sorted(videos) for p in link(videos[v]).provenance.tolist())
+    for strategy in ("tracking", "greedy"):
+        # the scalar reference linkers keep each row's provenance
+        filled = filled_rows(reference_link(videos, linking.LinkConfig(strategy=strategy)))
         expected = {"detections_in": sum(map(len, videos.values())), "dropped_class_names": {"cat": 1, "dog": 2},
-                    "interpolated_frames": rows["interpolated"], "tracked_frames": rows["tracked"]}
-        assert rows["tracked" if strategy == "tracking" else "interpolated"] > 0
+                    "interpolated_frames": filled["interpolated"], "tracked_frames": filled["tracked"]}
+        assert set(filled) == {"tracked" if strategy == "tracking" else "interpolated"}
         out = tmp_path / f"{strategy}.jsonl"
         assert run(["link", "--detections", str(det), "--meta", meta, "--strategy", strategy,
                     "--out", str(out)]).exit_code == 0
         counts = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())["record_counts"]
         assert {k: counts[k] for k in expected} == expected
-        # the funnel counts the filled rows the file holds
-        written = Counter(b["provenance"] for line in out.read_text().splitlines()
-                          for b in json.loads(line)["boxes"])
-        assert (written["tracked"], written["interpolated"]) == (counts["tracked_frames"],
-                                                                 counts["interpolated_frames"])
+        # each admitted detection is one row of the file, and the funnel counts the others
+        rows = sum(len(json.loads(line)["boxes"]) for line in out.read_text().splitlines())
+        assert rows - counts["detections_in"] == counts["tracked_frames"] + counts["interpolated_frames"]
 
     cfg = write_config(tmp_path, {"link": {"strategy": "greedy"}})
     assert run(["pipeline", "--out-dir", str(tmp_path / "run"), "--detections", str(det), "--ground-truth", gt,
@@ -1076,9 +1074,9 @@ def test_every_config_key_takes_effect(tmp_path):
     assert dead == []
 
 
-# The noisy-oracle golden corpus's proposals and scored files as the format
-# before this one wrote them: each line also held `sample_count` and each box
-# row its tubelet row's `score` and `provenance`.
+# The noisy-oracle golden corpus's proposals and scored files as an older
+# format wrote them: each line also held `sample_count` and each box row its
+# tubelet row's `score` and `provenance`.
 PREVIOUS_FORMAT_DIGESTS = {
     "proposals.jsonl": "ca784b84ea486c22bf62f98d7d4888a03ef7e6aa95a79618fcc1dfeee364743a",
     "scored_vehicle.jsonl": "9db38e6ec0ad5971067e13ee71ab6beaee4f524a8c0c8df9bc2317acc53309fe",
@@ -1090,14 +1088,19 @@ def test_previous_proposals_format_still_reads(tmp_path):
     # the readers ignore the keys they do not use, so a file in the previous
     # format reads to the same proposals and fuses to the same bytes
     out, cfg = tmp_path / "run", write_config(tmp_path, CORPORA["noisy-oracle"])
-    cli.run_pipeline(cli._merged_config(cfg), str(out))
-    tubelets = {(rec["video_id"], rec["id"]): rec for _, rec in data_model.read_jsonl(out / "tubelets.jsonl")}
+    config = cli._merged_config(cfg)
+    cli.run_pipeline(config, str(out))
+    # tubelet rows no longer hold a score and provenance; the scalar reference
+    # linker still gives them
+    videos, _ = data_model.read_detections(out / "detections.jsonl")
+    tubelets = {(t.video_id, t.id): t for t in reference_link(videos, config.link)}
     old = {}
     for name, digest in PREVIOUS_FORMAT_DIGESTS.items():
         lines = []
         for _, rec in data_model.read_jsonl(out / name):
-            for row, tubelet_row in zip(rec["boxes"], tubelets[rec["video_id"], rec["id"]]["boxes"]):
-                row.update(score=tubelet_row["score"], provenance=tubelet_row["provenance"])
+            t = tubelets[rec["video_id"], rec["id"]]
+            for row, score, provenance in zip(rec["boxes"], t.box_scores, t.provenance):
+                row.update(score=score, provenance=provenance)
             lines.append(json.dumps({**rec, "sample_count": 64}, sort_keys=True) + "\n")
         old[name] = tmp_path / f"old_{name}"
         old[name].write_text("".join(lines))
@@ -1109,3 +1112,45 @@ def test_previous_proposals_format_still_reads(tmp_path):
                "--out", str(fused), "--config", cfg])
     assert res.exit_code == 0
     assert fused.read_bytes() == (out / "instances.jsonl").read_bytes()
+
+
+# The golden corpora's tubelets.jsonl as the format before the box-row one
+# wrote it: each box row also held the row's detection `score` and
+# `provenance`.
+PREVIOUS_TUBELETS_DIGESTS = {
+    "clean": "4437c373c13b6632d31395372a9fc5911df636b9456415b11468350c7efa56f3",
+    "noisy-oracle": "499f74d32bb6f7cff9855c73f3b92b670190fda01b302cb5bff595b7b2930aee",
+    "heuristic": "35ed5c999fbb915afc01243778762d535412f2c5c4cb51b1a5ef581c3b547674",
+    "greedy": "63aa94d8b3d4d0e07392c4f04bf2a824de9d05826f3074b3004d79794d7ad762",
+    "clipped-scores": "c5b369b2ba3299fd403cf855f61e4a4e3c12513498b01bb3f5bff9d3814560e0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_previous_tubelets_format_still_reads(tmp_path, name):
+    # the reader ignores the per-row keys it does not use, so a file in the
+    # previous format reads to the same columns, and refine and eval-recall
+    # on it write the same bytes
+    out, cfg = tmp_path / "run", write_config(tmp_path, CORPORA[name])
+    config = cli._merged_config(cfg)
+    cli.run_pipeline(config, str(out))
+    videos, _ = data_model.read_detections(out / "detections.jsonl")
+    old = tmp_path / "old_tubelets.jsonl"
+    data_model.write_jsonl(map(previous_format_line, reference_link(videos, config.link)), old)
+    assert hashlib.sha256(old.read_bytes()).hexdigest() == PREVIOUS_TUBELETS_DIGESTS[name]
+
+    new_tables, old_tables = (linking.read_tubelets(path).tables for path in (out / "tubelets.jsonl", old))
+    assert len(new_tables) == len(old_tables) > 0
+    for a, b in zip(new_tables, old_tables):
+        assert a.video_id == b.video_id
+        for col in ("starts", "lengths", "classes", "firsts", "boxes", "ids"):
+            x, y = getattr(a, col), getattr(b, col)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), col
+
+    meta, gt = str(out / "video_meta.jsonl"), str(out / "ground_truth.jsonl")
+    props, recall = tmp_path / "proposals.jsonl", tmp_path / "recall.csv"
+    assert run(["refine", "--tubelets", str(old), "--meta", meta, "--out", str(props), "--config", cfg]).exit_code == 0
+    assert run(["eval-recall", "--tubelets", str(old), "--ground-truth", gt, "--out", str(recall),
+                "--config", cfg]).exit_code == 0
+    assert props.read_bytes() == (out / "proposals.jsonl").read_bytes()
+    assert recall.read_bytes() == (out / "recall.csv").read_bytes()

@@ -65,7 +65,7 @@ CORPORA = {
 
 GOLDENS = {
     "clean": {
-        "tubelets.jsonl": "4437c373c13b6632d31395372a9fc5911df636b9456415b11468350c7efa56f3",
+        "tubelets.jsonl": "515ef44ccc6c87d7de6d5af9543728360b7845cad870ffbe486e2126fe65eace",
         "instances.jsonl": "daa78a50133c6c252a96469ee1ea89b1f7c04781beee8525b7269afb63cd4c2b",
         "det.csv": "f02f47cf6b7672d63219802c3bfc9fd9325c2dec2574db90df11963c9f7ad27d",
         "summary.json": "9bff52cc11c503e658c6b6b6869682e26dccdb4072d7f0555d5e0da285232f85",
@@ -78,7 +78,7 @@ GOLDENS = {
         "video_meta.jsonl": "7dea6b64797909f97fc7bbc5f6e2988d720b2be1eb423bd21dff2cb594e9bc65",
     },
     "noisy-oracle": {
-        "tubelets.jsonl": "499f74d32bb6f7cff9855c73f3b92b670190fda01b302cb5bff595b7b2930aee",
+        "tubelets.jsonl": "187a7cf56ed7fcb19176f996cc1fdbd37bf050cd314c0d5879d80fca7a5ec364",
         "instances.jsonl": "75104a4626be08cb2eaf6ca724a896f801288437805b610259326ad51266e234",
         "det.csv": "539e03fd721eb0f284cbe64bc1fe6915c36b25d6029af20091f2ef7eff0c0912",
         "summary.json": "109afd18287af97207ca88fff4f980e063b0643f235744cf41ae1eee9c362cc0",
@@ -91,7 +91,7 @@ GOLDENS = {
         "video_meta.jsonl": "77e3dc2abb330e09f647ef241f1f3f297301fd6c0bb210602cb94f17cc05eafb",
     },
     "heuristic": {
-        "tubelets.jsonl": "35ed5c999fbb915afc01243778762d535412f2c5c4cb51b1a5ef581c3b547674",
+        "tubelets.jsonl": "aed0b84a137c71c51932d9adb17ead5e71f078150e3ec5b00e199c77d36f70c8",
         "instances.jsonl": "e515ed9aa5df4aaaef0c5e9c0b9e45caa4d53c270de244c1fc001da032e8ec2b",
         "det.csv": "ddd8c692e332ea8e4d0c86c91e7b603e8a8387b645cd7a4f369d6dd58a64ecaf",
         "summary.json": "31da692103be9daa95d861256edf0c72236f1fddac2f0284fb3ffc3b97c18772",
@@ -104,7 +104,7 @@ GOLDENS = {
         "video_meta.jsonl": "7dea6b64797909f97fc7bbc5f6e2988d720b2be1eb423bd21dff2cb594e9bc65",
     },
     "greedy": {
-        "tubelets.jsonl": "63aa94d8b3d4d0e07392c4f04bf2a824de9d05826f3074b3004d79794d7ad762",
+        "tubelets.jsonl": "40096216fed1b03874bcd24cf18048d56642ebae308365345b636c37ca63cf21",
         "instances.jsonl": "51133effd5faf65e6b7d3a420f1da1e13ec0909474e40512bd1695dbe14a3677",
         "det.csv": "663d7c93d503347dca1194ff174b76f5ce180dfacb351f723b8e21b431cd3dca",
         "summary.json": "513f81d7e595c0d5835126ea8717ec93369feade860dd2b012767b101ff83efa",
@@ -117,7 +117,7 @@ GOLDENS = {
         "video_meta.jsonl": "2cdc9b1c4274100deaa26b7804676666e20a6b819c7f00ec9f59b498ecc37b81",
     },
     "clipped-scores": {
-        "tubelets.jsonl": "c5b369b2ba3299fd403cf855f61e4a4e3c12513498b01bb3f5bff9d3814560e0",
+        "tubelets.jsonl": "6b564c26d8d904b77f5dbdec8a8bebf2db2fc73d51c5168abcdb376f0b92ded8",
         "instances.jsonl": "e371c4c75726e96a97097bedac59e7474a10b5c4175da857eab1c1a9a6c944d2",
         "det.csv": "622b4c3cd009f315a9860458c0d762d328019e7fddcc367aa315b372766cfed8",
         "summary.json": "52a96f24f3cf7ef7999750c7122ecab65a4298aee66a37d11da7cfeb3b498827",

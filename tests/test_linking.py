@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -11,9 +12,8 @@ from tubekit.data_model import DETECTION_CLASSES, OBJECT_CLASSES, VideoMeta, det
 from tubekit.evaluation import tubelet_recall
 from tubekit.geometry import Box, Interval, spatial_iou
 from tubekit.linking import (
-    PROVENANCES,
     LinkConfig,
-    Tubelet,
+    Track,
     greedy_link,
     interpolate_gaps,
     predict_next,
@@ -57,49 +57,52 @@ def records(video):
     ]
 
 
-def detected_rows(tubelet):
-    """(frame, box tuple) of every detected row of a tubelet."""
-    return [
-        (f, tuple(tubelet.boxes[k].tolist()))
-        for k, f in enumerate(tubelet.extent.frames())
-        if PROVENANCES[tubelet.provenance[k]] == "detected"
-    ]
+def video_columns(dets):
+    """The `VideoDetections` of one video's scalar records, under the video
+    id the reference linkers give their tubelets."""
+    return columns(dets, dets[0].video_id if dets else "")
 
 
-def segments(starts, lengths, boxes, scores, prov):
-    """The (extent, boxes, scores, provenance) of each segment of the columns
-    `interpolate_gaps` returns."""
+def row_keys(tubelets):
+    """The multiset of (frame, class, box tuple) over every row of the tubelets."""
+    return Counter((f, t.object_class, tuple(t.boxes[k].tolist()))
+                   for t in tubelets for k, f in enumerate(t.extent.frames()))
+
+
+def detection_keys(dets):
+    """The multiset of (frame, class, box tuple) over scalar records."""
+    return Counter((d.frame, d.object_class, xyxy(d.box)) for d in dets)
+
+
+def segments(starts, lengths, boxes):
+    """The (extent, boxes) of each segment of the columns `interpolate_gaps` returns."""
     firsts = np.cumsum(lengths) - lengths
-    return [(Interval(s, s + n), boxes[lo:lo + n], scores[lo:lo + n], prov[lo:lo + n])
-            for s, n, lo in zip(starts.tolist(), lengths.tolist(), firsts.tolist())]
+    return [(Interval(s, s + n), boxes[lo:lo + n]) for s, n, lo in zip(starts.tolist(), lengths.tolist(),
+                                                                       firsts.tolist())]
 
 
 def interpolate(observed):
-    """The segments of `interpolate_gaps` on a frame -> (box tuple, score) map."""
+    """The segments of `interpolate_gaps` on a frame -> box tuple map."""
     frames = sorted(observed)
-    return segments(*interpolate_gaps(np.array(frames), rows(*(observed[f][0] for f in frames)),
-                                      np.array([observed[f][1] for f in frames])))
+    return segments(*interpolate_gaps(np.array(frames), rows(*(observed[f] for f in frames))))
 
 
 class TestInterpolateGaps:
     def test_single_frame_hole_midpoint(self):
-        observed = {4: ((0, 0, 10, 10), 0.9), 6: ((10, 0, 20, 10), 0.7)}
-        (extent, boxes, scores, prov), = interpolate(observed)
+        observed = {4: (0, 0, 10, 10), 6: (10, 0, 20, 10)}
+        (extent, boxes), = interpolate(observed)
         assert extent == Interval(4, 7)
-        assert boxes[1].tolist() == [5, 0, 15, 10]
-        assert scores[1] == pytest.approx(0.8)
-        assert [PROVENANCES[p] for p in prov] == ["detected", "interpolated", "detected"]
+        assert boxes.tolist() == [[0, 0, 10, 10], [5, 0, 15, 10], [10, 0, 20, 10]]
 
     def test_no_holes_identity(self):
-        observed = {f: ((f, 0, f + 10, 10), 0.5) for f in range(5)}
-        (extent, boxes, scores, prov), = interpolate(observed)
+        observed = {f: (f, 0, f + 10, 10) for f in range(5)}
+        (extent, boxes), = interpolate(observed)
         assert extent == Interval(0, 5)
-        assert boxes.tolist() == [list(observed[f][0]) for f in range(5)]
-        assert set(prov.tolist()) == {PROVENANCES.index("detected")}
+        assert boxes.tolist() == [list(observed[f]) for f in range(5)]
 
     def test_three_frame_hole_linear(self):
-        observed = {0: ((0, 0, 10, 10), 1.0), 4: ((40, 0, 50, 10), 1.0)}
-        (_, boxes, _, _), = interpolate(observed)
+        observed = {0: (0, 0, 10, 10), 4: (40, 0, 50, 10)}
+        (_, boxes), = interpolate(observed)
         assert boxes[1:4, 0].tolist() == [10, 20, 30]
 
     def test_rows_equal_the_scalar_reference(self):
@@ -115,19 +118,16 @@ class TestInterpolateGaps:
                 x, y = rng.uniform(-1e3, 1e3, n), rng.uniform(-1e3, 1e3, n)
                 x[0] = -0.0
                 boxes = np.stack([x, y, x + rng.uniform(0, 90, n), y + rng.uniform(0, 90, n)], axis=1)
-                scores = rng.uniform(0, 1, n)
-                objects.append((frames, boxes, scores))
-                observed = {f: (Box(*b), sc) for f, b, sc in zip(frames.tolist(), boxes.tolist(), scores.tolist())}
-                want.append(reference_interpolate_gaps(observed))
-            firsts = np.cumsum([0] + [len(f) for f, _, _ in objects[:-1]]).tolist()
+                objects.append((frames, boxes))
+                observed = {f: (Box(*b), 0.5) for f, b in zip(frames.tolist(), boxes.tolist())}
+                want.append(reference_interpolate_gaps(observed)[0])
+            firsts = np.cumsum([0] + [len(f) for f, _ in objects[:-1]]).tolist()
             got = segments(*interpolate_gaps(*(np.concatenate(col) for col in zip(*objects)), firsts))
             assert len(got) == len(want)
-            for (extent, b, sc, prov), (want_boxes, want_scores, want_prov) in zip(got, want):
+            for (extent, b), want_boxes in zip(got, want):
                 assert list(extent.frames()) == sorted(want_boxes)
                 want_rows = np.array([xyxy(want_boxes[f]) for f in extent.frames()])
                 assert b.tobytes() == want_rows.tobytes()
-                assert sc.tolist() == [want_scores[f] for f in extent.frames()]
-                assert [PROVENANCES[p] for p in prov] == [want_prov[f] for f in extent.frames()]
 
 
 class TestGreedyLink:
@@ -178,13 +178,9 @@ class TestGreedyLink:
         assert len(tubes) == 2
 
     def test_no_detection_shared_between_tubelets(self):
+        # no hole to fill, so the rows are the detections, each once
         dets = [det(f, x1=x, y1=y) for f in range(4) for x, y in ((f * 2.0, 0.0), (f * 2.0, 8.0))]
-        tubes = greedy_link(columns(dets))
-        seen = set()
-        for t in tubes:
-            for row in detected_rows(t):
-                assert row not in seen
-                seen.add(row)
+        assert row_keys(greedy_link(columns(dets))) == detection_keys(dets)
 
 
 class TestTrackLink:
@@ -196,9 +192,8 @@ class TestTrackLink:
         t = tubes[0]
         assert (t.extent.start, t.extent.end) == (0, 11)
         for f in range(5, 10):
-            assert PROVENANCES[t.provenance[f]] == "tracked"
             assert t.boxes[f, 0] == pytest.approx(5.0 * f)
-        assert PROVENANCES[t.provenance[10]] == "detected"
+        assert tuple(t.boxes[10].tolist()) == xyxy(dets[-1].box)
 
     def test_patience_splits_long_gap(self):
         dets = [det(f, x1=0.0) for f in range(5)] + [det(f, x1=0.0) for f in range(65, 70)]
@@ -210,7 +205,7 @@ class TestTrackLink:
         tubes = track_link(columns(dets))
         first = min(tubes, key=lambda t: t.extent.start)
         assert first.extent.end == 5
-        assert all(PROVENANCES[p] == "detected" for p in first.provenance)
+        assert row_keys([first]) == detection_keys(dets[:5])
 
     def test_single_frame_video(self):
         tubes = track_link(columns([det(0, 0.0), det(0, 100.0)]))
@@ -223,9 +218,8 @@ class TestTrackLink:
             det(0, 0.0), det(0, 12.0),
             det(1, 6.0),
         ]
-        tubes = track_link(columns(dets))
-        detected = [row for t in tubes for row in detected_rows(t)]
-        assert len(detected) == len(set(detected)) == 3
+        # no track bridges a miss, so the rows are the detections, each once
+        assert row_keys(track_link(columns(dets))) == detection_keys(dets)
 
 
 def rows(*boxes):
@@ -237,8 +231,7 @@ class TestPredictNext:
         # a track with one box predicts that box, bit for bit (-0.0 stays -0.0)
         dets = [det(0, -0.0, w=40.0), det(0, 500.0), det(2, 0.0, w=40.0)]
         tubes = track_link(columns(dets))
-        (t,) = [t for t in tubes if t.extent.length == 3]
-        assert PROVENANCES[t.provenance[1]] == "tracked"
+        (t,) = [t for t in tubes if t.extent.length == 3]  # frame 1 holds no detection
         assert t.boxes[1].tobytes() == t.boxes[0].tobytes()
         assert np.signbit(t.boxes[1, 0])
 
@@ -265,7 +258,8 @@ class TestPredictNext:
 
 # ---------------------------------------------------------------------------
 # the Box-based linkers the array code replaced, kept as references; they
-# take lists of scalar records
+# take lists of scalar records and, unlike the linkers, keep each row's
+# detection score and provenance
 
 
 def reference_predict_next(history):
@@ -286,16 +280,25 @@ class _RefTrack:
     last_match_frame: int = 0
 
 
+@dataclass(eq=False)
+class RefTubelet(Track):
+    """A reference linker's tubelet: a `Track` with each row's score and
+    provenance ("detected", "interpolated" or "tracked")."""
+
+    box_scores: tuple
+    provenance: tuple
+
+
 def _ref_emit(video_id, object_class, entries):
     frames, boxes, scores, prov = zip(*entries)
-    return Tubelet(
+    return RefTubelet(
         id=-1,
         video_id=video_id,
         object_class=object_class,
         extent=Interval(frames[0], frames[-1] + 1),
         boxes=np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64),
-        box_scores=np.array(scores, dtype=np.float64),
-        provenance=np.array([PROVENANCES.index(p) for p in prov], dtype=np.int8),
+        box_scores=scores,
+        provenance=prov,
     )
 
 
@@ -382,6 +385,34 @@ def reference_track_link(detections, config=LinkConfig()):
         entries = [e for e in tr.entries if e[0] <= tr.last_match_frame]
         tubelets.append(_ref_emit(video_id, tr.object_class, entries))
     return _ref_numbered(tubelets)
+
+
+def reference_link(videos, config=LinkConfig()):
+    """The reference linker of `config.strategy` on `VideoDetections` by
+    video id, the tubelets numbered on across the videos in id order, as
+    `cli.link` numbers them."""
+    link = reference_greedy_link if config.strategy == "greedy" else reference_track_link
+    out = []
+    for v in sorted(videos):
+        first_id = len(out)
+        out.extend(replace(t, id=first_id + t.id) for t in link(records(videos[v]), config))
+    return out
+
+
+def previous_format_line(t):
+    """A reference tubelet's tubelets.jsonl line in the format before the
+    box-row one: each row also held its detection score and provenance."""
+    keys = ("frame", "provenance", "score", "x1", "y1", "x2", "y2")
+    rows = [dict(zip(keys, (f, p, sc, *b)))
+            for f, p, sc, b in zip(t.extent.frames(), t.provenance, t.box_scores, t.boxes.tolist())]
+    return json.dumps({"boxes": rows, "class": t.object_class, "end": t.extent.end, "id": t.id,
+                       "start": t.extent.start, "video_id": t.video_id}, sort_keys=True)
+
+
+def filled_rows(tubelets):
+    """How many rows of reference tubelets each provenance other than
+    "detected" names: the rows a linker fills in."""
+    return Counter(p for t in tubelets for p in t.provenance if p != "detected")
 
 
 def reference_interpolate_gaps(observed):
@@ -544,9 +575,8 @@ def assert_same_tubelets(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert (a.id, a.video_id, a.object_class, a.extent) == (b.id, b.video_id, b.object_class, b.extent)
-        for x, y in ((a.boxes, b.boxes), (a.box_scores, b.box_scores), (a.provenance, b.provenance)):
-            assert x.dtype == y.dtype and x.shape == y.shape
-            assert np.array_equal(x, y) and x.tobytes() == y.tobytes()
+        assert a.boxes.dtype == b.boxes.dtype and a.boxes.shape == b.boxes.shape
+        assert np.array_equal(a.boxes, b.boxes) and a.boxes.tobytes() == b.boxes.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -599,7 +629,7 @@ class TestTrackLinkEqualsReference:
                                       dropout_rate=0.1, box_jitter_px=2.0, false_positive_rate=0.3))
         (video,) = corpus.detections.values()
         got = track_link(video)
-        assert np.count_nonzero(got.provenance == PROVENANCES.index("tracked")) > 500
+        assert len(got.boxes) - len(video) > 500  # tracked rows
         assert_same_tubelets(got, reference_track_link(records(video)))
 
 
@@ -721,12 +751,10 @@ def test_greedy_gives_one_tubelet_per_object_at_length(seed):
     assert tubelet_recall(tubes, corpus.ground_truth, (0.5,)).recall == (1.0,)
 
 
-def detection_key(frame, cls, box, score):
-    return (frame, cls, tuple(float(v) for v in box), float(score))
-
-
 @pytest.fixture
 def scenes(corpus_videos):
+    """Seeded scenes with dropout, false positives and exact duplicates, and
+    the corpus videos, which add 2 px of jitter."""
     return [scene(seed) for seed in range(60)] + corpus_videos
 
 
@@ -734,18 +762,21 @@ def scenes(corpus_videos):
 def test_a_still_object_is_one_tubelet_at_threshold_one(link):
     # the same box on 10 frames has IoU exactly 1.0 from frame to frame
     tubes = link(columns([det(f, 20.0) for f in range(10)]), LinkConfig(iou_link_threshold=1.0))
-    assert [(t.extent, t.provenance.tolist()) for t in tubes] == [(Interval(0, 10), [0] * 10)]
+    assert [(t.extent, t.boxes.tolist()) for t in tubes] == [(Interval(0, 10), [[20.0, 0.0, 30.0, 10.0]] * 10)]
 
 
 @pytest.mark.parametrize("max_interp_gap", [0, 2, 8])
 def test_greedy_interpolates_no_hole_longer_than_max_interp_gap(scenes, max_interp_gap):
     # greedy joins chains only across holes it may fill, so interpolate_gaps
-    # needs no rule for a longer hole
+    # needs no rule for a longer hole; the reference, equal to it, says
+    # which rows it filled
     config = LinkConfig(max_interp_gap=max_interp_gap)
     runs = []
     for dets in scenes:
-        for t in greedy_link(columns(dets), config):
-            interpolated = np.append(t.provenance == PROVENANCES.index("interpolated"), False)
+        tubes = reference_greedy_link(dets, config)
+        assert_same_tubelets(greedy_link(video_columns(dets), config), tubes)
+        for t in tubes:
+            interpolated = np.append(np.array(t.provenance) == "interpolated", False)
             edges = np.flatnonzero(np.diff(interpolated, prepend=False))  # run starts and ends, alternating
             runs.extend(np.diff(edges)[::2].tolist())
     assert max(runs, default=0) <= max_interp_gap
@@ -759,30 +790,39 @@ class TestLinkProperties:
             tubes = link(columns(dets))
             assert [t.id for t in tubes] == list(range(len(tubes)))
             for t in tubes:
-                n = t.extent.length
-                assert t.boxes.shape == (n, 4) and t.box_scores.shape == (n,) and t.provenance.shape == (n,)
+                assert type(t) is Track and t.boxes.shape == (t.extent.length, 4)
                 assert np.isfinite(t.boxes).all()
 
     def test_each_detection_is_one_detected_row(self, link, scenes):
+        # the detections are contained in the rows, and the other rows are
+        # as many as the scalar reference fills in: each detection is one row
+        reference = reference_track_link if link is track_link else reference_greedy_link
         for dets in scenes:
             tubes = link(columns(dets))
-            rows = Counter(
-                detection_key(f, t.object_class, t.boxes[k], t.box_scores[k])
-                for t in tubes
-                for k, f in enumerate(t.extent.frames())
-                if PROVENANCES[t.provenance[k]] == "detected"
-            )
-            assert rows == Counter(detection_key(d.frame, d.object_class, xyxy(d.box), d.score) for d in dets)
+            rows = row_keys(tubes)
+            assert not detection_keys(dets) - rows
+            assert rows.total() - len(dets) == filled_rows(reference(dets)).total()
 
     def test_filled_rows_never_trail_the_last_detected_row(self, link, scenes):
-        filled = "tracked" if link is track_link else "interpolated"
         for dets in scenes:
-            tubes = link(columns(dets))
-            for t in tubes:
-                prov = [PROVENANCES[c] for c in t.provenance.tolist()]
-                assert prov[0] == prov[-1] == "detected"
-                assert set(prov) <= {"detected", filled}
-                if filled == "tracked":  # a tracked row carries the last detected score
-                    for k in range(1, len(prov)):
-                        if prov[k] == "tracked":
-                            assert t.box_scores[k] == t.box_scores[k - 1]
+            detections = detection_keys(dets)
+            for t in link(columns(dets)):
+                for k, f in ((0, t.extent.start), (-1, t.extent.end - 1)):
+                    assert (f, t.object_class, tuple(t.boxes[k].tolist())) in detections
+
+
+@pytest.mark.parametrize("strategy", ["tracking", "greedy"])
+def test_link_funnel_counts_the_rows_the_references_fill(tmp_path, scenes, strategy):
+    # every admitted detection is one tubelet row, so `link` counts the rows
+    # beyond the detections; the references, which keep each row's
+    # provenance, say which rows those are
+    config = LinkConfig(strategy=strategy)
+    reference = reference_track_link if strategy == "tracking" else reference_greedy_link
+    filled = Counter()
+    for dets in filter(None, scenes):
+        counts = linked_funnel(tmp_path, [dets], config)
+        assert not detection_keys(dets) - row_keys(linking.read_tubelets(tmp_path / "tubelets.jsonl"))
+        want = filled_rows(reference(dets, config))
+        assert (counts["interpolated_frames"], counts["tracked_frames"]) == (want["interpolated"], want["tracked"])
+        filled += want
+    assert set(filled) == {"tracked" if strategy == "tracking" else "interpolated"}

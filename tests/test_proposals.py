@@ -159,7 +159,7 @@ class TestRoute:
         assert route(p).name == group
 
     def test_unknown_class(self):
-        # a Tubelet rejects "dog", so route sees it only from a duck-typed object
+        # a Track rejects "dog", so route sees it only from a duck-typed object
         with pytest.raises(InvalidInputError):
             route(SimpleNamespace(object_class="dog"))
 

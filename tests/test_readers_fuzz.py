@@ -11,6 +11,7 @@ location.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -174,9 +175,9 @@ TOO_LARGE = 10**400  # a JSON integer no float can hold
 
 
 def not_a_float(kind, rec, draw):
-    """A real-valued field (a box coordinate or score, a confidence or a
-    proposal score) made a string of its value, a bool or `TOO_LARGE`."""
-    fields = [(row, k) for row in rec["boxes"] for k in ("x1", "y1", "x2", "y2", "score") if k in row]
+    """A real-valued field (a box coordinate, a confidence or a proposal
+    score) made a string of its value, a bool or `TOO_LARGE`."""
+    fields = [(row, k) for row in rec["boxes"] for k in ("x1", "y1", "x2", "y2")]
     fields += [(rec, "confidence")] if "confidence" in rec else []
     fields += [(e["scores"], k) for e in rec.get("proposals", []) if "scores" in e for k in e["scores"]]
     target, key = draw(st.sampled_from(fields))
@@ -212,7 +213,7 @@ def test_single_field_mutation_is_a_parse_error(tmp_path, inputs, kind, data):
         READERS[kind](path)
     assert (exc.value.path, exc.value.line) == (path, 2)
     assert str(exc.value).startswith(f"{path}:2: ")
-    if kind == "tubelets":  # the column reader says what a reader of one `Tubelet` a line said
+    if kind == "tubelets":  # the column reader says what a reader of one `Track` a line said
         with pytest.raises(ParseError) as ref:
             reference_read_tubelets(path)
         assert str(exc.value) == str(ref.value)
@@ -220,6 +221,33 @@ def test_single_field_mutation_is_a_parse_error(tmp_path, inputs, kind, data):
     res = CliRunner().invoke(main, _cli_args(kind, str(path), inputs))
     assert res.exit_code == 1, res.output
     assert f"{path}:2: " in json.loads(res.output.strip().splitlines()[-1])["error"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_start_before_frame_zero_is_a_parse_error(tmp_path, inputs, kind):
+    # the second record, its box rows and its proposal windows moved back
+    # whole to [-4, 1), so its start is the one field at fault: a frame
+    # before 0 is an error here as in a detection
+    path = tmp_path / f"{kind}.jsonl"
+    _write(kind, path)
+    first, second = (json.loads(line) for line in path.read_text().splitlines())
+    shift = second["start"] + 4
+    for target in (second, *second["boxes"], *second.get("proposals", ())):
+        for key in ("start", "end", "frame"):
+            if key in target:
+                target[key] -= shift
+    path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: invalid .*start must be >= 0: -4$"):
+        READERS[kind](path)
+    commands = [_cli_args(kind, str(path), inputs)]
+    if kind == "ground_truth":  # eval-det reads ground truth too
+        commands.append(_cli_args("instances", str(inputs / "gt.jsonl"), inputs))
+        commands[-1][commands[-1].index("--ground-truth") + 1] = str(path)
+    for args in commands:
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 1, res.output
+        assert f"{path}:2: " in json.loads(res.output.strip().splitlines()[-1])["error"]
 
 
 def test_extent_must_match_box_rows(tmp_path):

@@ -114,7 +114,7 @@ class TestMakeProposals:
     def test_windows_view_one_normalised_track(self, frame_size):
         t = moving_tubelet(100)
         props = make_proposals(t, *frame_size)
-        # the normalised track keeps the tubelet's identity, not its scores or provenance
+        # the normalised track keeps the tubelet's identity, as a new `Track`
         assert type(props[0].tubelet) is Track
         assert (props[0].tubelet.id, props[0].tubelet.extent) == (t.id, t.extent)
         for p in props:

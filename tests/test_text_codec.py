@@ -26,32 +26,26 @@ from tubekit.data_model import (
     write_instances,
 )
 from tubekit.geometry import Interval
-from tubekit.linking import PROVENANCES, Tubelet
+from tubekit.linking import Track
 from tubekit.refinement import Proposal, read_proposals, write_proposals
 
 # -- the reference: the dict-per-row encoder the writers used before --------
 
 
-def reference_encode_boxes(extent, boxes, **columns):
-    keys = ("frame", *BOX_KEYS, *columns)
-    rows = zip(extent.frames(), *boxes.T.tolist(), *columns.values())
-    return [dict(zip(keys, row)) for row in rows]
+def reference_encode_boxes(extent, boxes):
+    keys = ("frame", *BOX_KEYS)
+    return [dict(zip(keys, row)) for row in zip(extent.frames(), *boxes.T.tolist())]
 
 
-def reference_track_record(t, **columns):
+def reference_track_record(t):
     return {
         "id": t.id,
         "video_id": t.video_id,
         "class": t.object_class,
         "start": t.extent.start,
         "end": t.extent.end,
-        "boxes": reference_encode_boxes(t.extent, t.boxes, **columns),
+        "boxes": reference_encode_boxes(t.extent, t.boxes),
     }
-
-
-def reference_tubelet_record(t):
-    return reference_track_record(t, score=t.box_scores.tolist(),
-                                  provenance=[PROVENANCES[c] for c in t.provenance.tolist()])
 
 
 def reference_instance_record(inst):
@@ -140,22 +134,17 @@ def test_box_rows_equal_the_reference(track):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.lists(st.tuples(tracks(), st.sampled_from(OBJECT_CLASSES), video_ids, st.integers(0, 2**40),
-                          st.lists(unit_floats, min_size=6, max_size=6),
-                          st.lists(st.integers(0, len(PROVENANCES) - 1), min_size=6, max_size=6)),
+@given(st.lists(st.tuples(tracks(), st.sampled_from(OBJECT_CLASSES), video_ids, st.integers(0, 2**40), unit_floats),
                 max_size=4))
 def test_tubelet_and_proposal_lines_equal_the_reference(tmp_path, drawn):
-    tubes = []
-    for (start, boxes), cls, video, tid, scores, prov in drawn:
-        n = len(boxes)
-        tubes.append(Tubelet(tid, video, cls, Interval(start, start + n), boxes,
-                             np.array(scores[:n]), np.array(prov[:n], dtype=np.int8)))
+    tubes = [Track(tid, video, cls, Interval(start, start + len(boxes)), boxes)
+             for (start, boxes), cls, video, tid, _ in drawn]
     assert written(tmp_path, write_tubelet_list, tubes) == reference_text(
-        reference_tubelet_record(t) for t in sorted(tubes, key=lambda t: (t.video_id, t.id)))
+        reference_track_record(t) for t in sorted(tubes, key=lambda t: (t.video_id, t.id)))
     props = [
         Proposal(10 * i + j, t, Interval(t.extent.start + j, t.extent.end),
-                 None if j else {"Riding": t.box_scores[0].item(), "non_action": 1.0 - t.box_scores[0].item()})
-        for i, t in enumerate(tubes) for j in range(min(2, t.extent.length))
+                 None if j else {"Riding": score, "non_action": 1.0 - score})
+        for i, (t, (*_, score)) in enumerate(zip(tubes, drawn)) for j in range(min(2, t.extent.length))
     ]
     assert written(tmp_path, write_proposals, props) == reference_text(reference_proposal_records(props))
 
@@ -272,10 +261,6 @@ def test_non_finite_values_raise(tmp_path, bad):
         write_instances([ActivityInstance("v0", "Riding", Interval(0, 3), boxes, 0.5)], tmp_path / "i.jsonl")
     with pytest.raises(ValueError, match="non-finite"):
         write_tubelet_list([make_tubelet(boxes)], tmp_path / "t.jsonl")
-    scores_bad = make_tubelet(boxes[[0, 0, 0]])
-    scores_bad.box_scores[2] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        write_tubelet_list([scores_bad], tmp_path / "t.jsonl")
     props = [Proposal(0, make_tubelet(boxes[[0, 0, 0]]), Interval(0, 3), {"Riding": bad})]
     with pytest.raises(ValueError):
         write_proposals(props, tmp_path / "p.jsonl")

@@ -1,7 +1,7 @@
 """The column paths over tubelet tables against the per-object loops they
-replaced: `read_tubelets` against a reader that builds one `Tubelet` per
+replaced: `read_tubelets` against a reader that builds one `Track` per
 line, and `filter_static`, the `refine` frame-range check and
-`tubelet_recall` against loops over `Tubelet` views.
+`tubelet_recall` against loops over `Track` views.
 
 The tables are random: several videos, ids that are not contiguous,
 tubelets of 1 to 50 rows on a coarse grid (so centre steps and coverages
@@ -25,6 +25,7 @@ from tubekit.data_model import (
     ActivityInstance,
     VideoMeta,
     _bad_boxes,
+    extent_field,
     int_field,
     read_records,
     require_numbers,
@@ -34,7 +35,7 @@ from tubekit.data_model import (
 from tubekit.errors import InvalidInputError, ParseError
 from tubekit.evaluation import RecallCurve, tubelet_recall
 from tubekit.geometry import Interval, mean_center_step, mean_center_steps
-from tubekit.linking import PROVENANCES, LinkedTubelets, Tubelet, VideoTubelets, tubelet_key
+from tubekit.linking import LinkedTubelets, Track, VideoTubelets, tubelet_key
 from tubekit.proposals import tubelet_spatial_iou
 from tubekit.refinement import RefineConfig, filter_static
 
@@ -43,10 +44,10 @@ from tubekit.refinement import RefineConfig, filter_static
 
 
 def reference_tubelet_from_record(rec):
-    """The `Tubelet` of a parsed tubelets.jsonl line, made as the reader did
+    """The `Track` of a parsed tubelets.jsonl line, made as the reader did
     before it filled column tables: every field checked in field order, the
     boxes through one numpy array."""
-    extent = Interval(int_field(rec, "start"), int_field(rec, "end"))
+    extent = extent_field(rec)
     rows = sorted(rec["boxes"], key=lambda r: int_field(r, "frame"))
     if [int_field(r, "frame") for r in rows] != list(extent.frames()):
         raise InvalidInputError(f"boxes must hold each frame of [{extent.start}, {extent.end}) once")
@@ -57,20 +58,11 @@ def reference_tubelet_from_record(rec):
     bad = _bad_boxes(boxes)
     if bad.any():
         raise InvalidInputError(f"non-finite or inverted box at frame {extent.start + int(np.argmax(bad))}")
-    scores, prov = [r["score"] for r in rows], [r["provenance"] for r in rows]
-    fields = (int_field(rec, "id"), str_field(rec, "video_id"), str_field(rec, "class"), extent, boxes)
-    require_numbers(scores, "box scores")
-    scores = np.array(scores, dtype=np.float64)
-    if not np.isfinite(scores).all():
-        raise InvalidInputError("non-finite box score")
-    unknown = set(prov) - set(PROVENANCES)
-    if unknown:
-        raise InvalidInputError(f"unknown provenance {unknown}")
-    return Tubelet(*fields, scores, np.array(list(map(PROVENANCES.index, prov)), dtype=np.int8))
+    return Track(int_field(rec, "id"), str_field(rec, "video_id"), str_field(rec, "class"), extent, boxes)
 
 
 def reference_read_tubelets(path):
-    """A tubelets file as `Tubelet`s in (video_id, id) order, one per line."""
+    """A tubelets file as `Track`s in (video_id, id) order, one per line."""
     tubelets = read_records(path, "tubelet", reference_tubelet_from_record, tubelet_key)
     return sorted(tubelets, key=lambda t: (t.video_id, t.id))
 
@@ -149,13 +141,10 @@ def random_tables(rng, videos=("v0", "v1", "v2"), max_tubelets=12, max_length=50
             else:
                 step = np.cumsum(rng.integers(-2, 3, size=(n, 2)) * 0.5, axis=0)
             boxes.append(np.concatenate((step + (x, y), step + (x + w, y + h)), axis=1))
-        rows = int(lengths.sum())
         tables.append(VideoTubelets(
             video_id, starts.astype(np.int64), lengths.astype(np.int64),
             rng.integers(0, len(DETECTION_CLASSES), size=t).astype(np.int64),
-            np.cumsum(lengths) - lengths, np.concatenate(boxes),
-            np.where(rng.random(rows) < 0.5, rng.random(rows), 0.5),
-            rng.integers(0, len(PROVENANCES), size=rows).astype(np.int8), ids))
+            np.cumsum(lengths) - lengths, np.concatenate(boxes), ids))
     return LinkedTubelets(tables)
 
 
@@ -176,8 +165,7 @@ def random_instances(rng, videos, count=12, frames=150):
 
 def columns_of(table):
     """A table's tubelet columns in id order, and each tubelet's rows."""
-    rows = [(table.boxes[lo:lo + n].tobytes(), table.box_scores[lo:lo + n].tobytes(),
-             table.provenance[lo:lo + n].tobytes()) for lo, n in zip(table.firsts.tolist(), table.lengths.tolist())]
+    rows = [table.boxes[lo:lo + n].tobytes() for lo, n in zip(table.firsts.tolist(), table.lengths.tolist())]
     return (table.video_id, table.ids.tolist(), table.starts.tolist(), table.lengths.tolist(),
             table.classes.tolist(), rows)
 
@@ -210,16 +198,13 @@ class TestReadTubelets:
         back = linking.read_tubelets(path)
         assert [t.video_id for t in back.tables] == [t.video_id for t in tubes.tables]
         for got, want in zip(back.tables, tubes.tables):
-            assert got.boxes.dtype == want.boxes.dtype and got.box_scores.dtype == want.box_scores.dtype
-            assert got.provenance.dtype == want.provenance.dtype and got.ids.dtype == want.ids.dtype
+            assert got.boxes.dtype == want.boxes.dtype and got.ids.dtype == want.ids.dtype
             assert columns_of(got) == columns_of(want)
-            assert not (got.boxes.flags.writeable or got.box_scores.flags.writeable)
-        # and the same `Tubelet`s as one per line
+            assert not got.boxes.flags.writeable
+        # and the same `Track`s as one per line
         ref = reference_read_tubelets(path)
-        assert [(t.video_id, t.id, t.object_class, t.extent, t.boxes.tobytes(), t.box_scores.tobytes(),
-                 t.provenance.tobytes()) for t in back] == [
-            (t.video_id, t.id, t.object_class, t.extent, t.boxes.tobytes(), t.box_scores.tobytes(),
-             t.provenance.tobytes()) for t in ref]
+        assert [(t.video_id, t.id, t.object_class, t.extent, t.boxes.tobytes()) for t in back] == [
+            (t.video_id, t.id, t.object_class, t.extent, t.boxes.tobytes()) for t in ref]
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -277,7 +262,7 @@ def test_filter_static_equals_the_per_tubelet_loop(minimum):
         want, want_removed = reference_filter_static(list(tubes), config)
         assert [(t.video_id, t.id) for t in kept] == [(t.video_id, t.id) for t in want]
         assert removed == want_removed
-        assert all(type(t) is Tubelet for t in kept)
+        assert all(type(t) is Track for t in kept)
         kept_any += len(kept)
         removed_any += removed
     assert kept_any and (removed_any or minimum == 0.0)
@@ -342,11 +327,11 @@ def test_tubelet_recall_scores_only_candidates_it_needs(monkeypatch):
     tubes = [make_tubelet(box_rows((0, 0, 10, 10), 8), start=s, tubelet_id=2 * s) for s in range(0, 60, 3)]
     tubes.insert(5, make_tubelet(ref.boxes, start=10, tubelet_id=1))
 
-    class Counted(Tubelet):
+    class Counted(Track):
         def __post_init__(self):
             made.append(self.id)
             super().__post_init__()
 
-    monkeypatch.setattr(linking, "Tubelet", Counted)
+    monkeypatch.setattr(linking, "Track", Counted)
     assert tubelet_recall(linked(tubes), [ref], [0.5]).recall == (1.0,)
     assert made == [1]
