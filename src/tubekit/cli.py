@@ -48,7 +48,7 @@ from .evaluation import AlignmentPolicy, EvalConfig
 from .geometry import Interval
 from .linking import LinkConfig
 from .postprocess import FusionConfig, SoftNmsConfig
-from .proposals import LabelPolicy, ScorerConfig
+from .proposals import SCORE_CLASSES, LabelPolicy, ScorerConfig
 from .refinement import RefineConfig
 try:  # the built-in SHA-256 that hashlib falls back to; hashlib's own loads OpenSSL
     from _sha2 import sha256  # CPython 3.12+
@@ -254,33 +254,34 @@ def link(m, detections, metas, out):
 
 
 def refine(m, tubelets, metas, out):
-    """Drop the static tubelets and cut the others into proposals, numbered as
-    they are made in (video_id, tubelet_id, start, end) order: `link` and
+    """Drop the static tubelets and cut each other one into a `TubeletProposals`,
+    numbered as made in (video_id, tubelet_id, start, end) order: `link` and
     `read_tubelets` give that order, and `jitter` gives (start, end). Warns, naming
     `refine.coord_displacement_min`, when every tubelet is static."""
     cfg = m.cfg
     with m.phase("refine", "compute"):
         _check_tubelet_range(tubelets, metas)
         kept, removed = refinement.filter_static(tubelets, cfg.refine)
-        props = []
+        lines, count = [], 0
         for tub in kept:
             meta = metas[tub.video_id]
-            props.extend(refinement.make_proposals(tub, meta.width, meta.height, cfg.refine, id_start=len(props)))
+            lines.append(refinement.make_proposals(tub, meta.width, meta.height, cfg.refine, id_start=count))
+            count += len(lines[-1])
     with m.phase("refine", "write"):
-        refinement.write_proposals(props, out)
-    m.counts.update(tubelets=len(tubelets), proposals=len(props), removed_static=removed)
+        refinement.write_proposals(lines, out)
+    m.counts.update(tubelets=len(tubelets), proposals=count, removed_static=removed)
     if removed and not kept:
         m.warn(f"all {removed} tubelets were removed as static: none moves its box centre by a mean of "
                f"refine.coord_displacement_min {cfg.refine.coord_displacement_min} px a frame; no proposal is left")
-    return props
+    return lines
 
 
-def score(m, props, ground_truth, outs):
-    """Route each proposal once and score it under its model group, skipping
-    those routed outside the groups `outs` maps to a file; groups that share
-    a file are written together. The scored proposals are new objects;
-    `props` keep `scores` unset. Returns {group name: scored proposals in
-    input order}.
+def score(m, lines, ground_truth, outs):
+    """Route each `TubeletProposals` line once, by its track, and score it
+    under its model group, skipping those routed outside the groups `outs`
+    maps to a file; groups that share a file are written together. A scored
+    line is a new one that shares its input's arrays and adds a score matrix;
+    `lines` keep `scores` unset. Returns {group name: scored lines in input order}.
 
     With the oracle scorer, counts the label funnel: per group the
     positive/negative/ignore label counts, the number of references of the
@@ -293,14 +294,16 @@ def score(m, props, ground_truth, outs):
         oracle = cfg.scorer.name == "oracle"
         scorer = proposals.OracleScorer(ground_truth, cfg.scorer, cfg.label) if oracle else proposals.HeuristicScorer()
         by_group = {name: [] for name in groups}
-        for p in props:
-            group = proposals.route(p)
-            if group.name in groups:
-                by_group[group.name].append(dataclasses.replace(p, scores=proposals.score(p, group, scorer)))
+        for line in lines:
+            group = proposals.route(line.track)
+            if group.name in groups:  # NaN for each class the scorer leaves out
+                dicts = [proposals.score(p, group, scorer) for p in line]
+                scores = np.array([[d.get(c, np.nan) for c in SCORE_CLASSES] for d in dicts], dtype=np.float64)
+                by_group[group.name].append(dataclasses.replace(line, scores=scores))
     with m.phase("score", "write"):
         for path in dict.fromkeys(outs.values()):
-            refinement.write_proposals([p for g in groups if outs[g] == path for p in by_group[g]], path)
-    m.counts["scored"] = sum(map(len, by_group.values()))
+            refinement.write_proposals([line for g in groups if outs[g] == path for line in by_group[g]], path)
+    m.counts["scored"] = sum(len(line) for name in groups for line in by_group[name])
 
     if not oracle:
         return by_group
@@ -324,7 +327,7 @@ def score(m, props, ground_truth, outs):
                 )
             else:
                 cause = (
-                    f"none of its {len(by_group[name])} scored proposals reaches both label.spatial_pos "
+                    f"none of its {sum(map(len, by_group[name]))} scored proposals reaches both label.spatial_pos "
                     f"{cfg.label.spatial_pos} and label.temporal_pos {cfg.label.temporal_pos} against a reference"
                 )
             m.warn(f"0 positive labels in {name} against {counts['references']} references: {cause}")
@@ -332,7 +335,7 @@ def score(m, props, ground_truth, outs):
 
 
 def fuse(m, vehicle, person, out):
-    """Late-fuse the two groups' scored proposals into the final instances,
+    """Late-fuse the two groups' scored lines into the final instances,
     in `data_model.instance_order`: every entry soft-NMS keeps. Counts them
     and `nms_in`; 0 instances warn, blaming the cut only if `nms_in` > 0."""
     cfg = m.cfg
@@ -515,9 +518,9 @@ def refine_cmd(tubelets, meta, out, config_path, workers):
     with m.phase("refine", "read"):
         tubes = linking.read_tubelets(tubelets)
         metas = data_model.read_video_meta(meta)
-    props = refine(m, tubes, metas, out)
+    count = sum(map(len, refine(m, tubes, metas, out)))
     m.write(out)
-    click.echo(f"wrote {len(props)} proposals to {out} ({m.counts['removed_static']} static tubelets removed)")
+    click.echo(f"wrote {count} proposals to {out} ({m.counts['removed_static']} static tubelets removed)")
 
 
 @main.command("score")

@@ -50,7 +50,7 @@ from .geometry import Interval
 @dataclass(eq=False)
 class Track:
     """Temporally contiguous boxes of one object; row k of `boxes` is frame
-    extent.start + k. A tubelet is one, as is a proposal's normalised tubelet."""
+    extent.start + k. A tubelet is one, as are a proposal and its normalised tubelet."""
 
     id: int
     video_id: str

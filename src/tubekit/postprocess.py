@@ -1,5 +1,5 @@
-"""Soft-NMS over scored proposals and late fusion of the vehicle/person model
-outputs into final activity instances."""
+"""Soft-NMS over the score matrices of scored proposals and late fusion of the
+vehicle/person model outputs into final activity instances."""
 
 import math
 from dataclasses import dataclass
@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .data_model import ActivityInstance, instance_order
+from .data_model import ACTIVITY_CLASSES, ActivityInstance, instance_order
 from .errors import InvalidInputError
-from .proposals import NON_ACTION, PERSON_GROUP, VEHICLE_GROUP
+from .proposals import PERSON_GROUP, SCORE_CLASSES, VEHICLE_GROUP
 
 
 @dataclass(frozen=True)
@@ -51,17 +51,16 @@ def _decay_matrix(tiou, config):
     return np.array([math.exp(x) for x in exponents.tolist()])[inverse].reshape(tiou.shape)
 
 
-def _neighbor_mask(proposals):
-    """(n,n) bool: proposals i and j may suppress each other. That is when
-    they share a tubelet id, or when some common frame of their windows has
-    box IoU > 0. One `paired_iou` per pair of tubelets covers every pair of
-    their windows through a prefix count of the frames with IoU > 0."""
+def _neighbor_mask(tracks, windows):
+    """(n,n) bool: entries i and j, over windows of tracks[i] and tracks[j], may
+    suppress each other. That is when the tracks share a tubelet id, or when some
+    common frame of the windows has box IoU > 0. One `paired_iou` per pair of tracks
+    covers every pair of their windows through a prefix count of the frames with IoU > 0."""
     groups = {}
-    for i, p in enumerate(proposals):
-        groups.setdefault(id(p.tubelet), (p.tubelet, []))[1].append(i)
+    for i, track in enumerate(tracks):
+        groups.setdefault(id(track), (track, []))[1].append(i)
     groups = list(groups.values())
-    windows = np.array([(p.window.start, p.window.end) for p in proposals], dtype=np.int64)
-    mask = np.zeros((len(proposals), len(proposals)), dtype=bool)
+    mask = np.zeros((len(tracks), len(tracks)), dtype=bool)
     for a, (ta, ia) in enumerate(groups):
         for tb, ib in groups[a:]:
             if ta.id == tb.id:
@@ -87,79 +86,83 @@ def _window_overlaps(ta, tb, windows_a, windows_b):
         ta.boxes[start - ta.extent.start:end - ta.extent.start],
         tb.boxes[start - tb.extent.start:end - tb.extent.start],
     )
-    lo = np.maximum(windows_a[:, 0, None], windows_b[None, :, 0]) - start
-    hi = np.minimum(windows_a[:, 1, None], windows_b[None, :, 1]) - start
+    a, b = windows_a[:, 0, None] - start, windows_b[None, :, 0] - start  # windows are (start, length)
+    lo, hi = np.maximum(a, b), np.minimum(a + windows_a[:, 1, None], b + windows_b[None, :, 1])
     overlapping = np.concatenate(([0], np.cumsum(iou > 0.0)))
     return (lo < hi) & (overlapping[np.clip(hi, 0, end - start)] > overlapping[np.clip(lo, 0, end - start)])
 
 
-def soft_nms(entries, config=SoftNmsConfig()):
-    """Rescore one (video, activity) bucket of (proposal, score) entries.
+def soft_nms(scores, windows, ids, tracks, config=SoftNmsConfig()):
+    """Rescore one (video, activity) bucket: entry i is proposal ids[i], score
+    scores[i], over the frames windows[i] = (start, length) of normalised track tracks[i].
 
     Iteratively selects the highest-scoring entry and decays the scores of
     its neighbours (gaussian exp(-tiou^2/sigma) or linear 1-tiou). Entries
-    falling below `score_threshold` are dropped. Returns the kept (proposal,
-    final score) pairs in selection order, so by final score, descending.
+    falling below `score_threshold` are dropped. Returns the kept entries'
+    indices in selection order, so by final score, descending, and those scores.
     An entry decays only entries selected after it, so at threshold t2 this
     returns exactly its output at any t1 <= t2 cut to the scores >= t2."""
-    # argmax takes the first of tied scores, so this order breaks ties
-    live = sorted((e for e in entries if e[1] >= config.score_threshold),
-                  key=lambda e: (e[0].video_id, e[0].window.start, e[0].proposal_id))
-    if not live:
-        return []
-    proposals = [p for p, _ in live]
-    scores = np.array([s for _, s in live], dtype=np.float64)
-    windows = np.array([(p.window.start, p.window.end) for p in proposals], dtype=np.float64)
-    decay = _decay_matrix(kernels.temporal_iou_matrix(windows, windows), config)
-    neighbors = _neighbor_mask(proposals)
+    live = np.flatnonzero(scores >= config.score_threshold)
+    # argmax takes the first of tied scores, so this (window start, proposal id) order breaks ties
+    live = live[np.lexsort((ids[live], windows[live, 0]))]
+    scores, windows = scores[live], windows[live]  # copies: the decay writes to scores
+    spans = np.cumsum(windows, axis=1, dtype=np.float64)  # (start, end)
+    decay = _decay_matrix(kernels.temporal_iou_matrix(spans, spans), config)
+    neighbors = _neighbor_mask([tracks[i] for i in live.tolist()], windows)
 
     alive = np.ones(len(live), dtype=bool)
-    result = []
+    kept = []
     while alive.any():
         candidates = np.flatnonzero(alive)
         top = int(candidates[np.argmax(scores[candidates])])
-        result.append((proposals[top], float(scores[top])))
+        kept.append(top)
         alive[top] = False
         hit = alive & neighbors[top]
         scores[hit] *= decay[top, hit]
         alive &= scores >= config.score_threshold
-    return result
+    return live[kept].tolist(), scores[kept].tolist()  # a selected score decays no more
 
 
 def fuse(vehicle_scored, person_scored, nms, fusion, funnel=None):
-    """Late fusion: put each activity score of each proposal, times its
-    group's `fusion` weight, in its (video, activity) bucket, run soft-NMS
-    under `nms` per bucket and return every entry it keeps as an instance.
-    Each source may score only the activities of its group (`VEHICLE_GROUP`,
-    `PERSON_GROUP`). A `funnel` dict receives `nms_in`, the bucket entries
-    given to soft-NMS."""
-    buckets = {}
+    """Late fusion of scored lines: put each activity score (not NaN) of each
+    proposal, times its group's `fusion` weight, in its (video, activity) bucket,
+    run soft-NMS under `nms` per bucket and return every entry it keeps as an
+    instance. Each source may score only the activities of its group (`VEHICLE_GROUP`,
+    `PERSON_GROUP`). A `funnel` dict receives `nms_in`, the bucket entries given to soft-NMS."""
+    buckets = {}  # (video_id, activity) -> [(line, mask of its rows that score it, weight)]
     sources = ((vehicle_scored, VEHICLE_GROUP, fusion.vehicle_weight),
                (person_scored, PERSON_GROUP, fusion.person_weight))
     for source, group, weight in sources:
-        for p in source:
-            if p.scores is None:
-                raise InvalidInputError(f"{group.name} input holds unscored proposal {p.proposal_id}: fuse needs scores")
-            for act, s in p.scores.items():
-                if act == NON_ACTION:
-                    continue
-                if act not in group.activities:
-                    raise InvalidInputError(f"{group.name} output scores activity class {act!r} outside its group")
-                buckets.setdefault((p.video_id, act), []).append((p, s * weight))
+        for act in sorted(ACTIVITY_CLASSES):  # so an error names the first class by name
+            for line in source:
+                if line.scores is None:
+                    raise InvalidInputError(f"{group.name} input holds unscored proposal {line.ids[0]}: "
+                                            "fuse needs scores")
+                scored = ~np.isnan(line.scores[:, SCORE_CLASSES.index(act)])
+                if scored.any():
+                    if act not in group.activities:
+                        raise InvalidInputError(f"{group.name} output scores activity class {act!r} outside its group")
+                    buckets.setdefault((line.track.video_id, act), []).append((line, scored, weight))
 
     kept = []
-    for (_, act), entries in sorted(buckets.items()):
-        kept.extend((p, act, s) for p, s in soft_nms(entries, nms))
+    for (_, act), members in sorted(buckets.items()):
+        scores = np.concatenate([line.scores[m, SCORE_CLASSES.index(act)] * weight for line, m, weight in members])
+        windows = np.concatenate([line.windows[m] for line, m, _ in members])
+        ids = np.concatenate([line.ids[m] for line, m, _ in members])
+        owners = [line for line, m, _ in members for _ in range(m.sum())]  # entry i is row rows[i] of owners[i]
+        rows = np.concatenate([np.flatnonzero(m) for _, m, _ in members])
+        for i, s in zip(*soft_nms(scores, windows, ids, [line.track for line in owners], nms)):
+            kept.append((owners[i][rows[i]], act, s))
     if funnel is not None:
-        funnel["nms_in"] = sum(map(len, buckets.values()))
+        funnel["nms_in"] = sum(int(m.sum()) for members in buckets.values() for _, m, _ in members)
     return proposals_to_instances(kept)
 
 
 def proposals_to_instances(kept):
-    """An ActivityInstance, viewing its proposal's boxes, for each (proposal,
-    activity, score) triple. Ordered by `instance_order`, ties by (video_id,
-    proposal_id)."""
-    kept = sorted(kept, key=lambda t: (t[0].video_id, t[0].proposal_id))
-    instances = [ActivityInstance(p.video_id, act, p.window, p.boxes, s) for p, act, s in kept]
+    """An ActivityInstance, viewing its proposal's boxes, for each (proposal
+    `Track`, activity, score) triple. Ordered by `instance_order`, ties by
+    (video_id, proposal id)."""
+    kept = sorted(kept, key=lambda t: (t[0].video_id, t[0].id))
+    instances = [ActivityInstance(p.video_id, act, p.extent, p.boxes, s) for p, act, s in kept]
     instances.sort(key=instance_order)
     return instances

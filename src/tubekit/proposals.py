@@ -1,17 +1,18 @@
 """Proposal labeling against ground truth, vehicle/person model routing, and
-the pluggable scorer interface with two bundled scorers."""
+the pluggable scorer interface (one proposal `Track` at a time) with two bundled scorers."""
 
 import zlib
 from dataclasses import dataclass
 from typing import Optional
 
 from . import kernels
-from .data_model import PERSON_ACTIVITIES, VEHICLE_ACTIVITIES
+from .data_model import ACTIVITY_CLASSES, PERSON_ACTIVITIES, VEHICLE_ACTIVITIES
 from .errors import InvalidInputError, ScoringError
 from .geometry import mean_center_step, temporal_iou
 
 NON_ACTION = "non_action"
 LABEL_KINDS = ("positive", "negative", "ignore")
+SCORE_CLASSES = ACTIVITY_CLASSES + (NON_ACTION,)  # the columns of a score matrix
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ def label_proposal(proposal, instances, policy=LabelPolicy()):
     for idx, inst in enumerate(instances):
         if inst.video_id != proposal.video_id:
             continue
-        tiou = temporal_iou(proposal.window, inst.extent)
+        tiou = temporal_iou(proposal.extent, inst.extent)
         max_tiou = max(max_tiou, tiou)
         if tiou < policy.temporal_pos:
             continue
@@ -98,29 +99,29 @@ def label_proposal(proposal, instances, policy=LabelPolicy()):
     return ProposalLabel("ignore")
 
 
-def route(proposal) -> ModelGroup:
-    """Map the proposal's object class to the scoring model group."""
-    group = _CLASS_TO_GROUP.get(proposal.object_class)
+def route(track) -> ModelGroup:
+    """Map the object class of a tubelet or proposal to its scoring model group."""
+    group = _CLASS_TO_GROUP.get(track.object_class)
     if group is None:
-        raise InvalidInputError(f"cannot route object class {proposal.object_class!r}")
+        raise InvalidInputError(f"cannot route object class {track.object_class!r}")
     return group
 
 
 def score(proposal, group, scorer):
-    """Invoke a scorer and validate its output: scores over the group's
-    activities plus the non-action class, all within [0,1]."""
+    """Invoke a scorer on one proposal `Track` and validate its output: scores
+    over the group's activities plus the non-action class, all within [0,1]."""
     try:
         scores = scorer.score(proposal, group)
     except ScoringError:
         raise
     except Exception as exc:
-        raise ScoringError(str(exc), proposal_id=proposal.proposal_id)
+        raise ScoringError(str(exc), proposal_id=proposal.id)
     allowed = group.activities | {NON_ACTION}
     for key, value in scores.items():
         if key not in allowed:
-            raise ScoringError(f"score key outside group: {key!r}", proposal.proposal_id)
+            raise ScoringError(f"score key outside group: {key!r}", proposal.id)
         if not 0.0 <= value <= 1.0:
-            raise ScoringError(f"score out of [0,1]: {key}={value}", proposal.proposal_id)
+            raise ScoringError(f"score out of [0,1]: {key}={value}", proposal.id)
     return scores
 
 
@@ -144,7 +145,7 @@ class OracleScorer:
         self.label_counts = {}
 
     def _unit_draw(self, proposal, salt):
-        token = f"{self.config.seed}:{salt}:{proposal.video_id}:{proposal.proposal_id}"
+        token = f"{self.config.seed}:{salt}:{proposal.video_id}:{proposal.id}"
         return (zlib.crc32(token.encode()) & 0xFFFFFFFF) / 2**32
 
     def score(self, proposal, group):

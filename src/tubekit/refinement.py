@@ -1,14 +1,12 @@
 """Tubelet refinement: static-tubelet filtering, box-size normalization and
-multi-scale temporal jittering into proposals."""
+multi-scale temporal jittering into proposals, one `TubeletProposals` per tubelet."""
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .data_model import (
-    ACTIVITY_CLASSES,
     box_rows_text,
     decode_boxes,
     extent_field,
@@ -21,7 +19,7 @@ from .data_model import (
 from .errors import InvalidInputError
 from .geometry import Interval, mean_center_steps
 from .linking import Track, tubelet_key
-from .proposals import NON_ACTION
+from .proposals import SCORE_CLASSES
 
 
 @dataclass(frozen=True)
@@ -42,43 +40,25 @@ class RefineConfig:
             raise InvalidInputError(f"window_stride must be >= 1: {self.window_stride}")
 
 
-@dataclass(eq=False)
-class Proposal:
-    """A temporal window over a size-normalised tubelet, the unit that gets
-    scored. Every proposal over a tubelet shares that one tubelet object."""
+@dataclass(frozen=True, eq=False)
+class TubeletProposals:
+    """The proposals over one normalised tubelet, one proposals-file line: proposal
+    i has id ids[i], the frames windows[i] of `track` and, once scored, row i of
+    `scores` (NaN: a class left out). Indexing makes its `Track`, a view of `track`'s rows."""
 
-    proposal_id: int
-    tubelet: Track  # size-normalised
-    window: Interval
-    scores: Optional[dict] = None  # activity class (or "non_action") -> score
+    track: Track  # size-normalised
+    ids: np.ndarray  # (n,) int64, ascending
+    windows: np.ndarray  # (n,2) int64 start, length: an end may be 2**63, past int64
+    scores: np.ndarray | None = None  # (n, len(SCORE_CLASSES)) float64
 
-    def __post_init__(self):
-        extent = self.tubelet.extent
-        if not extent.start <= self.window.start < self.window.end <= extent.end:
-            raise InvalidInputError(f"window [{self.window.start}, {self.window.end}) outside its tubelet "
-                                    f"[{extent.start}, {extent.end})")
+    def __len__(self):
+        return len(self.ids)
 
-    @property
-    def video_id(self):
-        return self.tubelet.video_id
-
-    @property
-    def object_class(self):
-        return self.tubelet.object_class
-
-    @property
-    def tubelet_id(self):
-        return self.tubelet.id
-
-    @property
-    def extent(self):
-        return self.window
-
-    @property
-    def boxes(self):
-        """The tubelet's box rows over the window: a view, not a copy."""
-        offset = self.tubelet.extent.start
-        return self.tubelet.boxes[self.window.start - offset:self.window.end - offset]
+    def __getitem__(self, i):
+        start, length = self.windows[i].tolist()
+        offset, t = start - self.track.extent.start, self.track
+        return Track(int(self.ids[i]), t.video_id, t.object_class, Interval(start, start + length),
+                     t.boxes[offset:offset + length])
 
 
 def filter_static(tubelets, config=RefineConfig()):
@@ -133,9 +113,10 @@ def jitter(tubelet, config=RefineConfig()):
 
 def make_proposals(tubelet, width, height, config=RefineConfig(), id_start=0):
     """Normalize a tubelet's boxes in a width x height frame and cut it into
-    proposal windows."""
+    proposal windows, numbered from `id_start`: one `TubeletProposals`."""
     norm = normalize_boxes(tubelet, width, height, config.enlarge_factor)
-    return [Proposal(id_start + i, norm, window) for i, window in enumerate(jitter(norm, config))]
+    windows = np.array([(w.start, w.length) for w in jitter(norm, config)], dtype=np.int64)
+    return TubeletProposals(norm, np.arange(id_start, id_start + len(windows), dtype=np.int64), windows)
 
 
 # ---------------------------------------------------------------------------
@@ -145,54 +126,64 @@ def make_proposals(tubelet, width, height, config=RefineConfig(), id_start=0):
 _PROPOSALS_LINE = '{"boxes": [%s], "class": %s, "end": %d, "id": %d, "proposals": %s, "start": %d, "video_id": %s}'
 
 
-def write_proposals(proposals, path):
-    """One line per normalised tubelet: its `Track` fields, box rows in the
-    instances' format and a `proposals` list of {proposal_id, start, end[, scores]}."""
-    lines = {}  # (video_id, tubelet_id) -> (track, proposal entries)
-    for p in sorted(proposals, key=lambda p: (p.video_id, p.proposal_id)):
-        entry = {"proposal_id": p.proposal_id, "start": p.window.start, "end": p.window.end}
-        if p.scores is not None:
-            entry["scores"] = p.scores
-        lines.setdefault((p.video_id, p.tubelet_id), (p.tubelet, []))[1].append(entry)
+def write_proposals(lines, path):
+    """One line per `TubeletProposals` that holds a proposal, in the order given:
+    its `Track` fields, box rows and a `proposals` list of {proposal_id, start, end[, scores]}."""
 
-    def text(t, entries):
+    def text(line):
+        t, spans = line.track, zip(line.ids.tolist(), line.windows.tolist())
+        entries = [{"proposal_id": i, "start": s, "end": s + n} for i, (s, n) in spans]
+        for entry, row in zip(entries, [] if line.scores is None else line.scores.tolist()):
+            entry["scores"] = {name: v for name, v in zip(SCORE_CLASSES, row) if v == v}  # not NaN
         return _PROPOSALS_LINE % (", ".join(box_rows_text(t.extent.start, t.boxes)), json.dumps(t.object_class),
                                   t.extent.end, t.id, json.dumps(entries, sort_keys=True, allow_nan=False),
                                   t.extent.start, json.dumps(t.video_id))
 
-    write_jsonl((text(*lines[key]) for key in sorted(lines)), path)
+    write_jsonl((text(line) for line in lines if len(line)), path)
 
 
-def _scores_from_record(scores):
+def _score_row(scores):
     out = {k: float_field(scores, k) for k in scores}
     for key, value in out.items():
-        if key not in ACTIVITY_CLASSES and key != NON_ACTION:
+        if key not in SCORE_CLASSES:
             raise InvalidInputError(f"unknown score class: {key!r}")
         if not 0.0 <= value <= 1.0:
             raise InvalidInputError(f"score out of [0,1]: {key}={value}")
-    return out
+    return [out.get(name, np.nan) for name in SCORE_CLASSES]
 
 
 def _proposals_from_record(rec):
     extent = extent_field(rec)
     boxes = decode_boxes(rec["boxes"], extent)
     track = Track(int_field(rec, "id"), str_field(rec, "video_id"), str_field(rec, "class"), extent, boxes)
-    return [Proposal(int_field(e, "proposal_id"), track, extent_field(e),
-                     _scores_from_record(e["scores"]) if "scores" in e else None) for e in rec["proposals"]]
+    entries = rec["proposals"]
+    ids = np.array([int_field(e, "proposal_id") for e in entries], dtype=np.int64)
+    windows = np.array([(w.start, w.length) for w in map(extent_field, entries)], dtype=np.int64).reshape(-1, 2)
+    offsets = windows[:, 0] - extent.start
+    outside = (offsets < 0) | (offsets > extent.length - windows[:, 1])  # an offset + length could overflow
+    if outside.any():
+        start, n = windows[np.argmax(outside)].tolist()
+        raise InvalidInputError(f"window [{start}, {start + n}) outside its tubelet [{extent.start}, {extent.end})")
+    order, scored = np.argsort(ids, kind="stable"), any("scores" in e for e in entries)
+    # then every proposal needs `scores` (a KeyError): a matrix cannot tell a missing map from an empty one
+    scores = np.array([_score_row(e["scores"]) for e in entries])[order] if scored else None
+    return TubeletProposals(track, ids[order], windows[order], scores)
 
 
 def read_proposals(path):
-    """A proposals or scored file's proposals, in (video_id, proposal_id) order;
-    each (video_id, proposal_id) and each line's (video_id, id) is unique."""
-    seen = set()
+    """A proposals or scored file's lines that hold a proposal, in (video_id, id)
+    order; each line's (video_id, id) and each (video_id, proposal_id) is unique."""
+    seen = {}  # video_id -> proposal ids
 
     def build(rec):
-        props = _proposals_from_record(rec)
-        for key in ((p.video_id, p.proposal_id) for p in props):
-            if key in seen:
-                raise InvalidInputError(f"duplicate proposal {key!r}: an earlier proposal has it")
-            seen.add(key)
-        return props
+        line = _proposals_from_record(rec)
+        ids = seen.setdefault(line.track.video_id, set())
+        for proposal_id in line.ids.tolist():
+            if proposal_id in ids:
+                raise InvalidInputError(f"duplicate proposal {(line.track.video_id, proposal_id)!r}: an earlier "
+                                        "proposal has it")
+            ids.add(proposal_id)
+        return line
 
     lines = read_records(path, "proposals", build, tubelet_key)
-    return sorted((p for line in lines for p in line), key=lambda p: (p.video_id, p.proposal_id))
+    return sorted((line for line in lines if len(line)), key=lambda line: (line.track.video_id, line.track.id))

@@ -10,7 +10,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from tubekit.data_model import DETECTION_CLASSES, write_jsonl
 from tubekit.geometry import Interval
 from tubekit.linking import LinkedTubelets, Track, VideoTubelets
-from tubekit.refinement import Proposal
+from tubekit.proposals import SCORE_CLASSES
+from tubekit.refinement import TubeletProposals
 
 
 def box_rows(box, n):
@@ -51,14 +52,28 @@ def write_tubelet_list(tubelets, path):
     write_jsonl(map(tubelet_line, sorted(tubelets, key=lambda t: (t.video_id, t.id))), path)
 
 
+def score_matrix(rows):
+    """The score matrix of a list of per-proposal score dicts: row i holds
+    dict i, NaN for each class it leaves out."""
+    matrix = np.full((len(rows), len(SCORE_CLASSES)), np.nan)
+    for row, scores in zip(matrix, rows):
+        for name, value in scores.items():
+            row[SCORE_CLASSES.index(name)] = value
+    return matrix
+
+
 def make_proposal(window, boxes=None, proposal_id=0, tubelet_id=0, video_id="v0",
                   object_class="person", scores=None):
-    """A proposal over its own tubelet spanning exactly `window`; boxes default
-    to (0, 0, 10, 10) on every frame."""
+    """A `TubeletProposals` line of one proposal over its own tubelet spanning
+    exactly `window`, scored by the dict `scores` unless it is None; boxes
+    default to (0, 0, 10, 10) on every frame. Index it for the proposal's
+    `Track`."""
     if boxes is None:
         boxes = box_rows((0, 0, 10, 10), window.length)
     tubelet = make_tubelet(boxes, window.start, tubelet_id, video_id, object_class)
-    return Proposal(proposal_id, tubelet, window, scores)
+    return TubeletProposals(tubelet, np.array([proposal_id], dtype=np.int64),
+                            np.array([[window.start, window.length]], dtype=np.int64),
+                            None if scores is None else score_matrix([scores]))
 
 
 @pytest.fixture

@@ -9,11 +9,12 @@ import itertools
 import json
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from conftest import box_rows, make_proposal
+from conftest import box_rows, make_proposal, make_tubelet
 
 from tubekit import cli, data_model, evaluation, linking, synthgen
 from tubekit.data_model import ActivityInstance
@@ -187,7 +188,7 @@ def test_criterion_05_labeling_table():
     for (tiou, siou), want in sorted(table.items()):
         a = round(100 * (1 - tiou))
         w = 10 * siou
-        p = make_proposal(Interval(a, 100), boxes=box_rows((0, 0, w, 10), 100 - a))
+        (p,) = make_proposal(Interval(a, 100), boxes=box_rows((0, 0, w, 10), 100 - a))
         label = label_proposal(p, gt)
         assert label.kind == want, (tiou, siou, label)
         if want == "positive":
@@ -270,22 +271,23 @@ def test_criterion_07_soft_nms_closed_form():
         for pid in range(n):
             s = int(rng.integers(0, 50))
             window = Interval(s, s + int(rng.integers(5, 30)))
-            props.append(make_proposal(
-                window, proposal_id=pid,
-                scores={"Riding": float(rng.uniform(0.05, 1.0))},
-            ))
+            props.append(SimpleNamespace(proposal_id=pid, window=window,
+                                         scores={"Riding": float(rng.uniform(0.05, 1.0))}))
         method = "gaussian" if case % 2 == 0 else "linear"
         cfg = SoftNmsConfig(method=method)
-        entries = [(p, p.scores["Riding"]) for p in props]
-        out = soft_nms(entries, cfg)
+        # entry i is proposal i, over a tubelet of its own with tubelet id 0
+        bucket = (np.array([p.scores["Riding"] for p in props]),
+                  np.array([(p.window.start, p.window.length) for p in props]), np.arange(n),
+                  [make_tubelet(box_rows((0, 0, 10, 10), p.window.length), p.window.start) for p in props])
+        kept, final = soft_nms(*bucket, cfg)
         want = _nms_oracle(props, "Riding", method, cfg.sigma,
                            cfg.linear_threshold, cfg.score_threshold)
-        assert [p.proposal_id for p, _ in out] == [pid for pid, _ in want]
-        for (_, got), (_, s) in zip(out, want):
+        assert kept == [pid for pid, _ in want]
+        for got, (_, s) in zip(final, want):
             assert got == pytest.approx(s, abs=1e-9)
 
-        limit = soft_nms(entries, SoftNmsConfig(sigma=1e-12))
-        assert [p.proposal_id for p, _ in limit] == _hard_nms_oracle(
+        limit, _ = soft_nms(*bucket, SoftNmsConfig(sigma=1e-12))
+        assert limit == _hard_nms_oracle(
             props, "Riding", cfg.score_threshold)
     _passed(7, "100 random sets match the decay formulas within 1e-9; "
                "sigma->0 reproduces hard NMS")

@@ -1,22 +1,34 @@
 import dataclasses
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
-from conftest import box_rows, make_proposal, make_tubelet
+from conftest import box_rows, make_proposal, make_tubelet, score_matrix
 
+from tubekit.data_model import ActivityInstance, instance_order
 from tubekit.errors import InvalidInputError
 from tubekit.geometry import Interval, temporal_iou
-from tubekit.linking import LinkedTubelets, track_link
+from tubekit.linking import LinkedTubelets, Track, track_link
 from tubekit.kernels import paired_iou
 from tubekit.postprocess import FusionConfig, SoftNmsConfig, fuse, proposals_to_instances, soft_nms
-from tubekit.proposals import NON_ACTION, tubelet_spatial_iou
-from tubekit.refinement import Proposal, filter_static, make_proposals
+from tubekit.proposals import (
+    NON_ACTION,
+    PERSON_ACTIVITIES,
+    PERSON_GROUP,
+    SCORE_CLASSES,
+    VEHICLE_ACTIVITIES,
+    VEHICLE_GROUP,
+    tubelet_spatial_iou,
+)
+from tubekit.refinement import TubeletProposals, filter_static, make_proposals
 from tubekit.synthgen import SceneConfig, generate
 
 
 def scored(window, s, pid, tubelet_id=0, activity="Riding", video_id="v0", object_class="person",
            boxes=None):
+    """A line of one proposal that scores `activity` s and non-action 1 - s."""
     return make_proposal(
         window,
         boxes=boxes,
@@ -28,10 +40,24 @@ def scored(window, s, pid, tubelet_id=0, activity="Riding", video_id="v0", objec
     )
 
 
-def nms(proposals, activity, config=SoftNmsConfig()):
-    """`soft_nms` over the bucket of the proposals' `activity` scores: the
-    kept (proposal, final score) pairs."""
-    return soft_nms([(p, p.scores[activity]) for p in proposals], config)
+def scores_by_id(lines, activity):
+    """{proposal id: `activity` score} of every proposal of the lines that
+    scores it."""
+    j = SCORE_CLASSES.index(activity)
+    return {p.id: float(line.scores[k, j]) for line in lines for k, p in enumerate(line)
+            if not math.isnan(line.scores[k, j])}
+
+
+def nms(lines, activity, config=SoftNmsConfig()):
+    """`soft_nms` over the bucket of the lines' `activity` scores: the kept
+    (proposal `Track`, final score) pairs."""
+    j = SCORE_CLASSES.index(activity)
+    members = [(line, k) for line in lines for k in range(len(line)) if not math.isnan(line.scores[k, j])]
+    kept, final = soft_nms(np.array([line.scores[k, j] for line, k in members]),
+                           np.array([line.windows[k] for line, k in members], dtype=np.int64).reshape(-1, 2),
+                           np.array([line.ids[k] for line, k in members], dtype=np.int64),
+                           [line.track for line, _ in members], config)
+    return [(members[i][0][members[i][1]], s) for i, s in zip(kept, final)]
 
 
 class TestSoftNms:
@@ -45,7 +71,7 @@ class TestSoftNms:
         a = scored(Interval(0, 10), 0.9, 0)
         b = scored(Interval(0, 10), 0.8, 1)
         out = nms([a, b], "Riding", SoftNmsConfig(method="gaussian", sigma=0.5))
-        by_id = {p.proposal_id: s for p, s in out}
+        by_id = {p.id: s for p, s in out}
         assert by_id[0] == 0.9
         assert by_id[1] == pytest.approx(0.8 * math.exp(-2.0), abs=1e-12)
 
@@ -60,7 +86,7 @@ class TestSoftNms:
         b = scored(Interval(0, 10), 0.8, 1)
         out = nms([a, b], "Riding", SoftNmsConfig(method="linear", linear_threshold=0.3))
         # tiou 1.0 decays the second score to 0.8 * (1 - 1.0) = 0, below the threshold
-        assert [p.proposal_id for p, _ in out] == [0]
+        assert [p.id for p, _ in out] == [0]
 
     def test_linear_below_threshold_untouched(self):
         a = scored(Interval(0, 10), 0.9, 0)
@@ -73,16 +99,16 @@ class TestSoftNms:
         a = scored(Interval(0, 10), 0.9, 0)
         b = scored(Interval(2, 12), 0.8, 1, boxes=box_rows((0, 0, 10, 10), 10))
         out = nms([a, b], "Riding", SoftNmsConfig(sigma=1e-12))
-        assert [p.proposal_id for p, _ in out] == [0]
+        assert [p.id for p, _ in out] == [0]
 
     def test_never_increases_scores_and_sorted(self):
         props = [scored(Interval(2 * i, 2 * i + 10), 0.5 + 0.04 * i, i) for i in range(8)]
         out = nms(props, "Riding")
-        originals = {p.proposal_id: p.scores["Riding"] for p in props}
+        originals = scores_by_id(props, "Riding")
         final = [s for _, s in out]
         assert final == sorted(final, reverse=True)
         for p, s in out:
-            assert s <= originals[p.proposal_id] + 1e-15
+            assert s <= originals[p.id] + 1e-15
 
     def test_distinct_objects_not_suppressed(self):
         # same time span, disjoint boxes, different tubelets: no decay
@@ -92,49 +118,67 @@ class TestSoftNms:
         out = nms([a, b], "Riding")
         assert {s for _, s in out} == {0.9, 0.8}
 
+    def test_cuts_the_whole_bucket_itself(self):
+        # soft_nms is given every bucket entry and returns indices into them:
+        # the entries under the threshold are its to drop
+        a = scored(Interval(0, 10), 0.01, 0)
+        b = scored(Interval(30, 40), 0.6, 1)
+        scores, windows, ids = np.array([0.01, 0.6]), np.array([[0, 10], [30, 10]]), np.array([0, 1])
+        assert soft_nms(scores, windows, ids, [a.track, b.track]) == ([1], [0.6])
+        assert soft_nms(scores[:1], windows[:1], ids[:1], [a.track]) == ([], [])
+
 
 def corpus_proposals(seed):
-    """Proposals of a corpus with dropout and false positives, with seeded
+    """The lines of a corpus with dropout and false positives, with seeded
     random scores for two activities."""
     corpus = generate(SceneConfig(seed=seed, video_count=2, frames_per_video=150, objects_per_video=(2, 3),
                                   dropout_rate=0.2, box_jitter_px=2.0, false_positive_rate=0.5))
     rng = np.random.default_rng(seed)
-    props = []
+    lines, count = [], 0
     for video_id, meta in sorted(corpus.metas.items()):
         tubes = track_link(corpus.detections[video_id])
         for t in filter_static(LinkedTubelets([tubes]))[0]:
-            for p in make_proposals(t, meta.width, meta.height, id_start=len(props)):
-                p.scores = {"Riding": float(rng.uniform(0.0, 1.0)), "Pull": float(rng.uniform(0.0, 1.0))}
-                props.append(p)
-    return props
+            line = make_proposals(t, meta.width, meta.height, id_start=count)
+            rows = [{"Riding": float(rng.uniform(0.0, 1.0)), "Pull": float(rng.uniform(0.0, 1.0))} for _ in line]
+            lines.append(dataclasses.replace(line, scores=score_matrix(rows)))
+            count += len(line)
+    return lines
+
+
+def single(line, k):
+    """A line of proposal k of `line` alone."""
+    return TubeletProposals(line.track, line.ids[k:k + 1], line.windows[k:k + 1], line.scores[k:k + 1])
 
 
 class TestSoftNmsOnCorpus:
     @pytest.mark.parametrize("seed", [3, 4])
     def test_never_raises_a_score(self, seed):
-        props = corpus_proposals(seed)
-        assert len({p.tubelet_id for p in props}) > 2
+        lines = corpus_proposals(seed)
+        assert len({line.track.id for line in lines}) > 2
         for cfg in (SoftNmsConfig(), SoftNmsConfig(method="linear")):
             for activity in ("Riding", "Pull"):
-                for video_id in {p.video_id for p in props}:
-                    bucket = [p for p in props if p.video_id == video_id]
-                    before = {p.proposal_id: p.scores[activity] for p in bucket}
+                for video_id in {line.track.video_id for line in lines}:
+                    bucket = [line for line in lines if line.track.video_id == video_id]
+                    before = scores_by_id(bucket, activity)
                     out = nms(bucket, activity, cfg)
                     after = [s for _, s in out]
                     assert after == sorted(after, reverse=True)
-                    assert all(s <= before[p.proposal_id] for p, s in out)
-                    assert len({p.proposal_id for p, _ in out}) == len(out)
+                    assert all(s <= before[p.id] for p, s in out)
+                    assert len({p.id for p, _ in out}) == len(out)
 
     def test_single_proposal_unchanged(self):
         threshold = SoftNmsConfig().score_threshold
-        for p in corpus_proposals(5):
-            out = nms([p], "Riding")
-            if p.scores["Riding"] < threshold:
-                assert out == []
-                continue
-            ((kept, s),) = out
-            assert kept.proposal_id == p.proposal_id and kept.tubelet is p.tubelet
-            assert s == p.scores["Riding"]
+        for line in corpus_proposals(5):
+            for k, p in enumerate(line):
+                out = nms([single(line, k)], "Riding")
+                score = line.scores[k, SCORE_CLASSES.index("Riding")]
+                if score < threshold:
+                    assert out == []
+                    continue
+                ((kept, s),) = out
+                assert (kept.id, kept.extent) == (p.id, p.extent)
+                assert np.shares_memory(kept.boxes, line.track.boxes)
+                assert s == score
 
 
 def vehicle_and_person():
@@ -186,6 +230,13 @@ class TestFuse:
         with pytest.raises(InvalidInputError, match="person_related output scores activity class 'Closing'"):
             fuse([], v, *DEFAULTS)
 
+    def test_out_of_group_error_names_the_first_class_by_name(self):
+        # the columns are walked in sorted-name order, as a file's sorted
+        # score keys were: "Closing" < "Opening" < "vehicle_u_turn"
+        line = make_proposal(Interval(0, 10), scores={"vehicle_u_turn": 0.5, "Opening": 0.5, "Closing": 0.5})
+        with pytest.raises(InvalidInputError, match="person_related output scores activity class 'Closing'"):
+            fuse([], [line], *DEFAULTS)
+
     def test_unscored_proposal_rejected(self):
         # refine's output given to fuse: an unscored proposal names its input
         v, _ = vehicle_and_person()
@@ -209,13 +260,15 @@ class TestFuse:
         props = [scored(Interval(20 * i, 20 * i + 10), s, i) for i, s in enumerate((0.04, 0.06, 0.9))]
         for cfg in (SoftNmsConfig(), SoftNmsConfig(score_threshold=0.5), SoftNmsConfig(score_threshold=1.0)):
             kept = nms(props, "Riding", cfg)
-            assert facts(fuse([], props, cfg, FusionConfig())) == [("v0", "Riding", p.window, s) for p, s in kept]
+            assert facts(fuse([], props, cfg, FusionConfig())) == [("v0", "Riding", p.extent, s) for p, s in kept]
         assert [s for _, s in nms(props, "Riding")] == [0.9, 0.06]
 
 
-def triples(*proposals):
-    """The (proposal, activity, score) triple of each activity score."""
-    return [(p, act, s) for p in proposals for act, s in p.scores.items() if act != NON_ACTION]
+def triples(*lines):
+    """The (proposal `Track`, activity, score) triple of each activity score
+    of each proposal of the lines."""
+    return [(p, act, float(s)) for line in lines for p, row in zip(line, line.scores)
+            for act, s in zip(SCORE_CLASSES, row) if act != NON_ACTION and not math.isnan(s)]
 
 
 class TestProposalsToInstances:
@@ -254,16 +307,51 @@ class TestProposalsToInstances:
         (inst,) = proposals_to_instances(triples(p))
         assert inst.extent == Interval(5, 15)
         assert np.array_equal(inst.boxes, boxes)
-        assert np.shares_memory(inst.boxes, p.tubelet.boxes)
+        assert np.shares_memory(inst.boxes, p.track.boxes)
 
 
 # ---------------------------------------------------------------------------
-# the array program against the per-pair loop it replaced
+# the array program against the per-object code it replaced
 
 
-def reference_soft_nms(proposals, activity, config):
-    """Soft-NMS as one loop over pairs: re-sort, take the top, test each other
-    proposal for neighbourhood with `tubelet_spatial_iou` and decay it."""
+@dataclass(eq=False)
+class RefProposal:
+    """A temporal window over a size-normalised tubelet, one object per
+    proposal with a dict of scores: how the pipeline held proposals before
+    it held lines."""
+
+    proposal_id: int
+    tubelet: Track  # size-normalised
+    window: Interval
+    scores: Optional[dict] = None  # activity class (or "non_action") -> score
+
+    @property
+    def video_id(self):
+        return self.tubelet.video_id
+
+    @property
+    def tubelet_id(self):
+        return self.tubelet.id
+
+    @property
+    def boxes(self):
+        offset = self.tubelet.extent.start
+        return self.tubelet.boxes[self.window.start - offset:self.window.end - offset]
+
+
+def ref_proposals(lines):
+    """One `RefProposal` per proposal of the lines, sharing its line's track,
+    its scores a dict without the classes its row holds as NaN."""
+    return [RefProposal(p.id, line.track, p.extent,
+                        {c: float(s) for c, s in zip(SCORE_CLASSES, row) if not math.isnan(s)})
+            for line in lines for p, row in zip(line, line.scores)]
+
+
+def reference_soft_nms(entries, config):
+    """Soft-NMS as one loop over pairs on (proposal, score) entries: re-sort,
+    take the top, test each other proposal for neighbourhood with
+    `paired_iou` and decay it. Returns the kept (proposal, final score)
+    pairs."""
 
     def decay(tiou):
         if config.method == "gaussian":
@@ -276,13 +364,12 @@ def reference_soft_nms(proposals, activity, config):
         rows_a, rows_b = (p.boxes[start - p.window.start:end - p.window.start] for p in (a, b))
         return a.tubelet_id == b.tubelet_id or (start < end and bool((paired_iou(rows_a, rows_b) > 0.0).any()))
 
-    remaining = [[p, float(p.scores[activity])] for p in proposals]
-    remaining = [it for it in remaining if it[1] >= config.score_threshold]
+    remaining = [[p, float(s)] for p, s in entries if s >= config.score_threshold]
     result = []
     while remaining:
         remaining.sort(key=lambda it: (-it[1], it[0].video_id, it[0].window.start, it[0].proposal_id))
         top = remaining.pop(0)
-        result.append(top)
+        result.append((top[0], top[1]))
         survivors = []
         for it in remaining:
             if is_neighbor(top[0], it[0]):
@@ -290,7 +377,37 @@ def reference_soft_nms(proposals, activity, config):
             if it[1] >= config.score_threshold:
                 survivors.append(it)
         remaining = survivors
-    return [(p.proposal_id, s) for p, s in result]
+    return result
+
+
+def reference_nms(lines, activity, config):
+    """`reference_soft_nms` of the lines' `activity` scores: the kept
+    (proposal id, final score) pairs."""
+    bucket = [(p, p.scores[activity]) for p in ref_proposals(lines) if activity in p.scores]
+    return [(p.proposal_id, s) for p, s in reference_soft_nms(bucket, config)]
+
+
+def reference_fuse(vehicle_scored, person_scored, nms, fusion, funnel):
+    """Late fusion on `RefProposal`s: a (proposal, weighted score) tuple per
+    bucket entry, `reference_soft_nms` per bucket and an instance per kept
+    entry, ordered as `proposals_to_instances` orders them."""
+    buckets = {}
+    sources = ((vehicle_scored, VEHICLE_GROUP, fusion.vehicle_weight),
+               (person_scored, PERSON_GROUP, fusion.person_weight))
+    for source, group, weight in sources:
+        for p in source:
+            for act, s in p.scores.items():
+                if act != NON_ACTION:
+                    assert act in group.activities
+                    buckets.setdefault((p.video_id, act), []).append((p, s * weight))
+    kept = []
+    for (_, act), entries in sorted(buckets.items()):
+        kept.extend((p, act, s) for p, s in reference_soft_nms(entries, nms))
+    funnel["nms_in"] = sum(map(len, buckets.values()))
+    kept.sort(key=lambda t: (t[0].video_id, t[0].proposal_id))
+    instances = [ActivityInstance(p.video_id, act, p.window, p.boxes, s) for p, act, s in kept]
+    instances.sort(key=instance_order)
+    return instances
 
 
 CONFIGS = (
@@ -302,26 +419,50 @@ CONFIGS = (
 )
 
 
+def drifting_tubelet(rng, video_id="v0", object_class="person"):
+    """A tubelet of 1-29 frames, with an id in 0-2, whose boxes drift across
+    those of the others, so that some common frames overlap and others do
+    not."""
+    start = int(rng.integers(0, 30))
+    length = int(rng.integers(1, 30))
+    x = rng.choice([0.0, 15.0, 200.0]) + rng.choice([-1.5, 0.0, 1.5]) * np.arange(length)
+    boxes = np.stack([x, np.zeros(length), x + 10.0, np.full(length, 10.0)], axis=1)
+    return make_tubelet(boxes, start, int(rng.integers(0, 3)), video_id, object_class)
+
+
+def random_windows(rng, tubelet):
+    """Up to 3 touching windows that cut the tubelet, and the whole of it."""
+    start, end = tubelet.extent.start, tubelet.extent.end
+    cuts = np.sort(rng.choice(np.arange(start, end + 1), size=min(end - start + 1, 4), replace=False))
+    return list(zip(cuts[:-1].tolist(), cuts[1:].tolist())) + [(start, end)]
+
+
+def lines_of(parts):
+    """A line per (tubelet, [(proposal id, (start, end), score row)]) part, its
+    entries in id order."""
+    lines = []
+    for tubelet, entries in parts:
+        entries = sorted(entries, key=lambda e: e[0])
+        lines.append(TubeletProposals(tubelet, np.array([e[0] for e in entries], dtype=np.int64),
+                                      np.array([(s, e - s) for _, (s, e), _ in entries], dtype=np.int64).reshape(-1, 2),
+                                      score_matrix([e[2] for e in entries])))
+    return lines
+
+
 def random_bucket(rng):
-    """Proposals over 1-4 tubelets whose boxes drift across each other, so
-    that some common frames overlap and others do not. Windows often touch,
-    scores often tie or sit under the threshold, and two distinct tubelets may
-    carry the same id."""
-    proposals = []
-    for k in range(int(rng.integers(1, 5))):
-        start = int(rng.integers(0, 30))
-        length = int(rng.integers(1, 30))
-        x = rng.choice([0.0, 15.0, 200.0]) + rng.choice([-1.5, 0.0, 1.5]) * np.arange(length)
-        boxes = np.stack([x, np.zeros(length), x + 10.0, np.full(length, 10.0)], axis=1)
-        tubelet = make_tubelet(boxes, start, tubelet_id=int(rng.integers(0, 3)))
-        cuts = np.sort(rng.choice(np.arange(start, start + length + 1), size=min(length + 1, 4), replace=False))
-        spans = list(zip(cuts[:-1], cuts[1:])) + [(start, start + length)]
-        for lo, hi in spans:
-            score = float(rng.choice([0.0005, 0.3, 0.5, 0.9, rng.uniform(0.0, 1.0)]))
-            proposals.append(Proposal(0, tubelet, Interval(int(lo), int(hi)), {"Riding": score}))
-    for pid, i in enumerate(rng.permutation(len(proposals))):
-        proposals[int(i)].proposal_id = pid
-    return proposals
+    """Lines over 1-4 tubelets whose boxes drift across each other. Windows
+    often touch, scores often tie or sit under the threshold, and two distinct
+    tubelets may carry the same id."""
+    parts = []
+    for _ in range(int(rng.integers(1, 5))):
+        tubelet = drifting_tubelet(rng)
+        spans = random_windows(rng, tubelet)
+        scores = [float(rng.choice([0.0005, 0.3, 0.5, 0.9, rng.uniform(0.0, 1.0)])) for _ in spans]
+        parts.append((tubelet, [[None, span, {"Riding": s}] for span, s in zip(spans, scores)]))
+    flat = [entry for _, entries in parts for entry in entries]
+    for pid, i in enumerate(rng.permutation(len(flat))):
+        flat[int(i)][0] = pid
+    return lines_of(parts)
 
 
 class TestSoftNmsEqualsPairwiseLoop:
@@ -331,17 +472,17 @@ class TestSoftNmsEqualsPairwiseLoop:
             bucket = random_bucket(rng)
             for cfg in CONFIGS:
                 out = nms(bucket, "Riding", cfg)
-                assert [(p.proposal_id, s) for p, s in out] == reference_soft_nms(bucket, "Riding", cfg)
+                assert [(p.id, s) for p, s in out] == reference_nms(bucket, "Riding", cfg)
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_corpus_buckets(self, seed):
-        props = corpus_proposals(seed)
+        lines = corpus_proposals(seed)
         for cfg in CONFIGS:
-            for video_id in sorted({p.video_id for p in props}):
-                bucket = [p for p in props if p.video_id == video_id]
+            for video_id in sorted({line.track.video_id for line in lines}):
+                bucket = [line for line in lines if line.track.video_id == video_id]
                 for activity in ("Riding", "Pull"):
                     out = nms(bucket, activity, cfg)
-                    assert [(p.proposal_id, s) for p, s in out] == reference_soft_nms(bucket, activity, cfg)
+                    assert [(p.id, s) for p, s in out] == reference_nms(bucket, activity, cfg)
 
     def test_tiny_overlap_whose_mean_rounds_to_zero(self):
         # frame 0 overlaps by one subnormal IoU; its mean over the two frames
@@ -351,17 +492,14 @@ class TestSoftNmsEqualsPairwiseLoop:
         a = make_tubelet(box_rows((0.0, 0.0, 1.0, 1.0), 2), tubelet_id=0)
         b_rows = np.array([[-1.0, -1.0, 3e-162, 3e-162], [5.0, 5.0, 6.0, 6.0]])
         b = make_tubelet(b_rows, tubelet_id=1)
-        props = [
-            Proposal(0, a, Interval(0, 2), {"Riding": 0.9}),
-            Proposal(1, b, Interval(0, 2), {"Riding": 0.8}),
-        ]
+        props = lines_of([(a, [(0, (0, 2), {"Riding": 0.9})]), (b, [(1, (0, 2), {"Riding": 0.8})])])
         assert 0.0 < paired_iou(a.boxes[:1], b.boxes[:1])[0] < 2.0 ** -1000
-        assert tubelet_spatial_iou(*props) == 0.0
+        assert tubelet_spatial_iou(props[0][0], props[1][0]) == 0.0
         for cfg in CONFIGS:
             out = nms(props, "Riding", cfg)
-            assert [(p.proposal_id, s) for p, s in out] == reference_soft_nms(props, "Riding", cfg)
+            assert [(p.id, s) for p, s in out] == reference_nms(props, "Riding", cfg)
         # tIoU 1: the gaussian decays the second score by exp(-1 / sigma)
-        assert [(p.proposal_id, s) for p, s in nms(props, "Riding")] == [(0, 0.9), (1, 0.8 * math.exp(-2.0))]
+        assert [(p.id, s) for p, s in nms(props, "Riding")] == [(0, 0.9), (1, 0.8 * math.exp(-2.0))]
 
 
 class TestOneCut:
@@ -377,4 +515,50 @@ class TestOneCut:
             for cfg in CONFIGS:
                 low = nms(bucket, "Riding", dataclasses.replace(cfg, score_threshold=t1))
                 high = nms(bucket, "Riding", dataclasses.replace(cfg, score_threshold=t2))
-                assert [(p.proposal_id, s) for p, s in high] == [(p.proposal_id, s) for p, s in low if s >= t2]
+                assert [(p.id, s) for p, s in high] == [(p.id, s) for p, s in low if s >= t2]
+
+
+def random_source(rng, activities, object_classes, next_id):
+    """Lines over 0-4 drifting tubelets in two videos, their proposals
+    numbered on from `next_id[video]`. Each proposal scores a random subset of
+    `activities` (the others NaN, so some lines leave an activity out
+    altogether) from values that often tie or sit under the threshold."""
+    parts = []
+    for _ in range(int(rng.integers(0, 5))):
+        video_id = str(rng.choice(["v0", "v1"]))
+        tubelet = drifting_tubelet(rng, video_id, str(rng.choice(object_classes)))
+        line_activities = [a for a in activities if rng.uniform() < 0.6]
+        entries = []
+        for span in random_windows(rng, tubelet):
+            row = {a: float(rng.choice([0.0005, 0.04, 0.3, 0.5, 0.9, rng.uniform(0.0, 1.0)]))
+                   for a in line_activities if rng.uniform() < 0.8}
+            row[NON_ACTION] = float(rng.uniform())
+            entries.append((next_id[video_id], span, row))
+            next_id[video_id] += 1
+        parts.append((tubelet, entries))
+    return lines_of(parts)
+
+
+FUSE_CONFIGS = (
+    (SoftNmsConfig(), FusionConfig()),
+    (SoftNmsConfig(method="linear"), FusionConfig(vehicle_weight=0.5)),
+    (SoftNmsConfig(sigma=1e-6), FusionConfig(person_weight=0.3)),
+    (SoftNmsConfig(score_threshold=0.001), FusionConfig(vehicle_weight=0.7, person_weight=0.25)),
+)
+
+
+class TestFuseEqualsPerObjectFuse:
+    def test_random_sources(self):
+        # ids are unique per video across both sources, as in a proposals file
+        rng = np.random.default_rng(2027)
+        for _ in range(200):
+            next_id = {"v0": 0, "v1": 0}
+            vehicle = random_source(rng, VEHICLE_ACTIVITIES[:3], ("car", "truck"), next_id)
+            person = random_source(rng, PERSON_ACTIVITIES[:3], ("person", "bicycle"), next_id)
+            for nms_cfg, fusion in FUSE_CONFIGS:
+                funnel, ref_funnel = {}, {}
+                got = fuse(vehicle, person, nms_cfg, fusion, funnel)
+                want = reference_fuse(ref_proposals(vehicle), ref_proposals(person), nms_cfg, fusion, ref_funnel)
+                assert funnel == ref_funnel
+                assert facts(got) == facts(want)
+                assert [i.boxes.tobytes() for i in got] == [i.boxes.tobytes() for i in want]

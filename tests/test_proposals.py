@@ -26,7 +26,13 @@ from tubekit.proposals import (
     score,
     tubelet_spatial_iou,
 )
-from tubekit.refinement import Proposal
+from tubekit.refinement import TubeletProposals
+
+
+def proposal(window, **kwargs):
+    """The `Track` a scorer sees for the one proposal of `make_proposal`."""
+    (p,) = make_proposal(window, **kwargs)
+    return p
 
 
 def instance(activity="Riding", start=0, end=10, box=(0, 0, 10, 10), video_id="v0"):
@@ -77,7 +83,7 @@ class TestTubeletSpatialIou:
                 b = make_tubelet(random_track(rng, eb - sb), start=sb, tubelet_id=1)
                 # a proposal is a view into its tubelet at an offset
                 window = Interval(sb + (eb - sb) // 4, eb)
-                p = Proposal(0, b, window)
+                (p,) = TubeletProposals(b, np.array([0]), np.array([[window.start, window.length]]))
                 inst = ActivityInstance("v0", "Riding", Interval(sa, ea), a.boxes, 1.0)
                 for x, y in ((a, b), (b, a), (p, a), (inst, p), (a, a)):
                     assert tubelet_spatial_iou(x, y) == scalar_spatial_iou(x, y)
@@ -86,7 +92,7 @@ class TestTubeletSpatialIou:
 class TestLabelProposal:
     def test_perfect_match_positive(self):
         inst = instance("Riding")
-        p = make_proposal(Interval(0, 10), boxes=inst.boxes)
+        p = proposal(Interval(0, 10), boxes=inst.boxes)
         label = label_proposal(p, [inst])
         assert label.kind == "positive"
         assert label.activity == "Riding"
@@ -94,25 +100,25 @@ class TestLabelProposal:
 
     def test_low_temporal_iou_negative(self):
         inst = instance(start=0, end=10)
-        p = make_proposal(Interval(90, 100))
+        p = proposal(Interval(90, 100))
         assert label_proposal(p, [inst]).kind == "negative"
 
     def test_between_thresholds_ignore(self):
         # temporal IoU 0.3 < 0.5 but >= 0.2, high spatial overlap
         inst = instance(start=0, end=13)
-        p = make_proposal(Interval(7, 20), boxes=box_rows((0, 0, 10, 10), 13))
+        p = proposal(Interval(7, 20), boxes=box_rows((0, 0, 10, 10), 13))
         assert 0.2 <= 6 / 20 < 0.5
         assert label_proposal(p, [inst]).kind == "ignore"
 
     def test_spatial_threshold_gates_positive(self):
         inst = instance(box=(0, 0, 10, 10))
         # same window, boxes shifted so IoU ~0.2 < 0.35
-        p = make_proposal(Interval(0, 10), boxes=box_rows((7, 0, 17, 10), 10))
+        p = proposal(Interval(0, 10), boxes=box_rows((7, 0, 17, 10), 10))
         label = label_proposal(p, [inst])
         assert label.kind == "ignore"
 
     def test_no_instances_negative(self):
-        p = make_proposal(Interval(0, 10))
+        p = proposal(Interval(0, 10))
         assert label_proposal(p, []).kind == "negative"
 
     def test_permutation_invariant(self):
@@ -121,7 +127,7 @@ class TestLabelProposal:
             instance("Talking", 2, 12),
             instance("Pull", 40, 60),
         ]
-        p = make_proposal(Interval(0, 11))
+        p = proposal(Interval(0, 11))
         labels = {
             label_proposal(p, list(perm)).activity
             for perm in itertools.permutations(instances)
@@ -131,16 +137,16 @@ class TestLabelProposal:
     def test_best_match_by_temporal_then_spatial(self):
         a = instance("Riding", 0, 10)
         b = instance("Talking", 0, 12)
-        p = make_proposal(Interval(0, 10))
+        p = proposal(Interval(0, 10))
         assert label_proposal(p, [b, a]).activity == "Riding"
 
     def test_degenerate_policy(self):
         # thresholds (1.0, 1.0, 0.0): only exact matches positive, nothing negative
         policy = LabelPolicy(spatial_pos=1.0, temporal_pos=1.0, temporal_neg=0.0)
         inst = instance("Riding")
-        exact = make_proposal(Interval(0, 10), boxes=inst.boxes)
+        exact = proposal(Interval(0, 10), boxes=inst.boxes)
         assert label_proposal(exact, [inst], policy).kind == "positive"
-        near = make_proposal(Interval(0, 9), boxes=box_rows((0, 0, 10, 10), 9))
+        near = proposal(Interval(0, 9), boxes=box_rows((0, 0, 10, 10), 9))
         assert label_proposal(near, [inst], policy).kind == "ignore"
 
     def test_invalid_policy(self):
@@ -155,7 +161,7 @@ class TestRoute:
          ("person", "person_related"), ("bicycle", "person_related")],
     )
     def test_routing(self, cls, group):
-        p = make_proposal(Interval(0, 10), object_class=cls)
+        p = proposal(Interval(0, 10), object_class=cls)
         assert route(p).name == group
 
     def test_unknown_class(self):
@@ -175,27 +181,27 @@ def test_groups_partition_activities():
 class TestOracleScorer:
     def test_matched_proposal(self):
         inst = instance("Loading")
-        p = make_proposal(Interval(0, 10), boxes=inst.boxes)
+        p = proposal(Interval(0, 10), boxes=inst.boxes)
         scores = OracleScorer([inst], ScorerConfig(), LabelPolicy()).score(p, PERSON_GROUP)
         assert scores["Loading"] == 1.0
         assert scores[NON_ACTION] == 0.0
         assert all(scores[a] == 0.0 for a in PERSON_GROUP.activities if a != "Loading")
 
     def test_unmatched_proposal(self):
-        p = make_proposal(Interval(0, 10))
+        p = proposal(Interval(0, 10))
         scores = OracleScorer([], ScorerConfig(), LabelPolicy()).score(p, PERSON_GROUP)
         assert scores[NON_ACTION] == 1.0
 
     def test_epsilon(self):
         inst = instance("Loading")
-        p = make_proposal(Interval(0, 10), boxes=inst.boxes)
+        p = proposal(Interval(0, 10), boxes=inst.boxes)
         scores = OracleScorer([inst], ScorerConfig(epsilon=0.1), LabelPolicy()).score(p, PERSON_GROUP)
         assert scores["Loading"] == pytest.approx(0.9)
         assert scores[NON_ACTION] == pytest.approx(0.1)
 
     def test_label_noise_deterministic(self):
         inst = instance("Loading")
-        p = make_proposal(Interval(0, 10), boxes=inst.boxes)
+        p = proposal(Interval(0, 10), boxes=inst.boxes)
         scorer = OracleScorer([inst], ScorerConfig(label_noise=1.0, seed=3), LabelPolicy())
         first = scorer.score(p, PERSON_GROUP)
         assert first == scorer.score(p, PERSON_GROUP)
@@ -204,14 +210,14 @@ class TestOracleScorer:
 
 class TestHeuristicScorer:
     def test_static_proposal_non_action_maximal(self):
-        p = make_proposal(Interval(0, 10))
+        p = proposal(Interval(0, 10))
         scores = HeuristicScorer().score(p, PERSON_GROUP)
         assert scores[NON_ACTION] == max(scores.values())
         assert scores[NON_ACTION] == 1.0
 
     def test_monotone_in_displacement(self):
-        slow = make_proposal(Interval(0, 10), boxes=np.array([[f, 0, f + 10, 10] for f in range(10)]))
-        fast = make_proposal(Interval(0, 10), boxes=np.array([[5 * f, 0, 5 * f + 10, 10] for f in range(10)]))
+        slow = proposal(Interval(0, 10), boxes=np.array([[f, 0, f + 10, 10] for f in range(10)]))
+        fast = proposal(Interval(0, 10), boxes=np.array([[5 * f, 0, 5 * f + 10, 10] for f in range(10)]))
         scorer = HeuristicScorer()
         s_slow = scorer.score(slow, PERSON_GROUP)
         s_fast = scorer.score(fast, PERSON_GROUP)
@@ -225,7 +231,7 @@ class TestScoreValidation:
             def score(self, proposal, group):
                 raise RuntimeError("boom")
 
-        p = make_proposal(Interval(0, 10), proposal_id=42)
+        p = proposal(Interval(0, 10), proposal_id=42)
         with pytest.raises(ScoringError) as exc:
             score(p, PERSON_GROUP, Broken())
         assert exc.value.proposal_id == 42
@@ -235,7 +241,7 @@ class TestScoreValidation:
             def score(self, proposal, group):
                 return {NON_ACTION: 1.5}
 
-        p = make_proposal(Interval(0, 10))
+        p = proposal(Interval(0, 10))
         with pytest.raises(ScoringError):
             score(p, PERSON_GROUP, Bad())
 
@@ -243,7 +249,7 @@ class TestScoreValidation:
         # a positive label's class lands in the routed group when the object
         # class matches the activity's column
         inst = instance("Riding")
-        p = make_proposal(Interval(0, 10), boxes=inst.boxes, object_class="bicycle")
+        p = proposal(Interval(0, 10), boxes=inst.boxes, object_class="bicycle")
         group = route(p)
         label = label_proposal(p, [inst])
         assert label.kind == "positive"

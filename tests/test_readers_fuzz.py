@@ -16,7 +16,7 @@ import re
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from conftest import make_tubelet, write_tubelet_list
+from conftest import make_tubelet, score_matrix, write_tubelet_list
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_tubelet_columns import reference_read_tubelets
@@ -36,11 +36,11 @@ def _tubelets():
 
 def _proposals(scored):
     t0, t1 = _tubelets()
-    scores = (lambda s: {"Riding": s, "non_action": 1.0 - s}) if scored else (lambda s: None)
+    scores = (lambda *s: score_matrix([{"Riding": x, "non_action": 1.0 - x} for x in s])) if scored else (
+        lambda *s: None)
     return [
-        refinement.Proposal(0, t0, Interval(0, 3), scores(0.75)),
-        refinement.Proposal(1, t0, Interval(1, 5), scores(0.5)),
-        refinement.Proposal(2, t1, Interval(5, 10), scores(0.25)),
+        refinement.TubeletProposals(t0, np.array([0, 1]), np.array([[0, 3], [1, 4]]), scores(0.75, 0.5)),
+        refinement.TubeletProposals(t1, np.array([2]), np.array([[5, 5]]), scores(0.25)),
     ]
 
 
@@ -144,6 +144,17 @@ def window_outside(kind, rec, draw):
         entry["end"] = rec["end"] + draw(st.integers(1, 20))
 
 
+def mixed_scores(kind, rec, draw):
+    """A second proposal on the line, scored where the first is unscored and
+    unscored where it is scored: a line holds one score matrix or none, which
+    cannot tell a missing `scores` from an empty one."""
+    first = rec["proposals"][0]
+    entry = {"proposal_id": 3, "start": first["start"], "end": first["end"]}
+    if "scores" not in first:
+        entry["scores"] = draw(st.sampled_from(({}, {"non_action": 1.0})))
+    rec["proposals"].insert(draw(st.integers(0, 1)), entry)
+
+
 def fractional_integer(kind, rec, draw):
     """An integer field of the record, a box row or a proposal entry made
     fractional, non-finite, a string or a bool."""
@@ -204,7 +215,7 @@ def test_single_field_mutation_is_a_parse_error(tmp_path, inputs, kind, data):
     path = tmp_path / f"{kind}.jsonl"
     _write(kind, path)
     first, second = (json.loads(line) for line in path.read_text().splitlines())
-    mutations = MUTATIONS + ([window_outside] if kind in ("proposals", "scored") else [])
+    mutations = MUTATIONS + ([window_outside, mixed_scores] if kind in ("proposals", "scored") else [])
     mutate = data.draw(st.sampled_from(mutations), label="mutation")
     mutate(kind, second, data.draw)
     path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
@@ -248,6 +259,38 @@ def test_a_start_before_frame_zero_is_a_parse_error(tmp_path, inputs, kind):
         res = CliRunner().invoke(main, args)
         assert res.exit_code == 1, res.output
         assert f"{path}:2: " in json.loads(res.output.strip().splitlines()[-1])["error"]
+
+
+@pytest.mark.parametrize("kind", ["proposals", "scored"])
+def test_a_window_whose_end_is_past_int64_is_a_parse_error(tmp_path, inputs, kind):
+    # a window held as (start, length) from frame 2**63 - 1: its offset from
+    # the tubelet's start plus its length is past int64, and must not wrap
+    # round to a window inside the tubelet
+    path = tmp_path / f"{kind}.jsonl"
+    _write(kind, path)
+    first, second = (json.loads(line) for line in path.read_text().splitlines())
+    second["proposals"][0].update(start=2**63 - 1, end=2**63 + 9)
+    path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: invalid proposals: window "
+                                         f"\\[{2**63 - 1}, {2**63 + 9}\\) outside its tubelet \\[5, 10\\)$"):
+        READERS[kind](path)
+    res = CliRunner().invoke(main, _cli_args(kind, str(path), inputs))
+    assert res.exit_code == 1, res.output
+    assert f"{path}:2: " in json.loads(res.output.strip().splitlines()[-1])["error"]
+
+
+def test_proposals_in_any_order_read_in_id_order(tmp_path):
+    path = tmp_path / "scored.jsonl"
+    lines = _proposals(True)
+    refinement.write_proposals(lines, path)
+    first, second = (json.loads(line) for line in path.read_text().splitlines())
+    first["proposals"].reverse()
+    path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+    back = refinement.read_proposals(path)
+    for a, b in zip(lines, back):
+        assert (a.ids.tolist(), a.windows.tolist(), a.scores.tobytes()) == (b.ids.tolist(), b.windows.tolist(),
+                                                                            b.scores.tobytes())
 
 
 def test_extent_must_match_box_rows(tmp_path):

@@ -113,19 +113,24 @@ class TestJitter:
 class TestMakeProposals:
     def test_windows_view_one_normalised_track(self, frame_size):
         t = moving_tubelet(100)
-        props = make_proposals(t, *frame_size)
+        line = make_proposals(t, *frame_size)
         # the normalised track keeps the tubelet's identity, as a new `Track`
-        assert type(props[0].tubelet) is Track
-        assert (props[0].tubelet.id, props[0].tubelet.extent) == (t.id, t.extent)
-        for p in props:
-            assert p.boxes.shape == (p.window.length, 4)
+        assert type(line.track) is Track
+        assert (line.track.id, line.track.extent) == (t.id, t.extent)
+        assert line.scores is None
+        assert [[w.start, w.length] for w in jitter(line.track)] == line.windows.tolist()
+        for p, window in zip(line, line.windows.tolist()):
+            # a proposal is a `Track` of its id and window
+            assert type(p) is Track and (p.video_id, p.object_class) == (t.video_id, t.object_class)
+            assert [p.extent.start, p.extent.length] == window
+            assert p.boxes.shape == (p.extent.length, 4)
             # boxes are rows of the one shared normalised tubelet, not copies
-            assert p.tubelet is props[0].tubelet
-            assert np.shares_memory(p.boxes, p.tubelet.boxes)
-            offset = p.window.start - p.tubelet.extent.start
-            assert np.array_equal(p.boxes, p.tubelet.boxes[offset:offset + p.window.length])
+            assert np.shares_memory(p.boxes, line.track.boxes)
+            offset = p.extent.start - line.track.extent.start
+            assert np.array_equal(p.boxes, line.track.boxes[offset:offset + p.extent.length])
 
     def test_ids_sequential(self, frame_size):
         t = moving_tubelet(100)
-        props = make_proposals(t, *frame_size, id_start=7)
-        assert [p.proposal_id for p in props] == list(range(7, 7 + len(props)))
+        line = make_proposals(t, *frame_size, id_start=7)
+        assert line.ids.dtype == np.int64
+        assert [p.id for p in line] == line.ids.tolist() == list(range(7, 7 + len(line)))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_tubelet, write_tubelet_list
+from conftest import make_tubelet, score_matrix, write_tubelet_list
 from tubekit import data_model
 from tubekit.data_model import (
     ACTIVITY_CLASSES,
@@ -27,7 +27,8 @@ from tubekit.data_model import (
 )
 from tubekit.geometry import Interval
 from tubekit.linking import Track
-from tubekit.refinement import Proposal, read_proposals, write_proposals
+from tubekit.proposals import SCORE_CLASSES
+from tubekit.refinement import TubeletProposals, read_proposals, write_proposals
 
 # -- the reference: the dict-per-row encoder the writers used before --------
 
@@ -59,17 +60,20 @@ def reference_instance_record(inst):
     }
 
 
-def reference_proposal_records(proposals):
-    lines = {}
-    for p in sorted(proposals, key=lambda p: (p.video_id, p.proposal_id)):
-        key = (p.video_id, p.tubelet_id)
-        if key not in lines:
-            lines[key] = {**reference_track_record(p.tubelet), "proposals": []}
-        entry = {"proposal_id": p.proposal_id, "start": p.window.start, "end": p.window.end}
-        if p.scores is not None:
-            entry["scores"] = p.scores
-        lines[key]["proposals"].append(entry)
-    return [lines[key] for key in sorted(lines)]
+def reference_proposal_records(lines):
+    """One record per line that holds a proposal, in the order given; each
+    entry's scores map holds the classes its row does not hold as NaN."""
+    records = []
+    for line in lines:
+        entries = []
+        for k, p in enumerate(line):
+            entry = {"proposal_id": p.id, "start": p.extent.start, "end": p.extent.end}
+            if line.scores is not None:
+                entry["scores"] = {c: float(v) for c, v in zip(SCORE_CLASSES, line.scores[k]) if not math.isnan(v)}
+            entries.append(entry)
+        if entries:
+            records.append({**reference_track_record(line.track), "proposals": entries})
+    return records
 
 
 def reference_detection_records(videos):
@@ -141,12 +145,63 @@ def test_tubelet_and_proposal_lines_equal_the_reference(tmp_path, drawn):
              for (start, boxes), cls, video, tid, _ in drawn]
     assert written(tmp_path, write_tubelet_list, tubes) == reference_text(
         reference_track_record(t) for t in sorted(tubes, key=lambda t: (t.video_id, t.id)))
-    props = [
-        Proposal(10 * i + j, t, Interval(t.extent.start + j, t.extent.end),
-                 None if j else {"Riding": score, "non_action": 1.0 - score})
-        for i, (t, (*_, score)) in enumerate(zip(tubes, drawn)) for j in range(min(2, t.extent.length))
-    ]
+    # a line is scored or not as a whole; even lines are scored
+    props = []
+    for i, (t, (*_, score)) in enumerate(zip(tubes, drawn)):
+        n = min(2, t.extent.length)
+        props.append(TubeletProposals(
+            t, np.arange(10 * i, 10 * i + n), np.array([(t.extent.start + j, t.extent.length - j) for j in range(n)]),
+            None if i % 2 else score_matrix([{"Riding": score, "non_action": 1.0 - score}, {"Talking": score}][:n])))
     assert written(tmp_path, write_proposals, props) == reference_text(reference_proposal_records(props))
+
+
+score_rows = st.lists(st.one_of(st.just(math.nan), unit_floats), min_size=len(SCORE_CLASSES),
+                      max_size=len(SCORE_CLASSES))
+
+
+@st.composite
+def proposal_lines(draw):
+    """Up to 4 `TubeletProposals` with distinct (video_id, tubelet id): random
+    tracks, up to 4 windows each, proposal ids ascending in a line and unique
+    in a video, and on a scored line scores with NaN gaps (a row may be all
+    NaN)."""
+    lines, next_id = [], {}
+    for video_id, tubelet_id in draw(st.lists(st.tuples(video_ids, st.integers(0, 2**40)), max_size=4, unique=True)):
+        (start, boxes), n = draw(tracks()), draw(st.integers(0, 4))
+        boxes[:, [0, 2]], boxes[:, [1, 3]] = np.sort(boxes[:, [0, 2]]), np.sort(boxes[:, [1, 3]])  # x1 <= x2, y1 <= y2
+        track = Track(tubelet_id, video_id, draw(st.sampled_from(OBJECT_CLASSES)), Interval(start, start + len(boxes)),
+                      boxes)
+        offsets = draw(st.lists(st.integers(0, len(boxes) - 1), min_size=n, max_size=n))
+        windows = [(start + k, draw(st.integers(1, len(boxes) - k))) for k in offsets]
+        gaps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        ids = next_id.get(video_id, 0) + np.cumsum(np.array(gaps, dtype=np.int64))
+        next_id[video_id] = int(ids[-1]) + 1 if n else next_id.get(video_id, 0)
+        scores = np.array(draw(st.lists(score_rows, min_size=n, max_size=n))).reshape(n, len(SCORE_CLASSES)) if draw(
+            st.booleans()) else None
+        lines.append(TubeletProposals(track, ids, np.array(windows, dtype=np.int64).reshape(-1, 2), scores))
+    return lines
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(proposal_lines())
+def test_proposal_lines_round_trip(tmp_path, lines):
+    # a line with no proposal is not written; the others read back in
+    # (video_id, tubelet id) order, a NaN score a class left out
+    write_proposals(lines, tmp_path / "p.jsonl")
+    back = read_proposals(tmp_path / "p.jsonl")
+    want = sorted((line for line in lines if len(line)), key=lambda line: (line.track.video_id, line.track.id))
+    assert len(back) == len(want)
+    for a, b in zip(want, back):
+        assert (a.track.id, a.track.video_id, a.track.object_class, a.track.extent) == (
+            b.track.id, b.track.video_id, b.track.object_class, b.track.extent)
+        assert a.track.boxes.tobytes() == b.track.boxes.tobytes()
+        assert (a.ids.tolist(), a.windows.tolist()) == (b.ids.tolist(), b.windows.tolist())
+        assert b.ids.dtype == b.windows.dtype == np.int64
+        assert (a.scores is None) == (b.scores is None)
+        if a.scores is not None:
+            gaps = np.isnan(a.scores)
+            assert np.array_equal(gaps, np.isnan(b.scores))
+            assert a.scores[~gaps].tobytes() == b.scores[~gaps].tobytes()  # -0.0 keeps its sign
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -232,12 +287,12 @@ def test_instances_read_from_a_file_share_rows(tmp_path, monkeypatch):
     # reader decoded, and each of those arrays' rows is formatted once
     tubelets = [make_tubelet(np.arange(48, dtype=np.float64).reshape(12, 4) + k, start=3, tubelet_id=k)
                 for k in range(2)]
-    windows = [Interval(3, 15), Interval(3, 9), Interval(5, 11), Interval(9, 15)]
-    props = [Proposal(len(windows) * k + i, t, w, {"Riding": 0.5}) for k, t in enumerate(tubelets)
-             for i, w in enumerate(windows)]
+    windows = np.array([(3, 12), (3, 6), (5, 6), (9, 6)])  # (start, length)
+    props = [TubeletProposals(t, np.arange(len(windows) * k, len(windows) * (k + 1)), windows,
+                              score_matrix([{"Riding": 0.5}] * len(windows))) for k, t in enumerate(tubelets)]
     write_proposals(props, tmp_path / "scored.jsonl")
-    instances = [ActivityInstance(p.video_id, "Riding", p.window, p.boxes, 0.1 * (1 + p.proposal_id % 4))
-                 for p in read_proposals(tmp_path / "scored.jsonl")]
+    instances = [ActivityInstance(p.video_id, "Riding", p.extent, p.boxes, 0.1 * (1 + p.id % 4))
+                 for line in read_proposals(tmp_path / "scored.jsonl") for p in line]
     calls = []
 
     def counted(*args):
@@ -261,9 +316,11 @@ def test_non_finite_values_raise(tmp_path, bad):
         write_instances([ActivityInstance("v0", "Riding", Interval(0, 3), boxes, 0.5)], tmp_path / "i.jsonl")
     with pytest.raises(ValueError, match="non-finite"):
         write_tubelet_list([make_tubelet(boxes)], tmp_path / "t.jsonl")
-    props = [Proposal(0, make_tubelet(boxes[[0, 0, 0]]), Interval(0, 3), {"Riding": bad})]
-    with pytest.raises(ValueError):
-        write_proposals(props, tmp_path / "p.jsonl")
+    if not math.isnan(bad):  # a NaN in a score matrix marks a class left out
+        props = [TubeletProposals(make_tubelet(boxes[[0, 0, 0]]), np.array([0]), np.array([[0, 3]]),
+                                  score_matrix([{"Riding": bad}]))]
+        with pytest.raises(ValueError):
+            write_proposals(props, tmp_path / "p.jsonl")
     frames, scores, classes = np.arange(3), np.full(3, 0.5), np.zeros(3, dtype=np.int64)
     with pytest.raises(ValueError, match="non-finite"):
         write_detections([VideoDetections("v0", frames, boxes, scores, classes)], tmp_path / "d.jsonl")
