@@ -28,6 +28,10 @@ across runs. The config hash is the built-in SHA-256 of the checked values
 (an integral ``3.0`` for an int hashes as ``3``), so that no stage process
 but `synth` loads OpenSSL, which costs 3.5-3.8 MB of peak RSS.
 
+The readers check each record on its own, frames included (see
+`data_model.FRAME_LIMIT`); what needs two files, a track's extent against its
+video's frame_count, is `_check_frame_range`, made once for every input.
+
 Exit codes, all set by `_ExitCodeGroup`: 0 success, 1 bad input (a usage
 error, such as a missing input file, or an `InvalidInputError`), 2 stage failure.
 """
@@ -45,7 +49,6 @@ import numpy as np
 from . import data_model, evaluation, linking, postprocess, proposals, refinement, synthgen
 from .errors import InvalidInputError, TubekitError
 from .evaluation import AlignmentPolicy, EvalConfig
-from .geometry import Interval
 from .linking import LinkConfig
 from .postprocess import FusionConfig, SoftNmsConfig
 from .proposals import SCORE_CLASSES, LabelPolicy, ScorerConfig
@@ -178,35 +181,23 @@ class Manifest:
             fh.write("\n")
 
 
-def _check_frame_range(what, tracks, metas):
-    """The frame-range rule of every input: each track (detection columns,
-    tubelet or instance) must name a video of `metas` and its extent must end
-    at or before that video's frame_count; an InvalidInputError otherwise."""
-    for track in tracks:
-        _check_extent(what, track.video_id, track.extent, metas)
+def _check_frame_range(what, spans, metas):
+    """The frame-range rule of every input: each (video_id, start, end) of a
+    track (detection columns, tubelet or instance), in Python ints, must name
+    a video of `metas` and end at or before that video's frame_count; the
+    first that does not raises an InvalidInputError."""
+    for video_id, start, end in spans:
+        meta = metas.get(video_id)
+        if meta is None:
+            raise InvalidInputError(f"{what} references unknown video_id {video_id!r}")
+        if end > meta.frame_count:
+            raise InvalidInputError(f"video {video_id!r}: {what} extent [{start}, {end}) ends at frame {end - 1}, "
+                                    f"outside its frame_count {meta.frame_count}")
 
 
-def _check_extent(what, video_id, extent, metas):
-    meta = metas.get(video_id)
-    if meta is None:
-        raise InvalidInputError(f"{what} references unknown video_id {video_id!r}")
-    if extent.end > meta.frame_count:
-        raise InvalidInputError(
-            f"video {video_id!r}: {what} extent [{extent.start}, {extent.end}) ends at frame "
-            f"{extent.end - 1}, outside its frame_count {meta.frame_count}"
-        )
-
-
-def _check_tubelet_range(tubelets, metas):
-    """`_check_frame_range` of a `LinkedTubelets`, on its columns: one array
-    step finds the first tubelet of a table that breaks the rule, and it
-    raises as its `Track` would."""
-    for table in tubelets.tables:
-        if len(table):
-            meta = metas.get(table.video_id)
-            ends = table.starts + table.lengths
-            k = 0 if meta is None else int(np.argmax(ends > meta.frame_count))
-            _check_extent("tubelet", table.video_id, Interval(int(table.starts[k]), int(ends[k])), metas)
+def _spans(tracks):
+    """The (video_id, start, end) of each track."""
+    return ((t.video_id, t.extent.start, t.extent.end) for t in tracks)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +226,7 @@ def link(m, detections, metas, out):
     videos, dropped = detections
     greedy = cfg.link.strategy == "greedy"
     with m.phase("link", "compute"):
-        _check_frame_range("detection", videos.values(), metas)
+        _check_frame_range("detection", _spans(videos.values()), metas)
         link_video = linking.greedy_link if greedy else linking.track_link
         tubes = linking.LinkedTubelets.numbered([link_video(videos[v], config=cfg.link) for v in sorted(videos)])
     with m.phase("link", "write"):
@@ -260,7 +251,8 @@ def refine(m, tubelets, metas, out):
     `refine.coord_displacement_min`, when every tubelet is static."""
     cfg = m.cfg
     with m.phase("refine", "compute"):
-        _check_tubelet_range(tubelets, metas)
+        _check_frame_range("tubelet", ((t.video_id, s, s + n) for t in tubelets.tables
+                                       for s, n in zip(t.starts.tolist(), t.lengths.tolist())), metas)
         kept, removed = refinement.filter_static(tubelets, cfg.refine)
         lines, count = [], 0
         for tub in kept:
@@ -365,8 +357,8 @@ def eval_recall(m, tubelets, references, out):
 def eval_det(m, instances, references, metas, out_csv, out_summary):
     """DET curves per activity and their summary at `eval.target_rfa`."""
     with m.phase("eval-det", "compute"):
-        _check_frame_range("instance", instances, metas)
-        _check_frame_range("ground-truth instance", references, metas)
+        _check_frame_range("instance", _spans(instances), metas)
+        _check_frame_range("ground-truth instance", _spans(references), metas)
         curves = evaluation.det_curve(instances, references, metas, m.cfg.align)
         summary = evaluation.det_summary(curves, m.cfg.eval.target_rfa)
     with m.phase("eval-det", "write"):

@@ -10,6 +10,11 @@ File formats, one JSON object per line:
 
 All numeric fields are decimal-encoded, every ``video_id`` is a JSON string
 and every real-valued field is a finite JSON number (not a string or bool).
+No frame lies before 0 or past `FRAME_LIMIT` (2**53): a detection's frame is
+below it, and a track's ``end`` and a video's ``frame_count`` are at most it.
+Every reader goes through `read_records`: a record it cannot build, or one
+that claims a key (such as a meta line's ``video_id``) an earlier record of
+the file claimed, raises ParseError naming path:line.
 Writers emit records in canonical order, each line the text
 ``json.dumps(record, sort_keys=True)`` gives (ints and floats as ``repr``
 writes them). They format it directly, with ``box_rows_text`` and one line
@@ -19,8 +24,8 @@ Detections are held per video as columns (`VideoDetections`). Instances,
 tubelets and proposals are *tracks*: an ``extent`` plus an (n,4) float64
 ``boxes`` array whose row k is frame ``extent.start + k``; ``extent_field``
 reads the extent of each. They share one box list format: ``box_rows_text``
-writes it, and ``box_values`` checks it as ``decode_boxes`` and the tubelet
-reader read it.
+writes it, and ``box_values`` checks it as ``decode_boxes`` and the track
+readers read it.
 """
 
 import json
@@ -61,6 +66,12 @@ PERSON_ACTIVITIES = (
 )
 
 ACTIVITY_CLASSES = VEHICLE_ACTIVITIES + PERSON_ACTIVITIES
+
+# No frame value passes FRAME_LIMIT: a detection's frame lies below it, and a
+# track's end and a video's frame_count are at most it. Below 2**53 every
+# frame is exact in float64, which soft-NMS's window spans rely on, and no sum
+# of two frame values passes int64. At 1,000 fps it is about 285,000 years.
+FRAME_LIMIT = 2**53
 
 
 # A detection's class code indexes DETECTION_CLASSES, the admitted classes
@@ -149,8 +160,8 @@ class VideoMeta:
     height: float
 
     def __post_init__(self):
-        if self.frame_count <= 0:
-            raise InvalidInputError(f"frame_count must be positive: {self.frame_count}")
+        if not 0 < self.frame_count <= FRAME_LIMIT:
+            raise InvalidInputError(f"frame_count must be in [1, 2**53]: {self.frame_count}")
         if not (math.isfinite(self.frame_rate) and self.frame_rate > 0):
             raise InvalidInputError(f"frame_rate must be finite and positive: {self.frame_rate}")
         if not (0.0 <= self.width < math.inf and 0.0 <= self.height < math.inf):
@@ -205,7 +216,6 @@ def int_field(rec, key):
 
 
 _FLOAT_MAX = sys.float_info.max
-_FRAME_MAX = np.iinfo(np.int64).max  # frames are int64 columns
 _NUMBER_TYPES = {int, float}  # a bool is neither
 
 
@@ -234,12 +244,13 @@ def str_field(rec, key):
     return value
 
 
-def read_records(path, kind, build, key=None):
+def read_records(path, kind, build, keys=None):
     """Yield `build(record)` for each record of a JSONL file, the one loop
     over `read_jsonl`: a malformed line or a record `build` cannot build
-    raises ParseError naming path:line. With `key`, so does a record whose
-    `key(record)` an earlier record of the file has."""
-    seen = set()
+    raises ParseError naming path:line. With `keys`, so does a record that
+    claims a key an earlier claim of the file has: `keys(built)` gives the
+    (what, key) pairs the record claims, checked in that order."""
+    seen = {}  # what -> the keys claimed
     for lineno, rec in read_jsonl(path):
         try:
             built = build(rec)
@@ -247,11 +258,11 @@ def read_records(path, kind, build, key=None):
             raise ParseError(f"invalid {kind}: missing key {exc}", path=path, line=lineno)
         except (InvalidInputError, ValueError, TypeError, OverflowError) as exc:
             raise ParseError(f"invalid {kind}: {exc}", path=path, line=lineno)
-        if key is not None:
-            k = key(rec)
-            if k in seen:
-                raise ParseError(f"duplicate {kind} {k!r}: an earlier line has it", path=path, line=lineno)
-            seen.add(k)
+        for what, key in keys(built) if keys else ():
+            claimed = seen.setdefault(what, set())
+            if key in claimed:
+                raise ParseError(f"duplicate {what} {key!r}: an earlier {what} has it", path=path, line=lineno)
+            claimed.add(key)
         yield built
 
 
@@ -259,11 +270,15 @@ BOX_KEYS = ("x1", "y1", "x2", "y2")
 
 
 def extent_field(rec):
-    """The [start, end) frames of a track record; a start below 0 is an input error."""
+    """The [start, end) frames of a track record; a start below 0 or an end
+    past `FRAME_LIMIT` is an input error."""
     start = int_field(rec, "start")
     if start < 0:
         raise InvalidInputError(f"start must be >= 0: {start}")
-    return Interval(start, int_field(rec, "end"))
+    end = int_field(rec, "end")
+    if end > FRAME_LIMIT:
+        raise InvalidInputError(f"end must be <= 2**53: {end}")
+    return Interval(start, end)
 
 
 # One box-list row: the frame, then x1, x2, y1, y2 (sorted key order).
@@ -320,8 +335,8 @@ def _detection_from_record(rec):
         return None, cls, None
     frame, reals = int_field(rec, "frame"), tuple(float_field(rec, k) for k in (*BOX_KEYS, "score"))
     x1, y1, x2, y2, score = reals
-    if not 0 <= frame <= _FRAME_MAX or x1 > x2 or y1 > y2 or not 0.0 <= score <= 1.0:
-        raise InvalidInputError(f"frame outside [0, 2**63), inverted box or score outside [0, 1]: {(frame, *reals)}")
+    if not 0 <= frame < FRAME_LIMIT or x1 > x2 or y1 > y2 or not 0.0 <= score <= 1.0:
+        raise InvalidInputError(f"frame outside [0, 2**53), inverted box or score outside [0, 1]: {(frame, *reals)}")
     return str_field(rec, "video_id"), (frame, DETECTION_CLASSES.index(cls)), reals
 
 
@@ -460,7 +475,7 @@ def _meta_from_record(rec):
 def read_video_meta(path):
     """Read video metadata into a dict keyed by video_id; a second record of
     a video_id raises ParseError naming path:line."""
-    metas = read_records(path, "video meta", _meta_from_record, key=lambda rec: rec["video_id"])
+    metas = read_records(path, "video meta", _meta_from_record, lambda meta: [("video meta", meta.video_id)])
     return {m.video_id: m for m in metas}
 
 

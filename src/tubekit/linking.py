@@ -13,8 +13,10 @@ is indexed or iterated, so a one-frame tubelet, most of a cluttered scene's,
 costs its row, not an object. `link` numbers the tables of a file's videos
 on across them as one `LinkedTubelets`, and `write_tubelets` formats their
 lines straight from the columns; `read_tubelets` fills the same tables from
-a file, one per video. A linker returns only its table, and the tracker
-records only the rows that its tubelets keep. Each admitted detection is
+a file, one per video, parsing each line with `tubelet_fields`, the parser
+of every tubelets, proposals and scored line's track fields. A linker
+returns only its table, and the tracker records only the rows that its
+tubelets keep. Each admitted detection is
 one tubelet row in both linkers. Greedy linking joins chains only across at
 most `link.max_interp_gap` missing frames and fills each such hole, so it
 never cuts a tubelet at a gap.
@@ -33,6 +35,7 @@ from . import kernels
 from .data_model import (
     _CLASS_TEXT,
     DETECTION_CLASSES,
+    FRAME_LIMIT,
     OBJECT_CLASSES,
     box_rows_text,
     box_values,
@@ -149,10 +152,10 @@ class LinkConfig:
     def __post_init__(self):
         if not 0.0 < self.iou_link_threshold <= 1.0:
             raise InvalidInputError(f"iou_link_threshold out of (0,1]: {self.iou_link_threshold}")
-        if self.patience < 1:
-            raise InvalidInputError(f"patience must be >= 1: {self.patience}")
-        if self.max_interp_gap < 0:
-            raise InvalidInputError(f"max_interp_gap must be >= 0: {self.max_interp_gap}")
+        if not 1 <= self.patience <= FRAME_LIMIT:
+            raise InvalidInputError(f"link.patience must be in [1, 2**53]: {self.patience}")
+        if not 0 <= self.max_interp_gap <= FRAME_LIMIT:
+            raise InvalidInputError(f"link.max_interp_gap must be in [0, 2**53]: {self.max_interp_gap}")
         if self.strategy not in ("greedy", "tracking"):
             raise InvalidInputError(f"unknown link.strategy: {self.strategy!r}")
 
@@ -327,16 +330,6 @@ def predict_next(last, prev):
     return last + np.concatenate((step, step), axis=1)
 
 
-# Every `_CHUNK_BLOCKS` row blocks that `track_link` records are joined into
-# one chunk, so a long video keeps few small arrays.
-_CHUNK_BLOCKS = 64
-
-
-def _joined(blocks):
-    """Each column of `blocks` (sequences of arrays, one per column) as one array."""
-    return [np.concatenate(col) for col in zip(*blocks)]
-
-
 def track_link(detections, config=LinkConfig()):
     """Tracking-based linking of one video's `VideoDetections`: live tracks
     predict a box every frame, merge with unclaimed detections by IoU, and
@@ -349,9 +342,9 @@ def track_link(detections, config=LinkConfig()):
     `iou_link_threshold` is > 0, so each class is a block of its own and the
     (row, col) tie order holds within it. A frame with no live track and no
     detection is skipped. Only the detected rows are recorded, when a track
-    is seeded or matched: each with its age (frame - seed frame), the box the
-    track had before it and the misses it bridges. See `_track_columns` for
-    the predicted rows."""
+    is seeded or matched, to five typed `array` columns: each row's track,
+    its age (frame - seed frame), its box, the box the track had before it
+    and the misses it bridges. See `_track_columns` for the predicted rows."""
     if not len(detections):
         return _numbered(detections.video_id, [])
     det_boxes, det_classes = detections.boxes, detections.classes
@@ -365,7 +358,7 @@ def track_link(detections, config=LinkConfig()):
     classes = np.zeros(0, dtype=np.int64)
     misses = np.zeros(0, dtype=np.int64)  # frames since the last match
     seed_frame, seed_class = [], []  # by track id
-    blocks, chunks = [], 0  # (track ids, ages, boxes, boxes before, misses) rows; the first `chunks` joined
+    recorded = array("q"), array("q"), array("d"), array("d"), array("q")  # track ids, ages, boxes, before, misses
 
     for f in range(min(frame_rows), max(frame_rows) + 1):
         lo, hi = frame_rows.get(f, (0, 0))
@@ -390,7 +383,8 @@ def track_link(detections, config=LinkConfig()):
                 rows, matched = np.array(pairs).T
                 claimed[matched] = True
                 boxes = f_boxes[matched]
-                blocks.append((tids[rows], ages[rows], boxes, last[rows], misses[rows]))
+                for column, v in zip(recorded, (tids[rows], ages[rows], boxes, last[rows], misses[rows])):
+                    column.frombytes(v.tobytes())
                 pred[rows], misses[rows] = boxes, -1  # 0 after the += 1 below
             prev, last = last, pred
             misses += 1
@@ -407,28 +401,26 @@ def track_link(detections, config=LinkConfig()):
             new_tids = np.arange(len(seed_frame), len(seed_frame) + new.size)
             seed_frame.extend([f] * new.size)
             seed_class.extend(f_classes[new].tolist())
-            blocks.append((new_tids, zeros, boxes, boxes, zeros))
+            for column, v in zip(recorded, (new_tids, zeros, boxes, boxes, zeros)):
+                column.frombytes(v.tobytes())
             tids = np.concatenate((tids, new_tids))
             seeds = np.concatenate((seeds, zeros + f))
             last = np.concatenate((last, boxes))
             prev = np.concatenate((prev, boxes))
             classes = np.concatenate((classes, f_classes[new]))
             misses = np.concatenate((misses, zeros))
-        if len(blocks) - chunks >= _CHUNK_BLOCKS:
-            blocks[chunks:] = [_joined(blocks[chunks:])]
-            chunks += 1
-    return _numbered(detections.video_id, [_track_columns(blocks, seed_frame, seed_class, f + 1, config)])
+    return _numbered(detections.video_id, [_track_columns(recorded, seed_frame, seed_class, f + 1, config)])
 
 
-def _track_columns(blocks, seed_frame, seed_class, end, config):
+def _track_columns(recorded, seed_frame, seed_class, end, config):
     """The tubelet columns of `track_link` (a part of `_numbered`) from the
-    row blocks it recorded, which this empties, the tracks' seed frames and
-    classes and the frame after the last one linked: each track's rows by
+    row columns it recorded, the tracks' seed frames and classes and the
+    frame after the last one linked: each track's rows by
     age, the tracks in the order they ended (in seed order within a frame)
     and the still-live ones last; `_numbered` sorts stably, so that order
     breaks its ties."""
-    row_tids, ages, boxes, before, gaps = _joined(blocks)
-    blocks.clear()
+    row_tids, ages, gaps = (np.frombuffer(recorded[k], np.int64) for k in (0, 1, 4))
+    boxes, before = (np.frombuffer(recorded[k]).reshape(-1, 4) for k in (2, 3))
     starts = np.array(seed_frame, dtype=np.int64)
     length = np.zeros(len(starts), dtype=np.int64)
     np.maximum.at(length, row_tids, ages + 1)  # a track's last row is detected
@@ -462,12 +454,13 @@ def _track_columns(blocks, seed_frame, seed_class, end, config):
 # serialization
 
 
-def _tubelet_columns(rec):
-    """A parsed tubelets.jsonl line as its video id, its (id, start frame,
-    length, class code), then its box values back to back. Every check of a
-    `Track` of the line is made, in the order its fields are: an invalid
-    field raises. Keys it does not read, such as the per-row `score` and
-    `provenance` of older files, are ignored."""
+def tubelet_fields(rec):
+    """The track fields of a parsed tubelets, proposals or scored line: its
+    video id, its (id, start frame, length, class code) as an int64 `array`,
+    then its box values back to back. Every check of a `Track` of the line is
+    made, in the order its fields are: an invalid field raises. Keys it does
+    not read, such as the per-row `score` and `provenance` of older files,
+    are ignored."""
     extent = extent_field(rec)
     values = box_values(rec["boxes"], extent)
     tubelet_id, video_id, object_class = int_field(rec, "id"), str_field(rec, "video_id"), str_field(rec, "class")
@@ -477,11 +470,11 @@ def _tubelet_columns(rec):
     return video_id, ints, values
 
 
-def tubelet_key(rec):
-    """The (video_id, id) that names a tubelet in a tubelets or proposals
-    file: no two lines of one file may share it. The video id is interned,
-    so the keys of one video share one string."""
-    return sys.intern(rec["video_id"]), int_field(rec, "id")
+def tubelet_key(video_id, tubelet_id):
+    """The key a tubelets or proposals line claims, ("tubelet", (video_id,
+    id)): no two lines of one file may share it (see `read_records`). The
+    video id is interned, so the keys of one video share one string."""
+    return "tubelet", (sys.intern(video_id), tubelet_id)
 
 
 def write_tubelets(tubelets, path):
@@ -497,7 +490,8 @@ def read_tubelets(path):
     tubelet, or that repeats an earlier line's (video_id, id), raises
     ParseError naming path:line."""
     columns = {}  # video id -> (id, start, length, class code) rows, box values
-    for video_id, ints, values in read_records(path, "tubelet", _tubelet_columns, tubelet_key):
+    lines = read_records(path, "tubelet", tubelet_fields, lambda fields: [tubelet_key(fields[0], fields[1][0])])
+    for video_id, ints, values in lines:
         if video_id not in columns:
             columns[video_id] = array("q"), array("d")
         columns[video_id][0].extend(ints)

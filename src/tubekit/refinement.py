@@ -7,18 +7,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import (
+    DETECTION_CLASSES,
     box_rows_text,
-    decode_boxes,
     extent_field,
     float_field,
     int_field,
     read_records,
-    str_field,
     write_jsonl,
 )
 from .errors import InvalidInputError
 from .geometry import Interval, mean_center_steps
-from .linking import Track, tubelet_key
+from .linking import Track, tubelet_fields, tubelet_key
 from .proposals import SCORE_CLASSES
 
 
@@ -48,7 +47,7 @@ class TubeletProposals:
 
     track: Track  # size-normalised
     ids: np.ndarray  # (n,) int64, ascending
-    windows: np.ndarray  # (n,2) int64 start, length: an end may be 2**63, past int64
+    windows: np.ndarray  # (n,2) int64 start, length; an end is at most FRAME_LIMIT
     scores: np.ndarray | None = None  # (n, len(SCORE_CLASSES)) float64
 
     def __len__(self):
@@ -153,14 +152,16 @@ def _score_row(scores):
 
 
 def _proposals_from_record(rec):
-    extent = extent_field(rec)
-    boxes = decode_boxes(rec["boxes"], extent)
-    track = Track(int_field(rec, "id"), str_field(rec, "video_id"), str_field(rec, "class"), extent, boxes)
+    video_id, (tubelet_id, start, length, code), values = tubelet_fields(rec)
+    extent = Interval(start, start + length)
+    # a copy that owns its memory, so that `write_instances` finds the row views of it
+    boxes = np.frombuffer(values).reshape(-1, 4).copy()
+    track = Track(tubelet_id, video_id, DETECTION_CLASSES[code], extent, boxes)
     entries = rec["proposals"]
     ids = np.array([int_field(e, "proposal_id") for e in entries], dtype=np.int64)
     windows = np.array([(w.start, w.length) for w in map(extent_field, entries)], dtype=np.int64).reshape(-1, 2)
-    offsets = windows[:, 0] - extent.start
-    outside = (offsets < 0) | (offsets > extent.length - windows[:, 1])  # an offset + length could overflow
+    # every end is at most FRAME_LIMIT, so start + length cannot overflow
+    outside = (windows[:, 0] < extent.start) | (windows.sum(axis=1) > extent.end)
     if outside.any():
         start, n = windows[np.argmax(outside)].tolist()
         raise InvalidInputError(f"window [{start}, {start + n}) outside its tubelet [{extent.start}, {extent.end})")
@@ -170,20 +171,14 @@ def _proposals_from_record(rec):
     return TubeletProposals(track, ids[order], windows[order], scores)
 
 
+def _claims(line):
+    """The keys a proposals line claims: each (video_id, proposal_id), then its tubelet's (video_id, id)."""
+    t = line.track
+    return [*(("proposal", (t.video_id, i)) for i in line.ids.tolist()), tubelet_key(t.video_id, t.id)]
+
+
 def read_proposals(path):
     """A proposals or scored file's lines that hold a proposal, in (video_id, id)
     order; each line's (video_id, id) and each (video_id, proposal_id) is unique."""
-    seen = {}  # video_id -> proposal ids
-
-    def build(rec):
-        line = _proposals_from_record(rec)
-        ids = seen.setdefault(line.track.video_id, set())
-        for proposal_id in line.ids.tolist():
-            if proposal_id in ids:
-                raise InvalidInputError(f"duplicate proposal {(line.track.video_id, proposal_id)!r}: an earlier "
-                                        "proposal has it")
-            ids.add(proposal_id)
-        return line
-
-    lines = read_records(path, "proposals", build, tubelet_key)
+    lines = read_records(path, "proposals", _proposals_from_record, _claims)
     return sorted((line for line in lines if len(line)), key=lambda line: (line.track.video_id, line.track.id))

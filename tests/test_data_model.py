@@ -129,7 +129,7 @@ class TestDetectionRoundTrip:
     def test_written_columns_read_back_exactly(self, tmp_path, data):
         # few distinct values, so that rows tie exactly on frame, box and score
         # and only their input order, kept by a stable sort, tells them apart
-        frames = st.sampled_from([0, 1, 7, 2**63 - 1]) | st.integers(0, 2**63 - 1)
+        frames = st.sampled_from([0, 1, 7, dm.FRAME_LIMIT - 1]) | st.integers(0, dm.FRAME_LIMIT - 1)
         coords = st.sampled_from([0.0, 0.5, 3.25, 1e300]) | st.floats(-1e6, 1e6, allow_nan=False)
         scores = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
         codes = st.integers(0, len(dm.DETECTION_CLASSES) - 1)
@@ -164,7 +164,7 @@ class TestDetectionRoundTrip:
         k = data.draw(st.integers(0, len(lines) - 1))
         bad = json.loads(lines[k])
         bad.update(data.draw(st.sampled_from([{"score": 1.5}, {"x1": 2.0, "x2": 1.0}, {"frame": -1},
-                                              {"frame": 2**63}, {"y2": "1"}])), **{"class": "car"})
+                                              {"frame": dm.FRAME_LIMIT}, {"y2": "1"}])), **{"class": "car"})
         lines[k] = json.dumps(bad) + "\n"
         p.write_text("".join(lines))
         with pytest.raises(ParseError, match=f"^{re.escape(str(p))}:{k + 1}: invalid detection"):

@@ -6,8 +6,10 @@ from typing import Optional
 import numpy as np
 import pytest
 from conftest import box_rows, make_proposal, make_tubelet, score_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tubekit.data_model import ActivityInstance, instance_order
+from tubekit.data_model import FRAME_LIMIT, ActivityInstance, instance_order
 from tubekit.errors import InvalidInputError
 from tubekit.geometry import Interval, temporal_iou
 from tubekit.linking import LinkedTubelets, Track, track_link
@@ -516,6 +518,36 @@ class TestOneCut:
                 low = nms(bucket, "Riding", dataclasses.replace(cfg, score_threshold=t1))
                 high = nms(bucket, "Riding", dataclasses.replace(cfg, score_threshold=t2))
                 assert [(p.id, s) for p, s in high] == [(p.id, s) for p, s in low if s >= t2]
+
+
+def shifted(lines, offset):
+    """The lines with every tubelet and window `offset` frames later."""
+    return [TubeletProposals(dataclasses.replace(line.track, extent=Interval(line.track.extent.start + offset,
+                                                                            line.track.extent.end + offset)),
+                             line.ids, line.windows + np.array([offset, 0]), line.scores) for line in lines]
+
+
+class TestShiftInTime:
+    # a random bucket's frames lie below 58
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           offset=st.integers(0, FRAME_LIMIT - 58) | st.sampled_from([2**52 + 1, FRAME_LIMIT - 58]))
+    def test_a_shift_within_the_frame_limit_changes_nothing(self, seed, offset):
+        # soft-NMS's window spans are float64, exact for every frame within the limit
+        bucket = random_bucket(np.random.default_rng(seed))
+        moved = shifted(bucket, offset)
+        for cfg in CONFIGS:
+            want = [(p.id, s) for p, s in nms(bucket, "Riding", cfg)]
+            assert [(p.id, s) for p, s in nms(moved, "Riding", cfg)] == want
+
+    @pytest.mark.parametrize("start", [0, 2**52 + 1, FRAME_LIMIT - 48])
+    def test_windows_16_frames_apart_decay_by_their_temporal_iou(self, start):
+        # windows (start, 32) and (start + 16, 32) have temporal IoU 1/3 wherever they lie
+        track = make_tubelet(box_rows((0, 0, 10, 10), 48), start)
+        line = lines_of([(track, [(0, (start, start + 32), {"Riding": 0.9}), (1, (start + 16, start + 48),
+                                                                              {"Riding": 0.8})])])
+        tiou = 16 / 48
+        assert [(p.id, s) for p, s in nms(line, "Riding")] == [(0, 0.9), (1, 0.8 * math.exp(-(tiou * tiou) / 0.5))]
 
 
 def random_source(rng, activities, object_classes, next_id):

@@ -23,6 +23,7 @@ from test_tubelet_columns import reference_read_tubelets
 
 from tubekit import data_model, linking, refinement
 from tubekit.cli import main
+from tubekit.data_model import FRAME_LIMIT
 from tubekit.errors import ParseError
 from tubekit.geometry import Interval
 
@@ -263,17 +264,35 @@ def test_a_start_before_frame_zero_is_a_parse_error(tmp_path, inputs, kind):
 
 @pytest.mark.parametrize("kind", ["proposals", "scored"])
 def test_a_window_whose_end_is_past_int64_is_a_parse_error(tmp_path, inputs, kind):
-    # a window held as (start, length) from frame 2**63 - 1: its offset from
-    # the tubelet's start plus its length is past int64, and must not wrap
-    # round to a window inside the tubelet
+    # a window from frame 2**63 - 1 ends past FRAME_LIMIT, which rejects it
+    # before its (start, length) could be held in int64
     path = tmp_path / f"{kind}.jsonl"
     _write(kind, path)
     first, second = (json.loads(line) for line in path.read_text().splitlines())
     second["proposals"][0].update(start=2**63 - 1, end=2**63 + 9)
     path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
 
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: invalid proposals: end must be <= 2\\*\\*53: "
+                                         f"{2**63 + 9}$"):
+        READERS[kind](path)
+    res = CliRunner().invoke(main, _cli_args(kind, str(path), inputs))
+    assert res.exit_code == 1, res.output
+    assert f"{path}:2: " in json.loads(res.output.strip().splitlines()[-1])["error"]
+
+
+@pytest.mark.parametrize("window", [(8, 12), (3, 7), (FRAME_LIMIT - 1, FRAME_LIMIT)])
+@pytest.mark.parametrize("kind", ["proposals", "scored"])
+def test_a_window_outside_its_tubelet_is_a_parse_error(tmp_path, inputs, kind, window):
+    # windows inside the frame limit: past the tubelet's end, before its
+    # start, and at the limit itself
+    path = tmp_path / f"{kind}.jsonl"
+    _write(kind, path)
+    first, second = (json.loads(line) for line in path.read_text().splitlines())
+    second["proposals"][0].update(start=window[0], end=window[1])
+    path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+
     with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: invalid proposals: window "
-                                         f"\\[{2**63 - 1}, {2**63 + 9}\\) outside its tubelet \\[5, 10\\)$"):
+                                         f"\\[{window[0]}, {window[1]}\\) outside its tubelet \\[5, 10\\)$"):
         READERS[kind](path)
     res = CliRunner().invoke(main, _cli_args(kind, str(path), inputs))
     assert res.exit_code == 1, res.output

@@ -17,6 +17,7 @@ from tubekit.data_model import (
     ACTIVITY_CLASSES,
     BOX_KEYS,
     DETECTION_CLASSES,
+    FRAME_LIMIT,
     OBJECT_CLASSES,
     ActivityInstance,
     VideoDetections,
@@ -108,10 +109,10 @@ video_ids = st.one_of(st.sampled_from(("v0", "synth_0001")), st.text(max_size=6)
 
 
 @st.composite
-def tracks(draw, max_rows=6):
-    """(start, (n,4) float64 boxes) with frames up to 2**63 - 1."""
+def tracks(draw, max_rows=6, frame_max=FRAME_MAX):
+    """(start, (n,4) float64 boxes) with frames up to `frame_max`."""
     n = draw(st.integers(1, max_rows))
-    start = draw(st.one_of(st.integers(0, 1000), st.integers(FRAME_MAX - 1000, FRAME_MAX - n + 1)))
+    start = draw(st.one_of(st.integers(0, 1000), st.integers(frame_max - 1000, frame_max - n + 1)))
     boxes = np.array(draw(st.lists(finite_floats, min_size=4 * n, max_size=4 * n)), dtype=np.float64).reshape(n, 4)
     return start, boxes
 
@@ -162,12 +163,12 @@ score_rows = st.lists(st.one_of(st.just(math.nan), unit_floats), min_size=len(SC
 @st.composite
 def proposal_lines(draw):
     """Up to 4 `TubeletProposals` with distinct (video_id, tubelet id): random
-    tracks, up to 4 windows each, proposal ids ascending in a line and unique
+    tracks ending at FRAME_LIMIT or before, up to 4 windows each, proposal ids ascending in a line and unique
     in a video, and on a scored line scores with NaN gaps (a row may be all
     NaN)."""
     lines, next_id = [], {}
     for video_id, tubelet_id in draw(st.lists(st.tuples(video_ids, st.integers(0, 2**40)), max_size=4, unique=True)):
-        (start, boxes), n = draw(tracks()), draw(st.integers(0, 4))
+        (start, boxes), n = draw(tracks(frame_max=FRAME_LIMIT - 1)), draw(st.integers(0, 4))
         boxes[:, [0, 2]], boxes[:, [1, 3]] = np.sort(boxes[:, [0, 2]]), np.sort(boxes[:, [1, 3]])  # x1 <= x2, y1 <= y2
         track = Track(tubelet_id, video_id, draw(st.sampled_from(OBJECT_CLASSES)), Interval(start, start + len(boxes)),
                       boxes)
