@@ -32,6 +32,7 @@ import json
 import math
 import sys
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,21 +347,30 @@ def read_detections(path):
     (records with a class not admitted are dropped and counted, not
     rejected). An admitted row's values go straight into its video's two
     typed arrays, 56 bytes a row, with no Python object kept per row."""
-    columns, dropped = {}, {}  # video id -> _sorted_columns' rows, flat; class name -> count
-    for video_id, ints, reals in read_records(path, "detection", _detection_from_record):
-        if video_id is None:
-            dropped[ints] = dropped.get(ints, 0) + 1
-            continue
-        if video_id not in columns:
-            columns[video_id] = array("q"), array("d")  # int64, float64
+    dropped = {}  # class name -> count
+
+    def admitted():
+        for video_id, ints, reals in read_records(path, "detection", _detection_from_record):
+            if video_id is None:
+                dropped[ints] = dropped.get(ints, 0) + 1
+            else:
+                yield video_id, ints, reals
+
+    return {v: _sorted_columns(v, ints.reshape(-1, 2), reals.reshape(-1, 5))
+            for v, ints, reals in columns_by_video(admitted())}, dropped
+
+
+def columns_by_video(rows):
+    """Extend one int64 and one float64 typed `array` per video by each
+    (video id, ints, reals) row; yield each video's (video id, int64 values,
+    float64 values) in video id order, dropping its arrays from the dict."""
+    columns = defaultdict(lambda: (array("q"), array("d")))  # video id -> its two arrays
+    for video_id, ints, reals in rows:
         columns[video_id][0].extend(ints)
         columns[video_id][1].extend(reals)
-    videos = {}
-    for v in sorted(columns):
-        ints, reals = columns.pop(v)
-        videos[v] = _sorted_columns(v, np.frombuffer(ints, np.int64).reshape(-1, 2),
-                                    np.frombuffer(reals).reshape(-1, 5))
-    return videos, dropped
+    for video_id in sorted(columns):
+        ints, reals = columns.pop(video_id)
+        yield video_id, np.frombuffer(ints, np.int64), np.frombuffer(reals)
 
 
 _DETECTION_LINE = '{"class": %s, "frame": %d, "score": %r, "video_id": %s, "x1": %r, "x2": %r, "y1": %r, "y2": %r}'

@@ -1,8 +1,8 @@
 """Turn per-frame detections into tubelets.
 
-Two strategies: greedy adjacent-frame linking with gap interpolation, and
-tracking-based linking that bridges missed detections with a
-constant-velocity predictor and a patience window.
+Two strategies: greedy linking by one claim rule, the holes filled by
+interpolation, and tracking-based linking that bridges missed detections
+with a constant-velocity predictor and a patience window.
 
 Both linkers return one video's tubelets as one `VideoTubelets` column
 table: each tubelet's id, start frame, length, class code and first row,
@@ -16,10 +16,10 @@ lines straight from the columns; `read_tubelets` fills the same tables from
 a file, one per video, parsing each line with `tubelet_fields`, the parser
 of every tubelets, proposals and scored line's track fields. A linker
 returns only its table, and the tracker records only the rows that its
-tubelets keep. Each admitted detection is
-one tubelet row in both linkers. Greedy linking joins chains only across at
-most `link.max_interp_gap` missing frames and fills each such hole, so it
-never cuts a tubelet at a gap.
+tubelets keep. Each admitted detection is one tubelet row in both linkers.
+Greedy linking claims links of 1 to `link.max_interp_gap` + 1 frames by
+(gap, -IoU, tail row, head row), each row once as a tail and once as a head,
+and fills each hole it links across, so it never cuts a tubelet at a gap.
 """
 
 import itertools
@@ -39,6 +39,7 @@ from .data_model import (
     OBJECT_CLASSES,
     box_rows_text,
     box_values,
+    columns_by_video,
     extent_field,
     int_field,
     read_records,
@@ -200,99 +201,68 @@ def interpolate_gaps(frames, boxes, firsts=(0,)):
 
 
 def _greedy_pairs(iou, rows, cols, gaps=None):
-    """One-to-one matching of the candidate pairs (rows[k], cols[k]) by
-    ascending gaps[k] if given, descending iou[k], then (row, col), each row
-    and column claimed once. Returns the claimed (row, col) pairs in order."""
-    keys = ([] if gaps is None else [gaps.tolist()]) + [(-iou).tolist(), rows.tolist(), cols.tolist()]
-    used_r, used_c = set(), set()
-    out = []
-    for *_, r, c in sorted(zip(*keys)):
-        if r in used_r or c in used_c:
-            continue
-        used_r.add(r)
-        used_c.add(c)
-        out.append((r, c))
-    return out
+    """One-to-one matching of the candidate pairs (rows[k], cols[k]) by ascending
+    gaps[k] if given, descending iou[k], then (row, col), each row and column
+    claimed once. Returns the claimed candidates' indices k, in claim order."""
+    order = np.lexsort((cols, rows, -iou) if gaps is None else (cols, rows, -iou, gaps))
+    used_r, used_c, claimed = set(), set(), []
+    for k, r, c in zip(order.tolist(), rows[order].tolist(), cols[order].tolist()):
+        if r not in used_r and c not in used_c:
+            used_r.add(r)
+            used_c.add(c)
+            claimed.append(k)
+    return np.array(claimed, dtype=np.int64)
 
 
 def greedy_link(detections, config=LinkConfig()):
-    """Greedy adjacent-frame linking of one video's `VideoDetections`; chains
-    separated by short gaps are merged and the holes filled by linear
-    interpolation. A pair links at IoU >= `iou_link_threshold`, as in
-    `track_link`."""
+    """Greedy linking of one video's `VideoDetections`, one class at a time.
+    A link joins a row to one 1 to `max_interp_gap` + 1 frames later at IoU
+    >= `iou_link_threshold`, as in `track_link`. Links are claimed by (gap,
+    -IoU, tail row, head row), each row once as a tail and once as a head,
+    and the holes they cross are filled by linear interpolation. The
+    adjacent-frame links are claimed first, then the longer ones over the
+    rows still free: the same claims as one sorted list."""
     parts = []
     for code in sorted(set(detections.classes.tolist())):
         (rows,) = (detections.classes == code).nonzero()
-        frames = detections.frames[rows]
-        # chains: lists of rows with strictly consecutive frames
-        chains = []
-        open_by_tail = {}  # frame -> list of chain indices whose tail is at frame
-        for lo, hi in zip(*_runs(frames)):
-            f, dets = int(frames[lo]), rows[lo:hi].tolist()
-            tails = open_by_tail.pop(f - 1, [])
-            matched_dets = set()
-            if tails:
-                iou = kernels.iou_matrix(detections.boxes[[chains[ci][-1] for ci in tails]], detections.boxes[dets])
-                linked = np.nonzero(iou >= config.iou_link_threshold)
-                for r, c in _greedy_pairs(iou[linked], *linked):
-                    chains[tails[r]].append(dets[c])
-                    open_by_tail.setdefault(f, []).append(tails[r])
-                    matched_dets.add(c)
-            for c, row in enumerate(dets):
-                if c not in matched_dets:
-                    chains.append([row])
-                    open_by_tail.setdefault(f, []).append(len(chains) - 1)
-        parts.append(_merge_and_emit(detections, chains, code, config))
+        frames, boxes, itself = detections.frames[rows], detections.boxes[rows], np.arange(len(rows))
+        next_of, prev_of = itself.copy(), itself.copy()  # each row's linked row, or itself
+        for gaps in ((1, 1), (2, config.max_interp_gap + 1)):
+            tails, heads = (next_of == itself).nonzero()[0], (prev_of == itself).nonzero()[0]
+            gap, iou, a, b = _link_candidates(frames, boxes, tails, heads, gaps, config.iou_link_threshold)
+            k = _greedy_pairs(iou, a, b, gap)
+            next_of[a[k]], prev_of[b[k]] = b[k], a[k]
+        for _ in range(len(rows).bit_length()):  # each row's tubelet's first row
+            prev_of = prev_of[prev_of]
+        order = np.argsort(prev_of, kind="stable")  # rows increase along a tubelet
+        firsts = np.flatnonzero(np.diff(prev_of[order], prepend=-1))
+        starts, lengths, out = interpolate_gaps(frames[order], boxes[order], firsts)
+        parts.append((starts, lengths, np.full(len(starts), code), out))
     return _numbered(detections.video_id, parts)
 
 
-def _runs(values):
-    """[first, end) bounds of the runs of equal values in a sorted array of
-    non-negative values (frames)."""
-    first = np.flatnonzero(np.diff(values, prepend=-1)).tolist()
-    return first, first[1:] + [len(values)]
+# tails per `_link_candidates` block: a 9,000-frame class of 25,000 detections
+# peaked at 9.9 MB as one block, at 2.4 MB in blocks of 4,096 tails
+_TAIL_BLOCK = 4096
 
 
-def _merge_and_emit(detections, chains, code, config):
-    """Merge chains (lists of detection rows of class `code`) across gaps <=
-    max_interp_gap when end/start boxes still reach the link threshold, then
-    emit the tubelets as one part of `_numbered`.
-
-    A candidate is a (tail of i, head of j) pair whose gap is 1 to
-    max_interp_gap frames; every candidate's IoU comes from one `paired_iou`
-    over the pairs, found per tail by binary search in the heads' frames.
-    They are claimed by shortest gap, then highest IoU: a tail that passed
-    over a nearer head would leave it to start a second, overlapping tubelet."""
-    n = len(chains)
-    tail_rows = [c[-1] for c in chains]
-    head_rows = [c[0] for c in chains]
-    tails, heads = detections.boxes[tail_rows], detections.boxes[head_rows]
-    tail_frames, head_frames = detections.frames[tail_rows], detections.frames[head_rows]
-    head_order = np.argsort(head_frames, kind="stable")
-    # heads of tail i: frames tail + 2 .. tail + 1 + max_interp_gap
-    lo = np.searchsorted(head_frames[head_order], tail_frames + 2, side="left")
-    hi = np.searchsorted(head_frames[head_order], tail_frames + 1 + config.max_interp_gap, side="right")
-    counts = np.maximum(hi - lo, 0)
-    i = np.repeat(np.arange(n), counts)
-    j = head_order[np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
-    iou = kernels.paired_iou(tails[i], heads[j])
-    linked = iou >= config.iou_link_threshold
-    gaps = head_frames[j[linked]] - tail_frames[i[linked]]
-    next_of = dict(_greedy_pairs(iou[linked], i[linked], j[linked], gaps))
-    used_starts = set(next_of.values())
-
-    rows, firsts = [], []  # the merged sequences back to back, and where each starts
-    for i in range(n):
-        if i in used_starts:
-            continue
-        firsts.append(len(rows))
-        rows.extend(chains[i])
-        k = i
-        while k in next_of:
-            k = next_of[k]
-            rows.extend(chains[k])
-    starts, lengths, boxes = interpolate_gaps(detections.frames[rows], detections.boxes[rows], firsts)
-    return starts, lengths, np.full(len(starts), code), boxes
+def _link_candidates(frames, boxes, tails, heads, gaps, threshold):
+    """The (gap, IoU, tail, head) columns of the links from the rows `tails`
+    to the rows `heads` (both ascending, so in frame order) gaps[0] to
+    gaps[1] frames later at IoU >= `threshold`: each tail's heads found by
+    binary search, one `paired_iou` per block of tails."""
+    head_frames, blocks = frames[heads], []
+    for block in np.split(tails, range(_TAIL_BLOCK, len(tails), _TAIL_BLOCK)):
+        lo = np.searchsorted(head_frames, frames[block] + gaps[0], side="left")
+        hi = np.searchsorted(head_frames, frames[block] + gaps[1], side="right")
+        counts = np.maximum(hi - lo, 0)
+        a = np.repeat(block, counts)
+        b = heads[np.arange(len(a)) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
+        iou = kernels.paired_iou(boxes[a], boxes[b])
+        linked = iou >= threshold
+        a, b = a[linked], b[linked]
+        blocks.append((frames[b] - frames[a], iou[linked], a, b))
+    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 # no tubelet: starts, lengths, class codes, boxes
@@ -348,7 +318,8 @@ def track_link(detections, config=LinkConfig()):
     if not len(detections):
         return _numbered(detections.video_id, [])
     det_boxes, det_classes = detections.boxes, detections.classes
-    frame_rows = {int(detections.frames[lo]): (lo, hi) for lo, hi in zip(*_runs(detections.frames))}
+    first = np.flatnonzero(np.diff(detections.frames, prepend=-1)).tolist()  # each frame's first row
+    frame_rows = {int(detections.frames[lo]): (lo, hi) for lo, hi in zip(first, first[1:] + [len(detections)])}
 
     # live state, one entry per live track
     tids = np.zeros(0, dtype=np.int64)
@@ -373,14 +344,14 @@ def track_link(detections, config=LinkConfig()):
             pred = np.where(ages[:, None] >= 2, predict_next(last, prev), last)
             if not np.isfinite(pred).all():
                 raise InvalidInputError(f"non-finite predicted box at frame {f}")
-            pairs = []
+            rows = matched = np.zeros(0, dtype=np.int64)
             if hi > lo:
                 iou = kernels.iou_matrix(pred, f_boxes)
                 iou[classes[:, None] != f_classes] = 0.0
-                linked = np.nonzero(iou >= config.iou_link_threshold)
-                pairs = _greedy_pairs(iou[linked], *linked)
-            if pairs:
-                rows, matched = np.array(pairs).T
+                rows, matched = np.nonzero(iou >= config.iou_link_threshold)
+                k = _greedy_pairs(iou[rows, matched], rows, matched)
+                rows, matched = rows[k], matched[k]
+            if len(rows):
                 claimed[matched] = True
                 boxes = f_boxes[matched]
                 for column, v in zip(recorded, (tids[rows], ages[rows], boxes, last[rows], misses[rows])):
@@ -489,19 +460,12 @@ def read_tubelets(path):
     typed columns, and no `Track` is made. A line that is not a valid
     tubelet, or that repeats an earlier line's (video_id, id), raises
     ParseError naming path:line."""
-    columns = {}  # video id -> (id, start, length, class code) rows, box values
     lines = read_records(path, "tubelet", tubelet_fields, lambda fields: [tubelet_key(fields[0], fields[1][0])])
-    for video_id, ints, values in lines:
-        if video_id not in columns:
-            columns[video_id] = array("q"), array("d")
-        columns[video_id][0].extend(ints)
-        columns[video_id][1].extend(values)
     tables = []
-    for video_id in sorted(columns):
-        ints, values = columns.pop(video_id)
-        ids, starts, lengths, classes = np.frombuffer(ints, np.int64).reshape(-1, 4).T
+    for video_id, ints, values in columns_by_video(lines):
+        ids, starts, lengths, classes = ints.reshape(-1, 4).T
         order = np.argsort(ids)
-        boxes = np.frombuffer(values).reshape(-1, 4)
+        boxes = values.reshape(-1, 4)
         boxes.flags.writeable = False
         tables.append(VideoTubelets(video_id, starts[order], lengths[order], classes[order],
                                     (np.cumsum(lengths) - lengths)[order], boxes, ids[order]))

@@ -141,7 +141,10 @@ def fuse(vehicle_scored, person_scored, nms, fusion, funnel=None):
                 scored = ~np.isnan(line.scores[:, SCORE_CLASSES.index(act)])
                 if scored.any():
                     if act not in group.activities:
-                        raise InvalidInputError(f"{group.name} output scores activity class {act!r} outside its group")
+                        raise InvalidInputError(
+                            f"{group.name} output scores activity class {act!r} outside its group in tubelet "
+                            f"{(line.track.video_id, line.track.id)!r} of class {line.track.object_class!r}: fuse "
+                            "takes one scored file per group, as `score --group` writes it")
                     buckets.setdefault((line.track.video_id, act), []).append((line, scored, weight))
 
     kept = []

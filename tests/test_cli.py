@@ -9,6 +9,7 @@ from collections import Counter
 from pathlib import Path
 from unittest.mock import ANY
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -17,6 +18,7 @@ from test_goldens import CORPORA
 from test_linking import filled_rows, previous_format_line, reference_link
 from tubekit import cli, data_model, linking, refinement, synthgen
 from tubekit.geometry import Interval
+from tubekit.proposals import SCORE_CLASSES, VEHICLE_GROUP
 from tubekit.cli import main
 
 runner = CliRunner()
@@ -404,6 +406,30 @@ def test_fuse_of_unscored_proposals_exits_one(tmp_path):
     report = json.loads(res.stderr)
     assert report["stage"] == "fuse" and "vehicle_related input holds unscored proposal 0" in report["error"]
     assert not out.exists()
+
+
+def test_fuse_of_one_file_of_both_groups_names_the_line(corpus_dir, tmp_path):
+    # `score` without --group writes both groups' scores to one file; given
+    # as both of fuse's inputs, the error named only the activity class
+    det, gt, meta = (str(corpus_dir / n) for n in ("detections.jsonl", "ground_truth.jsonl", "video_meta.jsonl"))
+    tubes, props, scored, out = (str(tmp_path / n) for n in ("t.jsonl", "p.jsonl", "s.jsonl", "i.jsonl"))
+    for args in (["link", "--detections", det, "--meta", meta, "--out", tubes],
+                 ["refine", "--tubelets", tubes, "--meta", meta, "--out", props],
+                 ["score", "--proposals", props, "--ground-truth", gt, "--out", scored]):
+        assert run(args).exit_code == 0
+    res = runner.invoke(main, ["fuse", "--vehicle", scored, "--person", scored, "--out", out])
+    assert res.exit_code == 1, res.output
+    # fuse walks the activities by name, then the lines in file order
+    act, line = next((act, line) for act in sorted(data_model.ACTIVITY_CLASSES) if act not in VEHICLE_GROUP.activities
+                     for line in refinement.read_proposals(scored)
+                     if not np.isnan(line.scores[:, SCORE_CLASSES.index(act)]).all())
+    t = line.track
+    report = json.loads(res.stderr)
+    assert report == {"stage": "fuse", "error": (
+        f"vehicle_related output scores activity class {act!r} outside its group in tubelet "
+        f"({t.video_id!r}, {t.id}) of class {t.object_class!r}: fuse takes one scored file per group, "
+        "as `score --group` writes it")}
+    assert not os.path.exists(out)
 
 
 def test_malformed_input_exits_one(tmp_path):

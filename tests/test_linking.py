@@ -257,8 +257,9 @@ class TestPredictNext:
 
 
 # ---------------------------------------------------------------------------
-# the Box-based linkers the array code replaced, kept as references; they
-# take lists of scalar records and, unlike the linkers, keep each row's
+# scalar references of the linkers: the Box-based tracker the array code
+# replaced, and the greedy rule over one sorted candidate list per class.
+# They take lists of scalar records and, unlike the linkers, keep each row's
 # detection score and provenance
 
 
@@ -442,63 +443,35 @@ def reference_interpolate_gaps(observed):
     return boxes, scores, prov
 
 
-def reference_merge_and_emit(chains, video_id, cls, config):
-    n = len(chains)
-    candidates = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            gap = chains[j][0].frame - chains[i][-1].frame - 1
-            if not 1 <= gap <= config.max_interp_gap:
-                continue
-            a, b = chains[i][-1].box, chains[j][0].box
-            iou = kernels.iou_matrix(np.array([xyxy(a)]), np.array([xyxy(b)]))[0, 0]
-            if iou >= config.iou_link_threshold:
-                candidates.append((gap, iou, i, j))
-    # the nearest head first, then the highest IoU, ties by (tail, head)
-    next_of = dict(reference_greedy_pairs(candidates, rank=lambda t: (t[0], -t[1], t[2], t[3])))
-    used_starts = set(next_of.values())
-    out = []
-    for i in range(n):
-        if i in used_starts:
-            continue
-        sequence = list(chains[i])
-        k = i
-        while k in next_of:
-            k = next_of[k]
-            sequence.extend(chains[k])
-        boxes, scores, prov = reference_interpolate_gaps({d.frame: (d.box, d.score) for d in sequence})
-        out.append(_ref_emit(video_id, cls, [(f, boxes[f], scores[f], prov[f]) for f in sorted(boxes)]))
-    return out
-
-
 def reference_greedy_link(detections, config=LinkConfig()):
+    """The greedy rule over one sorted candidate list per class: every link
+    (a, b) from a detection to one 1 to `max_interp_gap` + 1 frames after it
+    at IoU >= `iou_link_threshold`, claimed by (gap, -IoU, row of a, row of
+    b), each row once as a tail and once as a head; a row is its place in
+    the detections' row order (frame, box, descending score, input order)."""
     video_ids = {d.video_id for d in detections}
     video_id = video_ids.pop() if video_ids else ""
-    grouped = {}
-    for d in sorted(detections, key=lambda d: (d.frame, d.box, -d.score)):
-        grouped.setdefault(d.object_class, {}).setdefault(d.frame, []).append(d)
+    dets = sorted(detections, key=lambda d: (d.frame, d.box, -d.score))
     tubelets = []
-    for cls, by_frame in sorted(grouped.items()):
-        chains = []  # lists of records with strictly consecutive frames
-        open_by_tail = {}  # frame -> chain indices whose tail is at frame
-        for f in sorted(by_frame):
-            dets = by_frame[f]
-            tails = open_by_tail.pop(f - 1, [])
-            matched = set()
-            if tails:
-                pairs = reference_iou_pairs([chains[ci][-1].box for ci in tails], [d.box for d in dets],
-                                            lambda iou: iou >= config.iou_link_threshold)
-                for r, c in pairs:
-                    chains[tails[r]].append(dets[c])
-                    open_by_tail.setdefault(f, []).append(tails[r])
-                    matched.add(c)
-            for c, d in enumerate(dets):
-                if c not in matched:
-                    chains.append([d])
-                    open_by_tail.setdefault(f, []).append(len(chains) - 1)
-        tubelets.extend(reference_merge_and_emit(chains, video_id, cls, config))
+    for cls in sorted({d.object_class for d in dets}):
+        rows = [k for k, d in enumerate(dets) if d.object_class == cls]
+        candidates = []
+        for a in rows:
+            for b in rows:
+                gap = dets[b].frame - dets[a].frame
+                if not 1 <= gap <= config.max_interp_gap + 1:
+                    continue
+                iou = kernels.iou_matrix(np.array([xyxy(dets[a].box)]), np.array([xyxy(dets[b].box)]))[0, 0]
+                if iou >= config.iou_link_threshold:
+                    candidates.append((gap, iou, a, b))
+        next_of = dict(reference_greedy_pairs(candidates, rank=lambda t: (t[0], -t[1], t[2], t[3])))
+        for a in sorted(set(rows) - set(next_of.values())):  # each tubelet's first row
+            sequence = [dets[a]]
+            while a in next_of:
+                a = next_of[a]
+                sequence.append(dets[a])
+            boxes, scores, prov = reference_interpolate_gaps({d.frame: (d.box, d.score) for d in sequence})
+            tubelets.append(_ref_emit(video_id, cls, [(f, boxes[f], scores[f], prov[f]) for f in sorted(boxes)]))
     return _ref_numbered(tubelets)
 
 
@@ -595,7 +568,8 @@ def test_greedy_pairs_equal_the_reference_on_tied_ious():
         iou = rng.choice([0.25, 0.5, 0.75], size=tuple(rng.integers(1, 6, size=2)))
         rows, cols = np.nonzero(iou >= 0.5)
         want = reference_greedy_pairs([(iou[r, c], r, c) for r, c in zip(rows.tolist(), cols.tolist())])
-        assert linking._greedy_pairs(iou[rows, cols], rows, cols) == want
+        claimed = linking._greedy_pairs(iou[rows, cols], rows, cols)
+        assert list(zip(rows[claimed].tolist(), cols[claimed].tolist())) == want
 
 
 class TestTrackLinkEqualsReference:
@@ -728,12 +702,37 @@ class TestGreedyMergeEqualsReference:
             assert_same_tubelets(greedy_link(columns(dets, dets[0].video_id)), reference_greedy_link(dets))
 
 
-@pytest.mark.parametrize("seed", [7, 8])
-def test_greedy_gives_one_tubelet_per_object_at_length(seed):
+# the scenes and configs on which the per-frame chain loop and the merge of
+# chains claimed other links than the one rule: two links that share a tail
+# or a head tie exactly on gap and IoU. The frame loop broke such a tie by
+# the tail's place in its list of open chains and the merge by the order the
+# chains were made; the rule breaks it by row.
+TIES = [(708, LinkConfig(iou_link_threshold=0.3, max_interp_gap=40)),
+        (1417, LinkConfig(iou_link_threshold=0.1, max_interp_gap=3)),
+        (1417, LinkConfig(iou_link_threshold=0.05, max_interp_gap=0)),
+        (1799, LinkConfig(iou_link_threshold=0.1, max_interp_gap=3)),
+        (2611, LinkConfig(iou_link_threshold=0.1, max_interp_gap=3)),
+        (3090, LinkConfig()),
+        (3090, LinkConfig(iou_link_threshold=0.1, max_interp_gap=3)),
+        (3090, LinkConfig(iou_link_threshold=0.3, max_interp_gap=40)),
+        (3673, LinkConfig(iou_link_threshold=0.1, max_interp_gap=3)),
+        (3673, LinkConfig(iou_link_threshold=0.3, max_interp_gap=40))]
+
+
+@pytest.mark.parametrize("seed, config", TIES, ids=[f"{s}-t{c.iou_link_threshold}-g{c.max_interp_gap}" for s, c in TIES])
+def test_greedy_breaks_exact_ties_by_row(seed, config):
+    dets = scene(seed)
+    assert_same_tubelets(greedy_link(columns(dets), config), reference_greedy_link(dets, config))
+
+
+@pytest.mark.parametrize("seed, frames", [pytest.param(7, 3000, id="7"), pytest.param(8, 3000, id="8"),
+                                          (7, 9000), (8, 9000)])
+def test_greedy_gives_one_tubelet_per_object_at_length(seed, frames):
     # at 3,000 frames an object moves about 0.3 px a frame, less than the 2 px
     # jitter; ranking the merges by IoU alone then skipped nearer heads, and
-    # each skipped chain started a second, overlapping tubelet of its object
-    corpus = generate(SceneConfig(seed=seed, video_count=2, frames_per_video=3000, objects_per_video=(6, 6),
+    # each skipped chain started a second, overlapping tubelet of its object.
+    # 9,000 frames is the paper's video length.
+    corpus = generate(SceneConfig(seed=seed, video_count=2, frames_per_video=frames, objects_per_video=(6, 6),
                                   dropout_rate=0.1, box_jitter_px=2.0, score_noise=0.05))
     tubes = linking.LinkedTubelets.numbered([greedy_link(corpus.detections[v]) for v in sorted(corpus.detections)])
 
@@ -748,7 +747,8 @@ def test_greedy_gives_one_tubelet_per_object_at_length(seed):
     for spans in extents.values():
         spans.sort()
         assert all(a.end <= b.start for a, b in zip(spans, spans[1:]))
-    assert tubelet_recall(tubes, corpus.ground_truth, (0.5,)).recall == (1.0,)
+    assert len(tubes) == len(corpus.ground_truth) == 12
+    assert tubelet_recall(tubes, corpus.ground_truth, (0.5, 0.9)).recall == (1.0, 1.0)
 
 
 @pytest.fixture
@@ -767,7 +767,7 @@ def test_a_still_object_is_one_tubelet_at_threshold_one(link):
 
 @pytest.mark.parametrize("max_interp_gap", [0, 2, 8])
 def test_greedy_interpolates_no_hole_longer_than_max_interp_gap(scenes, max_interp_gap):
-    # greedy joins chains only across holes it may fill, so interpolate_gaps
+    # greedy links rows only across holes it may fill, so interpolate_gaps
     # needs no rule for a longer hole; the reference, equal to it, says
     # which rows it filled
     config = LinkConfig(max_interp_gap=max_interp_gap)
