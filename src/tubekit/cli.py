@@ -44,14 +44,13 @@ import sys
 import time
 
 import click
-import numpy as np
 
 from . import data_model, evaluation, linking, postprocess, proposals, refinement, synthgen
 from .errors import InvalidInputError, TubekitError
 from .evaluation import AlignmentPolicy, EvalConfig
 from .linking import LinkConfig
 from .postprocess import FusionConfig, SoftNmsConfig
-from .proposals import SCORE_CLASSES, LabelPolicy, ScorerConfig
+from .proposals import LabelPolicy, ScorerConfig
 from .refinement import RefineConfig
 try:  # the built-in SHA-256 that hashlib falls back to; hashlib's own loads OpenSSL
     from _sha2 import sha256  # CPython 3.12+
@@ -93,7 +92,7 @@ def _merged_config(path=None, flags=None):
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 user = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # as in `data_model.read_jsonl`
             raise InvalidInputError(f"{path}: malformed config: {exc}")
         if not isinstance(user, dict):
             raise InvalidInputError(f"{path}: config must be a JSON object")
@@ -288,9 +287,8 @@ def score(m, lines, ground_truth, outs):
         by_group = {name: [] for name in groups}
         for line in lines:
             group = proposals.route(line.track)
-            if group.name in groups:  # NaN for each class the scorer leaves out
-                dicts = [proposals.score(p, group, scorer) for p in line]
-                scores = np.array([[d.get(c, np.nan) for c in SCORE_CLASSES] for d in dicts], dtype=np.float64)
+            if group.name in groups:
+                scores = refinement.score_matrix([proposals.score(p, group, scorer) for p in line])
                 by_group[group.name].append(dataclasses.replace(line, scores=scores))
     with m.phase("score", "write"):
         for path in dict.fromkeys(outs.values()):

@@ -110,19 +110,11 @@ def detection_columns(video_id, rows):
 
 def _sorted_columns(video_id, ints, reals):
     """`VideoDetections` from (frame, class code) and (x1, y1, x2, y2, score)
-    rows in input order: the one check and sort of every detection."""
+    rows in input order: the one sort of every detection. The rows are
+    valid: `_detection_from_record` checks each one a file holds."""
     frames, classes, boxes, scores = ints[:, 0], ints[:, 1], reals[:, :4], reals[:, 4]
-    bad = (frames < 0) | _bad_boxes(boxes) | ~((scores >= 0.0) & (scores <= 1.0))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise InvalidInputError(f"invalid detection at frame {frames[k]}: box {boxes[k].tolist()}, score {scores[k]}")
     order = np.lexsort((-scores, boxes[:, 3], boxes[:, 2], boxes[:, 1], boxes[:, 0], frames))  # stable
     return VideoDetections(video_id, frames[order], boxes[order], scores[order], classes[order])
-
-
-def _bad_boxes(boxes):
-    """(n,) bool: the rows of an (n,4) box array that are non-finite or inverted."""
-    return ~np.isfinite(boxes).all(axis=1) | (boxes[:, 0] > boxes[:, 2]) | (boxes[:, 1] > boxes[:, 3])
 
 
 def track_boxes(boxes, extent):
@@ -174,7 +166,7 @@ class VideoMeta:
 
 
 def read_jsonl(path):
-    """Yield (line_number, record) pairs; malformed lines raise ParseError."""
+    """Yield (line_number, record) pairs; a line `json.loads` rejects raises ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -182,7 +174,7 @@ def read_jsonl(path):
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # also: an int past the digit limit, or too deep
                 raise ParseError(f"malformed record: {exc}", path=path, line=lineno)
             if not isinstance(rec, dict):
                 raise ParseError("record is not an object", path=path, line=lineno)
@@ -250,8 +242,9 @@ def read_records(path, kind, build, keys=None):
     over `read_jsonl`: a malformed line or a record `build` cannot build
     raises ParseError naming path:line. With `keys`, so does a record that
     claims a key an earlier claim of the file has: `keys(built)` gives the
-    (what, key) pairs the record claims, checked in that order."""
-    seen = {}  # what -> the keys claimed
+    (what, video_id, id) keys the record claims, checked in that order (an id
+    of None claims the video id itself), held as one id set per (what, video_id)."""
+    seen = {}  # (what, video_id) -> the ids claimed
     for lineno, rec in read_jsonl(path):
         try:
             built = build(rec)
@@ -259,10 +252,11 @@ def read_records(path, kind, build, keys=None):
             raise ParseError(f"invalid {kind}: missing key {exc}", path=path, line=lineno)
         except (InvalidInputError, ValueError, TypeError, OverflowError) as exc:
             raise ParseError(f"invalid {kind}: {exc}", path=path, line=lineno)
-        for what, key in keys(built) if keys else ():
-            claimed = seen.setdefault(what, set())
+        for what, video_id, key in keys(built) if keys else ():
+            claimed = seen.setdefault((what, video_id), set())
             if key in claimed:
-                raise ParseError(f"duplicate {what} {key!r}: an earlier {what} has it", path=path, line=lineno)
+                shown = video_id if key is None else (video_id, key)
+                raise ParseError(f"duplicate {what} {shown!r}: an earlier {what} has it", path=path, line=lineno)
             claimed.add(key)
         yield built
 
@@ -374,7 +368,7 @@ def columns_by_video(rows):
 
 
 _DETECTION_LINE = '{"class": %s, "frame": %d, "score": %r, "video_id": %s, "x1": %r, "x2": %r, "y1": %r, "y2": %r}'
-_CLASS_TEXT = [json.dumps(c) for c in DETECTION_CLASSES]
+CLASS_TEXT = [json.dumps(c) for c in DETECTION_CLASSES]
 
 
 def write_detections(videos, path):
@@ -384,7 +378,7 @@ def write_detections(videos, path):
     def lines():
         for d in sorted(videos, key=lambda d: d.video_id):
             x1, y1, x2, y2 = finite_list(d.boxes.T, "box coordinate")
-            classes = [_CLASS_TEXT[c] for c in d.classes.tolist()]
+            classes = [CLASS_TEXT[c] for c in d.classes.tolist()]
             video = [json.dumps(d.video_id)] * len(d)
             rows = zip(classes, d.frames.tolist(), finite_list(d.scores, "score"), video, x1, x2, y1, y2)
             yield from map(_DETECTION_LINE.__mod__, rows)
@@ -485,7 +479,7 @@ def _meta_from_record(rec):
 def read_video_meta(path):
     """Read video metadata into a dict keyed by video_id; a second record of
     a video_id raises ParseError naming path:line."""
-    metas = read_records(path, "video meta", _meta_from_record, lambda meta: [("video meta", meta.video_id)])
+    metas = read_records(path, "video meta", _meta_from_record, lambda meta: [("video meta", meta.video_id, None)])
     return {m.video_id: m for m in metas}
 
 

@@ -24,7 +24,6 @@ and fills each hole it links across, so it never cuts a tubelet at a gap.
 
 import itertools
 import json
-import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import kernels
 from .data_model import (
-    _CLASS_TEXT,
+    CLASS_TEXT,
     DETECTION_CLASSES,
     FRAME_LIMIT,
     OBJECT_CLASSES,
@@ -107,7 +106,7 @@ class VideoTubelets(Sequence):
         columns = (self.ids, self.starts, self.lengths, self.classes, self.firsts)
         for tubelet_id, start, n, code, lo in zip(*(col.tolist() for col in columns)):
             rows = ", ".join(box_rows_text(start, self.boxes[lo:lo + n]))
-            yield _TUBELET_LINE % (rows, _CLASS_TEXT[code], start + n, tubelet_id, start, video)
+            yield _TUBELET_LINE % (rows, CLASS_TEXT[code], start + n, tubelet_id, start, video)
 
 
 class LinkedTubelets:
@@ -306,15 +305,16 @@ def track_link(detections, config=LinkConfig()):
     terminate after `patience` consecutive unmatched frames. Trailing
     predicted-only frames are trimmed.
 
-    The live tracks are parallel arrays in the order they were seeded. Each
-    frame matches the predictions to the detections through one IoU matrix
-    over all live tracks and all detections, its cross-class cells set to 0:
-    `iou_link_threshold` is > 0, so each class is a block of its own and the
-    (row, col) tie order holds within it. A frame with no live track and no
-    detection is skipped. Only the detected rows are recorded, when a track
-    is seeded or matched, to five typed `array` columns: each row's track,
-    its age (frame - seed frame), its box, the box the track had before it
-    and the misses it bridges. See `_track_columns` for the predicted rows."""
+    The live tracks are parallel arrays in the order they were seeded, each
+    predicted by `predict_next(last, prev)`: a new track's `prev` is its own
+    box, so it predicts that box. Each frame matches the predictions to the
+    detections through one IoU matrix over all live tracks and all
+    detections, its cross-class cells set to 0: `iou_link_threshold` is > 0,
+    so each class is a block of its own and the (row, col) tie order holds
+    within it. A frame with no live track and no detection is skipped. Only
+    the detected rows are recorded, when a track is seeded or matched, to
+    five typed `array` columns: each row's track, frame and box, the box the
+    track had before it and the misses it bridges. See `_track_columns`."""
     if not len(detections):
         return _numbered(detections.video_id, [])
     det_boxes, det_classes = detections.boxes, detections.classes
@@ -323,13 +323,12 @@ def track_link(detections, config=LinkConfig()):
 
     # live state, one entry per live track
     tids = np.zeros(0, dtype=np.int64)
-    seeds = np.zeros(0, dtype=np.int64)  # frame of the first detection
     last = np.zeros((0, 4))  # the last box and the one before it
     prev = np.zeros((0, 4))
     classes = np.zeros(0, dtype=np.int64)
     misses = np.zeros(0, dtype=np.int64)  # frames since the last match
     seed_frame, seed_class = [], []  # by track id
-    recorded = array("q"), array("q"), array("d"), array("d"), array("q")  # track ids, ages, boxes, before, misses
+    recorded = array("q"), array("q"), array("d"), array("d"), array("q")  # track ids, frames, boxes, before, misses
 
     for f in range(min(frame_rows), max(frame_rows) + 1):
         lo, hi = frame_rows.get(f, (0, 0))
@@ -339,9 +338,7 @@ def track_link(detections, config=LinkConfig()):
         claimed = np.zeros(hi - lo, dtype=bool)
 
         if len(tids):
-            # a track seeded on the previous frame has one box: it stays put
-            ages = f - seeds
-            pred = np.where(ages[:, None] >= 2, predict_next(last, prev), last)
+            pred = predict_next(last, prev)
             if not np.isfinite(pred).all():
                 raise InvalidInputError(f"non-finite predicted box at frame {f}")
             rows = matched = np.zeros(0, dtype=np.int64)
@@ -354,17 +351,15 @@ def track_link(detections, config=LinkConfig()):
             if len(rows):
                 claimed[matched] = True
                 boxes = f_boxes[matched]
-                for column, v in zip(recorded, (tids[rows], ages[rows], boxes, last[rows], misses[rows])):
+                for column, v in zip(recorded, (tids[rows], np.full_like(rows, f), boxes, last[rows], misses[rows])):
                     column.frombytes(v.tobytes())
                 pred[rows], misses[rows] = boxes, -1  # 0 after the += 1 below
             prev, last = last, pred
             misses += 1
 
-            done = misses >= config.patience
-            if done.any():
-                keep = ~done
-                tids, seeds, last, prev = tids[keep], seeds[keep], last[keep], prev[keep]
-                classes, misses = classes[keep], misses[keep]
+            keep = misses < config.patience
+            if not keep.all():
+                tids, last, prev, classes, misses = tids[keep], last[keep], prev[keep], classes[keep], misses[keep]
 
         (new,) = (~claimed).nonzero()
         if new.size:
@@ -372,53 +367,45 @@ def track_link(detections, config=LinkConfig()):
             new_tids = np.arange(len(seed_frame), len(seed_frame) + new.size)
             seed_frame.extend([f] * new.size)
             seed_class.extend(f_classes[new].tolist())
-            for column, v in zip(recorded, (new_tids, zeros, boxes, boxes, zeros)):
+            for column, v in zip(recorded, (new_tids, zeros + f, boxes, boxes, zeros)):
                 column.frombytes(v.tobytes())
             tids = np.concatenate((tids, new_tids))
-            seeds = np.concatenate((seeds, zeros + f))
             last = np.concatenate((last, boxes))
-            prev = np.concatenate((prev, boxes))
+            prev = np.concatenate((prev, boxes))  # a new track's step is 0: it predicts its own box
             classes = np.concatenate((classes, f_classes[new]))
             misses = np.concatenate((misses, zeros))
-    return _numbered(detections.video_id, [_track_columns(recorded, seed_frame, seed_class, f + 1, config)])
+    return _numbered(detections.video_id, [_track_columns(recorded, seed_frame, seed_class)])
 
 
-def _track_columns(recorded, seed_frame, seed_class, end, config):
+def _track_columns(recorded, seed_frame, seed_class):
     """The tubelet columns of `track_link` (a part of `_numbered`) from the
-    row columns it recorded, the tracks' seed frames and classes and the
-    frame after the last one linked: each track's rows by
-    age, the tracks in the order they ended (in seed order within a frame)
-    and the still-live ones last; `_numbered` sorts stably, so that order
-    breaks its ties."""
+    row columns it recorded and the tracks' seed frames and classes: the
+    tracks in seed order, which breaks `_numbered`'s ties, and each track's
+    rows by age, a row's frame less its track's seed frame."""
     row_tids, ages, gaps = (np.frombuffer(recorded[k], np.int64) for k in (0, 1, 4))
     boxes, before = (np.frombuffer(recorded[k]).reshape(-1, 4) for k in (2, 3))
     starts = np.array(seed_frame, dtype=np.int64)
+    ages -= starts[row_tids]  # the recorded frames become ages, in place
     length = np.zeros(len(starts), dtype=np.int64)
     np.maximum.at(length, row_tids, ages + 1)  # a track's last row is detected
-    # a track ends `patience` frames after its last row, unless it is still
-    # live at `end`; track t's rows go to first[t] .. first[t] + length[t] - 1
-    order = np.argsort(np.minimum(starts + length - 1 + config.patience, end), kind="stable")
-    first = np.zeros(len(length), dtype=np.int64)
-    first[order] = np.cumsum(length[order]) - length[order]
+    first = np.cumsum(length) - length  # track t's rows are first[t] .. first[t] + length[t] - 1
     slots = first[row_tids] + ages
     row_at = np.empty(int(length.sum()), dtype=np.int64)
     row_at[slots] = np.arange(len(slots))
     out = np.empty((len(row_at), 4))
     out[slots] = boxes
-    # the m predictions before a row that bridged m misses, replayed from the
-    # detected row before them (the same `predict_next` on the same values,
-    # so the same floats)
+    # the m predictions before a row that bridged m misses, replayed from the detected
+    # row before them (the same `predict_next` on the same values, so the same floats)
     (bridges,) = gaps.nonzero()
     gaps = gaps[bridges]
-    at, age = slots[bridges] - gaps, ages[bridges] - gaps  # each first prediction's slot and age
+    at = slots[bridges] - gaps  # each first prediction's slot
     anchor = row_at[at - 1]
     last, prev = boxes[anchor], before[anchor]
     for k in range(int(gaps.max(initial=0))):
-        prev, last = last, np.where((age + k)[:, None] >= 2, predict_next(last, prev), last)
+        prev, last = last, predict_next(last, prev)
         live = gaps > k
         out[at[live] + k] = last[live]
-    classes = np.array(seed_class, dtype=np.int64)[order]
-    return starts[order], length[order], classes, out
+    return starts, length, np.array(seed_class, dtype=np.int64), out
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +429,9 @@ def tubelet_fields(rec):
 
 
 def tubelet_key(video_id, tubelet_id):
-    """The key a tubelets or proposals line claims, ("tubelet", (video_id,
-    id)): no two lines of one file may share it (see `read_records`). The
-    video id is interned, so the keys of one video share one string."""
-    return "tubelet", (sys.intern(video_id), tubelet_id)
+    """The key a tubelets or proposals line claims, ("tubelet", video_id, id):
+    no two lines of one file may share it (see `read_records`)."""
+    return "tubelet", video_id, tubelet_id
 
 
 def write_tubelets(tubelets, path):

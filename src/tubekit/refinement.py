@@ -141,14 +141,21 @@ def write_proposals(lines, path):
     write_jsonl((text(line) for line in lines if len(line)), path)
 
 
-def _score_row(scores):
+def score_matrix(maps):
+    """The (n, len(SCORE_CLASSES)) score matrix of n score maps ({class: score}):
+    row i holds map i, NaN for each class it leaves out."""
+    return np.array([[m.get(c, np.nan) for c in SCORE_CLASSES] for m in maps], np.float64).reshape(-1, len(SCORE_CLASSES))
+
+
+def _score_map(scores):
+    """A proposal's `scores` object as {class: float}, each a score class's, in [0, 1]."""
     out = {k: float_field(scores, k) for k in scores}
     for key, value in out.items():
         if key not in SCORE_CLASSES:
             raise InvalidInputError(f"unknown score class: {key!r}")
         if not 0.0 <= value <= 1.0:
             raise InvalidInputError(f"score out of [0,1]: {key}={value}")
-    return [out.get(name, np.nan) for name in SCORE_CLASSES]
+    return out
 
 
 def _proposals_from_record(rec):
@@ -167,14 +174,14 @@ def _proposals_from_record(rec):
         raise InvalidInputError(f"window [{start}, {start + n}) outside its tubelet [{extent.start}, {extent.end})")
     order, scored = np.argsort(ids, kind="stable"), any("scores" in e for e in entries)
     # then every proposal needs `scores` (a KeyError): a matrix cannot tell a missing map from an empty one
-    scores = np.array([_score_row(e["scores"]) for e in entries])[order] if scored else None
+    scores = score_matrix([_score_map(e["scores"]) for e in entries])[order] if scored else None
     return TubeletProposals(track, ids[order], windows[order], scores)
 
 
 def _claims(line):
     """The keys a proposals line claims: each (video_id, proposal_id), then its tubelet's (video_id, id)."""
     t = line.track
-    return [*(("proposal", (t.video_id, i)) for i in line.ids.tolist()), tubelet_key(t.video_id, t.id)]
+    return [*(("proposal", t.video_id, i) for i in line.ids.tolist()), tubelet_key(t.video_id, t.id)]
 
 
 def read_proposals(path):

@@ -10,8 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from tubekit.data_model import DETECTION_CLASSES, write_jsonl
 from tubekit.geometry import Interval
 from tubekit.linking import LinkedTubelets, Track, VideoTubelets
-from tubekit.proposals import SCORE_CLASSES
-from tubekit.refinement import TubeletProposals
+from tubekit.refinement import TubeletProposals, score_matrix
 
 
 def box_rows(box, n):
@@ -50,16 +49,6 @@ def write_tubelet_list(tubelets, path):
     """Write tubelet `Track`s as a tubelets file: one `tubelet_line` each, in
     (video_id, id) order, as `linking.write_tubelets` writes a linker's table."""
     write_jsonl(map(tubelet_line, sorted(tubelets, key=lambda t: (t.video_id, t.id))), path)
-
-
-def score_matrix(rows):
-    """The score matrix of a list of per-proposal score dicts: row i holds
-    dict i, NaN for each class it leaves out."""
-    matrix = np.full((len(rows), len(SCORE_CLASSES)), np.nan)
-    for row, scores in zip(matrix, rows):
-        for name, value in scores.items():
-            row[SCORE_CLASSES.index(name)] = value
-    return matrix
 
 
 def make_proposal(window, boxes=None, proposal_id=0, tubelet_id=0, video_id="v0",

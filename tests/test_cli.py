@@ -445,6 +445,23 @@ def test_malformed_input_exits_one(tmp_path):
     assert report["stage"] == "link"
 
 
+@pytest.mark.parametrize("line", [
+    "[" * 200_000 + "]" * 200_000,  # json.loads: RecursionError
+    '{"video_id": "v0", "frame": ' + "1" * 5_000 + ', "x1": 0, "y1": 0, "x2": 1, "y2": 1, "class": "car", '
+    '"score": 0.5}',  # json.loads: ValueError past Python's int digit limit, not a JSONDecodeError
+], ids=["nested", "long-int"])
+def test_line_json_cannot_decode_exits_one_naming_it(tmp_path, line):
+    dets = tmp_path / "d.jsonl"
+    dets.write_text('{"video_id": "v0", "frame": 0, "x1": 0, "y1": 0, "x2": 1, "y2": 1, "class": "car", '
+                    f'"score": 0.5}}\n{line}\n')
+    meta = tmp_path / "meta.jsonl"
+    meta.write_text('{"video_id": "v0", "frame_count": 10, "frame_rate": 30, "width": 100, "height": 100}\n')
+    res = run(["link", "--detections", str(dets), "--meta", str(meta), "--out", str(tmp_path / "o.jsonl")])
+    assert res.exit_code == 1
+    report = json.loads(res.output.strip().splitlines()[-1])
+    assert report["stage"] == "link" and report["error"].startswith(f"{dets}:2: malformed record: ")
+
+
 def test_unknown_video_id_consistency_error(tmp_path):
     det = tmp_path / "d.jsonl"
     det.write_text(
@@ -748,6 +765,16 @@ def test_malformed_config_file_exits_one(tmp_path, text):
     assert report["stage"] == "synth" and str(cfg) in report["error"]
 
 
+def test_deeply_nested_config_file_exits_one(tmp_path):
+    # json.load raises RecursionError, not a ValueError, on nesting this deep
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 100_000 + "]" * 100_000)
+    res = run(["synth", "--out-dir", str(tmp_path / "corpus"), "--config", str(cfg)])
+    assert res.exit_code == 1
+    report = json.loads(res.output.strip().splitlines()[-1])
+    assert report["stage"] == "synth" and report["error"].startswith(f"{cfg}: malformed config: ")
+
+
 def _python_last_line(code):
     """The last line that `code` prints when run by a fresh interpreter with
     this checkout's `src` on its path."""
@@ -799,6 +826,19 @@ def test_pipeline_leaves_numpy_ma_unloaded(tmp_path, name):
         "print('numpy.ma' in sys.modules)\n"
     )
     assert _python_last_line(code) == "False"
+    assert json.loads((out / "run.manifest.json").read_text())["record_counts"]["instances"] > 0
+
+
+def test_pipeline_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: no stage imports it, so `pipeline`
+    # exits 0 when every `import scipy` fails
+    out = tmp_path / "run"
+    args = ["pipeline", "--config", write_config(tmp_path, CORPORA["noisy-oracle"]), "--out-dir", str(out)]
+    code = f"import sys\nsys.modules['scipy'] = None\nfrom tubekit.cli import main\nmain({args!r})\n"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
     assert json.loads((out / "run.manifest.json").read_text())["record_counts"]["instances"] > 0
 
 

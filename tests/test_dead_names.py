@@ -1,7 +1,8 @@
 """No dead name in `src/tubekit`, checked with the standard library's `ast`
 alone: every module-level private name is used somewhere in the package
 beyond its definition, and every imported name is used in the module that
-imports it. An import on a `# noqa` line of `__init__.py` is a re-export."""
+imports it. An import on a `# noqa` line of `__init__.py` is a re-export.
+No module uses another module's private name."""
 
 import ast
 from pathlib import Path
@@ -31,6 +32,11 @@ def used(tree):
     return names
 
 
+def private(name):
+    """Whether `name` is private: one leading underscore, not a dunder."""
+    return name.startswith("_") and not name.startswith("__")
+
+
 def private_definitions(tree):
     """The module-level names of a tree that start with one underscore and
     that a def, class or assignment binds."""
@@ -45,7 +51,7 @@ def private_definitions(tree):
             continue
         for target in targets:
             for name in ast.walk(target):
-                if isinstance(name, ast.Name) and name.id.startswith("_") and not name.id.startswith("__"):
+                if isinstance(name, ast.Name) and private(name.id):
                     yield name.id
 
 
@@ -71,3 +77,19 @@ def test_every_imported_name_is_used_in_its_module():
                 if bound not in loaded:
                     dead.append(f"{path.name}:{node.lineno}: {bound}")
     assert not dead
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a name one module takes from another is public: no `from .m import _name`
+    # and no `m._name` on a package module `m` bound by `from . import m`
+    found = []
+    for path, _, tree in parsed():
+        relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+        modules = {alias.asname or alias.name for node in relative if node.module is None for alias in node.names}
+        for node in relative:
+            found.extend(f"{path.name}:{node.lineno}: {alias.name}" for alias in node.names if private(alias.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules \
+                    and private(node.attr):
+                found.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+    assert not found

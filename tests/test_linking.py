@@ -212,6 +212,15 @@ class TestTrackLink:
         assert len(tubes) == 2
         assert all(t.extent.length == 1 for t in tubes)
 
+    def test_exact_duplicates_number_in_seed_order(self):
+        # two exact duplicates seed two tracks that tie on start, class and
+        # first box; the first seeded claims the next detections, so the
+        # second ends first, and seed order still numbers the first one 0
+        dets = [det(0, 0.0), det(0, 0.0)] + [det(f, 0.0) for f in range(1, 8)]
+        tubes = track_link(columns(dets), config=LinkConfig(patience=2))
+        assert [(t.id, t.extent) for t in tubes] == [(0, Interval(0, 8)), (1, Interval(0, 1))]
+        assert_same_tubelets(tubes, reference_track_link(dets, LinkConfig(patience=2)))
+
     def test_matched_detection_isolated_from_future_matching(self):
         # two tracks converging on one detection: only one may claim it
         dets = [
@@ -228,12 +237,14 @@ def rows(*boxes):
 
 class TestPredictNext:
     def test_single_element_carry_forward(self):
-        # a track with one box predicts that box, bit for bit (-0.0 stays -0.0)
+        # a track with one box predicts it by the one rule, a step of 0 from
+        # itself: the same values, and -0.0 + 0.0 reads 0.0 as on every
+        # later predicted frame
         dets = [det(0, -0.0, w=40.0), det(0, 500.0), det(2, 0.0, w=40.0)]
         tubes = track_link(columns(dets))
         (t,) = [t for t in tubes if t.extent.length == 3]  # frame 1 holds no detection
-        assert t.boxes[1].tobytes() == t.boxes[0].tobytes()
-        assert np.signbit(t.boxes[1, 0])
+        assert t.boxes[1].tolist() == t.boxes[0].tolist()
+        assert np.signbit(t.boxes[0, 0]) and not np.signbit(t.boxes[1, 0])
 
     def test_constant_velocity(self):
         assert np.array_equal(predict_next(rows((5, 0, 15, 10)), rows((0, 0, 10, 10))), rows((10, 0, 20, 10)))
@@ -252,7 +263,7 @@ class TestPredictNext:
         last, prev = boxes(300), boxes(300)
         got = predict_next(last, prev)
         for k in range(300):
-            b = reference_predict_next([Box(*prev[k].tolist()), Box(*last[k].tolist())])
+            b = reference_predict_next(Box(*prev[k].tolist()), Box(*last[k].tolist()))
             assert got[k].tolist() == [b.x1, b.y1, b.x2, b.y2]
 
 
@@ -263,11 +274,7 @@ class TestPredictNext:
 # detection score and provenance
 
 
-def reference_predict_next(history):
-    last = history[-1]
-    if len(history) == 1:
-        return last
-    prev = history[-2]
+def reference_predict_next(prev, last):
     dcx = 0.5 * (last.x1 + last.x2) - 0.5 * (prev.x1 + prev.x2)
     dcy = 0.5 * (last.y1 + last.y2) - 0.5 * (prev.y1 + prev.y2)
     return Box(last.x1 + dcx, last.y1 + dcy, last.x2 + dcx, last.y2 + dcy)
@@ -275,8 +282,10 @@ def reference_predict_next(history):
 
 @dataclass
 class _RefTrack:
+    seed: int  # the number of tracks seeded before it
     object_class: str
     entries: list  # (frame, Box, score, provenance)
+    prev: Box  # the box before the last entry's; a new track's own box
     misses: int = 0
     last_match_frame: int = 0
 
@@ -333,11 +342,13 @@ def reference_iou_pairs(boxes_a, boxes_b, linked):
 
 def reference_tracks(detections, config=LinkConfig()):
     """The scalar tracker's tracks: those `patience` ended, in the order they
-    ended, then those still live after the last detection frame."""
+    ended, then those still live after the last detection frame. Every
+    prediction is `reference_predict_next(prev, last box)`, with no case for
+    a new track: its `prev` is its own box."""
     by_frame = {}
     for d in sorted(detections, key=lambda d: (d.frame, d.box, -d.score)):
         by_frame.setdefault(d.frame, []).append(d)
-    finished, live = [], []
+    finished, live, seeded = [], [], 0
     if by_frame:
         for f in range(min(by_frame), max(by_frame) + 1):
             dets = by_frame.get(f, [])
@@ -345,7 +356,7 @@ def reference_tracks(detections, config=LinkConfig()):
             by_class = {}
             for idx, d in enumerate(dets):
                 by_class.setdefault(d.object_class, []).append(idx)
-            predictions = [reference_predict_next([e[1] for e in tr.entries]) for tr in live]
+            predictions = [reference_predict_next(tr.prev, tr.entries[-1][1]) for tr in live]
             for cls in sorted(by_class):
                 track_ids = [ti for ti, tr in enumerate(live) if tr.object_class == cls]
                 det_ids = by_class[cls]
@@ -356,6 +367,7 @@ def reference_tracks(detections, config=LinkConfig()):
                 for r, c in pairs:
                     tr = live[track_ids[r]]
                     d = dets[det_ids[c]]
+                    tr.prev = tr.entries[-1][1]
                     tr.entries.append((f, d.box, d.score, "detected"))
                     tr.misses = 0
                     tr.last_match_frame = f
@@ -365,6 +377,7 @@ def reference_tracks(detections, config=LinkConfig()):
                 if tr.entries[-1][0] == f:
                     still_live.append(tr)
                     continue
+                tr.prev = tr.entries[-1][1]
                 tr.entries.append((f, predictions[ti], tr.entries[-1][2], "tracked"))
                 tr.misses += 1
                 if tr.misses >= config.patience:
@@ -374,7 +387,9 @@ def reference_tracks(detections, config=LinkConfig()):
             live = still_live
             for idx, d in enumerate(dets):
                 if idx not in claimed:
-                    live.append(_RefTrack(d.object_class, [(f, d.box, d.score, "detected")], last_match_frame=f))
+                    live.append(_RefTrack(seeded, d.object_class, [(f, d.box, d.score, "detected")], d.box,
+                                          last_match_frame=f))
+                    seeded += 1
     return finished, live
 
 
@@ -382,7 +397,8 @@ def reference_track_link(detections, config=LinkConfig()):
     video_ids = {d.video_id for d in detections}
     video_id = video_ids.pop() if video_ids else ""
     tubelets = []
-    for tr in itertools.chain(*reference_tracks(detections, config)):
+    # in seed order, so that `_ref_numbered` breaks exact ties by it
+    for tr in sorted(itertools.chain(*reference_tracks(detections, config)), key=lambda tr: tr.seed):
         entries = [e for e in tr.entries if e[0] <= tr.last_match_frame]
         tubelets.append(_ref_emit(video_id, tr.object_class, entries))
     return _ref_numbered(tubelets)

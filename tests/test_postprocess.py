@@ -5,7 +5,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
-from conftest import box_rows, make_proposal, make_tubelet, score_matrix
+from conftest import box_rows, make_proposal, make_tubelet
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +24,7 @@ from tubekit.proposals import (
     VEHICLE_GROUP,
     tubelet_spatial_iou,
 )
-from tubekit.refinement import TubeletProposals, filter_static, make_proposals
+from tubekit.refinement import TubeletProposals, filter_static, make_proposals, score_matrix
 from tubekit.synthgen import SceneConfig, generate
 
 

@@ -16,7 +16,7 @@ import re
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from conftest import make_tubelet, score_matrix, write_tubelet_list
+from conftest import make_tubelet, write_tubelet_list
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_tubelet_columns import reference_read_tubelets
@@ -37,7 +37,7 @@ def _tubelets():
 
 def _proposals(scored):
     t0, t1 = _tubelets()
-    scores = (lambda *s: score_matrix([{"Riding": x, "non_action": 1.0 - x} for x in s])) if scored else (
+    scores = (lambda *s: refinement.score_matrix([{"Riding": x, "non_action": 1.0 - x} for x in s])) if scored else (
         lambda *s: None)
     return [
         refinement.TubeletProposals(t0, np.array([0, 1]), np.array([[0, 3], [1, 4]]), scores(0.75, 0.5)),

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_tubelet, score_matrix, write_tubelet_list
+from conftest import make_tubelet, write_tubelet_list
 from tubekit import data_model
 from tubekit.data_model import (
     ACTIVITY_CLASSES,
@@ -29,7 +29,7 @@ from tubekit.data_model import (
 from tubekit.geometry import Interval
 from tubekit.linking import Track
 from tubekit.proposals import SCORE_CLASSES
-from tubekit.refinement import TubeletProposals, read_proposals, write_proposals
+from tubekit.refinement import TubeletProposals, read_proposals, score_matrix, write_proposals
 
 # -- the reference: the dict-per-row encoder the writers used before --------
 

@@ -24,7 +24,6 @@ from tubekit.data_model import (
     DETECTION_CLASSES,
     ActivityInstance,
     VideoMeta,
-    _bad_boxes,
     extent_field,
     int_field,
     read_records,
@@ -43,6 +42,11 @@ from tubekit.refinement import RefineConfig, filter_static
 # the per-object references
 
 
+def bad_boxes(boxes):
+    """(n,) bool: the rows of an (n,4) box array that are non-finite or inverted."""
+    return ~np.isfinite(boxes).all(axis=1) | (boxes[:, 0] > boxes[:, 2]) | (boxes[:, 1] > boxes[:, 3])
+
+
 def reference_tubelet_from_record(rec):
     """The `Track` of a parsed tubelets.jsonl line, made as the reader did
     before it filled column tables: every field checked in field order, the
@@ -55,7 +59,7 @@ def reference_tubelet_from_record(rec):
     require_numbers(values, "box coordinates")
     boxes = np.empty((len(rows), 4))
     boxes.reshape(-1)[:] = values
-    bad = _bad_boxes(boxes)
+    bad = bad_boxes(boxes)
     if bad.any():
         raise InvalidInputError(f"non-finite or inverted box at frame {extent.start + int(np.argmax(bad))}")
     return Track(int_field(rec, "id"), str_field(rec, "video_id"), str_field(rec, "class"), extent, boxes)
