@@ -166,15 +166,18 @@ class VideoMeta:
 
 
 def read_jsonl(path):
-    """Yield (line_number, record) pairs; a line `json.loads` rejects raises ParseError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Yield (line_number, record) pairs; a line that is not UTF-8 or that
+    `json.loads` rejects raises ParseError."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
+                if not line.isascii():  # a byte that is not UTF-8 was read as a lone surrogate: decode strictly
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
                 rec = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # also: an int past the digit limit, or too deep
+            except (ValueError, RecursionError) as exc:  # also: bad UTF-8, an int past the digit limit, too deep
                 raise ParseError(f"malformed record: {exc}", path=path, line=lineno)
             if not isinstance(rec, dict):
                 raise ParseError("record is not an object", path=path, line=lineno)

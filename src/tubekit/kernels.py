@@ -41,7 +41,6 @@ def temporal_iou_matrix(a, b):
     """Pairwise temporal IoU of two (n,2)/(m,2) float64 half-open interval arrays."""
     inter = np.minimum(a[:, 1, None], b[None, :, 1]) - np.maximum(a[:, 0, None], b[None, :, 0])
     union = np.maximum(a[:, 1, None], b[None, :, 1]) - np.minimum(a[:, 0, None], b[None, :, 0])
-    inter = np.clip(inter, 0.0, None)
-    out = np.zeros_like(inter)
-    np.divide(inter, union, out=out, where=union > 0.0)
-    return out
+    np.maximum(inter, 0.0, out=inter)
+    # a union <= 0 holds no frame of either interval, so inter is 0 there already
+    return np.divide(inter, union, out=inter, where=union > 0.0)

@@ -41,14 +41,15 @@ class SoftNmsConfig:
             raise InvalidInputError(f"nms.score_threshold out of (0,1]: {self.score_threshold}")
 
 
-def _decay_matrix(tiou, config):
-    """Score multiplier for every pair: gaussian exp(-tiou^2/sigma), or linear
-    1 - tiou above the threshold and 1 otherwise. The gaussian goes through
-    math.exp (once per distinct value), whose bits np.exp does not promise."""
+def _decay_row(tiou, config):
+    """Score multiplier for each temporal IoU of one selected entry against its
+    live neighbours: gaussian exp(-tiou^2/sigma), or linear 1 - tiou above the
+    threshold and 1 otherwise. The gaussian goes through math.exp for each
+    value, whose bits np.exp does not promise."""
     if config.method == "linear":
         return np.where(tiou > config.linear_threshold, 1.0 - tiou, 1.0)
-    exponents, inverse = np.unique(-(tiou * tiou) / config.sigma, return_inverse=True)
-    return np.array([math.exp(x) for x in exponents.tolist()])[inverse].reshape(tiou.shape)
+    exponents = (tiou * tiou) / -config.sigma  # the bits of -(tiou * tiou) / sigma: negation is exact
+    return np.fromiter(map(math.exp, exponents.tolist()), np.float64, len(tiou))
 
 
 def _neighbor_mask(tracks, windows):
@@ -97,9 +98,10 @@ def soft_nms(scores, windows, ids, tracks, config=SoftNmsConfig()):
     scores[i], over the frames windows[i] = (start, length) of normalised track tracks[i].
 
     Iteratively selects the highest-scoring entry and decays the scores of
-    its neighbours (gaussian exp(-tiou^2/sigma) or linear 1-tiou). Entries
-    falling below `score_threshold` are dropped. Returns the kept entries'
-    indices in selection order, so by final score, descending, and those scores.
+    its live neighbours (gaussian exp(-tiou^2/sigma) or linear 1-tiou), from
+    one row of temporal IoU against them. Entries falling below
+    `score_threshold` are dropped. Returns the kept entries' indices in
+    selection order, so by final score, descending, and those scores.
     An entry decays only entries selected after it, so at threshold t2 this
     returns exactly its output at any t1 <= t2 cut to the scores >= t2."""
     live = np.flatnonzero(scores >= config.score_threshold)
@@ -107,20 +109,20 @@ def soft_nms(scores, windows, ids, tracks, config=SoftNmsConfig()):
     live = live[np.lexsort((ids[live], windows[live, 0]))]
     scores, windows = scores[live], windows[live]  # copies: the decay writes to scores
     spans = np.cumsum(windows, axis=1, dtype=np.float64)  # (start, end)
-    decay = _decay_matrix(kernels.temporal_iou_matrix(spans, spans), config)
     neighbors = _neighbor_mask([tracks[i] for i in live.tolist()], windows)
 
-    alive = np.ones(len(live), dtype=bool)
-    kept = []
-    while alive.any():
-        candidates = np.flatnonzero(alive)
-        top = int(candidates[np.argmax(scores[candidates])])
+    kept, final = [], []
+    for _ in range(len(live)):
+        # selected entries hold -inf and dropped ones lie below the cut, so this is the first live maximum
+        top = int(np.argmax(scores))
+        if scores[top] < config.score_threshold:
+            break
         kept.append(top)
-        alive[top] = False
-        hit = alive & neighbors[top]
-        scores[hit] *= decay[top, hit]
-        alive &= scores >= config.score_threshold
-    return live[kept].tolist(), scores[kept].tolist()  # a selected score decays no more
+        final.append(float(scores[top]))  # a selected score decays no more
+        scores[top] = -np.inf
+        hit = np.flatnonzero(neighbors[top] & (scores >= config.score_threshold))
+        scores[hit] *= _decay_row(kernels.temporal_iou_matrix(spans[top:top + 1], spans[hit])[0], config)
+    return live[kept].tolist(), final
 
 
 def fuse(vehicle_scored, person_scored, nms, fusion, funnel=None):

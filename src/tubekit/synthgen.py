@@ -9,6 +9,7 @@ positives. Fully deterministic: video v uses numpy's default_rng seeded with
 """
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -59,6 +60,8 @@ class SceneConfig:
             raise InvalidInputError(f"dropout_rate out of [0,1]: {self.dropout_rate}")
         if self.box_jitter_px < 0 or self.false_positive_rate < 0 or self.score_noise < 0:
             raise InvalidInputError("noise magnitudes must be >= 0")
+        if not math.isfinite(2.0 * self.box_jitter_px):  # the width of its uniform draw
+            raise InvalidInputError(f"synth.box_jitter_px must be finite when doubled: {self.box_jitter_px}")
         if self.frame_rate <= 0.0:
             raise InvalidInputError(f"synth.frame_rate must be positive: {self.frame_rate}")
         for key in ("frame_width", "frame_height"):

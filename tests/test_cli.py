@@ -445,15 +445,18 @@ def test_malformed_input_exits_one(tmp_path):
     assert report["stage"] == "link"
 
 
+DETECTION_LINE = b'{"video_id": "v0", "frame": 0, "x1": 0, "y1": 0, "x2": 1, "y2": 1, "class": "car", "score": 0.5}'
+
+
 @pytest.mark.parametrize("line", [
-    "[" * 200_000 + "]" * 200_000,  # json.loads: RecursionError
-    '{"video_id": "v0", "frame": ' + "1" * 5_000 + ', "x1": 0, "y1": 0, "x2": 1, "y2": 1, "class": "car", '
-    '"score": 0.5}',  # json.loads: ValueError past Python's int digit limit, not a JSONDecodeError
-], ids=["nested", "long-int"])
+    b"[" * 200_000 + b"]" * 200_000,  # json.loads: RecursionError
+    # json.loads: ValueError past Python's int digit limit, not a JSONDecodeError
+    DETECTION_LINE.replace(b'"frame": 0', b'"frame": ' + b"1" * 5_000),
+    DETECTION_LINE.replace(b"v0", b"v\xff"),  # not UTF-8: UnicodeDecodeError, a ValueError
+], ids=["nested", "long-int", "not-utf8"])
 def test_line_json_cannot_decode_exits_one_naming_it(tmp_path, line):
     dets = tmp_path / "d.jsonl"
-    dets.write_text('{"video_id": "v0", "frame": 0, "x1": 0, "y1": 0, "x2": 1, "y2": 1, "class": "car", '
-                    f'"score": 0.5}}\n{line}\n')
+    dets.write_bytes(DETECTION_LINE + b"\n" + line + b"\n")
     meta = tmp_path / "meta.jsonl"
     meta.write_text('{"video_id": "v0", "frame_count": 10, "frame_rate": 30, "width": 100, "height": 100}\n')
     res = run(["link", "--detections", str(dets), "--meta", str(meta), "--out", str(tmp_path / "o.jsonl")])
@@ -632,6 +635,7 @@ def test_unknown_config_key_exits_one(corpus_dir, tmp_path, cfg, name):
         ({"synth": {"frame_width": -1.0}}, [], "synth.frame_width"),
         ({"synth": {"frame_height": -1.0}}, [], "synth.frame_height"),
         ({"nms": {"score_threshold": 0.0}}, [], "nms.score_threshold"),
+        ({"synth": {"box_jitter_px": 1e308}}, [], "synth.box_jitter_px"),
     ],
 )
 def test_bad_config_value_exits_one_before_any_write(corpus_dir, tmp_path, cfg, extra, section):

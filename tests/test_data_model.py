@@ -71,6 +71,46 @@ class TestReadDetections:
             dm.read_detections(p)
 
 
+def text_mode_lines(path):
+    """The (line number, record or None if json.loads rejects it) pairs of the
+    non-blank lines a text-mode reader splits the file into."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    yield lineno, json.loads(line.strip())
+                except ValueError:
+                    yield lineno, None
+
+
+class TestReadJsonl:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(parts=st.lists(st.tuples(st.text(alphabet="a \t\x85\u2028\u00e9\U0001f600", max_size=4),
+                                    st.sampled_from(["\n", "\r\n", "\r", "\r\r\n", "\n\r", " \r", "\t\n",
+                                                     "\n\n", " ", ""])),
+                          max_size=8))
+    def test_splits_lines_as_text_mode_does(self, tmp_path, parts):
+        # the records hold characters str.splitlines breaks at, raw; a file
+        # breaks only at "\n", "\r\n" and a lone "\r"
+        p = tmp_path / "r.jsonl"
+        p.write_bytes("".join(json.dumps({"k": s}, ensure_ascii=False) + sep for s, sep in parts).encode("utf-8"))
+        want = list(text_mode_lines(p))
+        bad = [lineno for lineno, rec in want if rec is None]
+        if bad:
+            with pytest.raises(ParseError) as exc:
+                list(dm.read_jsonl(p))
+            assert exc.value.line == bad[0]
+        else:
+            assert list(dm.read_jsonl(p)) == want
+
+    def test_invalid_utf8_names_its_line(self, tmp_path):
+        p = tmp_path / "r.jsonl"
+        p.write_bytes(b'{"k": 1}\r{"k": 2}\r\n\n{"k": "\xff"}\n{"k": 3}\n')
+        with pytest.raises(ParseError, match="can't decode byte 0xff") as exc:
+            list(dm.read_jsonl(p))
+        assert exc.value.line == 4
+
+
 def make_instance(activity="Riding", start=0, end=10, video_id="v0"):
     return dm.ActivityInstance(video_id, activity, Interval(start, end), box_rows((0, 0, 10, 10), end - start), 1.0)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from dataclasses import dataclass
 from typing import Optional
 
@@ -119,6 +120,22 @@ class TestSoftNms:
                    boxes=box_rows((500, 500, 510, 510), 10))
         out = nms([a, b], "Riding")
         assert {s for _, s in out} == {0.9, 0.8}
+
+    def test_a_neighbouring_bucket_holds_no_square_float_matrix(self):
+        # 1,000 windows of one track all neighbour each other: the (n, n) bool
+        # neighbour mask takes 1 MB, one (n, n) float64 matrix 8 MB
+        rng = np.random.default_rng(31)
+        track = make_tubelet(box_rows((0, 0, 10, 10), 2000))
+        lengths = rng.integers(32, 257, size=1000)
+        windows = np.stack([rng.integers(0, 2000 - lengths + 1), lengths], axis=1)
+        scores = rng.uniform(0.0, 1.0, size=1000)
+        tracemalloc.start()
+        try:
+            soft_nms(scores, windows, np.arange(1000), [track] * 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
     def test_cuts_the_whole_bucket_itself(self):
         # soft_nms is given every bucket entry and returns indices into them:
@@ -421,12 +438,12 @@ CONFIGS = (
 )
 
 
-def drifting_tubelet(rng, video_id="v0", object_class="person"):
-    """A tubelet of 1-29 frames, with an id in 0-2, whose boxes drift across
-    those of the others, so that some common frames overlap and others do
-    not."""
+def drifting_tubelet(rng, video_id="v0", object_class="person", length=None):
+    """A tubelet of `length` frames (1-29 if None), with an id in 0-2, whose
+    boxes drift across those of the others, so that some common frames
+    overlap and others do not."""
     start = int(rng.integers(0, 30))
-    length = int(rng.integers(1, 30))
+    length = int(rng.integers(1, 30)) if length is None else length
     x = rng.choice([0.0, 15.0, 200.0]) + rng.choice([-1.5, 0.0, 1.5]) * np.arange(length)
     boxes = np.stack([x, np.zeros(length), x + 10.0, np.full(length, 10.0)], axis=1)
     return make_tubelet(boxes, start, int(rng.integers(0, 3)), video_id, object_class)
@@ -467,11 +484,27 @@ def random_bucket(rng):
     return lines_of(parts)
 
 
+def crowded_bucket(rng):
+    """Lines over 2-3 drifting tubelets of 400 frames with 100-120 windows of
+    2-10 frames each, scored 0.2-1 with ties: few windows overlap in time, so
+    soft-NMS keeps most of the 200 or more entries."""
+    parts = []
+    for _ in range(int(rng.integers(2, 4))):
+        tubelet = drifting_tubelet(rng, length=400)
+        starts = rng.integers(tubelet.extent.start, tubelet.extent.end, size=int(rng.integers(100, 121)))
+        ends = np.minimum(starts + rng.integers(2, 11, size=len(starts)), tubelet.extent.end)
+        parts.append((tubelet, [[None, (s, e), {"Riding": float(rng.choice([0.5, 0.9, rng.uniform(0.2, 1.0)]))}]
+                                for s, e in zip(starts.tolist(), ends.tolist())]))
+    flat = [entry for _, entries in parts for entry in entries]
+    for pid, i in enumerate(rng.permutation(len(flat))):
+        flat[int(i)][0] = pid
+    return lines_of(parts)
+
+
 class TestSoftNmsEqualsPairwiseLoop:
     def test_random_buckets(self):
         rng = np.random.default_rng(2024)
-        for _ in range(300):
-            bucket = random_bucket(rng)
+        for bucket in [random_bucket(rng) for _ in range(300)] + [crowded_bucket(rng)]:
             for cfg in CONFIGS:
                 out = nms(bucket, "Riding", cfg)
                 assert [(p.id, s) for p, s in out] == reference_nms(bucket, "Riding", cfg)

@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,16 @@ class TestConfigValidation:
     def test_bad_dropout(self):
         with pytest.raises(InvalidInputError):
             SceneConfig(dropout_rate=1.5)
+
+    def test_box_jitter_whose_double_overflows(self):
+        # the jitter is drawn from [-j, j], a range 2j wide: the largest j
+        # whose double is finite is accepted and draws finite boxes
+        widest = sys.float_info.max / 2.0
+        corpus = generate(small(box_jitter_px=widest, video_count=1, frames_per_video=5))
+        assert all(np.isfinite(d.boxes).all() for d in corpus.detections.values())
+        for past in (math.nextafter(widest, math.inf), 1e308, math.inf, math.nan):
+            with pytest.raises(InvalidInputError, match="synth.box_jitter_px"):
+                SceneConfig(box_jitter_px=past)
 
 
 class TestGenerate:
